@@ -1,33 +1,34 @@
 //! Criterion benches of the A2SGD kernels themselves: the split-means
-//! pass, the residual transform, and the global-mean restore — the three
-//! O(n) passes that constitute A2SGD's entire per-iteration compute.
+//! sweep, the sign-shift sweep, and the two back to back — the whole of
+//! A2SGD's per-iteration compute (the 64-bit exchange sits between them).
 
-use a2sgd::mean2::{residual_in_place, restore_with_global_means, split_means};
+use a2sgd::mean2::{shift_by_sign, split_means};
 use a2sgd_bench::synthetic_gradient;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn bench_means(c: &mut Criterion) {
     let mut group = c.benchmark_group("a2sgd_kernels");
     group.sample_size(10);
-    for &n in &[65_536usize, 1_048_576, 16_777_216] {
+    // 199 210 is the paper's FNN-3 gradient.
+    for &n in &[65_536usize, 199_210, 1_048_576, 16_777_216] {
         let g = synthetic_gradient(n, n as u64);
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("split_means", n), &g, |b, g| {
             b.iter(|| std::hint::black_box(split_means(g)))
         });
-        group.bench_with_input(BenchmarkId::new("residual", n), &g, |b, g| {
-            let m = split_means(g);
+        group.bench_with_input(BenchmarkId::new("shift_by_sign", n), &g, |b, g| {
             b.iter(|| {
                 let mut tmp = g.clone();
-                std::hint::black_box(residual_in_place(&mut tmp, &m))
+                shift_by_sign(&mut tmp, -1e-3, 1e-3);
+                std::hint::black_box(tmp[0])
             })
         });
         group.bench_with_input(BenchmarkId::new("full_round", n), &g, |b, g| {
             b.iter(|| {
                 let mut tmp = g.clone();
                 let m = split_means(&tmp);
-                let mask = residual_in_place(&mut tmp, &m);
-                restore_with_global_means(&mut tmp, &mask, m.mu_pos * 0.9, m.mu_neg * 1.1);
+                let (d_pos, d_neg) = m.shift_to(m.mu_pos * 0.9, m.mu_neg * 1.1);
+                shift_by_sign(&mut tmp, d_pos, d_neg);
                 std::hint::black_box(tmp[0])
             })
         });

@@ -27,17 +27,22 @@ pub fn time_best<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     best
 }
 
-/// Compression compute time (selection/quantization/means, no exchange)
-/// for one algorithm on an `n`-element gradient — the quantity Figure 2
-/// plots. QSGD here uses the *fast* O(n) path; the deliberately
-/// paper-faithful O(n²) reference path is exercised separately by the
-/// fig2 binary at bounded n.
+/// Compression compute time (selection/quantization, or for A2SGD both
+/// O(n) sweeps of the round; no exchange) for one algorithm on an
+/// `n`-element gradient — the quantity Figure 2 plots. QSGD here uses
+/// the *fast* O(n) path; the deliberately paper-faithful O(n²) reference
+/// path is exercised separately by the fig2 binary at bounded n.
 pub fn compression_compute_seconds(algo: AlgoKind, g: &mut [f32], reps: usize) -> f64 {
     let n = g.len();
     match algo {
+        // Both sweeps of the round: split, then the sign shift (a zero
+        // shift costs the same — the kernel is branch-free — and leaves
+        // `g` intact across reps).
         AlgoKind::A2sgd => time_best(reps, || {
             let m = a2sgd::split_means(g);
-            std::hint::black_box(m);
+            let (d_pos, d_neg) = m.shift_to(m.mu_pos, m.mu_neg);
+            a2sgd::shift_by_sign(g, d_pos, d_neg);
+            std::hint::black_box(g[0]);
         }),
         AlgoKind::TopK(r) => {
             let k = ((n as f64 * r as f64) as usize).max(1);

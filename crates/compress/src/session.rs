@@ -9,9 +9,10 @@
 //! streaming synchronizers ([`GradientSynchronizer::streams_buckets`],
 //! i.e. Dense) each `submit` launches the bucket's exchange immediately,
 //! so frames are on the wire while the backward pass is still executing;
-//! for global-statistics synchronizers the session stages buckets and
-//! runs the ordinary [`GradientSynchronizer::sync_bucketed`] pipeline at
-//! `finish`, once the whole gradient exists. Either way the result is
+//! for global-statistics synchronizers a submit only marks the bucket
+//! ready (nothing is copied) and `finish` runs the ordinary
+//! [`GradientSynchronizer::sync_bucketed`] pipeline over the caller's flat
+//! gradient, once the whole of it exists. Either way the result is
 //! bit-identical to the single-shot call. [`bucket_bounds`] turns a
 //! parameter layout into the deterministic, layer-boundary-aligned bucket
 //! partition, and [`pipeline_allgather`] is the
@@ -51,13 +52,17 @@ pub fn bucket_bounds(sizes: &[usize], cap_bytes: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Per-bucket session state.
+/// Per-bucket session state. The in-flight variant dwarfs the two markers,
+/// but it is the streaming hot path's only variant and there is one slot
+/// per bucket — boxing it would buy an allocation per bucket per step.
+#[allow(clippy::large_enum_variant)]
 enum Slot {
     /// Not yet submitted.
     Pending,
     /// Submitted and staged (global-statistics synchronizers: the pipeline
-    /// needs the whole gradient, so the copy waits for `finish`).
-    Staged(Vec<f32>),
+    /// needs the whole gradient, which `finish` reads from the caller's
+    /// flat buffer — the slot only records that the bucket arrived).
+    Staged,
     /// Submitted and already on the wire (streaming synchronizers), with
     /// the launch instant for the overlap measure and the launch trace
     /// timestamp for the `bucket/inflight` async span (0 when untraced).
@@ -78,15 +83,14 @@ enum Slot {
 /// every submit launches the bucket's nonblocking exchange immediately —
 /// that is the backward-overlap path, and the time those frames spend in
 /// flight before `finish` drains them is reported as
-/// [`SyncStats::overlap_seconds`]. Otherwise submits stage copies and
-/// `finish` runs the synchronizer's ordinary bucketed pipeline over the
-/// re-assembled flat gradient, which is why results stay bit-identical to
-/// the single-shot call for every synchronizer.
+/// [`SyncStats::overlap_seconds`]. Otherwise a submit is bookkeeping only
+/// and `finish` runs the synchronizer's ordinary bucketed pipeline over
+/// the flat gradient the buckets were sliced from, which is why results
+/// stay bit-identical to the single-shot call for every synchronizer.
 pub struct SyncSession<'s> {
     sync: &'s mut dyn GradientSynchronizer,
     bounds: Vec<Range<usize>>,
     slots: Vec<Slot>,
-    compress_seconds: f64,
     exchange_seconds: f64,
     bits_before: Option<u64>,
 }
@@ -108,7 +112,6 @@ impl<'s> SyncSession<'s> {
             sync,
             bounds: bounds.to_vec(),
             slots,
-            compress_seconds: 0.0,
             exchange_seconds: 0.0,
             bits_before: None,
         }
@@ -121,7 +124,8 @@ impl<'s> SyncSession<'s> {
 
     /// Submits bucket `bucket_id`'s gradient slice (`data.len()` must
     /// match the bucket's bounds). Streaming synchronizers put it on the
-    /// wire before returning; others stage a copy for `finish`.
+    /// wire before returning; others only record the arrival — the data
+    /// is read at [`finish`](Self::finish), from the buffer passed there.
     pub fn submit(&mut self, bucket_id: usize, data: &[f32], comm: &mut CommHandle) {
         assert!(
             bucket_id < self.slots.len(),
@@ -139,8 +143,8 @@ impl<'s> SyncSession<'s> {
             "bucket {bucket_id} slice length disagrees with its bounds"
         );
         self.bits_before.get_or_insert_with(|| comm.stats().logical_wire_bits);
-        let bytes = (4 * data.len()) as u64;
         if self.sync.streams_buckets() {
+            let bytes = (4 * data.len()) as u64;
             let ts = a2sgd_trace::now_ns();
             let t0 = Instant::now();
             let handle = self
@@ -162,32 +166,18 @@ impl<'s> SyncSession<'s> {
             }
             self.slots[bucket_id] = Slot::InFlight(handle, launched, launched_ns);
         } else {
-            let ts = a2sgd_trace::now_ns();
-            let t0 = Instant::now();
-            self.slots[bucket_id] = Slot::Staged(data.to_vec());
-            self.compress_seconds += t0.elapsed().as_secs_f64();
-            if a2sgd_trace::enabled() {
-                a2sgd_trace::closed_span(
-                    "bucket/stage",
-                    ts,
-                    a2sgd_trace::Args::Bucket { bucket: bucket_id, bytes },
-                );
-            }
+            self.slots[bucket_id] = Slot::Staged;
         }
     }
 
     /// Drains the step into `grad` (the full flat gradient, overwritten
     /// with the synchronized result) and returns the aggregated stats.
-    /// Panics if any bucket was never submitted.
+    /// `grad` must hold the submitted data — every bucket was sliced from
+    /// it and it has not been written since: streaming synchronizers
+    /// already shipped their copy, all others read the gradient from
+    /// here. Panics if any bucket was never submitted.
     pub fn finish(self, grad: &mut [f32], comm: &mut CommHandle) -> SyncStats {
-        let SyncSession {
-            sync,
-            bounds,
-            slots,
-            mut compress_seconds,
-            mut exchange_seconds,
-            bits_before,
-        } = self;
+        let SyncSession { sync, bounds, slots, mut exchange_seconds, bits_before } = self;
         let total = bounds.last().map(|r| r.end).unwrap_or(0);
         assert_eq!(grad.len(), total, "flat gradient length disagrees with the partition");
         let missing: Vec<usize> = slots
@@ -237,26 +227,16 @@ impl<'s> SyncSession<'s> {
                 }
             }
             SyncStats {
-                compress_seconds,
                 exchange_seconds,
                 overlap_seconds,
                 wire_bits: comm.stats().logical_wire_bits - bits_before,
                 ..SyncStats::default()
             }
         } else {
-            // Re-assemble the staged copies into the caller's flat buffer
-            // and run the ordinary bucketed pipeline over it — global
-            // cross-bucket statistics and all.
-            let t0 = Instant::now();
-            for (r, slot) in bounds.iter().zip(slots) {
-                let Slot::Staged(data) = slot else { unreachable!() };
-                grad[r.clone()].copy_from_slice(&data);
-            }
-            compress_seconds += t0.elapsed().as_secs_f64();
-            let mut stats = sync.sync_bucketed(grad, &bounds, comm);
-            stats.compress_seconds += compress_seconds;
-            stats.exchange_seconds += exchange_seconds;
-            stats
+            // Every bucket has arrived, so `grad` is the whole local
+            // gradient: run the ordinary bucketed pipeline over it —
+            // global cross-bucket statistics and all.
+            sync.sync_bucketed(grad, &bounds, comm)
         }
     }
 }

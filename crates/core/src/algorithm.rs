@@ -1,32 +1,36 @@
 //! Algorithm 1: the A2SGD gradient synchronizer.
 
-use crate::mean2::{residual_in_place, restore_with_global_means, split_means};
+use crate::mean2::{shift_by_sign, split_means};
 use cluster_comm::{CommHandle, Payload};
 use gradcomp::{GradientSynchronizer, SyncStats};
 use std::ops::Range;
 use std::time::Instant;
 
-/// Two-level gradient averaging (paper Algorithm 1).
+/// Two-level gradient averaging (paper Algorithm 1) as
+/// **split → exchange → shift**.
 ///
-/// Per iteration at worker p:
+/// The paper states the iteration at worker p as
 /// 1. `µ+, µ− ← split_means(g)`                          (line 3)
 /// 2. `ε ← g − enc(g)` kept locally                      (line 4)
 /// 3. `(µ̄+, µ̄−) ← Allreduce((µ+, µ−), average)` — **64 bits per worker,
 ///    the O(1) communication step**                       (line 5)
 /// 4. `g ← ε + pos(g)·µ̄+ − neg(g)·µ̄−`                    (line 6)
 ///
+/// Lines 4 and 6 read the same sign pattern of the same untouched g, so
+/// together they are `g ← g + sign(g)·(µ̄± − µ±)`: ε is never materialised
+/// and no mask is kept. The round is two sweeps over g —
+/// [`split_means`], then one [`shift_by_sign`] once the global means are
+/// known — with the exchange between them.
+///
 /// Line 5 is realized as the exchange of one **packed 64-bit word** per
 /// worker — both means bit-packed into a single `u64`
 /// ([`A2sgd::encode_means`]) gathered across ranks and averaged locally
 /// (the paper's §4.4 gather formulation; identical result, and the packet
-/// that crosses a real socket is *measurably* 64 payload bits). The
-/// gather is launched as a *nonblocking* collective right after the means
-/// are known, so the network time hides behind the line-4 residual pass —
-/// lines 4 and 5 commute (ε is worker-local) and the result is unchanged.
+/// that crosses a real socket is *measurably* 64 payload bits).
 ///
-/// The residual is applied in the *same* iteration, so no cross-iteration
-/// memory exists; worker replicas drift only by their private residuals and
-/// are re-synchronized once at the end of training (Algorithm 1 lines 9–10
+/// The residual never leaves the iteration, so no cross-iteration memory
+/// exists; worker replicas drift only by their private residuals and are
+/// re-synchronized once at the end of training (Algorithm 1 lines 9–10
 /// — see [`crate::trainer`]).
 #[derive(Debug, Default)]
 pub struct A2sgd;
@@ -70,11 +74,9 @@ impl GradientSynchronizer for A2sgd {
 
     /// A2SGD's exchange is already a single 64-bit packet for the whole
     /// model — there is nothing to cut at bucket boundaries, so `bounds`
-    /// only shapes *when* the packet flies: it is launched (nonblocking)
-    /// before the residual pass, hiding the allgather behind the O(n)
-    /// restore compute. Results are trivially identical for every
-    /// partition; the degenerate bucketing is the honest statement of the
-    /// paper's O(1) claim, not a missed optimization.
+    /// is ignored. Results are trivially identical for every partition;
+    /// the degenerate bucketing is the honest statement of the paper's
+    /// O(1) claim, not a missed optimization.
     fn sync_bucketed(
         &mut self,
         grad: &mut [f32],
@@ -83,28 +85,15 @@ impl GradientSynchronizer for A2sgd {
     ) -> SyncStats {
         let t0 = Instant::now();
         let means = split_means(grad);
-        let compress_head = t0.elapsed().as_secs_f64();
-        comm.advance_compute(compress_head);
+        let split_seconds = t0.elapsed().as_secs_f64();
+        comm.advance_compute(split_seconds);
 
-        // Line 5: the entire inter-worker exchange — one packed u64,
-        // launched before the residual pass so the network hides behind it.
+        // Line 5: the entire inter-worker exchange — one packed u64.
         let bits_before = comm.stats().logical_wire_bits;
         let packet = Payload::PackedU64(vec![Self::encode_means(means.mu_pos, means.mu_neg)]);
         let tx = Instant::now();
-        let handle = comm.start_allgather_bytes(packet);
-        let mut exchange_seconds = tx.elapsed().as_secs_f64();
-
-        let t1 = Instant::now();
-        let mask = residual_in_place(grad, &means);
-        let residual_seconds = t1.elapsed().as_secs_f64();
-        comm.advance_compute(residual_seconds);
-
-        let tx = Instant::now();
-        let gathered = handle
-            .wait(comm)
-            .unwrap_or_else(|e| panic!("A2SGD means exchange failed: {e}"))
-            .expect_gathered();
-        exchange_seconds += tx.elapsed().as_secs_f64();
+        let gathered = comm.allgather_bytes(packet);
+        let exchange_seconds = tx.elapsed().as_secs_f64();
         let wire_bits = comm.stats().logical_wire_bits - bits_before;
         let inv = 1.0 / gathered.len() as f32;
         let (mut gmu_pos, mut gmu_neg) = (0.0f32, 0.0f32);
@@ -123,14 +112,15 @@ impl GradientSynchronizer for A2sgd {
         }
         let dispersion = dispersion_of(&magnitudes);
 
-        let t2 = Instant::now();
-        restore_with_global_means(grad, &mask, gmu_pos * inv, gmu_neg * inv);
-        let restore_seconds = t2.elapsed().as_secs_f64();
-        comm.advance_compute(restore_seconds);
+        let t1 = Instant::now();
+        let (d_pos, d_neg) = means.shift_to(gmu_pos * inv, gmu_neg * inv);
+        shift_by_sign(grad, d_pos, d_neg);
+        let shift_seconds = t1.elapsed().as_secs_f64();
+        comm.advance_compute(shift_seconds);
 
         debug_assert_eq!(wire_bits, Self::WIRE_BITS);
         SyncStats {
-            compress_seconds: compress_head + residual_seconds + restore_seconds,
+            compress_seconds: split_seconds + shift_seconds,
             exchange_seconds,
             wire_bits,
             dispersion: Some(dispersion),
@@ -188,20 +178,23 @@ mod tests {
     }
 
     #[test]
-    fn sign_pattern_of_update_follows_global_means() {
-        // With identical inputs on both workers, global means equal local
-        // means and the synchronized gradient equals the input exactly.
-        let base: Vec<f32> = vec![0.5, -1.5, 2.5, -0.25, 0.0, 3.0];
-        let expect = base.clone();
-        let out = run_cluster(4, NetworkProfile::infiniband_100g(), move |h| {
-            let mut g = base.clone();
-            let mut a = A2sgd::new();
-            a.synchronize(&mut g, h);
-            g
-        });
-        for g in out {
-            for (a, b) in g.iter().zip(&expect) {
-                assert!((a - b).abs() < 1e-6, "identical inputs must round-trip");
+    fn identical_inputs_and_lone_worker_round_trip_value_exact() {
+        // With identical inputs on every worker (or no peer at all) the
+        // global means equal the local ones bit for bit — a power-of-two
+        // world sums and rescales exactly — so both shifts are 0.0 and the
+        // synchronized gradient equals the input value for value.
+        let mut rng = SeedRng::new(21);
+        let mut base: Vec<f32> = (0..40_000).map(|_| rng.randn() * 0.02).collect();
+        base.extend([0.5, -1.5, 2.5, -0.25, 0.0, -0.0, 3.0]);
+        for world in [1, 4] {
+            let input = base.clone();
+            let out = run_cluster(world, NetworkProfile::infiniband_100g(), move |h| {
+                let mut g = input.clone();
+                A2sgd::new().synchronize(&mut g, h);
+                g
+            });
+            for g in out {
+                assert!(g == base, "world {world}: identical inputs must round-trip exactly");
             }
         }
     }

@@ -3,12 +3,14 @@
 //! The paper's primary contribution (Bhattacharya, Yu & Chowdhury,
 //! CLUSTER 2021): every worker consolidates its full gradient into **two
 //! scalars** — the absolute mean of its non-negative entries `µ+` and of
-//! its negative entries `µ−` — allreduces only those 64 bits, and restores
-//! per-coordinate variance by adding back the locally-retained residual
-//! `ε = g − enc(g)` within the same iteration (Algorithm 1).
+//! its negative entries `µ−` — allreduces only those 64 bits, and keeps
+//! per-coordinate variance by retaining the residual `ε = g − enc(g)`
+//! within the same iteration (Algorithm 1) — which amounts to shifting
+//! each sign class of g by `µ̄± − µ±`.
 //!
-//! * [`mean2`] — the single-pass two-level averaging kernels (`split_means`,
-//!   `enc`, residual) — the O(n)-compute / O(1)-communication heart.
+//! * [`mean2`] — the two sweeps of a round (`split_means`, then
+//!   `shift_by_sign` after the exchange) plus `enc` — the O(n)-compute /
+//!   O(1)-communication heart.
 //! * [`algorithm`] — [`algorithm::A2sgd`], the Algorithm-1
 //!   [`gradcomp::GradientSynchronizer`].
 //! * [`variants`] — extensions: the paper's §4.4 future-work
@@ -42,7 +44,7 @@ pub use a2sgd_sched::{SchedKind, SyncSchedule};
 pub use algorithm::A2sgd;
 pub use checkpoint::{Checkpoint, SchedCheckpoint};
 pub use cluster_comm::CommBackend;
-pub use mean2::{enc_into, restore_with_global_means, split_means, TwoMeans};
+pub use mean2::{enc_into, shift_by_sign, split_means, TwoMeans};
 pub use overlap::{HookLayout, HookedStep};
 pub use registry::AlgoKind;
 pub use trainer::{OptKind, TrainConfig, TrainReport};

@@ -1,11 +1,21 @@
-//! Single-pass two-level averaging kernels (paper §3.1).
+//! Two-level averaging kernels (paper §3.1): Algorithm 1 as
+//! **split → exchange → shift**.
 //!
 //! For a gradient `v ∈ Rⁿ`:
 //! `µ+(v) = E[v_i | v_i ≥ 0]`, `µ−(v) = E[|v_i| | v_i < 0]`, and
 //! `enc(v) = pos(v)·µ+ − neg(v)·µ−` where `pos`/`neg` are indicator
-//! vectors. The kernels below compute the means, the encoding, and the
-//! residual without materialising the indicator vectors — the sign of the
-//! original gradient *is* the mask, stored once as a packed bitset.
+//! vectors. Algorithm 1 keeps the local error `ε = g − enc(g)` (line 4),
+//! exchanges the two means (line 5) and applies `g ← ε + pos(g)·µ̄+ −
+//! neg(g)·µ̄−` (line 6). Lines 4 and 6 use the *same* sign pattern of the
+//! *untouched* g, so they fuse into one per-class shift
+//! `g_i ← g_i + (µ̄+ − µ+)` for `g_i ≥ 0`, `g_i ← g_i − (µ̄− − µ−)`
+//! otherwise: ε is never materialised and no sign mask is stored. A round
+//! is two sweeps over g — [`split_means`], then (after the 64-bit
+//! exchange) [`shift_by_sign`] — and neither inner loop branches on a
+//! gradient coordinate's sign (a coin flip no predictor learns).
+//!
+//! Both sweeps classify with `v >= 0.0`: `-0.0` is positive, NaN is
+//! negative (and poisons `µ−`).
 
 use mini_tensor::par;
 
@@ -22,81 +32,92 @@ pub struct TwoMeans {
     pub n_neg: usize,
 }
 
-/// Computes `µ+` and `µ−` in one parallel pass.
+impl TwoMeans {
+    /// The per-class shifts `(d_pos, d_neg)` that move a gradient from
+    /// these local means to the global pair `(µ̄+, µ̄−)` — the arguments of
+    /// [`shift_by_sign`]. Both are exactly 0 when the global means equal
+    /// the local ones.
+    pub fn shift_to(&self, gmu_pos: f32, gmu_neg: f32) -> (f32, f32) {
+        (gmu_pos - self.mu_pos, self.mu_neg - gmu_neg)
+    }
+}
+
+/// Class sums of one slice: `Σ v` over `v ≥ 0`, `Σ −v` over the rest, and
+/// the size of the first class.
+#[derive(Clone, Copy)]
+struct ClassSums {
+    pos: f64,
+    neg: f64,
+    n_pos: usize,
+}
+
+impl ClassSums {
+    const ZERO: ClassSums = ClassSums { pos: 0.0, neg: 0.0, n_pos: 0 };
+}
+
+impl std::ops::Add for ClassSums {
+    type Output = ClassSums;
+    fn add(self, o: ClassSums) -> ClassSums {
+        ClassSums { pos: self.pos + o.pos, neg: self.neg + o.neg, n_pos: self.n_pos + o.n_pos }
+    }
+}
+
+/// Independent accumulator lanes per block (four SSE / two AVX vectors).
+const LANES: usize = 16;
+/// Elements per block: each f32 lane takes `BLOCK / LANES = 8` same-signed
+/// addends before it is widened to f64, so a lane's relative error stays
+/// under 7·2⁻²⁴ whatever the slice length.
+const BLOCK: usize = 128;
+
+/// Select-style class sums: every element feeds both classes (its value
+/// or 0), so the loop body is compare + mask + add with no branch on the
+/// data, and the fixed lane/block shape makes the result a pure function
+/// of the slice.
+fn class_sums(g: &[f32]) -> ClassSums {
+    let mut acc = ClassSums::ZERO;
+    let mut blocks = g.chunks_exact(BLOCK);
+    for block in &mut blocks {
+        let mut pos = [0.0f32; LANES];
+        let mut neg = [0.0f32; LANES];
+        let mut cnt = [0u32; LANES];
+        for row in block.chunks_exact(LANES) {
+            let row: &[f32; LANES] = row.try_into().expect("chunks_exact(LANES) row");
+            for l in 0..LANES {
+                let v = row[l];
+                let p = v >= 0.0;
+                pos[l] += if p { v } else { 0.0 };
+                neg[l] += if p { 0.0 } else { -v };
+                cnt[l] += p as u32;
+            }
+        }
+        let mut b = ClassSums::ZERO;
+        for l in 0..LANES {
+            b.pos += pos[l] as f64;
+            b.neg += neg[l] as f64;
+            b.n_pos += cnt[l] as usize;
+        }
+        acc = acc + b;
+    }
+    for &v in blocks.remainder() {
+        let p = v >= 0.0;
+        acc.pos += if p { v as f64 } else { 0.0 };
+        acc.neg += if p { 0.0 } else { -v as f64 };
+        acc.n_pos += p as usize;
+    }
+    acc
+}
+
+/// Computes `µ+` and `µ−` in one parallel pass. Partials are taken over
+/// fixed [`par::PAR_CHUNK`] windows and combined in window order, so the
+/// result is bit-identical for every `RAYON_NUM_THREADS`.
 pub fn split_means(g: &[f32]) -> TwoMeans {
-    #[derive(Clone, Copy)]
-    struct Acc {
-        pos_sum: f64,
-        neg_sum: f64,
-        n_pos: usize,
-        n_neg: usize,
-    }
-    impl std::ops::Add for Acc {
-        type Output = Acc;
-        fn add(self, o: Acc) -> Acc {
-            Acc {
-                pos_sum: self.pos_sum + o.pos_sum,
-                neg_sum: self.neg_sum + o.neg_sum,
-                n_pos: self.n_pos + o.n_pos,
-                n_neg: self.n_neg + o.n_neg,
-            }
-        }
-    }
-    let z = Acc { pos_sum: 0.0, neg_sum: 0.0, n_pos: 0, n_neg: 0 };
-    let acc = par::par_reduce_indexed(g.len(), z, |lo, hi| {
-        let mut a = z;
-        for &v in &g[lo..hi] {
-            if v >= 0.0 {
-                a.pos_sum += v as f64;
-                a.n_pos += 1;
-            } else {
-                a.neg_sum += (-v) as f64;
-                a.n_neg += 1;
-            }
-        }
-        a
-    });
+    let acc = par::par_reduce_indexed(g.len(), ClassSums::ZERO, |lo, hi| class_sums(&g[lo..hi]));
+    let n_neg = g.len() - acc.n_pos;
     TwoMeans {
-        mu_pos: if acc.n_pos > 0 { (acc.pos_sum / acc.n_pos as f64) as f32 } else { 0.0 },
-        mu_neg: if acc.n_neg > 0 { (acc.neg_sum / acc.n_neg as f64) as f32 } else { 0.0 },
+        mu_pos: if acc.n_pos > 0 { (acc.pos / acc.n_pos as f64) as f32 } else { 0.0 },
+        mu_neg: if n_neg > 0 { (acc.neg / n_neg as f64) as f32 } else { 0.0 },
         n_pos: acc.n_pos,
-        n_neg: acc.n_neg,
-    }
-}
-
-/// Packed sign bitset: bit i set ⇔ `g[i] ≥ 0`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SignMask {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl SignMask {
-    /// Captures the sign pattern of `g`.
-    pub fn capture(g: &[f32]) -> Self {
-        let mut words = vec![0u64; g.len().div_ceil(64)];
-        for (i, &v) in g.iter().enumerate() {
-            if v >= 0.0 {
-                words[i / 64] |= 1 << (i % 64);
-            }
-        }
-        SignMask { words, len: g.len() }
-    }
-
-    /// True when coordinate `i` was non-negative.
-    #[inline]
-    pub fn is_pos(&self, i: usize) -> bool {
-        (self.words[i / 64] >> (i % 64)) & 1 == 1
-    }
-
-    /// Number of coordinates.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+        n_neg,
     }
 }
 
@@ -109,38 +130,13 @@ pub fn enc_into(g: &[f32], means: &TwoMeans, out: &mut [f32]) {
     });
 }
 
-/// In place: `g ← g − enc(g)` (the local error vector ε of Algorithm 1
-/// line 4). Returns the sign mask needed to apply the global means later.
-pub fn residual_in_place(g: &mut [f32], means: &TwoMeans) -> SignMask {
-    let mask = SignMask::capture(g);
-    let (mp, mn) = (means.mu_pos, means.mu_neg);
+/// Algorithm 1 lines 4 and 6 fused: `g_i ← g_i + d_pos` where `g_i ≥ 0`,
+/// `g_i ← g_i + d_neg` elsewhere, classifying on the value *before* the
+/// shift (see [`TwoMeans::shift_to`] for the shifts of a sync round).
+pub fn shift_by_sign(g: &mut [f32], d_pos: f32, d_neg: f32) {
     par::par_for_mut(g, move |v| {
-        *v -= if *v >= 0.0 { mp } else { -mn };
+        *v += if *v >= 0.0 { d_pos } else { d_neg };
     });
-    mask
-}
-
-/// Algorithm 1 line 6: `g ← ε + pos·µ̄+ − neg·µ̄−` with ε currently in `g`.
-pub fn restore_with_global_means(g: &mut [f32], mask: &SignMask, mu_pos: f32, mu_neg: f32) {
-    assert_eq!(g.len(), mask.len());
-    // Indexed loop (mask lookup) — chunked for parallelism.
-    let words = &mask.words;
-    if g.len() < par::PAR_THRESHOLD {
-        for (i, v) in g.iter_mut().enumerate() {
-            let pos = (words[i / 64] >> (i % 64)) & 1 == 1;
-            *v += if pos { mu_pos } else { -mu_neg };
-        }
-    } else {
-        use rayon::prelude::*;
-        g.par_chunks_mut(par::PAR_CHUNK).enumerate().for_each(|(c, chunk)| {
-            let base = c * par::PAR_CHUNK;
-            for (j, v) in chunk.iter_mut().enumerate() {
-                let i = base + j;
-                let pos = (words[i / 64] >> (i % 64)) & 1 == 1;
-                *v += if pos { mu_pos } else { -mu_neg };
-            }
-        });
-    }
 }
 
 #[cfg(test)]
@@ -181,88 +177,118 @@ mod tests {
         assert_eq!(out, [2.0, -2.0, 2.0]);
     }
 
+    /// ε = g − enc(g), the vector the fused round never builds.
+    fn residual(g: &[f32], m: &TwoMeans) -> Vec<f32> {
+        let mut enc = vec![0.0f32; g.len()];
+        enc_into(g, m, &mut enc);
+        g.iter().zip(&enc).map(|(v, e)| v - e).collect()
+    }
+
     #[test]
     fn residual_means_are_zero_per_side() {
         // Defining property: the residual sums to zero over each sign
         // class — the means absorb exactly the class averages.
         let mut rng = SeedRng::new(3);
-        let mut g: Vec<f32> = (0..10_001).map(|_| rng.randn() * 0.3 + 0.01).collect();
-        let orig = g.clone();
+        let g: Vec<f32> = (0..10_001).map(|_| rng.randn() * 0.3 + 0.01).collect();
         let m = split_means(&g);
-        let mask = residual_in_place(&mut g, &m);
+        let eps = residual(&g, &m);
         let (mut pos_sum, mut neg_sum) = (0.0f64, 0.0f64);
-        for (i, v) in g.iter().enumerate() {
-            if mask.is_pos(i) {
-                pos_sum += *v as f64;
+        for (v, e) in g.iter().zip(&eps) {
+            if *v >= 0.0 {
+                pos_sum += *e as f64;
             } else {
-                neg_sum += *v as f64;
+                neg_sum += *e as f64;
             }
         }
         assert!(pos_sum.abs() / (m.n_pos.max(1) as f64) < 1e-6, "pos residual mean {pos_sum}");
         assert!(neg_sum.abs() / (m.n_neg.max(1) as f64) < 1e-6, "neg residual mean {neg_sum}");
-        // And restoring with the *local* means reproduces the original.
-        restore_with_global_means(&mut g, &mask, m.mu_pos, m.mu_neg);
-        for (a, b) in g.iter().zip(&orig) {
-            assert!((a - b).abs() < 1e-5);
-        }
     }
 
     #[test]
-    fn restore_with_local_means_is_identity_large() {
-        // Exercise the parallel path (n > PAR_THRESHOLD).
+    fn shift_to_local_means_is_identity_large() {
+        // Exercise the parallel path (n > PAR_THRESHOLD): global = local
+        // means is a zero shift, and a zero shift returns g value-exact.
         let mut rng = SeedRng::new(4);
         let n = (1 << 15) + 123;
         let mut g: Vec<f32> = (0..n).map(|_| rng.randn()).collect();
         let orig = g.clone();
         let m = split_means(&g);
-        let mask = residual_in_place(&mut g, &m);
-        restore_with_global_means(&mut g, &mask, m.mu_pos, m.mu_neg);
-        for (a, b) in g.iter().zip(&orig) {
-            assert!((a - b).abs() < 1e-5);
+        let (dp, dn) = m.shift_to(m.mu_pos, m.mu_neg);
+        assert_eq!((dp, dn), (0.0, 0.0));
+        shift_by_sign(&mut g, dp, dn);
+        assert_eq!(g, orig);
+    }
+
+    #[test]
+    fn classification_follows_ieee_ge() {
+        // IEEE: -0.0 ≥ 0.0 is true, so -0.0 counts as positive; NaN fails
+        // every comparison and lands in the negative class — in both sweeps.
+        let g = [0.0f32, -0.0, 1.0, -1.0, f32::MIN_POSITIVE, -f32::MIN_POSITIVE];
+        let m = split_means(&g);
+        assert_eq!((m.n_pos, m.n_neg), (4, 2));
+        let mut s = g;
+        shift_by_sign(&mut s, 10.0, -20.0);
+        assert_eq!(s, [10.0, 10.0, 11.0, -21.0, 10.0, -20.0]);
+
+        let m = split_means(&[1.0, f32::NAN, -3.0]);
+        assert_eq!((m.n_pos, m.n_neg), (1, 2));
+        assert_eq!(m.mu_pos, 1.0);
+        assert!(m.mu_neg.is_nan());
+    }
+
+    #[test]
+    fn split_means_matches_scalar_f64_reference() {
+        // Lane/block accumulation vs the plain f64 loop: counts exact and
+        // partition the input, means within 1e-6 relative — across the
+        // scalar tail, one block, and the chunked parallel path.
+        let mut rng = SeedRng::new(6);
+        for n in [1usize, 127, 128, 129, 4097, (1 << 15) + 77, 199_210] {
+            let g: Vec<f32> = (0..n).map(|_| rng.randn() * 0.02 + 0.001).collect();
+            let m = split_means(&g);
+            let (mut ps, mut ns, mut np) = (0.0f64, 0.0f64, 0usize);
+            for &v in &g {
+                if v >= 0.0 {
+                    ps += v as f64;
+                    np += 1;
+                } else {
+                    ns -= v as f64;
+                }
+            }
+            assert_eq!(m.n_pos, np, "n = {n}");
+            assert_eq!(m.n_pos + m.n_neg, n, "n = {n}");
+            for (got, sum, cnt) in [(m.mu_pos, ps, np), (m.mu_neg, ns, n - np)] {
+                let want = if cnt > 0 { sum / cnt as f64 } else { 0.0 };
+                assert!((got as f64 - want).abs() <= 1e-6 * want.abs(), "n = {n}: {got} vs {want}");
+            }
         }
     }
 
     #[test]
-    fn sign_mask_round_trip() {
-        let g = [0.0f32, -0.0, 1.0, -1.0, f32::MIN_POSITIVE, -f32::MIN_POSITIVE];
-        let mask = SignMask::capture(&g);
-        // IEEE: -0.0 ≥ 0.0 is true, so -0.0 counts as positive.
-        assert!(mask.is_pos(0));
-        assert!(mask.is_pos(1));
-        assert!(mask.is_pos(2));
-        assert!(!mask.is_pos(3));
-        assert!(mask.is_pos(4));
-        assert!(!mask.is_pos(5));
-    }
-
-    #[test]
-    fn variance_is_preserved_by_residual_restore() {
-        // The paper's variance argument: after subtracting local means and
-        // adding global means, per-coordinate deviations (the ε vector) are
-        // intact, so the variance around the class means is unchanged.
+    fn variance_is_preserved_by_the_shift() {
+        // The paper's variance argument: moving each sign class by a
+        // constant leaves per-coordinate deviations (the ε vector) intact,
+        // so the variance around the class means is unchanged.
         let mut rng = SeedRng::new(5);
         let g: Vec<f32> = (0..5000).map(|_| rng.randn()).collect();
         let m = split_means(&g);
-        let mut eps = g.clone();
-        let mask = residual_in_place(&mut eps, &m);
         // Global means from a fictitious other worker.
-        let (gp, gn) = (m.mu_pos * 0.9, m.mu_neg * 1.1);
-        let mut restored = eps.clone();
-        restore_with_global_means(&mut restored, &mask, gp, gn);
-        // Per-class variance of `restored` equals per-class variance of g.
+        let (dp, dn) = m.shift_to(m.mu_pos * 0.9, m.mu_neg * 1.1);
+        let mut shifted = g.clone();
+        shift_by_sign(&mut shifted, dp, dn);
+        // Per-class variance of `shifted` equals per-class variance of g.
         let var_of = |xs: &[f32], pick_pos: bool| -> f64 {
             let vals: Vec<f64> = xs
                 .iter()
-                .enumerate()
-                .filter(|(i, _)| mask.is_pos(*i) == pick_pos)
-                .map(|(_, &v)| v as f64)
+                .zip(&g)
+                .filter(|(_, o)| (**o >= 0.0) == pick_pos)
+                .map(|(&v, _)| v as f64)
                 .collect();
             let mean = vals.iter().sum::<f64>() / vals.len() as f64;
             vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / vals.len() as f64
         };
         for side in [true, false] {
             let v1 = var_of(&g, side);
-            let v2 = var_of(&restored, side);
+            let v2 = var_of(&shifted, side);
             assert!((v1 - v2).abs() < 1e-6 * (1.0 + v1), "side {side}: {v1} vs {v2}");
         }
     }

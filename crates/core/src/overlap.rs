@@ -104,8 +104,7 @@ pub struct HookedStep<'a> {
 
 impl<'a> HookedStep<'a> {
     /// Opens the step's session. `flat` is (re)sized to the layout; its
-    /// previous contents — e.g. the other half of a double buffer — are
-    /// not read.
+    /// previous contents are not read.
     pub fn begin(
         layout: &'a HookLayout,
         sync: &'a mut dyn GradientSynchronizer,

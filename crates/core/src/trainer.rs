@@ -151,9 +151,7 @@ pub struct TrainConfig {
     /// bucket to the sync session the moment its last layer's gradient
     /// lands — the output layer's bucket is on the wire (streaming
     /// synchronizers) or staged (global-statistics synchronizers) while
-    /// earlier layers are still backpropagating, and the flat gradient is
-    /// double-buffered across iterations so step *t+1*'s hook writes never
-    /// alias step *t*'s scatter source. Results are **bit-identical**
+    /// earlier layers are still backpropagating. Results are **bit-identical**
     /// either way, for every synchronizer, bucket cap, world size and
     /// backend (CI-enforced); this knob only moves exchange time under
     /// backward compute (reported as `avg_overlap_seconds`). Default
@@ -512,14 +510,7 @@ fn run_worker(
     let hook_layout =
         cfg.overlap_backward.then(|| HookLayout::of(model.as_mut(), cfg.bucket_bytes));
 
-    // Double-buffered flat gradient: hooked step *t* writes into buffer
-    // t % 2 while buffer (t+1) % 2 still holds the previous step's
-    // synchronized gradient, so hook writes never alias the buffer a
-    // late-draining consumer could still be reading. (Today `finish` runs
-    // before the optimizer step — bit-identity demands it — so this is
-    // the WAR-hazard removal that makes a future tail-drain-into-next-
-    // forward overlap possible, not a semantics change.)
-    let mut flats = [Vec::with_capacity(n), Vec::with_capacity(n)];
+    let mut flat: Vec<f32> = Vec::with_capacity(n);
     let mut epochs = Vec::with_capacity(cfg.epochs);
     let mut iters_done = 0usize;
     let mut sync_steps = 0usize;
@@ -603,14 +594,13 @@ fn run_worker(
             let mut was_local = false;
             let mut step_applied = false;
             let step_bytes_before = comm.stats().wire_bytes;
-            let flat = &mut flats[global_iter % 2];
             let stats = if let Some(layout) = &hook_layout {
                 // The session opens before backward; each bucket is
                 // submitted — streaming synchronizers put it straight on
                 // the wire — the moment its last layer's gradient lands,
                 // while earlier layers are still backpropagating. `finish`
                 // drains the tail after backward returns.
-                let mut step = HookedStep::begin(layout, sync.as_mut(), flat, comm);
+                let mut step = HookedStep::begin(layout, sync.as_mut(), &mut flat, comm);
                 let bwd_ns = a2sgd_trace::now_ns();
                 let _ = model.backward_hooked(&lo.dlogits, &mut step);
                 if a2sgd_trace::enabled() {
@@ -629,13 +619,13 @@ fn run_worker(
             } else {
                 let bwd_ns = a2sgd_trace::now_ns();
                 let _ = model.backward(&lo.dlogits);
-                flatten_grads(model.as_mut(), flat);
+                flatten_grads(model.as_mut(), &mut flat);
                 if a2sgd_trace::enabled() {
                     a2sgd_trace::closed_span("phase/backward", bwd_ns, a2sgd_trace::Args::None);
                 }
                 comm.advance_compute(t0.elapsed().as_secs_f64());
                 if want_hist {
-                    histograms.push((global_iter, grad_histogram(flat)));
+                    histograms.push((global_iter, grad_histogram(&flat)));
                 }
                 let decision = if scheduled {
                     schedule.decide(global_iter as u64)
@@ -665,7 +655,7 @@ fn run_worker(
                             // encodes inside `sync_bucketed`.
                             let pre = want_disp.then(|| flat.clone());
                             let ex_ns = a2sgd_trace::now_ns();
-                            let stats = sync.sync_bucketed(flat, &bounds, comm);
+                            let stats = sync.sync_bucketed(&mut flat, &bounds, comm);
                             if a2sgd_trace::enabled() {
                                 a2sgd_trace::closed_span(
                                     "phase/exchange",
@@ -673,7 +663,7 @@ fn run_worker(
                                     a2sgd_trace::Args::None,
                                 );
                             }
-                            (stats, pre.map(|p| drift_sums(&p, flat)))
+                            (stats, pre.map(|p| drift_sums(&p, &flat)))
                         } else {
                             // Window-closing sync: apply this step's local
                             // update first, then average *parameters* as
@@ -681,7 +671,7 @@ fn run_worker(
                             // the very same synchronizer — exact model
                             // averaging under dense, the O(1) two-means
                             // packet (plus a local residual) under A2SGD.
-                            scatter_grads(model.as_mut(), flat);
+                            scatter_grads(model.as_mut(), &flat);
                             let opt_ns = a2sgd_trace::now_ns();
                             let t1 = Instant::now();
                             opt.step(model.as_mut(), cfg.lr.lr_at(epoch_frac));
@@ -694,13 +684,13 @@ fn run_worker(
                             }
                             comm.advance_compute(t1.elapsed().as_secs_f64());
                             step_applied = true;
-                            flatten_params(model.as_mut(), flat);
+                            flatten_params(model.as_mut(), &mut flat);
                             for (d, a) in flat.iter_mut().zip(&anchor) {
                                 *d = a - *d;
                             }
                             let pre = want_disp.then(|| flat.clone());
                             let ex_ns = a2sgd_trace::now_ns();
-                            let stats = sync.sync_bucketed(flat, &bounds, comm);
+                            let stats = sync.sync_bucketed(&mut flat, &bounds, comm);
                             if a2sgd_trace::enabled() {
                                 a2sgd_trace::closed_span(
                                     "phase/exchange",
@@ -708,14 +698,14 @@ fn run_worker(
                                     a2sgd_trace::Args::None,
                                 );
                             }
-                            let drift = pre.map(|p| drift_sums(&p, flat));
+                            let drift = pre.map(|p| drift_sums(&p, &flat));
                             // w ← w_anchor − Δ̄; the new parameters become
                             // the next window's anchor.
                             for (w, a) in flat.iter_mut().zip(&anchor) {
                                 *w = a - *w;
                             }
-                            load_params(model.as_mut(), flat);
-                            anchor.copy_from_slice(flat);
+                            load_params(model.as_mut(), &flat);
+                            anchor.copy_from_slice(&flat);
                             (stats, drift)
                         };
                         if want_disp {
@@ -757,7 +747,7 @@ fn run_worker(
                 sync_steps += 1;
             }
             if !step_applied {
-                scatter_grads(model.as_mut(), flat);
+                scatter_grads(model.as_mut(), &flat);
                 let opt_ns = a2sgd_trace::now_ns();
                 let t1 = Instant::now();
                 opt.step(model.as_mut(), cfg.lr.lr_at(epoch_frac));
@@ -822,15 +812,14 @@ fn run_worker(
     }
 
     // ---- Algorithm 1 lines 9–10: final re-synchronization ----------------
-    let flat = &mut flats[0];
-    flatten_params(model.as_mut(), flat);
+    flatten_params(model.as_mut(), &mut flat);
     let local = flat.clone();
-    comm.allreduce_avg(flat);
+    comm.allreduce_avg(&mut flat);
     let mut div = 0.0f64;
     for (a, b) in local.iter().zip(flat.iter()) {
         div = div.max((a - b).abs() as f64);
     }
-    load_params(model.as_mut(), flat);
+    load_params(model.as_mut(), &flat);
 
     // ---- cross-rank report agreement -------------------------------------
     // The report scalars must agree on every rank (on TCP each rank is its

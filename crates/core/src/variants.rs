@@ -13,7 +13,7 @@
 //!   (L = 1 reduces to A2SGD). Communication is `2·L` floats — still O(1)
 //!   in n — trading a little bandwidth for lower encoding distortion.
 
-use crate::mean2::{residual_in_place, restore_with_global_means, split_means};
+use crate::mean2::{enc_into, shift_by_sign, split_means, TwoMeans};
 use cluster_comm::{CommHandle, Payload};
 use gradcomp::ef::ErrorFeedback;
 use gradcomp::{GradientSynchronizer, SyncStats};
@@ -37,8 +37,7 @@ impl GradientSynchronizer for A2sgdAllgather {
     }
 
     /// Like [`A2sgd`](crate::algorithm::A2sgd), the exchange is O(1) —
-    /// `bounds` is ignored and the nonblocking allgather hides behind the
-    /// residual pass.
+    /// `bounds` is ignored and the round is split → exchange → shift.
     fn sync_bucketed(
         &mut self,
         grad: &mut [f32],
@@ -47,28 +46,15 @@ impl GradientSynchronizer for A2sgdAllgather {
     ) -> SyncStats {
         let t0 = Instant::now();
         let means = split_means(grad);
-        let compress_head = t0.elapsed().as_secs_f64();
-        comm.advance_compute(compress_head);
+        let split_seconds = t0.elapsed().as_secs_f64();
+        comm.advance_compute(split_seconds);
 
         // The f32-lane variant of the exchange: two dense f32 means per
         // rank — the same 64 wire bits as the packed-u64 packet.
         let bits_before = comm.stats().logical_wire_bits;
         let tx = Instant::now();
-        let handle =
-            comm.start_allgather_bytes(Payload::F32Dense(vec![means.mu_pos, means.mu_neg]));
-        let mut exchange_seconds = tx.elapsed().as_secs_f64();
-
-        let t1 = Instant::now();
-        let mask = residual_in_place(grad, &means);
-        let residual_seconds = t1.elapsed().as_secs_f64();
-        comm.advance_compute(residual_seconds);
-
-        let tx = Instant::now();
-        let gathered = handle
-            .wait(comm)
-            .unwrap_or_else(|e| panic!("A2SGD-AG means exchange failed: {e}"))
-            .expect_gathered();
-        exchange_seconds += tx.elapsed().as_secs_f64();
+        let gathered = comm.allgather_bytes(Payload::F32Dense(vec![means.mu_pos, means.mu_neg]));
+        let exchange_seconds = tx.elapsed().as_secs_f64();
         let wire_bits = comm.stats().logical_wire_bits - bits_before;
         let inv = 1.0 / gathered.len() as f32;
         let (mut gp, mut gn) = (0.0f32, 0.0f32);
@@ -77,9 +63,14 @@ impl GradientSynchronizer for A2sgdAllgather {
             gp += pair[0];
             gn += pair[1];
         }
-        restore_with_global_means(grad, &mask, gp * inv, gn * inv);
+
+        let t1 = Instant::now();
+        let (d_pos, d_neg) = means.shift_to(gp * inv, gn * inv);
+        shift_by_sign(grad, d_pos, d_neg);
+        let shift_seconds = t1.elapsed().as_secs_f64();
+        comm.advance_compute(shift_seconds);
         SyncStats {
-            compress_seconds: compress_head + residual_seconds,
+            compress_seconds: split_seconds + shift_seconds,
             exchange_seconds,
             wire_bits,
             ..SyncStats::default()
@@ -139,11 +130,10 @@ impl GradientSynchronizer for A2sgdCarry {
         let mut exchange_seconds = tx.elapsed().as_secs_f64();
 
         // Transmit enc(acc); memory keeps acc − enc(acc) — computed while
-        // the two-float frame is in flight.
+        // the two-float frame is in flight, with `grad` as the enc buffer.
         let t1 = Instant::now();
-        let mut enc = vec![0.0f32; grad.len()];
-        crate::mean2::enc_into(&self.acc, &means, &mut enc);
-        self.ef.absorb(&self.acc, &enc);
+        enc_into(&self.acc, &means, grad);
+        self.ef.absorb(&self.acc, grad);
         let ef_seconds = t1.elapsed().as_secs_f64();
         comm.advance_compute(ef_seconds);
 
@@ -155,14 +145,15 @@ impl GradientSynchronizer for A2sgdCarry {
         exchange_seconds += tx.elapsed().as_secs_f64();
         let wire_bits = comm.stats().logical_wire_bits - bits_before;
         let inv = 1.0 / comm.world() as f32;
-        let (gp, gn) = (payload[0] * inv, payload[1] * inv);
         // The update this worker applies is enc with global means, using
         // its own sign pattern — no ε added back this iteration.
-        let mask = crate::mean2::SignMask::capture(&self.acc);
-        grad.fill(0.0);
-        restore_with_global_means(grad, &mask, gp, gn);
+        let t2 = Instant::now();
+        let global = TwoMeans { mu_pos: payload[0] * inv, mu_neg: payload[1] * inv, ..means };
+        enc_into(&self.acc, &global, grad);
+        let reconstruct_seconds = t2.elapsed().as_secs_f64();
+        comm.advance_compute(reconstruct_seconds);
         SyncStats {
-            compress_seconds: compress_head + ef_seconds,
+            compress_seconds: compress_head + ef_seconds + reconstruct_seconds,
             exchange_seconds,
             wire_bits,
             ..SyncStats::default()
@@ -386,6 +377,49 @@ mod tests {
         let e16 = err_at(16);
         assert!(e4 < e1, "L=4 ({e4}) should beat L=1 ({e1})");
         assert!(e16 < e4, "L=16 ({e16}) should beat L=4 ({e4})");
+    }
+
+    #[test]
+    fn compress_seconds_cover_split_and_apply_on_all_three() {
+        // Every A2SGD synchronizer reports (and charges to the rank clock)
+        // the whole compress cost: the split sweep *and* the final
+        // apply/reconstruct sweep. The floor is the apply kernel's own
+        // best-of-5 time on the same 1 M-element gradient; with one
+        // worker the modeled exchange is free, so the clock moves by
+        // exactly the reported compress time.
+        let n = 1 << 20;
+        let mut rng = SeedRng::new(70);
+        let g: Vec<f32> = (0..n).map(|_| rng.randn() * 0.02).collect();
+        let best_of_5 = |f: &mut dyn FnMut()| {
+            (0..5).fold(f64::INFINITY, |best, _| {
+                let t = Instant::now();
+                f();
+                best.min(t.elapsed().as_secs_f64())
+            })
+        };
+        let mut scratch = g.clone();
+        let shift_floor = best_of_5(&mut || shift_by_sign(&mut scratch, 1e-9, -1e-9));
+        let means = split_means(&g);
+        let enc_floor = best_of_5(&mut || enc_into(&g, &means, &mut scratch));
+        assert!(shift_floor > 0.0 && enc_floor > 0.0);
+
+        for (algo, floor) in [(0, shift_floor), (1, shift_floor), (2, enc_floor)] {
+            let input = g.clone();
+            let out = run_cluster(1, NetworkProfile::infiniband_100g(), move |h| {
+                let mut sync: Box<dyn GradientSynchronizer> = match algo {
+                    0 => Box::new(A2sgd::new()),
+                    1 => Box::new(A2sgdAllgather::new()),
+                    _ => Box::new(A2sgdCarry::new(n)),
+                };
+                let mut g = input.clone();
+                let before = h.clock();
+                let stats = sync.synchronize(&mut g, h);
+                (sync.name(), stats.compress_seconds, h.clock() - before)
+            });
+            let (name, compress, clock) = out[0];
+            assert!(compress > 0.0 && compress >= floor, "{name}: {compress} < apply {floor}");
+            assert!((clock - compress).abs() <= 1e-9, "{name}: clock {clock} vs {compress}");
+        }
     }
 
     #[test]

@@ -193,8 +193,9 @@ fn local_grad(
 }
 
 /// One fallible gradient sync. Dense: exact average. A2SGD: allgather the
-/// O(1) `(µ⁺, µ⁻, n⁺, n⁻)` packet, reconstruct from count-weighted global
-/// means, keep the residual locally (error feedback).
+/// O(1) `(µ⁺, µ⁻, n⁺, n⁻)` packet and shift each sign class of `g` from
+/// its local mean to the count-weighted global one (the residual stays
+/// local). `g` is untouched when the exchange fails.
 fn sync_gradient(
     comm: &mut CommHandle,
     kind: SyncKind,
@@ -204,7 +205,6 @@ fn sync_gradient(
         SyncKind::Dense => comm.try_allreduce_avg(g),
         SyncKind::A2sgd => {
             let means = a2sgd::split_means(g);
-            let mask = a2sgd::mean2::residual_in_place(g, &means);
             let packet = [
                 means.mu_pos.to_bits() as u64,
                 means.mu_neg.to_bits() as u64,
@@ -222,7 +222,8 @@ fn sync_gradient(
             }
             let mu_pos = if np > 0 { (pos / np as f64) as f32 } else { 0.0 };
             let mu_neg = if nn > 0 { (neg / nn as f64) as f32 } else { 0.0 };
-            a2sgd::restore_with_global_means(g, &mask, mu_pos, mu_neg);
+            let (d_pos, d_neg) = means.shift_to(mu_pos, mu_neg);
+            a2sgd::shift_by_sign(g, d_pos, d_neg);
             Ok(())
         }
     }

@@ -5,7 +5,7 @@
 //!
 //! Run: `cargo run --release --example convergence_theory`
 
-use a2sgd::mean2::{residual_in_place, restore_with_global_means, split_means};
+use a2sgd::mean2::{shift_by_sign, split_means};
 use a2sgd::theory::{affine_bound_fit, DistributedQuadratic};
 use mini_tensor::rng::SeedRng;
 
@@ -30,20 +30,15 @@ fn main() {
 
         // Each worker: local gradient → two means; exchange averages them.
         let mut grads: Vec<Vec<f32>> = (0..workers).map(|p| q.grad(p, &w, &mut rng)).collect();
-        let mut sum_p = 0.0f32;
-        let mut sum_n = 0.0f32;
-        let mut masks = Vec::new();
-        for g in grads.iter_mut() {
-            let m = split_means(g);
-            masks.push(residual_in_place(g, &m));
-            sum_p += m.mu_pos;
-            sum_n += m.mu_neg;
-        }
-        let (gp, gn) = (sum_p / workers as f32, sum_n / workers as f32);
-        // Every worker applies ε + global means; the *model state* follows
-        // worker 0 (replicas differ only by their residuals).
-        for (g, mask) in grads.iter_mut().zip(&masks) {
-            restore_with_global_means(g, mask, gp, gn);
+        let means: Vec<_> = grads.iter().map(|g| split_means(g)).collect();
+        let gp = means.iter().map(|m| m.mu_pos).sum::<f32>() / workers as f32;
+        let gn = means.iter().map(|m| m.mu_neg).sum::<f32>() / workers as f32;
+        // Every worker shifts its sign classes to the global means (ε stays
+        // put); the *model state* follows worker 0 (replicas differ only
+        // by their residuals).
+        for (g, m) in grads.iter_mut().zip(&means) {
+            let (d_pos, d_neg) = m.shift_to(gp, gn);
+            shift_by_sign(g, d_pos, d_neg);
         }
         let gnorm2: f64 = grads[0].iter().map(|v| (*v as f64).powi(2)).sum();
         let h = q.h(&w);

@@ -2,7 +2,7 @@
 //! the A2SGD update converges to w* under Assumption-2 learning rates, and
 //! Assumption 3's affine gradient bound holds along the trajectory.
 
-use a2sgd::mean2::{residual_in_place, restore_with_global_means, split_means};
+use a2sgd::mean2::{shift_by_sign, split_means};
 use a2sgd::theory::{affine_bound_fit, assumption2_probe, DistributedQuadratic};
 use mini_tensor::rng::SeedRng;
 
@@ -10,17 +10,11 @@ use mini_tensor::rng::SeedRng;
 fn a2sgd_step(q: &DistributedQuadratic, w: &[f32], rng: &mut SeedRng) -> Vec<f32> {
     let workers = q.centers.len();
     let mut grads: Vec<Vec<f32>> = (0..workers).map(|p| q.grad(p, w, rng)).collect();
-    let mut sp = 0.0f32;
-    let mut sn = 0.0f32;
-    let mut masks = Vec::new();
-    for g in grads.iter_mut() {
-        let m = split_means(g);
-        masks.push(residual_in_place(g, &m));
-        sp += m.mu_pos;
-        sn += m.mu_neg;
-    }
-    let (gp, gn) = (sp / workers as f32, sn / workers as f32);
-    restore_with_global_means(&mut grads[0], &masks[0], gp, gn);
+    let means: Vec<_> = grads.iter().map(|g| split_means(g)).collect();
+    let gp = means.iter().map(|m| m.mu_pos).sum::<f32>() / workers as f32;
+    let gn = means.iter().map(|m| m.mu_neg).sum::<f32>() / workers as f32;
+    let (d_pos, d_neg) = means[0].shift_to(gp, gn);
+    shift_by_sign(&mut grads[0], d_pos, d_neg);
     grads.swap_remove(0)
 }
 

@@ -2,7 +2,7 @@
 //! A2SGD pipeline pieces compose — tensor construction, the two-level
 //! means round-trip, and one allreduce on the simulated cluster.
 
-use a2sgd_repro::a2sgd::{restore_with_global_means, split_means};
+use a2sgd_repro::a2sgd::{shift_by_sign, split_means};
 use a2sgd_repro::cluster_comm::{run_cluster, NetworkProfile};
 use a2sgd_repro::mini_tensor::Tensor;
 
@@ -12,19 +12,15 @@ fn umbrella_reexports_resolve_and_compose() {
     let t = Tensor::from_vec(vec![1.0f32, -2.0, 3.0, -4.0], [2, 2]);
     assert_eq!(t.shape().numel(), 4);
 
-    // 2. split_means + residual + restore round-trips a small gradient.
+    // 2. split_means + a shift to the local means round-trips a small
+    //    gradient exactly (the shift is 0).
     let g = vec![0.5f32, -1.5, 2.0, -0.25, 0.0, 3.5];
     let means = split_means(&g);
     assert_eq!(means.n_pos + means.n_neg, g.len());
     let mut work = g.clone();
-    let mask = a2sgd_repro::a2sgd::mean2::residual_in_place(&mut work, &means);
-    restore_with_global_means(&mut work, &mask, means.mu_pos, means.mu_neg);
-    for (restored, original) in work.iter().zip(&g) {
-        assert!(
-            (restored - original).abs() < 1e-5,
-            "round-trip mismatch: {restored} vs {original}"
-        );
-    }
+    let (d_pos, d_neg) = means.shift_to(means.mu_pos, means.mu_neg);
+    shift_by_sign(&mut work, d_pos, d_neg);
+    assert_eq!(work, g, "round-trip mismatch");
 
     // 3. One allreduce across a 4-rank simulated cluster.
     let sums = run_cluster(4, NetworkProfile::infiniband_100g(), |h| {
