@@ -1,11 +1,11 @@
 //! Criterion bench behind the kernel-perf ledger (`BENCH_kernels.json`):
-//! the packed register-tiled [`Gemm`] core versus the legacy row-parallel
-//! triple loops it replaced, measured single-threaded
-//! (`RAYON_NUM_THREADS=1`) so the speedup is kernel shape, not core count.
+//! the packed register-tiled [`Gemm`] core, measured single-threaded
+//! (`RAYON_NUM_THREADS=1`) so the numbers are kernel shape, not core count.
+//! The row-parallel triple loops it replaced are gone; their medians stay
+//! in the ledger as the frozen `*/legacy/*` baseline rows.
 //!
 //! Three groups:
-//! * `gemm_st` — square 128/256/512 products; the 512³ packed-vs-legacy
-//!   ratio is the ISSUE-10 acceptance number (≥ 3×).
+//! * `gemm_st` — square 128/256/512 products.
 //! * `gemm_layers` — the real workspace shapes: FNN-3's first layer, the
 //!   VGG entry/middle im2col products, and an LSTM-PTB gate block.
 //! * `gemm_prepacked` — the weight-stationary path (`pack_a`/`pack_b` once,
@@ -14,7 +14,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mini_tensor::gemm::Gemm;
-use mini_tensor::matmul::legacy;
 use mini_tensor::rng::SeedRng;
 
 fn operands(g: &Gemm, seed: u64) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
@@ -25,16 +24,6 @@ fn operands(g: &Gemm, seed: u64) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
     (a, b, c)
 }
 
-/// Runs the legacy kernel matching the descriptor's transpose combo.
-fn run_legacy(g: &Gemm, a: &[f32], b: &[f32], c: &mut [f32]) {
-    match (g.trans_a, g.trans_b) {
-        (false, false) => legacy::matmul_rowpar(a, b, c, g.m, g.k, g.n),
-        (false, true) => legacy::matmul_bt_rowpar(a, b, c, g.m, g.k, g.n),
-        (true, false) => legacy::matmul_at_rowpar(a, b, c, g.k, g.m, g.n),
-        (true, true) => unreachable!("no legacy tt kernel"),
-    }
-}
-
 fn bench_square(c: &mut Criterion) {
     std::env::set_var("RAYON_NUM_THREADS", "1");
     let mut group = c.benchmark_group("gemm_st");
@@ -42,12 +31,6 @@ fn bench_square(c: &mut Criterion) {
     for s in [128usize, 256, 512] {
         let g = Gemm::nn(s, s, s);
         let (a, b, mut cbuf) = operands(&g, s as u64);
-        group.bench_with_input(BenchmarkId::new("legacy", s), &s, |bch, _| {
-            bch.iter(|| {
-                run_legacy(&g, &a, &b, &mut cbuf);
-                std::hint::black_box(cbuf[0])
-            })
-        });
         group.bench_with_input(BenchmarkId::new("packed", s), &s, |bch, _| {
             bch.iter(|| {
                 g.run_st(&a, &b, &mut cbuf);
@@ -79,12 +62,6 @@ fn bench_layers(c: &mut Criterion) {
     group.sample_size(10);
     for (label, g) in layer_shapes() {
         let (a, b, mut cbuf) = operands(&g, 17);
-        group.bench_with_input(BenchmarkId::new("legacy", label), &g, |bch, g| {
-            bch.iter(|| {
-                run_legacy(g, &a, &b, &mut cbuf);
-                std::hint::black_box(cbuf[0])
-            })
-        });
         group.bench_with_input(BenchmarkId::new("packed", label), &g, |bch, g| {
             bch.iter(|| {
                 g.run_st(&a, &b, &mut cbuf);

@@ -18,7 +18,7 @@
 //! `<dir>/<model>_<algo>/` (per-process `trace-*.jsonl`; forked TCP ranks
 //! inherit the setting through `A2SGD_TRACE`). Merge and audit with the
 //! `trace_report` binary. `--overlap` turns on hook-driven
-//! backward-overlapped synchronization (flat combos only; compose with
+//! backward-overlapped synchronization on every combination (compose with
 //! `--bucket-bytes N` for multi-bucket pipelines worth looking at).
 //!
 //! `--schedule <spec>` composes a sync schedule with every combination
@@ -299,13 +299,7 @@ fn main() {
     println!("== {fig}: Convergence with {workers} workers ({backend_name}) ==\n");
 
     for model in models {
-        let mut sweep: Vec<(AlgoKind, Topology)> =
-            only.map_or_else(|| combos(workers), |c| vec![c]);
-        if overlap {
-            // Hook-driven overlap does not yet compose with the
-            // hierarchical topology (trainer asserts) — keep the flat rows.
-            sweep.retain(|(_, t)| matches!(t, Topology::Flat));
-        }
+        let sweep: Vec<(AlgoKind, Topology)> = only.map_or_else(|| combos(workers), |c| vec![c]);
         let metric_name = if model.is_language_model() { "perplexity" } else { "top-1 %" };
         println!("--- {} ({metric_name}) ---", model.name());
 

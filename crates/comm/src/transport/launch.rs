@@ -31,9 +31,6 @@ pub const ENV_OUT_DIR: &str = "A2SGD_OUT_DIR";
 /// slower CI runners and long multi-process sweeps widen without editing
 /// source (e.g. `A2SGD_CHILD_DEADLINE_SECS=240`).
 pub const ENV_CHILD_DEADLINE: &str = "A2SGD_CHILD_DEADLINE_SECS";
-/// Older spelling of [`ENV_CHILD_DEADLINE`], still honored when the new
-/// one is unset.
-pub const ENV_LAUNCH_TIMEOUT: &str = "A2SGD_LAUNCH_TIMEOUT_SECS";
 
 const DEFAULT_LAUNCH_TIMEOUT: Duration = Duration::from_secs(120);
 
@@ -44,8 +41,7 @@ pub fn tcp_child_rank() -> Option<usize> {
 }
 
 /// Resolved launcher knobs — the one place the child-deadline environment
-/// is interpreted, replacing the ad-hoc lookups that used to be duplicated
-/// across launchers.
+/// is interpreted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchConfig {
     /// How long the parent waits for every child to exit before killing
@@ -54,38 +50,19 @@ pub struct LaunchConfig {
 }
 
 impl LaunchConfig {
-    /// The precedence rule, pinned by a unit test: `A2SGD_CHILD_DEADLINE_SECS`
-    /// wins when it parses as whole seconds; otherwise (unset *or*
-    /// unparsable) the older `A2SGD_LAUNCH_TIMEOUT_SECS` spelling is
-    /// consulted the same way; otherwise the 120 s default applies.
-    pub fn resolve(child_deadline: Option<&str>, launch_timeout: Option<&str>) -> Self {
-        let deadline = [child_deadline, launch_timeout]
-            .into_iter()
-            .find_map(|v| v?.parse::<u64>().ok())
+    /// `A2SGD_CHILD_DEADLINE_SECS`'s value when it parses as whole
+    /// seconds; otherwise (unset *or* unparsable) the 120 s default.
+    pub fn resolve(child_deadline: Option<&str>) -> Self {
+        let deadline = child_deadline
+            .and_then(|v| v.parse::<u64>().ok())
             .map(Duration::from_secs)
             .unwrap_or(DEFAULT_LAUNCH_TIMEOUT);
         LaunchConfig { child_deadline: deadline }
     }
 
-    /// Reads [`Self::resolve`]'s inputs from the process environment.
-    ///
-    /// Warns once (stderr) when only the deprecated
-    /// `A2SGD_LAUNCH_TIMEOUT_SECS` spelling is set — it still works, but
-    /// new configs should say `A2SGD_CHILD_DEADLINE_SECS` (or pass a
-    /// [`LaunchConfig`] / [`WorldSpec`] directly).
+    /// Reads [`Self::resolve`]'s input from the process environment.
     pub fn from_env() -> Self {
-        let var = |k: &str| std::env::var(k).ok();
-        let (deadline, timeout) = (var(ENV_CHILD_DEADLINE), var(ENV_LAUNCH_TIMEOUT));
-        if timeout.is_some() && deadline.is_none() {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "warning: {ENV_LAUNCH_TIMEOUT} is deprecated; set {ENV_CHILD_DEADLINE} \
-                     instead (or pass a LaunchConfig / WorldSpec to the launcher)"
-                );
-            });
-        }
-        Self::resolve(deadline.as_deref(), timeout.as_deref())
+        Self::resolve(std::env::var(ENV_CHILD_DEADLINE).ok().as_deref())
     }
 }
 
@@ -115,8 +92,7 @@ fn result_path(dir: &std::path::Path, rank: usize) -> PathBuf {
 /// waits for them under the [`LaunchConfig`] deadline, and returns the
 /// per-rank results in rank order.
 ///
-/// The deadline (default 120 s; see [`LaunchConfig::resolve`] for the env
-/// precedence) turns a hung rendezvous or deadlocked collective into a
+/// The deadline (default 120 s; see [`LaunchConfig::resolve`]) turns a hung rendezvous or deadlocked collective into a
 /// loud failure instead of a stalled CI job: all children are killed and
 /// the parent panics. A child that exits nonzero short-circuits the wait
 /// the same way — its siblings are killed immediately rather than idling
@@ -304,16 +280,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn launch_config_precedence_is_pinned() {
-        // The one documented rule: CHILD_DEADLINE wins when parsable;
-        // unset *or* unparsable falls through to the older LAUNCH_TIMEOUT
-        // spelling; then the 120 s default. Pure inputs — no env races.
-        let secs = |c: Option<&str>, l: Option<&str>| LaunchConfig::resolve(c, l).child_deadline;
-        assert_eq!(secs(Some("240"), Some("30")), Duration::from_secs(240));
-        assert_eq!(secs(None, Some("30")), Duration::from_secs(30));
-        assert_eq!(secs(Some("nonsense"), Some("30")), Duration::from_secs(30));
-        assert_eq!(secs(Some("nonsense"), None), Duration::from_secs(120));
-        assert_eq!(secs(None, None), Duration::from_secs(120));
+    fn launch_config_parses_or_defaults() {
+        // Pure input — no env races.
+        let secs = |c: Option<&str>| LaunchConfig::resolve(c).child_deadline;
+        assert_eq!(secs(Some("240")), Duration::from_secs(240));
+        assert_eq!(secs(Some("nonsense")), Duration::from_secs(120));
+        assert_eq!(secs(None), Duration::from_secs(120));
     }
 
     #[test]

@@ -169,15 +169,21 @@ fn rendezvous_deadline() -> Instant {
 
 fn connect_retry(addr: &str, deadline: Instant) -> Result<TcpStream, String> {
     loop {
-        match TcpStream::connect(addr) {
+        let refused = match TcpStream::connect(addr) {
+            // Dialing a loopback port nobody listens on *yet* can succeed
+            // as a TCP simultaneous open with itself when the kernel picks
+            // that very port as the ephemeral source (seen in the elastic
+            // soak as `ESTAB 127.0.0.1:45324 → 127.0.0.1:45324`, the dialer
+            // then reading back its own registration forever). That is not
+            // the master: drop it and retry like a refused connection.
+            Ok(s) if s.local_addr().ok() == s.peer_addr().ok() => "connected to itself".into(),
             Ok(s) => return Ok(s),
-            Err(e) => {
-                if Instant::now() >= deadline {
-                    return Err(format!("could not reach rendezvous master at {addr}: {e}"));
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
+            Err(e) => e.to_string(),
+        };
+        if Instant::now() >= deadline {
+            return Err(format!("could not reach rendezvous master at {addr}: {refused}"));
         }
+        std::thread::sleep(Duration::from_millis(20));
     }
 }
 

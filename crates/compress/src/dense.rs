@@ -1,7 +1,7 @@
 //! Dense (uncompressed) distributed SGD — the paper's "Dense" baseline.
 
 use crate::{GradientSynchronizer, SyncStats};
-use cluster_comm::{CollectiveHandle, CommHandle};
+use cluster_comm::{CollectiveHandle, CommHandle, TransportError};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -41,12 +41,12 @@ impl GradientSynchronizer for DenseSgd {
         "Dense"
     }
 
-    fn sync_bucketed(
+    fn try_sync_bucketed(
         &mut self,
         grad: &mut [f32],
         bounds: &[Range<usize>],
         comm: &mut CommHandle,
-    ) -> SyncStats {
+    ) -> Result<SyncStats, TransportError> {
         let bits_before = comm.stats().logical_wire_bits;
         let mut exchange_seconds = 0.0f64;
 
@@ -66,15 +66,15 @@ impl GradientSynchronizer for DenseSgd {
 
         for (r, handle) in bounds.iter().zip(handles) {
             let t0 = Instant::now();
-            self.finish_bucket(&mut grad[r.clone()], handle, comm);
+            self.try_finish_bucket(&mut grad[r.clone()], handle, comm)?;
             exchange_seconds += t0.elapsed().as_secs_f64();
         }
 
-        SyncStats {
+        Ok(SyncStats {
             exchange_seconds,
             wire_bits: comm.stats().logical_wire_bits - bits_before,
             ..SyncStats::default()
-        }
+        })
     }
 
     // Dense is the fully-streaming synchronizer: a bucket's recursive-
@@ -92,20 +92,18 @@ impl GradientSynchronizer for DenseSgd {
         Some(comm.start_allreduce(bucket.to_vec()))
     }
 
-    fn finish_bucket(
+    fn try_finish_bucket(
         &mut self,
         bucket: &mut [f32],
         handle: CollectiveHandle,
         comm: &mut CommHandle,
-    ) {
+    ) -> Result<(), TransportError> {
         let inv = 1.0 / comm.world() as f32;
-        let sum = handle
-            .wait(comm)
-            .unwrap_or_else(|e| panic!("dense bucket exchange failed: {e}"))
-            .expect_reduced();
+        let sum = handle.wait(comm)?.expect_reduced();
         for (g, s) in bucket.iter_mut().zip(sum) {
             *g = s * inv;
         }
+        Ok(())
     }
 
     fn wire_bits_formula(&self, n: usize) -> u64 {

@@ -8,7 +8,7 @@
 use crate::ef::ErrorFeedback;
 use crate::special::erfinv;
 use crate::{sparse, GradientSynchronizer, SyncStats};
-use cluster_comm::CommHandle;
+use cluster_comm::{CommHandle, TransportError};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -71,12 +71,12 @@ impl GradientSynchronizer for GaussianK {
         "GaussianK"
     }
 
-    fn sync_bucketed(
+    fn try_sync_bucketed(
         &mut self,
         grad: &mut [f32],
         bounds: &[Range<usize>],
         comm: &mut CommHandle,
-    ) -> SyncStats {
+    ) -> Result<SyncStats, TransportError> {
         let t0 = Instant::now();
         self.acc.copy_from_slice(grad);
         self.ef.apply(&mut self.acc);
@@ -110,8 +110,8 @@ impl GradientSynchronizer for GaussianK {
         comm.advance_compute(compress_seconds);
 
         let (wire_bits, exchange_seconds) =
-            sparse::exchange_selected(grad, bounds, comm, &idx, &val);
-        SyncStats { compress_seconds, exchange_seconds, wire_bits, ..SyncStats::default() }
+            sparse::exchange_selected(grad, bounds, comm, &idx, &val)?;
+        Ok(SyncStats { compress_seconds, exchange_seconds, wire_bits, ..SyncStats::default() })
     }
 
     fn wire_bits_formula(&self, _n: usize) -> u64 {

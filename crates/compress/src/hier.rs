@@ -18,15 +18,15 @@ use std::ops::Range;
 use std::time::Instant;
 
 use cluster_comm::hier::HierarchicalComm;
-use cluster_comm::CommHandle;
+use cluster_comm::{CommHandle, TransportError};
 
 use crate::dense::DenseSgd;
 use crate::{wire_bits_of, GradientSynchronizer, SyncStats};
 
 /// Dense intra-group averaging composed with an inner synchronizer over
 /// group leaders (see module docs). Owns the topology's communicator
-/// pair; the world communicator passed to `sync_bucketed` is only used
-/// to keep the flat clock aligned.
+/// pair; the world communicator passed to `try_sync_bucketed` is only
+/// used to keep the flat clock aligned.
 pub struct HierarchicalSynchronizer {
     inner: Box<dyn GradientSynchronizer>,
     dense: DenseSgd,
@@ -54,19 +54,19 @@ impl GradientSynchronizer for HierarchicalSynchronizer {
         self.name
     }
 
-    fn sync_bucketed(
+    fn try_sync_bucketed(
         &mut self,
         grad: &mut [f32],
         bounds: &[Range<usize>],
         world: &mut CommHandle,
-    ) -> SyncStats {
+    ) -> Result<SyncStats, TransportError> {
         // Level 1: exact dense mean inside the group (cheap plane). A
         // singleton group already holds its own mean — skip the plane
         // entirely so `group_size = 1` degenerates to the flat inner
         // algorithm bit-for-bit and bit-count-for-bit-count.
         self.comm.intra.align_clock(world.clock());
         let intra_stats = if self.comm.intra.world() > 1 {
-            self.dense.sync_bucketed(grad, bounds, &mut self.comm.intra)
+            self.dense.try_sync_bucketed(grad, bounds, &mut self.comm.intra)?
         } else {
             SyncStats::default()
         };
@@ -75,7 +75,7 @@ impl GradientSynchronizer for HierarchicalSynchronizer {
         // only traffic that touches the expensive plane.
         let inner_stats = if let Some(inter) = self.comm.inter.as_mut() {
             inter.align_clock(self.comm.intra.clock());
-            let stats = self.inner.sync_bucketed(grad, bounds, inter);
+            let stats = self.inner.try_sync_bucketed(grad, bounds, inter)?;
             self.comm.intra.align_clock(inter.clock());
             stats
         } else {
@@ -86,7 +86,8 @@ impl GradientSynchronizer for HierarchicalSynchronizer {
         // the broadcast propagates the leaders' (later) clocks to members.
         let (bcast_seconds, bcast_bits) = if self.comm.intra.world() > 1 {
             let t0 = Instant::now();
-            let ((), bits) = wire_bits_of(&mut self.comm.intra, |c| c.broadcast(0, grad));
+            let (sent, bits) = wire_bits_of(&mut self.comm.intra, |c| c.try_broadcast(0, grad));
+            sent?;
             (t0.elapsed().as_secs_f64(), bits)
         } else {
             (0.0, 0)
@@ -95,7 +96,7 @@ impl GradientSynchronizer for HierarchicalSynchronizer {
 
         let intra_wire_bits = intra_stats.wire_bits + bcast_bits;
         let intra_exchange_seconds = intra_stats.exchange_seconds + bcast_seconds;
-        SyncStats {
+        Ok(SyncStats {
             compress_seconds: inner_stats.compress_seconds,
             exchange_seconds: intra_exchange_seconds + inner_stats.exchange_seconds,
             overlap_seconds: inner_stats.overlap_seconds,
@@ -108,7 +109,7 @@ impl GradientSynchronizer for HierarchicalSynchronizer {
             // dispersion exists under the hierarchy; the trainer's explicit
             // drift allgather covers adaptive schedules here.
             dispersion: None,
-        }
+        })
     }
 
     /// The *inter-plane* bits per leader — the scarce-resource budget the

@@ -10,7 +10,7 @@
 //! Every synchronizer owns its worker-local state (error-feedback memory,
 //! RNG streams) and synchronizes through a **bucketed
 //! encode → async-exchange → decode** pipeline
-//! ([`GradientSynchronizer::sync_bucketed`]): worker-local statistics
+//! ([`GradientSynchronizer::try_sync_bucketed`]): worker-local statistics
 //! (selection sets, norms, scales, means) are computed over the *whole*
 //! gradient exactly as in the one-shot formulation, then the encoded
 //! contribution is cut at the caller's bucket boundaries into typed wire
@@ -35,7 +35,7 @@
 //! pass delivers buckets in reverse layout order, output layer first.
 //! Synchronizers that need no cross-bucket statistics declare
 //! [`GradientSynchronizer::streams_buckets`] (Dense, via
-//! `start_bucket`/`finish_bucket`) and their buckets go on the wire the
+//! `start_bucket`/`try_finish_bucket`) and their buckets go on the wire the
 //! moment they are submitted — i.e. *while the backward pass is still
 //! executing* — with the exchange time hidden under that compute reported
 //! as [`SyncStats::overlap_seconds`]. Global-statistics synchronizers are
@@ -57,6 +57,16 @@
 //! and `exchange_seconds` (wall time inside collective calls), so
 //! compression and communication cost are separable in the figure/table
 //! outputs.
+//!
+//! **Peer loss is a value.** The contract is fallible end to end:
+//! [`GradientSynchronizer::try_sync_bucketed`], `try_finish_bucket`,
+//! [`SyncSession::try_finish`] and [`session::pipeline_allgather`] return
+//! the comm layer's [`TransportError`] untouched when a peer dies
+//! mid-exchange; what the caller's recovery policy must then rebuild is
+//! stated on `try_sync_bucketed`. `sync_bucketed` / `synchronize` /
+//! `SyncSession::finish` are one-line panicking adapters for callers with
+//! no such policy — the shape `CommHandle::allreduce_avg` has over
+//! `try_allreduce_avg`.
 
 pub mod dense;
 pub mod ef;
@@ -82,7 +92,7 @@ pub use signsgd::SignSgdEf;
 pub use terngrad::TernGrad;
 pub use topk::TopK;
 
-use cluster_comm::{CollectiveHandle, CommHandle, TrafficStats};
+use cluster_comm::{CollectiveHandle, CommHandle, TrafficStats, TransportError};
 use std::ops::Range;
 
 /// Per-iteration synchronization accounting.
@@ -144,13 +154,13 @@ pub fn wire_bits_of<R>(
 
 /// A distributed gradient-synchronization algorithm.
 ///
-/// [`sync_bucketed`](Self::sync_bucketed) replaces the local gradient with
-/// the algorithm's global estimate of the averaged gradient; whatever
-/// information is lost must be handled by the algorithm's own state (e.g.
-/// error feedback) so that training still converges. The provided
-/// [`synchronize`](Self::synchronize) is the whole-model-as-one-bucket
-/// adapter — the original one-shot API, kept so existing callers compile
-/// unchanged.
+/// [`try_sync_bucketed`](Self::try_sync_bucketed) replaces the local
+/// gradient with the algorithm's global estimate of the averaged gradient;
+/// whatever information is lost must be handled by the algorithm's own
+/// state (e.g. error feedback) so that training still converges. It is the
+/// one required exchange method; [`sync_bucketed`](Self::sync_bucketed) and
+/// the whole-model [`synchronize`](Self::synchronize) are provided
+/// panicking adapters over it.
 pub trait GradientSynchronizer: Send {
     /// Display name (matches the paper's figure legends).
     fn name(&self) -> &'static str;
@@ -164,12 +174,28 @@ pub trait GradientSynchronizer: Send {
     /// result is **bit-identical** for every partition — all cross-bucket
     /// statistics are computed over the whole gradient first — so bucket
     /// choice is purely a latency/overlap knob, never a semantics knob.
+    ///
+    /// A peer lost mid-exchange is returned, never panicked on. After an
+    /// `Err`, `grad` and the synchronizer's private state are unspecified
+    /// and the communicator is spent: rebuild both for the new world.
+    fn try_sync_bucketed(
+        &mut self,
+        grad: &mut [f32],
+        bounds: &[Range<usize>],
+        comm: &mut CommHandle,
+    ) -> Result<SyncStats, TransportError>;
+
+    /// [`try_sync_bucketed`](Self::try_sync_bucketed) for callers with no
+    /// recovery policy: peer loss panics with the typed transport cause.
     fn sync_bucketed(
         &mut self,
         grad: &mut [f32],
         bounds: &[Range<usize>],
         comm: &mut CommHandle,
-    ) -> SyncStats;
+    ) -> SyncStats {
+        self.try_sync_bucketed(grad, bounds, comm)
+            .unwrap_or_else(|e| panic!("{} gradient sync: {e}", self.name()))
+    }
 
     /// One-shot whole-model synchronization: the single-bucket adapter
     /// over [`sync_bucketed`](Self::sync_bucketed).
@@ -195,24 +221,27 @@ pub trait GradientSynchronizer: Send {
     /// and launch its exchange nonblocking, returning the in-flight
     /// handle. Buckets may be started in any order (all ranks observe the
     /// same arrival order, so tags still match), and the result must be
-    /// bit-identical to [`sync_bucketed`](Self::sync_bucketed) over the
-    /// same partition. The default returns `None`.
+    /// bit-identical to [`try_sync_bucketed`](Self::try_sync_bucketed)
+    /// over the same partition. Send failures are deferred into the handle and
+    /// surface at [`try_finish_bucket`](Self::try_finish_bucket). The
+    /// default returns `None`.
     fn start_bucket(&mut self, bucket: &[f32], comm: &mut CommHandle) -> Option<CollectiveHandle> {
         let _ = (bucket, comm);
         None
     }
 
     /// Completes a bucket launched by [`start_bucket`](Self::start_bucket),
-    /// folding the world's exchanged contribution into `bucket` in place.
-    /// Only called on streaming synchronizers.
-    fn finish_bucket(
+    /// folding the world's exchanged contribution into `bucket` in place;
+    /// a peer lost while the bucket was in flight is returned. Only called
+    /// on streaming synchronizers.
+    fn try_finish_bucket(
         &mut self,
         bucket: &mut [f32],
         handle: CollectiveHandle,
         comm: &mut CommHandle,
-    ) {
+    ) -> Result<(), TransportError> {
         let _ = (bucket, handle, comm);
-        unimplemented!("finish_bucket is only called when streams_buckets() is true")
+        unimplemented!("try_finish_bucket is only called when streams_buckets() is true")
     }
 
     /// Closed-form wire bits per worker for an `n`-parameter model — the
@@ -240,7 +269,7 @@ pub trait GradientSynchronizer: Send {
 impl dyn GradientSynchronizer + '_ {
     /// Opens a bucketed synchronization session for one training step —
     /// the streaming entry point: `submit` buckets (in any order) as their
-    /// gradients become ready, then [`SyncSession::finish`] drains the
+    /// gradients become ready, then [`SyncSession::try_finish`] drains the
     /// exchanges into the caller's flat gradient and returns the
     /// aggregated [`SyncStats`]. `bounds` is the step's bucket partition
     /// (see [`bucket_bounds`]).

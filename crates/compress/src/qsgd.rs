@@ -13,7 +13,7 @@
 
 use crate::elias::{gamma_decode, gamma_encode, gamma_len, BitReader, BitWriter};
 use crate::{GradientSynchronizer, SyncStats};
-use cluster_comm::{CommHandle, Payload};
+use cluster_comm::{CommHandle, Payload, TransportError};
 use mini_tensor::rng::SeedRng;
 use std::ops::Range;
 use std::time::Instant;
@@ -160,12 +160,12 @@ impl GradientSynchronizer for Qsgd {
         "QSGD"
     }
 
-    fn sync_bucketed(
+    fn try_sync_bucketed(
         &mut self,
         grad: &mut [f32],
         bounds: &[Range<usize>],
         comm: &mut CommHandle,
-    ) -> SyncStats {
+    ) -> Result<SyncStats, TransportError> {
         let t0 = Instant::now();
         // Quantize the whole gradient once: the ℓ₂ norm and the stochastic
         // rounding stream are global, so levels never depend on the bucket
@@ -194,8 +194,8 @@ impl GradientSynchronizer for Qsgd {
                     }
                 }
             },
-        );
-        SyncStats { compress_seconds, exchange_seconds, wire_bits, ..SyncStats::default() }
+        )?;
+        Ok(SyncStats { compress_seconds, exchange_seconds, wire_bits, ..SyncStats::default() })
     }
 
     fn wire_bits_formula(&self, n: usize) -> u64 {

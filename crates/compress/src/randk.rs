@@ -2,7 +2,7 @@
 
 use crate::ef::ErrorFeedback;
 use crate::{sparse, GradientSynchronizer, SyncStats};
-use cluster_comm::CommHandle;
+use cluster_comm::{CommHandle, TransportError};
 use mini_tensor::rng::SeedRng;
 use std::ops::Range;
 use std::time::Instant;
@@ -57,12 +57,12 @@ impl GradientSynchronizer for RandK {
         "RandK"
     }
 
-    fn sync_bucketed(
+    fn try_sync_bucketed(
         &mut self,
         grad: &mut [f32],
         bounds: &[Range<usize>],
         comm: &mut CommHandle,
-    ) -> SyncStats {
+    ) -> Result<SyncStats, TransportError> {
         let t0 = Instant::now();
         // One global RNG draw per step — the selected set (and hence the
         // worker's RNG stream) is independent of the bucket partition.
@@ -77,8 +77,8 @@ impl GradientSynchronizer for RandK {
         comm.advance_compute(compress_seconds);
 
         let (wire_bits, exchange_seconds) =
-            sparse::exchange_selected(grad, bounds, comm, &idx, &val);
-        SyncStats { compress_seconds, exchange_seconds, wire_bits, ..SyncStats::default() }
+            sparse::exchange_selected(grad, bounds, comm, &idx, &val)?;
+        Ok(SyncStats { compress_seconds, exchange_seconds, wire_bits, ..SyncStats::default() })
     }
 
     fn wire_bits_formula(&self, _n: usize) -> u64 {

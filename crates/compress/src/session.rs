@@ -4,14 +4,15 @@
 //! [`GradientSynchronizer`], shaped for per-layer gradient-ready hooks:
 //! `begin_step(bounds)` → `submit(bucket_id, data, comm)` the moment each
 //! bucket's gradient lands (any order — backward passes deliver buckets
-//! in *reverse* layout order) → `finish(grad, comm)` (drain exchanges
-//! into the caller's flat gradient, aggregate [`SyncStats`]). For
+//! in *reverse* layout order) → `try_finish(grad, comm)` (drain exchanges
+//! into the caller's flat gradient, aggregate [`SyncStats`]; peer loss is
+//! returned as the transport's typed error). For
 //! streaming synchronizers ([`GradientSynchronizer::streams_buckets`],
 //! i.e. Dense) each `submit` launches the bucket's exchange immediately,
 //! so frames are on the wire while the backward pass is still executing;
 //! for global-statistics synchronizers a submit only marks the bucket
-//! ready (nothing is copied) and `finish` runs the ordinary
-//! [`GradientSynchronizer::sync_bucketed`] pipeline over the caller's flat
+//! ready (nothing is copied) and `try_finish` runs the ordinary
+//! [`GradientSynchronizer::try_sync_bucketed`] pipeline over the caller's flat
 //! gradient, once the whole of it exists. Either way the result is
 //! bit-identical to the single-shot call. [`bucket_bounds`] turns a
 //! parameter layout into the deterministic, layer-boundary-aligned bucket
@@ -20,7 +21,7 @@
 //! synchronizer shares.
 
 use crate::{GradientSynchronizer, SyncStats};
-use cluster_comm::{CollectiveHandle, CommHandle, Payload};
+use cluster_comm::{CollectiveHandle, CommHandle, Payload, TransportError};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::time::Instant;
@@ -77,14 +78,15 @@ enum Slot {
 /// **any order** — a hooked backward pass delivers them in reverse layout
 /// order (the output layer's bucket first). Mis-wired drivers fail loudly:
 /// an unknown or repeated `bucket_id`, a wrong slice length, or a missing
-/// bucket at [`finish`](Self::finish) each panic with the offending ids.
+/// bucket at [`try_finish`](Self::try_finish) each panic with the offending
+/// ids — those are driver bugs; a lost peer is an `Err`, not a panic.
 ///
 /// For a streaming synchronizer ([`GradientSynchronizer::streams_buckets`])
 /// every submit launches the bucket's nonblocking exchange immediately —
 /// that is the backward-overlap path, and the time those frames spend in
-/// flight before `finish` drains them is reported as
+/// flight before `try_finish` drains them is reported as
 /// [`SyncStats::overlap_seconds`]. Otherwise a submit is bookkeeping only
-/// and `finish` runs the synchronizer's ordinary bucketed pipeline over
+/// and `try_finish` runs the synchronizer's ordinary bucketed pipeline over
 /// the flat gradient the buckets were sliced from, which is why results
 /// stay bit-identical to the single-shot call for every synchronizer.
 pub struct SyncSession<'s> {
@@ -124,8 +126,10 @@ impl<'s> SyncSession<'s> {
 
     /// Submits bucket `bucket_id`'s gradient slice (`data.len()` must
     /// match the bucket's bounds). Streaming synchronizers put it on the
-    /// wire before returning; others only record the arrival — the data
-    /// is read at [`finish`](Self::finish), from the buffer passed there.
+    /// wire before returning (a failed send is deferred into the handle
+    /// and surfaces at [`try_finish`](Self::try_finish)); others only
+    /// record the arrival — the data is read at `try_finish`, from the
+    /// buffer passed there.
     pub fn submit(&mut self, bucket_id: usize, data: &[f32], comm: &mut CommHandle) {
         assert!(
             bucket_id < self.slots.len(),
@@ -175,8 +179,15 @@ impl<'s> SyncSession<'s> {
     /// `grad` must hold the submitted data — every bucket was sliced from
     /// it and it has not been written since: streaming synchronizers
     /// already shipped their copy, all others read the gradient from
-    /// here. Panics if any bucket was never submitted.
-    pub fn finish(self, grad: &mut [f32], comm: &mut CommHandle) -> SyncStats {
+    /// here. Panics if any bucket was never submitted; returns the typed
+    /// transport error when a peer was lost mid-exchange (`grad` is then
+    /// unspecified and the remaining in-flight handles are abandoned with
+    /// the spent communicator).
+    pub fn try_finish(
+        self,
+        grad: &mut [f32],
+        comm: &mut CommHandle,
+    ) -> Result<SyncStats, TransportError> {
         let SyncSession { sync, bounds, slots, mut exchange_seconds, bits_before } = self;
         let total = bounds.last().map(|r| r.end).unwrap_or(0);
         assert_eq!(grad.len(), total, "flat gradient length disagrees with the partition");
@@ -188,7 +199,7 @@ impl<'s> SyncSession<'s> {
             .collect();
         assert!(missing.is_empty(), "finish with unsubmitted buckets {missing:?}");
         if bounds.is_empty() {
-            return SyncStats::default();
+            return Ok(SyncStats::default());
         }
         let bits_before = bits_before.expect("submissions recorded the wire baseline");
 
@@ -216,7 +227,7 @@ impl<'s> SyncSession<'s> {
                 }
                 let ts = a2sgd_trace::now_ns();
                 let t0 = Instant::now();
-                sync.finish_bucket(&mut grad[r.clone()], handle, comm);
+                sync.try_finish_bucket(&mut grad[r.clone()], handle, comm)?;
                 exchange_seconds += t0.elapsed().as_secs_f64();
                 if a2sgd_trace::enabled() {
                     a2sgd_trace::closed_span(
@@ -226,18 +237,23 @@ impl<'s> SyncSession<'s> {
                     );
                 }
             }
-            SyncStats {
+            Ok(SyncStats {
                 exchange_seconds,
                 overlap_seconds,
                 wire_bits: comm.stats().logical_wire_bits - bits_before,
                 ..SyncStats::default()
-            }
+            })
         } else {
             // Every bucket has arrived, so `grad` is the whole local
             // gradient: run the ordinary bucketed pipeline over it —
             // global cross-bucket statistics and all.
-            sync.sync_bucketed(grad, &bounds, comm)
+            sync.try_sync_bucketed(grad, &bounds, comm)
         }
+    }
+
+    /// Panicking adapter over [`try_finish`](Self::try_finish).
+    pub fn finish(self, grad: &mut [f32], comm: &mut CommHandle) -> SyncStats {
+        self.try_finish(grad, comm).unwrap_or_else(|e| panic!("sync session drain: {e}"))
     }
 }
 
@@ -254,14 +270,14 @@ impl<'s> SyncSession<'s> {
 ///
 /// Returns `(wire_bits, exchange_seconds)`: the logical-bit delta of this
 /// rank's own frames and the measured wall time spent inside collective
-/// calls. Peer loss mid-pipeline panics with the typed transport cause
-/// (restart/shrink policies are future work — see ROADMAP).
+/// calls. Peer loss mid-pipeline is returned as the typed transport
+/// error; buckets still in flight are abandoned with the communicator.
 pub fn pipeline_allgather(
     comm: &mut CommHandle,
     bounds: &[Range<usize>],
     mut encode: impl FnMut(&Range<usize>) -> Payload,
     mut decode: impl FnMut(&Range<usize>, Vec<Payload>),
-) -> (u64, f64) {
+) -> Result<(u64, f64), TransportError> {
     let bits_before = comm.stats().logical_wire_bits;
     let mut exchange_seconds = 0.0f64;
     let opportunistic = comm.cost_model().is_none();
@@ -273,10 +289,7 @@ pub fn pipeline_allgather(
                       decode: &mut dyn FnMut(&Range<usize>, Vec<Payload>)| {
         let (i, handle) = pending.pop_front().expect("pipeline drained an empty queue");
         let t = Instant::now();
-        let frames = handle
-            .wait(comm)
-            .unwrap_or_else(|e| panic!("bucket {i} exchange failed: {e}"))
-            .expect_gathered();
+        let frames = handle.wait(comm)?.expect_gathered();
         *exchange_seconds += t.elapsed().as_secs_f64();
         let ts = a2sgd_trace::now_ns();
         let frame_bytes: u64 = if a2sgd_trace::enabled() {
@@ -292,6 +305,7 @@ pub fn pipeline_allgather(
                 a2sgd_trace::Args::Bucket { bucket: i, bytes: frame_bytes },
             );
         }
+        Ok::<(), TransportError>(())
     };
 
     for (i, r) in bounds.iter().enumerate() {
@@ -314,23 +328,21 @@ pub fn pipeline_allgather(
             loop {
                 let t = Instant::now();
                 let done = match pending.front_mut() {
-                    Some((j, h)) => h
-                        .try_complete(comm)
-                        .unwrap_or_else(|e| panic!("bucket {j} exchange failed: {e}")),
+                    Some((_, h)) => h.try_complete(comm)?,
                     None => false,
                 };
                 exchange_seconds += t.elapsed().as_secs_f64();
                 if !done {
                     break;
                 }
-                wait_front(&mut pending, comm, &mut exchange_seconds, &mut decode);
+                wait_front(&mut pending, comm, &mut exchange_seconds, &mut decode)?;
             }
         }
     }
     while !pending.is_empty() {
-        wait_front(&mut pending, comm, &mut exchange_seconds, &mut decode);
+        wait_front(&mut pending, comm, &mut exchange_seconds, &mut decode)?;
     }
-    (comm.stats().logical_wire_bits - bits_before, exchange_seconds)
+    Ok((comm.stats().logical_wire_bits - bits_before, exchange_seconds))
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use crate::ef::ErrorFeedback;
 use crate::elias::{BitReader, BitWriter};
 use crate::{GradientSynchronizer, SyncStats};
-use cluster_comm::{CommHandle, Payload};
+use cluster_comm::{CommHandle, Payload, TransportError};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -59,12 +59,12 @@ impl GradientSynchronizer for SignSgdEf {
         "SignSGD-EF"
     }
 
-    fn sync_bucketed(
+    fn try_sync_bucketed(
         &mut self,
         grad: &mut [f32],
         bounds: &[Range<usize>],
         comm: &mut CommHandle,
-    ) -> SyncStats {
+    ) -> Result<SyncStats, TransportError> {
         let t0 = Instant::now();
         // Scale (global ℓ₁ mean) and error feedback run over the whole
         // accumulated gradient; only the sign pack is cut per bucket.
@@ -94,8 +94,8 @@ impl GradientSynchronizer for SignSgdEf {
                     Self::accumulate_payload(frame, out, inv);
                 }
             },
-        );
-        SyncStats { compress_seconds, exchange_seconds, wire_bits, ..SyncStats::default() }
+        )?;
+        Ok(SyncStats { compress_seconds, exchange_seconds, wire_bits, ..SyncStats::default() })
     }
 
     fn wire_bits_formula(&self, n: usize) -> u64 {

@@ -6,7 +6,7 @@
 //! kept coordinate, which is exactly what the transport puts on the wire
 //! (plus fixed framing).
 
-use cluster_comm::{CommHandle, Payload};
+use cluster_comm::{CommHandle, Payload, TransportError};
 use std::ops::Range;
 
 /// Bits one `(index, value)` record occupies on the wire.
@@ -71,14 +71,15 @@ pub fn records_in(idx: &[u32], r: &Range<usize>) -> Range<usize> {
 /// the frames that land in it. Record order and per-coordinate
 /// accumulation order (rank 0..P within each coordinate's only bucket) are
 /// the same as the whole-model exchange, so the result is bit-identical
-/// for every partition. Returns `(wire_bits, exchange_seconds)`.
+/// for every partition. Returns `(wire_bits, exchange_seconds)`, or the
+/// typed transport error when a peer is lost mid-exchange.
 pub fn exchange_selected(
     grad: &mut [f32],
     bounds: &[Range<usize>],
     comm: &mut CommHandle,
     idx: &[u32],
     val: &[f32],
-) -> (u64, f64) {
+) -> Result<(u64, f64), TransportError> {
     crate::session::pipeline_allgather(
         comm,
         bounds,

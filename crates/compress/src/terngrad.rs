@@ -2,7 +2,7 @@
 
 use crate::elias::{BitReader, BitWriter};
 use crate::{GradientSynchronizer, SyncStats};
-use cluster_comm::{CommHandle, Payload};
+use cluster_comm::{CommHandle, Payload, TransportError};
 use mini_tensor::rng::SeedRng;
 use std::ops::Range;
 use std::time::Instant;
@@ -88,12 +88,12 @@ impl GradientSynchronizer for TernGrad {
         "TernGrad"
     }
 
-    fn sync_bucketed(
+    fn try_sync_bucketed(
         &mut self,
         grad: &mut [f32],
         bounds: &[Range<usize>],
         comm: &mut CommHandle,
-    ) -> SyncStats {
+    ) -> Result<SyncStats, TransportError> {
         let t0 = Instant::now();
         // The scale (max |g|) and the dithering stream are global: the
         // ternarized vector is fixed before any bucket is cut. With
@@ -125,8 +125,8 @@ impl GradientSynchronizer for TernGrad {
                     Self::accumulate_payload(frame, out, inv);
                 }
             },
-        );
-        SyncStats { compress_seconds, exchange_seconds, wire_bits, ..SyncStats::default() }
+        )?;
+        Ok(SyncStats { compress_seconds, exchange_seconds, wire_bits, ..SyncStats::default() })
     }
 
     fn wire_bits_formula(&self, n: usize) -> u64 {

@@ -2,7 +2,7 @@
 
 use crate::ef::ErrorFeedback;
 use crate::{sparse, GradientSynchronizer, SyncStats};
-use cluster_comm::CommHandle;
+use cluster_comm::{CommHandle, TransportError};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
@@ -74,12 +74,12 @@ impl GradientSynchronizer for TopK {
         "TopK"
     }
 
-    fn sync_bucketed(
+    fn try_sync_bucketed(
         &mut self,
         grad: &mut [f32],
         bounds: &[Range<usize>],
         comm: &mut CommHandle,
-    ) -> SyncStats {
+    ) -> Result<SyncStats, TransportError> {
         let t0 = Instant::now();
         // Error compensation and selection are global — the selected set
         // is a property of the whole gradient, not of any bucket.
@@ -97,8 +97,8 @@ impl GradientSynchronizer for TopK {
         // Per-bucket encode → async allgather → decode: 64 bits per kept
         // coordinate total, cut at the bucket boundaries.
         let (wire_bits, exchange_seconds) =
-            sparse::exchange_selected(grad, bounds, comm, &idx, &val);
-        SyncStats { compress_seconds, exchange_seconds, wire_bits, ..SyncStats::default() }
+            sparse::exchange_selected(grad, bounds, comm, &idx, &val)?;
+        Ok(SyncStats { compress_seconds, exchange_seconds, wire_bits, ..SyncStats::default() })
     }
 
     fn wire_bits_formula(&self, _n: usize) -> u64 {

@@ -1,7 +1,7 @@
 //! Algorithm 1: the A2SGD gradient synchronizer.
 
 use crate::mean2::{shift_by_sign, split_means};
-use cluster_comm::{CommHandle, Payload};
+use cluster_comm::{CommHandle, Payload, TransportError};
 use gradcomp::{GradientSynchronizer, SyncStats};
 use std::ops::Range;
 use std::time::Instant;
@@ -77,12 +77,12 @@ impl GradientSynchronizer for A2sgd {
     /// is ignored. Results are trivially identical for every partition;
     /// the degenerate bucketing is the honest statement of the paper's
     /// O(1) claim, not a missed optimization.
-    fn sync_bucketed(
+    fn try_sync_bucketed(
         &mut self,
         grad: &mut [f32],
         _bounds: &[Range<usize>],
         comm: &mut CommHandle,
-    ) -> SyncStats {
+    ) -> Result<SyncStats, TransportError> {
         let t0 = Instant::now();
         let means = split_means(grad);
         let split_seconds = t0.elapsed().as_secs_f64();
@@ -92,7 +92,7 @@ impl GradientSynchronizer for A2sgd {
         let bits_before = comm.stats().logical_wire_bits;
         let packet = Payload::PackedU64(vec![Self::encode_means(means.mu_pos, means.mu_neg)]);
         let tx = Instant::now();
-        let gathered = comm.allgather_bytes(packet);
+        let gathered = comm.try_allgather_bytes(packet)?;
         let exchange_seconds = tx.elapsed().as_secs_f64();
         let wire_bits = comm.stats().logical_wire_bits - bits_before;
         let inv = 1.0 / gathered.len() as f32;
@@ -119,13 +119,13 @@ impl GradientSynchronizer for A2sgd {
         comm.advance_compute(shift_seconds);
 
         debug_assert_eq!(wire_bits, Self::WIRE_BITS);
-        SyncStats {
+        Ok(SyncStats {
             compress_seconds: split_seconds + shift_seconds,
             exchange_seconds,
             wire_bits,
             dispersion: Some(dispersion),
             ..SyncStats::default()
-        }
+        })
     }
 
     fn wire_bits_formula(&self, _n: usize) -> u64 {

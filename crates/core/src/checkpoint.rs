@@ -23,10 +23,8 @@ use std::path::Path;
 /// Environment variable naming the checkpoint output directory.
 pub const ENV_CKPT_DIR: &str = "A2SGD_CKPT_DIR";
 
-/// Codec v1: step/seed/params/velocity only. Still decoded (as
-/// `sched: None`) so pre-schedule checkpoint files resume cleanly.
-const MAGIC_V1: &[u8; 8] = b"A2SGDCK\x01";
-/// Codec v2 (current): v1 plus an optional sync-schedule block.
+/// Codec v2, the only version decoded: step/seed/params/velocity plus an
+/// optional sync-schedule block. The last byte is the version.
 const MAGIC: &[u8; 8] = b"A2SGDCK\x02";
 
 /// Sync-schedule state captured alongside the model state, so resuming
@@ -60,8 +58,7 @@ pub struct Checkpoint {
     /// Optimizer velocity lanes, one per parameter tensor (empty before
     /// the first step, or for momentum-free runs).
     pub velocity: Vec<Vec<f32>>,
-    /// Sync-schedule state (`None` for every-step runs and for files
-    /// written by the v1 codec).
+    /// Sync-schedule state (`None` for every-step runs).
     pub sched: Option<SchedCheckpoint>,
 }
 
@@ -120,7 +117,7 @@ impl Checkpoint {
         for lane in &self.velocity {
             put_f32s(&mut out, lane);
         }
-        // v2 tail: schedule presence flag, then the block.
+        // Tail: schedule presence flag, then the block.
         match &self.sched {
             None => put_u64(&mut out, 0),
             Some(s) => {
@@ -134,14 +131,18 @@ impl Checkpoint {
         out
     }
 
-    /// Decodes [`Self::encode`]'s layout (and the legacy v1 layout, which
-    /// simply lacks the schedule tail); errors name what was malformed.
+    /// Decodes [`Self::encode`]'s layout; errors name what was malformed.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, String> {
         let mut r = Reader { buf: bytes, pos: 0 };
         let magic = r.take(8)?;
-        let v1 = magic == MAGIC_V1;
-        if !v1 && magic != MAGIC {
+        if magic[..7] != MAGIC[..7] {
             return Err(format!("not a checkpoint (magic {magic:02x?})"));
+        }
+        if magic[7] != MAGIC[7] {
+            return Err(format!(
+                "unsupported checkpoint version {} (this build reads version {})",
+                magic[7], MAGIC[7]
+            ));
         }
         let step = r.u64()?;
         let seed = r.u64()?;
@@ -151,19 +152,15 @@ impl Checkpoint {
         for _ in 0..lanes {
             velocity.push(r.f32s()?);
         }
-        let sched = if v1 {
-            None
-        } else {
-            match r.u64()? {
-                0 => None,
-                1 => Some(SchedCheckpoint {
-                    local_in_window: r.u64()?,
-                    current_h: r.u64()?,
-                    ref_dispersion: f64::from_bits(r.u64()?),
-                    anchor: r.f32s()?,
-                }),
-                f => return Err(format!("bad schedule presence flag {f}")),
-            }
+        let sched = match r.u64()? {
+            0 => None,
+            1 => Some(SchedCheckpoint {
+                local_in_window: r.u64()?,
+                current_h: r.u64()?,
+                ref_dispersion: f64::from_bits(r.u64()?),
+                anchor: r.f32s()?,
+            }),
+            f => return Err(format!("bad schedule presence flag {f}")),
         };
         if r.pos != bytes.len() {
             return Err(format!("{} trailing bytes after checkpoint", bytes.len() - r.pos));
@@ -263,17 +260,15 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_decode_with_no_schedule() {
+    fn v1_stamped_files_are_rejected_as_unsupported() {
         // A v1 file is the v2 encoding minus the schedule tail, under the
-        // old magic — exactly what the pre-schedule codec wrote.
+        // old version byte — exactly what the pre-schedule codec wrote.
         let c = sample();
         let mut v1 = c.encode();
         v1.truncate(v1.len() - 8); // drop the presence flag
         v1[7] = 0x01; // stamp the v1 version byte
-        let d = Checkpoint::decode(&v1).unwrap();
-        assert_eq!(d.step, c.step);
-        assert_eq!(d.params, c.params);
-        assert_eq!(d.sched, None);
+        let err = Checkpoint::decode(&v1).unwrap_err();
+        assert!(err.contains("unsupported checkpoint version 1"), "{err}");
         // And a truncated v2 (schedule tail missing) fails loudly.
         let mut bad = c.encode();
         bad.truncate(bad.len() - 8);

@@ -17,6 +17,9 @@
 //!   Allgather-based exchange, a carried-error ablation, and a generalized
 //!   L-level (bucketed-means) family.
 //! * [`registry`] — unified algorithm registry (baselines + A2SGD family).
+//! * [`step`] — [`step::TrainStep`], the back half of a training step
+//!   (plan → sync → apply) behind one fallible call; shared by [`trainer`]
+//!   and the `a2sgd-elastic` recovery policy.
 //! * [`trainer`] — the synchronous data-parallel training loop over the
 //!   simulated cluster, reproducing the paper's evaluation pipeline.
 //! * [`overlap`] — per-layer gradient-ready hook driver
@@ -36,6 +39,7 @@ pub mod metrics;
 pub mod overlap;
 pub mod registry;
 pub mod report;
+pub mod step;
 pub mod theory;
 pub mod trainer;
 pub mod variants;

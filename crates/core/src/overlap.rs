@@ -16,9 +16,9 @@
 //! overlap shape. Results are bit-identical to the single-shot
 //! `synchronize` call for every synchronizer: streaming exchanges are
 //! per-bucket independent, and global-statistics synchronizers run their
-//! ordinary whole-gradient pipeline at [`HookedStep::finish`].
+//! ordinary whole-gradient pipeline at [`HookedStep::try_finish`].
 
-use cluster_comm::CommHandle;
+use cluster_comm::{CommHandle, TransportError};
 use gradcomp::{bucket_bounds, GradientSynchronizer, SyncSession, SyncStats};
 use mini_nn::hook::GradHook;
 use mini_nn::module::Module;
@@ -91,7 +91,7 @@ impl HookLayout {
 }
 
 /// One hooked training step: `begin` before the backward pass, pass as the
-/// hook to `backward_hooked`, `finish` afterwards to drain the session
+/// hook to `backward_hooked`, `try_finish` afterwards to drain the session
 /// into `flat` (which then holds the synchronized gradient, ready for
 /// `scatter_grads`).
 pub struct HookedStep<'a> {
@@ -130,8 +130,9 @@ impl<'a> HookedStep<'a> {
     }
 
     /// The local (pre-sync) flat gradient — complete once the hooked
-    /// backward pass has returned, valid until [`finish`](Self::finish)
-    /// overwrites it with the synchronized result.
+    /// backward pass has returned, valid until
+    /// [`try_finish`](Self::try_finish) overwrites it with the synchronized
+    /// result.
     pub fn local_grad(&self) -> &[f32] {
         self.flat
     }
@@ -146,7 +147,13 @@ impl<'a> HookedStep<'a> {
 
     /// Drains the session and returns the step's stats; `flat` now holds
     /// the synchronized gradient. Panics (with bucket ids) if the backward
-    /// pass failed to announce some parameters.
+    /// pass failed to announce some parameters; a peer lost mid-exchange is
+    /// returned (see [`SyncSession::try_finish`]).
+    pub fn try_finish(self) -> Result<SyncStats, TransportError> {
+        self.session.try_finish(self.flat, self.comm)
+    }
+
+    /// Panicking adapter over [`try_finish`](Self::try_finish).
     pub fn finish(self) -> SyncStats {
         self.session.finish(self.flat, self.comm)
     }

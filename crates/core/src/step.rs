@@ -1,0 +1,504 @@
+//! The back half of a training step — plan → backward → sync → apply —
+//! written once and shared by every trainer.
+//!
+//! Algorithm 1 is one loop. [`crate::trainer`] and `a2sgd-elastic` own
+//! the front half of an iteration (data → forward → loss) and hand a
+//! backward closure to [`TrainStep::run`], which plans the step
+//! ([`Plan`], known before backward because `SyncSchedule::decide` is
+//! pure), back-propagates through the per-layer hooks whenever the plan is
+//! a gradient sync and overlap is on (whatever the topology or schedule: a
+//! synchronizer that does not stream just gets arrival marks), exchanges
+//! the one flat buffer, feeds the schedule its dispersion statistic, and
+//! applies the update.
+//!
+//! **Failure contract.** `run` returns the transport's typed error when a
+//! peer is lost, and the replica is then exactly as it was before the
+//! step: a gradient-sync step applies nothing until its exchange has
+//! returned, and the window-close path — which must step the optimizer
+//! before it can form Δ — snapshots parameters and velocity first and
+//! restores them. Schedule state and the window anchor advance only on
+//! success. The synchronizer's private state (error-feedback memory) after
+//! a failed exchange is unspecified: a recovery policy rebuilds
+//! [`TrainStep::sync`] for the new world and retries the step.
+
+use crate::checkpoint::{Checkpoint, SchedCheckpoint};
+use crate::overlap::{HookLayout, HookedStep};
+use crate::trainer::OptKind;
+use a2sgd_sched::{SchedKind, SchedState, SyncDecision, SyncObservation, SyncSchedule};
+use cluster_comm::{CommHandle, TransportError};
+use gradcomp::{bucket_bounds, GradientSynchronizer, SyncStats};
+use mini_nn::flat::{flatten_grads, flatten_params, load_params, param_sizes, scatter_grads};
+use mini_nn::hook::{GradHook, NullHook};
+use mini_nn::module::Module;
+use mini_nn::optim::{Lars, Sgd};
+use std::ops::Range;
+use std::path::PathBuf;
+use std::time::Instant;
+
+/// Closes a trainer phase span opened at `start_ns` (free when tracing is
+/// off: `closed_span` returns on its first branch).
+pub(crate) fn phase(name: &'static str, start_ns: u64) {
+    a2sgd_trace::closed_span(name, start_ns, a2sgd_trace::Args::None);
+}
+
+enum Optimizer {
+    Sgd(Sgd),
+    Lars(Lars),
+}
+
+impl Optimizer {
+    fn new(kind: OptKind) -> Self {
+        match kind {
+            OptKind::Sgd { momentum, weight_decay } => {
+                Optimizer::Sgd(Sgd::new(momentum, weight_decay))
+            }
+            OptKind::Lars { momentum, weight_decay, trust } => {
+                Optimizer::Lars(Lars::new(momentum, weight_decay, trust))
+            }
+        }
+    }
+
+    fn step(&mut self, model: &mut dyn Module, lr: f32) {
+        match self {
+            Optimizer::Sgd(o) => o.step(model, lr),
+            Optimizer::Lars(o) => o.step(model, lr),
+        }
+    }
+
+    fn velocity_lanes(&self) -> &[Vec<f32>] {
+        match self {
+            Optimizer::Sgd(o) => o.velocity_lanes(),
+            Optimizer::Lars(o) => o.velocity_lanes(),
+        }
+    }
+
+    fn set_velocity_lanes(&mut self, lanes: Vec<Vec<f32>>) {
+        match self {
+            Optimizer::Sgd(o) => o.set_velocity_lanes(lanes),
+            Optimizer::Lars(o) => o.set_velocity_lanes(lanes),
+        }
+    }
+}
+
+/// What a step does with the wire (the window semantics are
+/// `a2sgd-sched`'s).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Plan {
+    /// Local-SGD step: no synchronizer, nothing crosses the wire.
+    Local,
+    /// Classic gradient averaging: every step of an unscheduled run, and
+    /// the `Sync` closing a degenerate (zero-local-step) window — which is
+    /// why `fixed1` is bit-identical to the unscheduled trainer.
+    Gradient,
+    /// The `Sync` closing a window of ≥ 1 local steps: apply this step's
+    /// local update first, then average *parameters* as the
+    /// pseudo-gradient `Δ = w_anchor − w` through the same synchronizer.
+    WindowClose,
+}
+
+/// What one successful [`TrainStep::run`] did.
+#[derive(Debug, Clone, Copy)]
+pub struct StepOutcome {
+    /// The plan the step executed.
+    pub plan: Plan,
+    /// The exchange's accounting (all zero on [`Plan::Local`]).
+    pub stats: SyncStats,
+}
+
+/// Everything a step's back half owns (see the module docs for the step
+/// and its failure contract).
+pub struct TrainStep {
+    /// Public so a recovery policy can rebuild it for a new `(world, rank)`
+    /// after a failed step, and run-end audits can read its `plane_traffic`.
+    pub sync: Box<dyn GradientSynchronizer>,
+    opt: Optimizer,
+    schedule: Box<dyn SyncSchedule>,
+    scheduled: bool,
+    /// The globally-agreed parameters as of the last sync (identical init
+    /// across ranks plays the role of the initial broadcast). Empty when
+    /// unscheduled.
+    anchor: Vec<f32>,
+    bounds: Vec<Range<usize>>,
+    hook_layout: Option<HookLayout>,
+    flat: Vec<f32>,
+    /// Pre-step parameters and velocity, filled on window-close steps only
+    /// (buffers reused across windows).
+    saved: (Vec<f32>, Vec<Vec<f32>>),
+}
+
+impl TrainStep {
+    /// Builds the step for `model`. `bucket_bytes` cuts the flat gradient
+    /// at layer boundaries into the deterministic size-capped partition
+    /// every rank on every backend derives identically (`None`: one
+    /// bucket); `overlap_backward` drives gradient syncs from the
+    /// per-layer hooks.
+    pub fn new(
+        model: &mut dyn Module,
+        sync: Box<dyn GradientSynchronizer>,
+        opt: OptKind,
+        schedule: SchedKind,
+        bucket_bytes: Option<usize>,
+        overlap_backward: bool,
+    ) -> Self {
+        let schedule = schedule.build();
+        let scheduled = !schedule.is_every_step();
+        let mut anchor = Vec::new();
+        if scheduled {
+            flatten_params(model, &mut anchor);
+        }
+        let sizes = param_sizes(model);
+        let n: usize = sizes.iter().sum();
+        TrainStep {
+            sync,
+            opt: Optimizer::new(opt),
+            schedule,
+            scheduled,
+            anchor,
+            bounds: match bucket_bytes {
+                Some(cap) => bucket_bounds(&sizes, cap),
+                None => vec![0..n; 1],
+            },
+            hook_layout: overlap_backward.then(|| HookLayout::of(model, bucket_bytes)),
+            flat: Vec::with_capacity(n),
+            saved: (Vec::new(), Vec::new()),
+        }
+    }
+
+    /// The plan for (0-based) global step `iter` — pure, so it is known
+    /// before backward and identical on every rank (the collectives would
+    /// deadlock otherwise; see `a2sgd-sched`'s determinism contract).
+    pub fn plan(&self, iter: u64) -> Plan {
+        match self.schedule.decide(iter) {
+            SyncDecision::Local => Plan::Local,
+            SyncDecision::Sync if self.schedule.local_in_window() == 0 => Plan::Gradient,
+            SyncDecision::Sync => Plan::WindowClose,
+        }
+    }
+
+    /// Runs step `iter`'s back half on a model whose forward pass and loss
+    /// are done: `backward` back-propagates the loss gradient through the
+    /// model with the hook it is handed. Compute since `started` is
+    /// charged to the modeled clock before the exchange. On `Err` the
+    /// replica is untouched (see the module docs).
+    pub fn run(
+        &mut self,
+        model: &mut dyn Module,
+        comm: &mut CommHandle,
+        iter: u64,
+        lr: f32,
+        started: Instant,
+        backward: impl FnOnce(&mut dyn Module, &mut dyn GradHook),
+    ) -> Result<StepOutcome, TransportError> {
+        let plan = self.plan(iter);
+        let window_len = self.schedule.local_in_window() + 1;
+        let want_disp = plan != Plan::Local && self.schedule.wants_dispersion();
+        let bwd_ns = a2sgd_trace::now_ns();
+        let stats = if let (Plan::Gradient, Some(layout)) = (plan, &self.hook_layout) {
+            // The session opens before backward; each bucket is submitted —
+            // streaming synchronizers put it straight on the wire — the
+            // moment its last layer's gradient lands, while earlier layers
+            // are still backpropagating. `try_finish` drains the tail.
+            let mut hooked = HookedStep::begin(layout, self.sync.as_mut(), &mut self.flat, comm);
+            backward(model, &mut hooked);
+            phase("phase/backward", bwd_ns);
+            hooked.advance_compute(started.elapsed().as_secs_f64());
+            let pre = want_disp.then(|| hooked.local_grad().to_vec());
+            let ex_ns = a2sgd_trace::now_ns();
+            let mut stats = hooked.try_finish()?;
+            phase("phase/exchange", ex_ns);
+            self.observe(&mut stats, pre, window_len, comm)?;
+            stats
+        } else {
+            backward(model, &mut NullHook);
+            flatten_grads(model, &mut self.flat);
+            phase("phase/backward", bwd_ns);
+            comm.advance_compute(started.elapsed().as_secs_f64());
+            match plan {
+                Plan::Local => {
+                    a2sgd_trace::instant("sched/local", a2sgd_trace::Args::None);
+                    SyncStats::default()
+                }
+                Plan::Gradient => self.sync_flat(want_disp, window_len, comm)?,
+                Plan::WindowClose => {
+                    // The only path that applies before it exchanges:
+                    // keep the pre-step state to roll back to.
+                    flatten_params(model, &mut self.saved.0);
+                    self.opt.velocity_lanes().clone_into(&mut self.saved.1);
+                    self.apply(model, comm, lr);
+                    flatten_params(model, &mut self.flat);
+                    for (d, a) in self.flat.iter_mut().zip(&self.anchor) {
+                        *d = a - *d;
+                    }
+                    match self.sync_flat(want_disp, window_len, comm) {
+                        Ok(stats) => stats,
+                        Err(e) => {
+                            load_params(model, &self.saved.0);
+                            self.opt.set_velocity_lanes(std::mem::take(&mut self.saved.1));
+                            return Err(e);
+                        }
+                    }
+                }
+            }
+        };
+
+        // Commit: nothing below can fail.
+        match plan {
+            Plan::WindowClose => {
+                // w ← w_anchor − Δ̄; the new parameters become the next
+                // window's anchor.
+                for (w, a) in self.flat.iter_mut().zip(&self.anchor) {
+                    *w = a - *w;
+                }
+                load_params(model, &self.flat);
+                self.anchor.copy_from_slice(&self.flat);
+            }
+            Plan::Local | Plan::Gradient => {
+                self.apply(model, comm, lr);
+                // A degenerate-window sync under a schedule (post-local
+                // warmup, `fixed1`) still refreshes the anchor: the next
+                // window measures Δ from the just-synchronized state.
+                if self.scheduled && plan == Plan::Gradient {
+                    flatten_params(model, &mut self.anchor);
+                }
+            }
+        }
+        if plan == Plan::Local {
+            self.schedule.record(SyncDecision::Local);
+        } else {
+            if self.scheduled {
+                a2sgd_trace::instant("sched/sync", a2sgd_trace::Args::None);
+            }
+            self.schedule.record(SyncDecision::Sync);
+        }
+        Ok(StepOutcome { plan, stats })
+    }
+
+    /// The plain exchange over `self.flat` (gradient or Δ), then the
+    /// schedule's dispersion observation.
+    fn sync_flat(
+        &mut self,
+        want_disp: bool,
+        window_len: u64,
+        comm: &mut CommHandle,
+    ) -> Result<SyncStats, TransportError> {
+        let pre = want_disp.then(|| self.flat.clone());
+        let ex_ns = a2sgd_trace::now_ns();
+        let mut stats = self.sync.try_sync_bucketed(&mut self.flat, &self.bounds, comm)?;
+        phase("phase/exchange", ex_ns);
+        self.observe(&mut stats, pre, window_len, comm)?;
+        Ok(stats)
+    }
+
+    /// Feeds an adaptive schedule its rank-agreed dispersion (`pre` is the
+    /// pre-sync vector, `Some` exactly when the schedule asked): free when
+    /// the exchange already carried one (A2SGD's gathered two-means
+    /// packets), else one 128-bit drift allgather billed honestly into the
+    /// accounting. The schedule observes only once nothing can fail.
+    fn observe(
+        &mut self,
+        stats: &mut SyncStats,
+        pre: Option<Vec<f32>>,
+        window_len: u64,
+        comm: &mut CommHandle,
+    ) -> Result<(), TransportError> {
+        let Some(pre) = pre else { return Ok(()) };
+        let dispersion = match stats.dispersion {
+            Some(d) => d,
+            None => {
+                stats.wire_bits += 128;
+                gathered_dispersion(drift_sums(&pre, &self.flat), comm)?
+            }
+        };
+        self.schedule.observe_sync(&SyncObservation { dispersion, window_len });
+        Ok(())
+    }
+
+    /// Scatters `self.flat` into the model's gradients and steps the
+    /// optimizer, charging the update to the modeled clock.
+    fn apply(&mut self, model: &mut dyn Module, comm: &mut CommHandle, lr: f32) {
+        scatter_grads(model, &self.flat);
+        let opt_ns = a2sgd_trace::now_ns();
+        let t = Instant::now();
+        self.opt.step(model, lr);
+        phase("phase/optimizer", opt_ns);
+        comm.advance_compute(t.elapsed().as_secs_f64());
+    }
+
+    /// Algorithm 1 lines 9–10: the closing parameter re-synchronization.
+    /// Replicas drift by their private residuals under A2SGD (a no-op
+    /// disguised as an average under dense, where ranks are already
+    /// bit-identical); the closing average collapses them to one model.
+    /// Returns this rank's max parameter divergence from the average; on
+    /// `Err` the parameters are untouched.
+    pub fn resync(
+        &mut self,
+        model: &mut dyn Module,
+        comm: &mut CommHandle,
+    ) -> Result<f64, TransportError> {
+        flatten_params(model, &mut self.flat);
+        let local = self.flat.clone();
+        comm.try_allreduce_avg(&mut self.flat)?;
+        load_params(model, &self.flat);
+        Ok(local.iter().zip(&self.flat).fold(0.0f64, |d, (a, b)| d.max((a - b).abs() as f64)))
+    }
+
+    /// Snapshots the full training state — parameters, velocity lanes,
+    /// and (under a schedule) the window phase and anchor, so a resume
+    /// re-enters a period mid-window bit-exactly.
+    pub fn capture(&self, model: &mut dyn Module, step: u64, seed: u64) -> Checkpoint {
+        let mut params = Vec::new();
+        flatten_params(model, &mut params);
+        let sched = self.scheduled.then(|| {
+            let s = self.schedule.state();
+            SchedCheckpoint {
+                local_in_window: s.local_in_window,
+                current_h: s.current_h,
+                ref_dispersion: s.ref_dispersion,
+                anchor: self.anchor.clone(),
+            }
+        });
+        Checkpoint { step, seed, params, velocity: self.opt.velocity_lanes().to_vec(), sched }
+    }
+
+    /// Adopts a [`capture`](Self::capture)d state (checkpoint resume,
+    /// elastic catch-up). A snapshot without a schedule block starts a
+    /// fresh window anchored at its parameters.
+    pub fn restore(&mut self, model: &mut dyn Module, c: &Checkpoint) -> Result<(), String> {
+        let sizes = param_sizes(model);
+        let lanes = c.velocity.iter().map(Vec::len);
+        if c.params.len() != sizes.iter().sum::<usize>()
+            || !(c.velocity.is_empty() || lanes.eq(sizes.iter().copied()))
+        {
+            return Err(format!("checkpoint does not fit the model's {sizes:?} parameter layout"));
+        }
+        load_params(model, &c.params);
+        self.opt.set_velocity_lanes(c.velocity.clone());
+        if self.scheduled {
+            self.anchor.clone_from(&c.params);
+            if let Some(sc) = &c.sched {
+                self.schedule.load_state(SchedState {
+                    local_in_window: sc.local_in_window,
+                    current_h: sc.current_h,
+                    ref_dispersion: sc.ref_dispersion,
+                });
+                if sc.anchor.len() == c.params.len() {
+                    self.anchor.clone_from(&sc.anchor);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The one checkpoint writer: on rank 0, whenever `step` (iterations
+    /// fully applied) lands on `cadence = (every, dir)`, writes
+    /// [`capture`](Self::capture) to `dir/`[`Checkpoint::file_name`]. State
+    /// is bit-identical across ranks after each synchronized step, so the
+    /// single rank-0 copy is a consistent global snapshot.
+    pub fn checkpoint_if_due(
+        &self,
+        model: &mut dyn Module,
+        cadence: Option<&(u64, PathBuf)>,
+        rank: usize,
+        step: u64,
+        seed: u64,
+    ) -> Result<(), String> {
+        let Some((every, dir)) = cadence else { return Ok(()) };
+        if rank != 0 || *every == 0 || step % every != 0 {
+            return Ok(());
+        }
+        std::fs::create_dir_all(dir).map_err(|e| format!("create {dir:?}: {e}"))?;
+        self.capture(model, step, seed).write(&dir.join(Checkpoint::file_name(step)))?;
+        a2sgd_trace::instant("checkpoint/written", a2sgd_trace::Args::Value(step as f64));
+        Ok(())
+    }
+}
+
+/// Local drift statistics for the explicit dispersion fallback: the
+/// squared distance between this rank's pre-sync vector and the
+/// synchronized result, plus the result's squared norm.
+fn drift_sums(pre: &[f32], post: &[f32]) -> (f64, f64) {
+    let mut drift = 0.0f64;
+    let mut norm = 0.0f64;
+    for (a, b) in pre.iter().zip(post) {
+        let d = (*a as f64) - (*b as f64);
+        drift += d * d;
+        let p = *b as f64;
+        norm += p * p;
+    }
+    (drift, norm)
+}
+
+/// The rank-agreed dispersion from an allgather of per-rank drift sums —
+/// `Σ‖vᵢ − v̂ᵢ‖² / (Σ‖v̂ᵢ‖² + ε)` — accumulated in rank order in f64, so
+/// every rank computes the bit-identical value (the adaptive schedule's
+/// determinism requirement). Two u64 lanes per rank: 128 honest wire bits.
+fn gathered_dispersion(local: (f64, f64), comm: &mut CommHandle) -> Result<f64, TransportError> {
+    let gathered = comm.try_allgather(&[local.0.to_bits(), local.1.to_bits()])?;
+    let mut drift = 0.0f64;
+    let mut norm = 0.0f64;
+    for v in &gathered {
+        drift += f64::from_bits(v[0]);
+        norm += f64::from_bits(v[1]);
+    }
+    Ok(drift / (norm + 1e-24))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::AlgoKind;
+    use cluster_comm::{Cluster, NetworkProfile};
+    use mini_nn::layers::Linear;
+    use mini_nn::module::{Mode, ModuleExt};
+    use mini_tensor::rng::SeedRng;
+    use mini_tensor::Tensor;
+
+    /// A peer lost during the exchange must leave parameters, velocity
+    /// lanes, schedule phase and window anchor bit-equal to their pre-step
+    /// values — on the gradient path (nothing applied yet) and on the
+    /// window-close path (optimizer already stepped: snapshot + restore).
+    #[test]
+    fn failed_step_leaves_the_replica_bit_identical() {
+        let x = Tensor::from_vec((0..8).map(|i| i as f32 * 0.25 - 1.0).collect(), [2, 4]);
+        let run = |ts: &mut TrainStep, model: &mut Linear, comm: &mut CommHandle, iter| {
+            model.zero_grad();
+            let y = model.forward(&x, Mode::Train);
+            ts.run(model, comm, iter, 0.1, Instant::now(), |m, hook| {
+                let _ = m.backward_hooked(&y, hook);
+            })
+        };
+        for (schedule, failing_plan) in
+            [(SchedKind::EveryStep, Plan::Gradient), (SchedKind::Fixed(2), Plan::WindowClose)]
+        {
+            for algo in [AlgoKind::Dense, AlgoKind::A2sgd, AlgoKind::TopK(0.25)] {
+                let cluster = Cluster::new(2, NetworkProfile::infiniband_100g());
+                let (mut comm, peer) = (cluster.handle(0), cluster.handle(1));
+                let mut model = Linear::new("fc", 4, 3, &mut SeedRng::new(5));
+                let opt = OptKind::Sgd { momentum: 0.9, weight_decay: 1e-3 };
+                let sync = algo.build(15, 1, 0);
+                let mut ts = TrainStep::new(&mut model, sync, opt, schedule, Some(16), false);
+
+                // `fixed2` opens with one local step, which needs no peer
+                // and leaves momentum lanes and a window phase to preserve.
+                let mut iter = 0;
+                if failing_plan == Plan::WindowClose {
+                    let out = run(&mut ts, &mut model, &mut comm, iter).unwrap();
+                    assert_eq!(out.plan, Plan::Local);
+                    iter += 1;
+                }
+                let before = ts.capture(&mut model, iter, 0);
+                if failing_plan == Plan::WindowClose {
+                    assert!(!before.velocity.is_empty());
+                    assert_eq!(before.sched.as_ref().unwrap().local_in_window, 1);
+                }
+
+                drop(peer);
+                assert_eq!(ts.plan(iter), failing_plan);
+                let what = format!("{} {failing_plan:?}", algo.name());
+                assert!(run(&mut ts, &mut model, &mut comm, iter).is_err(), "{what}");
+                let after = ts.capture(&mut model, iter, 0);
+                assert_eq!(after.encode(), before.encode(), "{what}");
+            }
+        }
+    }
+}

@@ -9,19 +9,20 @@
 //! is modeled (see `cluster-comm`), and both accumulate on the simulated
 //! clock.
 
+use crate::checkpoint::ENV_CKPT_DIR;
 use crate::metrics;
-use crate::overlap::{HookLayout, HookedStep};
 use crate::registry::AlgoKind;
-use a2sgd_sched::{SchedKind, SyncDecision, SyncObservation};
+use crate::step::{phase, Plan, TrainStep};
+use a2sgd_sched::SchedKind;
 use cluster_comm::{run_cluster, CommBackend, CommHandle, NetworkProfile};
-use mini_nn::flat::{flatten_grads, flatten_params, load_params, param_count, scatter_grads};
+use mini_nn::flat::{flatten_grads, param_count};
 use mini_nn::loss::softmax_cross_entropy;
-use mini_nn::models::{LstmLm, LstmLmConfig, ModelKind, Preset};
+use mini_nn::models::{LstmLmConfig, ModelKind, Preset};
 use mini_nn::module::{Mode, Module, ModuleExt};
-use mini_nn::optim::{Lars, Sgd};
 use mini_nn::schedule::LrSchedule;
 use mini_tensor::stats::Histogram;
 use mini_tensor::Tensor;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 use synthdata::{BatchIter, Dataset, MarkovText, Shard, SyntheticImages, VisionSpec};
@@ -46,38 +47,6 @@ pub enum OptKind {
         /// Trust coefficient.
         trust: f32,
     },
-}
-
-enum Optimizer {
-    Sgd(Sgd),
-    Lars(Lars),
-}
-
-impl Optimizer {
-    fn new(kind: OptKind) -> Self {
-        match kind {
-            OptKind::Sgd { momentum, weight_decay } => {
-                Optimizer::Sgd(Sgd::new(momentum, weight_decay))
-            }
-            OptKind::Lars { momentum, weight_decay, trust } => {
-                Optimizer::Lars(Lars::new(momentum, weight_decay, trust))
-            }
-        }
-    }
-
-    fn step(&mut self, model: &mut dyn Module, lr: f32) {
-        match self {
-            Optimizer::Sgd(o) => o.step(model, lr),
-            Optimizer::Lars(o) => o.step(model, lr),
-        }
-    }
-
-    fn velocity_lanes(&self) -> &[Vec<f32>] {
-        match self {
-            Optimizer::Sgd(o) => o.velocity_lanes(),
-            Optimizer::Lars(o) => o.velocity_lanes(),
-        }
-    }
 }
 
 /// Communicator topology the gradient synchronization runs over.
@@ -160,8 +129,10 @@ pub struct TrainConfig {
     pub overlap_backward: bool,
     /// Communicator topology: [`Topology::Flat`] (the default) runs
     /// `algo` across the whole world; [`Topology::Hier`] wraps it in the
-    /// two-level dense-intra / algo-inter hierarchy. Does not yet compose
-    /// with `overlap_backward`.
+    /// two-level dense-intra / algo-inter hierarchy. Composes with
+    /// `overlap_backward` and every `schedule` (the hierarchy does not
+    /// stream, so its hooked session is arrival marks plus the ordinary
+    /// exchange once backward returns — bit-identical by construction).
     pub topology: Topology,
     /// Sync schedule: *when* to communicate, orthogonal to `algo`'s *how*.
     /// [`SchedKind::EveryStep`] (the default) keeps the classic trainer
@@ -174,8 +145,10 @@ pub struct TrainConfig {
     /// O(1) two-means packet (plus a local residual) under A2SGD. A `Sync`
     /// closing a degenerate window (zero local steps — every step of
     /// `fixed1`, or a post-local warmup) takes the classic gradient path,
-    /// which is why `fixed1` is bit-identical to `every`. Does not yet
-    /// compose with `overlap_backward`.
+    /// which is why `fixed1` is bit-identical to `every`. Under
+    /// `overlap_backward` the hooks engage on exactly those gradient-path
+    /// steps; `Local` and window-closing steps have nothing to stream and
+    /// run the plain backward pass.
     pub schedule: SchedKind,
     /// Modeled network (in-proc backend only; TCP measures instead).
     pub profile: NetworkProfile,
@@ -185,9 +158,9 @@ pub struct TrainConfig {
     /// Checkpoint cadence: `Some(k)` has worker 0 snapshot the full
     /// training state (parameters, optimizer velocity, seed, step) every
     /// `k` iterations into the directory named by the `A2SGD_CKPT_DIR`
-    /// environment variable (see [`crate::checkpoint::Checkpoint`]); when
-    /// that variable is unset, the cadence is a no-op. `None` (the
-    /// default) never checkpoints. State is bit-identical across ranks
+    /// environment variable (see [`crate::checkpoint::Checkpoint`]);
+    /// [`train`] panics at start-up when that variable is unset. `None`
+    /// (the default) never checkpoints. State is bit-identical across ranks
     /// after each synchronized step, so the single rank-0 copy is a
     /// consistent global snapshot.
     pub checkpoint_every: Option<usize>,
@@ -308,7 +281,9 @@ pub struct TrainReport {
     pub grad_histograms: Vec<(usize, Histogram)>,
 }
 
-/// Per-worker scratch returned from rank threads.
+/// Per-worker totals, accumulated over the run and returned from rank
+/// threads.
+#[derive(Default)]
 struct WorkerOut {
     epochs: Vec<EpochStats>,
     sim_seconds: f64,
@@ -354,12 +329,13 @@ fn build_datasets(cfg: &TrainConfig) -> (Option<Arc<SyntheticImages>>, Option<Ar
 fn build_report(cfg: &TrainConfig, w0: &WorkerOut, divergence: f64) -> TrainReport {
     let total_samples = w0.iters * cfg.batch_per_worker * cfg.workers;
     let per_iter = |total: u64| if w0.iters > 0 { total / w0.iters as u64 } else { 0 };
+    let avg = |total: f64| if w0.iters > 0 { total / w0.iters as f64 } else { 0.0 };
     TrainReport {
         label: format!("{}/{}/P{}", cfg.model.name(), cfg.algo_label(), cfg.workers),
         epochs: w0.epochs.clone(),
         final_metric: w0.epochs.last().map(|e| e.metric).unwrap_or(f64::NAN),
         total_sim_seconds: w0.sim_seconds,
-        avg_iter_seconds: if w0.iters > 0 { w0.sim_seconds / w0.iters as f64 } else { 0.0 },
+        avg_iter_seconds: avg(w0.sim_seconds),
         iters: w0.iters,
         sync_steps: w0.sync_steps,
         local_steps: w0.local_steps,
@@ -370,21 +346,9 @@ fn build_report(cfg: &TrainConfig, w0: &WorkerOut, divergence: f64) -> TrainRepo
         measured_sync_wire_bytes: w0.sync_wire_bytes,
         messages: w0.messages,
         framing_bytes: w0.wire_bytes_measured.saturating_sub(w0.bytes_sent),
-        avg_compress_seconds: if w0.iters > 0 {
-            w0.compress_seconds_total / w0.iters as f64
-        } else {
-            0.0
-        },
-        avg_exchange_seconds: if w0.iters > 0 {
-            w0.exchange_seconds_total / w0.iters as f64
-        } else {
-            0.0
-        },
-        avg_overlap_seconds: if w0.iters > 0 {
-            w0.overlap_seconds_total / w0.iters as f64
-        } else {
-            0.0
-        },
+        avg_compress_seconds: avg(w0.compress_seconds_total),
+        avg_exchange_seconds: avg(w0.exchange_seconds_total),
+        avg_overlap_seconds: avg(w0.overlap_seconds_total),
         throughput: metrics::throughput(total_samples, w0.sim_seconds),
         replica_divergence: divergence,
         grad_histograms: w0.histograms.clone(),
@@ -405,6 +369,14 @@ pub fn train(cfg: &TrainConfig) -> TrainReport {
     assert!(cfg.workers >= 1 && cfg.epochs >= 1 && cfg.batch_per_worker >= 1);
     let cfg = cfg.clone();
     let (vision, lm) = build_datasets(&cfg);
+    // Resolved once, before any rank starts: a cadence with nowhere to
+    // write is a configuration error, not a silent no-op.
+    let ckpt: Option<(u64, PathBuf)> = cfg.checkpoint_every.map(|every| {
+        let dir = std::env::var(ENV_CKPT_DIR).unwrap_or_else(|_| {
+            panic!("TrainConfig::checkpoint_every is set but {ENV_CKPT_DIR} names no directory")
+        });
+        (every as u64, PathBuf::from(dir))
+    });
 
     // Tracing lifecycle: explicit config wins, the A2SGD_TRACE environment
     // (inherited by forked TCP rank processes) is the fallback. Each
@@ -419,9 +391,9 @@ pub fn train(cfg: &TrainConfig) -> TrainReport {
 
     let report = match cfg.backend {
         CommBackend::InProc => {
-            let cfgr = &cfg;
+            let (cfgr, ckpt) = (&cfg, ckpt.as_ref());
             let outs = run_cluster(cfg.workers, cfg.profile, move |comm| {
-                run_worker(cfgr, comm, vision.as_deref(), lm.as_deref())
+                run_worker(cfgr, ckpt, comm, vision.as_deref(), lm.as_deref())
             });
             let divergence = outs.iter().map(|o| o.divergence).fold(0.0f64, f64::max);
             build_report(&cfg, &outs[0], divergence)
@@ -434,7 +406,7 @@ pub fn train(cfg: &TrainConfig) -> TrainReport {
                 cfg.workers,
                 "A2SGD_WORLD disagrees with TrainConfig::workers"
             );
-            let out = run_worker(&cfg, &mut comm, vision.as_deref(), lm.as_deref());
+            let out = run_worker(&cfg, ckpt.as_ref(), &mut comm, vision.as_deref(), lm.as_deref());
             build_report(&cfg, &out, out.divergence)
         }
     };
@@ -445,8 +417,13 @@ pub fn train(cfg: &TrainConfig) -> TrainReport {
     report
 }
 
+/// One rank's run: data → forward → loss per iteration, with the back half
+/// (backward → sync → apply) delegated to the shared [`TrainStep`]. This
+/// trainer has no recovery policy, so a lost peer panics with the typed
+/// transport cause.
 fn run_worker(
     cfg: &TrainConfig,
+    ckpt: Option<&(u64, PathBuf)>,
     comm: &mut cluster_comm::CommHandle,
     vision: Option<&SyntheticImages>,
     lm: Option<&MarkovText>,
@@ -462,7 +439,7 @@ fn run_worker(
         comm.barrier();
         a2sgd_trace::mark_sync_point();
     }
-    let mut model = build_model(cfg);
+    let mut model = cfg.model.build(cfg.preset, cfg.seed);
     let n = param_count(model.as_mut());
     let mut sync = cfg.algo.build(n, cfg.seed ^ 0x5EED, rank);
     if let Topology::Hier { group_size } = cfg.topology {
@@ -471,58 +448,19 @@ fn run_worker(
             "group_size {group_size} must divide workers {}",
             cfg.workers
         );
-        assert!(
-            !cfg.overlap_backward,
-            "hierarchical topology does not yet compose with overlap_backward"
-        );
         let topo = cluster_comm::HierarchicalComm::from_flat(comm, group_size);
         sync = Box::new(gradcomp::HierarchicalSynchronizer::new(sync, topo));
     }
-    let mut opt = Optimizer::new(cfg.opt);
+    let mut step = TrainStep::new(
+        model.as_mut(),
+        sync,
+        cfg.opt,
+        cfg.schedule,
+        cfg.bucket_bytes,
+        cfg.overlap_backward,
+    );
 
-    // Sync schedule: decisions are a pure function of state that evolves
-    // identically on every rank (see `a2sgd-sched`'s determinism contract),
-    // so ranks agree on which steps communicate — the collectives below
-    // would deadlock otherwise.
-    let mut schedule = cfg.schedule.build();
-    let scheduled = !schedule.is_every_step();
-    if scheduled {
-        assert!(!cfg.overlap_backward, "sync schedules do not yet compose with overlap_backward");
-    }
-    // Parameter anchor for pseudo-gradient windows: the globally-agreed
-    // parameters as of the last sync (identical init across ranks plays
-    // the role of the initial broadcast). Empty when unscheduled.
-    let mut anchor: Vec<f32> = Vec::new();
-    if scheduled {
-        flatten_params(model.as_mut(), &mut anchor);
-    }
-
-    // The deterministic size-capped bucketizer: boundaries are a pure
-    // function of the parameter layout (layer-boundary-aligned), so every
-    // rank on every backend pipelines identical buckets — and the result
-    // is bit-identical to the whole-model exchange.
-    let bounds: Vec<std::ops::Range<usize>> = match cfg.bucket_bytes {
-        Some(cap) => gradcomp::bucket_bounds(&mini_nn::flat::param_sizes(model.as_mut()), cap),
-        None => vec![0..n; 1],
-    };
-    // Hooked mode: the name → offset → bucket map the per-layer
-    // gradient-ready callbacks drive the session through.
-    let hook_layout =
-        cfg.overlap_backward.then(|| HookLayout::of(model.as_mut(), cfg.bucket_bytes));
-
-    let mut flat: Vec<f32> = Vec::with_capacity(n);
-    let mut epochs = Vec::with_capacity(cfg.epochs);
-    let mut iters_done = 0usize;
-    let mut sync_steps = 0usize;
-    let mut local_steps = 0usize;
-    let mut sync_wire_bytes = 0u64;
-    let mut wire_bits_total = 0u64;
-    let mut intra_wire_bits_total = 0u64;
-    let mut inter_wire_bits_total = 0u64;
-    let mut compress_total = 0.0f64;
-    let mut exchange_total = 0.0f64;
-    let mut overlap_total = 0.0f64;
-    let mut histograms: Vec<(usize, Histogram)> = Vec::new();
+    let mut out = WorkerOut::default();
 
     let (train_len, iters_per_epoch) = match (vision, lm) {
         (Some(_), _) => {
@@ -576,234 +514,59 @@ fn run_worker(
                 m.lm_batch(&idxs)
             };
 
-            // ---- forward / backward (+ hooked sync) --------------------
+            // ---- forward / loss ----------------------------------------
             let fwd_ns = a2sgd_trace::now_ns();
             model.zero_grad();
             let logits = model.forward(&x, Mode::Train);
             let lo = softmax_cross_entropy(&logits, &targets);
-            if a2sgd_trace::enabled() {
-                a2sgd_trace::closed_span("phase/forward", fwd_ns, a2sgd_trace::Args::None);
-            }
+            phase("phase/forward", fwd_ns);
             loss_sum += lo.loss as f64;
+
+            // ---- backward → sync → apply (the shared step) --------------
             let want_hist = rank == 0 && cfg.grad_hist_iters.contains(&global_iter);
             let epoch_frac = epoch as f32 + it as f32 / iters_per_epoch as f32;
-            // Schedule bookkeeping: which kind of step this was, whether
-            // the pseudo-gradient path already applied the optimizer
-            // update, and the world bytes attributable to this step's
-            // synchronization (0 on local steps — nothing flies).
-            let mut was_local = false;
-            let mut step_applied = false;
+            // World bytes attributable to this step's synchronization
+            // (0 on local steps — nothing flies).
             let step_bytes_before = comm.stats().wire_bytes;
-            let stats = if let Some(layout) = &hook_layout {
-                // The session opens before backward; each bucket is
-                // submitted — streaming synchronizers put it straight on
-                // the wire — the moment its last layer's gradient lands,
-                // while earlier layers are still backpropagating. `finish`
-                // drains the tail after backward returns.
-                let mut step = HookedStep::begin(layout, sync.as_mut(), &mut flat, comm);
-                let bwd_ns = a2sgd_trace::now_ns();
-                let _ = model.backward_hooked(&lo.dlogits, &mut step);
-                if a2sgd_trace::enabled() {
-                    a2sgd_trace::closed_span("phase/backward", bwd_ns, a2sgd_trace::Args::None);
-                }
-                step.advance_compute(t0.elapsed().as_secs_f64());
-                if want_hist {
-                    histograms.push((global_iter, grad_histogram(step.local_grad())));
-                }
-                let ex_ns = a2sgd_trace::now_ns();
-                let stats = step.finish();
-                if a2sgd_trace::enabled() {
-                    a2sgd_trace::closed_span("phase/exchange", ex_ns, a2sgd_trace::Args::None);
-                }
-                stats
+            let done = step
+                .run(
+                    model.as_mut(),
+                    comm,
+                    global_iter as u64,
+                    cfg.lr.lr_at(epoch_frac),
+                    t0,
+                    |m, hook| {
+                        let _ = m.backward_hooked(&lo.dlogits, hook);
+                        if want_hist {
+                            let mut local = Vec::with_capacity(n);
+                            flatten_grads(m, &mut local);
+                            out.histograms.push((global_iter, grad_histogram(&local)));
+                        }
+                    },
+                )
+                .unwrap_or_else(|e| panic!("training step {global_iter}: {e}"));
+            out.wire_bits_total += done.stats.wire_bits;
+            out.intra_wire_bits_total += done.stats.intra_wire_bits;
+            out.inter_wire_bits_total += done.stats.inter_wire_bits;
+            out.compress_seconds_total += done.stats.compress_seconds;
+            out.exchange_seconds_total += done.stats.exchange_seconds;
+            out.overlap_seconds_total += done.stats.overlap_seconds;
+            out.sync_wire_bytes += comm.stats().wire_bytes - step_bytes_before;
+            if done.plan == Plan::Local {
+                out.local_steps += 1;
             } else {
-                let bwd_ns = a2sgd_trace::now_ns();
-                let _ = model.backward(&lo.dlogits);
-                flatten_grads(model.as_mut(), &mut flat);
-                if a2sgd_trace::enabled() {
-                    a2sgd_trace::closed_span("phase/backward", bwd_ns, a2sgd_trace::Args::None);
-                }
-                comm.advance_compute(t0.elapsed().as_secs_f64());
-                if want_hist {
-                    histograms.push((global_iter, grad_histogram(&flat)));
-                }
-                let decision = if scheduled {
-                    schedule.decide(global_iter as u64)
-                } else {
-                    SyncDecision::Sync
-                };
-                let stats = match decision {
-                    SyncDecision::Local => {
-                        // Local-SGD step: the synchronizer is skipped
-                        // entirely — the local gradient drives the local
-                        // optimizer and nothing crosses the wire.
-                        was_local = true;
-                        if a2sgd_trace::enabled() {
-                            a2sgd_trace::instant("sched/local", a2sgd_trace::Args::None);
-                        }
-                        gradcomp::SyncStats::default()
-                    }
-                    SyncDecision::Sync => {
-                        let window_len = schedule.local_in_window() + 1;
-                        let want_disp = scheduled && schedule.wants_dispersion();
-                        // `drift` backs the explicit dispersion fallback:
-                        // this rank's (‖v − v̂‖², ‖v̂‖²) around the sync.
-                        let (mut stats, drift) = if !scheduled || window_len == 1 {
-                            // Degenerate window (and the whole unscheduled
-                            // trainer): classic gradient averaging — bucket
-                            // i's exchange is in flight while bucket i+1
-                            // encodes inside `sync_bucketed`.
-                            let pre = want_disp.then(|| flat.clone());
-                            let ex_ns = a2sgd_trace::now_ns();
-                            let stats = sync.sync_bucketed(&mut flat, &bounds, comm);
-                            if a2sgd_trace::enabled() {
-                                a2sgd_trace::closed_span(
-                                    "phase/exchange",
-                                    ex_ns,
-                                    a2sgd_trace::Args::None,
-                                );
-                            }
-                            (stats, pre.map(|p| drift_sums(&p, &flat)))
-                        } else {
-                            // Window-closing sync: apply this step's local
-                            // update first, then average *parameters* as
-                            // the pseudo-gradient Δ = w_anchor − w through
-                            // the very same synchronizer — exact model
-                            // averaging under dense, the O(1) two-means
-                            // packet (plus a local residual) under A2SGD.
-                            scatter_grads(model.as_mut(), &flat);
-                            let opt_ns = a2sgd_trace::now_ns();
-                            let t1 = Instant::now();
-                            opt.step(model.as_mut(), cfg.lr.lr_at(epoch_frac));
-                            if a2sgd_trace::enabled() {
-                                a2sgd_trace::closed_span(
-                                    "phase/optimizer",
-                                    opt_ns,
-                                    a2sgd_trace::Args::None,
-                                );
-                            }
-                            comm.advance_compute(t1.elapsed().as_secs_f64());
-                            step_applied = true;
-                            flatten_params(model.as_mut(), &mut flat);
-                            for (d, a) in flat.iter_mut().zip(&anchor) {
-                                *d = a - *d;
-                            }
-                            let pre = want_disp.then(|| flat.clone());
-                            let ex_ns = a2sgd_trace::now_ns();
-                            let stats = sync.sync_bucketed(&mut flat, &bounds, comm);
-                            if a2sgd_trace::enabled() {
-                                a2sgd_trace::closed_span(
-                                    "phase/exchange",
-                                    ex_ns,
-                                    a2sgd_trace::Args::None,
-                                );
-                            }
-                            let drift = pre.map(|p| drift_sums(&p, &flat));
-                            // w ← w_anchor − Δ̄; the new parameters become
-                            // the next window's anchor.
-                            for (w, a) in flat.iter_mut().zip(&anchor) {
-                                *w = a - *w;
-                            }
-                            load_params(model.as_mut(), &flat);
-                            anchor.copy_from_slice(&flat);
-                            (stats, drift)
-                        };
-                        if want_disp {
-                            let dispersion = match stats.dispersion {
-                                // Free: the exchange already carried a
-                                // rank-agreed statistic (A2SGD's gathered
-                                // two-means packets).
-                                Some(d) => d,
-                                // Fallback: one 128-bit drift allgather,
-                                // billed honestly into the accounting.
-                                None => {
-                                    stats.wire_bits += 128;
-                                    gathered_dispersion(drift.unwrap_or((0.0, 0.0)), comm)
-                                }
-                            };
-                            schedule.observe_sync(&SyncObservation { dispersion, window_len });
-                        }
-                        if scheduled && a2sgd_trace::enabled() {
-                            a2sgd_trace::instant("sched/sync", a2sgd_trace::Args::None);
-                        }
-                        stats
-                    }
-                };
-                if scheduled {
-                    schedule.record(decision);
-                }
-                stats
-            };
-            wire_bits_total += stats.wire_bits;
-            intra_wire_bits_total += stats.intra_wire_bits;
-            inter_wire_bits_total += stats.inter_wire_bits;
-            compress_total += stats.compress_seconds;
-            exchange_total += stats.exchange_seconds;
-            overlap_total += stats.overlap_seconds;
-            sync_wire_bytes += comm.stats().wire_bytes - step_bytes_before;
-            if was_local {
-                local_steps += 1;
-            } else {
-                sync_steps += 1;
+                out.sync_steps += 1;
             }
-            if !step_applied {
-                scatter_grads(model.as_mut(), &flat);
-                let opt_ns = a2sgd_trace::now_ns();
-                let t1 = Instant::now();
-                opt.step(model.as_mut(), cfg.lr.lr_at(epoch_frac));
-                if a2sgd_trace::enabled() {
-                    a2sgd_trace::closed_span("phase/optimizer", opt_ns, a2sgd_trace::Args::None);
-                }
-                comm.advance_compute(t1.elapsed().as_secs_f64());
-                // A degenerate-window sync under a schedule (post-local
-                // warmup, `fixed1`) still refreshes the anchor: the next
-                // window measures Δ from the just-synchronized state.
-                if scheduled && !was_local {
-                    flatten_params(model.as_mut(), &mut anchor);
-                }
-            }
-            iters_done += 1;
+            out.iters += 1;
 
             // ---- checkpoint (rank 0, off the simulated clock) ----------
-            if let Some(every) = cfg.checkpoint_every {
-                if rank == 0 && every > 0 && iters_done % every == 0 {
-                    if let Ok(dir) = std::env::var(crate::checkpoint::ENV_CKPT_DIR) {
-                        let dir = std::path::Path::new(&dir);
-                        let mut params = Vec::with_capacity(n);
-                        flatten_params(model.as_mut(), &mut params);
-                        let sched = scheduled.then(|| {
-                            let s = schedule.state();
-                            crate::checkpoint::SchedCheckpoint {
-                                local_in_window: s.local_in_window,
-                                current_h: s.current_h,
-                                ref_dispersion: s.ref_dispersion,
-                                anchor: anchor.clone(),
-                            }
-                        });
-                        let ckpt = crate::checkpoint::Checkpoint {
-                            step: iters_done as u64,
-                            seed: cfg.seed,
-                            params,
-                            velocity: opt.velocity_lanes().to_vec(),
-                            sched,
-                        };
-                        let _ = std::fs::create_dir_all(dir);
-                        let path = dir.join(crate::checkpoint::Checkpoint::file_name(ckpt.step));
-                        ckpt.write(&path).unwrap_or_else(|e| panic!("checkpoint: {e}"));
-                        if a2sgd_trace::enabled() {
-                            a2sgd_trace::instant(
-                                "checkpoint/written",
-                                a2sgd_trace::Args::Value(ckpt.step as f64),
-                            );
-                        }
-                    }
-                }
-            }
+            step.checkpoint_if_due(model.as_mut(), ckpt, rank, out.iters as u64, cfg.seed)
+                .unwrap_or_else(|e| panic!("checkpoint: {e}"));
         }
 
         // ---- evaluation (worker 0, off the simulated clock) -------------
         let metric = if rank == 0 { evaluate(cfg, model.as_mut(), vision, lm) } else { 0.0 };
-        epochs.push(EpochStats {
+        out.epochs.push(EpochStats {
             epoch: epoch + 1,
             train_loss: loss_sum / iters_per_epoch as f64,
             metric,
@@ -812,14 +575,9 @@ fn run_worker(
     }
 
     // ---- Algorithm 1 lines 9–10: final re-synchronization ----------------
-    flatten_params(model.as_mut(), &mut flat);
-    let local = flat.clone();
-    comm.allreduce_avg(&mut flat);
-    let mut div = 0.0f64;
-    for (a, b) in local.iter().zip(flat.iter()) {
-        div = div.max((a - b).abs() as f64);
-    }
-    load_params(model.as_mut(), &flat);
+    let div = step
+        .resync(model.as_mut(), comm)
+        .unwrap_or_else(|e| panic!("final re-synchronization: {e}"));
 
     // ---- cross-rank report agreement -------------------------------------
     // The report scalars must agree on every rank (on TCP each rank is its
@@ -827,14 +585,14 @@ fn run_worker(
     // divergence is maxed across ranks, and rank 0's per-epoch evaluation
     // metrics — only rank 0 evaluates — are broadcast to everyone. Both
     // travel as f64 bit patterns in the lossless u64 wire lane.
-    let div = comm
+    out.divergence = comm
         .allgather(&[div.to_bits()])
         .iter()
         .map(|v| f64::from_bits(v[0]))
         .fold(0.0f64, f64::max);
-    let mut metric_bits: Vec<u64> = epochs.iter().map(|e| e.metric.to_bits()).collect();
+    let mut metric_bits: Vec<u64> = out.epochs.iter().map(|e| e.metric.to_bits()).collect();
     comm.broadcast(0, &mut metric_bits);
-    for (e, &m) in epochs.iter_mut().zip(&metric_bits) {
+    for (e, &m) in out.epochs.iter_mut().zip(&metric_bits) {
         e.metric = f64::from_bits(m);
     }
 
@@ -848,7 +606,7 @@ fn run_worker(
         val("audit/wire_bytes/world", s.wire_bytes as f64);
         val("audit/messages/world", s.messages as f64);
         val("audit/bytes_sent/world", s.bytes_sent as f64);
-        if let Some((intra, inter)) = sync.plane_traffic() {
+        if let Some((intra, inter)) = step.sync.plane_traffic() {
             val("audit/wire_bytes/intra", intra.wire_bytes as f64);
             val("audit/messages/intra", intra.messages as f64);
             val("audit/bytes_sent/intra", intra.bytes_sent as f64);
@@ -858,77 +616,32 @@ fn run_worker(
                 val("audit/bytes_sent/inter", inter.bytes_sent as f64);
             }
         }
-        val("audit/overlap_seconds", overlap_total);
-        val("audit/exchange_seconds", exchange_total);
+        val("audit/overlap_seconds", out.overlap_seconds_total);
+        val("audit/exchange_seconds", out.exchange_seconds_total);
         val("audit/overlap_enabled", if cfg.overlap_backward { 1.0 } else { 0.0 });
-        if scheduled {
+        if !cfg.schedule.is_every_step() {
             // The schedule's own ledger: `trace_report` checks these
             // against the per-step sched/local + sched/sync instants and
             // requires local + sync == total.
-            val("audit/sched/local_steps", local_steps as f64);
-            val("audit/sched/sync_steps", sync_steps as f64);
-            val("audit/sched/total_steps", iters_done as f64);
+            val("audit/sched/local_steps", out.local_steps as f64);
+            val("audit/sched/sync_steps", out.sync_steps as f64);
+            val("audit/sched/total_steps", out.iters as f64);
         }
-        a2sgd_trace::metrics::counter_add("iters", iters_done as u64);
-        a2sgd_trace::metrics::gauge_set(
-            "wire_bits_per_iter",
-            if iters_done > 0 { wire_bits_total as f64 / iters_done as f64 } else { 0.0 },
-        );
+        let per_iter = |total: f64| if out.iters > 0 { total / out.iters as f64 } else { 0.0 };
+        a2sgd_trace::metrics::counter_add("iters", out.iters as u64);
+        a2sgd_trace::metrics::gauge_set("wire_bits_per_iter", per_iter(out.wire_bits_total as f64));
         a2sgd_trace::metrics::hist_record(
             "overlap_seconds_per_iter",
-            if iters_done > 0 { overlap_total / iters_done as f64 } else { 0.0 },
+            per_iter(out.overlap_seconds_total),
         );
     }
 
-    WorkerOut {
-        epochs,
-        sim_seconds: comm.clock(),
-        iters: iters_done,
-        sync_steps,
-        local_steps,
-        sync_wire_bytes,
-        wire_bits_total,
-        intra_wire_bits_total,
-        inter_wire_bits_total,
-        wire_bytes_measured: comm.stats().wire_bytes,
-        messages: comm.stats().messages,
-        bytes_sent: comm.stats().bytes_sent,
-        compress_seconds_total: compress_total,
-        exchange_seconds_total: exchange_total,
-        overlap_seconds_total: overlap_total,
-        divergence: div,
-        histograms,
-    }
-}
-
-/// Local drift statistics for the explicit dispersion fallback: the
-/// squared distance between this rank's pre-sync vector and the
-/// synchronized result, plus the result's squared norm.
-fn drift_sums(pre: &[f32], post: &[f32]) -> (f64, f64) {
-    let mut drift = 0.0f64;
-    let mut norm = 0.0f64;
-    for (a, b) in pre.iter().zip(post) {
-        let d = (*a as f64) - (*b as f64);
-        drift += d * d;
-        let p = *b as f64;
-        norm += p * p;
-    }
-    (drift, norm)
-}
-
-/// The rank-agreed dispersion from an allgather of per-rank drift sums —
-/// `Σ‖vᵢ − v̂ᵢ‖² / (Σ‖v̂ᵢ‖² + ε)` — accumulated in rank order in f64, so
-/// every rank computes the bit-identical value (the adaptive schedule's
-/// determinism requirement). Two u64 lanes per rank: 128 honest wire bits.
-fn gathered_dispersion(local: (f64, f64), comm: &mut cluster_comm::CommHandle) -> f64 {
-    let gathered = comm.allgather(&[local.0.to_bits(), local.1.to_bits()]);
-    let mut drift = 0.0f64;
-    let mut norm = 0.0f64;
-    for v in &gathered {
-        drift += f64::from_bits(v[0]);
-        norm += f64::from_bits(v[1]);
-    }
-    drift / (norm + 1e-24)
+    out.sim_seconds = comm.clock();
+    let traffic = comm.stats();
+    out.wire_bytes_measured = traffic.wire_bytes;
+    out.messages = traffic.messages;
+    out.bytes_sent = traffic.bytes_sent;
+    out
 }
 
 /// Figure-1 capture: a ±3σ histogram of the local (pre-sync) gradient.
@@ -938,20 +651,6 @@ fn grad_histogram(flat: &[f32]) -> Histogram {
     let mut h = Histogram::new(-range, range, 41);
     h.add_all(flat);
     h
-}
-
-fn build_model(cfg: &TrainConfig) -> Box<dyn Module> {
-    match cfg.model {
-        ModelKind::LstmPtb => {
-            let mut c = LstmLmConfig::preset(cfg.preset);
-            if let Preset::Scaled = cfg.preset {
-                // Keep the LM vocab in sync with the Markov source.
-                c = LstmLmConfig::preset(Preset::Scaled);
-            }
-            Box::new(LstmLm::new(&c, cfg.seed))
-        }
-        k => k.build(cfg.preset, cfg.seed),
-    }
 }
 
 fn evaluate(

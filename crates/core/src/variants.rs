@@ -14,7 +14,7 @@
 //!   in n — trading a little bandwidth for lower encoding distortion.
 
 use crate::mean2::{enc_into, shift_by_sign, split_means, TwoMeans};
-use cluster_comm::{CommHandle, Payload};
+use cluster_comm::{CommHandle, Payload, TransportError};
 use gradcomp::ef::ErrorFeedback;
 use gradcomp::{GradientSynchronizer, SyncStats};
 use std::ops::Range;
@@ -38,12 +38,12 @@ impl GradientSynchronizer for A2sgdAllgather {
 
     /// Like [`A2sgd`](crate::algorithm::A2sgd), the exchange is O(1) —
     /// `bounds` is ignored and the round is split → exchange → shift.
-    fn sync_bucketed(
+    fn try_sync_bucketed(
         &mut self,
         grad: &mut [f32],
         _bounds: &[Range<usize>],
         comm: &mut CommHandle,
-    ) -> SyncStats {
+    ) -> Result<SyncStats, TransportError> {
         let t0 = Instant::now();
         let means = split_means(grad);
         let split_seconds = t0.elapsed().as_secs_f64();
@@ -53,7 +53,8 @@ impl GradientSynchronizer for A2sgdAllgather {
         // rank — the same 64 wire bits as the packed-u64 packet.
         let bits_before = comm.stats().logical_wire_bits;
         let tx = Instant::now();
-        let gathered = comm.allgather_bytes(Payload::F32Dense(vec![means.mu_pos, means.mu_neg]));
+        let gathered =
+            comm.try_allgather_bytes(Payload::F32Dense(vec![means.mu_pos, means.mu_neg]))?;
         let exchange_seconds = tx.elapsed().as_secs_f64();
         let wire_bits = comm.stats().logical_wire_bits - bits_before;
         let inv = 1.0 / gathered.len() as f32;
@@ -69,12 +70,12 @@ impl GradientSynchronizer for A2sgdAllgather {
         shift_by_sign(grad, d_pos, d_neg);
         let shift_seconds = t1.elapsed().as_secs_f64();
         comm.advance_compute(shift_seconds);
-        SyncStats {
+        Ok(SyncStats {
             compress_seconds: split_seconds + shift_seconds,
             exchange_seconds,
             wire_bits,
             ..SyncStats::default()
-        }
+        })
     }
 
     fn wire_bits_formula(&self, _n: usize) -> u64 {
@@ -108,12 +109,12 @@ impl GradientSynchronizer for A2sgdCarry {
     /// O(1) exchange — `bounds` is ignored (see
     /// [`A2sgd`](crate::algorithm::A2sgd)); the error-feedback update
     /// overlaps the in-flight allreduce.
-    fn sync_bucketed(
+    fn try_sync_bucketed(
         &mut self,
         grad: &mut [f32],
         _bounds: &[Range<usize>],
         comm: &mut CommHandle,
-    ) -> SyncStats {
+    ) -> Result<SyncStats, TransportError> {
         let t0 = Instant::now();
         self.acc.copy_from_slice(grad);
         self.ef.apply(&mut self.acc);
@@ -138,10 +139,7 @@ impl GradientSynchronizer for A2sgdCarry {
         comm.advance_compute(ef_seconds);
 
         let tx = Instant::now();
-        let payload = handle
-            .wait(comm)
-            .unwrap_or_else(|e| panic!("A2SGD-carry means exchange failed: {e}"))
-            .expect_reduced();
+        let payload = handle.wait(comm)?.expect_reduced();
         exchange_seconds += tx.elapsed().as_secs_f64();
         let wire_bits = comm.stats().logical_wire_bits - bits_before;
         let inv = 1.0 / comm.world() as f32;
@@ -152,12 +150,12 @@ impl GradientSynchronizer for A2sgdCarry {
         enc_into(&self.acc, &global, grad);
         let reconstruct_seconds = t2.elapsed().as_secs_f64();
         comm.advance_compute(reconstruct_seconds);
-        SyncStats {
+        Ok(SyncStats {
             compress_seconds: compress_head + ef_seconds + reconstruct_seconds,
             exchange_seconds,
             wire_bits,
             ..SyncStats::default()
-        }
+        })
     }
 
     fn wire_bits_formula(&self, _n: usize) -> u64 {
@@ -232,12 +230,12 @@ impl GradientSynchronizer for KLevelSgd {
 
     /// O(1)-in-n exchange (`2·levels` floats) — `bounds` is ignored; the
     /// residual pass overlaps the in-flight allreduce.
-    fn sync_bucketed(
+    fn try_sync_bucketed(
         &mut self,
         grad: &mut [f32],
         _bounds: &[Range<usize>],
         comm: &mut CommHandle,
-    ) -> SyncStats {
+    ) -> Result<SyncStats, TransportError> {
         let t0 = Instant::now();
         let (bucket, means) = self.bucketize(grad);
         let compress_head = t0.elapsed().as_secs_f64();
@@ -260,10 +258,7 @@ impl GradientSynchronizer for KLevelSgd {
         comm.advance_compute(residual_seconds);
 
         let tx = Instant::now();
-        let mut gmeans = handle
-            .wait(comm)
-            .unwrap_or_else(|e| panic!("KLevel means exchange failed: {e}"))
-            .expect_reduced();
+        let mut gmeans = handle.wait(comm)?.expect_reduced();
         exchange_seconds += tx.elapsed().as_secs_f64();
         let wire_bits = comm.stats().logical_wire_bits - bits_before;
         let inv = 1.0 / comm.world() as f32;
@@ -274,12 +269,12 @@ impl GradientSynchronizer for KLevelSgd {
             let b = bucket[i] as usize;
             *v += if b < l { gmeans[b] } else { -gmeans[b] };
         }
-        SyncStats {
+        Ok(SyncStats {
             compress_seconds: compress_head + residual_seconds,
             exchange_seconds,
             wire_bits,
             ..SyncStats::default()
-        }
+        })
     }
 
     fn wire_bits_formula(&self, _n: usize) -> u64 {

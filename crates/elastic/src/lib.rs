@@ -25,12 +25,13 @@
 //!   membership census, derives the shrunken spec every survivor computes
 //!   identically (no extra agreement round), and rebuilds a fresh TCP
 //!   world on an epoch-offset master port.
-//! * [`train`] — [`train_elastic`]: a synchronous data-parallel training
-//!   loop (least-squares probe model, dense or A2SGD two-mean gradient
-//!   sync) that survives scripted rank death mid-run: on a
-//!   [`cluster_comm::TransportError`] it recovers, catches up survivors by
-//!   broadcast from the new rank 0 (parameters, momentum velocity, step
-//!   counter), and resumes from the last consistent step. Periodic
+//! * [`train`] — [`train_elastic`]: a **recovery policy**, not a second
+//!   trainer. The step itself — for every registry synchronizer and sync
+//!   schedule — is [`a2sgd::step::TrainStep`], the same fallible step
+//!   `a2sgd::train` runs and `expect`s; this crate owns the kill script,
+//!   the heartbeat, and the reaction to a step's
+//!   [`cluster_comm::TransportError`]: shrink, rebuild the synchronizer,
+//!   catch survivors up from the new rank 0, retry. Periodic
 //!   [`a2sgd::Checkpoint`] snapshots make cold restart possible too.
 //!
 //! The recovery timeline is traced end-to-end (`elastic/killed` →
@@ -48,4 +49,4 @@ pub mod train;
 pub use fault::{FaultInjector, FaultPlan, WireFault};
 pub use membership::{Membership, HEARTBEAT_TAG};
 pub use recover::ElasticComm;
-pub use train::{train_elastic, ElasticRunReport, ElasticTrainConfig, SyncKind};
+pub use train::{train_elastic, ElasticRunReport, ElasticTrainConfig};

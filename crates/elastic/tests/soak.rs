@@ -13,20 +13,36 @@
 //!   re-rendezvous span → first post-recovery sync — in that order,
 //!   which is what `trace_report --recovery` audits in CI.
 //!
-//! The second test proves checkpoint/resume is bit-exact: resuming a run
-//! from its midpoint snapshot reproduces the uninterrupted run's final
-//! parameters to the last mantissa bit.
+//! The same kill-and-converge proof then runs under registry synchronizers
+//! the shared step brought to the elastic trainer: A2SGD's O(1) packet,
+//! Top-K with error feedback (its memory rebuilt at recovery) and
+//! `sched(fixed4, a2sgd)`.
+//!
+//! The checkpoint tests prove resume is bit-exact: resuming a run from its
+//! midpoint snapshot reproduces the uninterrupted run's final parameters
+//! to the last mantissa bit.
 
-use a2sgd_elastic::{train_elastic, ElasticComm, ElasticTrainConfig, FaultPlan, SyncKind};
+use a2sgd::AlgoKind;
+use a2sgd_elastic::{train_elastic, ElasticComm, ElasticRunReport, ElasticTrainConfig, FaultPlan};
 use a2sgd_sched::SchedKind;
 use cluster_comm::WorldSpec;
 use std::net::TcpListener;
 
+/// A loopback master address whose epoch-offset successor (`port + 1`, the
+/// re-rendezvous port after one shrink) is free too. Both sit below
+/// Linux's ephemeral range (32768+): a port from that range, probed free
+/// now, can be handed to a peer's data listener or an outgoing connection
+/// long before the survivors re-rendezvous on it.
 fn free_loopback_addr() -> String {
-    let l = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral probe");
-    let addr = l.local_addr().expect("probe addr").to_string();
-    drop(l);
-    addr
+    static NEXT: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+    loop {
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let slot = std::process::id().wrapping_mul(61).wrapping_add(n) % 5000;
+        let port = 20_000 + 2 * slot as u16;
+        if [port, port + 1].iter().all(|p| TcpListener::bind(("127.0.0.1", *p)).is_ok()) {
+            return format!("127.0.0.1:{port}");
+        }
+    }
 }
 
 /// Spawns one thread per rank of `spec`, each connecting its own TCP
@@ -79,13 +95,55 @@ fn first_ts(dir: &std::path::Path, name: &str) -> Option<u64> {
     best
 }
 
+/// The span recorder is process-global and the harness runs tests on
+/// parallel threads: every test that kills a rank holds this lock, so the
+/// headline test's trace holds its own `elastic/*` timeline and nobody
+/// else's.
+static KILL_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn one_kill_test_at_a_time() -> std::sync::MutexGuard<'static, ()> {
+    // A poisoned lock only means another kill test failed; the guard
+    // protects no data.
+    KILL_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Runs `cfg` on a 4-rank loopback-TCP world in which `victim` follows
+/// `kill`, checks the casualty died on schedule and the three survivors
+/// finished with exactly one recovery and bit-identical parameters, and
+/// returns a survivor's report.
+fn kill_and_finish(cfg: &ElasticTrainConfig, victim: usize, kill: &FaultPlan) -> ElasticRunReport {
+    let spec = WorldSpec::single_host(free_loopback_addr(), 4);
+    let reports = run_world(&spec, |rank| {
+        let ec = ElasticComm::connect(rank, &spec, 0).expect("rendezvous");
+        let plan = if rank == victim { kill.clone() } else { FaultPlan::none() };
+        train_elastic(ec, cfg, &plan).expect("elastic run failed")
+    });
+
+    // The casualty died on schedule, before contributing iteration `kill`.
+    assert!(reports[victim].killed);
+    assert_eq!(reports[victim].steps_done, kill.kill_at_iter.unwrap());
+
+    // Survivors: one recovery, a world of three, every scripted step done.
+    let survivors: Vec<_> = (0..4).filter(|&r| r != victim).map(|r| &reports[r]).collect();
+    for s in &survivors {
+        assert!(!s.killed);
+        assert_eq!(s.recoveries, 1, "expected exactly one shrink-and-continue");
+        assert_eq!(s.world_at_end, 3);
+        assert_eq!(s.steps_done, cfg.iters);
+    }
+    let bits: Vec<Vec<u32>> =
+        survivors.iter().map(|s| s.final_params.iter().map(|x| x.to_bits()).collect()).collect();
+    assert_eq!(bits[0], bits[1], "survivors diverged");
+    assert_eq!(bits[0], bits[2], "survivors diverged");
+    survivors[0].clone()
+}
+
 #[test]
 fn killing_a_rank_mid_run_shrinks_and_converges() {
+    let _serial = one_kill_test_at_a_time();
     let seed = 0xE1A5_71C0u64;
-    let cfg = ElasticTrainConfig { sync: SyncKind::Dense, ..ElasticTrainConfig::probe(seed) };
-    let victim = 2usize;
+    let cfg = ElasticTrainConfig::probe(seed);
     let kill = FaultPlan::random_kill(seed, 5, 15);
-    let kill_iter = kill.kill_at_iter.unwrap();
 
     // CI points A2SGD_SOAK_TRACE_DIR at a kept path so `trace_report
     // --recovery` can audit the timeline after the test; by default the
@@ -100,32 +158,10 @@ fn killing_a_rank_mid_run_shrinks_and_converges() {
     std::fs::create_dir_all(&trace_dir).unwrap();
     a2sgd_trace::enable(&trace_dir);
 
-    let spec = WorldSpec::single_host(free_loopback_addr(), 4);
-    let reports = run_world(&spec, |rank| {
-        let ec = ElasticComm::connect(rank, &spec, 0).expect("rendezvous");
-        let plan = if rank == victim { kill.clone() } else { FaultPlan::none() };
-        train_elastic(ec, &cfg, &plan).expect("elastic run failed")
-    });
+    let survivor = kill_and_finish(&cfg, 2, &kill);
 
     a2sgd_trace::flush_process_file().expect("trace flush");
     a2sgd_trace::disable();
-
-    // The casualty died on schedule, before contributing iteration `kill`.
-    assert!(reports[victim].killed);
-    assert_eq!(reports[victim].steps_done, kill_iter);
-
-    // Survivors: one recovery, a world of three, every scripted step done.
-    let survivors: Vec<_> = (0..4).filter(|&r| r != victim).map(|r| &reports[r]).collect();
-    for s in &survivors {
-        assert!(!s.killed);
-        assert_eq!(s.recoveries, 1, "expected exactly one shrink-and-continue");
-        assert_eq!(s.world_at_end, 3);
-        assert_eq!(s.steps_done, cfg.iters);
-    }
-    let bits: Vec<Vec<u32>> =
-        survivors.iter().map(|s| s.final_params.iter().map(|x| x.to_bits()).collect()).collect();
-    assert_eq!(bits[0], bits[1], "survivors diverged");
-    assert_eq!(bits[0], bits[2], "survivors diverged");
 
     // Convergence despite the death — and within tolerance of a run that
     // had three workers from the start (same seed, same step budget).
@@ -134,8 +170,8 @@ fn killing_a_rank_mid_run_shrinks_and_converges() {
         let ec = ElasticComm::connect(rank, &ref_spec, 0).expect("rendezvous");
         train_elastic(ec, &cfg, &FaultPlan::none()).expect("reference run failed")
     });
-    let start = a2sgd_elastic::train::full_loss(&cfg, &vec![0.0; cfg.dim]);
-    let (got, want) = (survivors[0].final_loss, ref_reports[0].final_loss);
+    let start = a2sgd_elastic::train::full_loss(&cfg, &vec![0.0; cfg.dim + 1]);
+    let (got, want) = (survivor.final_loss, ref_reports[0].final_loss);
     assert!(got < 0.05 * start, "elastic run failed to converge: {got} (start {start})");
     assert!(want < 0.05 * start, "reference run failed to converge: {want}");
     assert!(
@@ -154,6 +190,34 @@ fn killing_a_rank_mid_run_shrinks_and_converges() {
 
     if !keep_trace {
         let _ = std::fs::remove_dir_all(&trace_dir);
+    }
+}
+
+#[test]
+fn kill_and_converge_under_registry_synchronizers() {
+    let _serial = one_kill_test_at_a_time();
+    // The same proof through the shared step's other paths: the O(1)
+    // packet with its local residual, error feedback whose memory is
+    // rebuilt at recovery, and a window-closing Δ sync over A2SGD. Each
+    // trades per-step accuracy for wire bits, so they get more steps and
+    // looser bars than dense.
+    let seed = 0xE1A5_71C1u64;
+    for (algo, schedule, iters, bar) in [
+        (AlgoKind::A2sgd, SchedKind::EveryStep, 120, 0.15),
+        (AlgoKind::TopK(0.34), SchedKind::EveryStep, 60, 0.15),
+        // Which local step notices the death is a race, so this run's
+        // trajectory is not bit-reproducible; the bar has the headroom.
+        (AlgoKind::A2sgd, SchedKind::Fixed(4), 64, 0.3),
+    ] {
+        let cfg = ElasticTrainConfig { algo, schedule, iters, ..ElasticTrainConfig::probe(seed) };
+        let survivor = kill_and_finish(&cfg, 2, &FaultPlan::random_kill(seed, 5, 15));
+        let start = a2sgd_elastic::train::full_loss(&cfg, &vec![0.0; cfg.dim + 1]);
+        assert!(
+            survivor.final_loss < bar * start,
+            "sched({schedule:?}, {}) failed to converge: {} (start {start})",
+            algo.name(),
+            survivor.final_loss
+        );
     }
 }
 
@@ -180,7 +244,7 @@ fn checkpoint_resume_is_bit_identical() {
     let c = a2sgd::Checkpoint::read(&midpoint).expect("midpoint checkpoint");
     assert_eq!(c.step, 10);
     assert_eq!(c.seed, seed);
-    assert_eq!(c.params.len(), full_cfg.dim);
+    assert_eq!(c.params.len(), full_cfg.dim + 1);
 
     // Resume: rank 0 loads the snapshot, the catch-up broadcast rehydrates
     // rank 1, and the remaining ten steps replay bit-exactly.
@@ -216,6 +280,7 @@ fn checkpoint_resume_is_bit_identical() {
 
 #[test]
 fn scheduled_run_reenters_period_after_shrink() {
+    let _serial = one_kill_test_at_a_time();
     let seed = 0x5C4E_D111u64;
     let cfg = ElasticTrainConfig {
         iters: 32,
@@ -260,7 +325,7 @@ fn scheduled_run_reenters_period_after_shrink() {
 
     // Local SGD trades per-step averaging for a 4x traffic cut; the convex
     // probe still has to converge, just against a looser bar.
-    let start = a2sgd_elastic::train::full_loss(&cfg, &vec![0.0; cfg.dim]);
+    let start = a2sgd_elastic::train::full_loss(&cfg, &vec![0.0; cfg.dim + 1]);
     let got = survivors[0].final_loss;
     assert!(got < 0.3 * start, "scheduled elastic run failed to converge: {got} (start {start})");
 }
@@ -302,7 +367,7 @@ fn scheduled_checkpoint_resume_reenters_period_mid_window() {
     let sc = c.sched.as_ref().expect("schedule block missing from the v2 checkpoint");
     assert_eq!(sc.local_in_window, 2, "checkpoint taken at the wrong window phase");
     assert_eq!(sc.current_h, 4);
-    assert_eq!(sc.anchor.len(), full_cfg.dim);
+    assert_eq!(sc.anchor.len(), full_cfg.dim + 1);
     assert_ne!(
         bits(&sc.anchor),
         bits(&c.params),
@@ -371,7 +436,7 @@ fn adaptive_schedule_runs_elastic_a2sgd_in_lockstep() {
     let seed = 0xADA7_0E57u64;
     let cfg = ElasticTrainConfig {
         iters: 16,
-        sync: SyncKind::A2sgd,
+        algo: AlgoKind::A2sgd,
         schedule: SchedKind::Adaptive(2),
         ..ElasticTrainConfig::probe(seed)
     };

@@ -1,9 +1,7 @@
 //! Cache-blocked, register-tiled, packing GEMM — the matmul hot path.
 //!
 //! One descriptor, [`Gemm`], names all four transpose variants of
-//! `C[m,n] = op(A)[m,k] · op(B)[k,n]` and replaces the old
-//! `matmul/matmul_bt/matmul_at(_into)` family (still available in
-//! [`crate::matmul`] as deprecated wrappers). The kernel follows the classic
+//! `C[m,n] = op(A)[m,k] · op(B)[k,n]`. The kernel follows the classic
 //! BLIS/GotoBLAS decomposition:
 //!
 //! * **Packing.** `op(A)` is repacked into MR-row micro-panels and `op(B)`

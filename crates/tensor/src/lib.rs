@@ -9,8 +9,7 @@
 //! * elementwise and scalar arithmetic, BLAS-1 style kernels ([`ops`]),
 //! * a cache-blocked, register-tiled, packing GEMM behind the unified
 //!   [`gemm::Gemm`] descriptor (all four transpose combos; bit-identical
-//!   across thread counts; the old [`matmul`] names are deprecated
-//!   wrappers),
+//!   across thread counts),
 //! * im2col/col2im convolution kernels ([`conv`]), lowered onto the same
 //!   packed GEMM core with weight panels reused across the batch,
 //! * reductions, argmax and softmax helpers,
@@ -24,7 +23,6 @@
 
 pub mod conv;
 pub mod gemm;
-pub mod matmul;
 pub mod ops;
 pub mod par;
 pub mod rng;

@@ -103,10 +103,10 @@ fn bit_identical_across_thread_counts() {
     assert_eq!(c1, c4, "1-thread vs 4-thread results differ in bits");
 }
 
-/// The old kernels skipped the inner loop when `aik == 0.0`, silently
-/// producing finite output where IEEE arithmetic demands NaN (0·inf) or
-/// ±inf propagation. The packed core — and the deprecated wrappers now
-/// routed through it — must propagate non-finite values.
+/// The pre-packed-core kernels skipped the inner loop when `aik == 0.0`,
+/// silently producing finite output where IEEE arithmetic demands NaN
+/// (0·inf) or ±inf propagation. Every transpose combo of the packed core
+/// must propagate non-finite values.
 #[test]
 fn zero_times_inf_propagates_nan() {
     // c = 0·inf + 1·2 → NaN.
@@ -116,28 +116,18 @@ fn zero_times_inf_propagates_nan() {
     Gemm::nn(1, 2, 1).run(&a, &b, &mut c);
     assert!(c[0].is_nan(), "nn: 0·inf must poison the dot product, got {}", c[0]);
 
-    // Same through every deprecated wrapper (the historical entry points
-    // that carried the skip).
-    #[allow(deprecated)]
-    {
-        use mini_tensor::matmul::{matmul_at_into, matmul_bt_into, matmul_into};
-        let mut c = [0.0f32; 1];
-        matmul_into(&a, &b, &mut c, 1, 2, 1);
-        assert!(c[0].is_nan(), "matmul_into dropped 0·inf");
+    // a[1×2]·b[1×2]ᵀ with b = [inf, 2]: 0·inf + 1·2 → NaN.
+    let mut c = [0.0f32; 1];
+    Gemm::nt(1, 2, 1).run(&a, &b, &mut c);
+    assert!(c[0].is_nan(), "nt dropped 0·inf");
 
-        // a[1×2]·b[1×2]ᵀ with b = [inf, 2]: 0·inf + 1·2 → NaN.
-        let mut c = [0.0f32; 1];
-        matmul_bt_into(&a, &b, &mut c, 1, 2, 1);
-        assert!(c[0].is_nan(), "matmul_bt_into dropped 0·inf");
-
-        // aᵀ[2×1]·b[1×1] with a = [0, 1], b = [inf]: row 0 is 0·inf → NaN,
-        // row 1 is 1·inf → inf.
-        let bb = [f32::INFINITY];
-        let mut c = [0.0f32; 2];
-        matmul_at_into(&a, &bb, &mut c, 1, 2, 1);
-        assert!(c[0].is_nan(), "matmul_at_into dropped 0·inf");
-        assert_eq!(c[1], f32::INFINITY, "matmul_at_into must propagate inf");
-    }
+    // aᵀ[2×1]·b[1×1] with a = [0, 1], b = [inf]: row 0 is 0·inf → NaN,
+    // row 1 is 1·inf → inf.
+    let bb = [f32::INFINITY];
+    let mut c = [0.0f32; 2];
+    Gemm::tn(2, 1, 1).run(&a, &bb, &mut c);
+    assert!(c[0].is_nan(), "tn dropped 0·inf");
+    assert_eq!(c[1], f32::INFINITY, "tn must propagate inf");
 }
 
 /// NaN in either operand must reach every affected output element.

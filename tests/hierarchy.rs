@@ -268,3 +268,105 @@ fn hier_inproc_group_sizes_match_flat_semantics() {
         assert!(rep.final_metric > 30.0, "group_size {group_size}: {}", rep.final_metric);
     }
 }
+
+/// The 2 × 2 hierarchy the `hier_overlap_*` gates train: `overlap` drives
+/// the sync from the backward hooks, `cap` is the bucket size.
+fn hier_overlap_cfg(algo: AlgoKind, overlap: bool, cap: usize) -> a2sgd::trainer::TrainConfig {
+    let mut cfg = scaled_convergence_config(ModelKind::Fnn3, algo, 4, 9);
+    cfg.epochs = 2;
+    cfg.train_size = 640;
+    cfg.eval_size = 160;
+    cfg.topology = Topology::Hier { group_size: 2 };
+    cfg.overlap_backward = overlap;
+    cfg.bucket_bytes = Some(cap);
+    cfg
+}
+
+/// Everything overlap could plausibly perturb, as exact bits.
+fn hier_overlap_fingerprint(rep: &a2sgd::TrainReport) -> Vec<u64> {
+    let mut f: Vec<u64> = rep.epochs.iter().map(|e| e.train_loss.to_bits()).collect();
+    f.extend([
+        rep.final_metric.to_bits(),
+        rep.replica_divergence.to_bits(),
+        rep.wire_bits_per_iter,
+        rep.intra_wire_bits_per_iter,
+        rep.inter_wire_bits_per_iter,
+    ]);
+    f
+}
+
+const HIER_OVERLAP_ALGOS: [AlgoKind; 2] = [AlgoKind::A2sgd, AlgoKind::TopK(0.01)];
+const HIER_OVERLAP_CAPS: [usize; 2] = [64 * 1024, 1024];
+
+/// `hier × overlap` used to be refused by an assert. The hierarchy does
+/// not stream, so a hooked step is arrival marks plus the ordinary
+/// exchange once backward returns: bit-identical to the run without
+/// overlap, with the inter plane still at A2SGD's 64 bits per iteration.
+#[test]
+fn hier_overlap_training_is_bit_identical_inproc() {
+    for algo in HIER_OVERLAP_ALGOS {
+        for cap in HIER_OVERLAP_CAPS {
+            let plain = train(&hier_overlap_cfg(algo, false, cap));
+            let hooked = train(&hier_overlap_cfg(algo, true, cap));
+            assert_eq!(
+                hier_overlap_fingerprint(&plain),
+                hier_overlap_fingerprint(&hooked),
+                "hier(dense, {}) cap {cap}: overlap changed the run",
+                algo.name()
+            );
+            if algo == AlgoKind::A2sgd {
+                assert_eq!(hooked.inter_wire_bits_per_iter, 64, "cap {cap}");
+            }
+        }
+    }
+}
+
+/// The same gate on real sockets. `train` joins the TCP rendezvous from
+/// the environment, so the ranks are forked processes (children exit
+/// inside `run_multiprocess`); every rank must agree with itself across
+/// the overlap knob, and rank 0 with the in-proc run.
+#[test]
+fn hier_overlap_training_is_bit_identical_tcp() {
+    // f32 result lanes: ship each u64 of the fingerprint as four 16-bit
+    // pieces, which f32 holds exactly.
+    let lanes = |rep: &a2sgd::TrainReport| -> Vec<f32> {
+        hier_overlap_fingerprint(rep)
+            .into_iter()
+            .flat_map(|w| (0..4).map(move |i| ((w >> (16 * i)) & 0xFFFF) as f32))
+            .collect()
+    };
+    let outs =
+        run_multiprocess(4, &["hier_overlap_training_is_bit_identical_tcp", "--exact"], |_| {
+            let mut out = Vec::new();
+            for algo in HIER_OVERLAP_ALGOS {
+                for cap in HIER_OVERLAP_CAPS {
+                    for overlap in [false, true] {
+                        let mut cfg = hier_overlap_cfg(algo, overlap, cap);
+                        cfg.backend = CommBackend::Tcp;
+                        out.extend(lanes(&train(&cfg)));
+                    }
+                }
+            }
+            out
+        });
+    let per_run = outs[0].len() / (2 * HIER_OVERLAP_ALGOS.len() * HIER_OVERLAP_CAPS.len());
+    for (rank, out) in outs.iter().enumerate() {
+        for (i, pair) in out.chunks_exact(2 * per_run).enumerate() {
+            let (plain, hooked) = pair.split_at(per_run);
+            assert_eq!(bits(plain), bits(hooked), "rank {rank} combination {i}");
+        }
+    }
+    // Rank 0 leads group 0, as worker 0 does in-proc: same losses, same
+    // metric, same per-plane wire bits — 64 on the inter plane for A2SGD.
+    let mut expect = Vec::new();
+    for algo in HIER_OVERLAP_ALGOS {
+        for cap in HIER_OVERLAP_CAPS {
+            let rep = train(&hier_overlap_cfg(algo, true, cap));
+            if algo == AlgoKind::A2sgd {
+                assert_eq!(rep.inter_wire_bits_per_iter, 64);
+            }
+            expect.extend(lanes(&rep).repeat(2));
+        }
+    }
+    assert_eq!(bits(&outs[0]), bits(&expect), "TCP hier × overlap diverged from in-proc");
+}

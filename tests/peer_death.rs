@@ -1,0 +1,159 @@
+//! The fallible synchronizer contract under peer loss.
+//!
+//! For every synchronizer the registry can build (and the two-level
+//! `hier(dense, a2sgd)` wrapper): a rank that drops its communicator
+//! mid-run — the scripted-kill shape `FaultPlan::kill_at` gives
+//! `train_elastic`, no goodbye — makes every survivor's
+//! `try_sync_bucketed` return `Err(TransportError)`. No panic, no hang
+//! (each rank must report within [`DEADLINE`]), on the in-proc mailboxes
+//! and on loopback TCP sockets.
+//!
+//! A survivor whose own partners are all alive only learns of the death
+//! from another survivor abandoning the exchange, so — like the elastic
+//! recovery policy — every rank drops its spent communicator as soon as
+//! its call has returned.
+
+use a2sgd::registry::AlgoKind;
+use a2sgd_repro::cluster_comm::{
+    Cluster, CommHandle, HierarchicalComm, NetworkProfile, TransportError, WorldSpec,
+};
+use a2sgd_repro::gradcomp::{bucket_bounds, HierarchicalSynchronizer};
+use std::net::TcpListener;
+use std::sync::mpsc;
+use std::time::Duration;
+
+const DEADLINE: Duration = Duration::from_secs(30);
+/// Exchanges every rank completes before the victim leaves.
+const HEALTHY_ROUNDS: usize = 2;
+const N: usize = 768;
+
+fn all_registry_algos() -> Vec<AlgoKind> {
+    vec![
+        AlgoKind::Dense,
+        AlgoKind::TopK(0.01),
+        AlgoKind::GaussianK(0.01),
+        AlgoKind::Qsgd(4),
+        AlgoKind::A2sgd,
+        AlgoKind::A2sgdAllgather,
+        AlgoKind::A2sgdCarry,
+        AlgoKind::KLevel(4),
+        AlgoKind::RandK(0.01),
+        AlgoKind::TernGrad,
+        AlgoKind::SignSgd,
+    ]
+}
+
+/// One rank's life: healthy rounds, then the victim leaves cold and the
+/// survivors attempt one more exchange. `None` from the victim.
+fn rank_body(
+    mut comm: CommHandle,
+    algo: AlgoKind,
+    group_size: Option<usize>,
+    victim: usize,
+) -> Option<Result<(), TransportError>> {
+    let rank = comm.rank();
+    let mut sync = algo.build(N, 7, rank);
+    if let Some(g) = group_size {
+        let topo = HierarchicalComm::from_flat(&mut comm, g);
+        sync = Box::new(HierarchicalSynchronizer::new(sync, topo));
+    }
+    let bounds = bucket_bounds(&[300, 68, 400], 1024);
+    let mut grad: Vec<f32> =
+        (0..N).map(|i| ((rank * 31 + i * 7) % 23) as f32 * 0.1 - 1.0).collect();
+    for round in 0..HEALTHY_ROUNDS {
+        sync.try_sync_bucketed(&mut grad, &bounds, &mut comm)
+            .unwrap_or_else(|e| panic!("{}: healthy round {round} failed: {e}", sync.name()));
+    }
+    if rank == victim {
+        return None;
+    }
+    let res = sync.try_sync_bucketed(&mut grad, &bounds, &mut comm).map(|_| ());
+    // `sync` (which may own sub-communicators sharing the transport) and
+    // `comm` drop here: the communicator is spent either way.
+    Some(res)
+}
+
+/// Runs `rank_body` on one detached thread per rank over `handles` and
+/// demands an `Err` from every survivor before the deadline.
+fn assert_survivors_err(
+    what: &str,
+    handles: Vec<CommHandle>,
+    algo: AlgoKind,
+    group_size: Option<usize>,
+) {
+    let world = handles.len();
+    let victim = world - 1;
+    let (tx, rx) = mpsc::channel();
+    for comm in handles {
+        let tx = tx.clone();
+        // Detached on purpose: a hung rank must fail the test at the
+        // deadline, not hang the join.
+        std::thread::spawn(move || {
+            let rank = comm.rank();
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                rank_body(comm, algo, group_size, victim)
+            }));
+            let _ = tx.send((rank, out));
+        });
+    }
+    let mut errs = 0;
+    for _ in 0..world {
+        let (rank, out) = rx
+            .recv_timeout(DEADLINE)
+            .unwrap_or_else(|_| panic!("{what}: a rank hung past {DEADLINE:?} after the death"));
+        match out.unwrap_or_else(|_| panic!("{what}: rank {rank} panicked instead of erring")) {
+            None => assert_eq!(rank, victim),
+            Some(Err(_)) => errs += 1,
+            Some(Ok(())) => panic!("{what}: rank {rank} completed an exchange without the victim"),
+        }
+    }
+    assert_eq!(errs, world - 1, "{what}: every survivor must see the loss");
+}
+
+fn inproc_handles(world: usize) -> Vec<CommHandle> {
+    let cluster = Cluster::new(world, NetworkProfile::infiniband_100g());
+    (0..world).map(|r| cluster.handle(r)).collect()
+}
+
+/// Connects a `world`-rank loopback TCP mesh (one thread per rank for the
+/// rendezvous) and returns the endpoints in rank order.
+fn tcp_handles(world: usize) -> Vec<CommHandle> {
+    let probe = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral probe");
+    let addr = probe.local_addr().expect("probe addr").to_string();
+    drop(probe);
+    let spec = WorldSpec::single_host(addr, world);
+    std::thread::scope(|s| {
+        let joins: Vec<_> = (0..world)
+            .map(|rank| {
+                let spec = &spec;
+                s.spawn(move || CommHandle::tcp_from_spec(rank, spec).expect("rendezvous"))
+            })
+            .collect();
+        joins.into_iter().map(|j| j.join().expect("rendezvous thread")).collect()
+    })
+}
+
+#[test]
+fn peer_death_is_an_err_for_every_synchronizer_inproc() {
+    for algo in all_registry_algos() {
+        assert_survivors_err(&format!("in-proc {}", algo.name()), inproc_handles(3), algo, None);
+    }
+}
+
+#[test]
+fn peer_death_is_an_err_for_every_synchronizer_tcp() {
+    for algo in all_registry_algos() {
+        assert_survivors_err(&format!("tcp {}", algo.name()), tcp_handles(3), algo, None);
+    }
+}
+
+/// The hierarchy's three planes (dense intra, A2SGD inter, intra
+/// broadcast) under the same death: the victim is group 1's member, so its
+/// leader fails on the intra plane, group 0's leader on the inter plane,
+/// and group 0's member on the fan-out broadcast.
+#[test]
+fn peer_death_is_an_err_under_hier_dense_a2sgd() {
+    let algo = AlgoKind::A2sgd;
+    assert_survivors_err("in-proc hier(dense, A2SGD)", inproc_handles(4), algo, Some(2));
+    assert_survivors_err("tcp hier(dense, A2SGD)", tcp_handles(4), algo, Some(2));
+}

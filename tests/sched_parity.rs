@@ -150,3 +150,50 @@ fn fixed8_a2sgd_converges_within_tolerance_of_every_step() {
     assert_eq!(scheduled.sync_steps + scheduled.local_steps, scheduled.iters);
     assert!(scheduled.label.contains("sched(fixed8"), "label: {}", scheduled.label);
 }
+
+/// `sched × overlap` used to be refused by an assert. Under `fixed1` every
+/// step plans a gradient sync, so the hooks engage on every step and the
+/// run must equal the unscheduled hooked run — for all 11 synchronizers.
+#[test]
+fn fixed1_overlap_parity_all_synchronizers_inproc() {
+    for algo in all_registry_algos() {
+        let mut base = cfg(algo, 2, 21);
+        base.overlap_backward = true;
+        base.bucket_bytes = Some(1024);
+        let reference = train(&base);
+        let mut s = base.clone();
+        s.schedule = SchedKind::Fixed(1);
+        let scheduled = train(&s);
+        assert_eq!(
+            fingerprint(&reference),
+            fingerprint(&scheduled),
+            "{}: fixed1 + overlap diverged from unscheduled + overlap",
+            algo.name()
+        );
+        assert_eq!(scheduled.local_steps, 0, "{}", algo.name());
+        assert_eq!(scheduled.sync_steps, scheduled.iters, "{}", algo.name());
+    }
+}
+
+/// Real windows under overlap: hooks engage on the gradient-path steps
+/// only (a post-local warmup's every-step syncs), `Local` and
+/// window-closing steps run the plain backward pass — so overlap cannot
+/// move a single bit or a single step between the local and sync ledgers.
+#[test]
+fn periodic_schedules_with_overlap_match_the_same_schedule_without() {
+    for (algo, schedule) in [
+        (AlgoKind::Dense, SchedKind::Fixed(4)),
+        (AlgoKind::A2sgd, SchedKind::PostLocal { warmup: 8, h: 4 }),
+    ] {
+        let mut plain = cfg(algo, 2, 27);
+        plain.schedule = schedule;
+        plain.bucket_bytes = Some(1024);
+        let mut hooked = plain.clone();
+        hooked.overlap_backward = true;
+        let (plain, hooked) = (train(&plain), train(&hooked));
+        assert_eq!(fingerprint(&plain), fingerprint(&hooked), "{}", hooked.label);
+        assert_eq!(plain.local_steps, hooked.local_steps, "{}", hooked.label);
+        assert_eq!(plain.sync_steps, hooked.sync_steps, "{}", hooked.label);
+        assert!(hooked.local_steps > 0, "{}: schedule never went local", hooked.label);
+    }
+}
