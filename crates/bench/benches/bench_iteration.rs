@@ -17,7 +17,6 @@ fn bench_sync_round(c: &mut Criterion) {
         AlgoKind::GaussianK(0.001),
         AlgoKind::Qsgd(4),
         AlgoKind::A2sgd,
-        AlgoKind::A2sgdAllgather,
         AlgoKind::KLevel(4),
         AlgoKind::SignSgd,
     ];

@@ -2,9 +2,11 @@
 //!
 //! The paper observed Gaussian-K beating A2SGD on per-iteration time for
 //! the largest model *because* Gaussian-K used Allgather, and proposed an
-//! Allgather-based A2SGD as future work. We implement that variant
-//! (`A2SGD-AG`) and chart the modeled exchange cost of all three across
-//! network profiles and worker counts, plus the collective crossover that
+//! Allgather-based A2SGD as future work. The shipped `A2sgd` is that
+//! gather; `A2sgdCarry`/`KLevel` exchange their means with the allreduce
+//! Algorithm 1 line 5 writes. This charts the modeled cost of both
+//! two-means exchanges next to Dense and Gaussian-K across network
+//! profiles and worker counts, plus the collective crossover that
 //! explains it.
 //!
 //! Run: `cargo run --release -p a2sgd-bench --bin ablation_allgather`
@@ -13,7 +15,9 @@ use a2sgd::report::{fmt_seconds, Table};
 use cluster_comm::{CostModel, NetworkProfile};
 
 fn main() {
-    println!("== Ablation: Allreduce vs Allgather exchange (paper §4.4) ==\n");
+    println!("== Ablation: Allreduce vs Allgather exchange (paper §4.4) ==");
+    println!("two-means AR = allreduce (Alg. 1 line 5 as written; A2sgdCarry/KLevel path)");
+    println!("two-means AG = gather (§4.4; shipped A2sgd)\n");
     let profiles = [
         NetworkProfile::infiniband_100g(),
         NetworkProfile::ethernet_10g(),
@@ -26,7 +30,7 @@ fn main() {
         let m = CostModel::new(profile);
         let mut t = Table::new(
             &format!("exchange cost on {} (LSTM-PTB)", profile.name),
-            &["P", "Dense AR", "GaussianK AG(32k)", "A2SGD AR(64b)", "A2SGD-AG(64b)"],
+            &["P", "Dense AR", "GaussianK AG(32k)", "two-means AR(64b)", "two-means AG(64b)"],
         );
         for p in [2usize, 4, 8, 16, 32] {
             t.row(&[

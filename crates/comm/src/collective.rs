@@ -1,22 +1,24 @@
 //! MPI-style collectives, generic over the [`Transport`] data plane.
 //!
-//! The algorithms (ring reduce-scatter/allgather, recursive doubling,
-//! binomial broadcast — Thakur, Rabenseifner & Gropp, the paper's
-//! reference [46]) are written against the transport's tagged send/recv
-//! only, so the same code moves bytes through in-process mailboxes or real
-//! TCP sockets. Every rank must call the same sequence of collective
-//! operations — the usual SPMD contract.
+//! The algorithms (ring reduce-scatter/allgather allreduce, recursive
+//! doubling, direct-exchange allgather, binomial broadcast — Thakur,
+//! Rabenseifner & Gropp, the paper's reference [46]) are written against
+//! the transport's tagged send/recv only, so the same code moves bytes
+//! through in-process mailboxes or real TCP sockets. Every rank must call
+//! the same sequence of collective operations — the usual SPMD contract.
 //!
-//! Collectives are typed two ways:
+//! Each algorithm's data flow exists once. The handle-capable ones —
+//! recursive-doubling allreduce and the direct-exchange allgather — live
+//! in [`crate::nonblocking`]; their blocking spellings here are
+//! `start → wait` on that engine. Ring allreduce, broadcast and the
+//! barrier are blocking-only and live in this file.
 //!
-//! * **Element collectives** are generic over [`WireElem`] (the types a
-//!   [`Payload`] can carry: `f32`, `u64`, `u8`); allreduce additionally
-//!   requires [`Reducible`] so partial results can be combined in flight —
-//!   in practice the dense `f32`-sum path.
-//! * **Byte collectives** ([`CommHandle::allgather_bytes`],
-//!   [`CommHandle::exchange_bytes`]) carry opaque encoded [`Payload`]
-//!   frames — compressed gradients cross the wire at their encoded size,
-//!   and the traffic accounting below needs no out-of-band overrides.
+//! Gather and broadcast are generic over [`WireElem`] (the types a
+//! [`Payload`] can carry: `f32`, `u64`, `u8`); allreduce is the dense
+//! `f32` sum. [`CommHandle::allgather_bytes`] carries one opaque encoded
+//! [`Payload`] frame per rank — compressed gradients cross the wire at
+//! their encoded size, and the traffic accounting below needs no
+//! out-of-band overrides.
 //!
 //! Time is backend-dependent: modeled-clock transports (in-proc) overlay
 //! the Hockney α–β [`CostModel`]; real transports (TCP) accumulate
@@ -46,12 +48,6 @@ pub trait WireElem: Copy + Send + Sized + 'static {
     }
 }
 
-/// A wire element with an in-flight combine — what allreduce requires.
-pub trait Reducible: WireElem {
-    /// Folds `other` into `acc` (the allreduce combine, e.g. f32 sum).
-    fn reduce(acc: &mut Self, other: Self);
-}
-
 impl WireElem for f32 {
     const BYTES: usize = 4;
 
@@ -61,12 +57,6 @@ impl WireElem for f32 {
 
     fn from_payload(payload: Payload) -> Vec<Self> {
         payload.expect_f32()
-    }
-}
-
-impl Reducible for f32 {
-    fn reduce(acc: &mut Self, other: Self) {
-        *acc += other;
     }
 }
 
@@ -132,7 +122,7 @@ pub struct TrafficStats {
     /// every encoding now crosses the wire at its encoded size, this is
     /// *derived from* the bytes that actually move — no overrides exist.
     /// It stays deliberately independent of the algorithm's step count,
-    /// forwarding copies, and framing — compare against
+    /// per-peer copies, and framing — compare against
     /// `bytes_sent`/`wire_bytes` to separate the paper's complexity claim
     /// from transport amplification.
     pub logical_wire_bits: u64,
@@ -465,30 +455,11 @@ impl CommHandle {
         self.cost.unwrap_or_else(|| CostModel::new(crate::NetworkProfile::infiniband_100g()))
     }
 
-    /// Modeled-clock close-out for a collective that measured its own wall
-    /// time separately (the nonblocking handles): on modeled backends all
-    /// ranks meet on the shared simulated clock and pay the analytic cost;
-    /// measured backends do nothing here — the caller already added its
-    /// wall time.
-    pub(crate) fn finish_modeled(
-        &mut self,
-        payload_bytes: f64,
-        cost_of: impl Fn(&CostModel, f64, usize) -> f64,
-    ) {
-        if let Some(model) = self.cost {
-            let (maxc, maxb) = self
-                .transport
-                .clock_exchange(self.clock_s, payload_bytes)
-                .expect("modeled timing requires a clock-exchange transport");
-            self.clock_s = maxc + cost_of(&model, maxb, self.transport.world());
-        }
-    }
-
     /// Closes out a collective on the local clock. Modeled backends meet
     /// on the shared simulated clock (all ranks jump to the max, plus the
     /// collective's analytic cost for the agreed payload size); measured
     /// backends add the wall time since `t0`.
-    fn finish_op(
+    pub(crate) fn finish_op(
         &mut self,
         t0: Instant,
         payload_bytes: f64,
@@ -506,23 +477,29 @@ impl CommHandle {
         }
     }
 
+    /// Traces a completed blocking collective as the closed span `name`
+    /// begun at `ts` (free when tracing is off: `closed_span` returns on
+    /// its first branch).
+    fn comm_span(&self, name: &'static str, op: &'static str, ts: u64, bytes: f64) {
+        let args = a2sgd_trace::Args::Collective { op, plane: self.plane, bytes: bytes as u64 };
+        a2sgd_trace::closed_span(name, ts, args);
+    }
+
     // -- public collectives -------------------------------------------------
     //
-    // Every blocking collective comes in two spellings: a `try_*` form
-    // returning `Result<_, TransportError>` — the elastic layer's entry
-    // point, where a dead peer is a recoverable value — and the classic
-    // panicking form wrapping it, preserving the original SPMD contract
-    // for callers with no recovery policy. On `Err` the collective is
-    // abandoned mid-algorithm: no completion span is traced, no clock
-    // close-out runs, and the communicator must be considered spent
-    // (survivors re-rendezvous; see `a2sgd-elastic`).
+    // Every blocking collective has a `try_*` form returning
+    // `Result<_, TransportError>` — a dead peer is a recoverable value —
+    // and a panicking form wrapping it through `or_panic`, for callers
+    // with no recovery policy. On `Err` the collective is abandoned
+    // mid-algorithm: no clock close-out runs and the communicator must be
+    // considered spent (survivors re-rendezvous; see `a2sgd-elastic`).
 
     /// Full synchronization barrier (modeled latency on simulated
     /// backends, a real dissemination rendezvous on TCP). Barrier control
     /// frames carry no payload but do hit the wire, so they count toward
     /// `messages`/`wire_bytes` (never `bytes_sent`/`logical_wire_bits`).
     pub fn barrier(&mut self) {
-        self.try_barrier().unwrap_or_else(|e| panic!("collective barrier: {e}"));
+        or_panic("barrier", self.try_barrier());
     }
 
     /// [`Self::barrier`] with peer loss as a typed value.
@@ -533,71 +510,48 @@ impl CommHandle {
         self.stats.messages += frames;
         self.stats.wire_bytes += wire_bytes;
         self.finish_op(t0, 0.0, |m, _, p| m.barrier(p));
-        if a2sgd_trace::enabled() {
-            a2sgd_trace::closed_span(
-                "comm/barrier",
-                ts,
-                a2sgd_trace::Args::Collective { op: "barrier", plane: self.plane, bytes: 0 },
-            );
-        }
+        self.comm_span("comm/barrier", "barrier", ts, 0.0);
         Ok(())
     }
 
-    /// In-place allreduce over any [`Reducible`] element with algorithm
-    /// selection. The logical wire size is the typed payload itself —
-    /// `8 · BYTES · len` bits, counted once per collective.
-    pub fn allreduce_with<T: Reducible>(&mut self, data: &mut [T], algo: CollectiveAlgo) {
-        self.try_allreduce_with(data, algo).unwrap_or_else(|e| panic!("collective allreduce: {e}"));
+    /// In-place f32 allreduce-sum with algorithm selection. The logical
+    /// wire size is the typed payload itself — `32 · len` bits, counted
+    /// once per collective.
+    pub fn allreduce_sum_with(&mut self, data: &mut [f32], algo: CollectiveAlgo) {
+        or_panic("allreduce", self.try_allreduce_sum_with(data, algo));
     }
 
-    /// [`Self::allreduce_with`] with peer loss as a typed value.
-    pub fn try_allreduce_with<T: Reducible>(
+    /// [`Self::allreduce_sum_with`] with peer loss as a typed value.
+    pub fn try_allreduce_sum_with(
         &mut self,
-        data: &mut [T],
+        data: &mut [f32],
         algo: CollectiveAlgo,
     ) -> Result<(), TransportError> {
-        let payload_bytes = (T::BYTES * data.len()) as f64;
-        self.stats.logical_wire_bits += 8 * (T::BYTES * data.len()) as u64;
+        let payload_bytes = (4 * data.len()) as f64;
+        let world = self.world();
+        let ring = match algo {
+            CollectiveAlgo::Ring => true,
+            CollectiveAlgo::RecursiveDoubling => false,
+            CollectiveAlgo::Auto => {
+                let m = self.selection_model();
+                m.ring_allreduce(payload_bytes, world)
+                    <= m.recursive_doubling_allreduce(payload_bytes, world)
+            }
+        };
+        if !ring {
+            let sum = self.start_allreduce(data.to_vec()).wait(self)?.expect_reduced();
+            data.copy_from_slice(&sum);
+            return Ok(());
+        }
+        self.stats.logical_wire_bits += 8 * 4 * data.len() as u64;
         let ts = a2sgd_trace::now_ns();
         let t0 = Instant::now();
-        if self.world() > 1 {
-            match algo {
-                CollectiveAlgo::Ring => self.try_ring_allreduce(data)?,
-                CollectiveAlgo::RecursiveDoubling => self.try_rd_allreduce(data)?,
-                CollectiveAlgo::Auto => {
-                    let m = self.selection_model();
-                    if m.ring_allreduce(payload_bytes, self.world())
-                        <= m.recursive_doubling_allreduce(payload_bytes, self.world())
-                    {
-                        self.try_ring_allreduce(data)?
-                    } else {
-                        self.try_rd_allreduce(data)?
-                    }
-                }
-            }
+        if world > 1 {
+            self.try_ring_allreduce(data)?;
         }
-        self.finish_op(t0, payload_bytes, move |m, b, p| match algo {
-            CollectiveAlgo::Ring => m.ring_allreduce(b, p),
-            CollectiveAlgo::RecursiveDoubling => m.recursive_doubling_allreduce(b, p),
-            CollectiveAlgo::Auto => m.allreduce(b, p),
-        });
-        if a2sgd_trace::enabled() {
-            a2sgd_trace::closed_span(
-                "comm/allreduce",
-                ts,
-                a2sgd_trace::Args::Collective {
-                    op: "allreduce",
-                    plane: self.plane,
-                    bytes: payload_bytes as u64,
-                },
-            );
-        }
+        self.finish_op(t0, payload_bytes, |m, b, p| m.ring_allreduce(b, p));
+        self.comm_span("comm/allreduce", "allreduce", ts, payload_bytes);
         Ok(())
-    }
-
-    /// In-place f32 allreduce-sum with algorithm selection.
-    pub fn allreduce_sum_with(&mut self, data: &mut [f32], algo: CollectiveAlgo) {
-        self.allreduce_with(data, algo);
     }
 
     /// In-place allreduce-sum (auto algorithm).
@@ -607,16 +561,12 @@ impl CommHandle {
 
     /// In-place allreduce-average (auto algorithm).
     pub fn allreduce_avg(&mut self, data: &mut [f32]) {
-        self.allreduce_sum(data);
-        let inv = 1.0 / self.world() as f32;
-        for v in data.iter_mut() {
-            *v *= inv;
-        }
+        or_panic("allreduce", self.try_allreduce_avg(data));
     }
 
     /// [`Self::allreduce_avg`] with peer loss as a typed value.
     pub fn try_allreduce_avg(&mut self, data: &mut [f32]) -> Result<(), TransportError> {
-        self.try_allreduce_with(data, CollectiveAlgo::Auto)?;
+        self.try_allreduce_sum_with(data, CollectiveAlgo::Auto)?;
         let inv = 1.0 / self.world() as f32;
         for v in data.iter_mut() {
             *v *= inv;
@@ -624,10 +574,10 @@ impl CommHandle {
         Ok(())
     }
 
-    /// Ring allgather of a variable-length typed contribution. Returns all
+    /// Allgather of a variable-length typed contribution. Returns all
     /// contributions indexed by rank.
     pub fn allgather<T: WireElem>(&mut self, data: &[T]) -> Vec<Vec<T>> {
-        self.try_allgather(data).unwrap_or_else(|e| panic!("collective allgather: {e}"))
+        or_panic("allgather", self.try_allgather(data))
     }
 
     /// [`Self::allgather`] with peer loss as a typed value.
@@ -642,14 +592,14 @@ impl CommHandle {
             .collect())
     }
 
-    /// Ring allgather of one opaque encoded frame per rank — the exchange
+    /// Allgather of one opaque encoded frame per rank — the exchange
     /// primitive for compressed gradients. Returns every rank's payload
     /// (own included) indexed by rank; payload sizes and kinds may differ
     /// across ranks. The logical wire size is this rank's own payload,
-    /// counted once; forwarding hops show up only in
+    /// counted once; the P−1 copies sent show up only in
     /// `bytes_sent`/`wire_bytes`.
     pub fn allgather_bytes(&mut self, payload: Payload) -> Vec<Payload> {
-        self.try_allgather_bytes(payload).unwrap_or_else(|e| panic!("collective allgather: {e}"))
+        or_panic("allgather", self.try_allgather_bytes(payload))
     }
 
     /// [`Self::allgather_bytes`] with peer loss as a typed value.
@@ -657,93 +607,13 @@ impl CommHandle {
         &mut self,
         payload: Payload,
     ) -> Result<Vec<Payload>, TransportError> {
-        let world = self.world();
-        let rank = self.rank();
-        let payload_bytes = payload.byte_len() as f64;
-        self.stats.logical_wire_bits += payload.bits();
-        let ts = a2sgd_trace::now_ns();
-        let t0 = Instant::now();
-        let mut out: Vec<Option<Payload>> = (0..world).map(|_| None).collect();
-        out[rank] = Some(payload);
-        if world > 1 {
-            let tag = self.next_tag();
-            let right = (rank + 1) % world;
-            let left = (rank + world - 1) % world;
-            // Each step forwards the frame that arrived the step before
-            // (own frame first) — streamed from `out` without cloning.
-            let mut fwd = rank;
-            for step in 0..world - 1 {
-                self.try_send_payload(
-                    right,
-                    tag + step as u64,
-                    out[fwd].as_ref().unwrap().as_ref(),
-                )?;
-                let got = self.blocking_recv_payload(left, tag + step as u64)?;
-                // The frame received at `step` originated at the rank
-                // `step+1` hops to the left — the ring shifts one hop per
-                // step.
-                let origin = (rank + world - 1 - step) % world;
-                out[origin] = Some(got);
-                fwd = origin;
-            }
-        }
-        self.finish_op(t0, payload_bytes, |m, b, p| m.ring_allgather(b, p));
-        if a2sgd_trace::enabled() {
-            a2sgd_trace::closed_span(
-                "comm/allgather",
-                ts,
-                a2sgd_trace::Args::Collective {
-                    op: "allgather",
-                    plane: self.plane,
-                    bytes: payload_bytes as u64,
-                },
-            );
-        }
-        Ok(out.into_iter().map(|p| p.expect("allgather ring left a hole")).collect())
-    }
-
-    /// Pairwise frame swap: ships `payload` to `peer` and returns the
-    /// frame `peer` shipped here (both sides must call symmetrically —
-    /// the sendrecv building block of exchange-style algorithms).
-    pub fn exchange_bytes(&mut self, peer: usize, payload: &Payload) -> Payload {
-        self.try_exchange_bytes(peer, payload)
-            .unwrap_or_else(|e| panic!("collective exchange: {e}"))
-    }
-
-    /// [`Self::exchange_bytes`] with peer loss as a typed value.
-    pub fn try_exchange_bytes(
-        &mut self,
-        peer: usize,
-        payload: &Payload,
-    ) -> Result<Payload, TransportError> {
-        assert_ne!(peer, self.rank(), "exchange_bytes with self");
-        let payload_bytes = payload.byte_len() as f64;
-        self.stats.logical_wire_bits += payload.bits();
-        let ts = a2sgd_trace::now_ns();
-        let t0 = Instant::now();
-        let tag = self.next_tag();
-        self.try_send_payload(peer, tag, payload.as_ref())?;
-        let got = self.blocking_recv_payload(peer, tag)?;
-        // Modeled cost of one pairwise round: RD-allreduce at world 2.
-        self.finish_op(t0, payload_bytes, |m, b, _| m.recursive_doubling_allreduce(b, 2));
-        if a2sgd_trace::enabled() {
-            a2sgd_trace::closed_span(
-                "comm/exchange",
-                ts,
-                a2sgd_trace::Args::Collective {
-                    op: "exchange",
-                    plane: self.plane,
-                    bytes: payload_bytes as u64,
-                },
-            );
-        }
-        Ok(got)
+        Ok(self.start_allgather_bytes(payload).wait(self)?.expect_gathered())
     }
 
     /// Binomial-tree broadcast from `root`; `data` must be sized correctly
     /// on every rank (contents are overwritten on non-roots).
     pub fn broadcast<T: WireElem>(&mut self, root: usize, data: &mut [T]) {
-        self.try_broadcast(root, data).unwrap_or_else(|e| panic!("collective broadcast: {e}"));
+        or_panic("broadcast", self.try_broadcast(root, data));
     }
 
     /// [`Self::broadcast`] with peer loss as a typed value.
@@ -798,17 +668,7 @@ impl CommHandle {
             }
         }
         self.finish_op(t0, bytes, |m, b, p| m.broadcast(b, p));
-        if a2sgd_trace::enabled() {
-            a2sgd_trace::closed_span(
-                "comm/broadcast",
-                ts,
-                a2sgd_trace::Args::Collective {
-                    op: "broadcast",
-                    plane: self.plane,
-                    bytes: bytes as u64,
-                },
-            );
-        }
+        self.comm_span("comm/broadcast", "broadcast", ts, bytes);
         Ok(())
     }
 
@@ -822,7 +682,7 @@ impl CommHandle {
         (lo, hi)
     }
 
-    fn try_ring_allreduce<T: Reducible>(&mut self, data: &mut [T]) -> Result<(), TransportError> {
+    fn try_ring_allreduce(&mut self, data: &mut [f32]) -> Result<(), TransportError> {
         let world = self.world();
         let rank = self.rank();
         let n = data.len();
@@ -836,11 +696,11 @@ impl CommHandle {
             let recv_c = (rank + world - step - 1) % world;
             let (slo, shi) = Self::chunk_bounds(n, world, send_c);
             self.try_send_elems(right, tag + step as u64, &data[slo..shi])?;
-            let got = self.try_recv_elems::<T>(left, tag + step as u64)?;
+            let got = self.try_recv_elems::<f32>(left, tag + step as u64)?;
             let (rlo, rhi) = Self::chunk_bounds(n, world, recv_c);
             debug_assert_eq!(got.len(), rhi - rlo);
             for (d, g) in data[rlo..rhi].iter_mut().zip(got) {
-                T::reduce(d, g);
+                *d += g;
             }
         }
         // Allgather.
@@ -849,68 +709,18 @@ impl CommHandle {
             let recv_c = (rank + world - step) % world;
             let (slo, shi) = Self::chunk_bounds(n, world, send_c);
             self.try_send_elems(right, tag + (world - 1 + step) as u64, &data[slo..shi])?;
-            let got = self.try_recv_elems::<T>(left, tag + (world - 1 + step) as u64)?;
+            let got = self.try_recv_elems::<f32>(left, tag + (world - 1 + step) as u64)?;
             let (rlo, rhi) = Self::chunk_bounds(n, world, recv_c);
             data[rlo..rhi].copy_from_slice(&got);
         }
         Ok(())
     }
+}
 
-    fn try_rd_allreduce<T: Reducible>(&mut self, data: &mut [T]) -> Result<(), TransportError> {
-        let world = self.world();
-        let rank = self.rank();
-        let tag = self.next_tag();
-        let mut pow2 = 1usize;
-        while pow2 * 2 <= world {
-            pow2 *= 2;
-        }
-        let rem = world - pow2;
-
-        // Fold: the first 2·rem ranks pair up; even ranks push their data
-        // into odd ranks, which join the power-of-two core.
-        let new_rank: Option<usize> = if rank < 2 * rem {
-            if rank % 2 == 0 {
-                self.try_send_elems(rank + 1, tag, data)?;
-                None
-            } else {
-                let got = self.try_recv_elems::<T>(rank - 1, tag)?;
-                for (d, g) in data.iter_mut().zip(got) {
-                    T::reduce(d, g);
-                }
-                Some(rank / 2)
-            }
-        } else {
-            Some(rank - rem)
-        };
-
-        // Core: recursive doubling among `pow2` ranks.
-        if let Some(nr) = new_rank {
-            let to_real = |vr: usize| if vr < rem { 2 * vr + 1 } else { vr + rem };
-            let mut mask = 1usize;
-            let mut stage = 1u64;
-            while mask < pow2 {
-                let partner = to_real(nr ^ mask);
-                self.try_send_elems(partner, tag + stage, data)?;
-                let got = self.try_recv_elems::<T>(partner, tag + stage)?;
-                for (d, g) in data.iter_mut().zip(got) {
-                    T::reduce(d, g);
-                }
-                mask <<= 1;
-                stage += 1;
-            }
-        }
-
-        // Unfold: odd partners return the result to the folded even ranks.
-        if rank < 2 * rem {
-            if rank % 2 == 1 {
-                self.try_send_elems(rank - 1, tag + 100, data)?;
-            } else {
-                let got = self.try_recv_elems::<T>(rank + 1, tag + 100)?;
-                data.copy_from_slice(&got);
-            }
-        }
-        Ok(())
-    }
+/// The panicking spelling of a `try_*` collective — the SPMD contract for
+/// callers with no recovery policy.
+fn or_panic<T>(op: &str, outcome: Result<T, TransportError>) -> T {
+    outcome.unwrap_or_else(|e| panic!("collective {op}: {e}"))
 }
 
 #[cfg(test)]
@@ -1039,20 +849,6 @@ mod tests {
             assert_eq!(got[2].clone().expect_u64(), vec![0xFEED, 0xBEEF]);
             let f = got[3].clone().expect_f32();
             assert!(f[0].is_nan() && f[1].to_bits() == (-0.0f32).to_bits());
-        }
-    }
-
-    #[test]
-    fn exchange_bytes_swaps_frames() {
-        let results = run_cluster(2, NetworkProfile::infiniband_100g(), |h| {
-            let mine = Payload::Bytes(vec![h.rank() as u8; 3]);
-            let got = h.exchange_bytes(1 - h.rank(), &mine);
-            (got.expect_bytes(), h.stats())
-        });
-        for (rank, (got, stats)) in results.into_iter().enumerate() {
-            assert_eq!(got, vec![(1 - rank) as u8; 3]);
-            assert_eq!(stats.logical_wire_bits, 24);
-            assert_eq!(stats.bytes_sent, 3);
         }
     }
 

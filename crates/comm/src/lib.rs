@@ -1,9 +1,9 @@
 //! # cluster-comm
 //!
 //! The communication layer of the A2SGD reproduction: MPI-style
-//! collectives (ring reduce-scatter/allgather, recursive doubling,
-//! binomial broadcast — Thakur, Rabenseifner & Gropp, the paper's
-//! reference [46]) over a pluggable [`transport::Transport`] data plane
+//! collectives (ring reduce-scatter/allgather allreduce, recursive
+//! doubling, direct-exchange allgather, binomial broadcast — Thakur,
+//! Rabenseifner & Gropp, the paper's reference [46]) over a pluggable [`transport::Transport`] data plane
 //! with two backends:
 //!
 //! * **In-process** ([`transport::InProc`], [`run_cluster`]) — every rank
@@ -41,26 +41,26 @@
 //!
 //! Every frame on either backend is a typed byte payload
 //! ([`transport::wire::Payload`]): dense f32 lanes, packed u64 words, or an
-//! opaque compressed byte stream. Collectives come in two families —
-//! element collectives generic over [`collective::WireElem`] (allreduce
-//! additionally needs [`collective::Reducible`] to combine partial sums in
-//! flight) and byte collectives ([`CommHandle::allgather_bytes`],
-//! [`CommHandle::exchange_bytes`]) that move encoded frames verbatim, so a
+//! opaque compressed byte stream. Gather and broadcast are generic over
+//! [`collective::WireElem`]; allreduce is the dense f32 sum;
+//! [`CommHandle::allgather_bytes`] moves encoded frames verbatim, so a
 //! compressed gradient crosses the socket at its encoded size and measured
 //! traffic equals the logical accounting.
 //!
-//! Each byte collective (plus the f32 allreduce) also has a **nonblocking**
-//! form ([`nonblocking`]): `start_allreduce`/`start_allgather_bytes`/
-//! `start_exchange_bytes` launch the operation and return a
-//! [`CollectiveHandle`] with `wait()`/`try_complete()`, letting several
-//! tag-matched collectives ride the wire at once while the caller computes
-//! — the communication/compute-overlap substrate behind `gradcomp`'s
-//! bucketed sync sessions. Peer loss surfaces from the nonblocking family
-//! (and the raw transport receives) as a typed [`TransportError`], and
-//! every blocking collective has a `try_*` spelling
-//! ([`CommHandle::try_allreduce_with`], [`CommHandle::try_barrier`],
-//! [`CommHandle::try_allgather_bytes`], …) that returns it as a value
-//! instead of panicking. [`CommHandle::classify_survivors`] runs the
+//! There is one collective engine ([`nonblocking`]): `start_allreduce`
+//! (recursive doubling) and `start_allgather_bytes` (direct exchange)
+//! launch the operation and return a [`CollectiveHandle`] with
+//! `wait()`/`try_complete()`, letting several tag-matched collectives ride
+//! the wire at once while the caller computes — the
+//! communication/compute-overlap substrate behind `gradcomp`'s bucketed
+//! sync sessions. The blocking spellings of those two algorithms are
+//! `start → wait` on the same engine; ring allreduce, broadcast and the
+//! barrier are blocking-only ([`collective`]). Peer loss is a typed
+//! [`TransportError`] everywhere: from `wait()`/`try_complete()`, and from
+//! the `try_*` spelling every blocking collective has
+//! ([`CommHandle::try_allreduce_avg`], [`CommHandle::try_barrier`],
+//! [`CommHandle::try_allgather_bytes`], …); the un-prefixed spellings
+//! panic with the same cause. [`CommHandle::classify_survivors`] runs the
 //! post-failure membership census the `a2sgd-elastic` crate's
 //! shrink-and-continue recovery is built on; its control frames live in
 //! the reserved [`ELASTIC_TAG`] namespace.
@@ -68,8 +68,9 @@
 //! * [`profile::NetworkProfile`] — α (latency) and β (bandwidth) presets,
 //!   including the paper's 100 Gbps InfiniBand.
 //! * [`cost`] — closed-form collective cost functions.
-//! * [`collective`] — the transport-generic collective algorithms,
-//!   per-rank clocks and [`TrafficStats`] accounting.
+//! * [`collective`] — [`CommHandle`]: the blocking collectives, per-rank
+//!   clocks and [`TrafficStats`] accounting.
+//! * [`nonblocking`] — the handle-based collective engine.
 //! * [`transport`] — the data planes, wire codec and launchers.
 //! * [`sim`] — spawn an in-process cluster of ranks with scoped threads.
 
@@ -81,7 +82,7 @@ pub mod profile;
 pub mod sim;
 pub mod transport;
 
-pub use collective::{CollectiveAlgo, CommHandle, Reducible, TrafficStats, WireElem};
+pub use collective::{CollectiveAlgo, CommHandle, TrafficStats, WireElem};
 pub use cost::CostModel;
 pub use hier::{run_cluster_hier_threads, HierarchicalComm};
 pub use nonblocking::{CollectiveHandle, CollectiveResult};

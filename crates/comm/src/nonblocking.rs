@@ -1,9 +1,12 @@
-//! Handle-based nonblocking collectives — the communication side of
-//! bucketed gradient-sync sessions.
+//! The collective engine: handle-based nonblocking allreduce and
+//! allgather. This is the one place a handle-capable algorithm's data
+//! flow lives — the blocking spellings in [`crate::collective`]
+//! (`try_allgather_bytes`, the recursive-doubling arm of
+//! `try_allreduce_sum_with`) are `start → wait` on it.
 //!
-//! [`CommHandle::start_allreduce`], [`CommHandle::start_allgather_bytes`]
-//! and [`CommHandle::start_exchange_bytes`] launch a collective and return
-//! a [`CollectiveHandle`] immediately; the caller overlaps its own compute
+//! [`CommHandle::start_allreduce`] and
+//! [`CommHandle::start_allgather_bytes`] launch a collective and return a
+//! [`CollectiveHandle`] immediately; the caller overlaps its own compute
 //! (encoding the next bucket, decoding a finished one) and later drives
 //! the operation with [`CollectiveHandle::try_complete`] (nonblocking
 //! progress probe) or [`CollectiveHandle::wait`] (drive to completion and
@@ -20,15 +23,12 @@
 //! a vector synchronized in B buckets is bit-identical to the same vector
 //! synchronized in one shot:
 //!
-//! * allreduce — recursive doubling (identical pairing schedule and
-//!   reduction order as the blocking
-//!   [`crate::CollectiveAlgo::RecursiveDoubling`] path, for every element,
-//!   regardless of how the vector is chunked);
+//! * allreduce — recursive doubling with the MPICH non-power-of-two fold
+//!   (one pairing schedule and reduction order for every element,
+//!   regardless of how the vector is chunked into calls);
 //! * allgather — direct exchange (own frame to every peer up front; all
 //!   receives deferred — maximal overlap, and gathered frames are moved
-//!   verbatim so content never depends on routing);
-//! * exchange — the same pairwise sendrecv as the blocking
-//!   [`CommHandle::exchange_bytes`].
+//!   verbatim so content never depends on routing).
 //!
 //! Time accounting: measured backends (TCP) add the wall time spent inside
 //! `start_*`/`try_complete`/`wait` calls to the rank clock — overlapped
@@ -38,9 +38,7 @@
 //! rank (sessions drain in bucket order, which satisfies this).
 //!
 //! Peer loss surfaces as a typed [`TransportError`] from
-//! `try_complete`/`wait` — the nonblocking family is the error-propagating
-//! path, while the legacy blocking collectives still panic (with the same
-//! typed cause in the message).
+//! `try_complete`/`wait`; a failed handle releases its in-flight slot.
 
 use crate::collective::CommHandle;
 use crate::cost::CostModel;
@@ -55,8 +53,6 @@ pub enum CollectiveResult {
     Reduced(Vec<f32>),
     /// Allgather: every rank's frame (own included), indexed by rank.
     Gathered(Vec<Payload>),
-    /// Exchange: the peer's frame.
-    Exchanged(Payload),
 }
 
 impl CollectiveResult {
@@ -75,38 +71,12 @@ impl CollectiveResult {
             other => panic!("expected an allgather result, got {other:?}"),
         }
     }
-
-    /// Consumes an exchange result; panics on any other op.
-    pub fn expect_exchanged(self) -> Payload {
-        match self {
-            CollectiveResult::Exchanged(p) => p,
-            other => panic!("expected an exchange result, got {other:?}"),
-        }
-    }
 }
 
-/// Which analytic cost a modeled backend charges at `wait()`.
-#[derive(Debug, Clone, Copy)]
-enum CostKind {
-    RingAllgather,
-    RdAllreduce,
-    Pairwise,
-}
-
-impl CostKind {
-    fn cost(self, m: &CostModel, bytes: f64, world: usize) -> f64 {
-        match self {
-            CostKind::RingAllgather => m.ring_allgather(bytes, world),
-            CostKind::RdAllreduce => m.recursive_doubling_allreduce(bytes, world),
-            CostKind::Pairwise => m.recursive_doubling_allreduce(bytes, 2),
-        }
-    }
-}
-
-/// Recursive-doubling allreduce as an explicit state machine. The phases,
-/// tags, pairing schedule and per-element reduction order replicate the
-/// blocking implementation exactly — that equivalence is what makes
-/// bucketed dense synchronization bit-identical to single-shot.
+/// Recursive-doubling allreduce as an explicit state machine. The pairing
+/// schedule and per-element reduction order do not depend on the vector's
+/// length — that is what makes bucketed dense synchronization
+/// bit-identical to single-shot.
 #[derive(Debug)]
 struct RdState {
     data: Vec<f32>,
@@ -150,7 +120,6 @@ impl RdState {
 enum Op {
     Allgather { tag: u64, out: Vec<Option<Payload>>, pending: Vec<usize> },
     Allreduce(RdState),
-    Exchange { peer: usize, tag: u64, got: Option<Payload> },
 }
 
 /// An in-flight nonblocking collective. Obtain one from the `start_*`
@@ -162,7 +131,6 @@ enum Op {
 pub struct CollectiveHandle {
     op: Op,
     payload_bytes: f64,
-    cost_kind: CostKind,
     /// A send failure captured at launch, surfaced at the next probe/wait.
     failed: Option<TransportError>,
     /// Whether this handle still counts toward `CommHandle::inflight`.
@@ -229,21 +197,18 @@ impl CollectiveHandle {
         };
         self.release(comm);
         outcome?;
-        match comm.cost_model() {
-            None => comm.add_clock(t0.elapsed().as_secs_f64()),
-            Some(_) => {
-                let (bytes, kind) = (self.payload_bytes, self.cost_kind);
-                comm.finish_modeled(bytes, |m, b, p| kind.cost(m, b, p));
-            }
-        }
+        // The gather is charged as a ring: P−1 frames per rank cost the
+        // same (P−1)·(α + bytes/β) whether they hop or fan out.
+        let cost: fn(&CostModel, f64, usize) -> f64 = match self.op {
+            Op::Allgather { .. } => CostModel::ring_allgather,
+            Op::Allreduce(_) => CostModel::recursive_doubling_allreduce,
+        };
+        comm.finish_op(t0, self.payload_bytes, cost);
         Ok(match self.op {
             Op::Allgather { out, .. } => CollectiveResult::Gathered(
                 out.into_iter().map(|p| p.expect("allgather left a hole")).collect(),
             ),
             Op::Allreduce(rd) => CollectiveResult::Reduced(rd.data),
-            Op::Exchange { got, .. } => {
-                CollectiveResult::Exchanged(got.expect("exchange completed without a frame"))
-            }
         })
     }
 
@@ -318,16 +283,6 @@ impl CollectiveHandle {
                     RdPhase::Done => unreachable!(),
                 }
             },
-            Op::Exchange { peer, tag, got } => {
-                if got.is_none() {
-                    *got = if block {
-                        Some(comm.blocking_recv_payload(*peer, *tag)?)
-                    } else {
-                        comm.try_recv_payload(*peer, *tag)?
-                    };
-                }
-                Ok(got.is_some())
-            }
         }
     }
 }
@@ -360,13 +315,7 @@ fn finish_core(rd: &mut RdState, comm: &mut CommHandle) -> Result<(), TransportE
 }
 
 impl CommHandle {
-    fn launch(
-        &mut self,
-        op: Op,
-        payload_bytes: f64,
-        cost_kind: CostKind,
-        t0: Instant,
-    ) -> CollectiveHandle {
+    fn launch(&mut self, op: Op, payload_bytes: f64, t0: Instant) -> CollectiveHandle {
         self.inflight_inc();
         if self.cost_model().is_none() {
             self.add_clock(t0.elapsed().as_secs_f64());
@@ -374,7 +323,6 @@ impl CommHandle {
         let (trace_name, op_name, op_tag) = match &op {
             Op::Allgather { tag, .. } => ("nb/allgather", "allgather", *tag),
             Op::Allreduce(rd) => ("nb/allreduce", "allreduce", rd.tag),
-            Op::Exchange { tag, .. } => ("nb/exchange", "exchange", *tag),
         };
         let trace_id = (self.space() << 48) ^ op_tag;
         if a2sgd_trace::enabled() {
@@ -388,22 +336,13 @@ impl CommHandle {
                 },
             );
         }
-        CollectiveHandle {
-            op,
-            payload_bytes,
-            cost_kind,
-            failed: None,
-            counted: true,
-            trace_name,
-            trace_id,
-        }
+        CollectiveHandle { op, payload_bytes, failed: None, counted: true, trace_name, trace_id }
     }
 
     /// Launches a nonblocking allreduce-sum of `data` (recursive doubling
-    /// — bit-identical to [`crate::CollectiveAlgo::RecursiveDoubling`]
-    /// and, per element, independent of how a larger vector was chunked
-    /// into calls). The first-round frames are on the wire when this
-    /// returns.
+    /// — what [`crate::CollectiveAlgo::RecursiveDoubling`] runs — and,
+    /// per element, independent of how a larger vector was chunked into
+    /// calls). The first-round frames are on the wire when this returns.
     pub fn start_allreduce(&mut self, data: Vec<f32>) -> CollectiveHandle {
         let t0 = Instant::now();
         let payload_bytes = (4 * data.len()) as f64;
@@ -443,7 +382,7 @@ impl CommHandle {
             };
             failed = outcome.err();
         }
-        let mut h = self.launch(Op::Allreduce(rd), payload_bytes, CostKind::RdAllreduce, t0);
+        let mut h = self.launch(Op::Allreduce(rd), payload_bytes, t0);
         h.failed = failed;
         h
     }
@@ -453,7 +392,7 @@ impl CommHandle {
     /// frame is shipped to every peer before this returns (direct
     /// exchange), so the entire network time of the collective can hide
     /// behind caller compute; the result is every rank's payload indexed
-    /// by rank, exactly like the blocking [`Self::allgather_bytes`].
+    /// by rank. [`Self::allgather_bytes`] is this, waited at once.
     pub fn start_allgather_bytes(&mut self, payload: Payload) -> CollectiveHandle {
         let t0 = Instant::now();
         let (world, rank) = (self.world(), self.rank());
@@ -471,32 +410,7 @@ impl CommHandle {
         let mut out: Vec<Option<Payload>> = (0..world).map(|_| None).collect();
         out[rank] = Some(payload);
         let pending: Vec<usize> = (1..world).map(|step| (rank + world - step) % world).collect();
-        let mut h = self.launch(
-            Op::Allgather { tag, out, pending },
-            payload_bytes,
-            CostKind::RingAllgather,
-            t0,
-        );
-        h.failed = failed;
-        h
-    }
-
-    /// Launches a nonblocking pairwise frame swap with `peer` (both sides
-    /// must call symmetrically). The frame is on the wire when this
-    /// returns; `wait()` yields the peer's frame.
-    pub fn start_exchange_bytes(&mut self, peer: usize, payload: &Payload) -> CollectiveHandle {
-        let t0 = Instant::now();
-        assert_ne!(peer, self.rank(), "exchange with self");
-        let payload_bytes = payload.byte_len() as f64;
-        self.count_logical_bits(payload.bits());
-        let tag = self.next_tag();
-        let failed = self.try_send_payload(peer, tag, payload.as_ref()).err();
-        let mut h = self.launch(
-            Op::Exchange { peer, tag, got: None },
-            payload_bytes,
-            CostKind::Pairwise,
-            t0,
-        );
+        let mut h = self.launch(Op::Allgather { tag, out, pending }, payload_bytes, t0);
         h.failed = failed;
         h
     }
@@ -509,27 +423,76 @@ mod tests {
     use crate::sim::run_cluster;
     use crate::NetworkProfile;
 
+    /// Inexact in f32 (sevenths), so a different association order shows.
     fn rank_vec(rank: usize, n: usize) -> Vec<f32> {
-        (0..n).map(|i| ((rank * 131 + i * 17) % 23) as f32 - 11.0).collect()
+        (0..n).map(|i| ((rank * 131 + i * 17) % 23) as f32 / 7.0 - 1.5).collect()
+    }
+
+    /// Recursive doubling with the MPICH fold, as plain arithmetic on all
+    /// ranks' inputs at once — no transport, no state machine. The
+    /// independent statement of the pairing schedule and reduction order
+    /// the engine must reproduce bit for bit.
+    fn rd_reference(inputs: &[Vec<f32>]) -> Vec<Vec<f32>> {
+        fn add(acc: &mut [f32], other: &[f32]) {
+            for (a, o) in acc.iter_mut().zip(other) {
+                *a += o;
+            }
+        }
+        let world = inputs.len();
+        let pow2 = 1usize << world.ilog2();
+        let rem = world - pow2;
+        let mut data = inputs.to_vec();
+        // Fold: even ranks below 2·rem push into their odd neighbour.
+        for odd in (1..2 * rem).step_by(2) {
+            let even = data[odd - 1].clone();
+            add(&mut data[odd], &even);
+        }
+        let to_real = |vr: usize| if vr < rem { 2 * vr + 1 } else { vr + rem };
+        let mut mask = 1;
+        while mask < pow2 {
+            let before = data.clone();
+            for vr in 0..pow2 {
+                add(&mut data[to_real(vr)], &before[to_real(vr ^ mask)]);
+            }
+            mask <<= 1;
+        }
+        // Unfold: the odd neighbour returns the result.
+        for odd in (1..2 * rem).step_by(2) {
+            data[odd - 1] = data[odd].clone();
+        }
+        data
     }
 
     #[test]
-    fn nonblocking_allreduce_matches_blocking_rd() {
-        for world in [1usize, 2, 3, 4, 6, 8] {
-            for n in [1usize, 7, 129] {
-                let nb = run_cluster(world, NetworkProfile::infiniband_100g(), move |h| {
-                    let handle = h.start_allreduce(rank_vec(h.rank(), n));
-                    handle.wait(h).unwrap().expect_reduced()
-                });
-                let bl = run_cluster(world, NetworkProfile::infiniband_100g(), move |h| {
-                    let mut d = rank_vec(h.rank(), n);
-                    h.allreduce_sum_with(&mut d, CollectiveAlgo::RecursiveDoubling);
-                    d
-                });
-                for r in 0..world {
-                    let a: Vec<u32> = nb[r].iter().map(|v| v.to_bits()).collect();
-                    let b: Vec<u32> = bl[r].iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(a, b, "world {world} n {n} rank {r}");
+    fn rd_allreduce_matches_reference_in_both_spellings_on_both_backends() {
+        const LENS: [usize; 3] = [1, 7, 129];
+        // Per rank: for each length, the handle result then the blocking one.
+        let workload = |h: &mut CommHandle| -> Vec<Vec<f32>> {
+            let mut out = Vec::new();
+            for n in LENS {
+                let handle = h.start_allreduce(rank_vec(h.rank(), n));
+                out.push(handle.wait(h).unwrap().expect_reduced());
+                let mut d = rank_vec(h.rank(), n);
+                h.allreduce_sum_with(&mut d, CollectiveAlgo::RecursiveDoubling);
+                out.push(d);
+            }
+            out
+        };
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        for world in 1usize..=8 {
+            let runs = [
+                ("inproc", run_cluster(world, NetworkProfile::infiniband_100g(), workload)),
+                ("tcp", crate::run_cluster_tcp_threads(world, workload)),
+            ];
+            for (i, n) in LENS.into_iter().enumerate() {
+                let inputs: Vec<Vec<f32>> = (0..world).map(|r| rank_vec(r, n)).collect();
+                let expect = rd_reference(&inputs);
+                for (backend, out) in &runs {
+                    for r in 0..world {
+                        let what = format!("{backend} world {world} n {n} rank {r}");
+                        assert_eq!(bits(&out[r][2 * i]), bits(&expect[r]), "handle, {what}");
+                        assert_eq!(bits(&out[r][2 * i + 1]), bits(&expect[r]), "blocking, {what}");
+                    }
                 }
             }
         }
@@ -549,7 +512,7 @@ mod tests {
                 for (r, p) in got.iter().enumerate() {
                     assert_eq!(p.as_bytes(), vec![r as u8; r + 1]);
                 }
-                // Own payload counted once, like the blocking family.
+                // Own payload counted once, however many copies are sent.
                 assert_eq!(bits, 8 * (rank as u64 + 1));
             }
         }
@@ -559,13 +522,13 @@ mod tests {
     fn multiple_handles_interleave_and_complete_out_of_order() {
         let out = run_cluster(2, NetworkProfile::infiniband_100g(), |h| {
             let peer = 1 - h.rank();
-            let a = h.start_exchange_bytes(peer, &Payload::Bytes(vec![h.rank() as u8, 0xA]));
-            let b = h.start_exchange_bytes(peer, &Payload::Bytes(vec![h.rank() as u8, 0xB]));
+            let a = h.start_allgather_bytes(Payload::Bytes(vec![h.rank() as u8, 0xA]));
+            let b = h.start_allgather_bytes(Payload::Bytes(vec![h.rank() as u8, 0xB]));
             assert_eq!(h.inflight(), 2);
             // Complete the *second* op first: tag matching must pick the
             // right frame out of the shared link.
-            let got_b = b.wait(h).unwrap().expect_exchanged().expect_bytes();
-            let got_a = a.wait(h).unwrap().expect_exchanged().expect_bytes();
+            let got_b = b.wait(h).unwrap().expect_gathered().swap_remove(peer).expect_bytes();
+            let got_a = a.wait(h).unwrap().expect_gathered().swap_remove(peer).expect_bytes();
             assert_eq!(h.inflight(), 0);
             assert!(h.max_inflight() >= 2);
             (got_a, got_b)
@@ -582,14 +545,14 @@ mod tests {
             // Deterministic completion: the peer's frame is in the mailbox
             // once both ranks passed the barrier below.
             let peer = 1 - h.rank();
-            let mut handle = h.start_exchange_bytes(peer, &Payload::PackedU64(vec![7]));
+            let mut handle = h.start_allgather_bytes(Payload::PackedU64(vec![7]));
             h.barrier();
             let mut spins = 0usize;
             while !handle.try_complete(h).unwrap() {
                 spins += 1;
                 std::thread::yield_now();
             }
-            let got = handle.wait(h).unwrap().expect_exchanged().expect_u64();
+            let got = handle.wait(h).unwrap().expect_gathered().swap_remove(peer).expect_u64();
             (got, spins)
         });
         for (got, _) in out {

@@ -9,7 +9,7 @@ use a2sgd::algorithm::A2sgd;
 use cluster_comm::transport::wire::FRAME_HEADER_BYTES;
 use cluster_comm::{
     run_cluster, run_cluster_tcp_threads, CollectiveAlgo, CommHandle, NetworkProfile, Payload,
-    TrafficStats,
+    TrafficStats, TransportError,
 };
 use gradcomp::topk::TopK;
 use gradcomp::{GradientSynchronizer, Qsgd, QsgdImpl};
@@ -103,8 +103,8 @@ fn a2sgd_packet_is_64_bits_plus_framing_on_the_wire() {
                 (8 + FRAME_HEADER_BYTES) * s.messages,
                 "world {world} rank {rank}"
             );
-            // Ring allgather sends world−1 frames (own word, then the
-            // forwarded peers'); the byte total is O(P), independent of n.
+            // The gather sends the own word to each of the world−1 peers;
+            // the byte total is O(P), independent of n.
             assert_eq!(s.messages, world as u64 - 1);
         }
     }
@@ -276,33 +276,48 @@ fn tcp_large_frames_cross_the_buffer_boundary() {
 
 // ---- nonblocking collectives / bucketed sessions on real sockets ----------
 
-/// The nonblocking family must be bit-identical to its blocking
-/// counterparts on the TCP backend (and by transitivity to in-proc —
-/// `tcp_threads_bit_identical_to_inproc` covers the blocking side).
+/// A frame whose kind and length both depend on the rank (rank 0's is
+/// empty).
+fn mixed_frame(rank: usize) -> Payload {
+    match rank % 3 {
+        0 => Payload::Bytes(vec![rank as u8; rank]),
+        1 => Payload::PackedU64(vec![rank as u64; rank]),
+        _ => Payload::F32Dense(vec![rank as f32; rank + 1]),
+    }
+}
+
+/// The blocking `allgather_bytes` is `start → wait` on the engine: frames
+/// come back verbatim indexed by origin, the own payload is the logical
+/// size (counted once), every rank sends its frame to each of its P−1
+/// peers, and the in-flight slot is taken and given back.
 #[test]
-fn nonblocking_collectives_match_blocking_on_tcp() {
-    for world in [1usize, 2, 3, 5] {
-        let nb = run_cluster_tcp_threads(world, move |h| {
-            let handle = h.start_allreduce(rank_input(h.rank(), 113, 21));
-            let mut out = handle.wait(h).unwrap().expect_reduced();
-            let own = Payload::Bytes(vec![h.rank() as u8; 2 + h.rank()]);
-            let handle = h.start_allgather_bytes(own);
-            for p in handle.wait(h).unwrap().expect_gathered() {
-                out.extend(p.expect_bytes().into_iter().map(|b| b as f32));
+fn blocking_allgather_bytes_accounts_for_every_frame() {
+    let body = |h: &mut CommHandle| {
+        let got = h.allgather_bytes(mixed_frame(h.rank()));
+        (got, h.stats(), h.inflight(), h.max_inflight())
+    };
+    for world in [1usize, 2, 3, 5, 8] {
+        let peers = world as u64 - 1;
+        let all_frame_bytes: u64 = (0..world).map(|r| mixed_frame(r).byte_len() as u64).sum();
+        for (backend, out) in [
+            ("inproc", run_cluster(world, NetworkProfile::infiniband_100g(), body)),
+            ("tcp", run_cluster_tcp_threads(world, body)),
+        ] {
+            let mut bytes_sent = 0;
+            for (rank, (got, stats, inflight, max_inflight)) in out.into_iter().enumerate() {
+                let what = format!("{backend} world {world} rank {rank}");
+                assert_eq!(got.len(), world, "{what}");
+                for (origin, frame) in got.iter().enumerate() {
+                    let want = mixed_frame(origin);
+                    assert_eq!(format!("{frame:?}"), format!("{want:?}"), "{what} slot {origin}");
+                }
+                assert_eq!(stats.logical_wire_bits, mixed_frame(rank).bits(), "{what}");
+                assert_eq!(stats.messages, peers, "{what}");
+                assert_eq!(inflight, 0, "{what}");
+                assert!(max_inflight >= 1, "{what}");
+                bytes_sent += stats.bytes_sent;
             }
-            out
-        });
-        let bl = run_cluster_tcp_threads(world, move |h| {
-            let mut out = rank_input(h.rank(), 113, 21);
-            h.allreduce_sum_with(&mut out, CollectiveAlgo::RecursiveDoubling);
-            let own = Payload::Bytes(vec![h.rank() as u8; 2 + h.rank()]);
-            for p in h.allgather_bytes(own) {
-                out.extend(p.expect_bytes().into_iter().map(|b| b as f32));
-            }
-            out
-        });
-        for rank in 0..world {
-            assert_eq!(bits(&nb[rank]), bits(&bl[rank]), "world {world} rank {rank}");
+            assert_eq!(bytes_sent, peers * all_frame_bytes, "{backend} world {world}");
         }
     }
 }
@@ -368,40 +383,20 @@ fn wire_parity_bucketed_topk_on_loopback() {
     }
 }
 
-/// A handle-based collective on a dead peer fails with a typed transport
-/// error (naming both ranks and the cause) instead of hanging — rank 1
-/// exits immediately, so rank 0's exchange can never complete.
-#[test]
-fn nonblocking_wait_surfaces_peer_loss() {
-    let out = run_cluster_tcp_threads(2, |h| {
-        if h.rank() == 1 {
-            // Exit without participating: dropping the endpoint shuts the
-            // link down and rank 0's reader observes EOF.
-            return true;
-        }
-        let handle = h.start_exchange_bytes(1, &Payload::PackedU64(vec![0xDEAD]));
-        let err = handle.wait(h).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("rank 0") && msg.contains("rank 1"), "{msg}");
-        assert_eq!(h.inflight(), 0, "failed handle must release its in-flight slot");
-        true
-    });
-    assert!(out.into_iter().all(|ok| ok));
-}
-
-/// Same peer-loss scenario through the polling path: `try_complete` must
-/// surface the typed error AND release the in-flight slot, so a caller
-/// that drops the failed handle leaves the accounting exact.
+/// Peer loss through the polling path: rank 1 exits immediately, so rank
+/// 0's gather can never complete. `try_complete` must surface the typed
+/// error AND release the in-flight slot, so a caller that drops the failed
+/// handle leaves the accounting exact.
 #[test]
 fn try_complete_surfaces_peer_loss_and_releases_slot() {
     let out = run_cluster_tcp_threads(2, |h| {
         if h.rank() == 1 {
             return true; // exit without replying; the link dies
         }
-        let mut handle = h.start_exchange_bytes(1, &Payload::PackedU64(vec![1]));
+        let mut handle = h.start_allgather_bytes(Payload::PackedU64(vec![1]));
         let err = loop {
             match handle.try_complete(h) {
-                Ok(true) => panic!("exchange cannot complete: the peer never sent"),
+                Ok(true) => panic!("gather cannot complete: the peer never sent"),
                 Ok(false) => std::thread::yield_now(),
                 Err(e) => break e,
             }
@@ -413,4 +408,53 @@ fn try_complete_surfaces_peer_loss_and_releases_slot() {
         true
     });
     assert!(out.into_iter().all(|ok| ok));
+}
+
+/// A collective on a dead peer: rank 1 of a 2-rank world leaves at once
+/// (dropping its communicator); rank 0's `op` must come back with a typed
+/// error naming both ranks and its in-flight slot released — the blocking
+/// adapters release on the error path exactly as `wait` does. Both
+/// backends, each within 30 s instead of hanging.
+fn assert_dead_peer_errs(op: fn(&mut CommHandle) -> Result<(), TransportError>) {
+    let body = move |h: &mut CommHandle| {
+        if h.rank() == 1 {
+            return;
+        }
+        let msg = op(h).expect_err("completed without the peer").to_string();
+        assert!(msg.contains("rank 0") && msg.contains("rank 1"), "{msg}");
+        assert_eq!(h.inflight(), 0, "failed collective must release its in-flight slot");
+    };
+    for tcp in [false, true] {
+        let (tx, rx) = std::sync::mpsc::channel();
+        // Detached: a hung survivor must fail the test at the deadline,
+        // not hang the join.
+        std::thread::spawn(move || {
+            if tcp {
+                run_cluster_tcp_threads(2, body);
+            } else {
+                run_cluster(2, NetworkProfile::infiniband_100g(), body);
+            }
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(30))
+            .unwrap_or_else(|e| panic!("tcp={tcp}: survivor hung or failed its checks ({e})"));
+    }
+}
+
+#[test]
+fn nonblocking_wait_surfaces_peer_loss() {
+    assert_dead_peer_errs(|h| {
+        h.start_allgather_bytes(Payload::PackedU64(vec![0xDEAD])).wait(h).map(drop)
+    });
+}
+
+#[test]
+fn blocking_allgather_surfaces_peer_loss_and_releases_slot() {
+    assert_dead_peer_errs(|h| h.try_allgather(&[7u64]).map(drop));
+}
+
+#[test]
+fn blocking_small_allreduce_surfaces_peer_loss_and_releases_slot() {
+    // 16 bytes at world 2: `Auto` picks recursive doubling.
+    assert_dead_peer_errs(|h| h.try_allreduce_avg(&mut [1.0f32; 4]));
 }

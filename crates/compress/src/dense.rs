@@ -17,15 +17,14 @@ use std::time::Instant;
 /// it sits in, which is what makes bucketed results bit-identical to the
 /// whole-model call.
 ///
-/// Deliberate change from the pre-session one-shot implementation, which
-/// used [`cluster_comm::CollectiveAlgo::Auto`] (ring for large payloads):
-/// ring's reduction order depends on how the vector is chunked, so it can
-/// never satisfy the bucketed ≡ single-shot contract. RD trades ring's
-/// bandwidth optimality (`2(P−1)/P·n` vs `log₂P·n` bytes/rank) for
-/// partition-invariant determinism; the figure regenerators' analytic
-/// dense curves (`a2sgd_bench::comm_seconds`) still quote the best-of
-/// `CostModel::allreduce`, so published fig4/fig5 numbers are unaffected —
-/// only trainer-internal modeled sim-time charges RD.
+/// Not ring, even for large payloads: ring's reduction order depends on
+/// how the vector is chunked, so it can never satisfy the bucketed ≡
+/// single-shot contract. RD trades ring's bandwidth optimality
+/// (`2(P−1)/P·n` vs `log₂P·n` bytes/rank) for partition-invariant
+/// determinism. The figure regenerators' analytic dense curves
+/// (`a2sgd_bench::comm_seconds`) quote the best-of
+/// `CostModel::allreduce`; only trainer-internal modeled sim-time charges
+/// RD.
 #[derive(Debug, Default)]
 pub struct DenseSgd;
 

@@ -13,9 +13,8 @@
 //!   O(1)-communication heart.
 //! * [`algorithm`] — [`algorithm::A2sgd`], the Algorithm-1
 //!   [`gradcomp::GradientSynchronizer`].
-//! * [`variants`] — extensions: the paper's §4.4 future-work
-//!   Allgather-based exchange, a carried-error ablation, and a generalized
-//!   L-level (bucketed-means) family.
+//! * [`variants`] — extensions: a carried-error ablation and a
+//!   generalized L-level (bucketed-means) family.
 //! * [`registry`] — unified algorithm registry (baselines + A2SGD family).
 //! * [`step`] — [`step::TrainStep`], the back half of a training step
 //!   (plan → sync → apply) behind one fallible call; shared by [`trainer`]

@@ -1,7 +1,7 @@
 //! Unified algorithm registry: baselines + the A2SGD family.
 
 use crate::algorithm::A2sgd;
-use crate::variants::{A2sgdAllgather, A2sgdCarry, KLevelSgd};
+use crate::variants::{A2sgdCarry, KLevelSgd};
 use gradcomp::{BaselineKind, GradientSynchronizer};
 
 /// Density ratio the paper uses for Top-K/Gaussian-K ("0.001" — appendix).
@@ -23,8 +23,6 @@ pub enum AlgoKind {
     Qsgd(u8),
     /// The paper's contribution.
     A2sgd,
-    /// §4.4 future-work variant (Allgather exchange).
-    A2sgdAllgather,
     /// Carried-error ablation.
     A2sgdCarry,
     /// Generalized L-level bucketed means.
@@ -57,7 +55,6 @@ impl AlgoKind {
             AlgoKind::GaussianK(_) => "GaussianK",
             AlgoKind::Qsgd(_) => "QSGD",
             AlgoKind::A2sgd => "A2SGD",
-            AlgoKind::A2sgdAllgather => "A2SGD-AG",
             AlgoKind::A2sgdCarry => "A2SGD-carry",
             AlgoKind::KLevel(_) => "KLevel",
             AlgoKind::RandK(_) => "RandK",
@@ -74,7 +71,6 @@ impl AlgoKind {
             AlgoKind::GaussianK(r) => BaselineKind::GaussianK(r).build(n, seed, rank),
             AlgoKind::Qsgd(s) => BaselineKind::Qsgd(s).build(n, seed, rank),
             AlgoKind::A2sgd => Box::new(A2sgd::new()),
-            AlgoKind::A2sgdAllgather => Box::new(A2sgdAllgather::new()),
             AlgoKind::A2sgdCarry => Box::new(A2sgdCarry::new(n)),
             AlgoKind::KLevel(l) => Box::new(KLevelSgd::new(l)),
             AlgoKind::RandK(r) => BaselineKind::RandK(r).build(n, seed, rank),
@@ -107,7 +103,6 @@ impl AlgoKind {
             "gaussiank" | "gaussian-k" => AlgoKind::GaussianK(PAPER_DENSITY),
             "qsgd" => AlgoKind::Qsgd(PAPER_QSGD_LEVELS),
             "a2sgd" => AlgoKind::A2sgd,
-            "a2sgd-ag" | "a2sgdag" => AlgoKind::A2sgdAllgather,
             "a2sgd-carry" => AlgoKind::A2sgdCarry,
             "randk" => AlgoKind::RandK(PAPER_DENSITY),
             "terngrad" => AlgoKind::TernGrad,
@@ -152,7 +147,7 @@ mod tests {
             ("gaussiank", AlgoKind::GaussianK(PAPER_DENSITY)),
             ("QSGD", AlgoKind::Qsgd(4)),
             ("a2sgd", AlgoKind::A2sgd),
-            ("a2sgd-ag", AlgoKind::A2sgdAllgather),
+            ("a2sgd-carry", AlgoKind::A2sgdCarry),
             ("klevel8", AlgoKind::KLevel(8)),
             ("terngrad", AlgoKind::TernGrad),
         ] {

@@ -336,8 +336,11 @@ impl TrainStep {
         comm: &mut CommHandle,
     ) -> Result<f64, TransportError> {
         flatten_params(model, &mut self.flat);
-        let local = self.flat.clone();
         comm.try_allreduce_avg(&mut self.flat)?;
+        // The model still holds this rank's own parameters; reading them
+        // back only now keeps that copy out of the exchange's peak memory.
+        let mut local = Vec::new();
+        flatten_params(model, &mut local);
         load_params(model, &self.flat);
         Ok(local.iter().zip(&self.flat).fold(0.0f64, |d, (a, b)| d.max((a - b).abs() as f64)))
     }

@@ -1,10 +1,8 @@
-//! A2SGD variants and extensions.
+//! A2SGD variants and extensions. Both exchange their means as Algorithm 1
+//! line 5 writes it — an allreduce (`start_allreduce`, overlapped with the
+//! residual pass); the shipped [`A2sgd`](crate::algorithm::A2sgd) is the
+//! §4.4 gather formulation of the same exchange.
 //!
-//! * [`A2sgdAllgather`] — the optimization the paper's §4.4 proposes as
-//!   future work: exchange the per-worker mean pairs with **Allgather**
-//!   instead of Allreduce, which is faster on high-bandwidth networks (the
-//!   reason Gaussian-K edged out A2SGD in their Figure 4d). Semantically
-//!   identical: the global means are averaged locally after the gather.
 //! * [`A2sgdCarry`] — ablation: carries the residual to the *next*
 //!   iteration (classic error feedback) instead of adding it back in the
 //!   same iteration. Useful for studying why Algorithm 1's same-iteration
@@ -13,79 +11,12 @@
 //!   (L = 1 reduces to A2SGD). Communication is `2·L` floats — still O(1)
 //!   in n — trading a little bandwidth for lower encoding distortion.
 
-use crate::mean2::{enc_into, shift_by_sign, split_means, TwoMeans};
-use cluster_comm::{CommHandle, Payload, TransportError};
+use crate::mean2::{enc_into, split_means, TwoMeans};
+use cluster_comm::{CommHandle, TransportError};
 use gradcomp::ef::ErrorFeedback;
 use gradcomp::{GradientSynchronizer, SyncStats};
 use std::ops::Range;
 use std::time::Instant;
-
-/// Allgather-based exchange of the two means (paper §4.4 future work).
-#[derive(Debug, Default)]
-pub struct A2sgdAllgather;
-
-impl A2sgdAllgather {
-    /// Creates the variant.
-    pub fn new() -> Self {
-        A2sgdAllgather
-    }
-}
-
-impl GradientSynchronizer for A2sgdAllgather {
-    fn name(&self) -> &'static str {
-        "A2SGD-AG"
-    }
-
-    /// Like [`A2sgd`](crate::algorithm::A2sgd), the exchange is O(1) —
-    /// `bounds` is ignored and the round is split → exchange → shift.
-    fn try_sync_bucketed(
-        &mut self,
-        grad: &mut [f32],
-        _bounds: &[Range<usize>],
-        comm: &mut CommHandle,
-    ) -> Result<SyncStats, TransportError> {
-        let t0 = Instant::now();
-        let means = split_means(grad);
-        let split_seconds = t0.elapsed().as_secs_f64();
-        comm.advance_compute(split_seconds);
-
-        // The f32-lane variant of the exchange: two dense f32 means per
-        // rank — the same 64 wire bits as the packed-u64 packet.
-        let bits_before = comm.stats().logical_wire_bits;
-        let tx = Instant::now();
-        let gathered =
-            comm.try_allgather_bytes(Payload::F32Dense(vec![means.mu_pos, means.mu_neg]))?;
-        let exchange_seconds = tx.elapsed().as_secs_f64();
-        let wire_bits = comm.stats().logical_wire_bits - bits_before;
-        let inv = 1.0 / gathered.len() as f32;
-        let (mut gp, mut gn) = (0.0f32, 0.0f32);
-        for frame in gathered {
-            let pair = frame.expect_f32();
-            gp += pair[0];
-            gn += pair[1];
-        }
-
-        let t1 = Instant::now();
-        let (d_pos, d_neg) = means.shift_to(gp * inv, gn * inv);
-        shift_by_sign(grad, d_pos, d_neg);
-        let shift_seconds = t1.elapsed().as_secs_f64();
-        comm.advance_compute(shift_seconds);
-        Ok(SyncStats {
-            compress_seconds: split_seconds + shift_seconds,
-            exchange_seconds,
-            wire_bits,
-            ..SyncStats::default()
-        })
-    }
-
-    fn wire_bits_formula(&self, _n: usize) -> u64 {
-        64
-    }
-
-    fn complexity(&self) -> &'static str {
-        "O(n)"
-    }
-}
 
 /// Carried-error ablation: residual goes into classic EF memory instead of
 /// the same-iteration restore.
@@ -290,36 +221,9 @@ impl GradientSynchronizer for KLevelSgd {
 mod tests {
     use super::*;
     use crate::algorithm::A2sgd;
+    use crate::mean2::shift_by_sign;
     use cluster_comm::{run_cluster, NetworkProfile};
     use mini_tensor::rng::SeedRng;
-
-    #[test]
-    fn allgather_variant_matches_allreduce_variant() {
-        let world = 4;
-        let inputs: Vec<Vec<f32>> = (0..world)
-            .map(|r| {
-                let mut rng = SeedRng::new(40 + r as u64);
-                (0..256).map(|_| rng.randn()).collect()
-            })
-            .collect();
-        let i1 = inputs.clone();
-        let a = run_cluster(world, NetworkProfile::infiniband_100g(), move |h| {
-            let mut g = i1[h.rank()].clone();
-            A2sgd::new().synchronize(&mut g, h);
-            g
-        });
-        let i2 = inputs.clone();
-        let b = run_cluster(world, NetworkProfile::infiniband_100g(), move |h| {
-            let mut g = i2[h.rank()].clone();
-            A2sgdAllgather::new().synchronize(&mut g, h);
-            g
-        });
-        for (x, y) in a.iter().zip(&b) {
-            for (u, v) in x.iter().zip(y) {
-                assert!((u - v).abs() < 1e-5, "{u} vs {v}");
-            }
-        }
-    }
 
     #[test]
     fn klevel_one_equals_a2sgd() {
@@ -375,8 +279,8 @@ mod tests {
     }
 
     #[test]
-    fn compress_seconds_cover_split_and_apply_on_all_three() {
-        // Every A2SGD synchronizer reports (and charges to the rank clock)
+    fn compress_seconds_cover_split_and_apply() {
+        // A2SGD and the carry ablation report (and charge to the rank clock)
         // the whole compress cost: the split sweep *and* the final
         // apply/reconstruct sweep. The floor is the apply kernel's own
         // best-of-5 time on the same 1 M-element gradient; with one
@@ -398,14 +302,11 @@ mod tests {
         let enc_floor = best_of_5(&mut || enc_into(&g, &means, &mut scratch));
         assert!(shift_floor > 0.0 && enc_floor > 0.0);
 
-        for (algo, floor) in [(0, shift_floor), (1, shift_floor), (2, enc_floor)] {
+        for (carry, floor) in [(false, shift_floor), (true, enc_floor)] {
             let input = g.clone();
             let out = run_cluster(1, NetworkProfile::infiniband_100g(), move |h| {
-                let mut sync: Box<dyn GradientSynchronizer> = match algo {
-                    0 => Box::new(A2sgd::new()),
-                    1 => Box::new(A2sgdAllgather::new()),
-                    _ => Box::new(A2sgdCarry::new(n)),
-                };
+                let mut sync: Box<dyn GradientSynchronizer> =
+                    if carry { Box::new(A2sgdCarry::new(n)) } else { Box::new(A2sgd::new()) };
                 let mut g = input.clone();
                 let before = h.clock();
                 let stats = sync.synchronize(&mut g, h);

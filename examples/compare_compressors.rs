@@ -21,7 +21,6 @@ fn main() {
         (AlgoKind::GaussianK(0.001), Topology::Flat, SchedKind::EveryStep),
         (AlgoKind::Qsgd(4), Topology::Flat, SchedKind::EveryStep),
         (AlgoKind::A2sgd, Topology::Flat, SchedKind::EveryStep),
-        (AlgoKind::A2sgdAllgather, Topology::Flat, SchedKind::EveryStep),
         (AlgoKind::A2sgdCarry, Topology::Flat, SchedKind::EveryStep),
         (AlgoKind::KLevel(4), Topology::Flat, SchedKind::EveryStep),
         (AlgoKind::RandK(0.001), Topology::Flat, SchedKind::EveryStep),

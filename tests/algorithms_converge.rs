@@ -33,7 +33,7 @@ fn all_paper_algorithms_beat_chance() {
 
 #[test]
 fn extensions_also_learn() {
-    for algo in [AlgoKind::A2sgdAllgather, AlgoKind::KLevel(4), AlgoKind::SignSgd] {
+    for algo in [AlgoKind::KLevel(4), AlgoKind::SignSgd] {
         let acc = run(algo, 2);
         assert!(acc > 30.0, "{} final accuracy {acc}", algo.name());
     }

@@ -193,7 +193,6 @@ fn all_registry_algos() -> Vec<AlgoKind> {
         AlgoKind::GaussianK(0.01),
         AlgoKind::Qsgd(4),
         AlgoKind::A2sgd,
-        AlgoKind::A2sgdAllgather,
         AlgoKind::A2sgdCarry,
         AlgoKind::KLevel(4),
         AlgoKind::RandK(0.01),
@@ -317,8 +316,8 @@ fn session_parity_body(h: &mut CommHandle, algo: AlgoKind, cap: usize, reverse: 
 // loopback at least 2 frames must demonstrably be in flight *while the
 // backward pass is still executing*.
 
-/// Reverse-order (hook-shaped) session drive ≡ single-shot, all 11
-/// registry synchronizers × caps {64 KiB, 1 KiB} × worlds 1–4, in-proc.
+/// Reverse-order (hook-shaped) session drive ≡ single-shot, every
+/// registry synchronizer × caps {64 KiB, 1 KiB} × worlds 1–4, in-proc.
 #[test]
 fn hook_order_session_parity_all_synchronizers_inproc() {
     assert_hook_session_parity_on("inproc", |world, algo, cap| match cap {
@@ -413,11 +412,7 @@ fn hook_training_parity_all_synchronizers() {
                 // ignores bucketing entirely — O(1) packet either way.)
                 let bucket_invariant = matches!(
                     algo,
-                    AlgoKind::Dense
-                        | AlgoKind::A2sgd
-                        | AlgoKind::A2sgdAllgather
-                        | AlgoKind::A2sgdCarry
-                        | AlgoKind::KLevel(_)
+                    AlgoKind::Dense | AlgoKind::A2sgd | AlgoKind::A2sgdCarry | AlgoKind::KLevel(_)
                 );
                 if cap.is_none() || bucket_invariant {
                     assert_eq!(

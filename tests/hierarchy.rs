@@ -31,7 +31,7 @@ fn seeded(rank: usize, n: usize, salt: u64) -> Vec<f32> {
 /// the communicator's own (rank, world) — so a sub-communicator of any
 /// parent must reproduce a standalone world of the same size exactly.
 fn group_workload(h: &mut CommHandle) -> Vec<f32> {
-    let (rank, world) = (h.rank(), h.world());
+    let rank = h.rank();
     let mut out = Vec::new();
     for algo in [CollectiveAlgo::Ring, CollectiveAlgo::RecursiveDoubling, CollectiveAlgo::Auto] {
         let mut d = seeded(rank, 33, 0xA11);
@@ -52,9 +52,8 @@ fn group_workload(h: &mut CommHandle) -> Vec<f32> {
     for p in r2.wait(h).expect("allgather").expect_gathered() {
         out.extend(p.expect_bytes().into_iter().map(|b| b as f32));
     }
-    if world % 2 == 0 {
-        let rx = h.start_exchange_bytes(rank ^ 1, &Payload::Bytes(vec![rank as u8 ^ 0x5A; 5]));
-        let p = rx.wait(h).expect("exchange").expect_exchanged();
+    let r3 = h.start_allgather_bytes(Payload::Bytes(vec![rank as u8 ^ 0x5A; 5]));
+    for p in r3.wait(h).expect("second allgather").expect_gathered() {
         out.extend(p.expect_bytes().into_iter().map(|b| b as f32));
     }
     h.barrier();

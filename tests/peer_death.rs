@@ -34,7 +34,6 @@ fn all_registry_algos() -> Vec<AlgoKind> {
         AlgoKind::GaussianK(0.01),
         AlgoKind::Qsgd(4),
         AlgoKind::A2sgd,
-        AlgoKind::A2sgdAllgather,
         AlgoKind::A2sgdCarry,
         AlgoKind::KLevel(4),
         AlgoKind::RandK(0.01),

@@ -37,7 +37,6 @@ fn all_registry_algos() -> Vec<AlgoKind> {
         AlgoKind::GaussianK(0.01),
         AlgoKind::Qsgd(4),
         AlgoKind::A2sgd,
-        AlgoKind::A2sgdAllgather,
         AlgoKind::A2sgdCarry,
         AlgoKind::KLevel(4),
         AlgoKind::RandK(0.01),
@@ -56,7 +55,7 @@ fn fingerprint(rep: &TrainReport) -> Vec<u64> {
     f
 }
 
-/// `fixed1` ≡ unscheduled, bit for bit, for all 11 registry synchronizers:
+/// `fixed1` ≡ unscheduled, bit for bit, for every registry synchronizer:
 /// every window is degenerate, so every step must take the classic
 /// gradient path with zero schedule residue in the report.
 #[test]
@@ -153,7 +152,8 @@ fn fixed8_a2sgd_converges_within_tolerance_of_every_step() {
 
 /// `sched × overlap` used to be refused by an assert. Under `fixed1` every
 /// step plans a gradient sync, so the hooks engage on every step and the
-/// run must equal the unscheduled hooked run — for all 11 synchronizers.
+/// run must equal the unscheduled hooked run — for every registry
+/// synchronizer.
 #[test]
 fn fixed1_overlap_parity_all_synchronizers_inproc() {
     for algo in all_registry_algos() {
