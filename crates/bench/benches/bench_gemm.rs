@@ -1,6 +1,7 @@
 //! Criterion bench behind the kernel-perf ledger (`BENCH_kernels.json`):
 //! the packed register-tiled [`Gemm`] core, measured single-threaded
-//! (`RAYON_NUM_THREADS=1`) so the numbers are kernel shape, not core count.
+//! (`run_st` / `run_packed(.., false)` never enter the pool) so the numbers
+//! are kernel shape, not core count.
 //! The row-parallel triple loops it replaced are gone; their medians stay
 //! in the ledger as the frozen `*/legacy/*` baseline rows.
 //!
@@ -25,7 +26,6 @@ fn operands(g: &Gemm, seed: u64) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
 }
 
 fn bench_square(c: &mut Criterion) {
-    std::env::set_var("RAYON_NUM_THREADS", "1");
     let mut group = c.benchmark_group("gemm_st");
     group.sample_size(10);
     for s in [128usize, 256, 512] {
@@ -39,7 +39,6 @@ fn bench_square(c: &mut Criterion) {
         });
     }
     group.finish();
-    std::env::remove_var("RAYON_NUM_THREADS");
 }
 
 /// The workspace's real hot shapes: (label, descriptor).
@@ -57,7 +56,6 @@ fn layer_shapes() -> Vec<(&'static str, Gemm)> {
 }
 
 fn bench_layers(c: &mut Criterion) {
-    std::env::set_var("RAYON_NUM_THREADS", "1");
     let mut group = c.benchmark_group("gemm_layers");
     group.sample_size(10);
     for (label, g) in layer_shapes() {
@@ -70,11 +68,9 @@ fn bench_layers(c: &mut Criterion) {
         });
     }
     group.finish();
-    std::env::remove_var("RAYON_NUM_THREADS");
 }
 
 fn bench_prepacked(c: &mut Criterion) {
-    std::env::set_var("RAYON_NUM_THREADS", "1");
     let mut group = c.benchmark_group("gemm_prepacked");
     group.sample_size(10);
     // Weight-stationary conv product: A = filter matrix, packed once for
@@ -97,7 +93,6 @@ fn bench_prepacked(c: &mut Criterion) {
         })
     });
     group.finish();
-    std::env::remove_var("RAYON_NUM_THREADS");
 }
 
 criterion_group!(benches, bench_square, bench_layers, bench_prepacked);

@@ -1,6 +1,7 @@
 //! Criterion benches of the A2SGD kernels themselves: the split-means
 //! sweep, the sign-shift sweep, and the two back to back — the whole of
-//! A2SGD's per-iteration compute (the 64-bit exchange sits between them).
+//! A2SGD's per-iteration compute (the 64-bit exchange sits between them) —
+//! and, beside them, what one fork/join on the pool costs.
 
 use a2sgd::mean2::{shift_by_sign, split_means};
 use a2sgd_bench::synthetic_gradient;
@@ -36,5 +37,20 @@ fn bench_means(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_means);
+/// The price of one fork/join on the pool: a two-item `par_for_n` of empty
+/// closures at the default width. `PAR_THRESHOLD` and `PAR_FLOPS` exist to
+/// keep work smaller than a few of these sequential.
+fn bench_fork_join(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fork_join");
+    group.bench_function("noop_x2", |b| {
+        b.iter(|| {
+            mini_tensor::par::par_for_n(2, |i| {
+                std::hint::black_box(i);
+            })
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_means, bench_fork_join);
 criterion_main!(benches);

@@ -215,6 +215,15 @@ impl CommHandle {
         self.transport.world()
     }
 
+    /// How many ranks of the *world* run on this rank's machine (on a
+    /// sub-communicator too): in-proc and thread-rank launchers put every
+    /// rank in one process; a TCP world counts the ranks of its
+    /// [`WorldSpec`](crate::transport::rendezvous::WorldSpec) that bind this
+    /// rank's host. The trainer divides the host's cores by it.
+    pub fn ranks_on_host(&self) -> usize {
+        self.transport.ranks_on_host()
+    }
+
     /// The transport backend's name (`"inproc"`, `"tcp"`).
     pub fn backend_name(&self) -> &'static str {
         self.transport.backend_name()

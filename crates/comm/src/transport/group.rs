@@ -171,6 +171,11 @@ impl Transport for GroupTransport {
         self.backend
     }
 
+    fn ranks_on_host(&self) -> usize {
+        // A property of the machine, not of the group: ask the endpoint.
+        self.inner.lock().ranks_on_host()
+    }
+
     fn send_bytes(
         &mut self,
         to: usize,

@@ -139,6 +139,13 @@ pub trait Transport: Send {
     /// Human-readable backend name (for labels and error messages).
     fn backend_name(&self) -> &'static str;
 
+    /// How many ranks of the world run on the machine this rank runs on —
+    /// the ranks its compute threads share cores with. Thread ranks of one
+    /// process (the default) all do.
+    fn ranks_on_host(&self) -> usize {
+        self.world()
+    }
+
     /// Sends a tagged typed frame to `to`, streaming straight from the
     /// caller's borrowed buffers ([`PayloadRef`] — no send-side copy on
     /// real networks). Returns the number of bytes actually put on the

@@ -78,6 +78,17 @@ impl WorldSpec {
         self.ranks.iter().map(|r| r.group).max().map_or(0, |g| g + 1)
     }
 
+    /// How many ranks (itself included) bind the host `rank` binds — the
+    /// ranks whose compute threads compete for that machine's cores. An
+    /// unset `bind_host` is the master's host.
+    pub fn ranks_on_host(&self, rank: usize) -> usize {
+        let master = self.master_addr.rsplit_once(':').map_or(&*self.master_addr, |(h, _)| h);
+        // IPv6 literals arrive bracketed ("[::1]:29500"); bind hosts are bare.
+        let master = master.trim_start_matches('[').trim_end_matches(']');
+        let host = |r: usize| self.ranks[r].bind_host.as_deref().unwrap_or(master);
+        (0..self.world()).filter(|&r| host(r) == host(rank)).count()
+    }
+
     /// The shrunken world left after removing dead ranks: survivors keep
     /// their bind hosts and are renumbered densely in old-rank order, and
     /// group ids are re-densified (surviving distinct ids, ascending).
@@ -236,6 +247,30 @@ mod tests {
         assert_eq!(shrunk.groups(), 2);
         assert_eq!(shrunk.ranks[2].bind_host.as_deref(), Some("10.0.0.9"));
         assert_eq!(shrunk.master_addr, spec.master_addr);
+    }
+
+    #[test]
+    fn ranks_on_host_counts_the_ranks_that_share_a_bind_host() {
+        let single = WorldSpec::single_host("127.0.0.1:29500", 4);
+        assert!((0..4).all(|r| single.ranks_on_host(r) == 4));
+        let mut v6 = WorldSpec::single_host("[::1]:29500", 2);
+        v6.ranks[1].bind_host = Some("::1".into());
+        assert_eq!(v6.ranks_on_host(0), 2);
+
+        // Two machines: ranks 0–2 on the master's (rank 1 names it
+        // explicitly), ranks 3–4 on another.
+        let mut two = WorldSpec::single_host("10.0.0.1:29500", 5);
+        two.ranks[1].bind_host = Some("10.0.0.1".into());
+        two.ranks[3].bind_host = Some("10.0.0.2".into());
+        two.ranks[4].bind_host = Some("10.0.0.2".into());
+        let per_rank: Vec<usize> = (0..5).map(|r| two.ranks_on_host(r)).collect();
+        assert_eq!(per_rank, [3, 3, 3, 2, 2]);
+
+        // Rank 3 dies: the survivor on the second machine has it to itself,
+        // the first machine is as crowded as before.
+        let shrunk = two.shrink(&[true, true, true, false, true]);
+        let per_rank: Vec<usize> = (0..4).map(|r| shrunk.ranks_on_host(r)).collect();
+        assert_eq!(per_rank, [3, 3, 3, 1]);
     }
 
     #[test]

@@ -144,6 +144,9 @@ fn reader_loop(stream: TcpStream, inbox: Arc<Inbox>) {
 pub struct Tcp {
     rank: usize,
     world: usize,
+    /// Ranks of the world on this rank's host (see
+    /// [`WorldSpec::ranks_on_host`](crate::transport::rendezvous::WorldSpec::ranks_on_host)).
+    ranks_on_host: usize,
     /// `peers[r]` is `None` only for `r == rank`.
     peers: Vec<Option<Peer>>,
     barrier_seq: u64,
@@ -218,7 +221,10 @@ impl Tcp {
         } else {
             MasterEndpoint::Addr(spec.master_addr.clone())
         };
-        Self::connect_parts(rank, spec.world(), master, spec.ranks[rank].bind_host.as_deref())
+        let mut tcp =
+            Self::connect_parts(rank, spec.world(), master, spec.ranks[rank].bind_host.as_deref())?;
+        tcp.ranks_on_host = spec.ranks_on_host(rank);
+        Ok(tcp)
     }
 
     pub(crate) fn connect_parts(
@@ -229,7 +235,13 @@ impl Tcp {
     ) -> Result<Tcp, String> {
         assert!(world >= 1 && rank < world);
         if world == 1 {
-            return Ok(Tcp { rank, world, peers: vec![None], barrier_seq: 0 });
+            return Ok(Tcp {
+                rank,
+                world,
+                ranks_on_host: world,
+                peers: vec![None],
+                barrier_seq: 0,
+            });
         }
         let deadline = rendezvous_deadline();
         let err = |e: std::io::Error, what: &str| format!("rank {rank}: {what}: {e}");
@@ -337,7 +349,9 @@ impl Tcp {
             }
             peers[peer] = Some(mk_peer(s, peer)?);
         }
-        Ok(Tcp { rank, world, peers, barrier_seq: 0 })
+        // Thread-rank launchers come through here without a spec: one
+        // process, so every rank shares this host.
+        Ok(Tcp { rank, world, ranks_on_host: world, peers, barrier_seq: 0 })
     }
 
     fn peer(&mut self, r: usize) -> &mut Peer {
@@ -356,6 +370,10 @@ impl Transport for Tcp {
 
     fn backend_name(&self) -> &'static str {
         "tcp"
+    }
+
+    fn ranks_on_host(&self) -> usize {
+        self.ranks_on_host
     }
 
     fn send_bytes(

@@ -109,7 +109,7 @@ fn class_sums(g: &[f32]) -> ClassSums {
 
 /// Computes `µ+` and `µ−` in one parallel pass. Partials are taken over
 /// fixed [`par::PAR_CHUNK`] windows and combined in window order, so the
-/// result is bit-identical for every `RAYON_NUM_THREADS`.
+/// result is bit-identical for every pool width.
 pub fn split_means(g: &[f32]) -> TwoMeans {
     let acc = par::par_reduce_indexed(g.len(), ClassSums::ZERO, |lo, hi| class_sums(&g[lo..hi]));
     let n_neg = g.len() - acc.n_pos;

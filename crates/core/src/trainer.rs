@@ -279,6 +279,10 @@ pub struct TrainReport {
     pub replica_divergence: f64,
     /// Gradient histograms captured at requested iterations (worker 0).
     pub grad_histograms: Vec<(usize, Histogram)>,
+    /// Compute threads each rank's kernels ran on: the host's cores divided
+    /// by the ranks sharing it, or `RAYON_NUM_THREADS` when that is set
+    /// (see [`thread_budget`]).
+    pub threads_per_rank: usize,
 }
 
 /// Per-worker totals, accumulated over the run and returned from rank
@@ -302,6 +306,7 @@ struct WorkerOut {
     overlap_seconds_total: f64,
     divergence: f64,
     histograms: Vec<(usize, Histogram)>,
+    threads: usize,
 }
 
 /// Builds the run's datasets: the first `train_size` indices are the
@@ -352,6 +357,7 @@ fn build_report(cfg: &TrainConfig, w0: &WorkerOut, divergence: f64) -> TrainRepo
         throughput: metrics::throughput(total_samples, w0.sim_seconds),
         replica_divergence: divergence,
         grad_histograms: w0.histograms.clone(),
+        threads_per_rank: w0.threads,
     }
 }
 
@@ -417,10 +423,16 @@ pub fn train(cfg: &TrainConfig) -> TrainReport {
     report
 }
 
-/// One rank's run: data → forward → loss per iteration, with the back half
-/// (backward → sync → apply) delegated to the shared [`TrainStep`]. This
-/// trainer has no recovery policy, so a lost peer panics with the typed
-/// transport cause.
+/// Compute threads for one rank: `cores` divided among the `ranks_on_host`
+/// ranks that share them, at least one — unless `RAYON_NUM_THREADS`
+/// (`env_override`) names a width, which wins as it does everywhere else.
+/// Two ranks on two cores get one thread each instead of two pools of two.
+pub fn thread_budget(env_override: Option<usize>, cores: usize, ranks_on_host: usize) -> usize {
+    env_override.filter(|&t| t > 0).unwrap_or((cores / ranks_on_host.max(1)).max(1))
+}
+
+/// One rank's run, inside its thread budget: every `par_*` call the rank
+/// makes — GEMM stripes, conv tasks, the `mean2` sweeps — is that wide.
 fn run_worker(
     cfg: &TrainConfig,
     ckpt: Option<&(u64, PathBuf)>,
@@ -428,9 +440,34 @@ fn run_worker(
     vision: Option<&SyntheticImages>,
     lm: Option<&MarkovText>,
 ) -> WorkerOut {
+    let threads = thread_budget(
+        std::env::var("RAYON_NUM_THREADS").ok().and_then(|s| s.parse().ok()),
+        std::thread::available_parallelism().map_or(1, |p| p.get()),
+        comm.ranks_on_host(),
+    );
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap_or_else(|e| panic!("rank {}: thread pool: {e:?}", comm.rank()))
+        .install(|| run_rank(cfg, ckpt, comm, vision, lm))
+}
+
+/// One rank's run: data → forward → loss per iteration, with the back half
+/// (backward → sync → apply) delegated to the shared [`TrainStep`]. This
+/// trainer has no recovery policy, so a lost peer panics with the typed
+/// transport cause.
+fn run_rank(
+    cfg: &TrainConfig,
+    ckpt: Option<&(u64, PathBuf)>,
+    comm: &mut cluster_comm::CommHandle,
+    vision: Option<&SyntheticImages>,
+    lm: Option<&MarkovText>,
+) -> WorkerOut {
     let rank = comm.rank();
+    let threads = rayon::current_num_threads();
     if a2sgd_trace::enabled() {
         a2sgd_trace::set_thread_rank(rank);
+        a2sgd_trace::instant("pool/width", a2sgd_trace::Args::Value(threads as f64));
         // Announce the world plane, then drop a clock-alignment instant
         // right after a barrier: every rank's "sync_point" lands at the
         // same real moment, which is what the merger shifts process
@@ -460,7 +497,7 @@ fn run_worker(
         cfg.overlap_backward,
     );
 
-    let mut out = WorkerOut::default();
+    let mut out = WorkerOut { threads, ..WorkerOut::default() };
 
     let (train_len, iters_per_epoch) = match (vision, lm) {
         (Some(_), _) => {
@@ -720,6 +757,16 @@ mod tests {
             checkpoint_every: None,
             trace: None,
         }
+    }
+
+    #[test]
+    fn thread_budget_is_cores_over_ranks_on_host_unless_overridden() {
+        assert_eq!(thread_budget(None, 2, 2), 1, "the benchmark box: one thread per rank");
+        assert_eq!(thread_budget(None, 2, 1), 2, "a lone rank keeps both cores");
+        assert_eq!(thread_budget(None, 16, 4), 4);
+        assert_eq!(thread_budget(None, 2, 8), 1, "never zero");
+        assert_eq!(thread_budget(Some(3), 2, 8), 3, "RAYON_NUM_THREADS wins");
+        assert_eq!(thread_budget(Some(0), 16, 4), 4, "0 names no width");
     }
 
     #[test]

@@ -214,12 +214,20 @@ fn nan_poisons_the_negative_class_only() {
     }
 }
 
-/// Four ranks' A2SGD outputs as bit patterns, for one gradient length.
-fn synchronized_bits(n: usize) -> Vec<Vec<u32>> {
+/// Runs `op` with the calling thread's `par_*` calls `threads` lanes wide.
+fn at_width<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap().install(op)
+}
+
+/// Four ranks' A2SGD outputs as bit patterns, for one gradient length, each
+/// rank's kernels `threads` lanes wide.
+fn synchronized_bits(n: usize, threads: usize) -> Vec<Vec<u32>> {
     run_cluster(4, NetworkProfile::infiniband_100g(), move |h| {
-        let mut g = gradient(n, 500 + h.rank() as u64, 17, &SPECIALS);
-        A2sgd::new().synchronize(&mut g, h);
-        g.iter().map(|v| v.to_bits()).collect()
+        at_width(threads, || {
+            let mut g = gradient(n, 500 + h.rank() as u64, 17, &SPECIALS);
+            A2sgd::new().synchronize(&mut g, h);
+            g.iter().map(|v| v.to_bits()).collect()
+        })
     })
 }
 
@@ -228,21 +236,21 @@ fn split_and_round_are_bit_identical_across_thread_counts() {
     // Partials are per fixed PAR_CHUNK window and combined in window
     // order; the shift is element-wise. Neither may depend on pool width.
     let lengths = [(1usize << 15) + 1, 199_210];
-    let run_with = |threads: &str| {
-        std::env::set_var("RAYON_NUM_THREADS", threads);
-        let out: Vec<_> = lengths
+    let run_with = |threads: usize| -> Vec<_> {
+        lengths
             .iter()
             .map(|&n| {
-                let m = split_means(&gradient(n, 77, 13, &SPECIALS));
-                ((m.mu_pos.to_bits(), m.mu_neg.to_bits(), m.n_pos, m.n_neg), synchronized_bits(n))
+                let m = at_width(threads, || split_means(&gradient(n, 77, 13, &SPECIALS)));
+                let means = (m.mu_pos.to_bits(), m.mu_neg.to_bits(), m.n_pos, m.n_neg);
+                (means, synchronized_bits(n, threads))
             })
-            .collect();
-        std::env::remove_var("RAYON_NUM_THREADS");
-        out
+            .collect()
     };
-    let one = run_with("1");
-    assert_eq!(one, run_with("2"), "1-thread vs 2-thread results differ in bits");
-    assert_eq!(one, run_with("4"), "1-thread vs 4-thread results differ in bits");
+    let one = run_with(1);
+    // 8: four ranks × eight lanes on the runner's two cores.
+    for threads in [2, 4, 8] {
+        assert_eq!(one, run_with(threads), "1-thread vs {threads}-thread results differ in bits");
+    }
 }
 
 #[test]

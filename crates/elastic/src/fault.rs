@@ -121,6 +121,10 @@ impl Transport for FaultInjector {
         self.inner.backend_name()
     }
 
+    fn ranks_on_host(&self) -> usize {
+        self.inner.ranks_on_host()
+    }
+
     fn send_bytes(
         &mut self,
         to: usize,

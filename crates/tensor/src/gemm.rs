@@ -26,7 +26,7 @@
 //!   chunks — no raw-pointer `SendPtr`). Each C element is owned by exactly
 //!   one stripe and accumulated in a fixed order (`pc` ascending, then `kk`
 //!   ascending), so results are **bit-identical for every thread count**:
-//!   `RAYON_NUM_THREADS=1/2/4/...` all produce the same bytes. The
+//!   pool widths 1/2/4/8/... all produce the same bytes. The
 //!   determinism tests in `tests/gemm_parity.rs` pin this contract.
 //!
 //! Weight-stationary callers amortise packing: convolution packs the filter
@@ -54,7 +54,10 @@ pub const KC: usize = 256;
 pub const NC: usize = 256;
 
 /// Above this many fused multiply-adds (`m·k·n`), [`Gemm::run`] fans the
-/// output stripes across the rayon pool.
+/// output stripes across the rayon pool. At the threshold a product is ~8 µs
+/// (`gemm_st/packed/128` in `BENCH_kernels.json`: 2^21 FMAs in 0.06 ms)
+/// against a ~2 µs fork/join (`fork_join/noop_x2@2`), and a second lane
+/// first pays off near 2^21, so the ledger supports nothing lower.
 pub const PAR_FLOPS: usize = 1 << 18;
 
 /// Descriptor for one matrix product `C[m,n] = op(A) · op(B)`, where

@@ -2,11 +2,16 @@
 //!
 //! Small inputs run sequentially (threshold [`PAR_THRESHOLD`]) so unit tests
 //! and tiny layers do not pay fork/join overhead; large flattened-gradient
-//! kernels split across the rayon pool.
+//! kernels split across the rayon pool, as wide as the calling thread's
+//! `ThreadPool::install` says (the trainer installs each rank's thread
+//! budget; tests pin a width the same way).
 
 use rayon::prelude::*;
 
-/// Below this many elements kernels run sequentially.
+/// Below this many elements kernels run sequentially. At the threshold a
+/// sweep is ~10 µs of work (`split_means/65536@1` in `BENCH_kernels.json`:
+/// 0.019 ms) against a ~2 µs fork/join (`fork_join/noop_x2@2`) and a helper
+/// that takes tens of µs to wake, so the ledger supports nothing lower.
 pub const PAR_THRESHOLD: usize = 1 << 15;
 
 /// Chunk size used when splitting a large slice across the pool.
@@ -85,10 +90,12 @@ where
     }
 }
 
-/// Current worker-pool width (`RAYON_NUM_THREADS` override or the host's
-/// `available_parallelism`). Kernels use it only to size work *buffers*
-/// (e.g. how many images share one im2col scratch), never to change the
-/// arithmetic: results must stay bit-identical across thread counts.
+/// Width of a `par_*` call made from this thread: the installed pool's
+/// (inside the trainer, the rank's thread budget), else the global width
+/// (`RAYON_NUM_THREADS` or the host's `available_parallelism`). Kernels use
+/// it only to size work *buffers* (e.g. how many images share one im2col
+/// scratch), never to change the arithmetic: results must stay
+/// bit-identical across thread counts.
 pub fn num_threads() -> usize {
     rayon::current_num_threads()
 }

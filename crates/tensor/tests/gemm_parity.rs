@@ -7,7 +7,7 @@
 //!   `MC`/`MR`/`NR` tile edges, and `k > KC` so multi-slab accumulation is
 //!   exercised.
 //! * The bit-determinism test asserts the documented contract: results are
-//!   bit-identical across `RAYON_NUM_THREADS` ∈ {1, 2, 4}.
+//!   bit-identical across pool widths {1, 2, 4, 8}.
 //! * The non-finite regression pins the bugfix for the old kernels'
 //!   `aik == 0.0` skip, which silently dropped `0·inf = NaN`.
 
@@ -89,18 +89,17 @@ fn bit_identical_across_thread_counts() {
     let a = rng.randn_tensor(&[g.a_len()], 1.0).into_vec();
     let b = rng.randn_tensor(&[g.b_len()], 1.0).into_vec();
 
-    let run_with = |threads: &str| {
-        std::env::set_var("RAYON_NUM_THREADS", threads);
+    let run_with = |threads: usize| {
         let mut c = vec![0.0f32; g.c_len()];
-        g.run(&a, &b, &mut c);
-        std::env::remove_var("RAYON_NUM_THREADS");
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        pool.install(|| g.run(&a, &b, &mut c));
         c.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
     };
-    let c1 = run_with("1");
-    let c2 = run_with("2");
-    let c4 = run_with("4");
-    assert_eq!(c1, c2, "1-thread vs 2-thread results differ in bits");
-    assert_eq!(c1, c4, "1-thread vs 4-thread results differ in bits");
+    let c1 = run_with(1);
+    // 8: more lanes than stripes, and than cores on the CI runner.
+    for threads in [2, 4, 8] {
+        assert_eq!(c1, run_with(threads), "1-thread vs {threads}-thread results differ in bits");
+    }
 }
 
 /// The pre-packed-core kernels skipped the inner loop when `aik == 0.0`,

@@ -4,33 +4,118 @@
 //! path-depends on this shim instead (see the root `Cargo.toml`
 //! `[workspace.dependencies]`). It implements exactly the parallel-iterator
 //! surface the workspace uses — `par_chunks{,_mut}`, `into_par_iter` on
-//! `Range<usize>`, `map`/`for_each`/`enumerate`/`zip`/`collect`/`reduce` —
-//! with real fork-join parallelism: items go into a shared queue and
-//! `available_parallelism()` scoped threads drain it. Work items here are
+//! `Range<usize>`, `map`/`for_each`/`enumerate`/`zip`/`collect`/`reduce`,
+//! and `ThreadPoolBuilder::num_threads(n).build()?.install(..)` — with real
+//! fork-join parallelism over **one process-wide pool of parked helper
+//! threads** (see [`pool`]): items go into a shared queue, the calling
+//! thread always drains it itself, and at most `width − 1` helpers are woken
+//! to drain it alongside. Nothing is spawned per call. Work items here are
 //! coarse (≥ 2^14-element chunks, whole images, matrix rows), so one mutex
 //! pop per item is noise next to the kernel work.
+//!
+//! The *width* of a call is a property of the calling thread:
+//! [`ThreadPool::install`] pins it for the duration of a closure (a
+//! thread-local over the shared helpers, not a second set of threads);
+//! outside any `install` it is the global width, `RAYON_NUM_THREADS` or the
+//! host's `available_parallelism`, resolved once per process.
 
-use std::sync::Mutex;
+use std::cell::Cell;
+use std::sync::{Mutex, OnceLock};
+
+mod pool;
 
 pub mod prelude {
     pub use crate::{IntoParallelIterator, ParallelSlice, ParallelSliceMut};
 }
 
-/// Pool width: `RAYON_NUM_THREADS` when set to a positive integer (matching
-/// the real rayon's global-pool env knob — the kernel determinism tests vary
-/// it at runtime, so it is re-read on every call rather than cached),
-/// otherwise `available_parallelism()`.
-pub fn current_num_threads() -> usize {
-    std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&t| t > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1))
+thread_local! {
+    /// The width [`ThreadPool::install`] pinned on this thread; 0 outside
+    /// any `install`. Helper threads, and a caller while it works its own
+    /// job, sit at 1, so a `par_*` call made from inside an item runs inline.
+    static WIDTH: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Runs `f` over `items` on a scoped thread pool, returning results in
-/// item order. Falls back to the calling thread for 0/1 items or when the
-/// pool width is one.
+/// Width of a `par_*` call made from this thread: the enclosing
+/// [`ThreadPool::install`]'s, otherwise the global pool's —
+/// `RAYON_NUM_THREADS` when set to a positive integer, else
+/// `available_parallelism()`, read once per process as the real rayon's
+/// global pool does.
+pub fn current_num_threads() -> usize {
+    static GLOBAL: OnceLock<usize> = OnceLock::new();
+    match WIDTH.get() {
+        0 => *GLOBAL.get_or_init(|| {
+            std::env::var("RAYON_NUM_THREADS")
+                .ok()
+                .and_then(|s| s.parse::<usize>().ok())
+                .filter(|&t| t > 0)
+                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+        }),
+        w => w,
+    }
+}
+
+/// Builds a [`ThreadPool`] of a chosen width.
+#[derive(Debug, Default)]
+pub struct ThreadPoolBuilder {
+    num_threads: usize,
+}
+
+/// Why [`ThreadPoolBuilder::build`] failed. The shim's build cannot fail (no
+/// thread is started until a call needs one); the type keeps call sites
+/// spelled as the real crate wants them.
+#[derive(Debug)]
+pub struct ThreadPoolBuildError(());
+
+impl ThreadPoolBuilder {
+    /// A builder at the default width (the global pool's).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Sets the pool width; 0 keeps the default.
+    pub fn num_threads(mut self, num_threads: usize) -> Self {
+        self.num_threads = num_threads;
+        self
+    }
+
+    /// No thread is started here: helpers are shared by every pool of the
+    /// process and start when a call first needs them.
+    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
+        Ok(ThreadPool { width: self.num_threads })
+    }
+}
+
+/// A width that `par_*` calls can be run under — in this shim a number over
+/// the process-wide helpers, not threads of its own.
+#[derive(Debug)]
+pub struct ThreadPool {
+    /// 0: the global width.
+    width: usize,
+}
+
+impl ThreadPool {
+    /// Runs `op` with every `par_*` call it makes from this thread `width`
+    /// lanes wide; the previous width is back when it returns or unwinds.
+    pub fn install<OP, R>(&self, op: OP) -> R
+    where
+        OP: FnOnce() -> R + Send,
+        R: Send,
+    {
+        struct Restore(usize);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                WIDTH.set(self.0);
+            }
+        }
+        let _restore = Restore(WIDTH.replace(self.width));
+        op()
+    }
+}
+
+/// Runs `f` over `items` on the calling thread and up to
+/// `current_num_threads() − 1` pool helpers, returning results in item
+/// order. With 0/1 items or at width one it is a plain sequential map: no
+/// lock, no queue, no other thread.
 fn execute<I, R, F>(items: Vec<I>, f: F) -> Vec<R>
 where
     I: Send,
@@ -38,32 +123,30 @@ where
     F: Fn(I) -> R + Sync,
 {
     let n = items.len();
-    let threads = current_num_threads().min(n).max(1);
-    if threads <= 1 {
+    let lanes = current_num_threads().min(n);
+    if lanes <= 1 {
         return items.into_iter().map(f).collect();
     }
     let queue = Mutex::new(items.into_iter().enumerate());
     let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let next = queue.lock().unwrap().next();
-                    match next {
-                        Some((i, item)) => local.push((i, f(item))),
-                        None => break,
-                    }
-                }
-                collected.lock().unwrap().extend(local);
-            });
+    // Neither lock is held while `f` runs, so a panicking item poisons
+    // neither; the panic reaches this thread through `fork_join`.
+    pool::fork_join(lanes - 1, &|| {
+        let mut local: Vec<(usize, R)> = Vec::new();
+        loop {
+            let next = queue.lock().expect("held only to pop").next();
+            match next {
+                Some((i, item)) => local.push((i, f(item))),
+                None => break,
+            }
         }
+        collected.lock().expect("held only to extend").extend(local);
     });
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for (i, r) in collected.into_inner().unwrap() {
+    for (i, r) in collected.into_inner().expect("held only to extend") {
         slots[i] = Some(r);
     }
-    slots.into_iter().map(|r| r.expect("worker dropped an item")).collect()
+    slots.into_iter().map(|r| r.expect("every item was run")).collect()
 }
 
 /// An eagerly materialized parallel iterator over `items`.
@@ -241,14 +324,96 @@ mod tests {
         assert!(v.is_empty());
     }
 
+    /// Runs `op` with `par_*` calls `n` lanes wide.
+    fn at_width<R: Send>(n: usize, op: impl FnOnce() -> R + Send) -> R {
+        crate::ThreadPoolBuilder::new().num_threads(n).build().unwrap().install(op)
+    }
+
     #[test]
-    fn num_threads_env_override() {
-        // Ignore a stale value other tests may have left; then pin and check.
-        std::env::set_var("RAYON_NUM_THREADS", "3");
-        assert_eq!(crate::current_num_threads(), 3);
-        let sum = (0..100usize).into_par_iter().map(|i| i as u64).reduce(|| 0, |a, b| a + b);
-        assert_eq!(sum, 99 * 100 / 2);
-        std::env::remove_var("RAYON_NUM_THREADS");
-        assert!(crate::current_num_threads() >= 1);
+    fn install_pins_the_width_and_restores_it() {
+        let outside = crate::current_num_threads();
+        at_width(3, || {
+            assert_eq!(crate::current_num_threads(), 3);
+            at_width(5, || assert_eq!(crate::current_num_threads(), 5));
+            assert_eq!(crate::current_num_threads(), 3);
+            // Width 0 is the builder's default: the global width.
+            at_width(0, || assert_eq!(crate::current_num_threads(), outside));
+            let sum = (0..100usize).into_par_iter().map(|i| i as u64).reduce(|| 0, |a, b| a + b);
+            assert_eq!(sum, 99 * 100 / 2);
+        });
+        assert_eq!(crate::current_num_threads(), outside);
+        let unwound = std::panic::catch_unwind(|| at_width(7, || panic!("inside install")));
+        assert!(unwound.is_err());
+        assert_eq!(crate::current_num_threads(), outside);
+    }
+
+    #[test]
+    fn a_panicking_item_reaches_the_caller_and_the_pool_goes_on() {
+        for width in [1, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                at_width(width, || (0..64usize).into_par_iter().for_each(|i| assert_ne!(i, 37)))
+            });
+            let payload = caught.expect_err("item 37 panics");
+            let msg = payload.downcast_ref::<String>().expect("assert_ne! formats a String");
+            assert!(msg.contains("37"), "unexpected panic payload: {msg}");
+            let after: Vec<usize> =
+                at_width(width, || (0..64usize).into_par_iter().map(|i| i + 1).collect());
+            assert_eq!(after, (1..=64).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_call_from_inside_an_item_runs_inline() {
+        const LANES: usize = 4;
+        // One item per lane, each held at the barrier until all four run at
+        // once: the caller and three distinct helpers.
+        let all_lanes = std::sync::Barrier::new(LANES);
+        let outer_threads: Vec<std::thread::ThreadId> = at_width(LANES, || {
+            (0..LANES)
+                .into_par_iter()
+                .map(|_| {
+                    all_lanes.wait();
+                    assert_eq!(crate::current_num_threads(), 1);
+                    let me = std::thread::current().id();
+                    let inner: Vec<std::thread::ThreadId> =
+                        (0..8usize).into_par_iter().map(|_| std::thread::current().id()).collect();
+                    assert!(inner.iter().all(|&t| t == me), "nested items left their lane");
+                    me
+                })
+                .collect()
+        });
+        let distinct: std::collections::HashSet<_> = outer_threads.iter().collect();
+        assert_eq!(distinct.len(), LANES);
+        assert!(outer_threads.contains(&std::thread::current().id()), "the caller works too");
+    }
+
+    #[test]
+    fn concurrent_callers_share_the_helpers() {
+        // The in-proc rank shape: two threads, each two lanes wide, calling
+        // at the same moment, round after round.
+        const ROUNDS: usize = 200;
+        let same_moment = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let callers: Vec<_> = (0..2usize)
+            .map(|caller| {
+                let same_moment = same_moment.clone();
+                std::thread::Builder::new().spawn(move || {
+                    at_width(2, || {
+                        for round in 0..ROUNDS {
+                            same_moment.wait();
+                            let got: Vec<usize> = (0..33usize)
+                                .into_par_iter()
+                                .map(|i| i * 1000 + round * 2 + caller)
+                                .collect();
+                            let want: Vec<usize> =
+                                (0..33).map(|i| i * 1000 + round * 2 + caller).collect();
+                            assert_eq!(got, want);
+                        }
+                    })
+                })
+            })
+            .collect();
+        for caller in callers {
+            caller.expect("the test's own thread starts").join().expect("a caller panicked");
+        }
     }
 }

@@ -112,6 +112,19 @@ fn traced_inproc_run_satisfies_stream_invariants() {
     }
     check_flows(&data);
 
+    // The thread budget — the host's cores over the two thread ranks that
+    // share them, or RAYON_NUM_THREADS when the environment names a width —
+    // is in the report and, once per rank, in the trace.
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let named: Option<usize> = std::env::var("RAYON_NUM_THREADS").ok().and_then(|s| s.parse().ok());
+    let want = named.unwrap_or((cores / 2).max(1));
+    assert_eq!(rep.threads_per_rank, want);
+    for t in data.threads.iter().filter(|t| t.rank.is_some()) {
+        let widths: Vec<Args> =
+            t.events.iter().filter(|e| e.name == "pool/width").map(|e| e.args).collect();
+        assert_eq!(widths, [Args::Value(want as f64)], "rank {:?}", t.rank);
+    }
+
     // The merged document must be valid JSON with ranks as processes.
     let chrome = a2sgd_trace::chrome_trace_json(&data);
     a2sgd_trace::json::validate(&chrome).unwrap();
