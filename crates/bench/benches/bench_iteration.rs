@@ -17,7 +17,10 @@ fn bench_sync_round(c: &mut Criterion) {
         AlgoKind::GaussianK(0.001),
         AlgoKind::Qsgd(4),
         AlgoKind::A2sgd,
+        AlgoKind::A2sgdCarry,
         AlgoKind::KLevel(4),
+        AlgoKind::RandK(0.001),
+        AlgoKind::TernGrad,
         AlgoKind::SignSgd,
     ];
     for algo in algos {

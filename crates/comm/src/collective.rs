@@ -186,8 +186,8 @@ impl CommHandle {
     }
 
     /// Builds a measured-time TCP handle from the rendezvous environment:
-    /// the legacy `A2SGD_RANK` / `A2SGD_WORLD` / `A2SGD_MASTER_ADDR`
-    /// triple, lowered through the typed
+    /// the `A2SGD_RANK` / `A2SGD_WORLD` / `A2SGD_MASTER_ADDR`
+    /// triple, read through the typed
     /// [`Rendezvous`](crate::transport::rendezvous::Rendezvous) so the
     /// optional per-rank bind-host and group lists are honored too.
     pub fn tcp_from_env() -> Result<Self, String> {

@@ -16,10 +16,11 @@
 //!   thread) holding persistent per-peer `TcpStream`s with length-prefixed
 //!   little-endian framing ([`transport::wire`]); rendezvous is
 //!   torchrun-style from a typed [`WorldSpec`] (per-rank bind addresses,
-//!   group assignments, master handoff) that the legacy `A2SGD_RANK` /
-//!   `A2SGD_WORLD` / `A2SGD_MASTER_ADDR` environment lowers into
-//!   ([`Rendezvous::from_env`]), and both traffic and time are *measured*,
-//!   not simulated.
+//!   group assignments, master handoff); a launched rank process reads its
+//!   `WorldSpec` from the `A2SGD_RANK` / `A2SGD_WORLD` /
+//!   `A2SGD_MASTER_ADDR` environment its launcher set
+//!   ([`Rendezvous::from_env`] — the launch path of every multi-process
+//!   run), and both traffic and time are *measured*, not simulated.
 //!
 //! ## Groups and topology
 //!

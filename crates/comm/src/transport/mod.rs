@@ -22,8 +22,8 @@
 //! full peer table is broadcast back before the mesh of per-peer
 //! connections is established. The typed bootstrap is a
 //! [`rendezvous::WorldSpec`] — per-rank bind hosts (so groups can span
-//! machines) plus group assignments — which the legacy
-//! `A2SGD_RANK`/`A2SGD_WORLD`/`A2SGD_MASTER_ADDR` environment lowers into
+//! machines) plus group assignments — which a launched rank process reads
+//! from its `A2SGD_RANK`/`A2SGD_WORLD`/`A2SGD_MASTER_ADDR` environment
 //! (see [`rendezvous::Rendezvous::from_env`]).
 //!
 //! [`group::GroupTransport`] is the third, derived data plane: the

@@ -4,12 +4,14 @@
 //!
 //! A [`WorldSpec`] names the master address, one [`RankSpec`] per rank
 //! (data-plane bind host + topology group), and is what the launchers and
-//! [`crate::CommHandle::tcp_from_spec`] consume. The legacy
-//! `A2SGD_RANK` / `A2SGD_WORLD` / `A2SGD_MASTER_ADDR` environment — plus
-//! the optional `A2SGD_BIND_HOSTS` / `A2SGD_GROUPS` comma lists — lowers
-//! into a `WorldSpec` via [`Rendezvous::from_env`], so every existing
-//! env-var launched child keeps working while new callers pass the spec
-//! directly.
+//! [`crate::CommHandle::tcp_from_spec`] consume. Across a process
+//! boundary the spec travels as environment: [`WorldSpec::env_for`] lowers
+//! it to `A2SGD_RANK` / `A2SGD_WORLD` / `A2SGD_MASTER_ADDR` — plus the
+//! optional `A2SGD_BIND_HOSTS` / `A2SGD_GROUPS` comma lists — and the rank
+//! process reads it back with [`Rendezvous::from_env`]. That is the launch
+//! path of every multi-process run (`a2sgd::train` on the TCP backend joins
+//! its world this way), whether a launcher here or a person set the
+//! variables.
 //!
 //! Per-rank bind hosts are what make the rendezvous multi-host capable:
 //! the old behavior (every rank binds its data listener on the master's
@@ -163,7 +165,7 @@ pub struct Rendezvous {
 }
 
 impl Rendezvous {
-    /// Lowers the legacy rendezvous environment into the typed spec:
+    /// Reads this rank's place in the world from the process environment:
     /// `A2SGD_RANK`/`A2SGD_WORLD`/`A2SGD_MASTER_ADDR` (required), plus
     /// `A2SGD_BIND_HOSTS` (comma list, empty entry = master's host) and
     /// `A2SGD_GROUPS` (comma list of group ids) when present. Errors name

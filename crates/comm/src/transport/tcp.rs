@@ -4,8 +4,9 @@
 //!
 //! A typed [`WorldSpec`](crate::transport::rendezvous::WorldSpec) names the
 //! master address and each rank's bind host (the torchrun-style `A2SGD_*`
-//! env vars are the compat lowering of that spec). Rank 0 listens on the
-//! master address. Every rank binds an ephemeral data-plane listener on
+//! env vars are how a launcher hands that spec to a rank process). Rank 0
+//! listens on the master address. Every rank binds an ephemeral data-plane
+//! listener on
 //! its own bind host — so groups can span machines — registers `rank addr`
 //! with the master over a short-lived control connection, and receives the
 //! full `world`-entry address table back once everyone has checked in. The mesh

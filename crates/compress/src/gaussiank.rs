@@ -5,33 +5,22 @@
 //! threshold `t` with `P(|g| > t) = k/n` under a fitted N(µ, σ²) and keep
 //! everything above it — a constant number of O(n) passes, no sort.
 
-use crate::ef::ErrorFeedback;
+use crate::sparse::{Select, Sparsifier};
 use crate::special::erfinv;
-use crate::{sparse, GradientSynchronizer, SyncStats};
-use cluster_comm::{CommHandle, TransportError};
-use std::ops::Range;
-use std::time::Instant;
 
 /// Gaussian-threshold selection with error feedback and an allgather
 /// exchange (the implementation detail the paper credits for Gaussian-K's
 /// speed advantage over Allreduce in §4.4).
-pub struct GaussianK {
-    k: usize,
-    ef: ErrorFeedback,
-    acc: Vec<f32>,
-    kept: Vec<f32>,
-}
+pub type GaussianK = Sparsifier<Threshold>;
+
+/// The Gaussian-K selection rule: everything above a fitted magnitude
+/// threshold, capped at 2k records.
+pub struct Threshold;
 
 impl GaussianK {
     /// Creates Gaussian-K with target density `ratio = k/n`.
     pub fn new(n: usize, ratio: f32) -> Self {
-        let k = ((n as f64 * ratio as f64).round() as usize).clamp(1, n);
-        GaussianK { k, ef: ErrorFeedback::new(n), acc: vec![0.0; n], kept: vec![0.0; n] }
-    }
-
-    /// Target selection count.
-    pub fn k(&self) -> usize {
-        self.k
+        Sparsifier::with_rule(n, ratio, Threshold)
     }
 
     /// Estimates the |g| threshold with P(|X| > t) = k/n for X ~ N(µ, σ²)
@@ -66,68 +55,38 @@ impl GaussianK {
     }
 }
 
-impl GradientSynchronizer for GaussianK {
-    fn name(&self) -> &'static str {
-        "GaussianK"
-    }
+impl Select for Threshold {
+    const NAME: &'static str = "GaussianK";
+    const COMPLEXITY: &'static str = "O(n)";
 
-    fn try_sync_bucketed(
-        &mut self,
-        grad: &mut [f32],
-        bounds: &[Range<usize>],
-        comm: &mut CommHandle,
-    ) -> Result<SyncStats, TransportError> {
-        let t0 = Instant::now();
-        self.acc.copy_from_slice(grad);
-        self.ef.apply(&mut self.acc);
-
+    fn select(&mut self, acc: &[f32], k: usize) -> Vec<u32> {
         // The threshold is fitted to the whole accumulated gradient —
         // bucket-independent by construction.
-        let t = Self::estimate_threshold(&self.acc, self.k);
-        let mut idx = Vec::with_capacity(2 * self.k);
-        let mut val = Vec::with_capacity(2 * self.k);
-        for (i, &v) in self.acc.iter().enumerate() {
+        let t = GaussianK::estimate_threshold(acc, k);
+        let mut idx = Vec::with_capacity(2 * k);
+        for (i, &v) in acc.iter().enumerate() {
             if v.abs() > t {
                 idx.push(i as u32);
-                val.push(v);
             }
         }
         // Threshold selection is approximate; cap at 2k by magnitude to
         // bound the payload (cheap partial selection over the candidates).
-        if idx.len() > 2 * self.k {
+        if idx.len() > 2 * k {
+            let mag = |o: usize| acc[idx[o] as usize].abs();
             let mut order: Vec<usize> = (0..idx.len()).collect();
-            order.sort_unstable_by(|&a, &b| val[b].abs().total_cmp(&val[a].abs()));
-            order.truncate(2 * self.k);
+            order.sort_unstable_by(|&a, &b| mag(b).total_cmp(&mag(a)));
+            order.truncate(2 * k);
             order.sort_unstable();
             idx = order.iter().map(|&o| idx[o]).collect();
-            val = order.iter().map(|&o| val[o]).collect();
         }
-
-        self.kept.fill(0.0);
-        sparse::scatter_into(&mut self.kept, &idx, &val, 1.0);
-        self.ef.absorb(&self.acc, &self.kept);
-        let compress_seconds = t0.elapsed().as_secs_f64();
-        comm.advance_compute(compress_seconds);
-
-        let (wire_bits, exchange_seconds) =
-            sparse::exchange_selected(grad, bounds, comm, &idx, &val)?;
-        Ok(SyncStats { compress_seconds, exchange_seconds, wire_bits, ..SyncStats::default() })
-    }
-
-    fn wire_bits_formula(&self, _n: usize) -> u64 {
-        // Target encoding size: the threshold pass selects ≈ k records
-        // (per-iteration `SyncStats::wire_bits` reports the exact count).
-        sparse::PAIR_BITS * self.k as u64
-    }
-
-    fn complexity(&self) -> &'static str {
-        "O(n)"
+        idx
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GradientSynchronizer;
     use cluster_comm::{run_cluster, NetworkProfile};
     use mini_tensor::rng::SeedRng;
 
@@ -166,11 +125,8 @@ mod tests {
             let orig = g.clone();
             let mut g2 = g;
             gk.synchronize(&mut g2, h);
-            // kept + residual == original
-            for (i, o) in orig.iter().enumerate() {
-                let rebuilt = gk.kept[i] + gk.ef.residual()[i];
-                assert!((rebuilt - o).abs() < 1e-5);
-            }
+            // transmitted + residual == original
+            assert_eq!(crate::sparse::tests::transmitted_plus_residual(&gk), orig);
             g2
         });
         // All ranks agree on the averaged sparse gradient.

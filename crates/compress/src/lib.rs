@@ -7,21 +7,29 @@
 //! `a2sgd` core crate and implements the same [`GradientSynchronizer`]
 //! trait.
 //!
-//! Every synchronizer owns its worker-local state (error-feedback memory,
-//! RNG streams) and synchronizes through a **bucketed
-//! encode → async-exchange → decode** pipeline
-//! ([`GradientSynchronizer::try_sync_bucketed`]): worker-local statistics
-//! (selection sets, norms, scales, means) are computed over the *whole*
-//! gradient exactly as in the one-shot formulation, then the encoded
-//! contribution is cut at the caller's bucket boundaries into typed wire
-//! payloads ([`cluster_comm::Payload`] — Elias-coded QSGD levels,
-//! `(u32 idx, f32 val)` sparse records, sign/ternary bit-packs, or plain
-//! f32 lanes for the dense reducible path) and shipped through
-//! *nonblocking* collectives
-//! ([`cluster_comm::CommHandle::start_allgather_bytes`] /
-//! [`start_allreduce`](cluster_comm::CommHandle::start_allreduce)): bucket
-//! *i*'s frames are in flight while bucket *i+1* encodes and completed
-//! buckets decode. Because bucket boundaries are a pure function of the
+//! The six compression baselines are **codecs under one driver**:
+//!
+//! * A [`Codec`] owns its worker-local state (error-feedback memory, RNG
+//!   streams) and says three things. [`prepare`](Codec::prepare) is the
+//!   whole-gradient pass: selection sets, norms and scales are computed
+//!   over the *whole* gradient exactly as in the one-shot formulation.
+//!   [`encode`](Codec::encode) produces one bucket's typed wire payload
+//!   ([`cluster_comm::Payload`] — Elias-coded QSGD levels,
+//!   `(u32 idx, f32 val)` sparse records, sign/ternary bit-packs) and
+//!   [`accumulate`](Codec::accumulate) folds one rank's frame back into the
+//!   bucket. Top-K, Gaussian-K and Rand-K are one [`sparse::Sparsifier`]
+//!   under three selection rules.
+//! * The driver ([`session`]) is [`GradientSynchronizer::try_sync_bucketed`]
+//!   for every codec: a **bucketed encode → async-exchange → decode**
+//!   pipeline over *nonblocking* collectives
+//!   ([`cluster_comm::CommHandle::start_allgather_bytes`]) — bucket *i*'s
+//!   frames are in flight while bucket *i+1* encodes and completed buckets
+//!   decode — and the one place the family's `compress_seconds`,
+//!   `exchange_seconds` and `wire_bits` are taken.
+//!
+//! Dense has nothing to encode: it streams plain f32 lanes through
+//! [`start_allreduce`](cluster_comm::CommHandle::start_allreduce) and is its
+//! own synchronizer. Because bucket boundaries are a pure function of the
 //! parameter layout and all cross-bucket statistics are global, the result
 //! is **bit-identical to the single-shot call** (`synchronize`, which is
 //! just the whole-model-as-one-bucket adapter) for every bucket cap, on
@@ -53,14 +61,16 @@
 //! header, nothing more. Bucketing can add a few bytes of honest overhead
 //! (each sub-byte-packed bucket pads to a whole byte and re-ships its
 //! 32-bit scale); the gradient math is unaffected. [`SyncStats`] also
-//! splits the step's cost into `compress_seconds` (encode/decode compute)
-//! and `exchange_seconds` (wall time inside collective calls), so
+//! splits the step's cost into `compress_seconds` — for a codec, prepare +
+//! every bucket's encode + every bucket's zero-and-accumulate, measured by
+//! the driver around each call and charged to the rank's clock where it
+//! runs — and `exchange_seconds` (wall time inside collective calls), so
 //! compression and communication cost are separable in the figure/table
 //! outputs.
 //!
 //! **Peer loss is a value.** The contract is fallible end to end:
-//! [`GradientSynchronizer::try_sync_bucketed`], `try_finish_bucket`,
-//! [`SyncSession::try_finish`] and [`session::pipeline_allgather`] return
+//! [`GradientSynchronizer::try_sync_bucketed`], `try_finish_bucket` and
+//! [`SyncSession::try_finish`] return
 //! the comm layer's [`TransportError`] untouched when a peer dies
 //! mid-exchange; what the caller's recovery policy must then rebuild is
 //! stated on `try_sync_bucketed`. `sync_bucketed` / `synchronize` /
@@ -92,7 +102,7 @@ pub use signsgd::SignSgdEf;
 pub use terngrad::TernGrad;
 pub use topk::TopK;
 
-use cluster_comm::{CollectiveHandle, CommHandle, TrafficStats, TransportError};
+use cluster_comm::{CollectiveHandle, CommHandle, Payload, TrafficStats, TransportError};
 use std::ops::Range;
 
 /// Per-iteration synchronization accounting.
@@ -278,40 +288,62 @@ impl dyn GradientSynchronizer + '_ {
     }
 }
 
-/// Baseline algorithm registry (A2SGD and its variants are added by the
-/// `a2sgd` crate's registry, which wraps this one).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BaselineKind {
-    /// Uncompressed allreduce.
-    Dense,
-    /// Top-K sparsification with error feedback; field is the density
-    /// ratio k/n.
-    TopK(f32),
-    /// Gaussian-threshold sparsification; field is the density ratio.
-    GaussianK(f32),
-    /// QSGD stochastic quantization; field is the number of levels.
-    Qsgd(u8),
-    /// Random-K sparsification; field is the density ratio.
-    RandK(f32),
-    /// Ternary gradients.
-    TernGrad,
-    /// Error-feedback SignSGD.
-    SignSgd,
+/// A gather-style compressor: what one of the compression baselines has to
+/// say about itself for the shared driver ([`session`]) to synchronize with
+/// it. Every `Codec` is a [`GradientSynchronizer`] through that driver;
+/// a codec itself never touches a clock, a communicator or a [`SyncStats`].
+///
+/// Per step the driver calls [`prepare`](Self::prepare) once, then for each
+/// bucket of the caller's partition [`encode`](Self::encode) → nonblocking
+/// allgather → [`accumulate`](Self::accumulate) once per rank's frame into
+/// the zeroed bucket at weight `1/P`, rank 0 first. The synchronized
+/// gradient must not depend on the partition, so everything that looks
+/// across buckets (error feedback, norms, scales, thresholds, the selection,
+/// the stochastic-rounding stream) belongs in `prepare`.
+pub trait Codec: Send {
+    /// Display name (matches the paper's figure legends).
+    fn name(&self) -> &'static str;
+
+    /// See [`GradientSynchronizer::wire_bits_formula`].
+    fn wire_bits_formula(&self, n: usize) -> u64;
+
+    /// See [`GradientSynchronizer::complexity`].
+    fn complexity(&self) -> &'static str;
+
+    /// The whole-gradient pass: compress `grad` as one vector, leaving what
+    /// [`encode`](Self::encode) reads either in `grad` (each bucket is
+    /// overwritten only after its own encode) or in `self`.
+    fn prepare(&mut self, grad: &mut [f32]);
+
+    /// This rank's wire frame for the bucket `range`; `bucket` is
+    /// `grad[range]` as `prepare` left it.
+    fn encode(&self, range: &Range<usize>, bucket: &[f32]) -> Payload;
+
+    /// Folds one rank's `frame` for the bucket `range` into `bucket`
+    /// (`grad[range]`): `bucket[i] += decoded[i] · weight`. The format's
+    /// one parser.
+    fn accumulate(&self, range: &Range<usize>, frame: &Payload, bucket: &mut [f32], weight: f32);
 }
 
-impl BaselineKind {
-    /// Instantiates the synchronizer for a model of `n` parameters;
-    /// `seed` feeds the stochastic algorithms, `rank` decorrelates
-    /// worker-local streams.
-    pub fn build(&self, n: usize, seed: u64, rank: usize) -> Box<dyn GradientSynchronizer> {
-        match *self {
-            BaselineKind::Dense => Box::new(DenseSgd::new()),
-            BaselineKind::TopK(r) => Box::new(TopK::new(n, r)),
-            BaselineKind::GaussianK(r) => Box::new(GaussianK::new(n, r)),
-            BaselineKind::Qsgd(s) => Box::new(Qsgd::new(s, QsgdImpl::Fast, seed ^ rank as u64)),
-            BaselineKind::RandK(r) => Box::new(RandK::new(n, r, seed ^ rank as u64)),
-            BaselineKind::TernGrad => Box::new(TernGrad::new(seed ^ rank as u64)),
-            BaselineKind::SignSgd => Box::new(SignSgdEf::new(n)),
-        }
+impl<C: Codec> GradientSynchronizer for C {
+    fn name(&self) -> &'static str {
+        Codec::name(self)
+    }
+
+    fn try_sync_bucketed(
+        &mut self,
+        grad: &mut [f32],
+        bounds: &[Range<usize>],
+        comm: &mut CommHandle,
+    ) -> Result<SyncStats, TransportError> {
+        session::sync_gathered(self, grad, bounds, comm)
+    }
+
+    fn wire_bits_formula(&self, n: usize) -> u64 {
+        Codec::wire_bits_formula(self, n)
+    }
+
+    fn complexity(&self) -> &'static str {
+        Codec::complexity(self)
     }
 }

@@ -12,11 +12,10 @@
 //!   computation-time comparison is reproducible.
 
 use crate::elias::{gamma_decode, gamma_encode, gamma_len, BitReader, BitWriter};
-use crate::{GradientSynchronizer, SyncStats};
-use cluster_comm::{CommHandle, Payload, TransportError};
+use crate::Codec;
+use cluster_comm::Payload;
 use mini_tensor::rng::SeedRng;
 use std::ops::Range;
-use std::time::Instant;
 
 /// Implementation flavour (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,15 +28,14 @@ pub enum QsgdImpl {
 
 /// One worker's quantized gradient: norm scale + per-coordinate signed
 /// levels, plus the exact entropy-coded size.
+#[derive(Default)]
 pub struct QuantizedGrad {
     /// ‖g‖₂ scale.
     pub norm: f32,
     /// Signed levels in `[-s, s]`.
     pub levels: Vec<i8>,
-    /// Elias-coded size in bits: exact (32 for the norm + per-coordinate
-    /// sign + gamma(level+1)) when produced by [`Qsgd::quantize`];
-    /// byte-padded (a multiple of 8, the frame as it crossed the wire)
-    /// when produced by [`Qsgd::decode_payload`].
+    /// Elias-coded size in bits, exact: 32 for the norm + per-coordinate
+    /// sign + gamma(level+1). The wire frame pads it to whole bytes.
     pub encoded_bits: u64,
 }
 
@@ -46,13 +44,15 @@ pub struct Qsgd {
     s: u8,
     imp: QsgdImpl,
     rng: SeedRng,
+    /// This step's quantized gradient — what `encode` cuts per bucket.
+    q: QuantizedGrad,
 }
 
 impl Qsgd {
     /// Creates QSGD with `s` quantization levels.
     pub fn new(s: u8, imp: QsgdImpl, seed: u64) -> Self {
         assert!(s >= 1);
-        Qsgd { s, imp, rng: SeedRng::new(seed) }
+        Qsgd { s, imp, rng: SeedRng::new(seed), q: QuantizedGrad::default() }
     }
 
     /// Number of levels.
@@ -125,19 +125,13 @@ impl Qsgd {
         }
     }
 
-    /// Encodes a quantized gradient into its wire frame: 4 bytes of norm
-    /// followed by the Elias stream (sign bit + gamma(|level|+1) per
+    /// Encodes a slice of the level stream into its wire frame: 4 bytes of
+    /// norm followed by the Elias stream (sign bit + gamma(|level|+1) per
     /// coordinate, final byte zero-padded). This is the *actual* byte
-    /// stream the transport moves — `ceil(encoded_bits / 8)` bytes.
-    pub fn encode_payload(q: &QuantizedGrad) -> Payload {
-        Self::encode_levels_payload(q.norm, &q.levels)
-    }
-
-    /// Encodes one slice of the level stream as its own scale-prefixed
-    /// frame — the per-bucket cut of the wire format (the norm rides with
-    /// every bucket so each frame stays self-describing; the whole-model
-    /// frame is the single-bucket case).
-    pub fn encode_levels_payload(norm: f32, levels: &[i8]) -> Payload {
+    /// stream the transport moves — for the whole model,
+    /// `ceil(encoded_bits / 8)` bytes; a bucket's frame is the same cut of
+    /// the levels under the same norm, so each frame stays self-describing.
+    pub fn encode_payload(norm: f32, levels: &[i8]) -> Payload {
         let mut w = BitWriter::new();
         for &l in levels {
             w.push_bit(l < 0);
@@ -145,57 +139,11 @@ impl Qsgd {
         }
         crate::elias::scaled_stream_payload(norm, &w)
     }
-
-    /// Decodes a peer's wire frame back into levels (`n` = model size,
-    /// known identically on every SPMD rank).
-    pub fn decode_payload(payload: &Payload, n: usize) -> QuantizedGrad {
-        let (norm, stream) = crate::elias::split_scaled_stream(payload);
-        let levels = decode_levels(stream, 8 * stream.len(), n);
-        QuantizedGrad { norm, levels, encoded_bits: payload.bits() }
-    }
 }
 
-impl GradientSynchronizer for Qsgd {
+impl Codec for Qsgd {
     fn name(&self) -> &'static str {
         "QSGD"
-    }
-
-    fn try_sync_bucketed(
-        &mut self,
-        grad: &mut [f32],
-        bounds: &[Range<usize>],
-        comm: &mut CommHandle,
-    ) -> Result<SyncStats, TransportError> {
-        let t0 = Instant::now();
-        // Quantize the whole gradient once: the ℓ₂ norm and the stochastic
-        // rounding stream are global, so levels never depend on the bucket
-        // partition — only the frame cuts do.
-        let q = self.quantize(grad);
-        let compress_seconds = t0.elapsed().as_secs_f64();
-        comm.advance_compute(compress_seconds);
-
-        // Per-bucket Elias streams in flight while later buckets encode;
-        // decode dequantizes each bucket with the shared global norm.
-        let s = self.s;
-        let mut scratch = vec![0.0f32; bounds.iter().map(|r| r.len()).max().unwrap_or(0)];
-        let (wire_bits, exchange_seconds) = crate::session::pipeline_allgather(
-            comm,
-            bounds,
-            |r| Self::encode_levels_payload(q.norm, &q.levels[r.clone()]),
-            |r, frames| {
-                let out = &mut grad[r.clone()];
-                out.fill(0.0);
-                let inv = 1.0 / frames.len() as f32;
-                for frame in &frames {
-                    let qg = Self::decode_payload(frame, out.len());
-                    Self::dequantize(&qg, s, &mut scratch[..out.len()]);
-                    for (g, v) in out.iter_mut().zip(&scratch) {
-                        *g += v * inv;
-                    }
-                }
-            },
-        )?;
-        Ok(SyncStats { compress_seconds, exchange_seconds, wire_bits, ..SyncStats::default() })
     }
 
     fn wire_bits_formula(&self, n: usize) -> u64 {
@@ -206,25 +154,38 @@ impl GradientSynchronizer for Qsgd {
     fn complexity(&self) -> &'static str {
         "O(n²)"
     }
-}
 
-/// Round-trip decoder used by tests to confirm the Elias stream is real.
-pub fn decode_levels(bytes: &[u8], bit_len: usize, n: usize) -> Vec<i8> {
-    let mut r = BitReader::new(bytes, bit_len);
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let neg = r.read_bit().expect("sign bit");
-        let mag = gamma_decode(&mut r).expect("gamma level") - 1;
-        out.push(if neg { -(mag as i8) } else { mag as i8 });
+    /// Quantizes the whole gradient once: the ℓ₂ norm and the stochastic
+    /// rounding stream are global, so levels never depend on the bucket
+    /// partition — only the frame cuts do.
+    fn prepare(&mut self, grad: &mut [f32]) {
+        self.q = self.quantize(grad);
     }
-    out
+
+    fn encode(&self, range: &Range<usize>, _bucket: &[f32]) -> Payload {
+        Self::encode_payload(self.q.norm, &self.q.levels[range.clone()])
+    }
+
+    /// Elias-decodes one level per coordinate and adds its dequantized
+    /// value — the arithmetic of [`Qsgd::dequantize`] — at `weight`.
+    fn accumulate(&self, _range: &Range<usize>, frame: &Payload, bucket: &mut [f32], weight: f32) {
+        let (norm, stream) = crate::elias::split_scaled_stream(frame);
+        let scale = norm / self.s as f32;
+        let mut r = BitReader::new(stream, 8 * stream.len());
+        for g in bucket.iter_mut() {
+            let neg = r.read_bit().expect("sign bit");
+            let mag = gamma_decode(&mut r).expect("gamma level") - 1;
+            let level = if neg { -(mag as i8) } else { mag as i8 };
+            *g += level as f32 * scale * weight;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GradientSynchronizer;
     use cluster_comm::{run_cluster, NetworkProfile};
-    use mini_tensor::rng::SeedRng;
 
     #[test]
     fn quantization_is_unbiased() {
@@ -262,29 +223,17 @@ mod tests {
         let mut q = Qsgd::new(4, QsgdImpl::Fast, 3);
         let g = vec![0.5f32, -0.5, 0.0, 1.0, -1.0, 0.25];
         let qg = q.quantize(&g);
-        // Re-encode and decode through the actual bit stream.
+        // The closed form against the actual bit stream, and the frame
+        // against both: 4 norm bytes + the stream padded to whole bytes.
         let mut w = BitWriter::new();
         for &l in &qg.levels {
             w.push_bit(l < 0);
             gamma_encode(&mut w, l.unsigned_abs() as u64 + 1);
         }
         assert_eq!(qg.encoded_bits, 32 + w.bit_len() as u64);
-        let back = decode_levels(w.as_bytes(), w.bit_len(), g.len());
-        assert_eq!(back, qg.levels);
-    }
-
-    #[test]
-    fn wire_payload_roundtrips_and_is_byte_exact() {
-        let mut q = Qsgd::new(4, QsgdImpl::Fast, 21);
-        let mut rng = SeedRng::new(22);
-        let g: Vec<f32> = (0..333).map(|_| rng.randn() * 0.3).collect();
-        let qg = q.quantize(&g);
-        let payload = Qsgd::encode_payload(&qg);
-        // The frame is exactly the encoded stream, padded to whole bytes.
-        assert_eq!(payload.byte_len() as u64, qg.encoded_bits.div_ceil(8));
-        let back = Qsgd::decode_payload(&payload, g.len());
-        assert_eq!(back.levels, qg.levels);
-        assert_eq!(back.norm.to_bits(), qg.norm.to_bits());
+        let frame = Qsgd::encode_payload(qg.norm, &qg.levels);
+        assert_eq!(frame.as_bytes()[4..], *w.as_bytes());
+        assert_eq!(frame.byte_len() as u64, qg.encoded_bits.div_ceil(8));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Bucketed synchronization sessions and the shared pipeline driver.
+//! Bucketed synchronization sessions and the gather driver.
 //!
 //! [`SyncSession`] is the streaming per-step API over
 //! [`GradientSynchronizer`], shaped for per-layer gradient-ready hooks:
@@ -16,12 +16,19 @@
 //! gradient, once the whole of it exists. Either way the result is
 //! bit-identical to the single-shot call. [`bucket_bounds`] turns a
 //! parameter layout into the deterministic, layer-boundary-aligned bucket
-//! partition, and [`pipeline_allgather`] is the
-//! encode → nonblocking-exchange → decode loop every gather-style
-//! synchronizer shares.
+//! partition.
+//!
+//! The gather driver (`sync_gathered`) is the other half of the
+//! codec + driver split: a [`Codec`] describes a compressor (`prepare`,
+//! `encode`, `accumulate`), the driver is `try_sync_bucketed` for all of
+//! them — the prepare → per-bucket encode → nonblocking allgather →
+//! zero-and-accumulate loop, its `bucket/encode` / `bucket/decode` spans,
+//! and the family's only timers: `compress_seconds` is measured here,
+//! around each `prepare`, `encode` and bucket rebuild, and charged to the
+//! rank clock on the spot; `exchange_seconds` around each collective call.
 
-use crate::{GradientSynchronizer, SyncStats};
-use cluster_comm::{CollectiveHandle, CommHandle, Payload, TransportError};
+use crate::{Codec, GradientSynchronizer, SyncStats};
+use cluster_comm::{CollectiveHandle, CommHandle, TransportError};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::time::Instant;
@@ -257,92 +264,116 @@ impl<'s> SyncSession<'s> {
     }
 }
 
-/// The shared bucketed exchange loop for gather-style synchronizers:
-/// `encode(bounds[i])` produces bucket *i*'s wire frame, which is launched
-/// as a nonblocking allgather immediately — so it is in flight while
-/// bucket *i+1* encodes — and `decode(bounds[i], frames)` folds the
-/// world's frames for bucket *i* back in. On measured backends completed
-/// buckets decode opportunistically while later ones are still launching;
-/// on modeled backends completion order is pinned to bucket order (the
-/// shared simulated clock has no overlap to expose). Decode is always
-/// called in ascending bucket order — determinism does not depend on
-/// arrival timing.
+/// The gather driver: [`GradientSynchronizer::try_sync_bucketed`] for every
+/// [`Codec`].
 ///
-/// Returns `(wire_bits, exchange_seconds)`: the logical-bit delta of this
-/// rank's own frames and the measured wall time spent inside collective
-/// calls. Peer loss mid-pipeline is returned as the typed transport
-/// error; buckets still in flight are abandoned with the communicator.
-pub fn pipeline_allgather(
-    comm: &mut CommHandle,
+/// `prepare` runs over the whole gradient, then each bucket is encoded and
+/// launched as a nonblocking allgather immediately — so it is in flight
+/// while the next bucket encodes — and a completed bucket is rebuilt in
+/// place as the world average of its frames (zeroed, then every rank's
+/// frame accumulated at weight `1/P`, rank 0 first). A bucket is written
+/// only after its own encode and encode reads nothing outside its bucket,
+/// so no snapshot of the gradient is needed under any partition. On
+/// measured backends completed buckets decode opportunistically while later
+/// ones are still launching; on modeled backends completion order is pinned
+/// to bucket order (the shared simulated clock has no overlap to expose).
+/// Buckets always decode in ascending order — determinism does not depend
+/// on arrival timing.
+///
+/// This is the one place the family is timed: `compress_seconds` is
+/// prepare + Σ encode + Σ (zero + accumulate), each also charged to the
+/// rank's clock where it runs — encode before its launch, accumulate after
+/// its wait; `exchange_seconds` is the wall time inside collective calls;
+/// `wire_bits` is the logical-bit delta of this rank's own frames. Peer
+/// loss mid-pipeline is returned as the typed transport error; buckets
+/// still in flight are abandoned with the communicator.
+pub(crate) fn sync_gathered(
+    codec: &mut dyn Codec,
+    grad: &mut [f32],
     bounds: &[Range<usize>],
-    mut encode: impl FnMut(&Range<usize>) -> Payload,
-    mut decode: impl FnMut(&Range<usize>, Vec<Payload>),
-) -> Result<(u64, f64), TransportError> {
+    comm: &mut CommHandle,
+) -> Result<SyncStats, TransportError> {
     let bits_before = comm.stats().logical_wire_bits;
+    let mut compress_seconds = 0.0f64;
     let mut exchange_seconds = 0.0f64;
     let opportunistic = comm.cost_model().is_none();
     let mut pending: VecDeque<(usize, CollectiveHandle)> = VecDeque::new();
 
-    let wait_front = |pending: &mut VecDeque<(usize, CollectiveHandle)>,
-                      comm: &mut CommHandle,
-                      exchange_seconds: &mut f64,
-                      decode: &mut dyn FnMut(&Range<usize>, Vec<Payload>)| {
-        let (i, handle) = pending.pop_front().expect("pipeline drained an empty queue");
+    /// Runs one piece of codec compute, billing its wall time to
+    /// `compress_seconds` and to the rank's clock.
+    fn timed<R>(comm: &mut CommHandle, compress_seconds: &mut f64, work: impl FnOnce() -> R) -> R {
         let t = Instant::now();
-        let frames = handle.wait(comm)?.expect_gathered();
-        *exchange_seconds += t.elapsed().as_secs_f64();
-        let ts = a2sgd_trace::now_ns();
-        let frame_bytes: u64 = if a2sgd_trace::enabled() {
-            frames.iter().map(|p| p.byte_len() as u64).sum()
-        } else {
-            0
-        };
-        decode(&bounds[i], frames);
-        if a2sgd_trace::enabled() {
-            a2sgd_trace::closed_span(
-                "bucket/decode",
-                ts,
-                a2sgd_trace::Args::Bucket { bucket: i, bytes: frame_bytes },
-            );
-        }
-        Ok::<(), TransportError>(())
-    };
+        let out = work();
+        let seconds = t.elapsed().as_secs_f64();
+        *compress_seconds += seconds;
+        comm.advance_compute(seconds);
+        out
+    }
 
-    for (i, r) in bounds.iter().enumerate() {
-        let ts = a2sgd_trace::now_ns();
-        let payload = encode(r);
-        if a2sgd_trace::enabled() {
-            a2sgd_trace::closed_span(
-                "bucket/encode",
-                ts,
-                a2sgd_trace::Args::Bucket { bucket: i, bytes: payload.byte_len() as u64 },
-            );
+    timed(comm, &mut compress_seconds, || codec.prepare(grad));
+    let mut launched = 0;
+    while launched < bounds.len() || !pending.is_empty() {
+        if let Some(r) = bounds.get(launched) {
+            let ts = a2sgd_trace::now_ns();
+            let payload = timed(comm, &mut compress_seconds, || codec.encode(r, &grad[r.clone()]));
+            if a2sgd_trace::enabled() {
+                let bytes = payload.byte_len() as u64;
+                a2sgd_trace::closed_span(
+                    "bucket/encode",
+                    ts,
+                    a2sgd_trace::Args::Bucket { bucket: launched, bytes },
+                );
+            }
+            let t = Instant::now();
+            pending.push_back((launched, comm.start_allgather_bytes(payload)));
+            exchange_seconds += t.elapsed().as_secs_f64();
+            launched += 1;
         }
-        let t = Instant::now();
-        let handle = comm.start_allgather_bytes(payload);
-        exchange_seconds += t.elapsed().as_secs_f64();
-        pending.push_back((i, handle));
-        if opportunistic {
-            // Drain whatever already finished, front first, without
-            // blocking the launch loop.
-            loop {
+        // Rebuild buckets front first: while more are still to launch only
+        // those that already finished (never blocking the launch loop),
+        // then whatever is left.
+        while let Some((_, handle)) = pending.front_mut() {
+            if launched < bounds.len() {
+                if !opportunistic {
+                    break;
+                }
                 let t = Instant::now();
-                let done = match pending.front_mut() {
-                    Some((_, h)) => h.try_complete(comm)?,
-                    None => false,
-                };
+                let done = handle.try_complete(comm)?;
                 exchange_seconds += t.elapsed().as_secs_f64();
                 if !done {
                     break;
                 }
-                wait_front(&mut pending, comm, &mut exchange_seconds, &mut decode)?;
+            }
+            let (i, handle) = pending.pop_front().expect("front was just inspected");
+            let t = Instant::now();
+            let frames = handle.wait(comm)?.expect_gathered();
+            exchange_seconds += t.elapsed().as_secs_f64();
+            let ts = a2sgd_trace::now_ns();
+            let r = &bounds[i];
+            timed(comm, &mut compress_seconds, || {
+                let bucket = &mut grad[r.clone()];
+                bucket.fill(0.0);
+                let inv = 1.0 / frames.len() as f32;
+                for frame in &frames {
+                    codec.accumulate(r, frame, bucket, inv);
+                }
+            });
+            if a2sgd_trace::enabled() {
+                let bytes = frames.iter().map(|p| p.byte_len() as u64).sum();
+                a2sgd_trace::closed_span(
+                    "bucket/decode",
+                    ts,
+                    a2sgd_trace::Args::Bucket { bucket: i, bytes },
+                );
             }
         }
     }
-    while !pending.is_empty() {
-        wait_front(&mut pending, comm, &mut exchange_seconds, &mut decode)?;
-    }
-    Ok((comm.stats().logical_wire_bits - bits_before, exchange_seconds))
+    Ok(SyncStats {
+        compress_seconds,
+        exchange_seconds,
+        wire_bits: comm.stats().logical_wire_bits - bits_before,
+        ..SyncStats::default()
+    })
 }
 
 #[cfg(test)]
@@ -479,5 +510,46 @@ mod tests {
     fn non_partition_bounds_panic() {
         let mut sync = DenseSgd::new();
         let _ = SyncSession::begin(&mut sync, &[0..4, 5..10]);
+    }
+
+    /// Every gather codec reports, and charges to the rank clock, the whole
+    /// of its compute: with one worker the modeled exchange is free, so the
+    /// clock moves by exactly `compress_seconds`, and that is no less than
+    /// the codec's own best-of-5 encode + accumulate on the same gradient
+    /// (it is those plus `prepare`).
+    #[test]
+    fn compress_seconds_cover_prepare_encode_and_accumulate() {
+        use crate::{GaussianK, Qsgd, QsgdImpl, RandK, SignSgdEf, TernGrad, TopK};
+        let n = 1 << 16;
+        let mut rng = mini_tensor::rng::SeedRng::new(70);
+        let g: Vec<f32> = (0..n).map(|_| rng.randn() * 0.02).collect();
+
+        fn check<C: Codec>(g: &[f32], make: impl Fn() -> C + Sync) {
+            let whole = 0..g.len();
+            let mut codec = make();
+            let mut prepared = g.to_vec();
+            codec.prepare(&mut prepared);
+            let mut out = vec![0.0f32; g.len()];
+            let floor = (0..5).fold(f64::INFINITY, |best, _| {
+                let t = Instant::now();
+                let frame = codec.encode(&whole, &prepared);
+                codec.accumulate(&whole, &frame, &mut out, 1.0);
+                best.min(t.elapsed().as_secs_f64())
+            });
+            let ran = run_cluster(1, NetworkProfile::infiniband_100g(), |h| {
+                let before = h.clock();
+                let stats = make().synchronize(&mut g.to_vec(), h);
+                (stats.compress_seconds, h.clock() - before)
+            });
+            let (name, (compress, clock)) = (Codec::name(&codec), ran[0]);
+            assert!(floor > 0.0 && compress >= floor, "{name}: {compress} < coder {floor}");
+            assert!((clock - compress).abs() <= 1e-9, "{name}: clock {clock} vs {compress}");
+        }
+        check(&g, || TopK::new(n, 0.01));
+        check(&g, || GaussianK::new(n, 0.01));
+        check(&g, || RandK::new(n, 0.01, 7));
+        check(&g, || Qsgd::new(4, QsgdImpl::Fast, 7));
+        check(&g, || TernGrad::new(7));
+        check(&g, || SignSgdEf::new(n));
     }
 }

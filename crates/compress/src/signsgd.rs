@@ -2,10 +2,9 @@
 
 use crate::ef::ErrorFeedback;
 use crate::elias::{BitReader, BitWriter};
-use crate::{GradientSynchronizer, SyncStats};
-use cluster_comm::{CommHandle, Payload, TransportError};
+use crate::Codec;
+use cluster_comm::Payload;
 use std::ops::Range;
-use std::time::Instant;
 
 /// Transmits `sign(g + m) · ‖g + m‖₁/n` (one bit per coordinate plus a
 /// 32-bit scale) with error feedback — the fix that makes 1-bit SGD
@@ -13,89 +12,25 @@ use std::time::Instant;
 /// 1-bit-per-coordinate sign pack.
 pub struct SignSgdEf {
     ef: ErrorFeedback,
-    acc: Vec<f32>,
+    /// This step's scale, shipped with every bucket's frame.
+    scale: f32,
 }
 
 impl SignSgdEf {
     /// Creates EF-SignSGD for an `n`-parameter model.
     pub fn new(n: usize) -> Self {
-        SignSgdEf { ef: ErrorFeedback::new(n), acc: vec![0.0; n] }
+        SignSgdEf { ef: ErrorFeedback::new(n), scale: 0.0 }
     }
 
-    /// Encodes the wire frame: 4 bytes of scale + one sign bit per
-    /// coordinate (1 = negative), final byte zero-padded.
-    pub fn encode_payload(scale: f32, acc: &[f32]) -> Payload {
-        let mut w = BitWriter::new();
-        for &a in acc {
-            w.push_bit(a.is_sign_negative());
-        }
-        crate::elias::scaled_stream_payload(scale, &w)
-    }
-
-    /// Folds a peer's frame into `acc`: `acc[i] += (±scale) · weight` —
-    /// the decode-and-average step without materialising a temporary
-    /// vector.
-    pub fn accumulate_payload(payload: &Payload, acc: &mut [f32], weight: f32) {
-        let (scale, stream) = crate::elias::split_scaled_stream(payload);
-        let mut r = BitReader::new(stream, 8 * stream.len());
-        for a in acc.iter_mut() {
-            let v = if r.read_bit().expect("truncated sign stream") { -scale } else { scale };
-            *a += v * weight;
-        }
-    }
-
-    /// Decodes a peer's frame back to `±scale` values.
-    pub fn decode_payload(payload: &Payload, n: usize) -> Vec<f32> {
-        let (scale, stream) = crate::elias::split_scaled_stream(payload);
-        let mut r = BitReader::new(stream, 8 * stream.len());
-        (0..n)
-            .map(|_| if r.read_bit().expect("truncated sign stream") { -scale } else { scale })
-            .collect()
+    /// The error-feedback memory: the quantization error carried so far.
+    pub fn residual(&self) -> &[f32] {
+        self.ef.residual()
     }
 }
 
-impl GradientSynchronizer for SignSgdEf {
+impl Codec for SignSgdEf {
     fn name(&self) -> &'static str {
         "SignSGD-EF"
-    }
-
-    fn try_sync_bucketed(
-        &mut self,
-        grad: &mut [f32],
-        bounds: &[Range<usize>],
-        comm: &mut CommHandle,
-    ) -> Result<SyncStats, TransportError> {
-        let t0 = Instant::now();
-        // Scale (global ℓ₁ mean) and error feedback run over the whole
-        // accumulated gradient; only the sign pack is cut per bucket.
-        self.acc.copy_from_slice(grad);
-        self.ef.apply(&mut self.acc);
-        let n = grad.len();
-        let scale = (self.acc.iter().map(|v| v.abs() as f64).sum::<f64>() / n as f64) as f32;
-        // Decoded local contribution (what error feedback absorbs).
-        let decoded: Vec<f32> = self.acc.iter().map(|&a| scale * a.signum()).collect();
-        self.ef.absorb(&self.acc, &decoded);
-        let compress_seconds = t0.elapsed().as_secs_f64();
-        comm.advance_compute(compress_seconds);
-
-        // Per-bucket sign packs (each with the 32-bit scale prefix);
-        // decode every peer's frame straight into the accumulating
-        // gradient slice (no per-peer temporaries).
-        let acc = &self.acc;
-        let (wire_bits, exchange_seconds) = crate::session::pipeline_allgather(
-            comm,
-            bounds,
-            |r| Self::encode_payload(scale, &acc[r.clone()]),
-            |r, frames| {
-                let out = &mut grad[r.clone()];
-                out.fill(0.0);
-                let inv = 1.0 / frames.len() as f32;
-                for frame in &frames {
-                    Self::accumulate_payload(frame, out, inv);
-                }
-            },
-        )?;
-        Ok(SyncStats { compress_seconds, exchange_seconds, wire_bits, ..SyncStats::default() })
     }
 
     fn wire_bits_formula(&self, n: usize) -> u64 {
@@ -106,11 +41,45 @@ impl GradientSynchronizer for SignSgdEf {
     fn complexity(&self) -> &'static str {
         "O(n)"
     }
+
+    /// Scale (global ℓ₁ mean) and error feedback run over the whole
+    /// accumulated gradient. `grad` is left holding this worker's decoded
+    /// contribution `±scale` — what the memory gives up, and what each
+    /// bucket's sign pack is cut from.
+    fn prepare(&mut self, grad: &mut [f32]) {
+        let acc = self.ef.accumulate(grad);
+        let scale = (acc.iter().map(|v| v.abs() as f64).sum::<f64>() / acc.len() as f64) as f32;
+        for (g, a) in grad.iter_mut().zip(acc) {
+            *g = scale * a.signum();
+            *a -= *g;
+        }
+        self.scale = scale;
+    }
+
+    /// 4 bytes of scale + one sign bit per coordinate (1 = negative),
+    /// final byte zero-padded.
+    fn encode(&self, _range: &Range<usize>, bucket: &[f32]) -> Payload {
+        let mut w = BitWriter::new();
+        for &v in bucket {
+            w.push_bit(v.is_sign_negative());
+        }
+        crate::elias::scaled_stream_payload(self.scale, &w)
+    }
+
+    fn accumulate(&self, _range: &Range<usize>, frame: &Payload, bucket: &mut [f32], weight: f32) {
+        let (scale, stream) = crate::elias::split_scaled_stream(frame);
+        let mut r = BitReader::new(stream, 8 * stream.len());
+        for a in bucket.iter_mut() {
+            let v = if r.read_bit().expect("truncated sign stream") { -scale } else { scale };
+            *a += v * weight;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GradientSynchronizer;
     use cluster_comm::{run_cluster, NetworkProfile};
 
     #[test]
@@ -131,7 +100,7 @@ mod tests {
             let mut s = SignSgdEf::new(2);
             let mut g = vec![3.0f32, -1.0];
             s.synchronize(&mut g, h); // scale = 2 → decoded [2, -2]
-            s.ef.residual().to_vec()
+            s.residual().to_vec()
         });
         assert_eq!(out[0], vec![1.0, 1.0]); // [3-2, -1-(-2)]
     }
@@ -139,6 +108,6 @@ mod tests {
     #[test]
     fn wire_bits_are_one_per_coordinate() {
         let s = SignSgdEf::new(10);
-        assert_eq!(s.wire_bits_formula(1000), 1032);
+        assert_eq!(GradientSynchronizer::wire_bits_formula(&s, 1000), 1032);
     }
 }

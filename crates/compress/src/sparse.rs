@@ -1,4 +1,5 @@
-//! Shared sparse-payload machinery for the k-selection family.
+//! The k-selection family: one sparsifier parameterised by its selection
+//! rule, and the sparse wire format its frames use.
 //!
 //! A sparse contribution is `(index, value)` pairs, encoded as an opaque
 //! byte frame ([`Payload::Bytes`]): per pair a little-endian `u32` index
@@ -6,7 +7,9 @@
 //! kept coordinate, which is exactly what the transport puts on the wire
 //! (plus fixed framing).
 
-use cluster_comm::{CommHandle, Payload, TransportError};
+use crate::ef::ErrorFeedback;
+use crate::Codec;
+use cluster_comm::Payload;
 use std::ops::Range;
 
 /// Bits one `(index, value)` record occupies on the wire.
@@ -23,36 +26,14 @@ pub fn encode(idx: &[u32], val: &[f32]) -> Payload {
     Payload::Bytes(bytes)
 }
 
-/// Decodes a sparse wire frame back into `(idx, val)` pairs.
-pub fn decode(payload: &Payload) -> (Vec<u32>, Vec<f32>) {
+/// The `(idx, val)` records of a sparse wire frame, in frame order.
+pub fn records(payload: &Payload) -> impl Iterator<Item = (u32, f32)> + '_ {
     let bytes = payload.as_bytes();
     assert!(bytes.len() % 8 == 0, "sparse frame must be (u32 idx, f32 val) records");
-    let mut idx = Vec::with_capacity(bytes.len() / 8);
-    let mut val = Vec::with_capacity(bytes.len() / 8);
-    for rec in bytes.chunks_exact(8) {
-        idx.push(u32::from_le_bytes(rec[0..4].try_into().unwrap()));
-        val.push(f32::from_bits(u32::from_le_bytes(rec[4..8].try_into().unwrap())));
-    }
-    (idx, val)
-}
-
-/// Scatters one worker's sparse contribution into a dense buffer.
-pub fn scatter_into(dense: &mut [f32], idx: &[u32], val: &[f32], scale: f32) {
-    for (&i, &v) in idx.iter().zip(val) {
-        dense[i as usize] += v * scale;
-    }
-}
-
-/// Averages all gathered sparse frames into `out` (zeroed first):
-/// `out = (1/P) Σ_p scatter(frame_p)` — the sparse analogue of
-/// allreduce-average used by Top-K/Gaussian-K/Rand-K.
-pub fn average_gathered(out: &mut [f32], gathered: &[Payload]) {
-    out.fill(0.0);
-    let inv = 1.0 / gathered.len() as f32;
-    for payload in gathered {
-        let (idx, val) = decode(payload);
-        scatter_into(out, &idx, &val, inv);
-    }
+    bytes.chunks_exact(8).map(|rec| {
+        let word = |at: usize| u32::from_le_bytes([rec[at], rec[at + 1], rec[at + 2], rec[at + 3]]);
+        (word(0), f32::from_bits(word(4)))
+    })
 }
 
 /// Sub-range of a sorted index list whose coordinates fall inside the
@@ -63,44 +44,103 @@ pub fn records_in(idx: &[u32], r: &Range<usize>) -> Range<usize> {
     lo..hi
 }
 
-/// The k-selection family's shared bucketed exchange: the globally
-/// selected `(idx, val)` records (indices sorted ascending) are cut at the
-/// bucket boundaries, each bucket's records become one sparse frame
-/// launched as a nonblocking allgather (in flight while the next bucket
-/// encodes), and each bucket of `grad` is rebuilt as the world average of
-/// the frames that land in it. Record order and per-coordinate
-/// accumulation order (rank 0..P within each coordinate's only bucket) are
-/// the same as the whole-model exchange, so the result is bit-identical
-/// for every partition. Returns `(wire_bits, exchange_seconds)`, or the
-/// typed transport error when a peer is lost mid-exchange.
-pub fn exchange_selected(
-    grad: &mut [f32],
-    bounds: &[Range<usize>],
-    comm: &mut CommHandle,
-    idx: &[u32],
-    val: &[f32],
-) -> Result<(u64, f64), TransportError> {
-    crate::session::pipeline_allgather(
-        comm,
-        bounds,
-        |r| {
-            let recs = records_in(idx, r);
-            encode(&idx[recs.clone()], &val[recs])
-        },
-        |r, frames| {
-            grad[r.clone()].fill(0.0);
-            let inv = 1.0 / frames.len() as f32;
-            for payload in &frames {
-                let (fidx, fval) = decode(payload);
-                scatter_into(grad, &fidx, &fval, inv);
-            }
-        },
-    )
+/// How a [`Sparsifier`] picks the coordinates it transmits.
+pub trait Select: Send {
+    /// Display name of the sparsifier under this rule.
+    const NAME: &'static str;
+    /// Its selection complexity (Table 2 column 2).
+    const COMPLEXITY: &'static str;
+
+    /// The coordinates of the accumulated gradient `acc` to transmit, as
+    /// ascending indices; `k` is the target count.
+    fn select(&mut self, acc: &[f32], k: usize) -> Vec<u32>;
+}
+
+/// Sparsification with error feedback (Stich et al., the paper's ref. 27):
+/// each step the rule `S` selects about `k` coordinates of the
+/// error-compensated gradient, those are allgathered as sparse records and
+/// averaged, and everything not selected stays in the memory. Top-K,
+/// Gaussian-K and Rand-K are this struct under their three rules.
+pub struct Sparsifier<S> {
+    k: usize,
+    ef: ErrorFeedback,
+    rule: S,
+    /// This step's transmitted records, ascending by index.
+    idx: Vec<u32>,
+    val: Vec<f32>,
+}
+
+impl<S: Select> Sparsifier<S> {
+    /// A sparsifier for an `n`-parameter model with density `ratio = k/n`
+    /// (the paper's appendix uses 0.001).
+    pub fn with_rule(n: usize, ratio: f32, rule: S) -> Self {
+        let k = ((n as f64 * ratio as f64).round() as usize).clamp(1, n);
+        Sparsifier { k, ef: ErrorFeedback::new(n), rule, idx: Vec::new(), val: Vec::new() }
+    }
+
+    /// The selection count k.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// The last step's transmitted `(idx, val)` records, ascending by index.
+    pub fn selected(&self) -> (&[u32], &[f32]) {
+        (&self.idx, &self.val)
+    }
+
+    /// The error-feedback memory: everything not transmitted so far.
+    pub fn residual(&self) -> &[f32] {
+        self.ef.residual()
+    }
+}
+
+impl<S: Select> Codec for Sparsifier<S> {
+    fn name(&self) -> &'static str {
+        S::NAME
+    }
+
+    /// Target encoding size: 64 bits per record at the target count (the
+    /// threshold rule selects ≈ k; `SyncStats::wire_bits` is exact).
+    fn wire_bits_formula(&self, _n: usize) -> u64 {
+        PAIR_BITS * self.k as u64
+    }
+
+    fn complexity(&self) -> &'static str {
+        S::COMPLEXITY
+    }
+
+    /// Error compensation and selection are global — the selected set is a
+    /// property of the whole gradient, not of any bucket.
+    fn prepare(&mut self, grad: &mut [f32]) {
+        self.idx = self.rule.select(self.ef.accumulate(grad), self.k);
+        self.val = self.idx.iter().map(|&i| self.ef.take(i as usize)).collect();
+    }
+
+    fn encode(&self, range: &Range<usize>, _bucket: &[f32]) -> Payload {
+        let recs = records_in(&self.idx, range);
+        encode(&self.idx[recs.clone()], &self.val[recs])
+    }
+
+    fn accumulate(&self, range: &Range<usize>, frame: &Payload, bucket: &mut [f32], weight: f32) {
+        for (i, v) in records(frame) {
+            bucket[i as usize - range.start] += v * weight;
+        }
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Last step's transmitted records added back onto the residual: the
+    /// error-feedback invariant says this is the accumulated gradient.
+    pub(crate) fn transmitted_plus_residual<S: Select>(s: &Sparsifier<S>) -> Vec<f32> {
+        let mut rebuilt = s.residual().to_vec();
+        for (&i, &v) in s.idx.iter().zip(&s.val) {
+            rebuilt[i as usize] += v;
+        }
+        rebuilt
+    }
 
     #[test]
     fn encode_decode_roundtrip_exact_indices() {
@@ -108,7 +148,7 @@ mod tests {
         let val = vec![0.5f32, -1.25, 3.0, f32::MIN_POSITIVE];
         let payload = encode(&idx, &val);
         assert_eq!(payload.bits(), PAIR_BITS * idx.len() as u64);
-        let (i2, v2) = decode(&payload);
+        let (i2, v2): (Vec<u32>, Vec<f32>) = records(&payload).unzip();
         assert_eq!(i2, idx);
         assert_eq!(v2, val);
     }
@@ -117,24 +157,27 @@ mod tests {
     fn empty_selection_is_an_empty_frame() {
         let payload = encode(&[], &[]);
         assert_eq!(payload.byte_len(), 0);
-        let (i, v) = decode(&payload);
-        assert!(i.is_empty() && v.is_empty());
+        assert_eq!(records(&payload).count(), 0);
     }
 
     #[test]
     fn average_gathered_matches_dense_average() {
-        // Two workers with overlapping sparse supports.
-        let w0 = encode(&[0, 2], &[2.0, 4.0]);
-        let w1 = encode(&[2, 3], &[6.0, 8.0]);
+        // Two workers with overlapping sparse supports, in a bucket that
+        // starts at coordinate 10.
+        let w0 = encode(&[10, 12], &[2.0, 4.0]);
+        let w1 = encode(&[12, 13], &[6.0, 8.0]);
+        let codec = crate::TopK::new(15, 0.2);
         let mut out = vec![0.0f32; 5];
-        average_gathered(&mut out, &[w0, w1]);
+        for frame in [w0, w1] {
+            codec.accumulate(&(10..15), &frame, &mut out, 0.5);
+        }
         assert_eq!(out, vec![1.0, 0.0, 5.0, 4.0, 0.0]);
     }
 
     #[test]
     #[should_panic]
     fn misaligned_frame_rejected() {
-        let _ = decode(&Payload::Bytes(vec![0u8; 12]));
+        let _ = records(&Payload::Bytes(vec![0u8; 12])).count();
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! TernGrad ternary quantization (Wen et al., paper ref [20]).
 
 use crate::elias::{BitReader, BitWriter};
-use crate::{GradientSynchronizer, SyncStats};
-use cluster_comm::{CommHandle, Payload, TransportError};
+use crate::Codec;
+use cluster_comm::Payload;
 use mini_tensor::rng::SeedRng;
 use std::ops::Range;
-use std::time::Instant;
 
 /// Quantizes each coordinate to `{−s, 0, +s}` with `s = max|g|` and
 /// `P(±s) = |g_i|/s` — unbiased. The wire frame bit-packs each ternary
@@ -14,12 +13,14 @@ use std::time::Instant;
 /// 2-bit pack is what actually crosses the socket).
 pub struct TernGrad {
     rng: SeedRng,
+    /// This step's scale `s`, shipped with every bucket's frame.
+    scale: f32,
 }
 
 impl TernGrad {
     /// Creates TernGrad with a seeded dithering stream.
     pub fn new(seed: u64) -> Self {
-        TernGrad { rng: SeedRng::new(seed) }
+        TernGrad { rng: SeedRng::new(seed), scale: 0.0 }
     }
 
     /// Quantizes in place, returning the scale `s`.
@@ -34,99 +35,11 @@ impl TernGrad {
         }
         s
     }
-
-    /// Encodes a ternarized gradient into its wire frame: 4 bytes of
-    /// scale, then 2 bits per coordinate (`00` = 0, `01` = +s, `10` = −s),
-    /// final byte zero-padded.
-    pub fn encode_payload(scale: f32, tern: &[f32]) -> Payload {
-        let mut w = BitWriter::new();
-        for &v in tern {
-            let code: u64 = if v > 0.0 {
-                0b01
-            } else if v < 0.0 {
-                0b10
-            } else {
-                0b00
-            };
-            w.push_bits(code, 2);
-        }
-        crate::elias::scaled_stream_payload(scale, &w)
-    }
-
-    /// Folds a peer's frame into `acc`: `acc[i] += decode(i) · weight` —
-    /// the decode-and-average step without materialising a temporary
-    /// vector.
-    pub fn accumulate_payload(payload: &Payload, acc: &mut [f32], weight: f32) {
-        let (scale, stream) = crate::elias::split_scaled_stream(payload);
-        let mut r = BitReader::new(stream, 8 * stream.len());
-        for a in acc.iter_mut() {
-            match r.read_bits(2).expect("truncated ternary stream") {
-                0b01 => *a += scale * weight,
-                0b10 => *a -= scale * weight,
-                _ => {}
-            }
-        }
-    }
-
-    /// Decodes a peer's frame back to `{−s, 0, +s}` values (`n` = model
-    /// size, known identically on every SPMD rank).
-    pub fn decode_payload(payload: &Payload, n: usize) -> Vec<f32> {
-        let (scale, stream) = crate::elias::split_scaled_stream(payload);
-        let mut r = BitReader::new(stream, 8 * stream.len());
-        (0..n)
-            .map(|_| match r.read_bits(2).expect("truncated ternary stream") {
-                0b01 => scale,
-                0b10 => -scale,
-                _ => 0.0,
-            })
-            .collect()
-    }
 }
 
-impl GradientSynchronizer for TernGrad {
+impl Codec for TernGrad {
     fn name(&self) -> &'static str {
         "TernGrad"
-    }
-
-    fn try_sync_bucketed(
-        &mut self,
-        grad: &mut [f32],
-        bounds: &[Range<usize>],
-        comm: &mut CommHandle,
-    ) -> Result<SyncStats, TransportError> {
-        let t0 = Instant::now();
-        // The scale (max |g|) and the dithering stream are global: the
-        // ternarized vector is fixed before any bucket is cut. With
-        // multiple buckets, decode overwrites `grad` while later buckets
-        // still encode from the original ternary values, so those need a
-        // snapshot; the whole-model default encodes its single frame up
-        // front instead and skips the O(n) copy.
-        let s = self.ternarize(grad);
-        let mut single = (bounds.len() == 1).then(|| Self::encode_payload(s, grad));
-        let tern = if single.is_some() { Vec::new() } else { grad.to_vec() };
-        let compress_seconds = t0.elapsed().as_secs_f64();
-        comm.advance_compute(compress_seconds);
-
-        // Per-bucket 2-bit packs (each with the 32-bit scale prefix);
-        // decode every peer's frame straight into the accumulating
-        // gradient slice (no per-peer temporaries).
-        let (wire_bits, exchange_seconds) = crate::session::pipeline_allgather(
-            comm,
-            bounds,
-            |r| match single.take() {
-                Some(frame) => frame,
-                None => Self::encode_payload(s, &tern[r.clone()]),
-            },
-            |r, frames| {
-                let out = &mut grad[r.clone()];
-                out.fill(0.0);
-                let inv = 1.0 / frames.len() as f32;
-                for frame in &frames {
-                    Self::accumulate_payload(frame, out, inv);
-                }
-            },
-        )?;
-        Ok(SyncStats { compress_seconds, exchange_seconds, wire_bits, ..SyncStats::default() })
     }
 
     fn wire_bits_formula(&self, n: usize) -> u64 {
@@ -136,6 +49,42 @@ impl GradientSynchronizer for TernGrad {
 
     fn complexity(&self) -> &'static str {
         "O(n)"
+    }
+
+    /// The scale (max |g|) and the dithering stream are global: `grad` is
+    /// ternarized in place before any bucket is cut, and every bucket
+    /// encodes from its own slice of it.
+    fn prepare(&mut self, grad: &mut [f32]) {
+        self.scale = self.ternarize(grad);
+    }
+
+    /// 4 bytes of scale, then 2 bits per coordinate (`00` = 0, `01` = +s,
+    /// `10` = −s), final byte zero-padded.
+    fn encode(&self, _range: &Range<usize>, bucket: &[f32]) -> Payload {
+        let mut w = BitWriter::new();
+        for &v in bucket {
+            let code: u64 = if v > 0.0 {
+                0b01
+            } else if v < 0.0 {
+                0b10
+            } else {
+                0b00
+            };
+            w.push_bits(code, 2);
+        }
+        crate::elias::scaled_stream_payload(self.scale, &w)
+    }
+
+    fn accumulate(&self, _range: &Range<usize>, frame: &Payload, bucket: &mut [f32], weight: f32) {
+        let (scale, stream) = crate::elias::split_scaled_stream(frame);
+        let mut r = BitReader::new(stream, 8 * stream.len());
+        for a in bucket.iter_mut() {
+            match r.read_bits(2).expect("truncated ternary stream") {
+                0b01 => *a += scale * weight,
+                0b10 => *a -= scale * weight,
+                _ => {}
+            }
+        }
     }
 }
 
@@ -173,19 +122,6 @@ mod tests {
             let mean = a / trials as f64;
             assert!((mean - g0[i] as f64).abs() < 0.03, "coord {i}: {mean} vs {}", g0[i]);
         }
-    }
-
-    #[test]
-    fn wire_payload_roundtrips_exactly() {
-        let mut tg = TernGrad::new(5);
-        let mut rng = SeedRng::new(6);
-        let mut g: Vec<f32> = (0..777).map(|_| rng.randn()).collect();
-        let s = tg.ternarize(&mut g);
-        let payload = TernGrad::encode_payload(s, &g);
-        assert_eq!(payload.byte_len() as u64, 4 + (2 * g.len() as u64).div_ceil(8));
-        let back = TernGrad::decode_payload(&payload, g.len());
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&back), bits(&g), "2-bit pack must be lossless on ternary data");
     }
 
     #[test]

@@ -1,26 +1,18 @@
 //! Top-K sparsification with error feedback (Stich et al., paper ref [27]).
 
-use crate::ef::ErrorFeedback;
-use crate::{sparse, GradientSynchronizer, SyncStats};
-use cluster_comm::{CommHandle, TransportError};
+use crate::sparse::{Select, Sparsifier};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::ops::Range;
-use std::time::Instant;
 
 /// Selects the k largest-magnitude coordinates of the error-compensated
 /// gradient and allgathers them; receivers average all workers' sparse
 /// contributions. Selection uses a bounded min-heap — `O(n log k)`, the
 /// heap-based complexity the paper's Table 2 quotes (`O(n + k log n)` for
 /// a max-heap formulation; ours is the space-efficient variant).
-pub struct TopK {
-    k: usize,
-    ef: ErrorFeedback,
-    /// Scratch for the accumulated (error-compensated) gradient.
-    acc: Vec<f32>,
-    /// Scratch for this worker's decoded (kept) contribution.
-    kept: Vec<f32>,
-}
+pub type TopK = Sparsifier<LargestK>;
+
+/// The Top-K selection rule: the k largest magnitudes, exactly.
+pub struct LargestK;
 
 /// f32 magnitude ordered for the heap (total order on non-NaN values).
 #[derive(PartialEq)]
@@ -41,13 +33,7 @@ impl TopK {
     /// Creates Top-K for an `n`-parameter model with density `ratio = k/n`
     /// (the paper's appendix uses 0.001).
     pub fn new(n: usize, ratio: f32) -> Self {
-        let k = ((n as f64 * ratio as f64).round() as usize).clamp(1, n);
-        TopK { k, ef: ErrorFeedback::new(n), acc: vec![0.0; n], kept: vec![0.0; n] }
-    }
-
-    /// The selection count k.
-    pub fn k(&self) -> usize {
-        self.k
+        Sparsifier::with_rule(n, ratio, LargestK)
     }
 
     /// Selects the indices of the k largest |acc| entries (bounded
@@ -69,50 +55,19 @@ impl TopK {
     }
 }
 
-impl GradientSynchronizer for TopK {
-    fn name(&self) -> &'static str {
-        "TopK"
-    }
+impl Select for LargestK {
+    const NAME: &'static str = "TopK";
+    const COMPLEXITY: &'static str = "O(n + k·log n)";
 
-    fn try_sync_bucketed(
-        &mut self,
-        grad: &mut [f32],
-        bounds: &[Range<usize>],
-        comm: &mut CommHandle,
-    ) -> Result<SyncStats, TransportError> {
-        let t0 = Instant::now();
-        // Error compensation and selection are global — the selected set
-        // is a property of the whole gradient, not of any bucket.
-        self.acc.copy_from_slice(grad);
-        self.ef.apply(&mut self.acc);
-        let idx = Self::select(&self.acc, self.k);
-        let val: Vec<f32> = idx.iter().map(|&i| self.acc[i as usize]).collect();
-        // Residual: everything not selected.
-        self.kept.fill(0.0);
-        sparse::scatter_into(&mut self.kept, &idx, &val, 1.0);
-        self.ef.absorb(&self.acc, &self.kept);
-        let compress_seconds = t0.elapsed().as_secs_f64();
-        comm.advance_compute(compress_seconds);
-
-        // Per-bucket encode → async allgather → decode: 64 bits per kept
-        // coordinate total, cut at the bucket boundaries.
-        let (wire_bits, exchange_seconds) =
-            sparse::exchange_selected(grad, bounds, comm, &idx, &val)?;
-        Ok(SyncStats { compress_seconds, exchange_seconds, wire_bits, ..SyncStats::default() })
-    }
-
-    fn wire_bits_formula(&self, _n: usize) -> u64 {
-        sparse::PAIR_BITS * self.k as u64
-    }
-
-    fn complexity(&self) -> &'static str {
-        "O(n + k·log n)"
+    fn select(&mut self, acc: &[f32], k: usize) -> Vec<u32> {
+        TopK::select(acc, k)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GradientSynchronizer;
     use cluster_comm::{run_cluster, NetworkProfile};
 
     #[test]
@@ -137,11 +92,8 @@ mod tests {
                 (0..n).map(|i| ((i * 37 + h.rank() * 11) % 13) as f32 - 6.0).collect();
             let orig = g.clone();
             let stats = tk.synchronize(&mut g, h);
-            // acc == orig (memory was zero) == kept + residual
-            for (i, o) in orig.iter().enumerate() {
-                let rebuilt = tk.kept[i] + tk.ef.residual()[i];
-                assert!((rebuilt - o).abs() < 1e-6);
-            }
+            // acc == orig (memory was zero) == transmitted + residual
+            assert_eq!(crate::sparse::tests::transmitted_plus_residual(&tk), orig);
             stats.wire_bits
         });
         assert!(out.iter().all(|&b| b == 64 * 5));
@@ -170,7 +122,7 @@ mod tests {
             let mut tk = TopK::new(4, 0.25); // k = 1
             let mut g1 = vec![1.0f32, 0.5, 0.25, 2.0];
             tk.synchronize(&mut g1, h); // keeps idx 3
-            let res1 = tk.ef.residual().to_vec();
+            let res1 = tk.residual().to_vec();
             let mut g2 = vec![0.0f32; 4];
             tk.synchronize(&mut g2, h); // memory alone now drives selection
             (res1, g2)

@@ -1,35 +1,57 @@
 //! Property-based tests for the compression algorithms' core invariants.
 
 use gradcomp::ef::ErrorFeedback;
-use gradcomp::elias::{gamma_decode, gamma_encode, BitReader, BitWriter};
+use gradcomp::elias::{gamma_decode, gamma_encode, gamma_len, BitReader, BitWriter};
 use gradcomp::sparse;
-use gradcomp::topk::TopK;
-use gradcomp::{Qsgd, QsgdImpl};
+use gradcomp::{Codec, Qsgd, QsgdImpl, SignSgdEf, TernGrad, TopK};
 use proptest::prelude::*;
+use std::ops::Range;
 
 fn small_grad(n: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-10.0f32..10.0, 1..=n)
+}
+
+/// Prepares `codec` on `g`, then cuts its frames at `bounds` and folds each
+/// back into zeros at weight 1: every frame must be `frame_bytes` long and
+/// the result must be `0.0 + local[i] · 1.0` bit for bit, where `local` is
+/// the codec's own decoded contribution (given the prepared codec and the
+/// gradient as `prepare` left it).
+fn assert_frames_roundtrip<C: Codec>(
+    mut codec: C,
+    g: &[f32],
+    bounds: &[Range<usize>],
+    local: impl FnOnce(&C, &[f32]) -> Vec<f32>,
+    frame_bytes: impl Fn(&C, &Range<usize>) -> usize,
+) {
+    let mut prepared = g.to_vec();
+    codec.prepare(&mut prepared);
+    let mut out = vec![0.0f32; g.len()];
+    for r in bounds {
+        let frame = codec.encode(r, &prepared[r.clone()]);
+        assert_eq!(frame.byte_len(), frame_bytes(&codec, r), "{} frame {r:?}", codec.name());
+        codec.accumulate(r, &frame, &mut out[r.clone()], 1.0);
+    }
+    let want: Vec<u32> =
+        local(&codec, &prepared).iter().map(|d| (0.0 + d * 1.0).to_bits()).collect();
+    let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(got, want, "{} over {bounds:?}", codec.name());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn error_feedback_conserves_mass(g in small_grad(64), keep_mask in prop::collection::vec(any::<bool>(), 64)) {
-        // For ANY split into kept/dropped coordinates:
-        // accumulated == kept + residual exactly.
+    fn error_feedback_conserves_mass(g in small_grad(64), keep_mask in prop::collection::vec(any::<bool>(), 128)) {
+        // For ANY split into taken/left coordinates, with the memory empty
+        // and then not: accumulated == transmitted + residual exactly.
         let n = g.len();
         let mut ef = ErrorFeedback::new(n);
-        let mut acc = g.clone();
-        ef.apply(&mut acc);
-        let kept: Vec<f32> = acc
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| if *keep_mask.get(i).unwrap_or(&false) { v } else { 0.0 })
-            .collect();
-        ef.absorb(&acc, &kept);
-        for i in 0..n {
-            prop_assert!((kept[i] + ef.residual()[i] - acc[i]).abs() < 1e-6);
+        for mask in keep_mask.chunks(64) {
+            let acc = ef.accumulate(&g).to_vec();
+            for i in 0..n {
+                let transmitted = if mask[i] { ef.take(i) } else { 0.0 };
+                prop_assert_eq!(transmitted + ef.residual()[i], acc[i]);
+            }
         }
     }
 
@@ -80,7 +102,7 @@ proptest! {
         let val: Vec<f32> = pairs.iter().map(|p| p.1).collect();
         let payload = sparse::encode(&idx, &val);
         prop_assert_eq!(payload.bits(), sparse::PAIR_BITS * idx.len() as u64);
-        let (i2, v2) = sparse::decode(&payload);
+        let (i2, v2): (Vec<u32>, Vec<f32>) = sparse::records(&payload).unzip();
         prop_assert_eq!(i2, idx);
         prop_assert_eq!(v2, val);
     }
@@ -91,13 +113,83 @@ proptest! {
         let n = g.len();
         let idx: Vec<u32> = (0..n as u32).collect();
         let payload = sparse::encode(&idx, &g);
+        let codec = TopK::new(n, 1.0);
         for p in [1usize, 2, 5] {
-            let gathered: Vec<_> = (0..p).map(|_| payload.clone()).collect();
             let mut out = vec![0.0f32; n];
-            sparse::average_gathered(&mut out, &gathered);
+            for _ in 0..p {
+                codec.accumulate(&(0..n), &payload, &mut out, 1.0 / p as f32);
+            }
             for (a, b) in out.iter().zip(&g) {
                 prop_assert!((a - b).abs() < 1e-5);
             }
         }
+    }
+
+    #[test]
+    fn frames_roundtrip_under_any_bucket_cut(
+        g in small_grad(96),
+        cuts in prop::collection::vec(0usize..=96, 0..6),
+        seed in any::<u64>(),
+    ) {
+        // All four wire formats through the codec contract: whatever the
+        // partition (empty buckets included), decoding a codec's own frames
+        // rebuilds its local contribution, and each frame is exactly as
+        // long as its format says.
+        let n = g.len();
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(n)).chain([0, n]).collect();
+        cuts.sort_unstable();
+        let bounds: Vec<Range<usize>> = cuts.windows(2).map(|w| w[0]..w[1]).collect();
+
+        // Sparse records.
+        assert_frames_roundtrip(
+            TopK::new(n, 0.25),
+            &g,
+            &bounds,
+            |c, _| {
+                let (idx, val) = c.selected();
+                let mut dense = vec![0.0f32; n];
+                for (&i, &v) in idx.iter().zip(val) {
+                    dense[i as usize] = v;
+                }
+                dense
+            },
+            |c, r| 8 * sparse::records_in(c.selected().0, r).len(),
+        );
+
+        // Elias-coded levels: a twin quantizer on the same seed draws the
+        // same levels the codec holds.
+        let twin = Qsgd::new(4, QsgdImpl::Fast, seed).quantize(&g);
+        assert_frames_roundtrip(
+            Qsgd::new(4, QsgdImpl::Fast, seed),
+            &g,
+            &bounds,
+            |_, _| {
+                let mut dense = vec![0.0f32; n];
+                Qsgd::dequantize(&twin, 4, &mut dense);
+                dense
+            },
+            |_, r| {
+                let stream: usize =
+                    twin.levels[r.clone()].iter().map(|&l| 1 + gamma_len(l.unsigned_abs() as u64 + 1)).sum();
+                4 + stream.div_ceil(8)
+            },
+        );
+
+        // 2-bit ternary and 1-bit sign packs: `prepare` leaves the decoded
+        // contribution in the gradient itself.
+        assert_frames_roundtrip(
+            TernGrad::new(seed),
+            &g,
+            &bounds,
+            |_, prepared| prepared.to_vec(),
+            |_, r| 4 + (2 * r.len()).div_ceil(8),
+        );
+        assert_frames_roundtrip(
+            SignSgdEf::new(n),
+            &g,
+            &bounds,
+            |_, prepared| prepared.to_vec(),
+            |_, r| 4 + r.len().div_ceil(8),
+        );
     }
 }

@@ -2,7 +2,9 @@
 
 use crate::algorithm::A2sgd;
 use crate::variants::{A2sgdCarry, KLevelSgd};
-use gradcomp::{BaselineKind, GradientSynchronizer};
+use gradcomp::{
+    DenseSgd, GaussianK, GradientSynchronizer, Qsgd, QsgdImpl, RandK, SignSgdEf, TernGrad, TopK,
+};
 
 /// Density ratio the paper uses for Top-K/Gaussian-K ("0.001" — appendix).
 pub const PAPER_DENSITY: f32 = 0.001;
@@ -63,19 +65,22 @@ impl AlgoKind {
         }
     }
 
-    /// Instantiates the synchronizer for an `n`-parameter model.
+    /// Instantiates the synchronizer for an `n`-parameter model; `seed`
+    /// feeds the stochastic algorithms, `rank` decorrelates their
+    /// worker-local streams.
     pub fn build(&self, n: usize, seed: u64, rank: usize) -> Box<dyn GradientSynchronizer> {
+        let stream = seed ^ rank as u64;
         match *self {
-            AlgoKind::Dense => BaselineKind::Dense.build(n, seed, rank),
-            AlgoKind::TopK(r) => BaselineKind::TopK(r).build(n, seed, rank),
-            AlgoKind::GaussianK(r) => BaselineKind::GaussianK(r).build(n, seed, rank),
-            AlgoKind::Qsgd(s) => BaselineKind::Qsgd(s).build(n, seed, rank),
+            AlgoKind::Dense => Box::new(DenseSgd::new()),
+            AlgoKind::TopK(r) => Box::new(TopK::new(n, r)),
+            AlgoKind::GaussianK(r) => Box::new(GaussianK::new(n, r)),
+            AlgoKind::Qsgd(s) => Box::new(Qsgd::new(s, QsgdImpl::Fast, stream)),
             AlgoKind::A2sgd => Box::new(A2sgd::new()),
             AlgoKind::A2sgdCarry => Box::new(A2sgdCarry::new(n)),
             AlgoKind::KLevel(l) => Box::new(KLevelSgd::new(l)),
-            AlgoKind::RandK(r) => BaselineKind::RandK(r).build(n, seed, rank),
-            AlgoKind::TernGrad => BaselineKind::TernGrad.build(n, seed, rank),
-            AlgoKind::SignSgd => BaselineKind::SignSgd.build(n, seed, rank),
+            AlgoKind::RandK(r) => Box::new(RandK::new(n, r, stream)),
+            AlgoKind::TernGrad => Box::new(TernGrad::new(stream)),
+            AlgoKind::SignSgd => Box::new(SignSgdEf::new(n)),
         }
     }
 

@@ -1,7 +1,7 @@
 //! A2SGD variants and extensions. Both exchange their means as Algorithm 1
-//! line 5 writes it — an allreduce (`start_allreduce`, overlapped with the
-//! residual pass); the shipped [`A2sgd`](crate::algorithm::A2sgd) is the
-//! §4.4 gather formulation of the same exchange.
+//! line 5 writes it — a recursive-doubling allreduce; the shipped
+//! [`A2sgd`](crate::algorithm::A2sgd) is the §4.4 gather formulation of the
+//! same exchange.
 //!
 //! * [`A2sgdCarry`] — ablation: carries the residual to the *next*
 //!   iteration (classic error feedback) instead of adding it back in the
@@ -11,8 +11,8 @@
 //!   (L = 1 reduces to A2SGD). Communication is `2·L` floats — still O(1)
 //!   in n — trading a little bandwidth for lower encoding distortion.
 
-use crate::mean2::{enc_into, split_means, TwoMeans};
-use cluster_comm::{CommHandle, TransportError};
+use crate::mean2::{enc_into, shift_by_sign, split_means, TwoMeans};
+use cluster_comm::{CollectiveAlgo, CommHandle, TransportError};
 use gradcomp::ef::ErrorFeedback;
 use gradcomp::{GradientSynchronizer, SyncStats};
 use std::ops::Range;
@@ -22,13 +22,17 @@ use std::time::Instant;
 /// the same-iteration restore.
 pub struct A2sgdCarry {
     ef: ErrorFeedback,
-    acc: Vec<f32>,
 }
 
 impl A2sgdCarry {
     /// Creates the ablation for an `n`-parameter model.
     pub fn new(n: usize) -> Self {
-        A2sgdCarry { ef: ErrorFeedback::new(n), acc: vec![0.0; n] }
+        A2sgdCarry { ef: ErrorFeedback::new(n) }
+    }
+
+    /// The error-feedback memory: `acc − enc(acc)` of the last step.
+    pub fn residual(&self) -> &[f32] {
+        self.ef.residual()
     }
 }
 
@@ -38,8 +42,7 @@ impl GradientSynchronizer for A2sgdCarry {
     }
 
     /// O(1) exchange — `bounds` is ignored (see
-    /// [`A2sgd`](crate::algorithm::A2sgd)); the error-feedback update
-    /// overlaps the in-flight allreduce.
+    /// [`A2sgd`](crate::algorithm::A2sgd)).
     fn try_sync_bucketed(
         &mut self,
         grad: &mut [f32],
@@ -47,42 +50,34 @@ impl GradientSynchronizer for A2sgdCarry {
         comm: &mut CommHandle,
     ) -> Result<SyncStats, TransportError> {
         let t0 = Instant::now();
-        self.acc.copy_from_slice(grad);
-        self.ef.apply(&mut self.acc);
-        let means = split_means(&self.acc);
+        let acc = self.ef.accumulate(grad);
+        let means = split_means(acc);
         let compress_head = t0.elapsed().as_secs_f64();
         comm.advance_compute(compress_head);
 
-        // The reducible f32 path: two means over the nonblocking
-        // recursive-doubling allreduce — their 8 payload bytes are the
-        // wire encoding, no override needed.
+        // The reducible f32 path: two means over the recursive-doubling
+        // allreduce — their 8 payload bytes are the wire encoding, no
+        // override needed.
         let bits_before = comm.stats().logical_wire_bits;
         let tx = Instant::now();
-        let handle = comm.start_allreduce(vec![means.mu_pos, means.mu_neg]);
-        let mut exchange_seconds = tx.elapsed().as_secs_f64();
-
-        // Transmit enc(acc); memory keeps acc − enc(acc) — computed while
-        // the two-float frame is in flight, with `grad` as the enc buffer.
-        let t1 = Instant::now();
-        enc_into(&self.acc, &means, grad);
-        self.ef.absorb(&self.acc, grad);
-        let ef_seconds = t1.elapsed().as_secs_f64();
-        comm.advance_compute(ef_seconds);
-
-        let tx = Instant::now();
-        let payload = handle.wait(comm)?.expect_reduced();
-        exchange_seconds += tx.elapsed().as_secs_f64();
+        let mut sums = [means.mu_pos, means.mu_neg];
+        comm.try_allreduce_sum_with(&mut sums, CollectiveAlgo::RecursiveDoubling)?;
+        let exchange_seconds = tx.elapsed().as_secs_f64();
         let wire_bits = comm.stats().logical_wire_bits - bits_before;
         let inv = 1.0 / comm.world() as f32;
+
         // The update this worker applies is enc with global means, using
-        // its own sign pattern — no ε added back this iteration.
-        let t2 = Instant::now();
-        let global = TwoMeans { mu_pos: payload[0] * inv, mu_neg: payload[1] * inv, ..means };
-        enc_into(&self.acc, &global, grad);
-        let reconstruct_seconds = t2.elapsed().as_secs_f64();
-        comm.advance_compute(reconstruct_seconds);
+        // its own sign pattern — no ε added back this iteration. It
+        // transmitted enc(acc) under its local means, so that is what the
+        // memory gives up: one per-class shift leaves acc − enc(acc).
+        let t1 = Instant::now();
+        let global = TwoMeans { mu_pos: sums[0] * inv, mu_neg: sums[1] * inv, ..means };
+        enc_into(acc, &global, grad);
+        shift_by_sign(acc, -means.mu_pos, means.mu_neg);
+        let compress_tail = t1.elapsed().as_secs_f64();
+        comm.advance_compute(compress_tail);
         Ok(SyncStats {
-            compress_seconds: compress_head + ef_seconds + reconstruct_seconds,
+            compress_seconds: compress_head + compress_tail,
             exchange_seconds,
             wire_bits,
             ..SyncStats::default()
@@ -340,7 +335,7 @@ mod tests {
             let mut g = vec![1.0f32, 3.0, -1.0, -3.0]; // µ+ = 2, µ− = 2
             c.synchronize(&mut g, h);
             // residual = acc − enc = [−1, 1, 1, −1]
-            assert_eq!(c.ef.residual(), &[-1.0, 1.0, 1.0, -1.0]);
+            assert_eq!(c.residual(), &[-1.0, 1.0, 1.0, -1.0]);
             0
         });
     }

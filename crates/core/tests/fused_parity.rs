@@ -7,9 +7,15 @@
 //! computed `(g − µ) + µ̄`; per coordinate the two differ by at most
 //! `4·ε_f32·(|g_i| + |µ| + |µ̄|)`, and classification (`v >= 0.0`: `-0.0`
 //! positive, NaN negative) is identical in both sweeps.
+//!
+//! [`reference::carry_round`] does the same for the carry ablation's error
+//! feedback: the two-buffer `acc` / `memory = acc − enc(acc)` step against
+//! the single buffer the library now updates in place — there the two are
+//! bit-identical.
 
 use a2sgd::algorithm::A2sgd;
 use a2sgd::mean2::{shift_by_sign, split_means};
+use a2sgd::variants::A2sgdCarry;
 use cluster_comm::{run_cluster, NetworkProfile};
 use gradcomp::GradientSynchronizer;
 use mini_tensor::rng::SeedRng;
@@ -17,7 +23,8 @@ use proptest::prelude::*;
 
 /// The pre-fusion kernels, verbatim in their arithmetic.
 mod reference {
-    use a2sgd::mean2::TwoMeans;
+    use a2sgd::mean2::{enc_into, TwoMeans};
+    use cluster_comm::CommHandle;
 
     pub fn split_means(g: &[f32]) -> TwoMeans {
         let (mut pos_sum, mut neg_sum, mut n_pos, mut n_neg) = (0.0f64, 0.0f64, 0usize, 0usize);
@@ -77,6 +84,26 @@ mod reference {
     pub fn round(g: &mut [f32], local: &TwoMeans, gmu_pos: f32, gmu_neg: f32) {
         let mask = residual_in_place(g, local);
         restore_with_global_means(g, &mask, gmu_pos, gmu_neg);
+    }
+
+    /// One old-style A2SGD-carry step: the accumulated gradient in a buffer
+    /// of its own, `enc(acc)` materialised in `grad` so the memory can
+    /// store `acc − enc(acc)`, then `grad ← enc̄(acc)`.
+    pub fn carry_round(memory: &mut [f32], grad: &mut [f32], comm: &mut CommHandle) {
+        let mut acc = grad.to_vec();
+        for (a, m) in acc.iter_mut().zip(memory.iter()) {
+            *a += *m;
+        }
+        let means = a2sgd::mean2::split_means(&acc);
+        let handle = comm.start_allreduce(vec![means.mu_pos, means.mu_neg]);
+        enc_into(&acc, &means, grad);
+        for i in 0..acc.len() {
+            memory[i] = acc[i] - grad[i];
+        }
+        let sums = handle.wait(comm).expect("oracle allreduce").expect_reduced();
+        let inv = 1.0 / comm.world() as f32;
+        let global = TwoMeans { mu_pos: sums[0] * inv, mu_neg: sums[1] * inv, ..means };
+        enc_into(&acc, &global, grad);
     }
 }
 
@@ -268,6 +295,37 @@ fn lone_worker_and_identical_inputs_return_the_gradient_value_exact() {
             });
             for g in out {
                 assert!(g == input, "n = {n}, world {world}");
+            }
+        }
+    }
+}
+
+#[test]
+fn carry_matches_the_two_buffer_oracle() {
+    // Four consecutive rounds, so the memory is exercised empty and full;
+    // signed zeros sprinkled in. Synchronized gradient and residual must
+    // equal the oracle's bit for bit, every round, on every rank.
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    for world in [1, 3] {
+        for n in [1usize, 7, 64, 257, 4_099] {
+            let per_rank = run_cluster(world, NetworkProfile::infiniband_100g(), move |h| {
+                let mut carry = A2sgdCarry::new(n);
+                let mut memory = vec![0.0f32; n];
+                let mut rounds = Vec::new();
+                for round in 0..4 {
+                    let g = gradient(n, (100 * round + h.rank()) as u64, 5, &[0.0, -0.0]);
+                    let (mut got, mut want) = (g.clone(), g);
+                    carry.synchronize(&mut got, h);
+                    reference::carry_round(&mut memory, &mut want, h);
+                    rounds
+                        .push(((bits(&got), bits(carry.residual())), (bits(&want), bits(&memory))));
+                }
+                rounds
+            });
+            for (rank, rounds) in per_rank.into_iter().enumerate() {
+                for (round, (got, want)) in rounds.into_iter().enumerate() {
+                    assert!(got == want, "world {world} n {n} rank {rank} round {round}");
+                }
             }
         }
     }
