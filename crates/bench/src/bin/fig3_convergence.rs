@@ -107,6 +107,8 @@ fn encode_report(rep: &TrainReport) -> Vec<f32> {
     push_u64(&mut out, rep.sync_steps as u64);
     push_u64(&mut out, rep.local_steps as u64);
     push_u64(&mut out, rep.measured_sync_wire_bytes);
+    push_u64(&mut out, rep.compute_seconds.to_bits());
+    push_u64(&mut out, rep.comm_seconds.to_bits());
     out
 }
 
@@ -127,6 +129,8 @@ struct ComboOut {
     sync_steps: u64,
     local_steps: u64,
     measured_sync_wire_bytes: u64,
+    compute_seconds: f64,
+    comm_seconds: f64,
 }
 
 fn decode_report(lanes: &[f32]) -> ComboOut {
@@ -149,6 +153,8 @@ fn decode_report(lanes: &[f32]) -> ComboOut {
         sync_steps: take_u64(&mut it),
         local_steps: take_u64(&mut it),
         measured_sync_wire_bytes: take_u64(&mut it),
+        compute_seconds: f64::from_bits(take_u64(&mut it)),
+        comm_seconds: f64::from_bits(take_u64(&mut it)),
     }
 }
 
@@ -331,7 +337,8 @@ fn main() {
                     "  {label} final {metric_name} = {:.2} (effective {} bits/step/worker \
                  [intra {} | inter {}], {} syncs / {} iters, measured {} B \
                  [sync-governed {} B] in {} frames [framing {} B], \
-                 t_compress {:.1}µs + t_exchange {:.1}µs [overlapped {:.1}µs] /iter)",
+                 t_compress {:.1}µs + t_exchange {:.1}µs [overlapped {:.1}µs] /iter, \
+                 sim {:.3}s = compute {:.3}s + comm {:.6}s)",
                     out.final_metric,
                     out.wire_bits_per_iter,
                     out.intra_wire_bits_per_iter,
@@ -344,7 +351,10 @@ fn main() {
                     out.framing_bytes,
                     out.avg_compress_seconds * 1e6,
                     out.avg_exchange_seconds * 1e6,
-                    out.avg_overlap_seconds * 1e6
+                    out.avg_overlap_seconds * 1e6,
+                    out.compute_seconds + out.comm_seconds,
+                    out.compute_seconds,
+                    out.comm_seconds
                 );
                 curves.push((label, out));
             }

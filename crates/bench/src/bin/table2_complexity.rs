@@ -73,7 +73,11 @@ fn main() {
             let se = scaling_efficiency(rep.throughput, dense2.throughput);
             t.row(&[algo.name().into(), format!("{:.1}", rep.throughput), format!("{se:.2}")]);
             csv.row(&[model.name().into(), algo.name().into(), format!("{se:.3}")]);
-            eprintln!("  {} {}: SE {:.2}", model.name(), algo.name(), se);
+            let split = format!(
+                "sim {:.3}s = compute {:.3}s + comm {:.6}s",
+                rep.total_sim_seconds, rep.compute_seconds, rep.comm_seconds
+            );
+            eprintln!("  {} {}: SE {se:.2} ({split})", model.name(), algo.name());
         }
         println!("{}", t.render());
     }

@@ -20,9 +20,11 @@
 //! their encoded size, and the traffic accounting below needs no
 //! out-of-band overrides.
 //!
-//! Time is backend-dependent: modeled-clock transports (in-proc) overlay
-//! the Hockney α–β [`CostModel`]; real transports (TCP) accumulate
-//! measured wall time on [`CommHandle::clock`].
+//! Time is a ledger each communicator keeps locally
+//! ([`CommHandle::comm_seconds`]): under a [`CostModel`] (in-proc) every
+//! completed collective adds its Hockney α–β price — a function of sizes
+//! every rank already agrees on, so no rank asks another — and without
+//! one (TCP) it adds the wall time measured inside the call.
 
 use crate::cost::CostModel;
 use crate::transport::group::{self, GroupTransport, SharedTransport};
@@ -128,14 +130,13 @@ pub struct TrafficStats {
     pub logical_wire_bits: u64,
 }
 
-/// Rank-local endpoint: collectives, clocks and traffic stats over an
-/// arbitrary [`Transport`].
+/// Rank-local endpoint: collectives, the time ledger and traffic stats
+/// over an arbitrary [`Transport`].
 pub struct CommHandle {
     transport: Box<dyn Transport>,
-    /// `Some` ⇒ modeled time (Hockney overlay on a shared simulated
-    /// clock); `None` ⇒ measured wall time.
+    /// `Some` ⇒ collectives are priced (Hockney α–β); `None` ⇒ timed.
     cost: Option<CostModel>,
-    clock_s: f64,
+    comm_s: f64,
     stats: TrafficStats,
     op_seq: u64,
     /// Nonblocking collectives started but not yet waited (see
@@ -167,13 +168,13 @@ struct SharedState {
 }
 
 impl CommHandle {
-    /// Wraps a transport. `cost` enables the modeled-time overlay; it
-    /// requires a transport with a shared simulated clock (in-proc).
+    /// Wraps a transport. With `cost`, collectives are priced by the model
+    /// instead of timed (see [`Self::comm_seconds`]).
     pub fn new(transport: Box<dyn Transport>, cost: Option<CostModel>) -> Self {
         CommHandle {
             transport,
             cost,
-            clock_s: 0.0,
+            comm_s: 0.0,
             stats: TrafficStats::default(),
             op_seq: 0,
             inflight: 0,
@@ -235,16 +236,14 @@ impl CommHandle {
         self.cost
     }
 
-    /// Seconds elapsed on this rank: simulated on modeled backends,
-    /// measured wall time spent inside collectives (plus
-    /// [`advance_compute`](Self::advance_compute)) on real ones.
-    pub fn clock(&self) -> f64 {
-        self.clock_s
-    }
-
-    /// Advances the local clock by measured compute time.
-    pub fn advance_compute(&mut self, seconds: f64) {
-        self.clock_s += seconds;
+    /// Communication seconds this communicator has been charged so far.
+    /// Under a cost model: the sum of the closed-form prices of the
+    /// collectives it completed — bit-equal on every rank after the same
+    /// collectives and independent of how long any rank computed. Without
+    /// one: the wall time spent inside collective calls (network time that
+    /// passes between calls is overlapped, hence free).
+    pub fn comm_seconds(&self) -> f64 {
+        self.comm_s
     }
 
     /// Traffic statistics so far.
@@ -289,14 +288,6 @@ impl CommHandle {
         self.transport.as_mut()
     }
 
-    /// Force-sets the local clock — the hierarchical choreography's
-    /// hand-off between a world communicator and its sub-communicators
-    /// (each sub-communicator accumulates time independently; the caller
-    /// threads one logical timeline through them).
-    pub fn align_clock(&mut self, seconds: f64) {
-        self.clock_s = seconds;
-    }
-
     /// Splits this communicator into disjoint sub-communicators — MPI's
     /// `MPI_Comm_split`, collective over **all** ranks of this
     /// communicator. Ranks passing the same `Some(group_id)` form one
@@ -306,8 +297,9 @@ impl CommHandle {
     ///
     /// The child shares the parent's underlying endpoint (collectives on
     /// parent and child interleave safely: every child tag carries a
-    /// distinct tag space in bits 48..63) and inherits its cost model and
-    /// clock; traffic stats start at zero. The parent stays fully usable.
+    /// distinct tag space in bits 48..63) and inherits its cost model; its
+    /// own ledgers (traffic stats, comm seconds) start at zero. The parent
+    /// stays fully usable.
     /// Splits nest — a child can split again — to a depth/width budget of
     /// 31 children per communicator and 15 bits of total space, far above
     /// any real topology.
@@ -337,11 +329,8 @@ impl CommHandle {
         // the shared endpoint.
         let map = &self.shared.as_ref().expect("shared root").members;
         let abs: Vec<usize> = members.iter().map(|&(_, r)| map[r]).collect();
-        let modeled = self.cost.is_some();
-        let transport =
-            GroupTransport::group(shared.clone(), abs.clone(), sub_rank, space, modeled);
+        let transport = GroupTransport::group(shared.clone(), abs.clone(), sub_rank, space);
         let mut child = CommHandle::new(Box::new(transport), self.cost);
-        child.clock_s = self.clock_s;
         child.shared = Some(SharedState { transport: shared, members: abs });
         child.space = space;
         child.plane = self.plane;
@@ -375,14 +364,13 @@ impl CommHandle {
     /// transport moves into an `Arc<Mutex<…>>` and the handle keeps an
     /// identity [`GroupTransport`] view over it — bit-for-bit the same
     /// behavior, since the identity view passes tags through unchanged and
-    /// delegates barrier/clock rendezvous to the root.
+    /// delegates the barrier to the root.
     fn ensure_shared(&mut self) -> SharedTransport {
         if self.shared.is_none() {
             let world = self.transport.world();
             let inner = std::mem::replace(&mut self.transport, Box::new(group::Detached));
             let shared: SharedTransport = std::sync::Arc::new(parking_lot::Mutex::new(inner));
-            self.transport =
-                Box::new(GroupTransport::identity(shared.clone(), self.cost.is_some()));
+            self.transport = Box::new(GroupTransport::identity(shared.clone()));
             self.shared = Some(SharedState { transport: shared, members: (0..world).collect() });
         }
         self.shared.as_ref().expect("just ensured").transport.clone()
@@ -453,10 +441,6 @@ impl CommHandle {
         self.stats.logical_wire_bits += bits;
     }
 
-    pub(crate) fn add_clock(&mut self, seconds: f64) {
-        self.clock_s += seconds;
-    }
-
     /// The model `Auto` selects algorithms against: the backend's own cost
     /// model, or the reference InfiniBand profile on measured backends
     /// (keeping the choice deterministic and backend-independent).
@@ -464,10 +448,19 @@ impl CommHandle {
         self.cost.unwrap_or_else(|| CostModel::new(crate::NetworkProfile::infiniband_100g()))
     }
 
-    /// Closes out a collective on the local clock. Modeled backends meet
-    /// on the shared simulated clock (all ranks jump to the max, plus the
-    /// collective's analytic cost for the agreed payload size); measured
-    /// backends add the wall time since `t0`.
+    /// Measured backends: the wall time since `t0`, spent inside a
+    /// collective call, joins the ledger. Priced backends charge nothing
+    /// until the collective completes ([`Self::finish_op`]).
+    pub(crate) fn charge_wall(&mut self, t0: Instant) {
+        if self.cost.is_none() {
+            self.comm_s += t0.elapsed().as_secs_f64();
+        }
+    }
+
+    /// Closes out a completed collective on the ledger: its closed-form
+    /// price for `payload_bytes` under a cost model — a size every rank
+    /// agrees on (the SPMD contract; a gather passes its largest frame), so
+    /// nothing is exchanged — else the wall time since `t0`.
     pub(crate) fn finish_op(
         &mut self,
         t0: Instant,
@@ -475,14 +468,8 @@ impl CommHandle {
         cost_of: impl Fn(&CostModel, f64, usize) -> f64,
     ) {
         match self.cost {
-            Some(model) => {
-                let (maxc, maxb) = self
-                    .transport
-                    .clock_exchange(self.clock_s, payload_bytes)
-                    .expect("modeled timing requires a clock-exchange transport");
-                self.clock_s = maxc + cost_of(&model, maxb, self.transport.world());
-            }
-            None => self.clock_s += t0.elapsed().as_secs_f64(),
+            Some(model) => self.comm_s += cost_of(&model, payload_bytes, self.world()),
+            None => self.charge_wall(t0),
         }
     }
 
@@ -500,11 +487,11 @@ impl CommHandle {
     // `Result<_, TransportError>` — a dead peer is a recoverable value —
     // and a panicking form wrapping it through `or_panic`, for callers
     // with no recovery policy. On `Err` the collective is abandoned
-    // mid-algorithm: no clock close-out runs and the communicator must be
+    // mid-algorithm: nothing is charged and the communicator must be
     // considered spent (survivors re-rendezvous; see `a2sgd-elastic`).
 
-    /// Full synchronization barrier (modeled latency on simulated
-    /// backends, a real dissemination rendezvous on TCP). Barrier control
+    /// Full synchronization barrier (a shared-memory rendezvous in-proc, a
+    /// real dissemination rendezvous on TCP). Barrier control
     /// frames carry no payload but do hit the wire, so they count toward
     /// `messages`/`wire_bytes` (never `bytes_sent`/`logical_wire_bits`).
     pub fn barrier(&mut self) {
@@ -877,20 +864,33 @@ mod tests {
     }
 
     #[test]
-    fn clocks_advance_and_agree_after_collectives() {
-        let results = run_cluster(4, NetworkProfile::infiniband_100g(), |h| {
-            h.advance_compute(0.001 * (h.rank() + 1) as f64);
+    fn comm_seconds_are_the_closed_form_and_agree_on_every_rank() {
+        // What the local ledger guarantees: after the same collectives every
+        // rank holds the bit-equal total, it is the sum of the closed-form
+        // prices (a gather at its largest frame), and no rank's compute time
+        // (rank r idles r ms mid-sequence) leaks into it.
+        let profile = NetworkProfile::ethernet_1g();
+        let results = run_cluster(4, profile, |h| {
             let mut d = vec![1.0f32; 1024];
-            h.allreduce_sum(&mut d);
-            h.clock()
+            h.allreduce_sum_with(&mut d, CollectiveAlgo::Ring);
+            std::thread::sleep(std::time::Duration::from_millis(h.rank() as u64));
+            h.allreduce_sum_with(&mut d[..7], CollectiveAlgo::RecursiveDoubling);
+            h.allgather_bytes(Payload::Bytes(vec![0; 10 * (h.rank() + 1)]));
+            h.broadcast(1, &mut d[..100]);
+            h.barrier();
+            h.comm_seconds()
         });
-        // All ranks end at the same simulated time: max compute (0.004) +
-        // collective cost.
-        let t0 = results[0];
-        assert!(t0 > 0.004);
-        for t in results {
-            assert!((t - t0).abs() < 1e-12);
-        }
+        let m = CostModel::new(profile);
+        let expect = [
+            m.ring_allreduce(4096.0, 4),
+            m.recursive_doubling_allreduce(28.0, 4),
+            m.ring_allgather(40.0, 4),
+            m.broadcast(400.0, 4),
+            m.barrier(4),
+        ];
+        assert!(expect.iter().all(|&c| c > 0.0));
+        let total: f64 = expect.iter().sum();
+        assert!(results.iter().all(|t| t.to_bits() == total.to_bits()), "{results:?} vs {total}");
     }
 
     #[test]

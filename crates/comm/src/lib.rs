@@ -8,9 +8,11 @@
 //!
 //! * **In-process** ([`transport::InProc`], [`run_cluster`]) — every rank
 //!   is a thread, a send is a memcpy through shared-memory mailboxes, and
-//!   wall-clock *time* is modeled analytically with the Hockney α–β model
+//!   communication *time* is priced analytically with the Hockney α–β model
 //!   parameterized by a [`NetworkProfile`] — the seed repo's simulated
-//!   16-node InfiniBand cluster.
+//!   16-node InfiniBand cluster. The price is a ledger each communicator
+//!   keeps locally ([`CommHandle::comm_seconds`]): collective sizes are
+//!   rank-agreed, so no rank ever waits on another to learn the time.
 //! * **TCP** ([`transport::Tcp`], [`run_cluster_tcp`],
 //!   [`run_cluster_tcp_threads`]) — every rank is an OS process (or
 //!   thread) holding persistent per-peer `TcpStream`s with length-prefixed
@@ -69,8 +71,8 @@
 //! * [`profile::NetworkProfile`] — α (latency) and β (bandwidth) presets,
 //!   including the paper's 100 Gbps InfiniBand.
 //! * [`cost`] — closed-form collective cost functions.
-//! * [`collective`] — [`CommHandle`]: the blocking collectives, per-rank
-//!   clocks and [`TrafficStats`] accounting.
+//! * [`collective`] — [`CommHandle`]: the blocking collectives, the
+//!   per-communicator time ledger and [`TrafficStats`] accounting.
 //! * [`nonblocking`] — the handle-based collective engine.
 //! * [`transport`] — the data planes, wire codec and launchers.
 //! * [`sim`] — spawn an in-process cluster of ranks with scoped threads.

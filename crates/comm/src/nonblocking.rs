@@ -30,12 +30,12 @@
 //!   receives deferred — maximal overlap, and gathered frames are moved
 //!   verbatim so content never depends on routing).
 //!
-//! Time accounting: measured backends (TCP) add the wall time spent inside
-//! `start_*`/`try_complete`/`wait` calls to the rank clock — overlapped
-//! network time that no call observes is genuinely free. Modeled backends
-//! (in-proc) run the usual shared-clock rendezvous + Hockney cost at
-//! `wait()`, so SPMD callers must wait handles in the same order on every
-//! rank (sessions drain in bucket order, which satisfies this).
+//! Time accounting ([`CommHandle::comm_seconds`]): measured backends (TCP)
+//! add the wall time spent inside `start_*`/`try_complete`/`wait` calls —
+//! overlapped network time that no call observes is genuinely free. Priced
+//! backends (in-proc) add the collective's Hockney cost once, at `wait()`;
+//! the price depends only on the frames, never on when or in what order
+//! handles are waited.
 //!
 //! Peer loss surfaces as a typed [`TransportError`] from
 //! `try_complete`/`wait`; a failed handle releases its in-flight slot.
@@ -156,9 +156,7 @@ impl CollectiveHandle {
             return Err(e);
         }
         let done = self.poll(comm, false);
-        if comm.cost_model().is_none() {
-            comm.add_clock(t0.elapsed().as_secs_f64());
-        }
+        comm.charge_wall(t0);
         match done {
             Ok(d) => {
                 if d {
@@ -186,9 +184,7 @@ impl CollectiveHandle {
     }
 
     /// Drives the collective to completion (blocking on outstanding
-    /// frames) and returns its result. On modeled backends this is also
-    /// the shared-clock rendezvous point, so SPMD ranks must wait their
-    /// handles in the same order.
+    /// frames) and returns its result.
     pub fn wait(mut self, comm: &mut CommHandle) -> Result<CollectiveResult, TransportError> {
         let t0 = Instant::now();
         let outcome = match self.failed.take() {
@@ -197,18 +193,22 @@ impl CollectiveHandle {
         };
         self.release(comm);
         outcome?;
-        // The gather is charged as a ring: P−1 frames per rank cost the
-        // same (P−1)·(α + bytes/β) whether they hop or fan out.
-        let cost: fn(&CostModel, f64, usize) -> f64 = match self.op {
-            Op::Allgather { .. } => CostModel::ring_allgather,
-            Op::Allreduce(_) => CostModel::recursive_doubling_allreduce,
-        };
-        comm.finish_op(t0, self.payload_bytes, cost);
         Ok(match self.op {
-            Op::Allgather { out, .. } => CollectiveResult::Gathered(
-                out.into_iter().map(|p| p.expect("allgather left a hole")).collect(),
-            ),
-            Op::Allreduce(rd) => CollectiveResult::Reduced(rd.data),
+            Op::Allgather { out, .. } => {
+                let frames: Vec<Payload> =
+                    out.into_iter().map(|p| p.expect("allgather left a hole")).collect();
+                // The gather is charged as a ring: P−1 frames per rank cost
+                // the same (P−1)·(α + bytes/β) whether they hop or fan out —
+                // at its largest frame, which every rank reads off the
+                // result it now holds.
+                let largest = frames.iter().map(Payload::byte_len).max().unwrap_or(0);
+                comm.finish_op(t0, largest as f64, CostModel::ring_allgather);
+                CollectiveResult::Gathered(frames)
+            }
+            Op::Allreduce(rd) => {
+                comm.finish_op(t0, self.payload_bytes, CostModel::recursive_doubling_allreduce);
+                CollectiveResult::Reduced(rd.data)
+            }
         })
     }
 
@@ -317,9 +317,7 @@ fn finish_core(rd: &mut RdState, comm: &mut CommHandle) -> Result<(), TransportE
 impl CommHandle {
     fn launch(&mut self, op: Op, payload_bytes: f64, t0: Instant) -> CollectiveHandle {
         self.inflight_inc();
-        if self.cost_model().is_none() {
-            self.add_clock(t0.elapsed().as_secs_f64());
-        }
+        self.charge_wall(t0);
         let (trace_name, op_name, op_tag) = match &op {
             Op::Allgather { tag, .. } => ("nb/allgather", "allgather", *tag),
             Op::Allreduce(rd) => ("nb/allreduce", "allreduce", rd.tag),

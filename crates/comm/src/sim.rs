@@ -7,7 +7,7 @@ use crate::transport::InProcShared;
 use std::sync::Arc;
 
 /// A simulated in-process cluster (thread ranks, mailbox transport,
-/// modeled Hockney time); create once, then [`Cluster::handle`] per rank.
+/// Hockney-priced collectives); create once, then [`Cluster::handle`] per rank.
 pub struct Cluster {
     shared: Arc<InProcShared>,
     world: usize,

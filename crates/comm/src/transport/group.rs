@@ -10,9 +10,9 @@
 //! * a **tag space** injected into bits 48..63 of every collective tag, so
 //!   concurrent parent/child collectives on the same socket/mailbox can
 //!   never match each other's frames,
-//! * its own **dissemination barrier** and **gather-max clock exchange**
-//!   over group members only — the root's native barrier/clock rendezvous
-//!   are world-wide and would deadlock a proper subgroup.
+//! * its own **dissemination barrier** over group members only — the
+//!   root's native barrier is world-wide and would deadlock a proper
+//!   subgroup.
 //!
 //! The mutex is never contended: a rank's parent handle and all its
 //! sub-handles live on the same thread (the SPMD contract makes their use
@@ -39,21 +39,18 @@ pub(crate) const SPACE_FANOUT: u64 = 32;
 /// Group-internal dissemination-barrier tags: bit 63 (internal) + bit 62
 /// (barrier discriminator, distinct from the TCP backend's own barrier).
 const GROUP_BARRIER: u64 = (1 << 63) | (1 << 62);
-/// Group-internal clock-exchange tags: bit 63 + bit 61.
-const GROUP_CLOCK: u64 = (1 << 63) | (1 << 61);
 
 /// Elastic control-plane tags: bit 63 + bit 60. Heartbeats, goodbye
 /// frames and any other membership traffic the `a2sgd-elastic` crate puts
 /// on the raw transport live here — disjoint from collective payload tags
-/// (bit 63 clear), group barriers (bit 62) and clock gathers (bit 61).
+/// (bit 63 clear) and group barriers (bit 62).
 /// Group tag spaces occupy bits 40..55 and so can never reach bit 60.
 pub const ELASTIC_TAG: u64 = (1 << 63) | (1 << 60);
 
 /// Classifies a wire tag into the tag space (communicator) whose
 /// [`TrafficStats`](crate::TrafficStats) account the frame lands in, or
-/// `None` for frames that are deliberately *not* accounted — the modeled
-/// backends' group clock-exchange gathers, which exist only to rendezvous
-/// the simulated clock. This is the single place the tag bit layout is
+/// `None` for frames that are deliberately *not* accounted — the elastic
+/// control plane's. This is the single place the tag bit layout is
 /// interpreted for auditing: span-derived per-space wire bytes grouped by
 /// this function must equal each communicator's `wire_bytes` exactly.
 pub fn tag_space(tag: u64) -> Option<u64> {
@@ -61,13 +58,10 @@ pub fn tag_space(tag: u64) -> Option<u64> {
         // Collective payload tags: the space sits in bits 48..63.
         return Some(tag >> SPACE_SHIFT);
     }
-    if tag & GROUP_CLOCK == GROUP_CLOCK {
-        return None; // modeled clock rendezvous: never hits TrafficStats
-    }
     if tag & ELASTIC_TAG == ELASTIC_TAG {
         // Elastic membership control frames ride the raw transport below
         // CommHandle and never hit TrafficStats — unaccounted by design,
-        // like the clock gathers, so strict span-vs-stats audits hold.
+        // so strict span-vs-stats audits hold.
         return None;
     }
     if tag & GROUP_BARRIER == GROUP_BARRIER {
@@ -87,20 +81,16 @@ pub struct GroupTransport {
     sub_rank: usize,
     space: u64,
     /// Pure passthrough (space 0, full world): the parent's own view after
-    /// its first split. Barrier and clock exchange delegate to the root's
-    /// native world-wide rendezvous so pre-split behavior is unchanged.
+    /// its first split. The barrier delegates to the root's native
+    /// world-wide rendezvous so pre-split behavior is unchanged.
     identity: bool,
-    /// Whether the root has a shared simulated clock (the handle's cost
-    /// model is `Some`); a measured root never calls `clock_exchange`.
-    modeled: bool,
     backend: &'static str,
     barrier_seq: u64,
-    clock_seq: u64,
 }
 
 impl GroupTransport {
     /// The parent's identity view over its own freshly-shared endpoint.
-    pub(crate) fn identity(inner: SharedTransport, modeled: bool) -> Self {
+    pub(crate) fn identity(inner: SharedTransport) -> Self {
         let (world, rank, backend) = {
             let t = inner.lock();
             (t.world(), t.rank(), t.backend_name())
@@ -111,10 +101,8 @@ impl GroupTransport {
             sub_rank: rank,
             space: 0,
             identity: true,
-            modeled,
             backend,
             barrier_seq: 0,
-            clock_seq: 0,
         }
     }
 
@@ -125,23 +113,12 @@ impl GroupTransport {
         members: Vec<usize>,
         sub_rank: usize,
         space: u64,
-        modeled: bool,
     ) -> Self {
         assert!(space > 0 && space < MAX_SPACE, "tag space {space} out of range");
         assert!(sub_rank < members.len());
         debug_assert_eq!(members[sub_rank], inner.lock().rank());
         let backend = inner.lock().backend_name();
-        GroupTransport {
-            inner,
-            members,
-            sub_rank,
-            space,
-            identity: false,
-            modeled,
-            backend,
-            barrier_seq: 0,
-            clock_seq: 0,
-        }
+        GroupTransport { inner, members, sub_rank, space, identity: false, backend, barrier_seq: 0 }
     }
 
     /// The sub-rank → root-rank member map.
@@ -235,60 +212,6 @@ impl Transport for GroupTransport {
             None
         }
     }
-
-    fn clock_exchange(&mut self, clock_s: f64, payload_bytes: f64) -> Option<(f64, f64)> {
-        if self.identity {
-            return self.inner.lock().clock_exchange(clock_s, payload_bytes);
-        }
-        if !self.modeled {
-            return None;
-        }
-        let world = self.members.len();
-        if world == 1 {
-            return Some((clock_s, payload_bytes));
-        }
-        // Gather-max at sub-rank 0, then fan the maxima back out — the
-        // group-local equivalent of the in-proc slot rendezvous.
-        self.clock_seq += 1;
-        let base = GROUP_CLOCK | (self.space << 40) | (self.clock_seq << 8);
-        let word = |c: f64, b: f64| Payload::PackedU64(vec![c.to_bits(), b.to_bits()]);
-        let unword = |p: Payload| {
-            let w = p.expect_u64();
-            (f64::from_bits(w[0]), f64::from_bits(w[1]))
-        };
-        if self.sub_rank == 0 {
-            let (mut maxc, mut maxb) = (clock_s, payload_bytes);
-            for sub in 1..world {
-                let got = self
-                    .inner
-                    .lock()
-                    .recv_bytes(self.members[sub], base)
-                    .unwrap_or_else(|e| panic!("group clock gather: {e}"));
-                let (c, b) = unword(got);
-                maxc = maxc.max(c);
-                maxb = maxb.max(b);
-            }
-            let reply = word(maxc, maxb);
-            for sub in 1..world {
-                self.inner
-                    .lock()
-                    .send_bytes(self.members[sub], base | 1, reply.as_ref())
-                    .unwrap_or_else(|e| panic!("group clock scatter: {e}"));
-            }
-            Some((maxc, maxb))
-        } else {
-            self.inner
-                .lock()
-                .send_bytes(self.members[0], base, word(clock_s, payload_bytes).as_ref())
-                .unwrap_or_else(|e| panic!("group clock deposit: {e}"));
-            let got = self
-                .inner
-                .lock()
-                .recv_bytes(self.members[0], base | 1)
-                .unwrap_or_else(|e| panic!("group clock result: {e}"));
-            Some(unword(got))
-        }
-    }
 }
 
 /// Placeholder installed while a handle's real endpoint is being moved into
@@ -332,10 +255,6 @@ impl Transport for Detached {
     fn barrier(&mut self) -> Result<(u64, u64), TransportError> {
         unreachable!("detached transport")
     }
-
-    fn clock_exchange(&mut self, _clock_s: f64, _payload_bytes: f64) -> Option<(f64, f64)> {
-        unreachable!("detached transport")
-    }
 }
 
 #[cfg(test)]
@@ -354,8 +273,8 @@ mod tests {
         let all = InProcShared::new(4);
         let e1 = shared_endpoint(4, 1, &all);
         let e3 = shared_endpoint(4, 3, &all);
-        let mut g1 = GroupTransport::group(e1, vec![1, 3], 0, 5, true);
-        let mut g3 = GroupTransport::group(e3.clone(), vec![1, 3], 1, 5, true);
+        let mut g1 = GroupTransport::group(e1, vec![1, 3], 0, 5);
+        let mut g3 = GroupTransport::group(e3.clone(), vec![1, 3], 1, 5);
         assert_eq!((g1.rank(), g1.world()), (0, 2));
         assert_eq!((g3.rank(), g3.world()), (1, 2));
         g1.send_bytes(1, 7, Payload::F32Dense(vec![2.5]).as_ref()).unwrap();
@@ -372,7 +291,7 @@ mod tests {
         // so identical (tag, sub-rank) pairs cannot collide at the root.
         let all = InProcShared::new(4);
         let mk = |rank: usize, members: Vec<usize>, sub: usize| {
-            GroupTransport::group(shared_endpoint(4, rank, &all), members, sub, 1, true)
+            GroupTransport::group(shared_endpoint(4, rank, &all), members, sub, 1)
         };
         let mut a0 = mk(0, vec![0, 1], 0);
         let mut a1 = mk(1, vec![0, 1], 1);
@@ -385,27 +304,22 @@ mod tests {
     }
 
     #[test]
-    fn group_barrier_and_clock_rendezvous_members_only() {
+    fn group_barrier_rendezvous_members_only() {
         let all = InProcShared::new(3);
-        // Group {0, 2}: rank 1 never participates — the group barrier and
-        // clock exchange must complete without it.
+        // Group {0, 2}: rank 1 never participates — the group barrier must
+        // complete without it.
         std::thread::scope(|s| {
-            let all0 = all.clone();
-            let all2 = all.clone();
-            let j0 = s.spawn(move || {
-                let mut g =
-                    GroupTransport::group(shared_endpoint(3, 0, &all0), vec![0, 2], 0, 1, true);
-                g.barrier().unwrap();
-                g.clock_exchange(1.0, 4.0).unwrap()
-            });
-            let j2 = s.spawn(move || {
-                let mut g =
-                    GroupTransport::group(shared_endpoint(3, 2, &all2), vec![0, 2], 1, 1, true);
-                g.barrier().unwrap();
-                g.clock_exchange(3.0, 2.0).unwrap()
-            });
-            assert_eq!(j0.join().unwrap(), (3.0, 4.0));
-            assert_eq!(j2.join().unwrap(), (3.0, 4.0));
+            let member = |rank: usize, sub: usize| {
+                let all = all.clone();
+                s.spawn(move || {
+                    GroupTransport::group(shared_endpoint(3, rank, &all), vec![0, 2], sub, 1)
+                        .barrier()
+                })
+            };
+            let (j0, j2) = (member(0, 0), member(2, 1));
+            // One dissemination round: one empty frame each.
+            assert_eq!(j0.join().unwrap(), Ok((1, 0)));
+            assert_eq!(j2.join().unwrap(), Ok((1, 0)));
         });
     }
 }

@@ -3,9 +3,8 @@
 //! Every rank is a thread of one process; a send pushes a message into the
 //! destination's mailbox under a mutex, a receive blocks on the mailbox
 //! condvar. This is the seed repo's original data plane, now behind the
-//! [`Transport`] trait. It is the only backend with a shared *simulated*
-//! clock ([`Transport::clock_exchange`] returns `Some`), which is what lets
-//! the Hockney cost model overlay wall time analytically.
+//! [`Transport`] trait. It moves bytes and nothing else: the Hockney price
+//! of a collective is added above it, by the communicator.
 
 use crate::transport::wire::{Payload, PayloadRef};
 use crate::transport::{Transport, TransportError};
@@ -41,30 +40,39 @@ impl SenseBarrier {
         SenseBarrier { count: AtomicUsize::new(0), sense: AtomicBool::new(false), total }
     }
 
-    fn wait(&self, local_sense: &mut bool) {
+    /// Waits until all `total` ranks arrived, or returns the rank whose
+    /// `departed` flag shows it never will.
+    fn wait(&self, local_sense: &mut bool, departed: &[AtomicBool]) -> Result<(), usize> {
         let my_sense = !*local_sense;
         *local_sense = my_sense;
         if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
             self.count.store(0, Ordering::Relaxed);
             self.sense.store(my_sense, Ordering::Release);
-        } else {
-            while self.sense.load(Ordering::Acquire) != my_sense {
-                std::thread::yield_now();
-            }
+            return Ok(());
         }
+        let released = || self.sense.load(Ordering::Acquire) == my_sense;
+        while !released() {
+            if let Some(peer) = departed.iter().position(|d| d.load(Ordering::Acquire)) {
+                // A rank that left after passing this barrier set its flag
+                // (release) after it saw the sense flip, so the flip is
+                // visible by now; an unflipped sense means it never arrived.
+                return if released() { Ok(()) } else { Err(peer) };
+            }
+            std::thread::yield_now();
+        }
+        Ok(())
     }
 }
 
-/// State shared by all ranks of one in-process cluster: mailboxes, the
-/// rendezvous barrier, and the clock-exchange deposit slots.
+/// State shared by all ranks of one in-process cluster: mailboxes and the
+/// rendezvous barrier.
 pub struct InProcShared {
     world: usize,
     mailboxes: Vec<Mailbox>,
     barrier: SenseBarrier,
-    /// Per-rank (clock, payload-bytes) deposit slots for clock syncing.
-    slots: Vec<Mutex<(f64, f64)>>,
     /// Per-rank departure flags: set when a rank's endpoint is dropped, so
-    /// survivors blocked on its traffic get [`TransportError::PeerClosed`]
+    /// survivors blocked on its traffic or in the barrier get
+    /// [`TransportError::PeerClosed`]
     /// instead of waiting forever — the shared-memory analogue of a TCP
     /// EOF.
     departed: Vec<AtomicBool>,
@@ -82,7 +90,6 @@ impl InProcShared {
             world,
             mailboxes: (0..world).map(|_| Mailbox::default()).collect(),
             barrier: SenseBarrier::new(world),
-            slots: (0..world).map(|_| Mutex::new((0.0, 0.0))).collect(),
             departed: (0..world).map(|_| AtomicBool::new(false)).collect(),
             trace_salt: NEXT_TRACE_SALT.fetch_add(1, Ordering::Relaxed),
         })
@@ -111,12 +118,11 @@ impl InProc {
     /// Frames already mailed before the sender departed stay receivable;
     /// only a *missing* frame from a departed rank is an error.
     fn peer_departed(&self, from: usize, tag: u64) -> Option<TransportError> {
-        self.shared.departed[from].load(Ordering::Acquire).then(|| TransportError::PeerClosed {
-            rank: self.rank,
-            peer: from,
-            tag: Some(tag),
-            cause: "endpoint dropped".into(),
-        })
+        self.shared.departed[from].load(Ordering::Acquire).then(|| self.closed(from, Some(tag)))
+    }
+
+    fn closed(&self, peer: usize, tag: Option<u64>) -> TransportError {
+        TransportError::PeerClosed { rank: self.rank, peer, tag, cause: "endpoint dropped".into() }
     }
 }
 
@@ -241,24 +247,10 @@ impl Transport for InProc {
     }
 
     fn barrier(&mut self) -> Result<(u64, u64), TransportError> {
-        self.shared.barrier.wait(&mut self.local_sense);
-        Ok((0, 0)) // shared-memory rendezvous: nothing on any wire
-    }
-
-    fn clock_exchange(&mut self, clock_s: f64, payload_bytes: f64) -> Option<(f64, f64)> {
-        *self.shared.slots[self.rank].lock() = (clock_s, payload_bytes);
-        let _ = self.barrier(); // shared-memory barrier is infallible
-        let mut maxc = f64::NEG_INFINITY;
-        let mut maxb = 0.0f64;
-        for s in &self.shared.slots {
-            let (c, b) = *s.lock();
-            maxc = maxc.max(c);
-            maxb = maxb.max(b);
+        match self.shared.barrier.wait(&mut self.local_sense, &self.shared.departed) {
+            Ok(()) => Ok((0, 0)), // shared-memory rendezvous: nothing on any wire
+            Err(peer) => Err(self.closed(peer, None)),
         }
-        // Second barrier: nobody may overwrite a slot (next exchange) until
-        // every rank has read all of them.
-        let _ = self.barrier();
-        Some((maxc, maxb))
     }
 
     fn classify_survivors(&mut self) -> Option<Vec<bool>> {
@@ -332,6 +324,32 @@ mod tests {
     }
 
     #[test]
+    fn barrier_with_a_departed_peer_is_a_typed_error() {
+        // The barrier half of the same contract: a rank that can never
+        // arrive fails the wait instead of spinning it forever, and a rank
+        // that leaves *after* a barrier released does not fail that barrier.
+        let shared = InProcShared::new(2);
+        let (mut e0, mut e1) = (shared.endpoint(0), shared.endpoint(1));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let first = e0.barrier();
+            tx.send((first, e0.barrier())).unwrap();
+        });
+        e1.barrier().unwrap();
+        drop(e1);
+        let (first, second) = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("barrier against a dropped endpoint hung");
+        assert_eq!(first, Ok((0, 0)));
+        match second {
+            Err(TransportError::PeerClosed { rank, peer, tag, .. }) => {
+                assert_eq!((rank, peer, tag), (0, 1, None));
+            }
+            other => panic!("expected PeerClosed, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn frames_sent_before_drop_stay_receivable() {
         let shared = InProcShared::new(2);
         let mut e0 = shared.endpoint(0);
@@ -363,18 +381,5 @@ mod tests {
         let _e1 = shared.endpoint(1);
         drop(shared.endpoint(2));
         assert_eq!(e0.classify_survivors(), Some(vec![true, true, false]));
-    }
-
-    #[test]
-    fn clock_exchange_returns_max() {
-        let shared = InProcShared::new(2);
-        let mut a = shared.endpoint(0);
-        let mut b = shared.endpoint(1);
-        std::thread::scope(|s| {
-            let ja = s.spawn(move || a.clock_exchange(1.0, 8.0).unwrap());
-            let jb = s.spawn(move || b.clock_exchange(3.0, 4.0).unwrap());
-            assert_eq!(ja.join().unwrap(), (3.0, 8.0));
-            assert_eq!(jb.join().unwrap(), (3.0, 8.0));
-        });
     }
 }

@@ -5,8 +5,9 @@
 //! mechanism that moves bytes between ranks:
 //!
 //! * [`InProc`] — the original shared-memory mailboxes: every rank is a
-//!   thread of one process, a send is a memcpy, and wall time is *modeled*
-//!   with the Hockney α–β cost overlay.
+//!   thread of one process and a send is a memcpy. (Network time for this
+//!   backend is priced above the transport, by the communicator's
+//!   `CostModel`; the data plane knows nothing of it.)
 //! * [`Tcp`] — one OS process (or thread) per rank over persistent
 //!   loopback/LAN `TcpStream`s with length-prefixed little-endian framing
 //!   ([`wire`]); bytes on the wire and elapsed time are *measured*.
@@ -192,19 +193,13 @@ pub trait Transport: Send {
     fn classify_survivors(&mut self) -> Option<Vec<bool>> {
         None
     }
-
-    /// Simulated-clock rendezvous for modeled-time backends: every rank
-    /// deposits its `(clock, payload_bytes)` pair and receives the
-    /// element-wise maximum across ranks. Returns `None` for real
-    /// transports, which have no shared simulated clock — callers measure
-    /// wall time instead.
-    fn clock_exchange(&mut self, clock_s: f64, payload_bytes: f64) -> Option<(f64, f64)>;
 }
 
 /// Which data plane a run uses (trainer/bench-level selection knob).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CommBackend {
-    /// Thread ranks + shared-memory mailboxes + modeled Hockney time.
+    /// Thread ranks + shared-memory mailboxes; communication time is
+    /// priced by the Hockney model, not measured.
     #[default]
     InProc,
     /// One process per rank over TCP; measured bytes and wall time. The

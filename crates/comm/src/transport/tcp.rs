@@ -33,8 +33,8 @@
 //! at each other would block forever. With it, the receiving side always
 //! consumes bytes, so a `write_all` of any frame size completes.
 //!
-//! Unlike the in-process backend there is no simulated clock: bytes are
-//! counted as they hit the socket and time is whatever the wall clock says.
+//! Unlike the in-process backend nothing is priced: bytes are counted as
+//! they hit the socket and time is whatever the wall clock says.
 
 use crate::transport::wire::{self, Payload, PayloadRef};
 use crate::transport::{Transport, TransportError};
@@ -506,10 +506,6 @@ impl Transport for Tcp {
             round += 1;
         }
         Ok((frames, wire_bytes))
-    }
-
-    fn clock_exchange(&mut self, _clock_s: f64, _payload_bytes: f64) -> Option<(f64, f64)> {
-        None // real transport: no simulated clock, callers measure.
     }
 
     fn classify_survivors(&mut self) -> Option<Vec<bool>> {

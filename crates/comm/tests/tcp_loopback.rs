@@ -72,9 +72,9 @@ fn tcp_clock_measures_wall_time() {
         assert_eq!(h.backend_name(), "tcp");
         let mut d = vec![1.0f32; 1024];
         h.allreduce_sum(&mut d);
-        h.clock()
+        h.comm_seconds()
     });
-    // Real sockets take real time; the modeled InfiniBand figure for this
+    // Real sockets take real time; the priced InfiniBand figure for this
     // payload would be ~µs, while loopback TCP rounds through the kernel.
     assert!(out.iter().all(|&t| t > 0.0));
 }

@@ -1,6 +1,6 @@
 //! Dense (uncompressed) distributed SGD — the paper's "Dense" baseline.
 
-use crate::{GradientSynchronizer, SyncStats};
+use crate::{GradientSynchronizer, Ledger, SyncStats};
 use cluster_comm::{CollectiveHandle, CommHandle, TransportError};
 use std::ops::Range;
 use std::time::Instant;
@@ -23,8 +23,8 @@ use std::time::Instant;
 /// (`2(P−1)/P·n` vs `log₂P·n` bytes/rank) for partition-invariant
 /// determinism. The figure regenerators' analytic dense curves
 /// (`a2sgd_bench::comm_seconds`) quote the best-of
-/// `CostModel::allreduce`; only trainer-internal modeled sim-time charges
-/// RD.
+/// `CostModel::allreduce`; the communicator's ledger
+/// ([`SyncStats::comm_seconds`]) charges RD, what actually ran.
 #[derive(Debug, Default)]
 pub struct DenseSgd;
 
@@ -46,7 +46,7 @@ impl GradientSynchronizer for DenseSgd {
         bounds: &[Range<usize>],
         comm: &mut CommHandle,
     ) -> Result<SyncStats, TransportError> {
-        let bits_before = comm.stats().logical_wire_bits;
+        let before = Ledger::read(comm);
         let mut exchange_seconds = 0.0f64;
 
         // Launch every bucket before waiting on any: all frames in flight
@@ -69,11 +69,7 @@ impl GradientSynchronizer for DenseSgd {
             exchange_seconds += t0.elapsed().as_secs_f64();
         }
 
-        Ok(SyncStats {
-            exchange_seconds,
-            wire_bits: comm.stats().logical_wire_bits - bits_before,
-            ..SyncStats::default()
-        })
+        Ok(SyncStats { exchange_seconds, ..before.spent(comm) })
     }
 
     // Dense is the fully-streaming synchronizer: a bucket's recursive-

@@ -8,7 +8,8 @@
 //! A2SGD packet — across the expensive inter plane, and the result fans
 //! back out with an intra-group broadcast. The returned [`SyncStats`]
 //! splits `wire_bits` / `exchange_seconds` into their intra and inter
-//! shares, so the O(1) claim is checkable on the inter fields alone.
+//! shares, so the O(1) claim is checkable on the inter fields alone; the
+//! planes run one after the other, so their `comm_seconds` simply add.
 //!
 //! With `group_size = 1` every rank is a leader, the intra plane is a
 //! one-rank no-op, and the result is bit-identical to running the inner
@@ -21,12 +22,11 @@ use cluster_comm::hier::HierarchicalComm;
 use cluster_comm::{CommHandle, TransportError};
 
 use crate::dense::DenseSgd;
-use crate::{wire_bits_of, GradientSynchronizer, SyncStats};
+use crate::{GradientSynchronizer, Ledger, SyncStats};
 
 /// Dense intra-group averaging composed with an inner synchronizer over
 /// group leaders (see module docs). Owns the topology's communicator
-/// pair; the world communicator passed to `try_sync_bucketed` is only
-/// used to keep the flat clock aligned.
+/// pair; the world communicator passed to `try_sync_bucketed` is unused.
 pub struct HierarchicalSynchronizer {
     inner: Box<dyn GradientSynchronizer>,
     dense: DenseSgd,
@@ -58,13 +58,12 @@ impl GradientSynchronizer for HierarchicalSynchronizer {
         &mut self,
         grad: &mut [f32],
         bounds: &[Range<usize>],
-        world: &mut CommHandle,
+        _world: &mut CommHandle,
     ) -> Result<SyncStats, TransportError> {
         // Level 1: exact dense mean inside the group (cheap plane). A
         // singleton group already holds its own mean — skip the plane
         // entirely so `group_size = 1` degenerates to the flat inner
         // algorithm bit-for-bit and bit-count-for-bit-count.
-        self.comm.intra.align_clock(world.clock());
         let intra_stats = if self.comm.intra.world() > 1 {
             self.dense.try_sync_bucketed(grad, bounds, &mut self.comm.intra)?
         } else {
@@ -73,34 +72,28 @@ impl GradientSynchronizer for HierarchicalSynchronizer {
 
         // Level 2 (leaders only): the inner algorithm across groups — the
         // only traffic that touches the expensive plane.
-        let inner_stats = if let Some(inter) = self.comm.inter.as_mut() {
-            inter.align_clock(self.comm.intra.clock());
-            let stats = self.inner.try_sync_bucketed(grad, bounds, inter)?;
-            self.comm.intra.align_clock(inter.clock());
-            stats
-        } else {
-            SyncStats::default()
+        let inner_stats = match self.comm.inter.as_mut() {
+            Some(inter) => self.inner.try_sync_bucketed(grad, bounds, inter)?,
+            None => SyncStats::default(),
         };
 
-        // Fan the leader's result back out. The group clock exchange in
-        // the broadcast propagates the leaders' (later) clocks to members.
-        let (bcast_seconds, bcast_bits) = if self.comm.intra.world() > 1 {
-            let t0 = Instant::now();
-            let (sent, bits) = wire_bits_of(&mut self.comm.intra, |c| c.try_broadcast(0, grad));
-            sent?;
-            (t0.elapsed().as_secs_f64(), bits)
+        // Fan the leader's result back out.
+        let (bcast_seconds, bcast) = if self.comm.intra.world() > 1 {
+            let (t0, before) = (Instant::now(), Ledger::read(&self.comm.intra));
+            self.comm.intra.try_broadcast(0, grad)?;
+            (t0.elapsed().as_secs_f64(), before.spent(&self.comm.intra))
         } else {
-            (0.0, 0)
+            (0.0, SyncStats::default())
         };
-        world.align_clock(self.comm.intra.clock());
 
-        let intra_wire_bits = intra_stats.wire_bits + bcast_bits;
+        let intra_wire_bits = intra_stats.wire_bits + bcast.wire_bits;
         let intra_exchange_seconds = intra_stats.exchange_seconds + bcast_seconds;
         Ok(SyncStats {
             compress_seconds: inner_stats.compress_seconds,
             exchange_seconds: intra_exchange_seconds + inner_stats.exchange_seconds,
             overlap_seconds: inner_stats.overlap_seconds,
             wire_bits: intra_wire_bits + inner_stats.wire_bits,
+            comm_seconds: intra_stats.comm_seconds + inner_stats.comm_seconds + bcast.comm_seconds,
             intra_wire_bits,
             inter_wire_bits: inner_stats.wire_bits,
             intra_exchange_seconds,

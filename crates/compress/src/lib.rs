@@ -63,10 +63,11 @@
 //! 32-bit scale); the gradient math is unaffected. [`SyncStats`] also
 //! splits the step's cost into `compress_seconds` — for a codec, prepare +
 //! every bucket's encode + every bucket's zero-and-accumulate, measured by
-//! the driver around each call and charged to the rank's clock where it
-//! runs — and `exchange_seconds` (wall time inside collective calls), so
-//! compression and communication cost are separable in the figure/table
-//! outputs.
+//! the driver around each call — and `exchange_seconds` (wall time inside
+//! collective calls), so compression and communication cost are separable
+//! in the figure/table outputs; `comm_seconds` is what the communicator's
+//! own time ledger charged for the exchange (the Hockney price in-proc),
+//! read together with `wire_bits` through one [`Ledger`] reading.
 //!
 //! **Peer loss is a value.** The contract is fallible end to end:
 //! [`GradientSynchronizer::try_sync_bucketed`], `try_finish_bucket` and
@@ -128,6 +129,12 @@ pub struct SyncStats {
     /// (sub-byte encodings are padded to whole bytes, so this is a
     /// multiple of 8 for opaque byte frames).
     pub wire_bits: u64,
+    /// Communication seconds the exchange was charged on the
+    /// communicators' own ledgers (`CommHandle::comm_seconds`, summed over
+    /// planes): the closed-form Hockney price of its collectives under a
+    /// cost model — reproducible, a function of frame sizes only — and the
+    /// wall time inside collective calls on measured backends.
+    pub comm_seconds: f64,
     /// Of `wire_bits`, the bits that crossed the *intra-group* (dense,
     /// cheap) plane of a hierarchical topology. Flat synchronizers report
     /// 0 for both split fields.
@@ -150,16 +157,32 @@ pub struct SyncStats {
     pub dispersion: Option<f64>,
 }
 
-/// Captures the logical-bit delta a collective exchange produced — the
-/// standard way synchronizers derive [`SyncStats::wire_bits`] from the
-/// bytes that actually moved.
-pub fn wire_bits_of<R>(
-    comm: &mut CommHandle,
-    exchange: impl FnOnce(&mut CommHandle) -> R,
-) -> (R, u64) {
-    let before = comm.stats().logical_wire_bits;
-    let out = exchange(comm);
-    (out, comm.stats().logical_wire_bits - before)
+/// One reading of a communicator's two ledgers — logical wire bits and
+/// communication seconds — the standard way synchronizers derive
+/// [`SyncStats::wire_bits`] and [`SyncStats::comm_seconds`]: read before
+/// the exchange's first collective call, [`spent`](Self::spent) after its
+/// last, so both are deltas over the same interval.
+#[derive(Debug, Clone, Copy)]
+pub struct Ledger {
+    bits: u64,
+    seconds: f64,
+}
+
+impl Ledger {
+    /// Reads `comm`'s ledgers as they stand.
+    pub fn read(comm: &CommHandle) -> Self {
+        Ledger { bits: comm.stats().logical_wire_bits, seconds: comm.comm_seconds() }
+    }
+
+    /// What `comm` moved and was charged since this reading, as the two
+    /// fields of an otherwise default [`SyncStats`].
+    pub fn spent(self, comm: &CommHandle) -> SyncStats {
+        SyncStats {
+            wire_bits: comm.stats().logical_wire_bits - self.bits,
+            comm_seconds: comm.comm_seconds() - self.seconds,
+            ..SyncStats::default()
+        }
+    }
 }
 
 /// A distributed gradient-synchronization algorithm.
@@ -291,7 +314,7 @@ impl dyn GradientSynchronizer + '_ {
 /// A gather-style compressor: what one of the compression baselines has to
 /// say about itself for the shared driver ([`session`]) to synchronize with
 /// it. Every `Codec` is a [`GradientSynchronizer`] through that driver;
-/// a codec itself never touches a clock, a communicator or a [`SyncStats`].
+/// a codec itself never touches a timer, a communicator or a [`SyncStats`].
 ///
 /// Per step the driver calls [`prepare`](Self::prepare) once, then for each
 /// bucket of the caller's partition [`encode`](Self::encode) → nonblocking

@@ -24,10 +24,10 @@
 //! them — the prepare → per-bucket encode → nonblocking allgather →
 //! zero-and-accumulate loop, its `bucket/encode` / `bucket/decode` spans,
 //! and the family's only timers: `compress_seconds` is measured here,
-//! around each `prepare`, `encode` and bucket rebuild, and charged to the
-//! rank clock on the spot; `exchange_seconds` around each collective call.
+//! around each `prepare`, `encode` and bucket rebuild; `exchange_seconds`
+//! around each collective call.
 
-use crate::{Codec, GradientSynchronizer, SyncStats};
+use crate::{Codec, GradientSynchronizer, Ledger, SyncStats};
 use cluster_comm::{CollectiveHandle, CommHandle, TransportError};
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -101,7 +101,8 @@ pub struct SyncSession<'s> {
     bounds: Vec<Range<usize>>,
     slots: Vec<Slot>,
     exchange_seconds: f64,
-    bits_before: Option<u64>,
+    /// The communicator's ledgers as of the first submit.
+    before: Option<Ledger>,
 }
 
 impl<'s> SyncSession<'s> {
@@ -117,13 +118,7 @@ impl<'s> SyncSession<'s> {
             expect = r.end;
         }
         let slots = bounds.iter().map(|_| Slot::Pending).collect();
-        SyncSession {
-            sync,
-            bounds: bounds.to_vec(),
-            slots,
-            exchange_seconds: 0.0,
-            bits_before: None,
-        }
+        SyncSession { sync, bounds: bounds.to_vec(), slots, exchange_seconds: 0.0, before: None }
     }
 
     /// The step's bucket partition.
@@ -153,7 +148,7 @@ impl<'s> SyncSession<'s> {
             r.end - r.start,
             "bucket {bucket_id} slice length disagrees with its bounds"
         );
-        self.bits_before.get_or_insert_with(|| comm.stats().logical_wire_bits);
+        self.before.get_or_insert_with(|| Ledger::read(comm));
         if self.sync.streams_buckets() {
             let bytes = (4 * data.len()) as u64;
             let ts = a2sgd_trace::now_ns();
@@ -195,7 +190,7 @@ impl<'s> SyncSession<'s> {
         grad: &mut [f32],
         comm: &mut CommHandle,
     ) -> Result<SyncStats, TransportError> {
-        let SyncSession { sync, bounds, slots, mut exchange_seconds, bits_before } = self;
+        let SyncSession { sync, bounds, slots, mut exchange_seconds, before } = self;
         let total = bounds.last().map(|r| r.end).unwrap_or(0);
         assert_eq!(grad.len(), total, "flat gradient length disagrees with the partition");
         let missing: Vec<usize> = slots
@@ -208,7 +203,7 @@ impl<'s> SyncSession<'s> {
         if bounds.is_empty() {
             return Ok(SyncStats::default());
         }
-        let bits_before = bits_before.expect("submissions recorded the wire baseline");
+        let before = before.expect("submissions recorded the ledger baseline");
 
         if sync.streams_buckets() {
             // Everything is already in flight; whatever wall time passed
@@ -244,12 +239,7 @@ impl<'s> SyncSession<'s> {
                     );
                 }
             }
-            Ok(SyncStats {
-                exchange_seconds,
-                overlap_seconds,
-                wire_bits: comm.stats().logical_wire_bits - bits_before,
-                ..SyncStats::default()
-            })
+            Ok(SyncStats { exchange_seconds, overlap_seconds, ..before.spent(comm) })
         } else {
             // Every bucket has arrived, so `grad` is the whole local
             // gradient: run the ordinary bucketed pipeline over it —
@@ -273,18 +263,15 @@ impl<'s> SyncSession<'s> {
 /// place as the world average of its frames (zeroed, then every rank's
 /// frame accumulated at weight `1/P`, rank 0 first). A bucket is written
 /// only after its own encode and encode reads nothing outside its bucket,
-/// so no snapshot of the gradient is needed under any partition. On
-/// measured backends completed buckets decode opportunistically while later
-/// ones are still launching; on modeled backends completion order is pinned
-/// to bucket order (the shared simulated clock has no overlap to expose).
-/// Buckets always decode in ascending order — determinism does not depend
-/// on arrival timing.
+/// so no snapshot of the gradient is needed under any partition. Completed
+/// buckets decode opportunistically while later ones are still launching,
+/// always in ascending order — determinism does not depend on arrival
+/// timing.
 ///
 /// This is the one place the family is timed: `compress_seconds` is
-/// prepare + Σ encode + Σ (zero + accumulate), each also charged to the
-/// rank's clock where it runs — encode before its launch, accumulate after
-/// its wait; `exchange_seconds` is the wall time inside collective calls;
-/// `wire_bits` is the logical-bit delta of this rank's own frames. Peer
+/// prepare + Σ encode + Σ (zero + accumulate); `exchange_seconds` is the
+/// wall time inside collective calls; `wire_bits` and `comm_seconds` are
+/// the communicator's ledger deltas for this rank's own frames. Peer
 /// loss mid-pipeline is returned as the typed transport error; buckets
 /// still in flight are abandoned with the communicator.
 pub(crate) fn sync_gathered(
@@ -293,29 +280,26 @@ pub(crate) fn sync_gathered(
     bounds: &[Range<usize>],
     comm: &mut CommHandle,
 ) -> Result<SyncStats, TransportError> {
-    let bits_before = comm.stats().logical_wire_bits;
+    let before = Ledger::read(comm);
     let mut compress_seconds = 0.0f64;
     let mut exchange_seconds = 0.0f64;
-    let opportunistic = comm.cost_model().is_none();
     let mut pending: VecDeque<(usize, CollectiveHandle)> = VecDeque::new();
 
     /// Runs one piece of codec compute, billing its wall time to
-    /// `compress_seconds` and to the rank's clock.
-    fn timed<R>(comm: &mut CommHandle, compress_seconds: &mut f64, work: impl FnOnce() -> R) -> R {
+    /// `compress_seconds`.
+    fn timed<R>(compress_seconds: &mut f64, work: impl FnOnce() -> R) -> R {
         let t = Instant::now();
         let out = work();
-        let seconds = t.elapsed().as_secs_f64();
-        *compress_seconds += seconds;
-        comm.advance_compute(seconds);
+        *compress_seconds += t.elapsed().as_secs_f64();
         out
     }
 
-    timed(comm, &mut compress_seconds, || codec.prepare(grad));
+    timed(&mut compress_seconds, || codec.prepare(grad));
     let mut launched = 0;
     while launched < bounds.len() || !pending.is_empty() {
         if let Some(r) = bounds.get(launched) {
             let ts = a2sgd_trace::now_ns();
-            let payload = timed(comm, &mut compress_seconds, || codec.encode(r, &grad[r.clone()]));
+            let payload = timed(&mut compress_seconds, || codec.encode(r, &grad[r.clone()]));
             if a2sgd_trace::enabled() {
                 let bytes = payload.byte_len() as u64;
                 a2sgd_trace::closed_span(
@@ -334,9 +318,6 @@ pub(crate) fn sync_gathered(
         // then whatever is left.
         while let Some((_, handle)) = pending.front_mut() {
             if launched < bounds.len() {
-                if !opportunistic {
-                    break;
-                }
                 let t = Instant::now();
                 let done = handle.try_complete(comm)?;
                 exchange_seconds += t.elapsed().as_secs_f64();
@@ -350,7 +331,7 @@ pub(crate) fn sync_gathered(
             exchange_seconds += t.elapsed().as_secs_f64();
             let ts = a2sgd_trace::now_ns();
             let r = &bounds[i];
-            timed(comm, &mut compress_seconds, || {
+            timed(&mut compress_seconds, || {
                 let bucket = &mut grad[r.clone()];
                 bucket.fill(0.0);
                 let inv = 1.0 / frames.len() as f32;
@@ -368,12 +349,7 @@ pub(crate) fn sync_gathered(
             }
         }
     }
-    Ok(SyncStats {
-        compress_seconds,
-        exchange_seconds,
-        wire_bits: comm.stats().logical_wire_bits - bits_before,
-        ..SyncStats::default()
-    })
+    Ok(SyncStats { compress_seconds, exchange_seconds, ..before.spent(comm) })
 }
 
 #[cfg(test)]
@@ -512,11 +488,9 @@ mod tests {
         let _ = SyncSession::begin(&mut sync, &[0..4, 5..10]);
     }
 
-    /// Every gather codec reports, and charges to the rank clock, the whole
-    /// of its compute: with one worker the modeled exchange is free, so the
-    /// clock moves by exactly `compress_seconds`, and that is no less than
-    /// the codec's own best-of-5 encode + accumulate on the same gradient
-    /// (it is those plus `prepare`).
+    /// Every gather codec reports the whole of its compute:
+    /// `compress_seconds` is no less than the codec's own best-of-5 encode +
+    /// accumulate on the same gradient (it is those plus `prepare`).
     #[test]
     fn compress_seconds_cover_prepare_encode_and_accumulate() {
         use crate::{GaussianK, Qsgd, QsgdImpl, RandK, SignSgdEf, TernGrad, TopK};
@@ -537,13 +511,10 @@ mod tests {
                 best.min(t.elapsed().as_secs_f64())
             });
             let ran = run_cluster(1, NetworkProfile::infiniband_100g(), |h| {
-                let before = h.clock();
-                let stats = make().synchronize(&mut g.to_vec(), h);
-                (stats.compress_seconds, h.clock() - before)
+                make().synchronize(&mut g.to_vec(), h).compress_seconds
             });
-            let (name, (compress, clock)) = (Codec::name(&codec), ran[0]);
+            let (name, compress) = (Codec::name(&codec), ran[0]);
             assert!(floor > 0.0 && compress >= floor, "{name}: {compress} < coder {floor}");
-            assert!((clock - compress).abs() <= 1e-9, "{name}: clock {clock} vs {compress}");
         }
         check(&g, || TopK::new(n, 0.01));
         check(&g, || GaussianK::new(n, 0.01));

@@ -2,7 +2,7 @@
 
 use crate::mean2::{shift_by_sign, split_means};
 use cluster_comm::{CommHandle, Payload, TransportError};
-use gradcomp::{GradientSynchronizer, SyncStats};
+use gradcomp::{GradientSynchronizer, Ledger, SyncStats};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -86,15 +86,14 @@ impl GradientSynchronizer for A2sgd {
         let t0 = Instant::now();
         let means = split_means(grad);
         let split_seconds = t0.elapsed().as_secs_f64();
-        comm.advance_compute(split_seconds);
 
         // Line 5: the entire inter-worker exchange — one packed u64.
-        let bits_before = comm.stats().logical_wire_bits;
+        let before = Ledger::read(comm);
         let packet = Payload::PackedU64(vec![Self::encode_means(means.mu_pos, means.mu_neg)]);
         let tx = Instant::now();
         let gathered = comm.try_allgather_bytes(packet)?;
         let exchange_seconds = tx.elapsed().as_secs_f64();
-        let wire_bits = comm.stats().logical_wire_bits - bits_before;
+        let spent = before.spent(comm);
         let inv = 1.0 / gathered.len() as f32;
         let (mut gmu_pos, mut gmu_neg) = (0.0f32, 0.0f32);
         // Free dispersion statistic for adaptive sync schedules: every rank
@@ -116,15 +115,13 @@ impl GradientSynchronizer for A2sgd {
         let (d_pos, d_neg) = means.shift_to(gmu_pos * inv, gmu_neg * inv);
         shift_by_sign(grad, d_pos, d_neg);
         let shift_seconds = t1.elapsed().as_secs_f64();
-        comm.advance_compute(shift_seconds);
 
-        debug_assert_eq!(wire_bits, Self::WIRE_BITS);
+        debug_assert_eq!(spent.wire_bits, Self::WIRE_BITS);
         Ok(SyncStats {
             compress_seconds: split_seconds + shift_seconds,
             exchange_seconds,
-            wire_bits,
             dispersion: Some(dispersion),
-            ..SyncStats::default()
+            ..spent
         })
     }
 

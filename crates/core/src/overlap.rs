@@ -137,14 +137,6 @@ impl<'a> HookedStep<'a> {
         self.flat
     }
 
-    /// Advances the modeled compute clock (see
-    /// [`CommHandle::advance_compute`]) while the step still borrows the
-    /// handle — the trainer charges forward+backward compute here, before
-    /// the drain.
-    pub fn advance_compute(&mut self, seconds: f64) {
-        self.comm.advance_compute(seconds);
-    }
-
     /// Drains the session and returns the step's stats; `flat` now holds
     /// the synchronized gradient. Panics (with bucket ids) if the backward
     /// pass failed to announce some parameters; a peer lost mid-exchange is

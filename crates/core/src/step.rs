@@ -26,14 +26,13 @@ use crate::overlap::{HookLayout, HookedStep};
 use crate::trainer::OptKind;
 use a2sgd_sched::{SchedKind, SchedState, SyncDecision, SyncObservation, SyncSchedule};
 use cluster_comm::{CommHandle, TransportError};
-use gradcomp::{bucket_bounds, GradientSynchronizer, SyncStats};
+use gradcomp::{bucket_bounds, GradientSynchronizer, Ledger, SyncStats};
 use mini_nn::flat::{flatten_grads, flatten_params, load_params, param_sizes, scatter_grads};
 use mini_nn::hook::{GradHook, NullHook};
 use mini_nn::module::Module;
 use mini_nn::optim::{Lars, Sgd};
 use std::ops::Range;
 use std::path::PathBuf;
-use std::time::Instant;
 
 /// Closes a trainer phase span opened at `start_ns` (free when tracing is
 /// off: `closed_span` returns on its first branch).
@@ -177,8 +176,9 @@ impl TrainStep {
 
     /// Runs step `iter`'s back half on a model whose forward pass and loss
     /// are done: `backward` back-propagates the loss gradient through the
-    /// model with the hook it is handed. Compute since `started` is
-    /// charged to the modeled clock before the exchange. On `Err` the
+    /// model with the hook it is handed. The step keeps no time of its
+    /// own: the exchange's seconds come back in [`StepOutcome::stats`] and
+    /// callers time the wall around their whole iteration. On `Err` the
     /// replica is untouched (see the module docs).
     pub fn run(
         &mut self,
@@ -186,7 +186,6 @@ impl TrainStep {
         comm: &mut CommHandle,
         iter: u64,
         lr: f32,
-        started: Instant,
         backward: impl FnOnce(&mut dyn Module, &mut dyn GradHook),
     ) -> Result<StepOutcome, TransportError> {
         let plan = self.plan(iter);
@@ -201,7 +200,6 @@ impl TrainStep {
             let mut hooked = HookedStep::begin(layout, self.sync.as_mut(), &mut self.flat, comm);
             backward(model, &mut hooked);
             phase("phase/backward", bwd_ns);
-            hooked.advance_compute(started.elapsed().as_secs_f64());
             let pre = want_disp.then(|| hooked.local_grad().to_vec());
             let ex_ns = a2sgd_trace::now_ns();
             let mut stats = hooked.try_finish()?;
@@ -212,7 +210,6 @@ impl TrainStep {
             backward(model, &mut NullHook);
             flatten_grads(model, &mut self.flat);
             phase("phase/backward", bwd_ns);
-            comm.advance_compute(started.elapsed().as_secs_f64());
             match plan {
                 Plan::Local => {
                     a2sgd_trace::instant("sched/local", a2sgd_trace::Args::None);
@@ -224,7 +221,7 @@ impl TrainStep {
                     // keep the pre-step state to roll back to.
                     flatten_params(model, &mut self.saved.0);
                     self.opt.velocity_lanes().clone_into(&mut self.saved.1);
-                    self.apply(model, comm, lr);
+                    self.apply(model, lr);
                     flatten_params(model, &mut self.flat);
                     for (d, a) in self.flat.iter_mut().zip(&self.anchor) {
                         *d = a - *d;
@@ -253,7 +250,7 @@ impl TrainStep {
                 self.anchor.copy_from_slice(&self.flat);
             }
             Plan::Local | Plan::Gradient => {
-                self.apply(model, comm, lr);
+                self.apply(model, lr);
                 // A degenerate-window sync under a schedule (post-local
                 // warmup, `fixed1`) still refreshes the anchor: the next
                 // window measures Δ from the just-synchronized state.
@@ -293,7 +290,8 @@ impl TrainStep {
     /// pre-sync vector, `Some` exactly when the schedule asked): free when
     /// the exchange already carried one (A2SGD's gathered two-means
     /// packets), else one 128-bit drift allgather billed honestly into the
-    /// accounting. The schedule observes only once nothing can fail.
+    /// accounting (bits and seconds). The schedule observes only once
+    /// nothing can fail.
     fn observe(
         &mut self,
         stats: &mut SyncStats,
@@ -305,8 +303,12 @@ impl TrainStep {
         let dispersion = match stats.dispersion {
             Some(d) => d,
             None => {
-                stats.wire_bits += 128;
-                gathered_dispersion(drift_sums(&pre, &self.flat), comm)?
+                let before = Ledger::read(comm);
+                let d = gathered_dispersion(drift_sums(&pre, &self.flat), comm)?;
+                let spent = before.spent(comm);
+                stats.wire_bits += spent.wire_bits;
+                stats.comm_seconds += spent.comm_seconds;
+                d
             }
         };
         self.schedule.observe_sync(&SyncObservation { dispersion, window_len });
@@ -314,14 +316,12 @@ impl TrainStep {
     }
 
     /// Scatters `self.flat` into the model's gradients and steps the
-    /// optimizer, charging the update to the modeled clock.
-    fn apply(&mut self, model: &mut dyn Module, comm: &mut CommHandle, lr: f32) {
+    /// optimizer.
+    fn apply(&mut self, model: &mut dyn Module, lr: f32) {
         scatter_grads(model, &self.flat);
         let opt_ns = a2sgd_trace::now_ns();
-        let t = Instant::now();
         self.opt.step(model, lr);
         phase("phase/optimizer", opt_ns);
-        comm.advance_compute(t.elapsed().as_secs_f64());
     }
 
     /// Algorithm 1 lines 9–10: the closing parameter re-synchronization.
@@ -466,7 +466,7 @@ mod tests {
         let run = |ts: &mut TrainStep, model: &mut Linear, comm: &mut CommHandle, iter| {
             model.zero_grad();
             let y = model.forward(&x, Mode::Train);
-            ts.run(model, comm, iter, 0.1, Instant::now(), |m, hook| {
+            ts.run(model, comm, iter, 0.1, |m, hook| {
                 let _ = m.backward_hooked(&y, hook);
             })
         };

@@ -5,9 +5,12 @@
 //! init, the moral equivalent of an initial broadcast), a disjoint data
 //! shard, a private optimizer, and a [`gradcomp::GradientSynchronizer`].
 //! Per iteration: forward/backward → flatten gradient → synchronize →
-//! scatter → optimizer step. Compute time is measured, communication time
-//! is modeled (see `cluster-comm`), and both accumulate on the simulated
-//! clock.
+//! scatter → optimizer step. Time is reported as two sums that are never
+//! mixed: `compute_seconds`, the measured wall time of each step outside
+//! its collective calls, and `comm_seconds`, what the communicators' own
+//! ledgers charged — the Hockney price of each collective in-proc (a
+//! function of the frames alone, hence reproducible), measured wall time
+//! inside collective calls on TCP. `total_sim_seconds` is their sum.
 
 use crate::checkpoint::ENV_CKPT_DIR;
 use crate::metrics;
@@ -15,6 +18,7 @@ use crate::registry::AlgoKind;
 use crate::step::{phase, Plan, TrainStep};
 use a2sgd_sched::SchedKind;
 use cluster_comm::{run_cluster, CommBackend, CommHandle, NetworkProfile};
+use gradcomp::Ledger;
 use mini_nn::flat::{flatten_grads, param_count};
 use mini_nn::loss::softmax_cross_entropy;
 use mini_nn::models::{LstmLmConfig, ModelKind, Preset};
@@ -96,7 +100,7 @@ pub struct TrainConfig {
     /// Master seed (model init, data synthesis, stochastic compressors).
     pub seed: u64,
     /// Communication data plane. [`CommBackend::InProc`] (the default)
-    /// spawns thread ranks in this process with modeled time;
+    /// spawns thread ranks in this process with priced communication;
     /// [`CommBackend::Tcp`] makes *this process* one rank of a TCP
     /// cluster, joining the `A2SGD_RANK`/`A2SGD_WORLD`/`A2SGD_MASTER_ADDR`
     /// rendezvous with measured traffic and wall time.
@@ -215,8 +219,18 @@ pub struct TrainReport {
     pub epochs: Vec<EpochStats>,
     /// Final evaluation metric.
     pub final_metric: f64,
-    /// Total simulated wall time.
+    /// Total simulated wall time: `compute_seconds + comm_seconds`.
     pub total_sim_seconds: f64,
+    /// Measured wall seconds of worker 0's steps (batch → forward →
+    /// backward → codec → optimizer) outside their collective calls — host
+    /// dependent, not reproducible run to run.
+    pub compute_seconds: f64,
+    /// Communication seconds charged to worker 0's steps and the closing
+    /// re-synchronization ([`gradcomp::SyncStats::comm_seconds`]): in-proc
+    /// the Hockney price of every collective under
+    /// [`TrainConfig::profile`], bit-equal run to run; on TCP the measured
+    /// wall time inside collective calls.
+    pub comm_seconds: f64,
     /// Average simulated time per iteration.
     pub avg_iter_seconds: f64,
     /// Iterations executed (per worker).
@@ -290,7 +304,8 @@ pub struct TrainReport {
 #[derive(Default)]
 struct WorkerOut {
     epochs: Vec<EpochStats>,
-    sim_seconds: f64,
+    compute_seconds: f64,
+    comm_seconds: f64,
     iters: usize,
     sync_steps: usize,
     local_steps: usize,
@@ -335,12 +350,15 @@ fn build_report(cfg: &TrainConfig, w0: &WorkerOut, divergence: f64) -> TrainRepo
     let total_samples = w0.iters * cfg.batch_per_worker * cfg.workers;
     let per_iter = |total: u64| if w0.iters > 0 { total / w0.iters as u64 } else { 0 };
     let avg = |total: f64| if w0.iters > 0 { total / w0.iters as f64 } else { 0.0 };
+    let sim_seconds = w0.compute_seconds + w0.comm_seconds;
     TrainReport {
         label: format!("{}/{}/P{}", cfg.model.name(), cfg.algo_label(), cfg.workers),
         epochs: w0.epochs.clone(),
         final_metric: w0.epochs.last().map(|e| e.metric).unwrap_or(f64::NAN),
-        total_sim_seconds: w0.sim_seconds,
-        avg_iter_seconds: avg(w0.sim_seconds),
+        total_sim_seconds: sim_seconds,
+        compute_seconds: w0.compute_seconds,
+        comm_seconds: w0.comm_seconds,
+        avg_iter_seconds: avg(sim_seconds),
         iters: w0.iters,
         sync_steps: w0.sync_steps,
         local_steps: w0.local_steps,
@@ -354,7 +372,7 @@ fn build_report(cfg: &TrainConfig, w0: &WorkerOut, divergence: f64) -> TrainRepo
         avg_compress_seconds: avg(w0.compress_seconds_total),
         avg_exchange_seconds: avg(w0.exchange_seconds_total),
         avg_overlap_seconds: avg(w0.overlap_seconds_total),
-        throughput: metrics::throughput(total_samples, w0.sim_seconds),
+        throughput: metrics::throughput(total_samples, sim_seconds),
         replica_divergence: divergence,
         grad_histograms: w0.histograms.clone(),
         threads_per_rank: w0.threads,
@@ -571,7 +589,6 @@ fn run_rank(
                     comm,
                     global_iter as u64,
                     cfg.lr.lr_at(epoch_frac),
-                    t0,
                     |m, hook| {
                         let _ = m.backward_hooked(&lo.dlogits, hook);
                         if want_hist {
@@ -588,6 +605,8 @@ fn run_rank(
             out.compress_seconds_total += done.stats.compress_seconds;
             out.exchange_seconds_total += done.stats.exchange_seconds;
             out.overlap_seconds_total += done.stats.overlap_seconds;
+            out.compute_seconds += t0.elapsed().as_secs_f64() - done.stats.exchange_seconds;
+            out.comm_seconds += done.stats.comm_seconds;
             out.sync_wire_bytes += comm.stats().wire_bytes - step_bytes_before;
             if done.plan == Plan::Local {
                 out.local_steps += 1;
@@ -596,25 +615,27 @@ fn run_rank(
             }
             out.iters += 1;
 
-            // ---- checkpoint (rank 0, off the simulated clock) ----------
+            // ---- checkpoint (rank 0, outside the step's timed wall) ----
             step.checkpoint_if_due(model.as_mut(), ckpt, rank, out.iters as u64, cfg.seed)
                 .unwrap_or_else(|e| panic!("checkpoint: {e}"));
         }
 
-        // ---- evaluation (worker 0, off the simulated clock) -------------
+        // ---- evaluation (worker 0, outside every step's timed wall) -----
         let metric = if rank == 0 { evaluate(cfg, model.as_mut(), vision, lm) } else { 0.0 };
         out.epochs.push(EpochStats {
             epoch: epoch + 1,
             train_loss: loss_sum / iters_per_epoch as f64,
             metric,
-            sim_seconds: comm.clock(),
+            sim_seconds: out.compute_seconds + out.comm_seconds,
         });
     }
 
     // ---- Algorithm 1 lines 9–10: final re-synchronization ----------------
+    let before = Ledger::read(comm);
     let div = step
         .resync(model.as_mut(), comm)
         .unwrap_or_else(|e| panic!("final re-synchronization: {e}"));
+    out.comm_seconds += before.spent(comm).comm_seconds;
 
     // ---- cross-rank report agreement -------------------------------------
     // The report scalars must agree on every rank (on TCP each rank is its
@@ -673,7 +694,6 @@ fn run_rank(
         );
     }
 
-    out.sim_seconds = comm.clock();
     let traffic = comm.stats();
     out.wire_bytes_measured = traffic.wire_bytes;
     out.messages = traffic.messages;
@@ -864,9 +884,43 @@ mod tests {
     fn report_splits_compress_and_exchange_time() {
         let r = train(&tiny_cfg(AlgoKind::TopK(0.01), 2));
         assert!(r.avg_compress_seconds > 0.0);
-        // In-proc collectives run on the modeled clock; measured wall time
+        // In-proc collectives are priced, not timed; the measured wall time
         // inside them is still accumulated and must be finite/non-negative.
         assert!(r.avg_exchange_seconds >= 0.0 && r.avg_exchange_seconds.is_finite());
+    }
+
+    /// `comm_seconds` is a price list applied to the frames, not a
+    /// measurement: reproducible run to run, moved by the profile and by
+    /// nothing the host does, and never mixed into the losses.
+    #[test]
+    fn comm_seconds_are_a_reproducible_price() {
+        let losses = |r: &TrainReport| -> Vec<u64> {
+            r.epochs.iter().map(|e| e.train_loss.to_bits()).collect()
+        };
+        for algo in [AlgoKind::Dense, AlgoKind::A2sgd, AlgoKind::TopK(0.01), AlgoKind::Qsgd(4)] {
+            let (a, b) = (train(&tiny_cfg(algo, 2)), train(&tiny_cfg(algo, 2)));
+            assert!(a.comm_seconds > 0.0 && a.compute_seconds > 0.0, "{}", algo.name());
+            assert_eq!(a.comm_seconds.to_bits(), b.comm_seconds.to_bits(), "{}", algo.name());
+            assert_eq!(a.total_sim_seconds, a.compute_seconds + a.comm_seconds, "{}", algo.name());
+        }
+
+        let mut slow = tiny_cfg(AlgoKind::Dense, 2);
+        slow.profile = NetworkProfile::ethernet_1g();
+        let (fast, slow) = (train(&tiny_cfg(AlgoKind::Dense, 2)), train(&slow));
+        assert!(slow.comm_seconds > fast.comm_seconds, "1 GbE must price dense above InfiniBand");
+        assert_eq!(losses(&fast), losses(&slow));
+
+        // Hook arrival order changes when a bucket is launched, not what
+        // it costs.
+        for algo in [AlgoKind::Dense, AlgoKind::A2sgd] {
+            let mut cfg = tiny_cfg(algo, 2);
+            cfg.bucket_bytes = Some(4096);
+            let plain = train(&cfg);
+            cfg.overlap_backward = true;
+            let hooked = train(&cfg);
+            let gap = (hooked.comm_seconds - plain.comm_seconds).abs();
+            assert!(gap <= 1e-12 * plain.comm_seconds, "{}: overlap moved the price", algo.name());
+        }
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl FaultPlan {
 }
 
 /// A [`Transport`] wrapper that applies a [`FaultPlan`]'s wire faults.
-/// Everything else — receives, barrier, census, clock — passes straight
+/// Everything else — receives, barrier, census — passes straight
 /// through, so wrapping is behavior-preserving under the empty plan.
 pub struct FaultInjector {
     inner: Box<dyn Transport>,
@@ -171,10 +171,6 @@ impl Transport for FaultInjector {
 
     fn classify_survivors(&mut self) -> Option<Vec<bool>> {
         self.inner.classify_survivors()
-    }
-
-    fn clock_exchange(&mut self, clock_s: f64, payload_bytes: f64) -> Option<(f64, f64)> {
-        self.inner.clock_exchange(clock_s, payload_bytes)
     }
 }
 

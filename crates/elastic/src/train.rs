@@ -50,7 +50,6 @@ use mini_nn::module::{Mode, Module, ModuleExt};
 use mini_tensor::rng::SeedRng;
 use mini_tensor::Tensor;
 use std::path::PathBuf;
-use std::time::Instant;
 
 /// Configuration for one elastic run. Everything is derived from `seed`,
 /// so two runs with equal configs are bit-identical.
@@ -191,13 +190,12 @@ impl Probe {
         comm: &mut CommHandle,
         step: u64,
     ) -> Result<StepOutcome, TransportError> {
-        let t0 = Instant::now();
         let b = cfg.batch_per_worker;
         let first = (step as usize * comm.world() + comm.rank()) * b;
         let (x, y) = self.rows((first..first + b).map(|i| i % self.y.len()));
         model.zero_grad();
         let (_, dpred) = squared_error(&model.forward(&x, Mode::Train), &y);
-        ts.run(model, comm, step, cfg.lr, t0, |m, hook| {
+        ts.run(model, comm, step, cfg.lr, |m, hook| {
             let _ = m.backward_hooked(&dpred, hook);
         })
     }

@@ -50,6 +50,8 @@ fn main() {
             "messages",
             "framing B",
             "sim time (s)",
+            "= compute",
+            "+ comm",
             "t_compress/iter",
             "t_exchange/iter",
         ],
@@ -74,6 +76,8 @@ fn main() {
             rep.messages.to_string(),
             rep.framing_bytes.to_string(),
             format!("{:.3}", rep.total_sim_seconds),
+            format!("{:.3}", rep.compute_seconds),
+            format!("{:.6}", rep.comm_seconds),
             fmt_seconds(rep.avg_compress_seconds),
             fmt_seconds(rep.avg_exchange_seconds),
         ]);
@@ -81,9 +85,11 @@ fn main() {
     }
     println!("{}", t.render());
     println!(
-        "Note the A2SGD family's constant 64-bit rows (KLevel: 64·L bits); the last two \
-         columns split per-iteration sync cost into compression compute vs measured time \
-         inside collective calls. `eff bits/step/worker` amortizes wire traffic over ALL \
+        "Note the A2SGD family's constant 64-bit rows (KLevel: 64·L bits); `sim time` is \
+         measured compute (host dependent) plus priced communication (the Hockney cost of \
+         every collective on the profile's network — reproducible), shown apart; the last \
+         two columns split per-iteration sync cost into compression compute vs measured \
+         time inside collective calls. `eff bits/step/worker` amortizes wire traffic over ALL \
          optimizer steps, so the sched(...) rows divide the per-sync payload by the \
          window length — `syncs/iters` shows how many steps actually hit the network. \
          `messages` counts rank-0's point-to-point sends and `framing B` its wire bytes \

@@ -22,6 +22,10 @@ fn main() {
             );
         }
         println!(
+            "  sim-time {:.3}s = {:.3}s measured compute + {:.6}s priced communication",
+            rep.total_sim_seconds, rep.compute_seconds, rep.comm_seconds
+        );
+        println!(
             "  per-iteration traffic: {} bits/worker  (compression ratio vs dense: {:.0}×)",
             rep.wire_bits_per_iter,
             a2sgd::metrics::compression_ratio(199_210, rep.wire_bits_per_iter)

@@ -6,7 +6,9 @@
 //! `train_elastic`, no goodbye — makes every survivor's
 //! `try_sync_bucketed` return `Err(TransportError)`. No panic, no hang
 //! (each rank must report within [`DEADLINE`]), on the in-proc mailboxes
-//! and on loopback TCP sockets.
+//! and on loopback TCP sockets. The converse is pinned too: a collective
+//! that needs nothing from the lost rank (a broadcast past a dead leaf)
+//! returns instead of waiting for it.
 //!
 //! A survivor whose own partners are all alive only learns of the death
 //! from another survivor abandoning the exchange, so — like the elastic
@@ -155,4 +157,36 @@ fn peer_death_is_an_err_under_hier_dense_a2sgd() {
     let algo = AlgoKind::A2sgd;
     assert_survivors_err("in-proc hier(dense, A2SGD)", inproc_handles(4), algo, Some(2));
     assert_survivors_err("tcp hier(dense, A2SGD)", tcp_handles(4), algo, Some(2));
+}
+
+/// World 3, root 0: the binomial tree's leaf, rank 2, has left, and neither
+/// survivor needs a frame from it. The broadcast must return on both
+/// within the deadline — `Ok` with the root's data, or on TCP a typed `Err`
+/// when the send to the dead leaf fails first — never a hang or a panic.
+#[test]
+fn broadcast_past_a_dead_leaf_returns_on_both_backends() {
+    for (backend, mut handles) in [("in-proc", inproc_handles(3)), ("tcp", tcp_handles(3))] {
+        drop(handles.pop());
+        let (tx, rx) = mpsc::channel();
+        for mut comm in handles {
+            let tx = tx.clone();
+            std::thread::spawn(move || {
+                let rank = comm.rank();
+                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                    let mut data = vec![if rank == 0 { 7.0f32 } else { 0.0 }; 16];
+                    comm.try_broadcast(0, &mut data).map(|()| data)
+                }));
+                let _ = tx.send((rank, out));
+            });
+        }
+        for _ in 0..2 {
+            let (rank, out) = rx.recv_timeout(DEADLINE).unwrap_or_else(|_| {
+                panic!("{backend}: a survivor hung past {DEADLINE:?} broadcasting past a dead leaf")
+            });
+            match out.unwrap_or_else(|_| panic!("{backend}: rank {rank} panicked")) {
+                Ok(data) => assert_eq!(data, vec![7.0; 16], "{backend}: rank {rank}"),
+                Err(e) => assert_eq!(backend, "tcp", "in-proc sends cannot fail: {e}"),
+            }
+        }
+    }
 }
