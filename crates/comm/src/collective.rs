@@ -10,8 +10,9 @@
 //! Each algorithm's data flow exists once. The handle-capable ones —
 //! recursive-doubling allreduce and the direct-exchange allgather — live
 //! in [`crate::nonblocking`]; their blocking spellings here are
-//! `start → wait` on that engine. Ring allreduce, broadcast and the
-//! barrier are blocking-only and live in this file.
+//! `start → wait` on that engine. Ring allreduce, binomial broadcast and
+//! the dissemination barrier are blocking-only and exist once, in this
+//! file.
 //!
 //! Gather and broadcast are generic over [`WireElem`] (the types a
 //! [`Payload`] can carry: `f32`, `u64`, `u8`); allreduce is the dense
@@ -363,8 +364,8 @@ impl CommHandle {
     /// Makes this handle's endpoint shareable (first split only): the real
     /// transport moves into an `Arc<Mutex<…>>` and the handle keeps an
     /// identity [`GroupTransport`] view over it — bit-for-bit the same
-    /// behavior, since the identity view passes tags through unchanged and
-    /// delegates the barrier to the root.
+    /// behavior, since the identity view passes ranks and tags through
+    /// unchanged.
     fn ensure_shared(&mut self) -> SharedTransport {
         if self.shared.is_none() {
             let world = self.transport.world();
@@ -490,10 +491,11 @@ impl CommHandle {
     // mid-algorithm: nothing is charged and the communicator must be
     // considered spent (survivors re-rendezvous; see `a2sgd-elastic`).
 
-    /// Full synchronization barrier (a shared-memory rendezvous in-proc, a
-    /// real dissemination rendezvous on TCP). Barrier control
-    /// frames carry no payload but do hit the wire, so they count toward
-    /// `messages`/`wire_bytes` (never `bytes_sent`/`logical_wire_bits`).
+    /// Full synchronization barrier: a dissemination rendezvous, ⌈log₂P⌉
+    /// rounds of one empty frame per rank, each round doubling the hop
+    /// distance. The frames carry no payload but are sent like any other,
+    /// so they count toward `messages` and — where a frame has a header —
+    /// `wire_bytes` (never `bytes_sent`/`logical_wire_bits`).
     pub fn barrier(&mut self) {
         or_panic("barrier", self.try_barrier());
     }
@@ -502,9 +504,15 @@ impl CommHandle {
     pub fn try_barrier(&mut self) -> Result<(), TransportError> {
         let ts = a2sgd_trace::now_ns();
         let t0 = Instant::now();
-        let (frames, wire_bytes) = self.transport.barrier()?;
-        self.stats.messages += frames;
-        self.stats.wire_bytes += wire_bytes;
+        let (world, rank) = (self.world(), self.rank());
+        let tag = self.next_tag();
+        let mut hop = 1;
+        while hop < world {
+            let round = tag + hop as u64;
+            self.try_send_payload((rank + hop) % world, round, PayloadRef::Bytes(&[]))?;
+            self.blocking_recv_payload((rank + world - hop) % world, round)?;
+            hop <<= 1;
+        }
         self.finish_op(t0, 0.0, |m, _, p| m.barrier(p));
         self.comm_span("comm/barrier", "barrier", ts, 0.0);
         Ok(())

@@ -20,7 +20,7 @@
 use crate::collective::CommHandle;
 use crate::transport::inproc::InProcShared;
 use crate::transport::rendezvous::WorldSpec;
-use crate::transport::tcp::{MasterEndpoint, Tcp};
+use crate::transport::tcp::{rendezvous_deadline, MasterEndpoint, Tcp};
 
 /// An intra-group communicator plus, on group leaders, the inter-group
 /// communicator of leaders (see module docs).
@@ -141,7 +141,7 @@ where
             joins.push(s.spawn(move || {
                 let intra = CommHandle::new(Box::new(endpoint), None);
                 let inter = master.map(|m| {
-                    let t = Tcp::connect_parts(g, groups, m, None)
+                    let t = Tcp::connect_parts(g, groups, m, None, rendezvous_deadline())
                         .unwrap_or_else(|e| panic!("leader {g} rendezvous failed: {e}"));
                     CommHandle::new(Box::new(t), None)
                 });

@@ -57,8 +57,9 @@
 //! the wire at once while the caller computes — the
 //! communication/compute-overlap substrate behind `gradcomp`'s bucketed
 //! sync sessions. The blocking spellings of those two algorithms are
-//! `start → wait` on the same engine; ring allreduce, broadcast and the
-//! barrier are blocking-only ([`collective`]). Peer loss is a typed
+//! `start → wait` on the same engine; ring allreduce, binomial broadcast
+//! and the dissemination barrier are blocking-only and exist once
+//! ([`collective`]), over every transport alike. Peer loss is a typed
 //! [`TransportError`] everywhere: from `wait()`/`try_complete()`, and from
 //! the `try_*` spelling every blocking collective has
 //! ([`CommHandle::try_allreduce_avg`], [`CommHandle::try_barrier`],
@@ -93,7 +94,7 @@ pub use profile::NetworkProfile;
 pub use sim::{run_cluster, Cluster};
 pub use transport::group::{tag_space, ELASTIC_TAG};
 pub use transport::{
-    run_cluster_tcp, run_cluster_tcp_spec, run_cluster_tcp_threads, run_multiprocess,
-    run_multiprocess_spec, tcp_child_rank, CommBackend, GroupTransport, LaunchConfig, Payload,
-    PayloadKind, RankSpec, Rendezvous, TcpConfig, Transport, TransportError, WorldSpec,
+    run_cluster_tcp, run_cluster_tcp_threads, run_multiprocess, run_multiprocess_spec,
+    tcp_child_rank, CommBackend, GroupTransport, LaunchConfig, Payload, PayloadKind, RankSpec,
+    Rendezvous, Transport, TransportError, WorldSpec,
 };

@@ -9,10 +9,10 @@
 //! * a **member map** translating group sub-ranks to root-absolute ranks,
 //! * a **tag space** injected into bits 48..63 of every collective tag, so
 //!   concurrent parent/child collectives on the same socket/mailbox can
-//!   never match each other's frames,
-//! * its own **dissemination barrier** over group members only — the
-//!   root's native barrier is world-wide and would deadlock a proper
-//!   subgroup.
+//!   never match each other's frames.
+//!
+//! That is all a sub-communicator is: every collective above it, the
+//! barrier included, is the same code that runs on a world.
 //!
 //! The mutex is never contended: a rank's parent handle and all its
 //! sub-handles live on the same thread (the SPMD contract makes their use
@@ -31,20 +31,15 @@ pub type SharedTransport = Arc<Mutex<Box<dyn Transport>>>;
 
 /// Bit position where a sub-communicator's tag space is injected.
 pub(crate) const SPACE_SHIFT: u32 = 48;
-/// Tag spaces must leave bit 63 (transport-internal traffic) clear.
+/// Tag spaces must leave bit 63 (elastic control traffic) clear.
 pub(crate) const MAX_SPACE: u64 = 1 << 15;
 /// Children of one parent draw spaces `parent·32 + 1 ..= parent·32 + 31`.
 pub(crate) const SPACE_FANOUT: u64 = 32;
 
-/// Group-internal dissemination-barrier tags: bit 63 (internal) + bit 62
-/// (barrier discriminator, distinct from the TCP backend's own barrier).
-const GROUP_BARRIER: u64 = (1 << 63) | (1 << 62);
-
 /// Elastic control-plane tags: bit 63 + bit 60. Heartbeats, goodbye
-/// frames and any other membership traffic the `a2sgd-elastic` crate puts
-/// on the raw transport live here — disjoint from collective payload tags
-/// (bit 63 clear) and group barriers (bit 62).
-/// Group tag spaces occupy bits 40..55 and so can never reach bit 60.
+/// frames and any other membership traffic put on the raw transport, below
+/// [`CommHandle`](crate::CommHandle), live here — disjoint from every
+/// collective tag (bit 63 clear).
 pub const ELASTIC_TAG: u64 = (1 << 63) | (1 << 60);
 
 /// Classifies a wire tag into the tag space (communicator) whose
@@ -55,22 +50,14 @@ pub const ELASTIC_TAG: u64 = (1 << 63) | (1 << 60);
 /// this function must equal each communicator's `wire_bytes` exactly.
 pub fn tag_space(tag: u64) -> Option<u64> {
     if tag >> 63 == 0 {
-        // Collective payload tags: the space sits in bits 48..63.
-        return Some(tag >> SPACE_SHIFT);
-    }
-    if tag & ELASTIC_TAG == ELASTIC_TAG {
+        // Collective tags: the space sits in bits 48..63.
+        Some(tag >> SPACE_SHIFT)
+    } else {
         // Elastic membership control frames ride the raw transport below
         // CommHandle and never hit TrafficStats — unaccounted by design,
         // so strict span-vs-stats audits hold.
-        return None;
+        None
     }
-    if tag & GROUP_BARRIER == GROUP_BARRIER {
-        // Group barrier frames carry their space in bits 40..55 and are
-        // billed to the group communicator.
-        return Some((tag >> 40) & (MAX_SPACE - 1));
-    }
-    // Root-transport barrier frames (TCP dissemination): world plane.
-    Some(0)
 }
 
 /// One rank's endpoint of a split sub-communicator (see module docs).
@@ -79,13 +66,10 @@ pub struct GroupTransport {
     /// Sub-rank → root-absolute rank, sorted by the split's `(key, rank)`.
     members: Vec<usize>,
     sub_rank: usize,
+    /// 0 is the parent's own view after its first split: every rank, tags
+    /// passed through unchanged.
     space: u64,
-    /// Pure passthrough (space 0, full world): the parent's own view after
-    /// its first split. The barrier delegates to the root's native
-    /// world-wide rendezvous so pre-split behavior is unchanged.
-    identity: bool,
     backend: &'static str,
-    barrier_seq: u64,
 }
 
 impl GroupTransport {
@@ -95,15 +79,7 @@ impl GroupTransport {
             let t = inner.lock();
             (t.world(), t.rank(), t.backend_name())
         };
-        GroupTransport {
-            inner,
-            members: (0..world).collect(),
-            sub_rank: rank,
-            space: 0,
-            identity: true,
-            backend,
-            barrier_seq: 0,
-        }
+        GroupTransport { inner, members: (0..world).collect(), sub_rank: rank, space: 0, backend }
     }
 
     /// A proper sub-communicator endpoint: `members[sub_rank]` must be the
@@ -118,7 +94,7 @@ impl GroupTransport {
         assert!(sub_rank < members.len());
         debug_assert_eq!(members[sub_rank], inner.lock().rank());
         let backend = inner.lock().backend_name();
-        GroupTransport { inner, members, sub_rank, space, identity: false, backend, barrier_seq: 0 }
+        GroupTransport { inner, members, sub_rank, space, backend }
     }
 
     /// The sub-rank → root-rank member map.
@@ -173,40 +149,11 @@ impl Transport for GroupTransport {
         self.inner.lock().try_recv_bytes(self.members[from], tag)
     }
 
-    fn barrier(&mut self) -> Result<(u64, u64), TransportError> {
-        if self.identity {
-            return self.inner.lock().barrier();
-        }
-        let world = self.members.len();
-        if world == 1 {
-            return Ok((0, 0));
-        }
-        // Dissemination barrier over group members, in the group-internal
-        // tag namespace (root barriers are world-wide: unusable here). A
-        // dead member propagates as a typed error, not a panic.
-        self.barrier_seq += 1;
-        let base = GROUP_BARRIER | (self.space << 40) | (self.barrier_seq << 8);
-        let mut hop = 1usize;
-        let mut round = 0u64;
-        let (mut frames, mut wire_bytes) = (0u64, 0u64);
-        while hop < world {
-            let to = self.members[(self.sub_rank + hop) % world];
-            let from = self.members[(self.sub_rank + world - hop) % world];
-            let mut t = self.inner.lock();
-            wire_bytes += t.send_bytes(to, base | round, PayloadRef::Bytes(&[]))?;
-            frames += 1;
-            let _ = t.recv_bytes(from, base | round)?;
-            hop <<= 1;
-            round += 1;
-        }
-        Ok((frames, wire_bytes))
-    }
-
     fn classify_survivors(&mut self) -> Option<Vec<bool>> {
         // Only the identity view (the parent's whole-world handle) can run
         // the census — a proper subgroup doesn't own the endpoint's
         // world-wide links and would misclassify non-members.
-        if self.identity {
+        if self.space == 0 {
             self.inner.lock().classify_survivors()
         } else {
             None
@@ -249,10 +196,6 @@ impl Transport for Detached {
         _from: usize,
         _tag: u64,
     ) -> Result<Option<Payload>, TransportError> {
-        unreachable!("detached transport")
-    }
-
-    fn barrier(&mut self) -> Result<(u64, u64), TransportError> {
         unreachable!("detached transport")
     }
 }
@@ -301,25 +244,5 @@ mod tests {
         b0.send_bytes(1, 9, Payload::PackedU64(vec![20]).as_ref()).unwrap();
         assert_eq!(a1.recv_bytes(0, 9).unwrap().expect_u64(), vec![10]);
         assert_eq!(b1.recv_bytes(0, 9).unwrap().expect_u64(), vec![20]);
-    }
-
-    #[test]
-    fn group_barrier_rendezvous_members_only() {
-        let all = InProcShared::new(3);
-        // Group {0, 2}: rank 1 never participates — the group barrier must
-        // complete without it.
-        std::thread::scope(|s| {
-            let member = |rank: usize, sub: usize| {
-                let all = all.clone();
-                s.spawn(move || {
-                    GroupTransport::group(shared_endpoint(3, rank, &all), vec![0, 2], sub, 1)
-                        .barrier()
-                })
-            };
-            let (j0, j2) = (member(0, 0), member(2, 1));
-            // One dissemination round: one empty frame each.
-            assert_eq!(j0.join().unwrap(), Ok((1, 0)));
-            assert_eq!(j2.join().unwrap(), Ok((1, 0)));
-        });
     }
 }

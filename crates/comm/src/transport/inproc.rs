@@ -1,81 +1,29 @@
-//! The in-process transport: per-rank shared-memory mailboxes.
+//! The in-process transport: per-link shared-memory inboxes.
 //!
-//! Every rank is a thread of one process; a send pushes a message into the
-//! destination's mailbox under a mutex, a receive blocks on the mailbox
-//! condvar. This is the seed repo's original data plane, now behind the
-//! [`Transport`] trait. It moves bytes and nothing else: the Hockney price
-//! of a collective is added above it, by the communicator.
+//! Every rank is a thread of one process; a send pushes a copy of the frame
+//! into the destination's [`Inbox`] for this sender, a receive takes it out
+//! (blocking on that link's condvar when it has not arrived). It moves bytes
+//! and nothing else: the Hockney price of a collective is added above it,
+//! by the communicator.
 
+use crate::transport::inbox::{self, Inbox};
 use crate::transport::wire::{Payload, PayloadRef};
 use crate::transport::{Transport, TransportError};
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Allocator for [`InProcShared::trace_salt`] values.
 static NEXT_TRACE_SALT: AtomicU64 = AtomicU64::new(1);
 
-struct Msg {
-    tag: u64,
-    from: usize,
-    data: Payload,
-}
-
-#[derive(Default)]
-struct Mailbox {
-    q: Mutex<Vec<Msg>>,
-    cv: Condvar,
-}
-
-/// Sense-reversing centralized barrier (see "Rust Atomics and Locks" ch. 4/9
-/// for the pattern). Spin-waits with `yield_now` — rank counts here are ≤ 32.
-struct SenseBarrier {
-    count: AtomicUsize,
-    sense: AtomicBool,
-    total: usize,
-}
-
-impl SenseBarrier {
-    fn new(total: usize) -> Self {
-        SenseBarrier { count: AtomicUsize::new(0), sense: AtomicBool::new(false), total }
-    }
-
-    /// Waits until all `total` ranks arrived, or returns the rank whose
-    /// `departed` flag shows it never will.
-    fn wait(&self, local_sense: &mut bool, departed: &[AtomicBool]) -> Result<(), usize> {
-        let my_sense = !*local_sense;
-        *local_sense = my_sense;
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
-            self.count.store(0, Ordering::Relaxed);
-            self.sense.store(my_sense, Ordering::Release);
-            return Ok(());
-        }
-        let released = || self.sense.load(Ordering::Acquire) == my_sense;
-        while !released() {
-            if let Some(peer) = departed.iter().position(|d| d.load(Ordering::Acquire)) {
-                // A rank that left after passing this barrier set its flag
-                // (release) after it saw the sense flip, so the flip is
-                // visible by now; an unflipped sense means it never arrived.
-                return if released() { Ok(()) } else { Err(peer) };
-            }
-            std::thread::yield_now();
-        }
-        Ok(())
-    }
-}
-
-/// State shared by all ranks of one in-process cluster: mailboxes and the
-/// rendezvous barrier.
+/// State shared by all ranks of one in-process cluster: one inbox per
+/// directed link.
 pub struct InProcShared {
     world: usize,
-    mailboxes: Vec<Mailbox>,
-    barrier: SenseBarrier,
-    /// Per-rank departure flags: set when a rank's endpoint is dropped, so
-    /// survivors blocked on its traffic or in the barrier get
-    /// [`TransportError::PeerClosed`]
-    /// instead of waiting forever — the shared-memory analogue of a TCP
-    /// EOF.
-    departed: Vec<AtomicBool>,
+    /// `links[to · world + from]` holds what `from` sent `to`. A dropped
+    /// endpoint closes the links it sends on — the shared-memory analogue
+    /// of a TCP EOF — so a survivor blocked on its traffic gets
+    /// [`TransportError::PeerClosed`] instead of waiting forever.
+    links: Vec<Inbox>,
     /// Distinguishes concurrent mailbox worlds in trace flow ids: the
     /// mixed-backend hierarchy runs one in-process world per group, whose
     /// `(from, to, tag)` triples would otherwise collide in a merged trace.
@@ -88,9 +36,7 @@ impl InProcShared {
         assert!(world >= 1, "world must be ≥ 1");
         Arc::new(InProcShared {
             world,
-            mailboxes: (0..world).map(|_| Mailbox::default()).collect(),
-            barrier: SenseBarrier::new(world),
-            departed: (0..world).map(|_| AtomicBool::new(false)).collect(),
+            links: (0..world * world).map(|_| Inbox::default()).collect(),
             trace_salt: NEXT_TRACE_SALT.fetch_add(1, Ordering::Relaxed),
         })
     }
@@ -99,7 +45,11 @@ impl InProcShared {
     /// moved to its thread.
     pub fn endpoint(self: &Arc<Self>, rank: usize) -> InProc {
         assert!(rank < self.world);
-        InProc { rank, shared: self.clone(), local_sense: false }
+        InProc { rank, shared: self.clone() }
+    }
+
+    fn link(&self, from: usize, to: usize) -> &Inbox {
+        &self.links[to * self.world + from]
     }
 }
 
@@ -107,34 +57,20 @@ impl InProcShared {
 pub struct InProc {
     rank: usize,
     shared: Arc<InProcShared>,
-    local_sense: bool,
 }
 
 impl InProc {
-    fn flow(&self, from: usize, to: usize, tag: u64) -> u64 {
-        a2sgd_trace::flow_id(((from as u64) << 32) | to as u64, tag, self.shared.trace_salt)
-    }
-
-    /// Frames already mailed before the sender departed stay receivable;
-    /// only a *missing* frame from a departed rank is an error.
-    fn peer_departed(&self, from: usize, tag: u64) -> Option<TransportError> {
-        self.shared.departed[from].load(Ordering::Acquire).then(|| self.closed(from, Some(tag)))
-    }
-
-    fn closed(&self, peer: usize, tag: Option<u64>) -> TransportError {
-        TransportError::PeerClosed { rank: self.rank, peer, tag, cause: "endpoint dropped".into() }
+    fn recv(&self, from: usize, tag: u64, block: bool) -> Result<Option<Payload>, TransportError> {
+        // A memcpy has no framing: wire bytes == payload bytes.
+        let link = self.shared.link(from, self.rank);
+        inbox::recv(link, (self.rank, from, tag), block, |n| n as u64, self.shared.trace_salt)
     }
 }
 
 impl Drop for InProc {
     fn drop(&mut self) {
-        self.shared.departed[self.rank].store(true, Ordering::Release);
-        // Wake every blocked receiver so it can re-check departure flags.
-        // Lock-then-notify: a receiver between its flag check and its
-        // cv.wait holds the queue lock, so the notify can't slip past it.
-        for mb in &self.shared.mailboxes {
-            let _q = mb.q.lock();
-            mb.cv.notify_all();
+        for to in 0..self.shared.world {
+            self.shared.link(self.rank, to).close("endpoint dropped");
         }
     }
 }
@@ -159,109 +95,29 @@ impl Transport for InProc {
         payload: PayloadRef<'_>,
     ) -> Result<u64, TransportError> {
         let t0 = a2sgd_trace::now_ns();
-        let mb = &self.shared.mailboxes[to];
-        let mut q = mb.q.lock();
-        q.push(Msg { tag, from: self.rank, data: payload.to_owned() });
-        mb.cv.notify_all();
-        drop(q);
-        let bytes = payload.byte_len() as u64;
-        if a2sgd_trace::enabled() {
-            a2sgd_trace::closed_span_flow(
-                crate::transport::send_span_name(payload.kind()),
-                t0,
-                a2sgd_trace::Args::Wire { from: self.rank, to, tag, bytes },
-                self.flow(self.rank, to, tag),
-                true,
-            );
-        }
+        self.shared.link(self.rank, to).push(tag, payload.to_owned());
         // A memcpy has no framing: wire bytes == payload bytes. Shared
         // memory has no peer loss either — sends are infallible.
+        let bytes = payload.byte_len() as u64;
+        let salt = self.shared.trace_salt;
+        crate::transport::wire_span(true, payload.kind(), t0, (self.rank, to, tag), bytes, salt);
         Ok(bytes)
     }
 
     fn recv_bytes(&mut self, from: usize, tag: u64) -> Result<Payload, TransportError> {
-        let t0 = a2sgd_trace::now_ns();
-        let mb = &self.shared.mailboxes[self.rank];
-        let mut q = mb.q.lock();
-        loop {
-            if let Some(pos) = q.iter().position(|m| m.tag == tag && m.from == from) {
-                let data = q.swap_remove(pos).data;
-                drop(q);
-                if a2sgd_trace::enabled() {
-                    a2sgd_trace::closed_span_flow(
-                        crate::transport::recv_span_name(data.kind()),
-                        t0,
-                        a2sgd_trace::Args::Wire {
-                            from,
-                            to: self.rank,
-                            tag,
-                            bytes: data.byte_len() as u64,
-                        },
-                        self.flow(from, self.rank, tag),
-                        false,
-                    );
-                }
-                return Ok(data);
-            }
-            if let Some(e) = self.peer_departed(from, tag) {
-                return Err(e);
-            }
-            mb.cv.wait(&mut q);
-        }
+        Ok(self.recv(from, tag, true)?.expect("a blocking take returns a frame or the close cause"))
     }
 
     fn try_recv_bytes(&mut self, from: usize, tag: u64) -> Result<Option<Payload>, TransportError> {
-        // Mailbox polling: one lock, one scan, no wait — the nonblocking
-        // collectives' progress probe. Only hits are traced; recording
-        // every miss would bury the timeline in poll noise.
-        let t0 = a2sgd_trace::now_ns();
-        let mb = &self.shared.mailboxes[self.rank];
-        let mut q = mb.q.lock();
-        let got = q
-            .iter()
-            .position(|m| m.tag == tag && m.from == from)
-            .map(|pos| q.swap_remove(pos).data);
-        drop(q);
-        if got.is_none() {
-            if let Some(e) = self.peer_departed(from, tag) {
-                return Err(e);
-            }
-        }
-        if let Some(data) = &got {
-            if a2sgd_trace::enabled() {
-                a2sgd_trace::closed_span_flow(
-                    crate::transport::recv_span_name(data.kind()),
-                    t0,
-                    a2sgd_trace::Args::Wire {
-                        from,
-                        to: self.rank,
-                        tag,
-                        bytes: data.byte_len() as u64,
-                    },
-                    self.flow(from, self.rank, tag),
-                    false,
-                );
-            }
-        }
-        Ok(got)
-    }
-
-    fn barrier(&mut self) -> Result<(u64, u64), TransportError> {
-        match self.shared.barrier.wait(&mut self.local_sense, &self.shared.departed) {
-            Ok(()) => Ok((0, 0)), // shared-memory rendezvous: nothing on any wire
-            Err(peer) => Err(self.closed(peer, None)),
-        }
+        self.recv(from, tag, false)
     }
 
     fn classify_survivors(&mut self) -> Option<Vec<bool>> {
-        // Departure flags are the census: a dropped endpoint *is* a dead
-        // rank in the shared-memory world. No goodbye protocol is needed —
-        // the flag store is release-ordered against the drop.
-        Some(
-            (0..self.shared.world)
-                .map(|r| r == self.rank || !self.shared.departed[r].load(Ordering::Acquire))
-                .collect(),
-        )
+        // A closed incoming link is the census: a dropped endpoint *is* a
+        // dead rank in the shared-memory world. No goodbye protocol is
+        // needed.
+        let alive = |r: usize| r == self.rank || !self.shared.link(r, self.rank).is_closed();
+        Some((0..self.shared.world).map(alive).collect())
     }
 }
 
@@ -321,32 +177,6 @@ mod tests {
             other => panic!("expected PeerClosed, got {other:?}"),
         }
         assert!(matches!(e0.try_recv_bytes(1, 42), Err(TransportError::PeerClosed { .. })));
-    }
-
-    #[test]
-    fn barrier_with_a_departed_peer_is_a_typed_error() {
-        // The barrier half of the same contract: a rank that can never
-        // arrive fails the wait instead of spinning it forever, and a rank
-        // that leaves *after* a barrier released does not fail that barrier.
-        let shared = InProcShared::new(2);
-        let (mut e0, mut e1) = (shared.endpoint(0), shared.endpoint(1));
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let first = e0.barrier();
-            tx.send((first, e0.barrier())).unwrap();
-        });
-        e1.barrier().unwrap();
-        drop(e1);
-        let (first, second) = rx
-            .recv_timeout(std::time::Duration::from_secs(10))
-            .expect("barrier against a dropped endpoint hung");
-        assert_eq!(first, Ok((0, 0)));
-        match second {
-            Err(TransportError::PeerClosed { rank, peer, tag, .. }) => {
-                assert_eq!((rank, peer, tag), (0, 1, None));
-            }
-            other => panic!("expected PeerClosed, got {other:?}"),
-        }
     }
 
     #[test]

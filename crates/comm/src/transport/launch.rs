@@ -195,30 +195,13 @@ where
     results
 }
 
-/// Single-host compat shim over [`run_multiprocess_spec`]: a flat world of
-/// `world` ranks on a fresh loopback port. Prefer passing a [`WorldSpec`]
-/// directly — it also carries per-rank bind hosts and group layout.
+/// [`run_multiprocess_spec`] for a flat single-host world of `world` ranks
+/// on a fresh loopback port.
 pub fn run_multiprocess<C>(world: usize, child_args: &[&str], child: C) -> Vec<Vec<f32>>
 where
     C: FnOnce(usize) -> Vec<f32>,
 {
     run_multiprocess_spec(&WorldSpec::single_host(free_loopback_addr(), world), child_args, child)
-}
-
-/// Multi-process TCP collective runner over a typed [`WorldSpec`]: spawns
-/// one process of the current binary per rank and runs `f` on each rank's
-/// measured TCP [`CommHandle`] (children rendezvous through the spec's
-/// lowered environment, bind hosts included). Returns the per-rank results
-/// in rank order (parent only; children exit inside — see
-/// [`run_multiprocess_spec`]).
-pub fn run_cluster_tcp_spec<F>(spec: &WorldSpec, child_args: &[&str], f: F) -> Vec<Vec<f32>>
-where
-    F: FnOnce(&mut CommHandle) -> Vec<f32>,
-{
-    run_multiprocess_spec(spec, child_args, |_| {
-        let mut h = CommHandle::tcp_from_env().expect("TCP rendezvous failed");
-        f(&mut h)
-    })
 }
 
 /// Multi-process TCP collective runner: spawns `world` local processes of
@@ -228,13 +211,15 @@ where
 ///
 /// From a `#[test]`, pass `child_args = &[test_name, "--exact"]` so the
 /// re-executed test binary runs only the calling test. From a plain `main`
-/// (examples/binaries), pass `&[]`. Single-host compat shim — prefer
-/// [`run_cluster_tcp_spec`] for typed worlds.
+/// (examples/binaries), pass `&[]`.
 pub fn run_cluster_tcp<F>(world: usize, child_args: &[&str], f: F) -> Vec<Vec<f32>>
 where
     F: FnOnce(&mut CommHandle) -> Vec<f32>,
 {
-    run_cluster_tcp_spec(&WorldSpec::single_host(free_loopback_addr(), world), child_args, f)
+    run_multiprocess(world, child_args, |_| {
+        let mut h = CommHandle::tcp_from_env().expect("TCP rendezvous failed");
+        f(&mut h)
+    })
 }
 
 /// In-process variant: `world` threads, each with its own [`Tcp`] endpoint
@@ -262,7 +247,7 @@ where
             };
             let f = &f;
             joins.push(s.spawn(move || {
-                let t = Tcp::connect_parts(rank, world, endpoint, None)
+                let t = Tcp::connect_parts(rank, world, endpoint, None, tcp::rendezvous_deadline())
                     .unwrap_or_else(|e| panic!("rank {rank} rendezvous failed: {e}"));
                 let mut h = CommHandle::new(Box::new(t), None);
                 *slot = Some(f(&mut h));

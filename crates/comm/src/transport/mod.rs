@@ -4,10 +4,10 @@
 //! (ring, recursive doubling, binomial tree — `collective.rs`) and the
 //! mechanism that moves bytes between ranks:
 //!
-//! * [`InProc`] — the original shared-memory mailboxes: every rank is a
-//!   thread of one process and a send is a memcpy. (Network time for this
-//!   backend is priced above the transport, by the communicator's
-//!   `CostModel`; the data plane knows nothing of it.)
+//! * [`InProc`] — shared-memory mailboxes: every rank is a thread of one
+//!   process and a send is a memcpy. (Network time for this backend is
+//!   priced above the transport, by the communicator's `CostModel`; the
+//!   data plane knows nothing of it.)
 //! * [`Tcp`] — one OS process (or thread) per rank over persistent
 //!   loopback/LAN `TcpStream`s with length-prefixed little-endian framing
 //!   ([`wire`]); bytes on the wire and elapsed time are *measured*.
@@ -16,7 +16,12 @@
 //! lanes, packed 64-bit words, or opaque compressed byte streams. A
 //! payload's byte length *is* its wire size, so compressed gradient
 //! encodings cross the real socket at their encoded size instead of being
-//! expanded back to f32 buffers.
+//! expanded back to f32 buffers. Both receive through the same per-link
+//! inbox (`inbox.rs`): the in-process sender fills it directly, a TCP
+//! link's reader thread fills it from the socket, and how a blocked rank
+//! learns its peer is gone is written there once. The collectives built
+//! from those sends and receives — the barrier among them — live above
+//! the trait, in `collective.rs` and `nonblocking.rs`.
 //!
 //! Rendezvous for the TCP backend is torchrun-style: rank 0 listens on the
 //! master address, every rank registers its data-plane address, and the
@@ -32,6 +37,7 @@
 //! `CommHandle::split` builds sub-communicators from.
 
 pub mod group;
+mod inbox;
 pub mod inproc;
 pub mod launch;
 pub mod rendezvous;
@@ -41,42 +47,54 @@ pub mod wire;
 pub use group::GroupTransport;
 pub use inproc::{InProc, InProcShared};
 pub use launch::{
-    run_cluster_tcp, run_cluster_tcp_spec, run_cluster_tcp_threads, run_multiprocess,
-    run_multiprocess_spec, tcp_child_rank, LaunchConfig, ENV_CHILD_DEADLINE,
+    run_cluster_tcp, run_cluster_tcp_threads, run_multiprocess, run_multiprocess_spec,
+    tcp_child_rank, LaunchConfig, ENV_CHILD_DEADLINE,
 };
 pub use rendezvous::{RankSpec, Rendezvous, WorldSpec};
-pub use tcp::{Tcp, TcpConfig};
+pub use tcp::Tcp;
 pub use wire::{Payload, PayloadKind, PayloadRef};
 
-/// Trace-span name for a send of the given payload kind — the "payload
-/// kind" leg of the transport instrumentation (tag and byte size travel in
-/// the span's `Wire` args).
-pub(crate) fn send_span_name(kind: PayloadKind) -> &'static str {
-    match kind {
-        PayloadKind::Bytes => "send/bytes",
-        PayloadKind::F32Dense => "send/f32",
-        PayloadKind::PackedU64 => "send/u64",
+/// Traces one frame crossing the `from → to` link as a closed span begun
+/// at `t0` — `send/<kind>` on the sender, `recv/<kind>` on the receiver,
+/// tag and `wire_bytes` in its `Wire` args — tied to its other end by a
+/// flow id both ends derive here. `salt` namespaces a backend's flows.
+pub(crate) fn wire_span(
+    sent: bool,
+    kind: PayloadKind,
+    t0: u64,
+    (from, to, tag): (usize, usize, u64),
+    bytes: u64,
+    salt: u64,
+) {
+    if !a2sgd_trace::enabled() {
+        return;
     }
+    let name = match (sent, kind) {
+        (true, PayloadKind::Bytes) => "send/bytes",
+        (true, PayloadKind::F32Dense) => "send/f32",
+        (true, PayloadKind::PackedU64) => "send/u64",
+        (false, PayloadKind::Bytes) => "recv/bytes",
+        (false, PayloadKind::F32Dense) => "recv/f32",
+        (false, PayloadKind::PackedU64) => "recv/u64",
+    };
+    let flow = a2sgd_trace::flow_id(((from as u64) << 32) | to as u64, tag, salt);
+    a2sgd_trace::closed_span_flow(
+        name,
+        t0,
+        a2sgd_trace::Args::Wire { from, to, tag, bytes },
+        flow,
+        sent,
+    );
 }
 
-/// Trace-span name for a receive of the given payload kind.
-pub(crate) fn recv_span_name(kind: PayloadKind) -> &'static str {
-    match kind {
-        PayloadKind::Bytes => "recv/bytes",
-        PayloadKind::F32Dense => "recv/f32",
-        PayloadKind::PackedU64 => "recv/u64",
-    }
-}
-
-/// Typed peer-loss/IO failure on a transport link — the first slice of the
-/// elastic/fault-handling roadmap item. A dead rank used to surface as an
-/// opaque panic deep inside a reader thread; now `recv_bytes`,
-/// `try_recv_bytes` and the nonblocking collective `wait()`/`try_complete()`
-/// return this, naming the rank, the peer, the awaited tag and the
-/// underlying cause (clean EOF vs reset vs protocol desync) so a failed
-/// step is diagnosable. Restart/shrink policies on top live in the
-/// `a2sgd-elastic` crate, which turns these values into membership
-/// decisions, re-rendezvous and shrink-and-continue training.
+/// Typed peer-loss/IO failure on a transport link. `send_bytes`,
+/// `recv_bytes`, `try_recv_bytes`, every `try_*` collective and the
+/// nonblocking `wait()`/`try_complete()` return this, naming the rank, the
+/// peer, the awaited tag and the underlying cause (clean EOF vs reset vs
+/// protocol desync) so a failed step is diagnosable. Restart/shrink
+/// policies on top live in the `a2sgd-elastic` crate, which turns these
+/// values into membership decisions, re-rendezvous and shrink-and-continue
+/// training.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportError {
     /// The link to `peer` ended (EOF, reset or stream desync) while rank
@@ -124,12 +142,13 @@ impl std::error::Error for TransportError {}
 /// A point-to-point data plane the collectives run over.
 ///
 /// The contract mirrors a minimal MPI: tagged send/recv of typed byte
-/// frames ([`Payload`]) between ranks plus a full barrier.
-/// Implementations must deliver frames between a given (sender, receiver)
-/// pair in send order; the collectives only ever post receives whose source
-/// rank is determined by the algorithm, so no wildcard receive exists.
-/// `try_recv_bytes` is the nonblocking probe the handle-based collectives
-/// poll — it must never block.
+/// frames ([`Payload`]) between ranks, nothing else — every collective,
+/// the barrier included ([`crate::CommHandle::try_barrier`]), is written
+/// once above it. Implementations must deliver frames between a given
+/// (sender, receiver) pair in send order; the collectives only ever post
+/// receives whose source rank is determined by the algorithm, so no
+/// wildcard receive exists. `try_recv_bytes` is the nonblocking probe the
+/// handle-based collectives poll — it must never block.
 pub trait Transport: Send {
     /// This endpoint's rank.
     fn rank(&self) -> usize;
@@ -171,14 +190,6 @@ pub trait Transport: Send {
     /// `Err` when the link is dead and the frame can never arrive.
     fn try_recv_bytes(&mut self, from: usize, tag: u64) -> Result<Option<Payload>, TransportError>;
 
-    /// Blocks until every rank has entered the barrier. Returns the
-    /// `(frames, wire_bytes)` this rank's barrier traffic put on the wire
-    /// — `(0, 0)` for shared-memory rendezvous, the empty control frames
-    /// for real networks — so callers can keep traffic accounting honest.
-    /// A dead peer surfaces as [`TransportError::PeerClosed`], not a hang
-    /// or a panic, so elastic callers can shrink instead of dying.
-    fn barrier(&mut self) -> Result<(u64, u64), TransportError>;
-
     /// Cooperative post-failure membership census. A survivor that hit a
     /// [`TransportError`] mid-collective calls this once: the transport
     /// announces its own departure-free liveness to every peer (goodbye
@@ -204,7 +215,7 @@ pub enum CommBackend {
     InProc,
     /// One process per rank over TCP; measured bytes and wall time. The
     /// process must carry the `A2SGD_RANK`/`A2SGD_WORLD`/`A2SGD_MASTER_ADDR`
-    /// rendezvous environment (see [`TcpConfig::from_env`]).
+    /// rendezvous environment (see [`Rendezvous::from_env`]).
     Tcp,
 }
 

@@ -14,9 +14,9 @@
 //! variables.
 //!
 //! Per-rank bind hosts are what make the rendezvous multi-host capable:
-//! the old behavior (every rank binds its data listener on the master's
-//! host) is the `bind_host: None` default, while a rank on another machine
-//! sets the address its peers can actually route to.
+//! `bind_host: None`, the default, binds a rank's data listener on the
+//! master's host, while a rank on another machine sets the address its
+//! peers can actually route to.
 
 use crate::transport::tcp;
 
@@ -171,38 +171,33 @@ impl Rendezvous {
     /// `A2SGD_GROUPS` (comma list of group ids) when present. Errors name
     /// the missing or malformed variable.
     pub fn from_env() -> Result<Self, String> {
-        let cfg = tcp::TcpConfig::from_env()?;
-        let mut spec = WorldSpec::single_host(cfg.master_addr, cfg.world);
-        if let Ok(hosts) = std::env::var(tcp::ENV_BIND_HOSTS) {
-            let hosts: Vec<&str> = hosts.split(',').collect();
-            if hosts.len() != cfg.world {
-                return Err(format!(
-                    "{} has {} entries for world {}",
-                    tcp::ENV_BIND_HOSTS,
-                    hosts.len(),
-                    cfg.world
-                ));
-            }
-            for (r, h) in hosts.iter().enumerate() {
-                spec.ranks[r].bind_host = (!h.is_empty()).then(|| h.to_string());
-            }
+        let get = |k: &str| std::env::var(k).map_err(|_| format!("{k} is not set"));
+        let number = |k: &str| -> Result<usize, String> {
+            get(k)?.parse().map_err(|e| format!("{k} not a number: {e}"))
+        };
+        let (rank, world) = (number(tcp::ENV_RANK)?, number(tcp::ENV_WORLD)?);
+        let master_addr = get(tcp::ENV_MASTER_ADDR)?;
+        if world == 0 || rank >= world {
+            return Err(format!("rank {rank} out of range for world {world}"));
         }
-        if let Ok(groups) = std::env::var(tcp::ENV_GROUPS) {
-            let groups: Vec<&str> = groups.split(',').collect();
-            if groups.len() != cfg.world {
-                return Err(format!(
-                    "{} has {} entries for world {}",
-                    tcp::ENV_GROUPS,
-                    groups.len(),
-                    cfg.world
-                ));
+        // An optional comma list with one entry per rank.
+        let per_rank = |k: &str| -> Result<Option<Vec<String>>, String> {
+            let Ok(list) = std::env::var(k) else { return Ok(None) };
+            let entries: Vec<String> = list.split(',').map(str::to_string).collect();
+            if entries.len() != world {
+                return Err(format!("{k} has {} entries for world {world}", entries.len()));
             }
-            for (r, g) in groups.iter().enumerate() {
-                spec.ranks[r].group =
-                    g.parse().map_err(|e| format!("{} entry {r}: {e}", tcp::ENV_GROUPS))?;
-            }
+            Ok(Some(entries))
+        };
+        let mut spec = WorldSpec::single_host(master_addr, world);
+        for (r, h) in per_rank(tcp::ENV_BIND_HOSTS)?.into_iter().flatten().enumerate() {
+            spec.ranks[r].bind_host = (!h.is_empty()).then_some(h);
         }
-        Ok(Rendezvous { rank: cfg.rank, spec })
+        for (r, g) in per_rank(tcp::ENV_GROUPS)?.into_iter().flatten().enumerate() {
+            spec.ranks[r].group =
+                g.parse().map_err(|e| format!("{} entry {r}: {e}", tcp::ENV_GROUPS))?;
+        }
+        Ok(Rendezvous { rank, spec })
     }
 
     /// Establishes this rank's TCP mesh per the spec.
@@ -214,6 +209,15 @@ impl Rendezvous {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn from_env_reports_missing_vars() {
+        // Only meaningful outside a launched child (no rendezvous env set).
+        if std::env::var(tcp::ENV_RANK).is_err() {
+            let e = Rendezvous::from_env().unwrap_err();
+            assert!(e.contains("A2SGD_"), "unhelpful error: {e}");
+        }
+    }
 
     #[test]
     fn grouped_spec_lays_out_contiguous_groups() {

@@ -13,7 +13,9 @@
 //! is then built deterministically: rank `r` dials every rank below it
 //! (identifying itself with a 4-byte handshake) and accepts one connection
 //! from every rank above it, yielding exactly one persistent, bidirectional
-//! stream per peer pair.
+//! stream per peer pair. Every blocking step gives up at one deadline
+//! (`A2SGD_RENDEZVOUS_TIMEOUT_SECS`, default 30 s) with an `Err` naming the
+//! ranks that never registered or never dialled.
 //!
 //! ## Framing
 //!
@@ -27,7 +29,7 @@
 //! ## Progress
 //!
 //! Each peer connection has a dedicated reader thread draining frames into
-//! an in-memory inbox. That makes blocking sends deadlock-free: the
+//! that link's [`Inbox`]. That makes blocking sends deadlock-free: the
 //! collectives post symmetric send-then-recv patterns, and without the
 //! drain two ranks flushing frames larger than the kernel socket buffers
 //! at each other would block forever. With it, the receiving side always
@@ -36,10 +38,9 @@
 //! Unlike the in-process backend nothing is priced: bytes are counted as
 //! they hit the socket and time is whatever the wall clock says.
 
+use crate::transport::inbox::{self, Inbox};
 use crate::transport::wire::{self, Payload, PayloadRef};
 use crate::transport::{Transport, TransportError};
-use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -64,34 +65,6 @@ pub const ENV_GROUPS: &str = "A2SGD_GROUPS";
 
 const DEFAULT_RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// TCP backend configuration, usually read from the environment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TcpConfig {
-    /// This process's rank in `0..world`.
-    pub rank: usize,
-    /// Number of ranks.
-    pub world: usize,
-    /// Rank-0 rendezvous address, `host:port`.
-    pub master_addr: String,
-}
-
-impl TcpConfig {
-    /// Reads `A2SGD_RANK`, `A2SGD_WORLD` and `A2SGD_MASTER_ADDR` (torchrun
-    /// dialect). Errors name the missing/invalid variable.
-    pub fn from_env() -> Result<Self, String> {
-        let get = |k: &str| std::env::var(k).map_err(|_| format!("{k} is not set"));
-        let rank: usize =
-            get(ENV_RANK)?.parse().map_err(|e| format!("{ENV_RANK} not a number: {e}"))?;
-        let world: usize =
-            get(ENV_WORLD)?.parse().map_err(|e| format!("{ENV_WORLD} not a number: {e}"))?;
-        let master_addr = get(ENV_MASTER_ADDR)?;
-        if world == 0 || rank >= world {
-            return Err(format!("rank {rank} out of range for world {world}"));
-        }
-        Ok(TcpConfig { rank, world, master_addr })
-    }
-}
-
 /// How this endpoint reaches the rendezvous master.
 pub(crate) enum MasterEndpoint {
     /// Rank 0 with a pre-bound listener (used by the in-process thread
@@ -99,21 +72,6 @@ pub(crate) enum MasterEndpoint {
     Listener(TcpListener),
     /// Any rank dialing `host:port` (rank 0 binds it first).
     Addr(String),
-}
-
-struct InboxState {
-    frames: VecDeque<(u64, Payload)>,
-    /// Set by the reader thread when the connection ends: how it ended
-    /// (clean EOF vs reset vs protocol desync), surfaced in the panic of
-    /// any receive still waiting on this peer.
-    closed: Option<String>,
-}
-
-/// Frames the peer's reader thread has drained off the socket, keyed for
-/// tag-matched receives.
-struct Inbox {
-    state: Mutex<InboxState>,
-    cv: Condvar,
 }
 
 struct Peer {
@@ -126,17 +84,10 @@ fn reader_loop(stream: TcpStream, inbox: Arc<Inbox>) {
     let mut r = BufReader::new(stream);
     loop {
         match wire::read_frame(&mut r) {
-            Ok(frame) => {
-                inbox.state.lock().frames.push_back(frame);
-                inbox.cv.notify_all();
-            }
-            Err(e) => {
-                // EOF on clean peer shutdown, or reset/desync: the link is
-                // done; pending receives observe `closed` with the cause.
-                inbox.state.lock().closed = Some(e.to_string());
-                inbox.cv.notify_all();
-                return;
-            }
+            Ok((tag, frame)) => inbox.push(tag, frame),
+            // EOF on clean peer shutdown, or reset/desync: the link is
+            // done; a receive still waiting on it is an `Err` with the cause.
+            Err(e) => return inbox.close(e.to_string()),
         }
     }
 }
@@ -150,19 +101,15 @@ pub struct Tcp {
     ranks_on_host: usize,
     /// `peers[r]` is `None` only for `r == rank`.
     peers: Vec<Option<Peer>>,
-    barrier_seq: u64,
 }
-
-/// Tags with the top bit set are reserved for transport-internal traffic
-/// (the dissemination barrier); `CommHandle` never generates them.
-const INTERNAL_TAG: u64 = 1 << 63;
 
 /// Goodbye control frame: a survivor announcing an orderly census entry
 /// (see [`Transport::classify_survivors`]). Lives in the elastic tag
 /// namespace so `tag_space` keeps it out of all traffic accounting.
 const GOODBYE_TAG: u64 = crate::transport::group::ELASTIC_TAG | 1;
 
-fn rendezvous_deadline() -> Instant {
+/// The instant every blocking step of a rendezvous starting now gives up at.
+pub(crate) fn rendezvous_deadline() -> Instant {
     let secs = std::env::var(ENV_RENDEZVOUS_TIMEOUT)
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
@@ -191,18 +138,47 @@ fn connect_retry(addr: &str, deadline: Instant) -> Result<TcpStream, String> {
     }
 }
 
-impl Tcp {
-    /// Establishes the full mesh for `cfg`. Rank 0 binds the master
-    /// address; everyone else dials it (with retries until the rendezvous
-    /// deadline, so start order does not matter).
-    pub fn connect(cfg: &TcpConfig) -> Result<Tcp, String> {
-        let spec = crate::transport::rendezvous::WorldSpec::single_host(
-            cfg.master_addr.clone(),
-            cfg.world,
-        );
-        Self::connect_spec(cfg.rank, &spec)
-    }
+/// What is left of `deadline`, as a socket read timeout (which must be
+/// nonzero: a spent deadline still gets one short, failing wait).
+fn time_left(deadline: Instant) -> Option<Duration> {
+    Some(deadline.saturating_duration_since(Instant::now()).max(Duration::from_millis(1)))
+}
 
+/// `accept()` that gives up at `deadline`. std has no accept timeout, so the
+/// listener is polled: back to back for the first 200 µs (a peer that is
+/// about to dial is noticed at once — a sleep, however short, costs ~50 µs
+/// of timer slack per miss), then at an eighth of the time waited so far,
+/// 5 ms at most (a rank that never comes costs no CPU). The accepted
+/// stream's reads time out at the deadline too, for the caller's
+/// registration / handshake read.
+fn accept_by(l: &TcpListener, deadline: Instant) -> std::io::Result<TcpStream> {
+    use std::io::{Error, ErrorKind};
+    l.set_nonblocking(true)?;
+    let began = Instant::now();
+    loop {
+        match l.accept() {
+            Ok((s, _)) => {
+                s.set_nonblocking(false)?;
+                s.set_read_timeout(time_left(deadline))?;
+                return Ok(s);
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                if Instant::now() >= deadline {
+                    return Err(Error::new(ErrorKind::TimedOut, "rendezvous deadline passed"));
+                }
+                let waited = began.elapsed();
+                if waited < Duration::from_micros(200) {
+                    std::thread::yield_now();
+                } else {
+                    std::thread::sleep((waited / 8).min(Duration::from_millis(5)));
+                }
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+impl Tcp {
     /// Establishes the mesh for `rank` of a typed [`WorldSpec`]: rank 0
     /// binds the master address; every rank binds its data listener on its
     /// spec'd host (master's host when unset) and advertises it through
@@ -222,8 +198,13 @@ impl Tcp {
         } else {
             MasterEndpoint::Addr(spec.master_addr.clone())
         };
-        let mut tcp =
-            Self::connect_parts(rank, spec.world(), master, spec.ranks[rank].bind_host.as_deref())?;
+        let mut tcp = Self::connect_parts(
+            rank,
+            spec.world(),
+            master,
+            spec.ranks[rank].bind_host.as_deref(),
+            rendezvous_deadline(),
+        )?;
         tcp.ranks_on_host = spec.ranks_on_host(rank);
         Ok(tcp)
     }
@@ -233,18 +214,12 @@ impl Tcp {
         world: usize,
         master: MasterEndpoint,
         bind_host: Option<&str>,
+        deadline: Instant,
     ) -> Result<Tcp, String> {
         assert!(world >= 1 && rank < world);
         if world == 1 {
-            return Ok(Tcp {
-                rank,
-                world,
-                ranks_on_host: world,
-                peers: vec![None],
-                barrier_seq: 0,
-            });
+            return Ok(Tcp { rank, world, ranks_on_host: world, peers: vec![None] });
         }
-        let deadline = rendezvous_deadline();
         let err = |e: std::io::Error, what: &str| format!("rank {rank}: {what}: {e}");
 
         // Data-plane listener host: this rank's spec'd bind host when
@@ -277,7 +252,10 @@ impl Tcp {
                 table[0] = my_addr;
                 let mut regs = Vec::with_capacity(world - 1);
                 for _ in 1..world {
-                    let (conn, _) = l.accept().map_err(|e| err(e, "accept registration"))?;
+                    let conn = accept_by(&l, deadline).map_err(|e| {
+                        let absent: Vec<_> = (1..world).filter(|&r| table[r].is_empty()).collect();
+                        err(e, &format!("accept registration (ranks {absent:?} never registered)"))
+                    })?;
                     let mut r = BufReader::new(conn);
                     let mut line = String::new();
                     r.read_line(&mut line).map_err(|e| err(e, "read registration"))?;
@@ -302,6 +280,7 @@ impl Tcp {
             }
             MasterEndpoint::Addr(addr) => {
                 let conn = connect_retry(&addr, deadline)?;
+                conn.set_read_timeout(time_left(deadline)).map_err(|e| err(e, "read timeout"))?;
                 let mut r = BufReader::new(conn);
                 r.get_mut()
                     .write_all(format!("{rank} {my_addr}\n").as_bytes())
@@ -323,11 +302,11 @@ impl Tcp {
         let mut peers: Vec<Option<Peer>> = (0..world).map(|_| None).collect();
         let mk_peer = |s: TcpStream, peer: usize| -> Result<Peer, String> {
             s.set_nodelay(true).map_err(|e| format!("set_nodelay: {e}"))?;
+            // The rendezvous deadline bounded the reads so far; the data
+            // plane's reader blocks for as long as the link lives.
+            s.set_read_timeout(None).map_err(|e| format!("clear read timeout: {e}"))?;
             let rs = s.try_clone().map_err(|e| format!("clone stream: {e}"))?;
-            let inbox = Arc::new(Inbox {
-                state: Mutex::new(InboxState { frames: VecDeque::new(), closed: None }),
-                cv: Condvar::new(),
-            });
+            let inbox = Arc::new(Inbox::default());
             let inbox2 = inbox.clone();
             let reader = std::thread::Builder::new()
                 .name(format!("a2sgd-tcp-rx-{rank}-from-{peer}"))
@@ -341,7 +320,10 @@ impl Tcp {
             peers[lower] = Some(mk_peer(s, lower)?);
         }
         for _ in rank + 1..world {
-            let (mut s, _) = data_listener.accept().map_err(|e| err(e, "accept peer"))?;
+            let mut s = accept_by(&data_listener, deadline).map_err(|e| {
+                let absent: Vec<_> = (rank + 1..world).filter(|&r| peers[r].is_none()).collect();
+                err(e, &format!("accept peer (ranks {absent:?} never dialled)"))
+            })?;
             let mut hs = [0u8; 4];
             s.read_exact(&mut hs).map_err(|e| err(e, "read handshake"))?;
             let peer = u32::from_le_bytes(hs) as usize;
@@ -352,11 +334,18 @@ impl Tcp {
         }
         // Thread-rank launchers come through here without a spec: one
         // process, so every rank shares this host.
-        Ok(Tcp { rank, world, ranks_on_host: world, peers, barrier_seq: 0 })
+        Ok(Tcp { rank, world, ranks_on_host: world, peers })
     }
 
     fn peer(&mut self, r: usize) -> &mut Peer {
         self.peers[r].as_mut().unwrap_or_else(|| panic!("no link rank {} -> {r}", self.rank))
+    }
+
+    fn recv(&self, from: usize, tag: u64, block: bool) -> Result<Option<Payload>, TransportError> {
+        let me = self.rank;
+        let link =
+            self.peers[from].as_ref().unwrap_or_else(|| panic!("no link rank {me} -> {from}"));
+        inbox::recv(&link.inbox, (me, from, tag), block, wire::frame_wire_bytes, 0)
     }
 }
 
@@ -390,122 +379,16 @@ impl Transport for Tcp {
         let w = &mut self.peer(to).writer;
         let n = wire::write_frame(w, tag, payload).map_err(failed)?;
         w.flush().map_err(failed)?;
-        if a2sgd_trace::enabled() {
-            a2sgd_trace::closed_span_flow(
-                crate::transport::send_span_name(payload.kind()),
-                t0,
-                a2sgd_trace::Args::Wire { from: rank, to, tag, bytes: n },
-                a2sgd_trace::flow_id(((rank as u64) << 32) | to as u64, tag, 0),
-                true,
-            );
-        }
+        crate::transport::wire_span(true, payload.kind(), t0, (rank, to, tag), n, 0);
         Ok(n)
     }
 
     fn recv_bytes(&mut self, from: usize, tag: u64) -> Result<Payload, TransportError> {
-        let t0 = a2sgd_trace::now_ns();
-        let me = self.rank;
-        let inbox = &self.peers[from]
-            .as_ref()
-            .unwrap_or_else(|| panic!("no link rank {me} -> {from}"))
-            .inbox;
-        let mut st = inbox.state.lock();
-        loop {
-            if let Some(pos) = st.frames.iter().position(|(t, _)| *t == tag) {
-                let data = st.frames.remove(pos).unwrap().1;
-                drop(st);
-                if a2sgd_trace::enabled() {
-                    a2sgd_trace::closed_span_flow(
-                        crate::transport::recv_span_name(data.kind()),
-                        t0,
-                        a2sgd_trace::Args::Wire {
-                            from,
-                            to: me,
-                            tag,
-                            bytes: wire::frame_wire_bytes(data.byte_len()),
-                        },
-                        a2sgd_trace::flow_id(((from as u64) << 32) | me as u64, tag, 0),
-                        false,
-                    );
-                }
-                return Ok(data);
-            }
-            if let Some(cause) = &st.closed {
-                return Err(TransportError::PeerClosed {
-                    rank: me,
-                    peer: from,
-                    tag: Some(tag),
-                    cause: cause.clone(),
-                });
-            }
-            inbox.cv.wait(&mut st);
-        }
+        Ok(self.recv(from, tag, true)?.expect("a blocking take returns a frame or the close cause"))
     }
 
     fn try_recv_bytes(&mut self, from: usize, tag: u64) -> Result<Option<Payload>, TransportError> {
-        let t0 = a2sgd_trace::now_ns();
-        let me = self.rank;
-        let inbox = &self.peers[from]
-            .as_ref()
-            .unwrap_or_else(|| panic!("no link rank {me} -> {from}"))
-            .inbox;
-        let mut st = inbox.state.lock();
-        if let Some(pos) = st.frames.iter().position(|(t, _)| *t == tag) {
-            let data = st.frames.remove(pos).unwrap().1;
-            drop(st);
-            // Only hits are traced — recording every poll miss would bury
-            // the timeline in progress-probe noise.
-            if a2sgd_trace::enabled() {
-                a2sgd_trace::closed_span_flow(
-                    crate::transport::recv_span_name(data.kind()),
-                    t0,
-                    a2sgd_trace::Args::Wire {
-                        from,
-                        to: me,
-                        tag,
-                        bytes: wire::frame_wire_bytes(data.byte_len()),
-                    },
-                    a2sgd_trace::flow_id(((from as u64) << 32) | me as u64, tag, 0),
-                    false,
-                );
-            }
-            return Ok(Some(data));
-        }
-        // Drained and dead ⇒ the frame can never arrive: fail now rather
-        // than letting a later blocking wait discover it.
-        if let Some(cause) = &st.closed {
-            return Err(TransportError::PeerClosed {
-                rank: me,
-                peer: from,
-                tag: Some(tag),
-                cause: cause.clone(),
-            });
-        }
-        Ok(None)
-    }
-
-    fn barrier(&mut self) -> Result<(u64, u64), TransportError> {
-        // Dissemination barrier: ⌈log₂ world⌉ rounds of empty frames, each
-        // round doubling the hop distance. Tags live in the reserved
-        // internal namespace so they never collide with collective traffic.
-        // Peer loss mid-barrier surfaces as a typed error like any other
-        // collective failure: the world cannot rendezvous without the dead
-        // rank, but the survivors can classify, shrink and re-form.
-        self.barrier_seq += 1;
-        let base = INTERNAL_TAG | (self.barrier_seq << 8);
-        let mut hop = 1usize;
-        let mut round = 0u64;
-        let (mut frames, mut wire_bytes) = (0u64, 0u64);
-        while hop < self.world {
-            let to = (self.rank + hop) % self.world;
-            let from = (self.rank + self.world - hop) % self.world;
-            wire_bytes += self.send_bytes(to, base | round, PayloadRef::Bytes(&[]))?;
-            frames += 1;
-            let _ = self.recv_bytes(from, base | round)?;
-            hop <<= 1;
-            round += 1;
-        }
-        Ok((frames, wire_bytes))
+        self.recv(from, tag, false)
     }
 
     fn classify_survivors(&mut self) -> Option<Vec<bool>> {
@@ -530,17 +413,9 @@ impl Transport for Tcp {
             let _ = p.writer.get_ref().shutdown(Shutdown::Write);
         }
         for (r, p) in self.peers.iter().enumerate() {
-            let Some(p) = p else { continue };
-            let mut st = p.inbox.state.lock();
-            loop {
-                if st.frames.iter().any(|(t, _)| *t == GOODBYE_TAG) {
-                    alive[r] = true;
-                    break;
-                }
-                if st.closed.is_some() {
-                    break; // EOF without a goodbye: the peer died
-                }
-                p.inbox.cv.wait(&mut st);
+            if let Some(p) = p {
+                // `Err`: the link ended without a goodbye — the peer died.
+                alive[r] = p.inbox.take(GOODBYE_TAG, true).is_ok();
             }
         }
         Some(alive)
@@ -568,37 +443,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_env_reports_missing_vars() {
-        // Only meaningful outside a launched child (no rendezvous env set).
-        if std::env::var(ENV_RANK).is_err() {
-            let e = TcpConfig::from_env().unwrap_err();
-            assert!(e.contains("A2SGD_"), "unhelpful error: {e}");
-        }
-    }
-
-    #[test]
     fn two_rank_mesh_exchanges_frames() {
         let master = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = master.local_addr().unwrap().to_string();
         std::thread::scope(|s| {
             let j0 = s.spawn(move || {
-                let mut t =
-                    Tcp::connect_parts(0, 2, MasterEndpoint::Listener(master), None).unwrap();
+                let mut t = Tcp::connect_parts(
+                    0,
+                    2,
+                    MasterEndpoint::Listener(master),
+                    None,
+                    rendezvous_deadline(),
+                )
+                .unwrap();
                 let wire_bytes =
                     t.send_bytes(1, 42, Payload::F32Dense(vec![1.0, 2.0]).as_ref()).unwrap();
                 assert_eq!(wire_bytes, wire::frame_wire_bytes(8));
                 let wire_bytes =
                     t.send_bytes(1, 44, Payload::Bytes(vec![7, 8, 9]).as_ref()).unwrap();
                 assert_eq!(wire_bytes, wire::frame_wire_bytes(3));
-                t.barrier().unwrap();
                 t.recv_bytes(1, 43).unwrap().expect_u64()
             });
             let j1 = s.spawn(move || {
-                let mut t = Tcp::connect_parts(1, 2, MasterEndpoint::Addr(addr), None).unwrap();
+                let mut t = Tcp::connect_parts(
+                    1,
+                    2,
+                    MasterEndpoint::Addr(addr),
+                    None,
+                    rendezvous_deadline(),
+                )
+                .unwrap();
                 let got = t.recv_bytes(0, 42).unwrap().expect_f32();
                 assert_eq!(got, vec![1.0, 2.0]);
                 assert_eq!(t.recv_bytes(0, 44).unwrap().expect_bytes(), vec![7, 8, 9]);
-                t.barrier().unwrap();
                 t.send_bytes(0, 43, Payload::PackedU64(vec![3]).as_ref()).unwrap();
                 got
             });
@@ -607,19 +484,52 @@ mod tests {
         });
     }
 
+    /// A rank that never shows up fails the rendezvous at its deadline, by
+    /// name, instead of leaving the others in `accept()` forever — the
+    /// master waiting for registrations and a peer waiting to be dialled.
+    #[test]
+    fn absent_rank_fails_the_rendezvous_at_the_deadline() {
+        let master = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        // Detached: without the deadline this thread never returns.
+        std::thread::spawn(move || {
+            let deadline = Instant::now() + Duration::from_millis(300);
+            let out = Tcp::connect_parts(0, 2, MasterEndpoint::Listener(master), None, deadline);
+            let _ = tx.send(out.map(|_| ()));
+        });
+        let e = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("rank 0 is still waiting for rank 1 long past its 300 ms deadline")
+            .unwrap_err();
+        assert!(e.contains("[1] never registered"), "error does not name the absent rank: {e}");
+    }
+
     #[test]
     fn out_of_order_tags_are_buffered() {
         let master = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = master.local_addr().unwrap().to_string();
         std::thread::scope(|s| {
             let j0 = s.spawn(move || {
-                let mut t =
-                    Tcp::connect_parts(0, 2, MasterEndpoint::Listener(master), None).unwrap();
+                let mut t = Tcp::connect_parts(
+                    0,
+                    2,
+                    MasterEndpoint::Listener(master),
+                    None,
+                    rendezvous_deadline(),
+                )
+                .unwrap();
                 t.send_bytes(1, 1, Payload::F32Dense(vec![1.0]).as_ref()).unwrap();
                 t.send_bytes(1, 2, Payload::F32Dense(vec![2.0]).as_ref()).unwrap();
             });
             let j1 = s.spawn(move || {
-                let mut t = Tcp::connect_parts(1, 2, MasterEndpoint::Addr(addr), None).unwrap();
+                let mut t = Tcp::connect_parts(
+                    1,
+                    2,
+                    MasterEndpoint::Addr(addr),
+                    None,
+                    rendezvous_deadline(),
+                )
+                .unwrap();
                 // Request the second frame first: the first must be parked
                 // in the pending queue, not lost.
                 assert_eq!(t.recv_bytes(0, 2).unwrap().expect_f32(), vec![2.0]);
@@ -630,18 +540,23 @@ mod tests {
         });
     }
 
-    /// The elastic-handling first slice: a dead peer surfaces as a typed
-    /// [`TransportError::PeerClosed`] naming rank, peer, tag and cause —
-    /// from both the blocking receive and the nonblocking probe — instead
-    /// of hanging forever or panicking in a reader thread.
+    /// A dead peer surfaces as a typed [`TransportError::PeerClosed`]
+    /// naming rank, peer, tag and cause — from both the blocking receive
+    /// and the nonblocking probe — instead of hanging forever.
     #[test]
     fn dead_peer_is_a_typed_error() {
         let master = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = master.local_addr().unwrap().to_string();
         std::thread::scope(|s| {
             let j0 = s.spawn(move || {
-                let mut t =
-                    Tcp::connect_parts(0, 2, MasterEndpoint::Listener(master), None).unwrap();
+                let mut t = Tcp::connect_parts(
+                    0,
+                    2,
+                    MasterEndpoint::Listener(master),
+                    None,
+                    rendezvous_deadline(),
+                )
+                .unwrap();
                 // Rank 1 exits without sending: the blocking receive must
                 // observe the EOF and fail with the peer's identity.
                 let err = t.recv_bytes(1, 0x42).unwrap_err();
@@ -656,7 +571,14 @@ mod tests {
                 assert!(t.try_recv_bytes(1, 0x43).is_err());
             });
             let j1 = s.spawn(move || {
-                let t = Tcp::connect_parts(1, 2, MasterEndpoint::Addr(addr), None).unwrap();
+                let t = Tcp::connect_parts(
+                    1,
+                    2,
+                    MasterEndpoint::Addr(addr),
+                    None,
+                    rendezvous_deadline(),
+                )
+                .unwrap();
                 drop(t); // shutdown both directions; rank 0 sees EOF
             });
             j1.join().unwrap();
@@ -674,18 +596,38 @@ mod tests {
         let addr1 = addr0.clone();
         std::thread::scope(|s| {
             let j0 = s.spawn(move || {
-                let mut t =
-                    Tcp::connect_parts(0, 3, MasterEndpoint::Listener(master), None).unwrap();
+                let mut t = Tcp::connect_parts(
+                    0,
+                    3,
+                    MasterEndpoint::Listener(master),
+                    None,
+                    rendezvous_deadline(),
+                )
+                .unwrap();
                 t.recv_bytes(2, 1).unwrap_err(); // observe the death
                 t.classify_survivors()
             });
             let j1 = s.spawn(move || {
-                let mut t = Tcp::connect_parts(1, 3, MasterEndpoint::Addr(addr0), None).unwrap();
+                let mut t = Tcp::connect_parts(
+                    1,
+                    3,
+                    MasterEndpoint::Addr(addr0),
+                    None,
+                    rendezvous_deadline(),
+                )
+                .unwrap();
                 t.recv_bytes(2, 1).unwrap_err();
                 t.classify_survivors()
             });
             let j2 = s.spawn(move || {
-                let t = Tcp::connect_parts(2, 3, MasterEndpoint::Addr(addr1), None).unwrap();
+                let t = Tcp::connect_parts(
+                    2,
+                    3,
+                    MasterEndpoint::Addr(addr1),
+                    None,
+                    rendezvous_deadline(),
+                )
+                .unwrap();
                 drop(t); // abrupt death: EOF on every link, no goodbye
             });
             j2.join().unwrap();

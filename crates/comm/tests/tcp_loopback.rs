@@ -8,8 +8,8 @@
 use a2sgd::algorithm::A2sgd;
 use cluster_comm::transport::wire::FRAME_HEADER_BYTES;
 use cluster_comm::{
-    run_cluster, run_cluster_tcp_threads, CollectiveAlgo, CommHandle, NetworkProfile, Payload,
-    TrafficStats, TransportError,
+    run_cluster, run_cluster_tcp_threads, CollectiveAlgo, CommHandle, CostModel, NetworkProfile,
+    Payload, TrafficStats, TransportError,
 };
 use gradcomp::topk::TopK;
 use gradcomp::{GradientSynchronizer, Qsgd, QsgdImpl};
@@ -224,19 +224,48 @@ fn tcp_many_sequential_collectives_do_not_deadlock() {
     assert!(results.iter().all(|&v| (v - first).abs() < 1e-6));
 }
 
+/// One barrier, one accounting: the dissemination barrier is a collective
+/// written once above the transport, so a world and a split child of any
+/// size, on either backend, move the same ⌈log₂P⌉ empty frames per rank —
+/// header-only on a socket, zero bytes through a mailbox, no application
+/// payload — and a priced communicator charges exactly `CostModel::barrier(P)`.
+/// A proper subgroup's barrier completes without the non-members.
 #[test]
-fn tcp_barrier_traffic_is_measured() {
-    let stats = run_cluster_tcp_threads(4, |h| {
+fn barrier_traffic_is_the_same_collective_everywhere() {
+    // `(P, stats, comm_seconds)` after exactly one barrier on the world,
+    // then on this rank's fresh child of a ragged two-way split.
+    let body = |h: &mut CommHandle| {
         h.barrier();
-        h.stats()
-    });
-    for s in stats {
-        // Dissemination barrier at P=4: ⌈log₂4⌉ = 2 empty control frames
-        // per rank, header-only on the wire, no application payload.
-        assert_eq!(s.messages, 2);
-        assert_eq!(s.wire_bytes, 2 * FRAME_HEADER_BYTES);
-        assert_eq!(s.bytes_sent, 0);
-        assert_eq!(s.logical_wire_bits, 0);
+        let on_world = (h.world(), h.stats(), h.comm_seconds());
+        let cut = (h.world() + 1) / 3;
+        let mut child = h.split(Some(u64::from(h.rank() >= cut)), h.rank() as u64).unwrap();
+        child.barrier();
+        [on_world, (child.world(), child.stats(), child.comm_seconds())]
+    };
+    let profile = NetworkProfile::infiniband_100g();
+    for world in [1usize, 2, 3, 4, 5, 8] {
+        let backends = [
+            ("inproc", run_cluster(world, profile, body)),
+            ("tcp", run_cluster_tcp_threads(world, body)),
+        ];
+        for (backend, ranks) in backends {
+            for (rank, rows) in ranks.into_iter().enumerate() {
+                for (comm, (p, s, secs)) in ["world", "child"].into_iter().zip(rows) {
+                    let ctx = format!("{backend} world {world} rank {rank}: {comm} of {p}");
+                    let rounds = u64::from(p.next_power_of_two().trailing_zeros()); // ⌈log₂P⌉
+                    assert_eq!(s.messages, rounds, "{ctx}");
+                    assert_eq!(s.bytes_sent, 0, "{ctx}");
+                    assert_eq!(s.logical_wire_bits, 0, "{ctx}");
+                    if backend == "tcp" {
+                        assert_eq!(s.wire_bytes, rounds * FRAME_HEADER_BYTES, "{ctx}");
+                    } else {
+                        assert_eq!(s.wire_bytes, 0, "{ctx}");
+                        let price = CostModel::new(profile).barrier(p);
+                        assert_eq!(secs.to_bits(), price.to_bits(), "{ctx}");
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -88,8 +88,8 @@ impl FaultPlan {
 }
 
 /// A [`Transport`] wrapper that applies a [`FaultPlan`]'s wire faults.
-/// Everything else — receives, barrier, census — passes straight
-/// through, so wrapping is behavior-preserving under the empty plan.
+/// Everything else — receives, census — passes straight through, so
+/// wrapping is behavior-preserving under the empty plan.
 pub struct FaultInjector {
     inner: Box<dyn Transport>,
     plan: FaultPlan,
@@ -163,10 +163,6 @@ impl Transport for FaultInjector {
 
     fn try_recv_bytes(&mut self, from: usize, tag: u64) -> Result<Option<Payload>, TransportError> {
         self.inner.try_recv_bytes(from, tag)
-    }
-
-    fn barrier(&mut self) -> Result<(u64, u64), TransportError> {
-        self.inner.barrier()
     }
 
     fn classify_survivors(&mut self) -> Option<Vec<bool>> {

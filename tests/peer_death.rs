@@ -6,9 +6,10 @@
 //! `train_elastic`, no goodbye — makes every survivor's
 //! `try_sync_bucketed` return `Err(TransportError)`. No panic, no hang
 //! (each rank must report within [`DEADLINE`]), on the in-proc mailboxes
-//! and on loopback TCP sockets. The converse is pinned too: a collective
-//! that needs nothing from the lost rank (a broadcast past a dead leaf)
-//! returns instead of waiting for it.
+//! and on loopback TCP sockets. The barrier is held to the same contract
+//! (worlds 2–5, every victim, both backends). The converse is pinned too:
+//! a collective that needs nothing from the lost rank (a broadcast past a
+//! dead leaf) returns instead of waiting for it.
 //!
 //! A survivor whose own partners are all alive only learns of the death
 //! from another survivor abandoning the exchange, so — like the elastic
@@ -74,16 +75,30 @@ fn rank_body(
     Some(res)
 }
 
-/// Runs `rank_body` on one detached thread per rank over `handles` and
-/// demands an `Err` from every survivor before the deadline.
+/// Runs `rank_body` over `handles` with the last rank as the victim (see
+/// [`assert_every_survivor_errs`]).
 fn assert_survivors_err(
     what: &str,
     handles: Vec<CommHandle>,
     algo: AlgoKind,
     group_size: Option<usize>,
 ) {
+    let victim = handles.len() - 1;
+    assert_every_survivor_errs(what, handles, victim, move |comm| {
+        rank_body(comm, algo, group_size, victim)
+    });
+}
+
+/// Runs `body` — one rank's life, `None` from the victim — on one detached
+/// thread per rank over `handles` and demands an `Err` from every survivor
+/// before the deadline.
+fn assert_every_survivor_errs(
+    what: &str,
+    handles: Vec<CommHandle>,
+    victim: usize,
+    body: impl Fn(CommHandle) -> Option<Result<(), TransportError>> + Copy + Send + 'static,
+) {
     let world = handles.len();
-    let victim = world - 1;
     let (tx, rx) = mpsc::channel();
     for comm in handles {
         let tx = tx.clone();
@@ -91,9 +106,7 @@ fn assert_survivors_err(
         // deadline, not hang the join.
         std::thread::spawn(move || {
             let rank = comm.rank();
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                rank_body(comm, algo, group_size, victim)
-            }));
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(comm)));
             let _ = tx.send((rank, out));
         });
     }
@@ -157,6 +170,32 @@ fn peer_death_is_an_err_under_hier_dense_a2sgd() {
     let algo = AlgoKind::A2sgd;
     assert_survivors_err("in-proc hier(dense, A2SGD)", inproc_handles(4), algo, Some(2));
     assert_survivors_err("tcp hier(dense, A2SGD)", tcp_handles(4), algo, Some(2));
+}
+
+/// The barrier under the same death, for every victim of worlds 2–5: each
+/// rank completes one healthy barrier — `Ok` even though the victim leaves
+/// the moment its own returns: a rank that leaves *after* a barrier released
+/// must not fail it — then the survivors' next barrier is an `Err` on every
+/// one of them. A survivor whose dissemination partner is the victim learns
+/// from the receive itself, the others from an erring survivor dropping its
+/// spent communicator.
+#[test]
+fn barrier_with_a_dead_peer_is_an_err_on_every_survivor() {
+    for world in 2..=5 {
+        for victim in 0..world {
+            for (backend, handles) in
+                [("in-proc", inproc_handles(world)), ("tcp", tcp_handles(world))]
+            {
+                let what = format!("{backend} barrier, world {world}, victim {victim}");
+                assert_every_survivor_errs(&what, handles, victim, move |mut comm| {
+                    let rank = comm.rank();
+                    comm.try_barrier()
+                        .unwrap_or_else(|e| panic!("rank {rank}: healthy barrier failed: {e}"));
+                    (rank != victim).then(|| comm.try_barrier())
+                });
+            }
+        }
+    }
 }
 
 /// World 3, root 0: the binomial tree's leaf, rank 2, has left, and neither
