@@ -5,15 +5,22 @@
 //! The row-parallel triple loops it replaced are gone; their medians stay
 //! in the ledger as the frozen `*/legacy/*` baseline rows.
 //!
-//! Three groups:
+//! Five groups:
 //! * `gemm_st` — square 128/256/512 products.
-//! * `gemm_layers` — the real workspace shapes: FNN-3's first layer, the
-//!   VGG entry/middle im2col products, and an LSTM-PTB gate block.
+//! * `gemm_layers` — the real workspace shapes as bare products on stored
+//!   operands: FNN-3's first layer, the VGG entry/middle conv products on a
+//!   ready column matrix (no gather is timed), and an LSTM-PTB gate block.
 //! * `gemm_prepacked` — the weight-stationary path (`pack_a`/`pack_b` once,
 //!   `run_packed` per item) that conv reuses across batch images and the
 //!   LSTM across timesteps.
+//! * `conv_layers` — whole `conv2d_forward` / `conv2d_backward` calls, the
+//!   gather-pack included, inside a one-lane pool.
+//! * `relu` — one `Relu::forward`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mini_nn::layers::Relu;
+use mini_nn::module::{Mode, Module};
+use mini_tensor::conv::{conv2d_backward, conv2d_forward, Conv2dSpec};
 use mini_tensor::gemm::Gemm;
 use mini_tensor::rng::SeedRng;
 
@@ -46,7 +53,7 @@ fn layer_shapes() -> Vec<(&'static str, Gemm)> {
     vec![
         // FNN-3 paper fc1 forward at batch 32: x[32,784] · W[206,784]ᵀ.
         ("fnn3_fc1", Gemm::nt(32, 784, 206)),
-        // VGG entry conv as im2col: W[64, 3·3·3] · col[27, 32·32].
+        // VGG entry conv's product: W[64, 3·3·3] · col[27, 32·32].
         ("vgg_conv1", Gemm::nn(64, 27, 1024)),
         // VGG middle conv: W[128, 128·3·3] · col[1152, 16·16].
         ("vgg_convm", Gemm::nn(128, 1152, 256)),
@@ -74,7 +81,7 @@ fn bench_prepacked(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm_prepacked");
     group.sample_size(10);
     // Weight-stationary conv product: A = filter matrix, packed once for
-    // the whole batch; B = per-image im2col columns.
+    // the whole batch; B = one image's patch matrix, here a stored one.
     let g = Gemm::nn(128, 1152, 256);
     let (a, b, mut cbuf) = operands(&g, 23);
     group.bench_function("vgg_convm/pack_each", |bch| {
@@ -95,5 +102,54 @@ fn bench_prepacked(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_square, bench_layers, bench_prepacked);
+/// The convolution rows: whole `conv2d_forward` / `conv2d_backward` calls
+/// (gather-pack + GEMM + stores) at batch 8 and pool width 1 — what one
+/// rank gets on the 2-core box — over the scaled ResNet-20's five conv
+/// shapes and the VGG entry conv. `(label, spec, input side)`.
+fn conv_shapes() -> Vec<(&'static str, Conv2dSpec, usize)> {
+    let c3 = |in_c, out_c, stride| Conv2dSpec { in_c, out_c, k: 3, stride, pad: 1 };
+    vec![
+        ("4to4_32x32", c3(4, 4, 1), 32),
+        ("4to8_s2_32x32", c3(4, 8, 2), 32),
+        ("8to8_16x16", c3(8, 8, 1), 16),
+        ("8to16_s2_16x16", c3(8, 16, 2), 16),
+        ("16to16_8x8", c3(16, 16, 1), 8),
+        ("vgg_3to64_32x32", c3(3, 64, 1), 32),
+    ]
+}
+
+fn bench_conv(c: &mut Criterion) {
+    let mut group = c.benchmark_group("conv_layers");
+    group.sample_size(30);
+    let one_lane = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+    let mut rng = SeedRng::new(29);
+    for (label, spec, side) in conv_shapes() {
+        let (oh, ow) = spec.out_hw(side, side);
+        let x = rng.randn_tensor(&[8, spec.in_c, side, side], 1.0);
+        let w = rng.randn_tensor(&[spec.out_c, spec.in_c, spec.k, spec.k], 0.1);
+        let dout = rng.randn_tensor(&[8, spec.out_c, oh, ow], 1.0);
+        group.bench_function(&format!("forward/{label}"), |bch| {
+            bch.iter(|| one_lane.install(|| conv2d_forward(&x, &w, None, &spec)))
+        });
+        group.bench_function(&format!("backward/{label}"), |bch| {
+            bch.iter(|| one_lane.install(|| conv2d_backward(&x, &w, &dout, &spec)))
+        });
+    }
+    group.finish();
+}
+
+/// One `Relu::forward` over 32 768 activations (a stage-0 feature map of
+/// the scaled ResNet-20 at batch 8): mask capture + clamp.
+fn bench_relu(c: &mut Criterion) {
+    let mut group = c.benchmark_group("relu");
+    group.sample_size(30);
+    let x = SeedRng::new(31).randn_tensor(&[8, 4, 32, 32], 1.0);
+    let mut relu = Relu::new();
+    group.bench_function(&format!("forward/{}", x.numel()), |bch| {
+        bch.iter(|| relu.forward(&x, Mode::Train))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_square, bench_layers, bench_prepacked, bench_conv, bench_relu);
 criterion_main!(benches);

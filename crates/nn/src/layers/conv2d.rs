@@ -1,4 +1,5 @@
-//! 2-D convolution layer (wraps the im2col kernels).
+//! 2-D convolution layer: parameters and the cached input around
+//! `mini_tensor::conv`'s implicit-GEMM forward and backward products.
 
 use crate::init;
 use crate::module::{Mode, Module};

@@ -1,7 +1,7 @@
 //! Basic residual block (ResNet-20 style).
 
 use crate::hook::{GradHook, NullHook};
-use crate::layers::{BatchNorm2d, Conv2d, Relu};
+use crate::layers::{relu, BatchNorm2d, Conv2d, Relu};
 use crate::module::{Mode, Module};
 use crate::param::Param;
 use mini_tensor::conv::Conv2dSpec;
@@ -167,15 +167,7 @@ impl Module for ResidualBlock {
         };
 
         let mut out = mini_tensor::ops::add(&main, &skip);
-        self.out_mask.clear();
-        self.out_mask.reserve(out.numel());
-        for v in out.as_mut_slice() {
-            let keep = *v > 0.0;
-            self.out_mask.push(keep);
-            if !keep {
-                *v = 0.0;
-            }
-        }
+        relu::clamp(out.as_mut_slice(), &mut self.out_mask);
         out
     }
 
@@ -184,14 +176,9 @@ impl Module for ResidualBlock {
     }
 
     fn backward_hooked(&mut self, dout: &Tensor, hook: &mut dyn GradHook) -> Tensor {
-        assert_eq!(dout.numel(), self.out_mask.len(), "backward before forward");
         // Through the output ReLU.
         let mut d = dout.clone();
-        for (v, &keep) in d.as_mut_slice().iter_mut().zip(&self.out_mask) {
-            if !keep {
-                *v = 0.0;
-            }
-        }
+        relu::gate(d.as_mut_slice(), &self.out_mask);
         // Main branch: gradients become final in backward-execution order
         // (bn2 first, conv1 last), each announced as it lands.
         let dm = self.bn2.backward_hooked(&d, hook);

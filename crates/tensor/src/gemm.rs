@@ -7,12 +7,17 @@
 //! * **Packing.** `op(A)` is repacked into MR-row micro-panels and `op(B)`
 //!   into NR-column micro-panels ([`PackedA`]/[`PackedB`]), k-blocked in
 //!   [`KC`]-deep slabs. Inside a panel the layout is k-major and contiguous,
-//!   so the microkernel streams both operands linearly regardless of the
-//!   original storage order — transposition is absorbed at pack time and
-//!   costs O(mk + kn) against the O(mkn) multiply. Edge panels are
-//!   zero-padded to full MR/NR width; the padded lanes are computed and then
-//!   discarded by the masked store, so non-finite inputs never leak
-//!   (`0·inf = NaN` can only appear in lanes that are thrown away).
+//!   so the microkernel streams both operands linearly regardless of where
+//!   the operand came from. The panel loop is written once and a panel's
+//!   source is a *filler* ([`Gemm::pack_a_with`]/[`Gemm::pack_b_with`]): a
+//!   stored slice is one filler — transposition is absorbed there and costs
+//!   O(mk + kn) against the O(mkn) multiply — and an operand that exists
+//!   only as a coordinate map over other data (convolution's patch matrix)
+//!   is another, so it is never materialised. Panels are handed out zeroed:
+//!   edge panels stay zero-padded to full MR/NR width, and the padded lanes
+//!   are computed and then discarded by the masked store, so non-finite
+//!   inputs never leak (`0·inf = NaN` can only appear in lanes that are
+//!   thrown away).
 //! * **Microkernel.** An [`MR`]×[`NR`] register tile of accumulators is
 //!   updated once per k-step ([`microkernel`]); the i/j loops are over
 //!   fixed-size arrays, which LLVM fully unrolls and vectorises.
@@ -83,7 +88,7 @@ pub struct Gemm {
 
 /// `op(A)` repacked into MR-row micro-panels (see module docs). Produced by
 /// [`Gemm::pack_a`]; reusable across products with the same `A` operand.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PackedA {
     buf: Vec<f32>,
     m: usize,
@@ -92,7 +97,7 @@ pub struct PackedA {
 
 /// `op(B)` repacked into NR-column micro-panels. Produced by
 /// [`Gemm::pack_b`]; reusable across products with the same `B` operand.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PackedB {
     buf: Vec<f32>,
     k: usize,
@@ -157,31 +162,25 @@ impl Gemm {
         }
     }
 
-    /// Packs `op(A)` into micro-panels, reusing `pa`'s allocation.
+    /// Packs `op(A)` from wherever `fill` reads it. `fill(p0, i0, rows,
+    /// panel)` writes one zeroed `kc×MR` k-major micro-panel: element
+    /// `(i0 + i, p0 + kk)` of `op(A)` goes to `panel[kk * MR + i]` for
+    /// `i < rows`; what it leaves untouched stays zero.
+    pub fn pack_a_with(&self, pa: &mut PackedA, fill: impl FnMut(usize, usize, usize, &mut [f32])) {
+        (pa.m, pa.k) = (self.m, self.k);
+        pack_panels::<MR>(&mut pa.buf, self.k, self.m, fill);
+    }
+
+    /// Packs `op(A)` from its stored slice, reusing `pa`'s allocation.
     pub fn pack_a_into(&self, a: &[f32], pa: &mut PackedA) {
         assert_eq!(a.len(), self.a_len(), "pack_a: A length vs {}×{} descriptor", self.m, self.k);
-        let (m, k) = (self.m, self.k);
-        let mpanels = m.div_ceil(MR);
-        pa.m = m;
-        pa.k = k;
-        pa.buf.clear();
-        pa.buf.resize(mpanels * MR * k, 0.0);
-        let mut off = 0usize;
-        for p0 in (0..k).step_by(KC) {
-            let kc = KC.min(k - p0);
-            for ir in 0..mpanels {
-                let i0 = ir * MR;
-                let rows = MR.min(m - i0);
-                for kk in 0..kc {
-                    let dst = &mut pa.buf[off + kk * MR..off + kk * MR + rows];
-                    for (i, d) in dst.iter_mut().enumerate() {
-                        *d = self.a_at(a, i0 + i, p0 + kk);
-                    }
-                    // Lanes `rows..MR` stay at the zero fill from `resize`.
+        self.pack_a_with(pa, |p0, i0, rows, panel| {
+            for (kk, dst) in panel.chunks_exact_mut(MR).enumerate() {
+                for (i, d) in dst[..rows].iter_mut().enumerate() {
+                    *d = self.a_at(a, i0 + i, p0 + kk);
                 }
-                off += kc * MR;
             }
-        }
+        });
     }
 
     /// Packs `op(A)` into a fresh [`PackedA`].
@@ -191,38 +190,31 @@ impl Gemm {
         pa
     }
 
-    /// Packs `op(B)` into micro-panels, reusing `pb`'s allocation.
+    /// Packs `op(B)` from wherever `fill` reads it. `fill(p0, j0, cols,
+    /// panel)` writes one zeroed `kc×NR` k-major micro-panel: element
+    /// `(p0 + kk, j0 + j)` of `op(B)` goes to `panel[kk * NR + j]` for
+    /// `j < cols`; what it leaves untouched stays zero.
+    pub fn pack_b_with(&self, pb: &mut PackedB, fill: impl FnMut(usize, usize, usize, &mut [f32])) {
+        (pb.k, pb.n) = (self.k, self.n);
+        pack_panels::<NR>(&mut pb.buf, self.k, self.n, fill);
+    }
+
+    /// Packs `op(B)` from its stored slice, reusing `pb`'s allocation.
     pub fn pack_b_into(&self, b: &[f32], pb: &mut PackedB) {
         assert_eq!(b.len(), self.b_len(), "pack_b: B length vs {}×{} descriptor", self.k, self.n);
-        let (k, n) = (self.k, self.n);
-        let npanels = n.div_ceil(NR);
-        pb.k = k;
-        pb.n = n;
-        pb.buf.clear();
-        pb.buf.resize(npanels * NR * k, 0.0);
-        let mut off = 0usize;
-        for p0 in (0..k).step_by(KC) {
-            let kc = KC.min(k - p0);
-            for jr in 0..npanels {
-                let j0 = jr * NR;
-                let cols = NR.min(n - j0);
-                if !self.trans_b {
-                    // op(B) rows are contiguous in storage: copy row slices.
-                    for kk in 0..kc {
-                        let src = &b[(p0 + kk) * n + j0..(p0 + kk) * n + j0 + cols];
-                        pb.buf[off + kk * NR..off + kk * NR + cols].copy_from_slice(src);
+        let n = self.n;
+        self.pack_b_with(pb, |p0, j0, cols, panel| {
+            for (kk, dst) in panel.chunks_exact_mut(NR).enumerate() {
+                if self.trans_b {
+                    for (j, d) in dst[..cols].iter_mut().enumerate() {
+                        *d = self.b_at(b, p0 + kk, j0 + j);
                     }
                 } else {
-                    for kk in 0..kc {
-                        let dst = &mut pb.buf[off + kk * NR..off + kk * NR + cols];
-                        for (j, d) in dst.iter_mut().enumerate() {
-                            *d = self.b_at(b, p0 + kk, j0 + j);
-                        }
-                    }
+                    // op(B) rows are contiguous in storage: copy row slices.
+                    dst[..cols].copy_from_slice(&b[(p0 + kk) * n + j0..][..cols]);
                 }
-                off += kc * NR;
             }
-        }
+        });
     }
 
     /// Packs `op(B)` into a fresh [`PackedB`].
@@ -346,6 +338,31 @@ impl Gemm {
         let mut c = Tensor::zeros([self.m, self.n]);
         self.run(a.as_slice(), b.as_slice(), c.as_mut_slice());
         c
+    }
+}
+
+/// The panel loop, written once for both operand sides: lays an operand of
+/// `extent` lanes (rows of `op(A)`, columns of `op(B)`) by `k` deep out as
+/// `LANES`-wide micro-panels in [`KC`]-deep slabs — slab-major, then panel,
+/// k-major inside — zero-filled, and hands each panel to
+/// `fill(p0, l0, lanes, panel)` with its slab start, first lane and live
+/// lane count (`< LANES` only on the edge panel, whose other lanes stay at
+/// the zero fill).
+fn pack_panels<const LANES: usize>(
+    buf: &mut Vec<f32>,
+    k: usize,
+    extent: usize,
+    mut fill: impl FnMut(usize, usize, usize, &mut [f32]),
+) {
+    buf.clear();
+    buf.resize(extent.div_ceil(LANES) * LANES * k, 0.0);
+    let mut off = 0usize;
+    for p0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - p0);
+        for l0 in (0..extent).step_by(LANES) {
+            fill(p0, l0, LANES.min(extent - l0), &mut buf[off..off + kc * LANES]);
+            off += kc * LANES;
+        }
     }
 }
 

@@ -10,8 +10,10 @@
 //! * a cache-blocked, register-tiled, packing GEMM behind the unified
 //!   [`gemm::Gemm`] descriptor (all four transpose combos; bit-identical
 //!   across thread counts),
-//! * im2col/col2im convolution kernels ([`conv`]), lowered onto the same
-//!   packed GEMM core with weight panels reused across the batch,
+//! * convolution as implicit GEMM ([`conv`]): the three conv products run
+//!   on the same packed core, their patch operands gathered from the image
+//!   straight into micro-panels (no column matrix), filter panels packed
+//!   once per batch,
 //! * reductions, argmax and softmax helpers,
 //! * streaming statistics and histograms ([`stats`]) — used both by the
 //!   Gaussian-K baseline and to regenerate the paper's Figure 1,

@@ -90,16 +90,6 @@ where
     }
 }
 
-/// Width of a `par_*` call made from this thread: the installed pool's
-/// (inside the trainer, the rank's thread budget), else the global width
-/// (`RAYON_NUM_THREADS` or the host's `available_parallelism`). Kernels use
-/// it only to size work *buffers* (e.g. how many images share one im2col
-/// scratch), never to change the arithmetic: results must stay
-/// bit-identical across thread counts.
-pub fn num_threads() -> usize {
-    rayon::current_num_threads()
-}
-
 /// Runs `f(chunk_index, chunk)` over disjoint `chunk`-sized mutable windows
 /// of `y` (the last window may be shorter), in parallel when there is more
 /// than one window. This is the safe replacement for the old `SendPtr` raw

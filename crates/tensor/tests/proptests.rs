@@ -1,7 +1,54 @@
 //! Property-based tests for the tensor substrate.
 
-use mini_tensor::{conv, gemm::Gemm, ops, rng::SeedRng, stats};
+use mini_tensor::{conv, gemm::Gemm, gemm::KC, ops, rng::SeedRng, stats, Tensor};
 use proptest::prelude::*;
+
+/// `|got − want| ≤ 1e-5·(1 + |want|)` elementwise: the bound the direct
+/// backward-data product (one FMA reduction per `dx` element) is held to
+/// against the `f64` direct-loop oracle; `dW`/`db` are held to it too.
+fn within_bound(got: &Tensor, want: &Tensor, what: &str) {
+    assert_eq!(got.shape().dims(), want.shape().dims(), "{what} shape");
+    for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        assert!((g - w).abs() <= 1e-5 * (1.0 + w.abs()), "{what}[{i}]: {g} vs {w}");
+    }
+}
+
+/// Forward against `conv2d_reference`, backward against
+/// `conv2d_backward_reference`, on one seeded geometry.
+fn check_conv(spec: conv::Conv2dSpec, n: usize, h: usize, w: usize, seed: u64) {
+    let mut rng = SeedRng::new(seed);
+    let (oh, ow) = spec.out_hw(h, w);
+    let x = rng.randn_tensor(&[n, spec.in_c, h, w], 1.0);
+    let wt = rng.randn_tensor(&[spec.out_c, spec.in_c, spec.k, spec.k], 0.5);
+    let b = rng.randn_tensor(&[spec.out_c], 0.1);
+    let dout = rng.randn_tensor(&[n, spec.out_c, oh, ow], 1.0);
+    let y = conv::conv2d_forward(&x, &wt, Some(&b), &spec);
+    let y_ref = conv::conv2d_reference(&x, &wt, Some(&b), &spec);
+    for (a, r) in y.as_slice().iter().zip(y_ref.as_slice()) {
+        assert!((a - r).abs() < 1e-3, "{spec:?} {h}x{w}: y {a} vs {r}");
+    }
+    let (dx, dw, db) = conv::conv2d_backward(&x, &wt, &dout, &spec);
+    let (dx_ref, dw_ref, db_ref) = conv::conv2d_backward_reference(&x, &wt, &dout, &spec);
+    within_bound(&dx, &dx_ref, "dx");
+    within_bound(&dw, &dw_ref, "dW");
+    within_bound(&db, &db_ref, "db");
+    // Input rows and columns past the last window get no gradient at all.
+    let (reach_y, reach_x) = ((oh - 1) * spec.stride + spec.k, (ow - 1) * spec.stride + spec.k);
+    for (i, v) in dx.as_slice().iter().enumerate() {
+        if i / w % h + spec.pad >= reach_y || i % w + spec.pad >= reach_x {
+            assert_eq!(*v, 0.0, "{spec:?} {h}x{w}: dx[{i}] is untouched by every output");
+        }
+    }
+}
+
+#[test]
+fn conv_matches_direct_loops_when_a_slab_starts_mid_channel() {
+    // 32 channels × 3×3 = 288 patch rows: the second KC slab starts inside
+    // channel 28. Odd sizes at stride 2 leave the last input column unread.
+    let spec = conv::Conv2dSpec { in_c: 32, out_c: 3, k: 3, stride: 2, pad: 0 };
+    assert!(spec.in_c * spec.k * spec.k > KC);
+    check_conv(spec, 2, 7, 10, 41);
+}
 
 fn finite_vec(n: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-100.0f32..100.0, n..=n)
@@ -82,6 +129,18 @@ proptest! {
         let before = y.clone();
         ops::axpy(0.0, &x, &mut y);
         prop_assert_eq!(y, before);
+    }
+
+    #[test]
+    fn conv_matches_direct_loops_over_the_geometry_menu(
+        in_c in 1usize..=5, out_c in 1usize..=7, ki in 0usize..3, stride in 1usize..=3,
+        pad in 0usize..=2, n in 1usize..=3, h in 5usize..=11, dw in 1usize..=9, seed in 0u64..1000,
+    ) {
+        // k ∈ {1, 3, 5}, non-square inputs up to 11×20: output rows shorter
+        // than, not dividing and longer than NR, strides that leave input
+        // rows unread, padding wider than the kernel.
+        let spec = conv::Conv2dSpec { in_c, out_c, k: 2 * ki + 1, stride, pad };
+        check_conv(spec, n, h, h + dw, seed);
     }
 
     #[test]
