@@ -2,7 +2,7 @@
 //! (compress + exchange + reconstruct) per algorithm on a 4-rank cluster,
 //! at the paper's FNN-3 gradient size.
 
-use a2sgd::registry::AlgoKind;
+use a2sgd::registry::{AlgoKind, PAPER_DENSITY};
 use a2sgd_bench::synthetic_gradient;
 use cluster_comm::{run_cluster, NetworkProfile};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -11,19 +11,7 @@ fn bench_sync_round(c: &mut Criterion) {
     let mut group = c.benchmark_group("sync_round");
     group.sample_size(10);
     let n = 199_210; // paper FNN-3 gradient
-    let algos = [
-        AlgoKind::Dense,
-        AlgoKind::TopK(0.001),
-        AlgoKind::GaussianK(0.001),
-        AlgoKind::Qsgd(4),
-        AlgoKind::A2sgd,
-        AlgoKind::A2sgdCarry,
-        AlgoKind::KLevel(4),
-        AlgoKind::RandK(0.001),
-        AlgoKind::TernGrad,
-        AlgoKind::SignSgd,
-    ];
-    for algo in algos {
+    for algo in AlgoKind::all(PAPER_DENSITY) {
         group.bench_with_input(BenchmarkId::new("fnn3_n", algo.name()), &algo, |b, &algo| {
             b.iter(|| {
                 run_cluster(4, NetworkProfile::infiniband_100g(), move |h| {

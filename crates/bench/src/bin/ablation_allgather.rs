@@ -2,9 +2,10 @@
 //!
 //! The paper observed Gaussian-K beating A2SGD on per-iteration time for
 //! the largest model *because* Gaussian-K used Allgather, and proposed an
-//! Allgather-based A2SGD as future work. The shipped `A2sgd` is that
-//! gather; `A2sgdCarry`/`KLevel` exchange their means with the allreduce
-//! Algorithm 1 line 5 writes. This charts the modeled cost of both
+//! Allgather-based A2SGD as future work. Both shipped two-level
+//! synchronizers (`A2sgd`, `A2sgdCarry`) exchange by that gather; the
+//! allreduce curve is Algorithm 1 line 5 as written, priced analytically —
+//! no shipped type runs it. This charts the modeled cost of both
 //! two-means exchanges next to Dense and Gaussian-K across network
 //! profiles and worker counts, plus the collective crossover that
 //! explains it.
@@ -16,8 +17,8 @@ use cluster_comm::{CostModel, NetworkProfile};
 
 fn main() {
     println!("== Ablation: Allreduce vs Allgather exchange (paper §4.4) ==");
-    println!("two-means AR = allreduce (Alg. 1 line 5 as written; A2sgdCarry/KLevel path)");
-    println!("two-means AG = gather (§4.4; shipped A2sgd)\n");
+    println!("two-means AR = allreduce (Alg. 1 line 5 as written; priced, not shipped)");
+    println!("two-means AG = gather (§4.4; shipped A2sgd and A2sgdCarry)\n");
     let profiles = [
         NetworkProfile::infiniband_100g(),
         NetworkProfile::ethernet_10g(),

@@ -206,7 +206,7 @@ fn run_combo(
         "--model",
         model_cli_name(model),
         "--algo",
-        algo_cli_name(algo),
+        algo.name(),
         "--workers",
         &w,
     ];
@@ -232,17 +232,6 @@ fn run_combo(
         std::env::remove_var("A2SGD_TRACE");
     }
     decode_report(&outs[0])
-}
-
-fn algo_cli_name(algo: AlgoKind) -> &'static str {
-    match algo {
-        AlgoKind::Dense => "dense",
-        AlgoKind::TopK(_) => "topk",
-        AlgoKind::GaussianK(_) => "gaussiank",
-        AlgoKind::Qsgd(_) => "qsgd",
-        AlgoKind::A2sgd => "a2sgd",
-        other => panic!("no CLI name for {other:?}"),
-    }
 }
 
 fn combo_label(algo: AlgoKind, topology: Topology, schedule: SchedKind) -> String {

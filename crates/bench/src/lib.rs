@@ -95,9 +95,7 @@ pub fn comm_seconds(algo: AlgoKind, n: usize, p: usize, m: &cluster_comm::CostMo
             m.ring_allgather(bits / 8.0, p)
         }
         // The packed-u64 two-means packet is gathered (§4.4 formulation).
-        AlgoKind::A2sgd => m.ring_allgather(8.0, p),
-        AlgoKind::A2sgdCarry => m.recursive_doubling_allreduce(8.0, p),
-        AlgoKind::KLevel(l) => m.recursive_doubling_allreduce(8.0 * l as f64, p),
+        AlgoKind::A2sgd | AlgoKind::A2sgdCarry => m.ring_allgather(8.0, p),
         AlgoKind::TernGrad => m.ring_allgather(4.0 + (2.0 * n as f64 / 8.0).ceil(), p),
         AlgoKind::SignSgd => m.ring_allgather(4.0 + (n as f64 / 8.0).ceil(), p),
     }
@@ -197,7 +195,6 @@ mod tests {
         let algos = [
             AlgoKind::A2sgd,
             AlgoKind::A2sgdCarry,
-            AlgoKind::KLevel(4),
             AlgoKind::TopK(0.01),
             AlgoKind::RandK(0.01),
             AlgoKind::TernGrad,

@@ -1,7 +1,10 @@
-//! Algorithm 1: the A2SGD gradient synchronizer.
+//! Algorithm 1 — the A2SGD gradient synchronizer — and its carried-error
+//! ablation: two synchronizers that differ only in what they do with the
+//! residual, over one exchange ([`exchange_means`]).
 
-use crate::mean2::{shift_by_sign, split_means};
+use crate::mean2::{enc_into, shift_by_sign, split_means, TwoMeans};
 use cluster_comm::{CommHandle, Payload, TransportError};
+use gradcomp::ef::ErrorFeedback;
 use gradcomp::{GradientSynchronizer, Ledger, SyncStats};
 use std::ops::Range;
 use std::time::Instant;
@@ -67,6 +70,42 @@ fn dispersion_of(per_rank: &[f64]) -> f64 {
     var / (mean * mean + 1e-24)
 }
 
+/// Line 5, written once for the family: the entire inter-worker exchange
+/// — one packed u64 per worker, gathered, summed in gather order and
+/// averaged. Returns the global pair (on this rank's classes: the counts
+/// are the local ones) and the exchange's stats — the ledger's spend, the
+/// seconds inside the gather and the free dispersion.
+fn exchange_means(
+    means: &TwoMeans,
+    comm: &mut CommHandle,
+) -> Result<(TwoMeans, SyncStats), TransportError> {
+    let before = Ledger::read(comm);
+    let packet = Payload::PackedU64(vec![A2sgd::encode_means(means.mu_pos, means.mu_neg)]);
+    let tx = Instant::now();
+    let gathered = comm.try_allgather_bytes(packet)?;
+    let exchange_seconds = tx.elapsed().as_secs_f64();
+    let spent = before.spent(comm);
+    let inv = 1.0 / gathered.len() as f32;
+    let (mut gmu_pos, mut gmu_neg) = (0.0f32, 0.0f32);
+    // Free dispersion statistic for adaptive sync schedules: every rank
+    // holds the identical gathered packet sequence, so the normalized
+    // variance of the per-rank mean magnitudes (µ+ + µ−, the scale of
+    // each worker's contribution) is rank-agreed by construction and
+    // costs zero extra wire bits. Accumulated in f64, in gather order —
+    // bit-identical on every rank and backend.
+    let mut magnitudes = Vec::with_capacity(gathered.len());
+    for frame in gathered {
+        let (p, n) = A2sgd::decode_means(frame.expect_u64()[0]);
+        gmu_pos += p;
+        gmu_neg += n;
+        magnitudes.push(p as f64 + n as f64);
+    }
+    debug_assert_eq!(spent.wire_bits, A2sgd::WIRE_BITS);
+    let global = TwoMeans { mu_pos: gmu_pos * inv, mu_neg: gmu_neg * inv, ..*means };
+    let dispersion = Some(dispersion_of(&magnitudes));
+    Ok((global, SyncStats { exchange_seconds, dispersion, ..spent }))
+}
+
 impl GradientSynchronizer for A2sgd {
     fn name(&self) -> &'static str {
         "A2SGD"
@@ -87,46 +126,78 @@ impl GradientSynchronizer for A2sgd {
         let means = split_means(grad);
         let split_seconds = t0.elapsed().as_secs_f64();
 
-        // Line 5: the entire inter-worker exchange — one packed u64.
-        let before = Ledger::read(comm);
-        let packet = Payload::PackedU64(vec![Self::encode_means(means.mu_pos, means.mu_neg)]);
-        let tx = Instant::now();
-        let gathered = comm.try_allgather_bytes(packet)?;
-        let exchange_seconds = tx.elapsed().as_secs_f64();
-        let spent = before.spent(comm);
-        let inv = 1.0 / gathered.len() as f32;
-        let (mut gmu_pos, mut gmu_neg) = (0.0f32, 0.0f32);
-        // Free dispersion statistic for adaptive sync schedules: every rank
-        // holds the identical gathered packet sequence, so the normalized
-        // variance of the per-rank mean magnitudes (µ+ + µ−, the scale of
-        // each worker's contribution) is rank-agreed by construction and
-        // costs zero extra wire bits. Accumulated in f64, in gather order —
-        // bit-identical on every rank and backend.
-        let mut magnitudes = Vec::with_capacity(gathered.len());
-        for frame in gathered {
-            let (p, n) = Self::decode_means(frame.expect_u64()[0]);
-            gmu_pos += p;
-            gmu_neg += n;
-            magnitudes.push(p as f64 + n as f64);
-        }
-        let dispersion = dispersion_of(&magnitudes);
+        let (global, stats) = exchange_means(&means, comm)?;
 
         let t1 = Instant::now();
-        let (d_pos, d_neg) = means.shift_to(gmu_pos * inv, gmu_neg * inv);
+        let (d_pos, d_neg) = means.shift_to(global.mu_pos, global.mu_neg);
         shift_by_sign(grad, d_pos, d_neg);
         let shift_seconds = t1.elapsed().as_secs_f64();
-
-        debug_assert_eq!(spent.wire_bits, Self::WIRE_BITS);
-        Ok(SyncStats {
-            compress_seconds: split_seconds + shift_seconds,
-            exchange_seconds,
-            dispersion: Some(dispersion),
-            ..spent
-        })
+        Ok(SyncStats { compress_seconds: split_seconds + shift_seconds, ..stats })
     }
 
     fn wire_bits_formula(&self, _n: usize) -> u64 {
         Self::WIRE_BITS
+    }
+
+    fn complexity(&self) -> &'static str {
+        "O(n)"
+    }
+}
+
+/// Carried-error ablation: the residual goes into classic error-feedback
+/// memory for the *next* iteration instead of being restored in this one.
+/// Split and exchange are [`A2sgd`]'s — the same packet, the same free
+/// dispersion — so the residual policy is the only difference, which is
+/// what the ablation is for: it shows why Algorithm 1 restores ε in the
+/// same iteration.
+pub struct A2sgdCarry {
+    ef: ErrorFeedback,
+}
+
+impl A2sgdCarry {
+    /// Creates the ablation for an `n`-parameter model.
+    pub fn new(n: usize) -> Self {
+        A2sgdCarry { ef: ErrorFeedback::new(n) }
+    }
+
+    /// The error-feedback memory: `acc − enc(acc)` of the last step.
+    pub fn residual(&self) -> &[f32] {
+        self.ef.residual()
+    }
+}
+
+impl GradientSynchronizer for A2sgdCarry {
+    fn name(&self) -> &'static str {
+        "A2SGD-carry"
+    }
+
+    /// O(1) exchange — `bounds` is ignored (see [`A2sgd`]).
+    fn try_sync_bucketed(
+        &mut self,
+        grad: &mut [f32],
+        _bounds: &[Range<usize>],
+        comm: &mut CommHandle,
+    ) -> Result<SyncStats, TransportError> {
+        let t0 = Instant::now();
+        let acc = self.ef.accumulate(grad);
+        let means = split_means(acc);
+        let split_seconds = t0.elapsed().as_secs_f64();
+
+        let (global, stats) = exchange_means(&means, comm)?;
+
+        // The update this worker applies is enc with global means, using
+        // its own sign pattern — no ε added back this iteration. It
+        // transmitted enc(acc) under its local means, so that is what the
+        // memory gives up: one per-class shift leaves acc − enc(acc).
+        let t1 = Instant::now();
+        enc_into(acc, &global, grad);
+        shift_by_sign(acc, -means.mu_pos, means.mu_neg);
+        let shift_seconds = t1.elapsed().as_secs_f64();
+        Ok(SyncStats { compress_seconds: split_seconds + shift_seconds, ..stats })
+    }
+
+    fn wire_bits_formula(&self, _n: usize) -> u64 {
+        A2sgd::WIRE_BITS
     }
 
     fn complexity(&self) -> &'static str {
@@ -258,5 +329,70 @@ mod tests {
             assert_eq!(p2.to_bits(), p.to_bits());
             assert_eq!(n2.to_bits(), n.to_bits());
         }
+    }
+
+    #[test]
+    fn compress_seconds_cover_split_and_apply() {
+        // A2SGD and the carry ablation report the whole compress cost: the
+        // split sweep *and* the final apply/reconstruct sweep. The floor is
+        // the apply kernel's own best-of-5 time on the same 1 M-element
+        // gradient.
+        let n = 1 << 20;
+        let mut rng = SeedRng::new(70);
+        let g: Vec<f32> = (0..n).map(|_| rng.randn() * 0.02).collect();
+        let best_of_5 = |f: &mut dyn FnMut()| {
+            (0..5).fold(f64::INFINITY, |best, _| {
+                let t = Instant::now();
+                f();
+                best.min(t.elapsed().as_secs_f64())
+            })
+        };
+        let mut scratch = g.clone();
+        let shift_floor = best_of_5(&mut || shift_by_sign(&mut scratch, 1e-9, -1e-9));
+        let means = split_means(&g);
+        let enc_floor = best_of_5(&mut || enc_into(&g, &means, &mut scratch));
+        assert!(shift_floor > 0.0 && enc_floor > 0.0);
+
+        for (carry, floor) in [(false, shift_floor), (true, enc_floor)] {
+            let input = g.clone();
+            let out = run_cluster(1, NetworkProfile::infiniband_100g(), move |h| {
+                let mut sync: Box<dyn GradientSynchronizer> =
+                    if carry { Box::new(A2sgdCarry::new(n)) } else { Box::new(A2sgd::new()) };
+                let mut g = input.clone();
+                let stats = sync.synchronize(&mut g, h);
+                (sync.name(), stats.compress_seconds)
+            });
+            let (name, compress) = out[0];
+            assert!(compress > 0.0 && compress >= floor, "{name}: {compress} < apply {floor}");
+        }
+    }
+
+    #[test]
+    fn carry_variant_transmits_only_means() {
+        let out = run_cluster(2, NetworkProfile::infiniband_100g(), |h| {
+            let mut c = A2sgdCarry::new(8);
+            let mut g = vec![1.0f32, -1.0, 2.0, -2.0, 3.0, -3.0, 4.0, -4.0];
+            let stats = c.synchronize(&mut g, h);
+            // Same-sign coordinates all receive the same (global-mean)
+            // magnitude — the residual was NOT added back.
+            assert!((g[0] - g[2]).abs() < 1e-6);
+            assert!((g[1] - g[3]).abs() < 1e-6);
+            // The packet gather's free dispersion comes with it.
+            assert!(stats.dispersion.is_some());
+            stats.wire_bits
+        });
+        assert!(out.iter().all(|&b| b == 64));
+    }
+
+    #[test]
+    fn carry_residual_preserved_for_next_iteration() {
+        let _ = run_cluster(1, NetworkProfile::infiniband_100g(), |h| {
+            let mut c = A2sgdCarry::new(4);
+            let mut g = vec![1.0f32, 3.0, -1.0, -3.0]; // µ+ = 2, µ− = 2
+            c.synchronize(&mut g, h);
+            // residual = acc − enc = [−1, 1, 1, −1]
+            assert_eq!(c.residual(), &[-1.0, 1.0, 1.0, -1.0]);
+            0
+        });
     }
 }

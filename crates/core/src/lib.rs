@@ -12,9 +12,8 @@
 //!   `shift_by_sign` after the exchange) plus `enc` — the O(n)-compute /
 //!   O(1)-communication heart.
 //! * [`algorithm`] — [`algorithm::A2sgd`], the Algorithm-1
-//!   [`gradcomp::GradientSynchronizer`].
-//! * [`variants`] — extensions: a carried-error ablation and a
-//!   generalized L-level (bucketed-means) family.
+//!   [`gradcomp::GradientSynchronizer`], and [`algorithm::A2sgdCarry`], its
+//!   carried-error ablation, over one shared 64-bit exchange.
 //! * [`registry`] — unified algorithm registry (baselines + A2SGD family).
 //! * [`step`] — [`step::TrainStep`], the back half of a training step
 //!   (plan → sync → apply) behind one fallible call; shared by [`trainer`]
@@ -41,7 +40,6 @@ pub mod report;
 pub mod step;
 pub mod theory;
 pub mod trainer;
-pub mod variants;
 
 pub use a2sgd_sched::{SchedKind, SyncSchedule};
 pub use algorithm::A2sgd;

@@ -1,7 +1,6 @@
 //! Unified algorithm registry: baselines + the A2SGD family.
 
-use crate::algorithm::A2sgd;
-use crate::variants::{A2sgdCarry, KLevelSgd};
+use crate::algorithm::{A2sgd, A2sgdCarry};
 use gradcomp::{
     DenseSgd, GaussianK, GradientSynchronizer, Qsgd, QsgdImpl, RandK, SignSgdEf, TernGrad, TopK,
 };
@@ -27,8 +26,6 @@ pub enum AlgoKind {
     A2sgd,
     /// Carried-error ablation.
     A2sgdCarry,
-    /// Generalized L-level bucketed means.
-    KLevel(usize),
     /// Rand-K extension.
     RandK(f32),
     /// TernGrad extension.
@@ -49,6 +46,23 @@ impl AlgoKind {
         ]
     }
 
+    /// Every kind the registry can build, with the three sparsifiers at
+    /// `density` (tests turn it up from [`PAPER_DENSITY`] so small models
+    /// still select non-trivial frames).
+    pub fn all(density: f32) -> Vec<AlgoKind> {
+        vec![
+            AlgoKind::Dense,
+            AlgoKind::TopK(density),
+            AlgoKind::GaussianK(density),
+            AlgoKind::Qsgd(PAPER_QSGD_LEVELS),
+            AlgoKind::A2sgd,
+            AlgoKind::A2sgdCarry,
+            AlgoKind::RandK(density),
+            AlgoKind::TernGrad,
+            AlgoKind::SignSgd,
+        ]
+    }
+
     /// Display name matching the paper's legends.
     pub fn name(&self) -> &'static str {
         match self {
@@ -58,7 +72,6 @@ impl AlgoKind {
             AlgoKind::Qsgd(_) => "QSGD",
             AlgoKind::A2sgd => "A2SGD",
             AlgoKind::A2sgdCarry => "A2SGD-carry",
-            AlgoKind::KLevel(_) => "KLevel",
             AlgoKind::RandK(_) => "RandK",
             AlgoKind::TernGrad => "TernGrad",
             AlgoKind::SignSgd => "SignSGD-EF",
@@ -77,7 +90,6 @@ impl AlgoKind {
             AlgoKind::Qsgd(s) => Box::new(Qsgd::new(s, QsgdImpl::Fast, stream)),
             AlgoKind::A2sgd => Box::new(A2sgd::new()),
             AlgoKind::A2sgdCarry => Box::new(A2sgdCarry::new(n)),
-            AlgoKind::KLevel(l) => Box::new(KLevelSgd::new(l)),
             AlgoKind::RandK(r) => Box::new(RandK::new(n, r, stream)),
             AlgoKind::TernGrad => Box::new(TernGrad::new(stream)),
             AlgoKind::SignSgd => Box::new(SignSgdEf::new(n)),
@@ -99,10 +111,13 @@ impl AlgoKind {
         Some((a2sgd_sched::SchedKind::EveryStep, AlgoKind::parse(t)?))
     }
 
-    /// Parses a CLI name like `a2sgd`, `topk`, `qsgd`, `klevel4`.
+    /// Parses a CLI name (`a2sgd`, `topk`, `qsgd`, …) or any [`name`],
+    /// case-insensitively; sparsifiers and QSGD at the paper's density and
+    /// levels.
+    ///
+    /// [`name`]: AlgoKind::name
     pub fn parse(s: &str) -> Option<AlgoKind> {
-        let l = s.to_ascii_lowercase();
-        Some(match l.as_str() {
+        Some(match s.to_ascii_lowercase().as_str() {
             "dense" => AlgoKind::Dense,
             "topk" => AlgoKind::TopK(PAPER_DENSITY),
             "gaussiank" | "gaussian-k" => AlgoKind::GaussianK(PAPER_DENSITY),
@@ -111,13 +126,8 @@ impl AlgoKind {
             "a2sgd-carry" => AlgoKind::A2sgdCarry,
             "randk" => AlgoKind::RandK(PAPER_DENSITY),
             "terngrad" => AlgoKind::TernGrad,
-            "signsgd" => AlgoKind::SignSgd,
-            _ => {
-                if let Some(rest) = l.strip_prefix("klevel") {
-                    return rest.parse::<usize>().ok().map(AlgoKind::KLevel);
-                }
-                return None;
-            }
+            "signsgd" | "signsgd-ef" => AlgoKind::SignSgd,
+            _ => return None,
         })
     }
 }
@@ -153,12 +163,20 @@ mod tests {
             ("QSGD", AlgoKind::Qsgd(4)),
             ("a2sgd", AlgoKind::A2sgd),
             ("a2sgd-carry", AlgoKind::A2sgdCarry),
-            ("klevel8", AlgoKind::KLevel(8)),
             ("terngrad", AlgoKind::TernGrad),
+            ("signsgd", AlgoKind::SignSgd),
         ] {
             assert_eq!(AlgoKind::parse(s), Some(expect), "{s}");
         }
         assert_eq!(AlgoKind::parse("nope"), None);
+    }
+
+    #[test]
+    fn every_name_parses_back_to_its_kind() {
+        // What `fig3_convergence --backend tcp` hands its rank children.
+        for kind in AlgoKind::all(PAPER_DENSITY) {
+            assert_eq!(AlgoKind::parse(kind.name()), Some(kind), "{}", kind.name());
+        }
     }
 
     #[test]
@@ -185,19 +203,15 @@ mod tests {
     #[test]
     fn a2sgd_is_the_only_o1_comm_algorithm() {
         // The paper's headline claim, checked mechanically: at paper-scale
-        // n, only the A2SGD family has size-independent wire bits.
-        let n1 = 199_210;
-        let n2 = 66_034_000;
-        for kind in AlgoKind::paper_five() {
-            let s = kind.build(n2, 0, 0);
-            let constant = s.wire_bits_formula(n1) == s.wire_bits_formula(n2);
+        // n, only the A2SGD family has size-independent wire bits. Each
+        // synchronizer is built for the model it prices (the sparsifiers'
+        // k follows n through the density ratio).
+        let bits = |kind: AlgoKind, n: usize| kind.build(n, 0, 0).wire_bits_formula(n);
+        for kind in AlgoKind::all(PAPER_DENSITY) {
+            let (small, large) = (bits(kind, 199_210), bits(kind, 66_034_000));
             match kind {
-                AlgoKind::A2sgd => assert!(constant),
-                AlgoKind::TopK(_) | AlgoKind::GaussianK(_) => {
-                    // k scales with n via the fixed density ratio: wire bits
-                    // differ because the synchronizers were built per-model.
-                }
-                _ => assert!(!constant, "{} should scale with n", kind.name()),
+                AlgoKind::A2sgd | AlgoKind::A2sgdCarry => assert_eq!((small, large), (64, 64)),
+                _ => assert!(small < large, "{} should scale with n", kind.name()),
             }
         }
     }

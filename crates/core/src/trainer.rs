@@ -1006,16 +1006,23 @@ mod tests {
 
     #[test]
     fn adaptive_schedule_trains_on_both_dispersion_paths() {
-        // A2SGD: free dispersion from the gathered two-means packets;
-        // Dense: the explicit 128-bit drift allgather fallback. Both must
-        // agree across ranks (the run would deadlock otherwise) and train.
-        for algo in [AlgoKind::A2sgd, AlgoKind::Dense] {
+        // The A2SGD family: free dispersion from the gathered two-means
+        // packets, so a sync costs the packet and nothing else; Dense: the
+        // explicit 128-bit drift allgather fallback. All must agree across
+        // ranks (the run would deadlock otherwise) and train.
+        for algo in [AlgoKind::A2sgd, AlgoKind::A2sgdCarry, AlgoKind::Dense] {
             let mut cfg = tiny_cfg(algo, 2);
             cfg.schedule = SchedKind::Adaptive(2);
+            // 16 iterations: 64 bits per sync amortize to whole bits.
+            cfg.train_size = 256;
             let r = train(&cfg);
             assert_eq!(r.sync_steps + r.local_steps, r.iters, "{}", algo.name());
             assert!(r.local_steps > 0, "{} adaptive never went local", algo.name());
             assert!(r.final_metric > 30.0, "{} accuracy {}", algo.name(), r.final_metric);
+            if algo != AlgoKind::Dense {
+                let bits = r.wire_bits_per_iter * r.iters as u64;
+                assert_eq!(bits, 64 * r.sync_steps as u64, "{} pays past its packet", algo.name());
+            }
         }
     }
 

@@ -10,12 +10,12 @@
 //!
 //! [`reference::carry_round`] does the same for the carry ablation's error
 //! feedback: the two-buffer `acc` / `memory = acc − enc(acc)` step against
-//! the single buffer the library now updates in place — there the two are
-//! bit-identical.
+//! the single buffer the library now updates in place, both exchanging by
+//! the §4.4 packet gather — there the two are bit-identical.
 
 use a2sgd::algorithm::A2sgd;
+use a2sgd::algorithm::A2sgdCarry;
 use a2sgd::mean2::{shift_by_sign, split_means};
-use a2sgd::variants::A2sgdCarry;
 use cluster_comm::{run_cluster, NetworkProfile};
 use gradcomp::GradientSynchronizer;
 use mini_tensor::rng::SeedRng;
@@ -23,8 +23,9 @@ use proptest::prelude::*;
 
 /// The pre-fusion kernels, verbatim in their arithmetic.
 mod reference {
+    use a2sgd::algorithm::A2sgd;
     use a2sgd::mean2::{enc_into, TwoMeans};
-    use cluster_comm::CommHandle;
+    use cluster_comm::{CommHandle, Payload};
 
     pub fn split_means(g: &[f32]) -> TwoMeans {
         let (mut pos_sum, mut neg_sum, mut n_pos, mut n_neg) = (0.0f64, 0.0f64, 0usize, 0usize);
@@ -88,21 +89,28 @@ mod reference {
 
     /// One old-style A2SGD-carry step: the accumulated gradient in a buffer
     /// of its own, `enc(acc)` materialised in `grad` so the memory can
-    /// store `acc − enc(acc)`, then `grad ← enc̄(acc)`.
+    /// store `acc − enc(acc)`, then `grad ← enc̄(acc)` with the means of
+    /// every rank's packet, summed in gather order.
     pub fn carry_round(memory: &mut [f32], grad: &mut [f32], comm: &mut CommHandle) {
         let mut acc = grad.to_vec();
         for (a, m) in acc.iter_mut().zip(memory.iter()) {
             *a += *m;
         }
         let means = a2sgd::mean2::split_means(&acc);
-        let handle = comm.start_allreduce(vec![means.mu_pos, means.mu_neg]);
+        let packet = Payload::PackedU64(vec![A2sgd::encode_means(means.mu_pos, means.mu_neg)]);
+        let gathered = comm.try_allgather_bytes(packet).expect("oracle gather");
         enc_into(&acc, &means, grad);
         for i in 0..acc.len() {
             memory[i] = acc[i] - grad[i];
         }
-        let sums = handle.wait(comm).expect("oracle allreduce").expect_reduced();
-        let inv = 1.0 / comm.world() as f32;
-        let global = TwoMeans { mu_pos: sums[0] * inv, mu_neg: sums[1] * inv, ..means };
+        let inv = 1.0 / gathered.len() as f32;
+        let (mut sum_pos, mut sum_neg) = (0.0f32, 0.0f32);
+        for frame in gathered {
+            let (p, n) = A2sgd::decode_means(frame.expect_u64()[0]);
+            sum_pos += p;
+            sum_neg += n;
+        }
+        let global = TwoMeans { mu_pos: sum_pos * inv, mu_neg: sum_neg * inv, ..means };
         enc_into(&acc, &global, grad);
     }
 }
@@ -306,7 +314,7 @@ fn carry_matches_the_two_buffer_oracle() {
     // signed zeros sprinkled in. Synchronized gradient and residual must
     // equal the oracle's bit for bit, every round, on every rank.
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-    for world in [1, 3] {
+    for world in [1, 2, 3, 4] {
         for n in [1usize, 7, 64, 257, 4_099] {
             let per_rank = run_cluster(world, NetworkProfile::infiniband_100g(), move |h| {
                 let mut carry = A2sgdCarry::new(n);

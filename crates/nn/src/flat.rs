@@ -15,8 +15,8 @@ pub fn param_count(model: &mut dyn Module) -> usize {
 }
 
 /// Per-parameter segment sizes in `visit_params` order — the layer layout
-/// of the flat gradient. This is what the size-capped bucketizer aligns
-/// to, so bucket boundaries never split a parameter tensor and are a pure
+/// of the flat gradient. This is what `gradcomp::bucket_bounds` aligns
+/// size-capped buckets to, so bucket boundaries never split a parameter tensor and are a pure
 /// function of the architecture (identical on every rank and backend).
 pub fn param_sizes(model: &mut dyn Module) -> Vec<usize> {
     let mut sizes = Vec::new();

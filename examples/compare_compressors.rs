@@ -22,7 +22,6 @@ fn main() {
         (AlgoKind::Qsgd(4), Topology::Flat, SchedKind::EveryStep),
         (AlgoKind::A2sgd, Topology::Flat, SchedKind::EveryStep),
         (AlgoKind::A2sgdCarry, Topology::Flat, SchedKind::EveryStep),
-        (AlgoKind::KLevel(4), Topology::Flat, SchedKind::EveryStep),
         (AlgoKind::RandK(0.001), Topology::Flat, SchedKind::EveryStep),
         (AlgoKind::TernGrad, Topology::Flat, SchedKind::EveryStep),
         (AlgoKind::SignSgd, Topology::Flat, SchedKind::EveryStep),
@@ -85,7 +84,7 @@ fn main() {
     }
     println!("{}", t.render());
     println!(
-        "Note the A2SGD family's constant 64-bit rows (KLevel: 64·L bits); `sim time` is \
+        "Note the A2SGD family's constant 64-bit rows; `sim time` is \
          measured compute (host dependent) plus priced communication (the Hockney cost of \
          every collective on the profile's network — reproducible), shown apart; the last \
          two columns split per-iteration sync cost into compression compute vs measured \

@@ -33,17 +33,8 @@ fn all_paper_algorithms_beat_chance() {
 
 #[test]
 fn extensions_also_learn() {
-    for algo in [AlgoKind::KLevel(4), AlgoKind::SignSgd] {
+    for algo in [AlgoKind::A2sgdCarry, AlgoKind::SignSgd] {
         let acc = run(algo, 2);
         assert!(acc > 30.0, "{} final accuracy {acc}", algo.name());
     }
-}
-
-#[test]
-fn klevel_interpolates_between_a2sgd_and_dense() {
-    // More levels ⇒ less encoding distortion ⇒ accuracy at least as good
-    // (statistically; allow slack).
-    let l1 = run(AlgoKind::KLevel(1), 2);
-    let l8 = run(AlgoKind::KLevel(8), 2);
-    assert!(l8 >= l1 - 5.0, "L=8 ({l8}) much worse than L=1 ({l1})");
 }

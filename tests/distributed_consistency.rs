@@ -183,24 +183,6 @@ fn traffic_ordering_matches_table2() {
 // latency/overlap knob; any semantic leak (per-bucket statistics, RNG
 // stream splits, reduction-order drift) fails here by algorithm name.
 
-/// Every synchronizer the registry can build (the paper's five plus all
-/// extensions/variants). Density/levels are turned up from the paper's
-/// 0.001 so the test's small model still selects a multi-bucket payload.
-fn all_registry_algos() -> Vec<AlgoKind> {
-    vec![
-        AlgoKind::Dense,
-        AlgoKind::TopK(0.01),
-        AlgoKind::GaussianK(0.01),
-        AlgoKind::Qsgd(4),
-        AlgoKind::A2sgd,
-        AlgoKind::A2sgdCarry,
-        AlgoKind::KLevel(4),
-        AlgoKind::RandK(0.01),
-        AlgoKind::TernGrad,
-        AlgoKind::SignSgd,
-    ]
-}
-
 const PARITY_N: usize = 20_000;
 
 fn parity_input(rank: usize, iter: usize, n: usize) -> Vec<f32> {
@@ -234,7 +216,7 @@ where
     R: Fn(usize, AlgoKind, Option<usize>) -> Vec<Vec<u32>>,
 {
     for world in 1..=4usize {
-        for algo in all_registry_algos() {
+        for algo in AlgoKind::all(0.01) {
             let reference = run(world, algo, None);
             for cap in [64 * 1024, 1024] {
                 let bucketed = run(world, algo, Some(cap));
@@ -344,7 +326,7 @@ where
     R: Fn(usize, AlgoKind, Option<usize>) -> Vec<Vec<u32>>,
 {
     for world in 1..=4usize {
-        for algo in all_registry_algos() {
+        for algo in AlgoKind::all(0.01) {
             let reference = run(world, algo, None);
             for cap in [64 * 1024, 1024] {
                 let hooked = run(world, algo, Some(cap));
@@ -371,7 +353,7 @@ where
 #[test]
 fn hook_training_parity_all_synchronizers() {
     for world in 1..=4usize {
-        for algo in all_registry_algos() {
+        for algo in AlgoKind::all(0.01) {
             let mut base = cfg(algo, world, 9);
             base.epochs = 1;
             base.train_size = 192;
@@ -410,10 +392,8 @@ fn hook_training_parity_all_synchronizers() {
                 // and for the bucket-invariant encodings.
                 // (Dense's f32 lanes need no padding; the A2SGD family
                 // ignores bucketing entirely — O(1) packet either way.)
-                let bucket_invariant = matches!(
-                    algo,
-                    AlgoKind::Dense | AlgoKind::A2sgd | AlgoKind::A2sgdCarry | AlgoKind::KLevel(_)
-                );
+                let bucket_invariant =
+                    matches!(algo, AlgoKind::Dense | AlgoKind::A2sgd | AlgoKind::A2sgdCarry);
                 if cap.is_none() || bucket_invariant {
                     assert_eq!(
                         reference.wire_bits_per_iter,

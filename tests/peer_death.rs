@@ -30,21 +30,6 @@ const DEADLINE: Duration = Duration::from_secs(30);
 const HEALTHY_ROUNDS: usize = 2;
 const N: usize = 768;
 
-fn all_registry_algos() -> Vec<AlgoKind> {
-    vec![
-        AlgoKind::Dense,
-        AlgoKind::TopK(0.01),
-        AlgoKind::GaussianK(0.01),
-        AlgoKind::Qsgd(4),
-        AlgoKind::A2sgd,
-        AlgoKind::A2sgdCarry,
-        AlgoKind::KLevel(4),
-        AlgoKind::RandK(0.01),
-        AlgoKind::TernGrad,
-        AlgoKind::SignSgd,
-    ]
-}
-
 /// One rank's life: healthy rounds, then the victim leaves cold and the
 /// survivors attempt one more exchange. `None` from the victim.
 fn rank_body(
@@ -149,14 +134,14 @@ fn tcp_handles(world: usize) -> Vec<CommHandle> {
 
 #[test]
 fn peer_death_is_an_err_for_every_synchronizer_inproc() {
-    for algo in all_registry_algos() {
+    for algo in AlgoKind::all(0.01) {
         assert_survivors_err(&format!("in-proc {}", algo.name()), inproc_handles(3), algo, None);
     }
 }
 
 #[test]
 fn peer_death_is_an_err_for_every_synchronizer_tcp() {
-    for algo in all_registry_algos() {
+    for algo in AlgoKind::all(0.01) {
         assert_survivors_err(&format!("tcp {}", algo.name()), tcp_handles(3), algo, None);
     }
 }

@@ -27,24 +27,6 @@ fn cfg(algo: AlgoKind, workers: usize, seed: u64) -> a2sgd::trainer::TrainConfig
     c
 }
 
-/// Every synchronizer the registry can build (the paper's five plus all
-/// extensions/variants), with density/levels turned up so the scaled
-/// model still produces non-trivial frames.
-fn all_registry_algos() -> Vec<AlgoKind> {
-    vec![
-        AlgoKind::Dense,
-        AlgoKind::TopK(0.01),
-        AlgoKind::GaussianK(0.01),
-        AlgoKind::Qsgd(4),
-        AlgoKind::A2sgd,
-        AlgoKind::A2sgdCarry,
-        AlgoKind::KLevel(4),
-        AlgoKind::RandK(0.01),
-        AlgoKind::TernGrad,
-        AlgoKind::SignSgd,
-    ]
-}
-
 /// Everything a schedule could plausibly perturb, as exact bits.
 fn fingerprint(rep: &TrainReport) -> Vec<u64> {
     let mut f: Vec<u64> = rep.epochs.iter().map(|e| e.train_loss.to_bits()).collect();
@@ -60,7 +42,7 @@ fn fingerprint(rep: &TrainReport) -> Vec<u64> {
 /// gradient path with zero schedule residue in the report.
 #[test]
 fn fixed1_parity_all_synchronizers_inproc() {
-    for algo in all_registry_algos() {
+    for algo in AlgoKind::all(0.01) {
         let base = cfg(algo, 2, 21);
         let reference = train(&base);
         let mut s = base.clone();
@@ -156,7 +138,7 @@ fn fixed8_a2sgd_converges_within_tolerance_of_every_step() {
 /// synchronizer.
 #[test]
 fn fixed1_overlap_parity_all_synchronizers_inproc() {
-    for algo in all_registry_algos() {
+    for algo in AlgoKind::all(0.01) {
         let mut base = cfg(algo, 2, 21);
         base.overlap_backward = true;
         base.bucket_bytes = Some(1024);
