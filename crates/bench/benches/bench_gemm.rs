@@ -5,7 +5,7 @@
 //! The row-parallel triple loops it replaced are gone; their medians stay
 //! in the ledger as the frozen `*/legacy/*` baseline rows.
 //!
-//! Five groups:
+//! Six groups:
 //! * `gemm_st` — square 128/256/512 products.
 //! * `gemm_layers` — the real workspace shapes as bare products on stored
 //!   operands: FNN-3's first layer, the VGG entry/middle conv products on a
@@ -14,15 +14,18 @@
 //!   `run_packed` per item) that conv reuses across batch images and the
 //!   LSTM across timesteps.
 //! * `conv_layers` — whole `conv2d_forward` / `conv2d_backward` calls, the
-//!   gather-pack included, inside a one-lane pool.
+//!   gather-pack included, inside a one-lane pool, and the weight-only
+//!   `conv2d_backward_weight` a first layer runs.
 //! * `relu` — one `Relu::forward`.
+//! * `batchnorm` — one `BatchNorm2d` forward and one backward.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mini_nn::layers::Relu;
+use mini_nn::layers::{BatchNorm2d, Relu};
 use mini_nn::module::{Mode, Module};
-use mini_tensor::conv::{conv2d_backward, conv2d_forward, Conv2dSpec};
+use mini_tensor::conv::{conv2d_backward, conv2d_backward_weight, conv2d_forward, Conv2dSpec};
 use mini_tensor::gemm::Gemm;
 use mini_tensor::rng::SeedRng;
+use mini_tensor::Tensor;
 
 fn operands(g: &Gemm, seed: u64) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
     let mut rng = SeedRng::new(seed);
@@ -102,12 +105,15 @@ fn bench_prepacked(c: &mut Criterion) {
     group.finish();
 }
 
+fn c3(in_c: usize, out_c: usize, stride: usize) -> Conv2dSpec {
+    Conv2dSpec { in_c, out_c, k: 3, stride, pad: 1 }
+}
+
 /// The convolution rows: whole `conv2d_forward` / `conv2d_backward` calls
 /// (gather-pack + GEMM + stores) at batch 8 and pool width 1 — what one
 /// rank gets on the 2-core box — over the scaled ResNet-20's five conv
 /// shapes and the VGG entry conv. `(label, spec, input side)`.
 fn conv_shapes() -> Vec<(&'static str, Conv2dSpec, usize)> {
-    let c3 = |in_c, out_c, stride| Conv2dSpec { in_c, out_c, k: 3, stride, pad: 1 };
     vec![
         ("4to4_32x32", c3(4, 4, 1), 32),
         ("4to8_s2_32x32", c3(4, 8, 2), 32),
@@ -118,21 +124,36 @@ fn conv_shapes() -> Vec<(&'static str, Conv2dSpec, usize)> {
     ]
 }
 
+/// Operands of one conv call at batch 8: `(x, weight, dout)`.
+fn conv_operands(rng: &mut SeedRng, spec: &Conv2dSpec, side: usize) -> [Tensor; 3] {
+    let (oh, ow) = spec.out_hw(side, side);
+    [
+        rng.randn_tensor(&[8, spec.in_c, side, side], 1.0),
+        rng.randn_tensor(&[spec.out_c, spec.in_c, spec.k, spec.k], 0.1),
+        rng.randn_tensor(&[8, spec.out_c, oh, ow], 1.0),
+    ]
+}
+
 fn bench_conv(c: &mut Criterion) {
     let mut group = c.benchmark_group("conv_layers");
     group.sample_size(30);
     let one_lane = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
     let mut rng = SeedRng::new(29);
     for (label, spec, side) in conv_shapes() {
-        let (oh, ow) = spec.out_hw(side, side);
-        let x = rng.randn_tensor(&[8, spec.in_c, side, side], 1.0);
-        let w = rng.randn_tensor(&[spec.out_c, spec.in_c, spec.k, spec.k], 0.1);
-        let dout = rng.randn_tensor(&[8, spec.out_c, oh, ow], 1.0);
+        let [x, w, dout] = conv_operands(&mut rng, &spec, side);
         group.bench_function(&format!("forward/{label}"), |bch| {
             bch.iter(|| one_lane.install(|| conv2d_forward(&x, &w, None, &spec)))
         });
         group.bench_function(&format!("backward/{label}"), |bch| {
             bch.iter(|| one_lane.install(|| conv2d_backward(&x, &w, &dout, &spec)))
+        });
+    }
+    // What training runs for a network's first layer: the scaled
+    // ResNet-20's stem and the VGG entry conv, no input gradient.
+    for (label, spec) in [("stem_3to4_32x32", c3(3, 4, 1)), ("vgg_3to64_32x32", c3(3, 64, 1))] {
+        let [x, w, dout] = conv_operands(&mut rng, &spec, 32);
+        group.bench_function(&format!("backward_weight/{label}"), |bch| {
+            bch.iter(|| one_lane.install(|| conv2d_backward_weight(&x, &w, &dout, &spec)))
         });
     }
     group.finish();
@@ -151,5 +172,27 @@ fn bench_relu(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_square, bench_layers, bench_prepacked, bench_conv, bench_relu);
+/// One `BatchNorm2d` train-mode forward (statistics, x̂ and y) and one
+/// backward over a stage-0 feature map of the scaled ResNet-20 at batch 8.
+fn bench_batchnorm(c: &mut Criterion) {
+    let mut group = c.benchmark_group("batchnorm");
+    group.sample_size(30);
+    let mut rng = SeedRng::new(37);
+    let (x, dout) =
+        (rng.randn_tensor(&[8, 4, 32, 32], 1.0), rng.randn_tensor(&[8, 4, 32, 32], 1.0));
+    let mut bn = BatchNorm2d::new("bn", 4);
+    group.bench_function("forward/4c_32x32_b8", |bch| bch.iter(|| bn.forward(&x, Mode::Train)));
+    group.bench_function("backward/4c_32x32_b8", |bch| bch.iter(|| bn.backward(&dout)));
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_square,
+    bench_layers,
+    bench_prepacked,
+    bench_conv,
+    bench_relu,
+    bench_batchnorm
+);
 criterion_main!(benches);

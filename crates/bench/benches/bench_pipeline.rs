@@ -13,7 +13,7 @@
 //!   frames concurrently in flight via the handle tag accounting);
 //! * `dense/single_shot` — the whole model as one bucket, for reference;
 //! * `dense/hooked_backward` — the full backward-overlap path: a real
-//!   model's `backward_hooked` drives `HookedStep`, so buckets stream to
+//!   model's `backward_params` drives `HookedStep`, so buckets stream to
 //!   the wire *during* backprop (asserted via tag accounting);
 //! * `a2sgd/*` — the same contrasts for the 64-bit two-means packet, which
 //!   is one tiny frame regardless of bucketing: pipelining is a dense-path
@@ -104,7 +104,7 @@ fn hooked_backward(h: &mut CommHandle, algo: AlgoKind) -> f32 {
         model.zero_grad();
         let y = model.forward(&x, Mode::Train);
         let mut step = HookedStep::begin(&layout, sync.as_mut(), &mut flat, h);
-        let _ = model.backward_hooked(&Tensor::ones(y.shape().clone()), &mut step);
+        model.backward_params(&Tensor::ones(y.shape().clone()), &mut step);
         step.finish();
         out = flat[0];
     }

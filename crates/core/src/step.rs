@@ -467,7 +467,7 @@ mod tests {
             model.zero_grad();
             let y = model.forward(&x, Mode::Train);
             ts.run(model, comm, iter, 0.1, |m, hook| {
-                let _ = m.backward_hooked(&y, hook);
+                m.backward_params(&y, hook);
             })
         };
         for (schedule, failing_plan) in

@@ -120,7 +120,7 @@ pub struct TrainConfig {
     pub bucket_bytes: Option<usize>,
     /// Overlap bucket synchronization with the backward pass itself (the
     /// DDP hook shape): when `true`, a [`crate::overlap::HookedStep`]
-    /// rides [`mini_nn::module::Module::backward_hooked`] and submits each
+    /// rides [`mini_nn::module::Module::backward_params`] and submits each
     /// bucket to the sync session the moment its last layer's gradient
     /// lands — the output layer's bucket is on the wire (streaming
     /// synchronizers) or staged (global-statistics synchronizers) while
@@ -590,7 +590,7 @@ fn run_rank(
                     global_iter as u64,
                     cfg.lr.lr_at(epoch_frac),
                     |m, hook| {
-                        let _ = m.backward_hooked(&lo.dlogits, hook);
+                        m.backward_params(&lo.dlogits, hook);
                         if want_hist {
                             let mut local = Vec::with_capacity(n);
                             flatten_grads(m, &mut local);

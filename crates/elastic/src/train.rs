@@ -196,7 +196,7 @@ impl Probe {
         model.zero_grad();
         let (_, dpred) = squared_error(&model.forward(&x, Mode::Train), &y);
         ts.run(model, comm, step, cfg.lr, |m, hook| {
-            let _ = m.backward_hooked(&dpred, hook);
+            m.backward_params(&dpred, hook);
         })
     }
 }

@@ -1,8 +1,9 @@
 //! Per-layer gradient-ready observers — the DDP hook shape.
 //!
 //! A [`GradHook`] rides along a backward pass
-//! ([`Module::backward_hooked`](crate::module::Module::backward_hooked))
-//! and is told about each trainable parameter the moment the pass has
+//! ([`Module::backward_hooked`](crate::module::Module::backward_hooked), or
+//! [`Module::backward_params`](crate::module::Module::backward_params) when
+//! the caller drops the input gradient) and is told about each trainable parameter the moment the pass has
 //! finished accumulating its gradient for the step. Because backward
 //! visits layers in reverse topological order, the *output*-side
 //! parameters are announced first, while the input-side layers are still

@@ -1,10 +1,11 @@
 //! 2-D convolution layer: parameters and the cached input around
 //! `mini_tensor::conv`'s implicit-GEMM forward and backward products.
 
+use crate::hook::GradHook;
 use crate::init;
 use crate::module::{Mode, Module};
 use crate::param::Param;
-use mini_tensor::conv::{conv2d_backward, conv2d_forward, Conv2dSpec};
+use mini_tensor::conv::{conv2d_backward, conv2d_backward_weight, conv2d_forward, Conv2dSpec};
 use mini_tensor::rng::SeedRng;
 use mini_tensor::Tensor;
 
@@ -35,6 +36,17 @@ impl Conv2d {
     pub fn spec(&self) -> &Conv2dSpec {
         &self.spec
     }
+
+    fn accumulate_grads(&mut self, dw: &Tensor, db: &Tensor) {
+        for (g, d) in self.weight.grad.as_mut_slice().iter_mut().zip(dw.as_slice()) {
+            *g += *d;
+        }
+        if let Some(b) = &mut self.bias {
+            for (g, d) in b.grad.as_mut_slice().iter_mut().zip(db.as_slice()) {
+                *g += *d;
+            }
+        }
+    }
 }
 
 impl Module for Conv2d {
@@ -48,15 +60,15 @@ impl Module for Conv2d {
     fn backward(&mut self, dout: &Tensor) -> Tensor {
         let x = self.cached_x.as_ref().expect("backward before forward");
         let (dx, dw, db) = conv2d_backward(x, &self.weight.data, dout, &self.spec);
-        for (g, d) in self.weight.grad.as_mut_slice().iter_mut().zip(dw.as_slice()) {
-            *g += *d;
-        }
-        if let Some(b) = &mut self.bias {
-            for (g, d) in b.grad.as_mut_slice().iter_mut().zip(db.as_slice()) {
-                *g += *d;
-            }
-        }
+        self.accumulate_grads(&dw, &db);
         dx
+    }
+
+    fn backward_params(&mut self, dout: &Tensor, hook: &mut dyn GradHook) {
+        let x = self.cached_x.as_ref().expect("backward before forward");
+        let (dw, db) = conv2d_backward_weight(x, &self.weight.data, dout, &self.spec);
+        self.accumulate_grads(&dw, &db);
+        self.visit_params(&mut |p| hook.grad_ready(p));
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -1,5 +1,6 @@
 //! Fully-connected layer.
 
+use crate::hook::GradHook;
 use crate::init;
 use crate::module::{Mode, Module};
 use crate::param::Param;
@@ -33,6 +34,27 @@ impl Linear {
     pub fn out_features(&self) -> usize {
         self.weight.data.shape().dim(0)
     }
+
+    /// The parameter half of backward: `dW += doutᵀ·x`, `db += Σ_B dout`.
+    fn accumulate_grads(&mut self, dout: &Tensor) {
+        let x = self.cached_x.as_ref().expect("backward before forward");
+        let out_f = self.out_features();
+        let batch = x.shape().dim(0);
+        assert_eq!(dout.shape().dims(), &[batch, out_f]);
+
+        // dW[out, in] += doutᵀ[out, B] · x[B, in]
+        let dw = Gemm::tn(out_f, batch, self.in_features()).run_tensor(dout, x);
+        for (g, d) in self.weight.grad.as_mut_slice().iter_mut().zip(dw.as_slice()) {
+            *g += *d;
+        }
+        // db[j] += Σ_B dout[b, j]
+        let db = self.bias.grad.as_mut_slice();
+        for row in dout.as_slice().chunks_exact(out_f) {
+            for (g, d) in db.iter_mut().zip(row) {
+                *g += *d;
+            }
+        }
+    }
 }
 
 impl Module for Linear {
@@ -54,25 +76,15 @@ impl Module for Linear {
     }
 
     fn backward(&mut self, dout: &Tensor) -> Tensor {
-        let x = self.cached_x.as_ref().expect("backward before forward");
-        let out_f = self.out_features();
-        let batch = x.shape().dim(0);
-        assert_eq!(dout.shape().dims(), &[batch, out_f]);
-
-        // dW[out, in] += doutᵀ[out, B] · x[B, in]
-        let dw = Gemm::tn(out_f, batch, self.in_features()).run_tensor(dout, x);
-        for (g, d) in self.weight.grad.as_mut_slice().iter_mut().zip(dw.as_slice()) {
-            *g += *d;
-        }
-        // db[j] += Σ_B dout[b, j]
-        let db = self.bias.grad.as_mut_slice();
-        for row in dout.as_slice().chunks_exact(out_f) {
-            for (g, d) in db.iter_mut().zip(row) {
-                *g += *d;
-            }
-        }
+        self.accumulate_grads(dout);
         // dx[B, in] = dout[B, out] · W[out, in]
-        Gemm::nn(batch, out_f, self.in_features()).run_tensor(dout, &self.weight.data)
+        let batch = dout.shape().dim(0);
+        Gemm::nn(batch, self.out_features(), self.in_features()).run_tensor(dout, &self.weight.data)
+    }
+
+    fn backward_params(&mut self, dout: &Tensor, hook: &mut dyn GradHook) {
+        self.accumulate_grads(dout);
+        self.visit_params(&mut |p| hook.grad_ready(p));
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -1,7 +1,7 @@
 //! Sequential container.
 
 use crate::hook::{GradHook, NullHook};
-use crate::module::{Mode, Module};
+use crate::module::{Mode, Module, ModuleExt};
 use crate::param::Param;
 use mini_tensor::Tensor;
 
@@ -62,6 +62,20 @@ impl Module for Sequential {
             cur = m.backward_hooked(&cur, hook);
         }
         cur
+    }
+
+    fn backward_params(&mut self, dout: &Tensor, hook: &mut dyn GradHook) {
+        // Children before the first one with parameters would only form
+        // input gradients: they do not run, and that one forms none.
+        let Some(first) = self.children.iter_mut().position(|m| m.param_count() > 0) else {
+            return;
+        };
+        let (head, rest) = self.children[first..].split_first_mut().expect("position is in range");
+        let mut cur = dout.clone();
+        for m in rest.iter_mut().rev() {
+            cur = m.backward_hooked(&cur, hook);
+        }
+        head.backward_params(&cur, hook);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

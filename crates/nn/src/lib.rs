@@ -11,7 +11,9 @@
 //!   ([`module::Module::backward_hooked`]) that announces each layer's
 //!   parameter gradients to a [`hook::GradHook`] the moment they are
 //!   final — the per-layer observer distributed trainers use to overlap
-//!   gradient synchronization with the backward pass itself,
+//!   gradient synchronization with the backward pass itself — and a
+//!   parameters-only one ([`module::Module::backward_params`]) that forms
+//!   no input gradient for the network's first layer,
 //! * layers: [`layers::Linear`], [`layers::Conv2d`], [`layers::BatchNorm2d`],
 //!   [`layers::Relu`], [`layers::MaxPool2d`], [`layers::GlobalAvgPool`],
 //!   [`layers::Dropout`], [`layers::Flatten`], [`layers::Embedding`],

@@ -20,7 +20,8 @@ pub enum Mode {
 /// * `backward` must be called after `forward` (modules cache activations),
 ///   with an upstream gradient shaped like the forward output;
 /// * `backward` **accumulates** parameter gradients and returns the gradient
-///   with respect to the forward input;
+///   with respect to the forward input; `backward_params` accumulates the
+///   same parameter gradients and forms no input gradient;
 /// * `visit_params` visits parameters in a deterministic order — the
 ///   flatten/scatter helpers and optimizer state rely on it.
 pub trait Module: Send {
@@ -47,6 +48,21 @@ pub trait Module: Send {
         let dx = self.backward(dout);
         self.visit_params(&mut |p| hook.grad_ready(p));
         dx
+    }
+
+    /// [`backward_hooked`](Self::backward_hooked) for a caller that does
+    /// not read the input gradient — a trainer calling its whole model:
+    /// accumulates and announces the parameter gradients, returns nothing.
+    ///
+    /// Must accumulate exactly what `backward_hooked` accumulates, bit for
+    /// bit, and announce in the same order; it may only skip work whose
+    /// sole product is the input gradient. The default skips nothing.
+    /// Layers override it to skip their input-gradient product, and
+    /// [`Sequential`](crate::layers::Sequential) passes it to its first
+    /// child with parameters and runs no child before that one — so the
+    /// network's first layer forms no `dx` nobody reads.
+    fn backward_params(&mut self, dout: &Tensor, hook: &mut dyn GradHook) {
+        let _ = self.backward_hooked(dout, hook);
     }
 
     /// Visits every trainable parameter in a stable order.

@@ -5,6 +5,7 @@ use mini_nn::hook::RecordingHook;
 use mini_nn::layers::{Linear, Relu, ResidualBlock, Sequential, ShortcutKind};
 use mini_nn::models::{LstmLm, LstmLmConfig, ModelKind, Preset};
 use mini_nn::module::{Mode, Module, ModuleExt};
+use mini_nn::Param;
 use mini_tensor::rng::SeedRng;
 use mini_tensor::Tensor;
 
@@ -12,6 +13,17 @@ fn param_names(m: &mut dyn Module) -> Vec<String> {
     let mut names = Vec::new();
     m.visit_params(&mut |p| names.push(p.name.clone()));
     names
+}
+
+/// A small batch of the input each model takes.
+fn sample_input(kind: ModelKind) -> Tensor {
+    match kind {
+        ModelKind::LstmPtb => Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [1, 4]),
+        ModelKind::Fnn3 => SeedRng::new(6).randn_tensor(&[2, 1, 28, 28], 1.0),
+        ModelKind::Vgg16 | ModelKind::ResNet20 => {
+            SeedRng::new(6).randn_tensor(&[2, 3, 32, 32], 1.0)
+        }
+    }
 }
 
 fn grads(m: &mut dyn Module) -> Vec<Vec<u32>> {
@@ -84,17 +96,7 @@ fn lstm_lm_reports_projection_first_embedding_last() {
 fn every_param_reported_exactly_once_on_all_models() {
     for kind in ModelKind::ALL {
         let mut m = kind.build(Preset::Scaled, 5);
-        let x = if kind.is_language_model() {
-            Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [1, 4])
-        } else {
-            SeedRng::new(6).randn_tensor(&[2, 3, 32, 32], 1.0)
-        };
-        let x = if matches!(kind, ModelKind::Fnn3) {
-            SeedRng::new(6).randn_tensor(&[2, 1, 28, 28], 1.0)
-        } else {
-            x
-        };
-        let y = m.forward(&x, Mode::Train);
+        let y = m.forward(&sample_input(kind), Mode::Train);
         let mut hook = RecordingHook::default();
         let _ = m.backward_hooked(&Tensor::ones(y.shape().clone()), &mut hook);
         let mut announced = hook.order.clone();
@@ -137,4 +139,72 @@ fn hooked_backward_is_bit_identical_to_plain_backward() {
     let a: Vec<u32> = dx_plain.as_slice().iter().map(|v| v.to_bits()).collect();
     let b: Vec<u32> = dx_hooked.as_slice().iter().map(|v| v.to_bits()).collect();
     assert_eq!(a, b);
+}
+
+/// What a trainer calls: `backward_params` skips only input-gradient work,
+/// so every model announces in the same order and accumulates bit-identical
+/// parameter gradients to `backward_hooked` — nested containers included
+/// (ResNet-20's blocks still return the `dx` the stem's successor reads).
+#[test]
+fn backward_params_matches_backward_hooked_on_all_models() {
+    for kind in ModelKind::ALL {
+        let run = |params_only: bool| {
+            let mut m = kind.build(Preset::Scaled, 5);
+            let y = m.forward(&sample_input(kind), Mode::Train);
+            let dout = SeedRng::new(7).randn_tensor(y.shape().dims(), 1.0);
+            let mut hook = RecordingHook::default();
+            if params_only {
+                m.backward_params(&dout, &mut hook);
+            } else {
+                let _ = m.backward_hooked(&dout, &mut hook);
+            }
+            (hook.order, grads(m.as_mut()))
+        };
+        assert_eq!(run(true), run(false), "{}", kind.name());
+    }
+}
+
+/// A parameter-free layer whose backward must not run.
+struct Tripwire;
+
+impl Module for Tripwire {
+    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
+        x.clone()
+    }
+
+    fn backward(&mut self, _dout: &Tensor) -> Tensor {
+        panic!("a child before the first one with parameters ran backward");
+    }
+
+    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
+}
+
+#[test]
+fn backward_params_runs_no_child_before_the_first_with_parameters() {
+    let build = |leading: usize| {
+        let mut rng = SeedRng::new(23);
+        let mut net = Sequential::new("mlp");
+        for _ in 0..leading {
+            net.add(Box::new(Tripwire));
+        }
+        net.push(Box::new(Linear::new("fc1", 6, 5, &mut rng)))
+            .push(Box::new(Relu::new()))
+            .push(Box::new(Linear::new("fc2", 5, 3, &mut rng)))
+    };
+    let x = SeedRng::new(24).randn_tensor(&[2, 6], 1.0);
+    let dout = SeedRng::new(25).randn_tensor(&[2, 3], 1.0);
+
+    let mut guarded = build(2);
+    let _ = guarded.forward(&x, Mode::Train);
+    let mut hook = RecordingHook::default();
+    guarded.backward_params(&dout, &mut hook);
+
+    let mut bare = build(0);
+    let _ = bare.forward(&x, Mode::Train);
+    let mut bare_hook = RecordingHook::default();
+    let _ = bare.backward_hooked(&dout, &mut bare_hook);
+
+    assert_eq!(hook.order, vec!["fc2.weight", "fc2.bias", "fc1.weight", "fc1.bias"]);
+    assert_eq!(hook.order, bare_hook.order);
+    assert_eq!(grads(&mut guarded), grads(&mut bare));
 }

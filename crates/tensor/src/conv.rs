@@ -17,13 +17,18 @@
 //!   oracle).
 //! * **dW** `dW_i = dout_i[F, OH·OW] · patches(x_i)ᵀ`: the same map read
 //!   through the transposed gather, once per image; per-image partials are
-//!   reduced sequentially in image order.
-//! * **dx** `dx_i = W'[C, F·K·K] · patches'(dout_i)`: the backward-data
-//!   product computed directly. `W'` is the filter matrix with `F`/`C`
-//!   swapped and taps flipped, packed once per batch; `patches'` is the
-//!   forward gather over `dout_i` dilated by the stride. Every `dx` element
-//!   is one GEMM reduction over `(f, ky, kx)` written by the GEMM's store —
-//!   nothing is zeroed and scattered into.
+//!   reduced sequentially in image order. [`conv2d_backward_weight`] is
+//!   this product alone, for a layer whose input gradient nobody reads.
+//! * **dx** as `s²` stride-1 *phases*, `s` the stride: the `dx` positions
+//!   `(ry + s·qy, rx + s·qx)` of one phase `(ry, rx)` are reached only by
+//!   the taps `ky ≡ ry + pad`, `kx ≡ rx + pad (mod s)`, so phase `(ry, rx)`
+//!   is `W'[C, F·K'ʸ·K'ˣ] · patches'(dout_i)` — `W'` those taps with
+//!   `F`/`C` swapped and flipped, packed once per batch, and `patches'` the
+//!   stride-1 gather over `dout_i` itself. Its result is stored interleaved
+//!   into `dx` (at stride 1, the one phase is all of `dx` and the GEMM
+//!   writes it directly). Every `dx` element is one GEMM reduction over
+//!   `(f, ky, kx)` — nothing is zeroed and scattered into, and the patch
+//!   operand holds no structural zeros between `dout` entries.
 //!
 //! Images are independent tasks and each output element is reduced by one
 //! of them in the GEMM's fixed order, so results are bit-identical across
@@ -98,31 +103,34 @@ impl Conv2dSpec {
     }
 }
 
+/// One axis of a patch map: `k` kernel taps over a source of extent `len`
+/// under padding `pad` (a negative pad starts the first window `−pad`
+/// positions into the source).
+#[derive(Clone, Copy)]
+struct Axis {
+    k: usize,
+    len: usize,
+    pad: isize,
+}
+
 /// One image's patch matrix as a coordinate map (see the module docs): row
 /// `(c, ky, kx)`, column `(oy, ox)` reads source element
-/// `(c, (oy·stride + ky − pad) / dilate, (ox·stride + kx − pad) / dilate)`
-/// where both quotients are exact and inside the `sh×sw` source, and is
-/// zero elsewhere. The forward and `dW` products read `x` through it with
-/// `dilate = 1`; the `dx` product reads `dout` with `stride = 1` and the
-/// convolution's stride as `dilate`. One of the two is always 1, so along
-/// an axis the outputs a tap reads lie `dilate` apart and their sources
-/// `stride` apart.
+/// `(c, oy·stride + ky − pad_y, ox·stride + kx − pad_x)` when that lies
+/// inside the source, and is zero elsewhere. The forward and `dW` products
+/// read `x` through it; each backward-data phase reads `dout` at stride 1
+/// with its own (possibly non-square) kernel.
 struct Patches {
-    k: usize,
-    sh: usize,
-    sw: usize,
+    y: Axis,
+    x: Axis,
     ow: usize,
     stride: usize,
-    dilate: usize,
-    pad: isize,
     /// Per kernel column `kx`: the output columns it reads. This is the
-    /// map's division by `stride`, done once per call instead of once per
-    /// panel row.
+    /// map's bounds test, done once per call instead of once per panel row.
     xs: Vec<Reads>,
 }
 
-/// Outputs `first, first + dilate, .. < end` of one axis read sources
-/// `src, src + stride, ..` (empty when `first == end`).
+/// Outputs `first..end` of one axis read sources `src, src + stride, ..`
+/// (empty when `first == end`).
 #[derive(Clone, Copy, Default)]
 struct Reads {
     first: usize,
@@ -131,19 +139,11 @@ struct Reads {
 }
 
 impl Patches {
-    fn new(
-        k: usize,
-        (sh, sw): (usize, usize),
-        ow: usize,
-        stride: usize,
-        dilate: usize,
-        pad: isize,
-    ) -> Self {
-        debug_assert!(stride == 1 || dilate == 1);
-        let mut p = Patches { k, sh, sw, ow, stride, dilate, pad, xs: Vec::new() };
-        p.xs = (0..k)
+    fn new(y: Axis, x: Axis, ow: usize, stride: usize) -> Self {
+        let mut p = Patches { y, x, ow, stride, xs: Vec::new() };
+        p.xs = (0..x.k)
             .map(|kx| {
-                let mut hits = (0..ow).filter_map(|ox| Some((ox, p.source(ox, kx, sw)?)));
+                let mut hits = (0..ow).filter_map(|ox| Some((ox, p.source(ox, kx, x)?)));
                 match hits.next() {
                     Some((first, src)) => {
                         Reads { first, end: hits.next_back().map_or(first, |(ox, _)| ox) + 1, src }
@@ -155,26 +155,25 @@ impl Patches {
         p
     }
 
-    /// The map along one axis: the source coordinate (of `extent`) that
-    /// output `o` reads through kernel offset `t`, if it reads one.
-    fn source(&self, o: usize, t: usize, extent: usize) -> Option<usize> {
-        let v = usize::try_from((o * self.stride + t) as isize - self.pad).ok()?;
-        let s = match self.dilate {
-            1 => v,
-            d if v % d == 0 => v / d,
-            _ => return None,
-        };
-        (s < extent).then_some(s)
+    /// The map the forward and `dW` products read `x` through.
+    fn of_input(spec: &Conv2dSpec, (h, w): (usize, usize), ow: usize) -> Self {
+        let (k, pad) = (spec.k, spec.pad as isize);
+        Patches::new(Axis { k, len: h, pad }, Axis { k, len: w, pad }, ow, spec.stride)
+    }
+
+    /// The map along one axis: the source coordinate that output `o` reads
+    /// through kernel offset `t`, if it reads one.
+    fn source(&self, o: usize, t: usize, axis: Axis) -> Option<usize> {
+        let s = usize::try_from((o * self.stride + t) as isize - axis.pad).ok()?;
+        (s < axis.len).then_some(s)
     }
 
     /// The part of kernel column `kx`'s reads inside output columns
     /// `a..b`: `(first output, end, first source column)`.
     fn clip(&self, kx: usize, a: usize, b: usize) -> (usize, usize, usize) {
         let r = self.xs[kx];
-        let before = a.saturating_sub(r.first);
-        // No division on the undilated path: this runs once per copy.
-        let skip = if self.dilate == 1 { before } else { before.div_ceil(self.dilate) };
-        (r.first + skip * self.dilate, b.min(r.end), r.src + skip * self.stride)
+        let skip = a.saturating_sub(r.first);
+        (r.first + skip, b.min(r.end), r.src + skip * self.stride)
     }
 
     /// Splits output positions `p..p + len` into per-row runs
@@ -197,36 +196,35 @@ impl Patches {
     /// that read padding are left as they are (zero). Each `(tap, output
     /// row)` pair is one contiguous copy at stride 1.
     fn gather(&self, src: &[f32], p0: usize, j0: usize, cols: usize, ld: usize, out: &mut [f32]) {
-        let (k, taps) = (self.k, out.len() / ld);
+        let (kh, kw, taps) = (self.y.k, self.x.k, out.len() / ld);
+        let (sh, sw) = (self.y.len, self.x.len);
         for (oy, a, b, lane) in self.rows(j0, cols) {
             // Patch-matrix row `p` is tap `(c, ky, kx)`.
-            let (mut c, mut ky, mut kx) = (p0 / (k * k), p0 / k % k, p0 % k);
+            let (mut c, mut ky, mut kx) = (p0 / (kh * kw), p0 / kw % kh, p0 % kw);
             let mut t = 0;
             // One kernel row `(c, ky)` at a time: its taps share a source row.
             while t < taps {
-                let n = (k - kx).min(taps - t);
-                if let Some(sy) = self.source(oy, ky, self.sh) {
-                    let row = &src[(c * self.sh + sy) * self.sw..][..self.sw];
+                let n = (kw - kx).min(taps - t);
+                if let Some(sy) = self.source(oy, ky, self.y) {
+                    let row = &src[(c * sh + sy) * sw..][..sw];
                     for (dx, lanes) in out[t * ld..].chunks_exact_mut(ld).take(n).enumerate() {
                         let (lo, hi, sx) = self.clip(kx + dx, a, b);
                         if lo >= hi {
                             continue;
                         }
                         let (to, from) = (&mut lanes[lane + lo - a..lane + hi - a], &row[sx..]);
-                        if self.stride != 1 || self.dilate != 1 {
-                            let (mut d, mut s) = (0, 0);
-                            while d < to.len() {
-                                to[d] = from[s];
-                                (d, s) = (d + self.dilate, s + self.stride);
-                            }
-                        } else {
+                        if self.stride == 1 {
                             to.copy_from_slice(&from[..to.len()]);
+                        } else {
+                            for (d, s) in to.iter_mut().zip(from.iter().step_by(self.stride)) {
+                                *d = *s;
+                            }
                         }
                     }
                 }
                 t += n;
                 kx = 0;
-                (ky, c) = if ky + 1 == k { (0, c + 1) } else { (ky + 1, c) };
+                (ky, c) = if ky + 1 == kh { (0, c + 1) } else { (ky + 1, c) };
             }
         }
     }
@@ -275,7 +273,7 @@ pub fn conv2d_forward(
     // each image's patch panels once, straight from the image.
     let g = Gemm::nn(spec.out_c, spec.in_c * spec.k * spec.k, oh * ow);
     let pw = g.pack_a(weight.as_slice());
-    let patches = Patches::new(spec.k, (h, w), ow, spec.stride, 1, spec.pad as isize);
+    let patches = Patches::of_input(spec, (h, w), ow);
     par::par_chunks_mut(out.as_mut_slice(), oimg_len, |i, oimg| {
         let ximg = &xs[i * img..][..img];
         let mut pb = PackedB::default();
@@ -300,67 +298,155 @@ pub fn conv2d_backward(
     dout: &Tensor,
     spec: &Conv2dSpec,
 ) -> (Tensor, Tensor, Tensor) {
-    let (_, h, w, oh, ow) = spec.checked_dims(x, weight, None, Some(dout));
-    let Conv2dSpec { in_c, out_c, k, stride, pad } = *spec;
-    let (img, dimg_len) = (in_c * h * w, out_c * oh * ow);
-    let (xs, ws, dos) = (x.as_slice(), weight.as_slice(), dout.as_slice());
+    let (dw, db) = conv2d_backward_weight(x, weight, dout, spec);
+    (backward_data(x, weight, dout, spec), dw, db)
+}
 
-    // Two products per image (module docs):
-    //   dW_i[F, C·K·K] = dout_i[F, OH·OW] · patches(x_i)ᵀ       (nt)
-    //   dx_i[C, H·W]   = W'[C, F·K·K] · patches'(dout_i)        (nn)
-    // W'[c, (f, ky, kx)] = W[f, c, K−1−ky, K−1−kx] is packed once for the
-    // batch; patches' reads dout_i dilated by the stride under padding
-    // K−1−pad. dW/db need cross-image accumulation: every image's partial
-    // is kept separate and reduced sequentially in image order below, so
-    // the thread count cannot change the reduction grouping.
-    let g_dw = Gemm::nt(out_c, oh * ow, in_c * k * k);
-    let g_dx = Gemm::nn(in_c, out_c * k * k, h * w);
-    let of_x = Patches::new(k, (h, w), ow, stride, 1, pad as isize);
-    let of_dout = Patches::new(k, (oh, ow), w, 1, stride, k as isize - 1 - pad as isize);
-    let mut pw = PackedA::default();
-    g_dx.pack_a_with(&mut pw, |p0, c0, rows, panel| {
-        for (kk, lanes) in panel.chunks_exact_mut(MR).enumerate() {
-            let (f, flipped) = ((p0 + kk) / (k * k), k * k - 1 - (p0 + kk) % (k * k));
-            for (c, d) in lanes[..rows].iter_mut().enumerate() {
-                *d = ws[(f * in_c + c0 + c) * k * k + flipped];
-            }
-        }
-    });
+/// The parameter half of [`conv2d_backward`]: `(dweight, dbias)`, bit for
+/// bit the same, without the backward-data product — what a network's
+/// first layer runs, since nothing reads its input gradient.
+pub fn conv2d_backward_weight(
+    x: &Tensor,
+    weight: &Tensor,
+    dout: &Tensor,
+    spec: &Conv2dSpec,
+) -> (Tensor, Tensor) {
+    let (n, h, w, oh, ow) = spec.checked_dims(x, weight, None, Some(dout));
+    let Conv2dSpec { in_c, out_c, k, .. } = *spec;
+    let (img, dimg_len, wlen) = (in_c * h * w, out_c * oh * ow, spec.weight_len());
+    let (xs, dos) = (x.as_slice(), dout.as_slice());
 
-    let mut dx = Tensor::zeros(x.shape().clone());
-    let partials = par::par_chunks_mut_map(dx.as_mut_slice(), img, |i, dximg| {
+    // dW_i[F, C·K·K] = dout_i[F, OH·OW] · patches(x_i)ᵀ (nt) and
+    // db_i[f] = Σ dout_i[f, :]. Every image's partial is kept separate and
+    // reduced sequentially in image order below, so the thread count cannot
+    // change the reduction grouping.
+    let g = Gemm::nt(out_c, oh * ow, in_c * k * k);
+    let of_x = Patches::of_input(spec, (h, w), ow);
+    let mut partials = vec![0.0f32; n * (wlen + out_c)];
+    par::par_chunks_mut(&mut partials, wlen + out_c, |i, part| {
+        let (dwi, dbi) = part.split_at_mut(wlen);
         let ximg = &xs[i * img..][..img];
         let dimg = &dos[i * dimg_len..][..dimg_len];
         let (mut pa, mut pb, mut tile) = (PackedA::default(), PackedB::default(), Vec::new());
-
-        let mut dwi = vec![0.0f32; spec.weight_len()];
-        g_dw.pack_a_into(dimg, &mut pa);
-        g_dw.pack_b_with(&mut pb, |p0, j0, cols, panel| {
+        g.pack_a_into(dimg, &mut pa);
+        g.pack_b_with(&mut pb, |p0, j0, cols, panel| {
             of_x.gather_t(ximg, p0, j0, cols, panel, &mut tile);
         });
-        g_dw.run_packed(&pa, &pb, &mut dwi, false);
-
-        // db_i[f] = Σ dout_i[f, :]
-        let dbi: Vec<f32> = dimg.chunks(oh * ow).map(|plane| plane.iter().sum()).collect();
-
-        g_dx.pack_b_with(&mut pb, |p0, j0, cols, panel| {
-            of_dout.gather(dimg, p0, j0, cols, NR, panel);
-        });
-        g_dx.run_packed(&pw, &pb, dximg, false);
-        (dwi, dbi)
+        g.run_packed(&pa, &pb, dwi, false);
+        for (b, plane) in dbi.iter_mut().zip(dimg.chunks(oh * ow)) {
+            *b = plane.iter().sum();
+        }
     });
 
-    let mut dw_acc = vec![0.0f32; spec.weight_len()];
-    let mut db_acc = vec![0.0f32; out_c];
-    for (dwi, dbi) in partials {
-        for (a, b) in dw_acc.iter_mut().zip(&dwi) {
+    let mut dw = vec![0.0f32; wlen];
+    let mut db = vec![0.0f32; out_c];
+    for part in partials.chunks_exact(wlen + out_c) {
+        let (dwi, dbi) = part.split_at(wlen);
+        for (a, b) in dw.iter_mut().zip(dwi) {
             *a += b;
         }
-        for (a, b) in db_acc.iter_mut().zip(&dbi) {
+        for (a, b) in db.iter_mut().zip(dbi) {
             *a += b;
         }
     }
-    (dx, Tensor::from_vec(dw_acc, [out_c, in_c, k, k]), Tensor::from_vec(db_acc, [out_c]))
+    (Tensor::from_vec(dw, [out_c, in_c, k, k]), Tensor::from_vec(db, [out_c]))
+}
+
+/// One axis of a backward-data phase (module docs): the `dx` positions
+/// `r, r + s, ..` of an axis of `len`, reached by taps `t0, t0 + s, ..`,
+/// as `(positions, t0, the stride-1 map over the src-long dout axis)`.
+/// Position `r + s·q` reads `dout[q + (r + pad) / s − j]` through tap
+/// `t0 + s·j`; numbering the taps flipped, `u = kt − 1 − j`, makes that
+/// `dout[q + u − pad']` — a stride-1 window under padding `pad'`.
+fn phase_axis(spec: &Conv2dSpec, r: usize, len: usize, src: usize) -> (usize, usize, Axis) {
+    let (s, reach) = (spec.stride, r + spec.pad);
+    let t0 = reach % s;
+    let kt = spec.k.saturating_sub(t0).div_ceil(s);
+    let pad = kt as isize - 1 - (reach / s) as isize;
+    (len.saturating_sub(r).div_ceil(s), t0, Axis { k: kt, len: src, pad })
+}
+
+/// One stride phase of the backward-data product (module docs): `dx`
+/// rows `ry, ry + s, ..` × columns `rx, rx + s, ..` are `g` over the
+/// phase's flipped taps `w` and the stride-1 map `patches` over `dout`.
+struct Phase {
+    ry: usize,
+    rx: usize,
+    qw: usize,
+    g: Gemm,
+    w: PackedA,
+    patches: Patches,
+}
+
+impl Phase {
+    /// Phase `(ry, rx)` from a `dout` of `(oh, ow)` into a `dx` of `(h, w)`;
+    /// `None` when the phase holds no `dx` position.
+    fn new(
+        spec: &Conv2dSpec,
+        (ry, rx): (usize, usize),
+        (h, w): (usize, usize),
+        (oh, ow): (usize, usize),
+        ws: &[f32],
+    ) -> Option<Phase> {
+        let (qh, ty, ay) = phase_axis(spec, ry, h, oh);
+        let (qw, tx, ax) = phase_axis(spec, rx, w, ow);
+        if qh * qw == 0 {
+            return None;
+        }
+        let Conv2dSpec { in_c, out_c, k, stride: s, .. } = *spec;
+        let (kh, kw) = (ay.k, ax.k);
+        // W'[c, (f, u, v)] = W[f, c, ty + s·(kh−1−u), tx + s·(kw−1−v)],
+        // packed once for the batch.
+        let g = Gemm::nn(in_c, out_c * kh * kw, qh * qw);
+        let mut w_flipped = PackedA::default();
+        g.pack_a_with(&mut w_flipped, |p0, c0, rows, panel| {
+            for (kk, lanes) in panel.chunks_exact_mut(MR).enumerate() {
+                let p = p0 + kk;
+                let (f, u, v) = (p / (kh * kw), p / kw % kh, p % kw);
+                let tap = (ty + s * (kh - 1 - u)) * k + tx + s * (kw - 1 - v);
+                for (c, d) in lanes[..rows].iter_mut().enumerate() {
+                    *d = ws[(f * in_c + c0 + c) * k * k + tap];
+                }
+            }
+        });
+        Some(Phase { ry, rx, qw, g, w: w_flipped, patches: Patches::new(ay, ax, qw, 1) })
+    }
+}
+
+/// The backward-data product: `dx[N,C,H,W]` as the stride's phases.
+fn backward_data(x: &Tensor, weight: &Tensor, dout: &Tensor, spec: &Conv2dSpec) -> Tensor {
+    let (_, h, w, oh, ow) = spec.checked_dims(x, weight, None, Some(dout));
+    let (s, img, dimg_len) = (spec.stride, spec.in_c * h * w, spec.out_c * oh * ow);
+    let phases: Vec<Phase> = (0..s * s)
+        .filter_map(|r| Phase::new(spec, (r / s, r % s), (h, w), (oh, ow), weight.as_slice()))
+        .collect();
+    let dos = dout.as_slice();
+    let mut dx = Tensor::zeros(x.shape().clone());
+    par::par_chunks_mut(dx.as_mut_slice(), img, |i, dximg| {
+        let dimg = &dos[i * dimg_len..][..dimg_len];
+        let (mut pb, mut res) = (PackedB::default(), Vec::new());
+        for ph in &phases {
+            ph.g.pack_b_with(&mut pb, |p0, j0, cols, panel| {
+                ph.patches.gather(dimg, p0, j0, cols, NR, panel);
+            });
+            if s == 1 {
+                ph.g.run_packed(&ph.w, &pb, dximg, false);
+                continue;
+            }
+            res.resize(ph.g.c_len(), 0.0);
+            ph.g.run_packed(&ph.w, &pb, &mut res, false);
+            // Interleaved store: phase element (qy, qx) is dx (ry + s·qy, rx + s·qx).
+            for (plane, rplane) in dximg.chunks_exact_mut(h * w).zip(res.chunks_exact(ph.g.n)) {
+                for (qy, qrow) in rplane.chunks_exact(ph.qw).enumerate() {
+                    let row = &mut plane[(ph.ry + s * qy) * w..][..w];
+                    for (d, v) in row[ph.rx..].iter_mut().step_by(s).zip(qrow) {
+                        *d = *v;
+                    }
+                }
+            }
+        }
+    });
+    dx
 }
 
 /// Direct (quadruple-loop) convolution used as a test oracle.
@@ -491,6 +577,31 @@ mod tests {
         img
     }
 
+    /// The backward-data product as one stride-1 product with the whole
+    /// flipped kernel over `dout` dilated by the stride (`s − 1` zeros
+    /// stuffed between neighbours) — the formulation the phases replace.
+    fn dilated_dx(x: &Tensor, wt: &Tensor, dout: &Tensor, spec: &Conv2dSpec) -> Vec<f32> {
+        let &[_, c, h, w] = x.shape().dims() else { unreachable!("conv input is [N,C,H,W]") };
+        let ((oh, ow), s, f) = (spec.out_hw(h, w), spec.stride, spec.out_c);
+        let (dh, dw) = ((oh - 1) * s + 1, (ow - 1) * s + 1);
+        let whole = Conv2dSpec { stride: 1, ..*spec };
+        let ph = Phase::new(&whole, (0, 0), (h, w), (dh, dw), wt.as_slice()).unwrap();
+        let mut dx = vec![0.0f32; x.numel()];
+        for (dimg, dximg) in dout.as_slice().chunks(f * oh * ow).zip(dx.chunks_mut(c * h * w)) {
+            let mut dilated = vec![0.0f32; f * dh * dw];
+            for (j, v) in dimg.iter().enumerate() {
+                let (ff, oy, ox) = (j / (oh * ow), j / ow % oh, j % ow);
+                dilated[(ff * dh + oy * s) * dw + ox * s] = *v;
+            }
+            let mut pb = PackedB::default();
+            ph.g.pack_b_with(&mut pb, |p0, j0, cols, panel| {
+                ph.patches.gather(&dilated, p0, j0, cols, NR, panel)
+            });
+            ph.g.run_packed(&ph.w, &pb, dximg, false);
+        }
+        dx
+    }
+
     /// Geometries the gathers must get right: `ow` a multiple of, below and
     /// not dividing NR; strides with input rows no output touches; padding
     /// wider than the kernel; a 1×1 kernel; `ckk > KC` (a slab that starts
@@ -560,7 +671,7 @@ mod tests {
 
             let g = Gemm::nn(f, ckk, oh * ow);
             let g_dw = Gemm::nt(f, oh * ow, ckk);
-            let patches = Patches::new(spec.k, (h, w), ow, spec.stride, 1, spec.pad as isize);
+            let patches = Patches::of_input(&spec, (h, w), ow);
             let pw = g.pack_a(wt.as_slice());
             let (mut dw_want, mut db_want) = (vec![0.0f32; f * ckk], vec![0.0f32; f]);
             for i in 0..n {
@@ -621,6 +732,36 @@ mod tests {
         }
     }
 
+    /// Named bit change 4: "none" where one `KC` slab holds the dilated
+    /// reduction — the phases drop only the products with a stuffed zero,
+    /// which left the accumulator unchanged. Past one slab the two split
+    /// the sum differently, so the bound of bit change 3 applies there.
+    #[test]
+    fn phased_dx_equals_the_dilated_formulation() {
+        let mut rng = SeedRng::new(17);
+        let s2 = |in_c, out_c| Conv2dSpec { in_c, out_c, k: 3, stride: 2, pad: 1 };
+        // The scaled ResNet-20's two stride-2 convolutions, and a filter
+        // bank whose dilated reduction (32·3·3 = 288 taps) spans two slabs.
+        let more = [(s2(4, 8), 32, 32, 2), (s2(8, 16), 16, 16, 2), (s2(3, 32), 9, 10, 2)];
+        assert!(more.iter().any(|(s, ..)| s.out_c * s.k * s.k > KC));
+        for (spec, h, w, n) in menu().into_iter().chain(more) {
+            let (c, f) = (spec.in_c, spec.out_c);
+            let (oh, ow) = spec.out_hw(h, w);
+            let x = rng.randn_tensor(&[n, c, h, w], 1.0);
+            let wt = rng.randn_tensor(&[f, c, spec.k, spec.k], 0.5);
+            let dout = rng.randn_tensor(&[n, f, oh, ow], 1.0);
+            let (dx, _, _) = conv2d_backward(&x, &wt, &dout, &spec);
+            let want = dilated_dx(&x, &wt, &dout, &spec);
+            if f * spec.k * spec.k <= KC {
+                assert_eq!(dx.as_slice(), want, "{spec:?}");
+            } else {
+                for (got, want) in dx.as_slice().iter().zip(&want) {
+                    assert!((got - want).abs() <= 1e-5 * (1.0 + want.abs()), "{spec:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn backward_data_is_adjoint_of_forward() {
         // <conv(x; W), y> == <x, dx(y; W)> for random x, y — the defining
@@ -656,10 +797,13 @@ mod tests {
                     (
                         conv2d_forward(&x, &wt, Some(&b), &spec),
                         conv2d_backward(&x, &wt, &dout, &spec),
+                        conv2d_backward_weight(&x, &wt, &dout, &spec),
                     )
                 })
             };
             let one = at(1);
+            let (_, (_, dw, db), weight_only) = &one;
+            assert_eq!(weight_only, &(dw.clone(), db.clone()), "{spec:?}: weight-only product");
             for width in [2, 4, 8] {
                 assert_eq!(at(width), one, "{spec:?} at width {width}");
             }
