@@ -5,7 +5,7 @@
 //! The row-parallel triple loops it replaced are gone; their medians stay
 //! in the ledger as the frozen `*/legacy/*` baseline rows.
 //!
-//! Six groups:
+//! Eight groups:
 //! * `gemm_st` — square 128/256/512 products.
 //! * `gemm_layers` — the real workspace shapes as bare products on stored
 //!   operands: FNN-3's first layer, the VGG entry/middle conv products on a
@@ -18,12 +18,15 @@
 //!   `conv2d_backward_weight` a first layer runs.
 //! * `relu` — one `Relu::forward`.
 //! * `batchnorm` — one `BatchNorm2d` forward and one backward.
+//! * `lstm` — one `Lstm` layer forward and one backward, one lane.
+//! * `ops` — the gate nonlinearities `ops::{tanh,sigmoid}_in_place`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mini_nn::layers::{BatchNorm2d, Relu};
+use mini_nn::layers::{BatchNorm2d, Lstm, Relu};
 use mini_nn::module::{Mode, Module};
 use mini_tensor::conv::{conv2d_backward, conv2d_backward_weight, conv2d_forward, Conv2dSpec};
 use mini_tensor::gemm::Gemm;
+use mini_tensor::ops;
 use mini_tensor::rng::SeedRng;
 use mini_tensor::Tensor;
 
@@ -186,6 +189,45 @@ fn bench_batchnorm(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `Lstm` layer of the scaled LSTM-PTB (E 32, H 48) over the
+/// `lstm_qsgd` batch — 16 sequences of 16 steps — in a one-lane pool.
+fn bench_lstm(c: &mut Criterion) {
+    let mut group = c.benchmark_group("lstm");
+    group.sample_size(30);
+    let one_lane = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+    let mut rng = SeedRng::new(41);
+    let mut lstm = Lstm::new("lstm", 32, 48, &mut rng);
+    let (x, dout) = (rng.randn_tensor(&[16, 16, 32], 1.0), rng.randn_tensor(&[16, 16, 48], 1.0));
+    group.bench_function("forward/b16_t16_e32_h48", |bch| {
+        bch.iter(|| one_lane.install(|| lstm.forward(&x, Mode::Train)))
+    });
+    group.bench_function("backward/b16_t16_e32_h48", |bch| {
+        bch.iter(|| one_lane.install(|| lstm.backward(&dout)))
+    });
+    group.finish();
+}
+
+/// The gate nonlinearities over one layer's gate pre-activations at that
+/// shape (B·T·4H = 49 152), copy-in from a fixed input included.
+fn bench_ops(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ops");
+    group.sample_size(30);
+    let src = SeedRng::new(43).randn_tensor(&[16 * 16 * 4 * 48], 2.0).into_vec();
+    let mut buf = src.clone();
+    for (name, f) in
+        [("tanh", ops::tanh_in_place as fn(&mut [f32])), ("sigmoid", ops::sigmoid_in_place)]
+    {
+        group.bench_function(&format!("{name}/{}", src.len()), |bch| {
+            bch.iter(|| {
+                buf.copy_from_slice(&src);
+                f(&mut buf);
+                std::hint::black_box(buf[0])
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_square,
@@ -193,6 +235,8 @@ criterion_group!(
     bench_prepacked,
     bench_conv,
     bench_relu,
-    bench_batchnorm
+    bench_batchnorm,
+    bench_lstm,
+    bench_ops
 );
 criterion_main!(benches);

@@ -48,8 +48,14 @@ impl Module for Embedding {
         let w = self.weight.data.as_slice();
         let mut out = vec![0.0f32; x.numel() * self.dim];
         for (i, &idf) in x.as_slice().iter().enumerate() {
+            // `as` saturates (NaN and −1 → 0) and truncates (2.7 → 2): only
+            // an id it maps back onto exactly is a whole number.
             let id = idf as usize;
-            assert!(id < self.vocab, "token id {id} out of vocab {}", self.vocab);
+            assert!(
+                id as f32 == idf && id < self.vocab,
+                "token id {idf} at position {i} is not an integer in 0..{}",
+                self.vocab
+            );
             self.cached_ids.push(id);
             out[i * self.dim..(i + 1) * self.dim]
                 .copy_from_slice(&w[id * self.dim..(id + 1) * self.dim]);
@@ -106,8 +112,32 @@ mod tests {
         assert!(g[12..15].iter().all(|&v| v == 1.0));
     }
 
+    fn lookup(ids: Vec<f32>) {
+        let mut emb = Embedding::new("emb", 3, 2, &mut SeedRng::new(63));
+        let n = ids.len();
+        let _ = emb.forward(&Tensor::from_vec(ids, [1, n]), Mode::Train);
+    }
+
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "token id -1 at position 1 is not an integer in 0..3")]
+    fn negative_id_panics() {
+        lookup(vec![0.0, -1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "token id NaN at position 2")]
+    fn nan_id_panics() {
+        lookup(vec![0.0, 1.0, f32::NAN]);
+    }
+
+    #[test]
+    #[should_panic(expected = "token id 2.5 at position 0")]
+    fn fractional_id_panics() {
+        lookup(vec![2.5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "token id 5 at position 0 is not an integer in 0..3")]
     fn out_of_vocab_panics() {
         let mut rng = SeedRng::new(62);
         let mut emb = Embedding::new("emb", 3, 2, &mut rng);

@@ -1,9 +1,20 @@
 //! LSTM layer with full backpropagation through time.
+//!
+//! Laid out the standard recurrent-network way (Appleyard et al., cuDNN
+//! RNN, arXiv:1604.01946): only the recurrent products — `h_{t−1}·W_hhᵀ` in
+//! forward, `da_t·W_hh` in backward — sit inside the timestep loop. The
+//! input projection `x·W_ihᵀ`, the input gradient `das·W_ih` and both weight
+//! gradients do not depend on the previous step, so each is one product over
+//! all B·T rows. The gate nonlinearities are `mini_tensor::ops`' vectorised
+//! slice kernels over each row's contiguous `[H]` gate slices (no libm call
+//! per element), and `tanh(c_t)` is computed once in forward and kept for
+//! backward.
 
 use crate::init;
 use crate::module::{Mode, Module};
 use crate::param::Param;
-use mini_tensor::gemm::{Gemm, PackedA, PackedB};
+use mini_tensor::gemm::{Gemm, PackedA, PackedB, MR, NR, PAR_FLOPS};
+use mini_tensor::ops;
 use mini_tensor::rng::SeedRng;
 use mini_tensor::Tensor;
 
@@ -24,16 +35,19 @@ pub struct Lstm {
     cache: Option<Cache>,
 }
 
+/// Every buffer is row-major over (b, t), as the input and output are; step
+/// `t` of batch row `b` is row `b·T + t`.
 struct Cache {
     /// Input `[B, T, E]`.
     x: Tensor,
-    /// Per-timestep gate activations, each `[B, 4H]` post-nonlinearity
-    /// in order (i, f, g, o).
-    gates: Vec<Vec<f32>>,
-    /// Hidden states h_0..h_T, each `[B, H]` (h_0 = zeros).
-    hs: Vec<Vec<f32>>,
-    /// Cell states c_0..c_T, each `[B, H]`.
-    cs: Vec<Vec<f32>>,
+    /// Gate activations `[B, T, 4H]`, post-nonlinearity, order (i, f, g, o).
+    gates: Vec<f32>,
+    /// Hidden states h_t `[B, T, H]` (the output); h_{−1} = 0.
+    h: Vec<f32>,
+    /// Cell states c_t `[B, T, H]`; c_{−1} = 0.
+    c: Vec<f32>,
+    /// tanh(c_t) `[B, T, H]`.
+    tc: Vec<f32>,
     b: usize,
     t: usize,
 }
@@ -66,8 +80,23 @@ impl Lstm {
     }
 }
 
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
+/// Packs step `s` of a `[B, T, width]` buffer — its B rows `(b·T + s)` — as
+/// the `[B, width]` A operand of `g`, straight from the buffer.
+fn pack_step(g: &Gemm, pa: &mut PackedA, buf: &[f32], t: usize, s: usize, width: usize) {
+    g.pack_a_with(pa, |p0, i0, rows, panel| {
+        let kc = panel.len() / MR;
+        for i in 0..rows {
+            let row = &buf[((i0 + i) * t + s) * width + p0..][..kc];
+            for (kk, &v) in row.iter().enumerate() {
+                panel[kk * MR + i] = v;
+            }
+        }
+    });
+}
+
+/// Runs a product over all B·T rows, fanning out like [`Gemm::run`].
+fn run_seq(g: &Gemm, pa: &PackedA, pb: &PackedB, c: &mut [f32]) {
+    g.run_packed(pa, pb, c, g.m * g.k * g.n >= PAR_FLOPS);
 }
 
 impl Module for Lstm {
@@ -76,13 +105,11 @@ impl Module for Lstm {
         assert_eq!(d.len(), 3, "Lstm expects [B, T, E]");
         let (b, t, e) = (d[0], d[1], d[2]);
         assert_eq!(e, self.in_dim);
-        let h = self.hidden;
+        let (h, g4, bt) = (self.hidden, 4 * self.hidden, d[0] * d[1]);
 
-        let mut hs = vec![vec![0.0f32; b * h]];
-        let mut cs = vec![vec![0.0f32; b * h]];
-        let mut gates: Vec<Vec<f32>> = Vec::with_capacity(t);
-        let mut out = vec![0.0f32; b * t * h];
-
+        // gates = x·w_ihᵀ over the whole sequence: x is read as stored.
+        let mut gates = vec![0.0f32; bt * g4];
+        Gemm::nt(bt, e, g4).run(x.as_slice(), self.w_ih.data.as_slice(), &mut gates);
         let bias: Vec<f32> = self
             .b_ih
             .data
@@ -92,163 +119,140 @@ impl Module for Lstm {
             .map(|(a, c)| a + c)
             .collect();
 
-        // The gate products are weight-stationary across timesteps: pack
-        // w_ih / w_hh once, repack only the small per-step activations.
-        let g_ih = Gemm::nt(b, e, 4 * h);
-        let g_hh = Gemm::nt(b, h, 4 * h);
-        let p_wih = g_ih.pack_b(self.w_ih.data.as_slice());
+        let mut hs = vec![0.0f32; bt * h];
+        let mut cs = vec![0.0f32; bt * h];
+        let mut tcs = vec![0.0f32; bt * h];
+        let zero = vec![0.0f32; h];
+        // The recurrent product is weight-stationary: w_hh is packed once,
+        // h_{t−1} per step straight from the rows of `hs`.
+        let g_hh = Gemm::nt(b, h, g4);
         let p_whh = g_hh.pack_b(self.w_hh.data.as_slice());
-        let mut pact = PackedA::default();
+        let mut ph = PackedA::default();
+        // h_{−1} = 0, so at t = 0 the product is the zeros `ah` starts as.
+        let mut ah = vec![0.0f32; b * g4];
 
-        for step in 0..t {
-            // x_t [B, E] gathered from the strided input.
-            let mut xt = vec![0.0f32; b * e];
-            for bi in 0..b {
-                let src = (bi * t + step) * e;
-                xt[bi * e..(bi + 1) * e].copy_from_slice(&x.as_slice()[src..src + e]);
+        for s in 0..t {
+            if s > 0 {
+                pack_step(&g_hh, &mut ph, &hs, t, s - 1, h);
+                g_hh.run_packed(&ph, &p_whh, &mut ah, false);
             }
-            // a = x_t·w_ihᵀ + h·w_hhᵀ + b  → [B, 4H]
-            let mut a = vec![0.0f32; b * 4 * h];
-            g_ih.pack_a_into(&xt, &mut pact);
-            g_ih.run_packed(&pact, &p_wih, &mut a, false);
-            let mut ah = vec![0.0f32; b * 4 * h];
-            g_hh.pack_a_into(&hs[step], &mut pact);
-            g_hh.run_packed(&pact, &p_whh, &mut ah, false);
-            for (av, (hv, bv)) in a.iter_mut().zip(ah.iter().zip(bias.iter().cycle())) {
-                *av += hv + bv;
-            }
-            // Nonlinearities in place: i, f use σ; g uses tanh; o uses σ.
-            let mut ct = vec![0.0f32; b * h];
-            let mut ht = vec![0.0f32; b * h];
-            for bi in 0..b {
-                let ga = &mut a[bi * 4 * h..(bi + 1) * 4 * h];
-                for j in 0..h {
-                    let i_g = sigmoid(ga[j]);
-                    let f_g = sigmoid(ga[h + j]);
-                    let g_g = ga[2 * h + j].tanh();
-                    let o_g = sigmoid(ga[3 * h + j]);
-                    ga[j] = i_g;
-                    ga[h + j] = f_g;
-                    ga[2 * h + j] = g_g;
-                    ga[3 * h + j] = o_g;
-                    let c = f_g * cs[step][bi * h + j] + i_g * g_g;
-                    ct[bi * h + j] = c;
-                    ht[bi * h + j] = o_g * c.tanh();
+            for (bi, ahr) in ah.chunks_exact(g4).enumerate() {
+                let r = bi * t + s;
+                // a = x_t·w_ihᵀ + (h_{t−1}·w_hhᵀ + b), then σ on i, f, o and
+                // tanh on g, in place.
+                let a = &mut gates[r * g4..(r + 1) * g4];
+                for (av, (hv, bv)) in a.iter_mut().zip(ahr.iter().zip(&bias)) {
+                    *av += hv + bv;
+                }
+                ops::sigmoid_in_place(&mut a[..2 * h]);
+                ops::tanh_in_place(&mut a[2 * h..3 * h]);
+                ops::sigmoid_in_place(&mut a[3 * h..]);
+                let (i_g, rest) = a.split_at(h);
+                let (f_g, rest) = rest.split_at(h);
+                let (g_g, o_g) = rest.split_at(h);
+
+                let (done, cur) = cs.split_at_mut(r * h);
+                let c_prev = if s > 0 { &done[(r - 1) * h..] } else { &zero[..] };
+                let c = &mut cur[..h];
+                for ((((cv, &cp), &iv), &fv), &gv) in
+                    c.iter_mut().zip(c_prev).zip(i_g).zip(f_g).zip(g_g)
+                {
+                    *cv = fv * cp + iv * gv;
+                }
+                let tc = &mut tcs[r * h..(r + 1) * h];
+                tc.copy_from_slice(c);
+                ops::tanh_in_place(tc);
+                for ((hv, &ov), &tv) in hs[r * h..(r + 1) * h].iter_mut().zip(o_g).zip(&*tc) {
+                    *hv = ov * tv;
                 }
             }
-            for bi in 0..b {
-                let dst = (bi * t + step) * h;
-                out[dst..dst + h].copy_from_slice(&ht[bi * h..(bi + 1) * h]);
-            }
-            gates.push(a);
-            hs.push(ht);
-            cs.push(ct);
         }
 
-        self.cache = Some(Cache { x: x.clone(), gates, hs, cs, b, t });
-        Tensor::from_vec(out, [b, t, h])
+        let out = Tensor::from_vec(hs.clone(), [b, t, h]);
+        self.cache = Some(Cache { x: x.clone(), gates, h: hs, c: cs, tc: tcs, b, t });
+        out
     }
 
     fn backward(&mut self, dout: &Tensor) -> Tensor {
         let cache = self.cache.as_ref().expect("backward before forward");
         let (b, t) = (cache.b, cache.t);
         let (e, h) = (self.in_dim, self.hidden);
+        let (g4, bt) = (4 * h, b * t);
         assert_eq!(dout.shape().dims(), &[b, t, h]);
+        let dout = dout.as_slice();
 
-        let mut dx = vec![0.0f32; b * t * e];
+        // das [B, T, 4H]: the gradient at the gate pre-activations. Only
+        // dh_{t−1} = da_t·w_hh is needed before the next (earlier) step.
+        let mut das = vec![0.0f32; bt * g4];
         let mut dh_next = vec![0.0f32; b * h];
         let mut dc_next = vec![0.0f32; b * h];
-
-        let mut dw_ih = vec![0.0f32; 4 * h * e];
-        let mut dw_hh = vec![0.0f32; 4 * h * h];
-        let mut db = vec![0.0f32; 4 * h];
-
-        // Weight-stationary across the BPTT loop: dx_t and dh_prev both
-        // multiply by a fixed weight matrix, packed once. The da-side packs
-        // reuse one buffer per operand role.
-        let g_dwi = Gemm::tn(4 * h, b, e);
-        let g_dwh = Gemm::tn(4 * h, b, h);
-        let g_dxt = Gemm::nn(b, 4 * h, e);
-        let g_dhp = Gemm::nn(b, 4 * h, h);
-        let p_wih = g_dxt.pack_b(self.w_ih.data.as_slice());
+        let g_dhp = Gemm::nn(b, g4, h);
         let p_whh = g_dhp.pack_b(self.w_hh.data.as_slice());
         let mut pa = PackedA::default();
-        let mut pb = PackedB::default();
 
-        for step in (0..t).rev() {
-            let gate = &cache.gates[step];
-            let c_prev = &cache.cs[step];
-            let c_cur = &cache.cs[step + 1];
-            let h_prev = &cache.hs[step];
-
-            // da [B, 4H] — gradient at pre-activation.
-            let mut da = vec![0.0f32; b * 4 * h];
+        for s in (0..t).rev() {
             for bi in 0..b {
+                let r = bi * t + s;
+                let gate = &cache.gates[r * g4..(r + 1) * g4];
+                let da = &mut das[r * g4..(r + 1) * g4];
                 for j in 0..h {
                     let idx = bi * h + j;
-                    let dh = dout.as_slice()[(bi * t + step) * h + j] + dh_next[idx];
-                    let i_g = gate[bi * 4 * h + j];
-                    let f_g = gate[bi * 4 * h + h + j];
-                    let g_g = gate[bi * 4 * h + 2 * h + j];
-                    let o_g = gate[bi * 4 * h + 3 * h + j];
-                    let tc = c_cur[idx].tanh();
+                    let dh = dout[r * h + j] + dh_next[idx];
+                    let i_g = gate[j];
+                    let f_g = gate[h + j];
+                    let g_g = gate[2 * h + j];
+                    let o_g = gate[3 * h + j];
+                    let tc = cache.tc[r * h + j];
+                    let c_prev = if s > 0 { cache.c[(r - 1) * h + j] } else { 0.0 };
                     let dct = dh * o_g * (1.0 - tc * tc) + dc_next[idx];
 
                     let di = dct * g_g;
-                    let df = dct * c_prev[idx];
+                    let df = dct * c_prev;
                     let dg = dct * i_g;
                     let do_ = dh * tc;
                     dc_next[idx] = dct * f_g;
 
-                    da[bi * 4 * h + j] = di * i_g * (1.0 - i_g);
-                    da[bi * 4 * h + h + j] = df * f_g * (1.0 - f_g);
-                    da[bi * 4 * h + 2 * h + j] = dg * (1.0 - g_g * g_g);
-                    da[bi * 4 * h + 3 * h + j] = do_ * o_g * (1.0 - o_g);
+                    da[j] = di * i_g * (1.0 - i_g);
+                    da[h + j] = df * f_g * (1.0 - f_g);
+                    da[2 * h + j] = dg * (1.0 - g_g * g_g);
+                    da[3 * h + j] = do_ * o_g * (1.0 - o_g);
                 }
             }
+            if s > 0 {
+                pack_step(&g_dhp, &mut pa, &das, t, s, g4);
+                g_dhp.run_packed(&pa, &p_whh, &mut dh_next, false);
+            }
+        }
 
-            // Gather x_t.
-            let mut xt = vec![0.0f32; b * e];
-            for bi in 0..b {
-                let src = (bi * t + step) * e;
-                xt[bi * e..(bi + 1) * e].copy_from_slice(&cache.x.as_slice()[src..src + e]);
-            }
+        // Everything else reads das whole. dx [B·T, E] = das · w_ih.
+        let mut dx = vec![0.0f32; bt * e];
+        Gemm::nn(bt, g4, e).run(&das, self.w_ih.data.as_slice(), &mut dx);
 
-            // dW_ih [4H, E] += daᵀ[4H, B] · x_t[B, E]
-            let mut dwi = vec![0.0f32; 4 * h * e];
-            g_dwi.pack_a_into(&da, &mut pa);
-            g_dwi.pack_b_into(&xt, &mut pb);
-            g_dwi.run_packed(&pa, &pb, &mut dwi, false);
-            for (a, v) in dw_ih.iter_mut().zip(&dwi) {
-                *a += v;
-            }
-            // dW_hh [4H, H] += daᵀ · h_prev
-            let mut dwh = vec![0.0f32; 4 * h * h];
-            g_dwh.pack_a_into(&da, &mut pa);
-            g_dwh.pack_b_into(h_prev, &mut pb);
-            g_dwh.run_packed(&pa, &pb, &mut dwh, false);
-            for (a, v) in dw_hh.iter_mut().zip(&dwh) {
-                *a += v;
-            }
-            // db += Σ_B da
-            for bi in 0..b {
-                for j in 0..4 * h {
-                    db[j] += da[bi * 4 * h + j];
+        // dW_ih [4H, E] = dasᵀ · x and dW_hh [4H, H] = dasᵀ · h_prev, one daᵀ
+        // pack for both; h_prev is h shifted one step (h_{−1} = 0), packed
+        // straight from the cached h.
+        let g_dwi = Gemm::tn(g4, bt, e);
+        let g_dwh = Gemm::tn(g4, bt, h);
+        let p_das = g_dwi.pack_a(&das);
+        let mut dw_ih = vec![0.0f32; g4 * e];
+        run_seq(&g_dwi, &p_das, &g_dwi.pack_b(cache.x.as_slice()), &mut dw_ih);
+        let mut p_hprev = PackedB::default();
+        g_dwh.pack_b_with(&mut p_hprev, |p0, j0, cols, panel| {
+            for (kk, dst) in panel.chunks_exact_mut(NR).enumerate() {
+                let r = p0 + kk;
+                if r % t > 0 {
+                    dst[..cols].copy_from_slice(&cache.h[(r - 1) * h + j0..][..cols]);
                 }
             }
-            // dx_t [B, E] = da[B, 4H] · w_ih[4H, E]
-            let mut dxt = vec![0.0f32; b * e];
-            g_dxt.pack_a_into(&da, &mut pa);
-            g_dxt.run_packed(&pa, &p_wih, &mut dxt, false);
-            for bi in 0..b {
-                let dst = (bi * t + step) * e;
-                dx[dst..dst + e].copy_from_slice(&dxt[bi * e..(bi + 1) * e]);
+        });
+        let mut dw_hh = vec![0.0f32; g4 * h];
+        run_seq(&g_dwh, &p_das, &p_hprev, &mut dw_hh);
+        // db = Σ over (b, t) of das.
+        let mut db = vec![0.0f32; g4];
+        for row in das.chunks_exact(g4) {
+            for (a, v) in db.iter_mut().zip(row) {
+                *a += v;
             }
-            // dh_prev [B, H] = da · w_hh[4H, H] — same packed da as dx_t
-            // (both products read da untransposed at [B, 4H]).
-            let mut dhp = vec![0.0f32; b * h];
-            g_dhp.run_packed(&pa, &p_whh, &mut dhp, false);
-            dh_next = dhp;
         }
 
         for (g, v) in self.w_ih.grad.as_mut_slice().iter_mut().zip(&dw_ih) {
@@ -284,6 +288,183 @@ impl Module for Lstm {
 mod tests {
     use super::*;
     use crate::gradcheck;
+
+    fn sigmoid(x: f32) -> f32 {
+        let mut v = [x];
+        ops::sigmoid_in_place(&mut v);
+        v[0]
+    }
+
+    fn tanh(x: f32) -> f32 {
+        let mut v = [x];
+        ops::tanh_in_place(&mut v);
+        v[0]
+    }
+
+    /// What the per-step layout computes: outputs, h_1..h_T and c_1..c_T
+    /// (each `[B, H]` per step), dx and the three weight gradients.
+    struct Oracle {
+        out: Vec<f32>,
+        hs: Vec<Vec<f32>>,
+        cs: Vec<Vec<f32>>,
+        dx: Vec<f32>,
+        dw_ih: Vec<f32>,
+        dw_hh: Vec<f32>,
+        db: Vec<f32>,
+    }
+
+    /// The per-timestep layout the layer used to run — a gathered `x_t`,
+    /// both gate products, every weight-gradient product and `dx_t` inside
+    /// the step loop, `tanh(c)` recomputed in backward — with the gate
+    /// nonlinearities through the same kernels.
+    fn per_step_oracle(l: &Lstm, x: &Tensor, dout: &Tensor) -> Oracle {
+        let (b, t, e) = (x.shape().dim(0), x.shape().dim(1), x.shape().dim(2));
+        let h = l.hidden;
+        let mut hs = vec![vec![0.0f32; b * h]];
+        let mut cs = vec![vec![0.0f32; b * h]];
+        let mut gates: Vec<Vec<f32>> = Vec::new();
+        let mut out = vec![0.0f32; b * t * h];
+        let bias: Vec<f32> =
+            l.b_ih.data.as_slice().iter().zip(l.b_hh.data.as_slice()).map(|(a, c)| a + c).collect();
+        let g_ih = Gemm::nt(b, e, 4 * h);
+        let g_hh = Gemm::nt(b, h, 4 * h);
+        let xt_of = |src: &[f32], step: usize| -> Vec<f32> {
+            let mut xt = vec![0.0f32; b * e];
+            for bi in 0..b {
+                xt[bi * e..(bi + 1) * e].copy_from_slice(&src[(bi * t + step) * e..][..e]);
+            }
+            xt
+        };
+        for step in 0..t {
+            let mut a = vec![0.0f32; b * 4 * h];
+            g_ih.run(&xt_of(x.as_slice(), step), l.w_ih.data.as_slice(), &mut a);
+            let mut ah = vec![0.0f32; b * 4 * h];
+            g_hh.run(&hs[step], l.w_hh.data.as_slice(), &mut ah);
+            for (av, (hv, bv)) in a.iter_mut().zip(ah.iter().zip(bias.iter().cycle())) {
+                *av += hv + bv;
+            }
+            let mut ct = vec![0.0f32; b * h];
+            let mut ht = vec![0.0f32; b * h];
+            for bi in 0..b {
+                let ga = &mut a[bi * 4 * h..(bi + 1) * 4 * h];
+                for j in 0..h {
+                    let (i_g, f_g) = (sigmoid(ga[j]), sigmoid(ga[h + j]));
+                    let (g_g, o_g) = (tanh(ga[2 * h + j]), sigmoid(ga[3 * h + j]));
+                    (ga[j], ga[h + j], ga[2 * h + j], ga[3 * h + j]) = (i_g, f_g, g_g, o_g);
+                    let c = f_g * cs[step][bi * h + j] + i_g * g_g;
+                    ct[bi * h + j] = c;
+                    ht[bi * h + j] = o_g * tanh(c);
+                }
+                out[(bi * t + step) * h..][..h].copy_from_slice(&ht[bi * h..(bi + 1) * h]);
+            }
+            gates.push(a);
+            hs.push(ht);
+            cs.push(ct);
+        }
+
+        let mut dx = vec![0.0f32; b * t * e];
+        let mut dh_next = vec![0.0f32; b * h];
+        let mut dc_next = vec![0.0f32; b * h];
+        let mut dw_ih = vec![0.0f32; 4 * h * e];
+        let mut dw_hh = vec![0.0f32; 4 * h * h];
+        let mut db = vec![0.0f32; 4 * h];
+        for step in (0..t).rev() {
+            let gate = &gates[step];
+            let mut da = vec![0.0f32; b * 4 * h];
+            for bi in 0..b {
+                for j in 0..h {
+                    let idx = bi * h + j;
+                    let dh = dout.as_slice()[(bi * t + step) * h + j] + dh_next[idx];
+                    let g = |k: usize| gate[bi * 4 * h + k * h + j];
+                    let (i_g, f_g, g_g, o_g) = (g(0), g(1), g(2), g(3));
+                    let tc = tanh(cs[step + 1][idx]);
+                    let dct = dh * o_g * (1.0 - tc * tc) + dc_next[idx];
+                    dc_next[idx] = dct * f_g;
+                    da[bi * 4 * h + j] = dct * g_g * i_g * (1.0 - i_g);
+                    da[bi * 4 * h + h + j] = dct * cs[step][idx] * f_g * (1.0 - f_g);
+                    da[bi * 4 * h + 2 * h + j] = dct * i_g * (1.0 - g_g * g_g);
+                    da[bi * 4 * h + 3 * h + j] = dh * tc * o_g * (1.0 - o_g);
+                }
+            }
+            let mut dwi = vec![0.0f32; 4 * h * e];
+            Gemm::tn(4 * h, b, e).run(&da, &xt_of(x.as_slice(), step), &mut dwi);
+            let mut dwh = vec![0.0f32; 4 * h * h];
+            Gemm::tn(4 * h, b, h).run(&da, &hs[step], &mut dwh);
+            for (acc, v) in dw_ih.iter_mut().zip(&dwi).chain(dw_hh.iter_mut().zip(&dwh)) {
+                *acc += v;
+            }
+            for row in da.chunks_exact(4 * h) {
+                for (acc, v) in db.iter_mut().zip(row) {
+                    *acc += v;
+                }
+            }
+            let mut dxt = vec![0.0f32; b * e];
+            Gemm::nn(b, 4 * h, e).run(&da, l.w_ih.data.as_slice(), &mut dxt);
+            for bi in 0..b {
+                dx[(bi * t + step) * e..][..e].copy_from_slice(&dxt[bi * e..(bi + 1) * e]);
+            }
+            Gemm::nn(b, 4 * h, h).run(&da, l.w_hh.data.as_slice(), &mut dh_next);
+        }
+        hs.remove(0);
+        cs.remove(0);
+        Oracle { out, hs, cs, dx, dw_ih, dw_hh, db }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// |got − want| ≤ 1e-5 · max |want| element by element.
+    fn assert_close(got: &[f32], want: &[f32], what: &str) {
+        let scale = want.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!((g - w).abs() <= 1e-5 * scale, "{what}[{i}]: {g} vs {w} (scale {scale})");
+        }
+    }
+
+    #[test]
+    fn sequence_layout_matches_the_per_step_oracle() {
+        for (e, h) in [(32, 48), (7, 5)] {
+            for b in [1, 3, 16] {
+                for t in [1, 5, 16] {
+                    let mut rng = SeedRng::new((100 * b + t + e) as u64);
+                    let mut l = Lstm::new("lstm", e, h, &mut rng);
+                    for p in [&mut l.b_ih, &mut l.b_hh] {
+                        p.data = rng.randn_tensor(&[4 * h], 0.5);
+                    }
+                    let x = rng.randn_tensor(&[b, t, e], 1.0);
+                    let dout = rng.randn_tensor(&[b, t, h], 1.0);
+                    let want = per_step_oracle(&l, &x, &dout);
+                    for width in [1, 2, 4, 8] {
+                        let pool =
+                            rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
+                        let at = format!("e {e} h {h} b {b} t {t} width {width}");
+                        let (y, dx) = pool.install(|| {
+                            l.visit_params(&mut |p| p.grad.as_mut_slice().fill(0.0));
+                            let y = l.forward(&x, Mode::Train);
+                            (y, l.backward(&dout))
+                        });
+                        assert_eq!(bits(y.as_slice()), bits(&want.out), "output, {at}");
+                        let cache = l.cache.as_ref().unwrap();
+                        for s in 0..t {
+                            for bi in 0..b {
+                                let r = (bi * t + s) * h;
+                                let o = bi * h;
+                                let (hr, cr) = (&cache.h[r..r + h], &cache.c[r..r + h]);
+                                assert_eq!(bits(hr), bits(&want.hs[s][o..o + h]), "h, {at}");
+                                assert_eq!(bits(cr), bits(&want.cs[s][o..o + h]), "c, {at}");
+                            }
+                        }
+                        assert_eq!(bits(dx.as_slice()), bits(&want.dx), "dx, {at}");
+                        assert_close(l.w_ih.grad.as_slice(), &want.dw_ih, &format!("dW_ih, {at}"));
+                        assert_close(l.w_hh.grad.as_slice(), &want.dw_hh, &format!("dW_hh, {at}"));
+                        assert_close(l.b_ih.grad.as_slice(), &want.db, &format!("db_ih, {at}"));
+                        assert_close(l.b_hh.grad.as_slice(), &want.db, &format!("db_hh, {at}"));
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn output_shape_and_param_count() {

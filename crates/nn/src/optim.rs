@@ -47,18 +47,19 @@ impl Sgd {
             }
             let v = &mut velocity[idx];
             assert_eq!(v.len(), p.numel(), "parameter set changed between steps");
+            assert_eq!(p.grad.numel(), p.numel(), "{}: gradient length vs parameter", p.name);
             let w = p.data.as_mut_slice();
             let g = p.grad.as_slice();
             if momentum == 0.0 {
-                for i in 0..w.len() {
-                    let grad = g[i] + wd * w[i];
-                    w[i] -= lr * grad;
+                for (wi, &gi) in w.iter_mut().zip(g) {
+                    let grad = gi + wd * *wi;
+                    *wi -= lr * grad;
                 }
             } else {
-                for i in 0..w.len() {
-                    let grad = g[i] + wd * w[i];
-                    v[i] = momentum * v[i] + grad;
-                    w[i] -= lr * v[i];
+                for ((wi, vi), &gi) in w.iter_mut().zip(v.iter_mut()).zip(g) {
+                    let grad = gi + wd * *wi;
+                    *vi = momentum * *vi + grad;
+                    *wi -= lr * *vi;
                 }
             }
             idx += 1;
@@ -103,6 +104,8 @@ impl Lars {
                 velocity.push(vec![0.0f32; p.numel()]);
             }
             let v = &mut velocity[idx];
+            assert_eq!(v.len(), p.numel(), "parameter set changed between steps");
+            assert_eq!(p.grad.numel(), p.numel(), "{}: gradient length vs parameter", p.name);
             let w_norm = ops::norm2(p.data.as_slice()) as f32;
             let g_norm = ops::norm2(p.grad.as_slice()) as f32;
             // Local rate: η‖w‖ / (‖g‖ + wd‖w‖); falls back to 1 for fresh
@@ -114,10 +117,10 @@ impl Lars {
             };
             let w = p.data.as_mut_slice();
             let g = p.grad.as_slice();
-            for i in 0..w.len() {
-                let grad = local * (g[i] + wd * w[i]);
-                v[i] = momentum * v[i] + grad;
-                w[i] -= lr * v[i];
+            for ((wi, vi), &gi) in w.iter_mut().zip(v.iter_mut()).zip(g) {
+                let grad = local * (gi + wd * *wi);
+                *vi = momentum * *vi + grad;
+                *wi -= lr * *vi;
             }
             idx += 1;
         });
@@ -201,6 +204,30 @@ mod tests {
             &v.clone()
         });
         assert!(after < before, "{after} !< {before}");
+    }
+
+    /// A `Linear` whose weight gradient is one element longer than the
+    /// weight: the zipped update would stop short of it silently.
+    fn linear_with_a_long_gradient() -> Linear {
+        let mut m = Linear::new("fc", 2, 2, &mut SeedRng::new(104));
+        m.visit_params(&mut |p| {
+            if p.name == "fc.weight" {
+                p.grad = Tensor::zeros([p.numel() + 1]);
+            }
+        });
+        m
+    }
+
+    #[test]
+    #[should_panic(expected = "fc.weight: gradient length vs parameter")]
+    fn sgd_rejects_a_mis_sized_gradient() {
+        Sgd::new(0.9, 0.0).step(&mut linear_with_a_long_gradient(), 0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "fc.weight: gradient length vs parameter")]
+    fn lars_rejects_a_mis_sized_gradient() {
+        Lars::new(0.9, 0.0, 1e-2).step(&mut linear_with_a_long_gradient(), 0.1);
     }
 
     #[test]
