@@ -2,7 +2,7 @@
 //! every transport send and collective carries an `a2sgd_trace::enabled()`
 //! check plus a `now_ns()` that must short-circuit to 0, so the disabled
 //! cost is paid by every untraced training run. The enabled path is
-//! benchmarked alongside for scale (it buys a ring-buffer write).
+//! benchmarked alongside for scale (it buys a push into a capped buffer).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -24,8 +24,8 @@ fn bench_trace(c: &mut Criterion) {
         })
     });
 
-    // The shapes hot paths emit: a closed span per transport frame and a
-    // counter bump — all no-ops while disabled.
+    // The shape hot paths emit: a closed span per transport frame — a
+    // no-op while disabled.
     group.bench_with_input(BenchmarkId::new("disabled", "closed_span"), &(), |b, _| {
         b.iter(|| {
             for i in 0..BATCH {
@@ -38,16 +38,10 @@ fn bench_trace(c: &mut Criterion) {
             }
         })
     });
-    group.bench_with_input(BenchmarkId::new("disabled", "counter_add"), &(), |b, _| {
-        b.iter(|| {
-            for _ in 0..BATCH {
-                a2sgd_trace::metrics::counter_add("bench", 1);
-            }
-        })
-    });
 
-    // Enabled path, for scale: real timestamps + ring-buffer writes. The
-    // ring wraps rather than grows, so a long benchmark run stays bounded.
+    // Enabled path, for scale: real timestamps + buffer pushes. The buffer
+    // is capped: once full, new events are dropped and counted, so a long
+    // benchmark run stays bounded.
     let dir = std::env::temp_dir().join(format!("a2sgd_bench_trace_{}", std::process::id()));
     let _ = std::fs::create_dir_all(&dir);
     a2sgd_trace::enable(&dir);

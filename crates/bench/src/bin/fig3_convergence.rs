@@ -34,7 +34,7 @@
 use a2sgd::experiments::scaled_convergence_config;
 use a2sgd::registry::AlgoKind;
 use a2sgd::report::Table;
-use a2sgd::trainer::{train, Topology, TrainReport};
+use a2sgd::trainer::{train, Topology, TrainConfig, TrainReport};
 use a2sgd::SchedKind;
 use a2sgd_bench::{results_dir, Args};
 use cluster_comm::{run_multiprocess, CommBackend};
@@ -162,27 +162,11 @@ fn from_report(rep: &TrainReport) -> ComboOut {
     decode_report(&encode_report(rep))
 }
 
-/// Runs one (model, algo, topology) combination on the selected backend
-/// and returns rank 0's report slice. The TCP path spawns `workers` child
-/// processes of this binary (each re-enters `main`, parses the same combo
-/// from its argv, and lands in the `run_multiprocess` child branch here).
-#[allow(clippy::too_many_arguments)]
-fn run_combo(
-    model: ModelKind,
-    algo: AlgoKind,
-    topology: Topology,
-    schedule: SchedKind,
-    workers: usize,
-    tcp: bool,
-    overlap: bool,
-    bucket_bytes: Option<usize>,
-    trace_dir: Option<&std::path::Path>,
-) -> ComboOut {
-    let mut cfg = scaled_convergence_config(model, algo, workers, 17);
-    cfg.topology = topology;
-    cfg.schedule = schedule;
-    cfg.overlap_backward = overlap;
-    cfg.bucket_bytes = bucket_bytes;
+/// Runs one configured combination on the selected backend and returns
+/// rank 0's report slice. The TCP path spawns `cfg.workers` child processes
+/// of this binary (each re-enters `main`, parses the same combo from its
+/// argv, and lands in the `run_multiprocess` child branch here).
+fn run_combo(mut cfg: TrainConfig, tcp: bool, trace_dir: Option<&std::path::Path>) -> ComboOut {
     if let Some(dir) = trace_dir {
         // Stale trace-*.jsonl files from a previous run would merge into
         // this run's timeline and double every audit sum.
@@ -198,32 +182,33 @@ fn run_combo(
     if let Some(dir) = trace_dir {
         std::env::set_var("A2SGD_TRACE", dir);
     }
+    let workers = cfg.workers;
     let w = workers.to_string();
     let bb;
     let mut child_args = vec![
         "--backend",
         "tcp",
         "--model",
-        model_cli_name(model),
+        model_cli_name(cfg.model),
         "--algo",
-        algo.name(),
+        cfg.algo.name(),
         "--workers",
         &w,
     ];
     let gs;
-    if let Topology::Hier { group_size } = topology {
+    if let Topology::Hier { group_size } = cfg.topology {
         gs = group_size.to_string();
         child_args.extend_from_slice(&["--group-size", &gs]);
     }
     let sl;
-    if !schedule.is_every_step() {
-        sl = schedule.label();
+    if !cfg.schedule.is_every_step() {
+        sl = cfg.schedule.label();
         child_args.extend_from_slice(&["--schedule", &sl]);
     }
-    if overlap {
+    if cfg.overlap_backward {
         child_args.push("--overlap");
     }
-    if let Some(cap) = bucket_bytes {
+    if let Some(cap) = cfg.bucket_bytes {
         bb = cap.to_string();
         child_args.extend_from_slice(&["--bucket-bytes", &bb]);
     }
@@ -232,18 +217,6 @@ fn run_combo(
         std::env::remove_var("A2SGD_TRACE");
     }
     decode_report(&outs[0])
-}
-
-fn combo_label(algo: AlgoKind, topology: Topology, schedule: SchedKind) -> String {
-    let inner = match topology {
-        Topology::Flat => algo.name().to_string(),
-        Topology::Hier { .. } => format!("hier(dense, {})", algo.name()),
-    };
-    if schedule.is_every_step() {
-        inner
-    } else {
-        format!("sched({}, {inner})", schedule.label())
-    }
 }
 
 fn main() {
@@ -301,7 +274,12 @@ fn main() {
         let mut curves: Vec<(String, ComboOut)> = Vec::new();
         for (algo, topology) in sweep {
             for &schedule in &schedules {
-                let label = combo_label(algo, topology, schedule);
+                let mut cfg = scaled_convergence_config(model, algo, workers, 17);
+                cfg.topology = topology;
+                cfg.schedule = schedule;
+                cfg.overlap_backward = overlap;
+                cfg.bucket_bytes = bucket_bytes;
+                let label = cfg.algo_label();
                 // One trace directory per (model, combo): merged separately, so
                 // each timeline is one coherent run.
                 let combo_trace = trace_root.as_ref().map(|root| {
@@ -311,17 +289,7 @@ fn main() {
                         .collect();
                     root.join(format!("{}_{slug}", model_cli_name(model)))
                 });
-                let out = run_combo(
-                    model,
-                    algo,
-                    topology,
-                    schedule,
-                    workers,
-                    tcp,
-                    overlap,
-                    bucket_bytes,
-                    combo_trace.as_deref(),
-                );
+                let out = run_combo(cfg, tcp, combo_trace.as_deref());
                 eprintln!(
                     "  {label} final {metric_name} = {:.2} (effective {} bits/step/worker \
                  [intra {} | inter {}], {} syncs / {} iters, measured {} B \

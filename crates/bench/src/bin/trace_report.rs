@@ -2,255 +2,33 @@
 //!
 //! Run: `trace_report --dir <trace-dir> [--out merged.json] [--recovery]`
 //!
-//! Loads every `trace-*.jsonl` file written by a traced training run,
-//! aligns per-process clocks, validates the merged Chrome trace-event
-//! JSON, and then recomputes from span algebra the numbers the runtime
-//! reported about itself through `audit/*` instants:
-//!
-//! - **Per-plane wire bytes and message counts** — every `send/*` span is
-//!   billed to the communicator whose tag space its wire tag carries
-//!   ([`cluster_comm::tag_space`]); per plane (world/intra/inter, from the
-//!   `plane_map` instants) the sums must equal the corresponding
-//!   `TrafficStats` exactly.
-//! - **Overlap seconds** — the summed `bucket/inflight` async spans must
-//!   match `SyncStats::overlap_seconds` within max(2 ms, 5 %): both
-//!   measure the same launch→drain window with different clocks.
-//! - **Flow pairing** — every transport flow id emitted at a send must be
-//!   consumed by exactly as many receive-side flow events.
-//! - **Overlap claim** — when the run declared `audit/overlap_enabled`,
-//!   at least one in-flight exchange interval must intersect a
-//!   `phase/backward` span on the same rank: the timeline itself must
-//!   show communication under the backward pass.
-//!
-//! With `--recovery` the auditor additionally validates an **elastic
-//! recovery timeline** (`a2sgd-elastic` soak runs): some rank recorded a
-//! death (`elastic/killed` by the casualty, `elastic/peer_dead` by its
-//! detectors), every surviving rank ran an `elastic/rerendezvous` span
-//! that *began after* the first recorded death, and each such rank
-//! reached an `elastic/first_sync` instant after its re-rendezvous ended
-//! — i.e. the trace itself proves died → re-formed → resumed, in order.
-//! Recovery runs legitimately strand transport flows at the dead rank, so
-//! in this mode flow imbalance is reported as a warning, not a failure.
-//!
-//! Prints one table per rank plus the merged metrics registry; exits 1 if
-//! any audit fails, so CI can gate on it.
+//! Loads every per-process trace file written by a traced training run
+//! (`a2sgd_trace::load_dir` aligns their clocks), validates the merged
+//! Chrome trace-event JSON and writes it to `--out`, then prints what
+//! `a2sgd_trace::audit` recomputed from span algebra: per-plane wire bytes
+//! and messages against `TrafficStats`, overlap seconds and the overlap
+//! claim, the sched ledger, flow pairing and — with `--recovery`, for
+//! `a2sgd-elastic` soak runs — the elastic death → re-rendezvous → first
+//! sync timeline. Exits 1 if any check fails, so CI can gate on it.
 
 use a2sgd_bench::Args as Cli;
-use a2sgd_trace::{merge, Args, Ph, ThreadTrace, TraceData};
 use cluster_comm::tag_space;
-use std::collections::HashMap;
-
-/// Everything the auditor extracts from one rank's event stream.
-#[derive(Default)]
-struct RankView {
-    /// Audit instants: name → value.
-    audits: HashMap<&'static str, f64>,
-    /// Tag space → plane label, from `plane_map` instants.
-    planes: HashMap<u64, &'static str>,
-    /// Tag space → (wire bytes, messages) summed over `send/*` spans.
-    sends: HashMap<u64, (u64, u64)>,
-    /// `bucket/inflight` intervals, ns.
-    inflight: Vec<(u64, u64)>,
-    /// `phase/backward` intervals, ns.
-    backward: Vec<(u64, u64)>,
-    /// `elastic/killed` instants, ns (the scripted casualty's own record).
-    killed: Vec<u64>,
-    /// `elastic/peer_dead` instants, ns (survivor-side detections).
-    peer_dead: Vec<u64>,
-    /// `elastic/rerendezvous` spans (census + reconnect), ns.
-    rerendezvous: Vec<(u64, u64)>,
-    /// `elastic/first_sync` instants, ns (first post-recovery collective).
-    first_sync: Vec<u64>,
-    /// `sched/local` instants — steps a sync schedule skipped the wire on.
-    sched_local: u64,
-    /// `sched/sync` instants — scheduled steps that ran the synchronizer.
-    sched_sync: u64,
-}
-
-fn scan_thread(t: &ThreadTrace, view: &mut RankView) {
-    // B/E spans pair as a stack per thread; async begin/ends pair FIFO
-    // per (name, id).
-    let mut stack: Vec<(&'static str, u64)> = Vec::new();
-    let mut open_async: HashMap<(&'static str, u64), Vec<u64>> = HashMap::new();
-    for ev in &t.events {
-        match ev.ph {
-            Ph::SpanBegin => {
-                stack.push((ev.name, ev.t_ns));
-                if ev.name.starts_with("send/") {
-                    if let Args::Wire { tag, bytes, .. } = ev.args {
-                        if let Some(space) = tag_space(tag) {
-                            let e = view.sends.entry(space).or_insert((0, 0));
-                            e.0 += bytes;
-                            e.1 += 1;
-                        }
-                    }
-                }
-            }
-            Ph::SpanEnd => {
-                if let Some((name, t0)) = stack.pop() {
-                    match name {
-                        "phase/backward" => view.backward.push((t0, ev.t_ns)),
-                        "elastic/rerendezvous" => view.rerendezvous.push((t0, ev.t_ns)),
-                        _ => {}
-                    }
-                }
-            }
-            Ph::Instant => match ev.args {
-                Args::Value(_) if ev.name.starts_with("elastic/") => match ev.name {
-                    "elastic/killed" => view.killed.push(ev.t_ns),
-                    "elastic/peer_dead" => view.peer_dead.push(ev.t_ns),
-                    "elastic/first_sync" => view.first_sync.push(ev.t_ns),
-                    _ => {}
-                },
-                Args::Value(v) if ev.name.starts_with("audit/") => {
-                    view.audits.insert(ev.name, v);
-                }
-                Args::Plane { space, plane } => {
-                    view.planes.insert(space, plane);
-                }
-                _ => match ev.name {
-                    "sched/local" => view.sched_local += 1,
-                    "sched/sync" => view.sched_sync += 1,
-                    _ => {}
-                },
-            },
-            Ph::AsyncBegin => {
-                open_async.entry((ev.name, ev.id)).or_default().push(ev.t_ns);
-            }
-            Ph::AsyncEnd => {
-                if ev.name == "bucket/inflight" {
-                    if let Some(t0) = open_async
-                        .get_mut(&(ev.name, ev.id))
-                        .and_then(|q| (!q.is_empty()).then(|| q.remove(0)))
-                    {
-                        view.inflight.push((t0, ev.t_ns));
-                    }
-                }
-            }
-            Ph::FlowOut | Ph::FlowIn | Ph::Counter => {}
-        }
-    }
-}
-
-fn rank_views(data: &TraceData) -> Vec<(usize, RankView)> {
-    let mut by_rank: HashMap<usize, RankView> = HashMap::new();
-    for t in &data.threads {
-        if let Some(r) = t.rank {
-            scan_thread(t, by_rank.entry(r).or_default());
-        }
-    }
-    let mut out: Vec<_> = by_rank.into_iter().collect();
-    out.sort_by_key(|(r, _)| *r);
-    out
-}
-
-/// Unmatched flow ids: (send-side only, recv-side only).
-fn flow_imbalance(data: &TraceData) -> (usize, usize) {
-    let mut balance: HashMap<u64, i64> = HashMap::new();
-    for t in &data.threads {
-        for ev in &t.events {
-            match ev.ph {
-                Ph::FlowOut => *balance.entry(ev.id).or_default() += 1,
-                Ph::FlowIn => *balance.entry(ev.id).or_default() -= 1,
-                _ => {}
-            }
-        }
-    }
-    let extra_sends = balance.values().filter(|v| **v > 0).map(|v| *v as usize).sum();
-    let extra_recvs = balance.values().filter(|v| **v < 0).map(|v| -*v as usize).sum();
-    (extra_sends, extra_recvs)
-}
-
-fn intersects(a: &[(u64, u64)], b: &[(u64, u64)]) -> bool {
-    a.iter().any(|&(a0, a1)| b.iter().any(|&(b0, b1)| a0 < b1 && b0 < a1))
-}
-
-/// Validates the elastic recovery timeline: a recorded death, then — on
-/// every rank that re-rendezvoused — detection before the re-rendezvous
-/// span and a first post-recovery sync after it. Prints the timeline
-/// relative to the earliest recorded death.
-fn audit_recovery(views: &[(usize, RankView)], failures: &mut Vec<String>) {
-    println!("recovery timeline:");
-    let first_death =
-        views.iter().flat_map(|(_, v)| v.killed.iter().chain(&v.peer_dead)).copied().min();
-    let Some(first_death) = first_death else {
-        failures.push(
-            "recovery: no elastic/killed or elastic/peer_dead instant anywhere in the trace".into(),
-        );
-        return;
-    };
-    let ms = |t: u64| t.saturating_sub(first_death) as f64 / 1e6;
-    let mut recovered = 0usize;
-    for (rank, v) in views {
-        for &t in &v.killed {
-            println!("  rank {rank}: killed           +{:9.3} ms", ms(t));
-        }
-        let Some(&(rdv0, rdv1)) = v.rerendezvous.iter().min_by_key(|s| s.0) else {
-            // A rank that saw a peer die but never re-formed the world
-            // hung or bailed — unless it was itself the casualty.
-            if v.killed.is_empty() && !v.peer_dead.is_empty() {
-                failures.push(format!(
-                    "recovery: rank {rank} detected a dead peer but never re-rendezvoused"
-                ));
-            }
-            continue;
-        };
-        recovered += 1;
-        let detect = v.peer_dead.iter().copied().min();
-        if let Some(d) = detect {
-            println!("  rank {rank}: peer death seen  +{:9.3} ms", ms(d));
-        } else {
-            failures.push(format!(
-                "recovery: rank {rank} re-rendezvoused without an elastic/peer_dead instant"
-            ));
-        }
-        println!(
-            "  rank {rank}: re-rendezvous    +{:9.3} ms → +{:9.3} ms  ({:.3} ms)",
-            ms(rdv0),
-            ms(rdv1),
-            rdv1.saturating_sub(rdv0) as f64 / 1e6
-        );
-        if detect.is_some_and(|d| d > rdv0) {
-            failures.push(format!(
-                "recovery: rank {rank} re-rendezvous began before its peer-death detection"
-            ));
-        }
-        match v.first_sync.iter().copied().find(|&t| t >= rdv1) {
-            Some(t) => println!("  rank {rank}: first sync       +{:9.3} ms", ms(t)),
-            None => failures.push(format!(
-                "recovery: rank {rank} has no elastic/first_sync after its re-rendezvous — \
-                 the world re-formed but never completed a collective"
-            )),
-        }
-    }
-    if recovered == 0 {
-        failures.push("recovery: a death was recorded but no rank re-rendezvoused".into());
-    } else {
-        println!("  {recovered} rank(s) re-formed the world");
-    }
-}
 
 fn main() {
     let cli = Cli::parse();
-    let recovery = cli.has("recovery");
     let Some(dir) = cli.get("dir") else {
         eprintln!("usage: trace_report --dir <trace-dir> [--out merged.json] [--recovery]");
         std::process::exit(2);
     };
-    let dir = std::path::PathBuf::from(dir);
-
-    let data = match a2sgd_trace::load_dir(&dir) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("trace_report: {e}");
-            std::process::exit(2);
-        }
-    };
-    let chrome = merge::chrome_trace_json(&data);
-    let mut failures: Vec<String> = Vec::new();
+    let data = a2sgd_trace::load_dir(std::path::Path::new(dir)).unwrap_or_else(|e| {
+        eprintln!("trace_report: {e}");
+        std::process::exit(2);
+    });
+    let chrome = a2sgd_trace::chrome_trace_json(&data);
+    let mut report = a2sgd_trace::audit(&data, tag_space, cli.has("recovery"));
 
     if let Err(e) = a2sgd_trace::json::validate(&chrome) {
-        failures.push(format!("merged Chrome trace is not valid JSON: {e}"));
+        report.failures.push(format!("merged Chrome trace is not valid JSON: {e}"));
     }
     if let Some(out) = cli.get("out") {
         if let Some(parent) = std::path::Path::new(out).parent() {
@@ -262,167 +40,15 @@ fn main() {
         });
         println!("merged Chrome trace: {out} ({} bytes)", chrome.len());
     }
-    if data.dropped > 0 {
-        println!(
-            "warning: {} events dropped to ring-buffer overflow — audits below may misreport",
-            data.dropped
-        );
+    for line in &report.lines {
+        println!("{line}");
     }
 
-    let events: usize = data.threads.iter().map(|t| t.events.len()).sum();
-    println!(
-        "loaded {} thread streams, {events} events, {} metrics\n",
-        data.threads.len(),
-        data.metrics.len()
-    );
-
-    let views = rank_views(&data);
-    for (rank, view) in &views {
-        println!("rank {rank}:");
-        // Wire-byte / message audit, per plane the runtime declared.
-        for plane in ["world", "intra", "inter"] {
-            let (wire_key, msg_key) = match plane {
-                "world" => ("audit/wire_bytes/world", "audit/messages/world"),
-                "intra" => ("audit/wire_bytes/intra", "audit/messages/intra"),
-                _ => ("audit/wire_bytes/inter", "audit/messages/inter"),
-            };
-            let Some(&want_bytes) = view.audits.get(wire_key) else {
-                continue;
-            };
-            let want_msgs = view.audits.get(msg_key).copied().unwrap_or(0.0) as u64;
-            let (got_bytes, got_msgs) = view
-                .planes
-                .iter()
-                .filter(|(_, p)| **p == plane)
-                .filter_map(|(space, _)| view.sends.get(space))
-                .fold((0u64, 0u64), |acc, (b, m)| (acc.0 + b, acc.1 + m));
-            let ok = got_bytes == want_bytes as u64 && got_msgs == want_msgs;
-            println!(
-                "  {plane:5} wire bytes: spans {got_bytes:>10}  stats {:>10}  \
-                 messages: spans {got_msgs:>6}  stats {want_msgs:>6}  {}",
-                want_bytes as u64,
-                if ok { "ok" } else { "MISMATCH" }
-            );
-            if !ok {
-                failures.push(format!(
-                    "rank {rank} {plane}: span-derived wire traffic ({got_bytes} B / \
-                     {got_msgs} msgs) != TrafficStats ({} B / {want_msgs} msgs)",
-                    want_bytes as u64
-                ));
-            }
-        }
-
-        // Overlap audit: span algebra vs SyncStats::overlap_seconds.
-        if let Some(&want) = view.audits.get("audit/overlap_seconds") {
-            let got = view
-                .inflight
-                .iter()
-                .map(|&(t0, t1)| t1.saturating_sub(t0) as f64 / 1e9)
-                .sum::<f64>()
-                .max(0.0); // empty f64 sums are -0.0
-
-            let tol = (0.05 * want.abs()).max(2e-3);
-            let ok = (got - want).abs() <= tol;
-            println!(
-                "  overlap: spans {:.6}s  stats {:.6}s  (tol {:.4}s)  {}",
-                got,
-                want,
-                tol,
-                if ok { "ok" } else { "MISMATCH" }
-            );
-            if !ok {
-                failures.push(format!(
-                    "rank {rank}: span-derived overlap {got:.6}s disagrees with \
-                     SyncStats::overlap_seconds {want:.6}s (tol {tol:.4}s)"
-                ));
-            }
-        }
-
-        // The overlap *claim*: traced exchanges under the backward pass.
-        if view.audits.get("audit/overlap_enabled").copied().unwrap_or(0.0) == 1.0 {
-            let ok = intersects(&view.inflight, &view.backward);
-            println!(
-                "  backward∩exchange concurrency: {} in-flight / {} backward spans  {}",
-                view.inflight.len(),
-                view.backward.len(),
-                if ok { "ok" } else { "MISSING" }
-            );
-            if !ok {
-                failures.push(format!(
-                    "rank {rank}: overlap was enabled but no bucket/inflight interval \
-                     intersects a phase/backward span"
-                ));
-            }
-        }
-
-        // Sync-schedule ledger: the per-step `sched/local` + `sched/sync`
-        // instants must agree with the trainer's own audit counters, and
-        // every step must be accounted as exactly one of the two.
-        if let Some(&total) = view.audits.get("audit/sched/total_steps") {
-            let want_local =
-                view.audits.get("audit/sched/local_steps").copied().unwrap_or(f64::NAN);
-            let want_sync = view.audits.get("audit/sched/sync_steps").copied().unwrap_or(f64::NAN);
-            let ok = view.sched_local as f64 == want_local
-                && view.sched_sync as f64 == want_sync
-                && (view.sched_local + view.sched_sync) as f64 == total;
-            println!(
-                "  sched ledger: instants {} local + {} sync  stats {want_local} + {want_sync}  \
-                 total {total}  {}",
-                view.sched_local,
-                view.sched_sync,
-                if ok { "ok" } else { "MISMATCH" }
-            );
-            if !ok {
-                failures.push(format!(
-                    "rank {rank}: sched instants ({} local, {} sync) disagree with the \
-                     trainer's ledger ({want_local} local, {want_sync} sync, {total} total)",
-                    view.sched_local, view.sched_sync
-                ));
-            }
-        }
-    }
-
-    let (extra_sends, extra_recvs) = flow_imbalance(&data);
-    if extra_sends + extra_recvs > 0 {
-        let msg = format!(
-            "flow pairing: {extra_sends} send-side and {extra_recvs} recv-side flow events \
-             have no partner"
-        );
-        if recovery {
-            // A killed rank strands in-flight flows by design; pairing is
-            // informational here, not a gate.
-            println!("warning: {msg} (expected when a rank was killed)");
-        } else {
-            println!("{msg}");
-            failures.push(msg);
-        }
-    } else {
-        println!("flow pairing: all transport flow ids balance  ok");
-    }
-
-    if recovery {
-        println!();
-        audit_recovery(&views, &mut failures);
-    }
-
-    if !data.metrics.is_empty() {
-        println!("\nmetrics registry:");
-        for m in &data.metrics {
-            match m.kind {
-                a2sgd_trace::metrics::Kind::Histogram => println!(
-                    "  {} = {:.6} (n {}, min {:.6}, max {:.6})",
-                    m.name, m.value, m.count, m.min, m.max
-                ),
-                _ => println!("  {} = {}", m.name, m.value),
-            }
-        }
-    }
-
-    if failures.is_empty() {
+    if report.failures.is_empty() {
         println!("\ntrace audit PASSED");
     } else {
         println!("\ntrace audit FAILED:");
-        for f in &failures {
+        for f in &report.failures {
             println!("  - {f}");
         }
         std::process::exit(1);

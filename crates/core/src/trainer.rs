@@ -170,8 +170,9 @@ pub struct TrainConfig {
     pub checkpoint_every: Option<usize>,
     /// Span-trace output directory: `Some(dir)` records every rank's
     /// transport/collective/session/trainer spans into
-    /// `dir/trace-<pid>.jsonl` (merge with `a2sgd_trace::merge_dir` or the
-    /// `trace_report` binary into one Chrome trace). `None` (the default)
+    /// `dir/trace-<pid>.jsonl` (read back with `a2sgd_trace::load_dir`;
+    /// the `trace_report` binary merges them into one Chrome trace and
+    /// audits them). `None` (the default)
     /// falls back to the `A2SGD_TRACE=<dir>` environment — which is also
     /// how forked TCP rank processes inherit the setting — and records
     /// nothing when that is unset.
@@ -685,13 +686,6 @@ fn run_rank(
             val("audit/sched/sync_steps", out.sync_steps as f64);
             val("audit/sched/total_steps", out.iters as f64);
         }
-        let per_iter = |total: f64| if out.iters > 0 { total / out.iters as f64 } else { 0.0 };
-        a2sgd_trace::metrics::counter_add("iters", out.iters as u64);
-        a2sgd_trace::metrics::gauge_set("wire_bits_per_iter", per_iter(out.wire_bits_total as f64));
-        a2sgd_trace::metrics::hist_record(
-            "overlap_seconds_per_iter",
-            per_iter(out.overlap_seconds_total),
-        );
     }
 
     let traffic = comm.stats();

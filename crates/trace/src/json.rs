@@ -293,7 +293,6 @@ fn ph_letter(ph: Ph) -> &'static str {
         Ph::FlowIn => "f",
         Ph::AsyncBegin => "b",
         Ph::AsyncEnd => "e",
-        Ph::Counter => "C",
     }
 }
 
@@ -306,9 +305,43 @@ fn ph_from_letter(s: &str) -> Option<Ph> {
         "f" => Ph::FlowIn,
         "b" => Ph::AsyncBegin,
         "e" => Ph::AsyncEnd,
-        "C" => Ph::Counter,
         _ => return None,
     })
+}
+
+/// The one serializer of [`Args`]: its flat field list, comma-separated,
+/// without braces or a leading comma (nothing for [`Args::None`]). Event
+/// lines put it after their `"a"` kind letter, the Chrome writer inside
+/// `"args":{…}`. A non-finite [`Args::Value`] has no JSON number spelling,
+/// so it is written as the string `"NaN"`, `"inf"` or `"-inf"`, which
+/// [`parse_event_line`] reads back.
+pub(crate) fn push_arg_fields(out: &mut String, args: &Args) {
+    match *args {
+        Args::None => {}
+        Args::Wire { from, to, tag, bytes } => {
+            let _ = write!(out, "\"from\":{from},\"to\":{to},\"tag\":{tag},\"bytes\":{bytes}");
+        }
+        Args::Collective { op, plane, bytes } => {
+            out.push_str("\"op\":");
+            push_str_lit(out, op);
+            out.push_str(",\"plane\":");
+            push_str_lit(out, plane);
+            let _ = write!(out, ",\"bytes\":{bytes}");
+        }
+        Args::Bucket { bucket, bytes } => {
+            let _ = write!(out, "\"bucket\":{bucket},\"bytes\":{bytes}");
+        }
+        Args::Value(v) if v.is_finite() => {
+            let _ = write!(out, "\"value\":{v}");
+        }
+        Args::Value(v) => {
+            let _ = write!(out, "\"value\":\"{v}\"");
+        }
+        Args::Plane { space, plane } => {
+            let _ = write!(out, "\"space\":{space},\"plane\":");
+            push_str_lit(out, plane);
+        }
+    }
 }
 
 /// Serializes one event as a single flat JSONL line (newline included).
@@ -321,31 +354,17 @@ pub fn write_event_line(out: &mut String, ev: &Event) {
     if ev.id != 0 {
         let _ = write!(out, ",\"id\":{}", ev.id);
     }
-    match ev.args {
-        Args::None => {}
-        Args::Wire { from, to, tag, bytes } => {
-            let _ = write!(
-                out,
-                ",\"a\":\"w\",\"from\":{from},\"to\":{to},\"tag\":{tag},\"bytes\":{bytes}"
-            );
-        }
-        Args::Collective { op, plane, bytes } => {
-            out.push_str(",\"a\":\"c\",\"op\":");
-            push_str_lit(out, op);
-            out.push_str(",\"plane\":");
-            push_str_lit(out, plane);
-            let _ = write!(out, ",\"bytes\":{bytes}");
-        }
-        Args::Bucket { bucket, bytes } => {
-            let _ = write!(out, ",\"a\":\"k\",\"bucket\":{bucket},\"bytes\":{bytes}");
-        }
-        Args::Value(v) => {
-            let _ = write!(out, ",\"a\":\"v\",\"value\":{v}");
-        }
-        Args::Plane { space, plane } => {
-            let _ = write!(out, ",\"a\":\"p\",\"space\":{space},\"plane\":");
-            push_str_lit(out, plane);
-        }
+    let kind = match ev.args {
+        Args::None => None,
+        Args::Wire { .. } => Some('w'),
+        Args::Collective { .. } => Some('c'),
+        Args::Bucket { .. } => Some('k'),
+        Args::Value(_) => Some('v'),
+        Args::Plane { .. } => Some('p'),
+    };
+    if let Some(kind) = kind {
+        let _ = write!(out, ",\"a\":\"{kind}\",");
+        push_arg_fields(out, &ev.args);
     }
     out.push_str("}\n");
 }
@@ -392,7 +411,14 @@ pub fn parse_event_line(obj: &Value) -> Result<Event, String> {
             bucket: obj.get("bucket").and_then(Value::as_u64).ok_or("bucket: bucket")? as usize,
             bytes: obj.get("bytes").and_then(Value::as_u64).ok_or("bucket: bytes")?,
         },
-        Some("v") => Args::Value(obj.get("value").and_then(Value::as_f64).ok_or("value")?),
+        Some("v") => Args::Value(
+            match obj.get("value") {
+                // Non-finite values travel as strings (see `push_arg_fields`).
+                Some(Value::Str(s)) => s.parse().ok().filter(|v: &f64| !v.is_finite()),
+                v => v.and_then(Value::as_f64),
+            }
+            .ok_or("value")?,
+        ),
         Some("p") => Args::Plane {
             space: obj.get("space").and_then(Value::as_u64).ok_or("plane: space")?,
             plane: obj.get("plane").and_then(Value::as_str).map(intern).ok_or("plane: plane")?,
@@ -452,6 +478,23 @@ mod tests {
             assert_eq!(back.id, ev.id);
             assert_eq!(back.args, ev.args);
         }
+    }
+
+    #[test]
+    fn non_finite_values_round_trip() {
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 1e300, 5e-324] {
+            let ev = Event { ph: Ph::Instant, t_ns: 1, name: "loss", id: 0, args: Args::Value(v) };
+            let mut line = String::new();
+            write_event_line(&mut line, &ev);
+            let obj = parse(line.trim_end()).unwrap_or_else(|e| panic!("{v}: {line}: {e}"));
+            let Args::Value(back) = parse_event_line(&obj).unwrap().args else {
+                panic!("{v}: value args lost");
+            };
+            assert_eq!(back.to_bits(), v.to_bits(), "{v} read back as {back}");
+        }
+        assert!(
+            parse_event_line(&parse(r#"{"ph":"i","t":1,"a":"v","value":"x"}"#).unwrap()).is_err()
+        );
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! Cross-layer tracing: a low-overhead, runtime-gated span/event recorder
-//! plus a counter/gauge/histogram metrics registry.
+//! Cross-layer tracing: a low-overhead, runtime-gated span/event recorder,
+//! its one reader, and its one auditor.
 //!
 //! Recording is off by default; every record call starts with one relaxed
 //! atomic load, so instrumented hot paths (transport sends, per-bucket
 //! submits) cost ~nothing when tracing is disabled. When enabled — via
 //! [`enable`] or the `A2SGD_TRACE=<dir>` environment variable
-//! ([`init_from_env`]) — events land in bounded thread-local ring buffers
-//! stamped with monotonic nanoseconds from a process-wide epoch.
+//! ([`init_from_env`]) — events land in capped thread-local buffers
+//! stamped with monotonic nanoseconds from a process-wide epoch; once a
+//! buffer is full, new events are dropped and counted, never recorded
+//! over old ones.
 //!
 //! Each rank *process* writes one JSONL file ([`flush_process_file`]);
 //! in-process thread ranks share a file, with one thread section per rank.
@@ -16,7 +18,8 @@
 //! [`chrome_trace_json`] renders the merged timeline as Chrome trace-event
 //! JSON loadable in Perfetto: ranks as processes, spans as slices, sends
 //! linked to their matching receives as flow arrows, and nonblocking
-//! collective lifetimes as async events.
+//! collective lifetimes as async events. [`audit()`] recomputes from the
+//! merged spans what the run reported about itself (see [`mod@audit`]).
 //!
 //! The JSON codec is hand-rolled (the build environment is offline — no
 //! serde): the writer emits only flat objects with controlled key names,
@@ -29,15 +32,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
+pub mod audit;
 pub mod json;
 pub mod merge;
-pub mod metrics;
 
-pub use merge::{chrome_trace_json, load_dir, merge_dir, ThreadTrace, TraceData};
+pub use audit::audit;
+pub use merge::{chrome_trace_json, load_dir, ThreadTrace, TraceData};
 
 /// Per-thread event capacity; overflow increments a drop counter instead
 /// of growing without bound.
-const RING_CAP: usize = 1 << 20;
+const EVENT_CAP: usize = 1 << 20;
 
 /// Event phase, mirroring the Chrome trace-event `ph` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,8 +60,6 @@ pub enum Ph {
     AsyncBegin,
     /// Async (nestable) end (`e`), keyed by `id`.
     AsyncEnd,
-    /// Counter sample (`C`).
-    Counter,
 }
 
 /// Typed event arguments — a small closed set instead of a string map, so
@@ -94,7 +96,8 @@ pub enum Args {
         /// Bucket payload bytes.
         bytes: u64,
     },
-    /// A bare numeric value (audit instants, counters).
+    /// A bare numeric value (audit instants, step counts). Non-finite
+    /// values survive the file round trip.
     Value(f64),
     /// A tag-space → plane-label mapping announcement.
     Plane {
@@ -209,7 +212,7 @@ pub fn init_from_env() -> bool {
     }
 }
 
-/// Drops all buffered events, metrics and drop counts (test isolation).
+/// Drops all buffered events and drop counts (test isolation).
 pub fn reset() {
     for buf in registry().lock().iter() {
         let mut b = buf.lock();
@@ -217,7 +220,6 @@ pub fn reset() {
         b.dropped = 0;
         b.rank = None;
     }
-    metrics::reset();
 }
 
 /// Monotonic nanoseconds since the trace epoch; 0 when disabled (callers
@@ -236,7 +238,7 @@ fn record(ev: Event) {
         return;
     }
     with_local(|b| {
-        if b.events.len() < RING_CAP {
+        if b.events.len() < EVENT_CAP {
             b.events.push(ev);
         } else {
             b.dropped += 1;
@@ -259,28 +261,6 @@ pub fn set_thread_rank(rank: usize) {
 /// one timeline.
 pub fn mark_sync_point() {
     instant("sync_point", Args::None);
-}
-
-/// RAII span: records `B` at construction, `E` on drop.
-pub struct SpanGuard {
-    armed: bool,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if self.armed {
-            record(Event { ph: Ph::SpanEnd, t_ns: now_ns(), name: "", id: 0, args: Args::None });
-        }
-    }
-}
-
-/// Opens a span on the calling thread; the returned guard closes it.
-pub fn span(name: &'static str, args: Args) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard { armed: false };
-    }
-    record(Event { ph: Ph::SpanBegin, t_ns: now_ns(), name, id: 0, args });
-    SpanGuard { armed: true }
 }
 
 /// Records an already-elapsed span: `B` at `t0_ns` (a prior [`now_ns`]
@@ -334,11 +314,6 @@ pub fn async_span_at(name: &'static str, id: u64, t0_ns: u64, t1_ns: u64, args: 
     record(Event { ph: Ph::AsyncEnd, t_ns: t1_ns, name, id, args: Args::None });
 }
 
-/// Records a counter sample.
-pub fn counter(name: &'static str, value: f64) {
-    record(Event { ph: Ph::Counter, t_ns: now_ns(), name, id: 0, args: Args::Value(value) });
-}
-
 /// FNV-1a over three words — the flow id tying a frame's send span to its
 /// matching receive span: hash (root-absolute from, to, full wire tag).
 /// Tag spaces and per-op tag sequencing make the triple unique per frame.
@@ -353,11 +328,10 @@ pub fn flow_id(a: u64, b: u64, c: u64) -> u64 {
     h
 }
 
-/// Writes (and drains) every thread buffer plus the metrics snapshot into
-/// `<dir>/trace-<pid>.jsonl`, one file per rank process. Returns the path,
-/// or `None` when no output directory was configured. Thread sections keep
-/// their rank tags, so in-process thread ranks merge exactly like forked
-/// rank processes.
+/// Writes (and drains) every thread buffer into `<dir>/trace-<pid>.jsonl`,
+/// one file per rank process. Returns the path, or `None` when no output
+/// directory was configured. Thread sections keep their rank tags, so
+/// in-process thread ranks merge exactly like forked rank processes.
 pub fn flush_process_file() -> Option<PathBuf> {
     let dir = out_dir().lock().clone()?;
     let path = dir.join(format!("trace-{}.jsonl", std::process::id()));
@@ -387,10 +361,6 @@ pub fn flush_process_file() -> Option<PathBuf> {
         for ev in events {
             json::write_event_line(&mut out, ev);
         }
-    }
-    for line in metrics::drain_lines() {
-        out.push_str(&line);
-        out.push('\n');
     }
     std::fs::write(&path, out).ok()?;
     Some(path)
@@ -422,9 +392,7 @@ mod tests {
         let before = now_ns();
         assert_eq!(before, 0, "disabled clock reads cost nothing and return 0");
         instant("never", Args::None);
-        {
-            let _s = span("never", Args::None);
-        }
+        closed_span("never", before, Args::None);
         let d = tmp("disabled");
         enable(&d);
         let path = flush_process_file().expect("dir configured");
@@ -442,10 +410,10 @@ mod tests {
         enable(&d);
         set_thread_rank(3);
         mark_sync_point();
-        {
-            let _s = span("outer", Args::Collective { op: "allreduce", plane: "world", bytes: 64 });
-            instant("inner", Args::Wire { from: 0, to: 1, tag: 1 << 63, bytes: 16 });
-        }
+        let t0 = now_ns();
+        instant("inner", Args::Wire { from: 0, to: 1, tag: 1 << 63, bytes: 16 });
+        instant("loss", Args::Value(f64::NAN));
+        closed_span("outer", t0, Args::Collective { op: "allreduce", plane: "world", bytes: 64 });
         async_span_at(
             "bucket/inflight",
             7,
@@ -453,7 +421,6 @@ mod tests {
             now_ns(),
             Args::Bucket { bucket: 7, bytes: 4 },
         );
-        metrics::counter_add("frames", 2);
         flush_process_file().unwrap();
         disable();
         let data = load_dir(&d).unwrap();
@@ -466,11 +433,8 @@ mod tests {
             .find(|e| matches!(e.args, Args::Wire { .. }))
             .expect("wire args survive");
         assert_eq!(wire.args, Args::Wire { from: 0, to: 1, tag: 1 << 63, bytes: 16 });
-        assert_eq!(
-            data.metrics.iter().find(|m| m.name == "frames").map(|m| m.value),
-            Some(2.0),
-            "metrics snapshot rides the same file"
-        );
+        let loss = th.events.iter().find(|e| e.name == "loss").expect("a NaN value is kept");
+        assert!(matches!(loss.args, Args::Value(v) if v.is_nan()));
         let js = chrome_trace_json(&data);
         json::validate(&js).expect("merged trace is well-formed JSON");
         assert!(js.contains("\"traceEvents\""));
@@ -485,7 +449,7 @@ mod tests {
         enable(&d);
         with_local(|b| {
             b.events.clear();
-            for _ in 0..RING_CAP {
+            for _ in 0..EVENT_CAP {
                 b.events.push(Event {
                     ph: Ph::Instant,
                     t_ns: 0,
@@ -497,7 +461,7 @@ mod tests {
         });
         instant("overflowing", Args::None);
         with_local(|b| {
-            assert_eq!(b.events.len(), RING_CAP);
+            assert_eq!(b.events.len(), EVENT_CAP);
             assert_eq!(b.dropped, 1);
         });
         disable();

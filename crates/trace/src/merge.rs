@@ -10,7 +10,6 @@
 //! which is exactly right.
 
 use crate::json::{self, Value};
-use crate::metrics::{self, Metric};
 use crate::{Args, Event, Ph};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -35,24 +34,16 @@ pub struct ThreadTrace {
 pub struct TraceData {
     /// All threads from all per-process files.
     pub threads: Vec<ThreadTrace>,
-    /// Merged metrics registry (counters/histograms combined across
-    /// processes, gauges last-write-wins).
-    pub metrics: Vec<Metric>,
-    /// Total events dropped to ring-buffer overflow, across processes.
-    /// Non-zero means flow-matching audits may see unmatched ends.
+    /// Events recorded past a thread's buffer cap and therefore dropped,
+    /// across processes. Non-zero means flow-matching audits may see
+    /// unmatched ends.
     pub dropped: u64,
 }
 
-struct FileTrace {
-    threads: Vec<ThreadTrace>,
-    metrics: Vec<Metric>,
-    dropped: u64,
-}
-
-fn load_file(path: &Path, file_idx: usize) -> Result<FileTrace, String> {
+fn load_file(path: &Path, file_idx: usize) -> Result<TraceData, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("{}: read failed: {e}", path.display()))?;
-    let mut out = FileTrace { threads: Vec::new(), metrics: Vec::new(), dropped: 0 };
+    let mut out = TraceData { threads: Vec::new(), dropped: 0 };
     for (lineno, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
@@ -74,11 +65,6 @@ fn load_file(path: &Path, file_idx: usize) -> Result<FileTrace, String> {
                 }
                 other => return Err(format!("{}: unknown meta {other:?}", path.display())),
             }
-        } else if obj.get("metric").is_some() {
-            out.metrics.push(
-                metrics::parse_line(&obj)
-                    .map_err(|e| format!("{}:{}: {e}", path.display(), lineno + 1))?,
-            );
         } else {
             let ev = json::parse_event_line(&obj)
                 .map_err(|e| format!("{}:{}: {e}", path.display(), lineno + 1))?;
@@ -92,7 +78,7 @@ fn load_file(path: &Path, file_idx: usize) -> Result<FileTrace, String> {
     Ok(out)
 }
 
-fn file_sync_point(f: &FileTrace) -> Option<u64> {
+fn file_sync_point(f: &TraceData) -> Option<u64> {
     f.threads
         .iter()
         .flat_map(|t| t.events.iter())
@@ -127,7 +113,7 @@ pub fn load_dir(dir: &Path) -> Result<TraceData, String> {
         files.iter().position(|f| f.threads.iter().any(|t| t.rank == Some(0))).unwrap_or(0);
     let ref_sync = file_sync_point(&files[ref_idx]);
 
-    let mut data = TraceData { threads: Vec::new(), metrics: Vec::new(), dropped: 0 };
+    let mut data = TraceData { threads: Vec::new(), dropped: 0 };
     for f in &mut files {
         let shift = match (ref_sync, file_sync_point(f)) {
             (Some(r), Some(s)) => r as i64 - s as i64,
@@ -139,7 +125,6 @@ pub fn load_dir(dir: &Path) -> Result<TraceData, String> {
             }
         }
         data.dropped += f.dropped;
-        metrics::merge_into(&mut data.metrics, std::mem::take(&mut f.metrics));
         data.threads.append(&mut f.threads);
     }
 
@@ -162,29 +147,7 @@ fn push_ts(out: &mut String, t_ns: u64) {
 
 fn push_args_obj(out: &mut String, args: &Args) {
     out.push_str("\"args\":{");
-    match *args {
-        Args::None => {}
-        Args::Wire { from, to, tag, bytes } => {
-            let _ = write!(out, "\"from\":{from},\"to\":{to},\"tag\":{tag},\"bytes\":{bytes}");
-        }
-        Args::Collective { op, plane, bytes } => {
-            out.push_str("\"op\":");
-            json::push_str_lit(out, op);
-            out.push_str(",\"plane\":");
-            json::push_str_lit(out, plane);
-            let _ = write!(out, ",\"bytes\":{bytes}");
-        }
-        Args::Bucket { bucket, bytes } => {
-            let _ = write!(out, "\"bucket\":{bucket},\"bytes\":{bytes}");
-        }
-        Args::Value(v) => {
-            let _ = write!(out, "\"value\":{v}");
-        }
-        Args::Plane { space, plane } => {
-            let _ = write!(out, "\"space\":{space},\"plane\":");
-            json::push_str_lit(out, plane);
-        }
-    }
+    json::push_arg_fields(out, args);
     out.push('}');
 }
 
@@ -282,27 +245,12 @@ pub fn chrome_trace_json(data: &TraceData) -> String {
                         push_args_obj(&mut out, &ev.args);
                     }
                 }
-                Ph::Counter => {
-                    common(&mut out, "C");
-                    out.push_str(",\"name\":");
-                    json::push_str_lit(&mut out, ev.name);
-                    let v = match ev.args {
-                        Args::Value(v) => v,
-                        _ => 0.0,
-                    };
-                    let _ = write!(out, ",\"args\":{{\"value\":{v}}}");
-                }
             }
             out.push('}');
         }
     }
     out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
     out
-}
-
-/// Convenience: [`load_dir`] then [`chrome_trace_json`].
-pub fn merge_dir(dir: &Path) -> Result<String, String> {
-    load_dir(dir).map(|d| chrome_trace_json(&d))
 }
 
 #[cfg(test)]
