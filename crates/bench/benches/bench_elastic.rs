@@ -4,7 +4,7 @@
 //! atomic temp-write + rename the trainer actually performs, so the gap
 //! between the two rows is pure filesystem tax.
 
-use a2sgd::{Checkpoint, SchedCheckpoint};
+use a2sgd::{Checkpoint, SchedCheckpoint, SchedState};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -27,9 +27,7 @@ fn sample(n: usize) -> Checkpoint {
 fn sample_sched(n: usize) -> Checkpoint {
     let mut c = sample(n);
     c.sched = Some(SchedCheckpoint {
-        local_in_window: 3,
-        current_h: 8,
-        ref_dispersion: 0.25,
+        state: SchedState { local_in_window: 3, current_h: 8, ref_dispersion: 0.25 },
         anchor: c.params.clone(),
     });
     c

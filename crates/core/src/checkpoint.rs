@@ -18,6 +18,7 @@
 //! snapshot). The `a2sgd-elastic` crate reads them back for restart
 //! catch-up.
 
+use a2sgd_sched::SchedState;
 use std::path::Path;
 
 /// Environment variable naming the checkpoint output directory.
@@ -28,17 +29,12 @@ pub const ENV_CKPT_DIR: &str = "A2SGD_CKPT_DIR";
 const MAGIC: &[u8; 8] = b"A2SGDCK\x02";
 
 /// Sync-schedule state captured alongside the model state, so resuming
-/// mid-period re-enters the window at the exact phase — see
-/// [`a2sgd_sched::SchedState`] for the field semantics.
+/// mid-period re-enters the window at the exact phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchedCheckpoint {
-    /// Local steps taken since the last sync (phase within the window).
-    pub local_in_window: u64,
-    /// The period in force (adaptive schedules: the controller's choice).
-    pub current_h: u64,
-    /// The adaptive controller's reference dispersion (`0.0` = unset).
-    /// Stored as an f64 bit pattern, so resume is bit-exact.
-    pub ref_dispersion: f64,
+    /// Window phase, period in force and adaptive reference (the f64 is
+    /// stored as its bit pattern, so resume is bit-exact).
+    pub state: SchedState,
     /// The pseudo-gradient anchor: parameters as of the last sync. A
     /// checkpoint cut mid-window needs it to rebuild `Δ = w_anchor − w`
     /// identically on resume.
@@ -122,9 +118,9 @@ impl Checkpoint {
             None => put_u64(&mut out, 0),
             Some(s) => {
                 put_u64(&mut out, 1);
-                put_u64(&mut out, s.local_in_window);
-                put_u64(&mut out, s.current_h);
-                put_u64(&mut out, s.ref_dispersion.to_bits());
+                put_u64(&mut out, s.state.local_in_window);
+                put_u64(&mut out, s.state.current_h);
+                put_u64(&mut out, s.state.ref_dispersion.to_bits());
                 put_f32s(&mut out, &s.anchor);
             }
         }
@@ -155,9 +151,11 @@ impl Checkpoint {
         let sched = match r.u64()? {
             0 => None,
             1 => Some(SchedCheckpoint {
-                local_in_window: r.u64()?,
-                current_h: r.u64()?,
-                ref_dispersion: f64::from_bits(r.u64()?),
+                state: SchedState {
+                    local_in_window: r.u64()?,
+                    current_h: r.u64()?,
+                    ref_dispersion: f64::from_bits(r.u64()?),
+                },
                 anchor: r.f32s()?,
             }),
             f => return Err(format!("bad schedule presence flag {f}")),
@@ -222,9 +220,7 @@ mod tests {
     fn sample_scheduled() -> Checkpoint {
         Checkpoint {
             sched: Some(SchedCheckpoint {
-                local_in_window: 5,
-                current_h: 8,
-                ref_dispersion: 0.062_5,
+                state: SchedState { local_in_window: 5, current_h: 8, ref_dispersion: 0.062_5 },
                 anchor: vec![1.0, -0.5, 0.25, -0.0, 3.25e-7],
             }),
             ..sample()
@@ -252,11 +248,37 @@ mod tests {
         let c = sample_scheduled();
         let d = Checkpoint::decode(&c.encode()).unwrap();
         let (ds, cs) = (d.sched.unwrap(), c.sched.unwrap());
-        assert_eq!(ds.local_in_window, cs.local_in_window);
-        assert_eq!(ds.current_h, cs.current_h);
-        assert_eq!(ds.ref_dispersion.to_bits(), cs.ref_dispersion.to_bits());
+        assert_eq!(ds.state.local_in_window, cs.state.local_in_window);
+        assert_eq!(ds.state.current_h, cs.state.current_h);
+        assert_eq!(ds.state.ref_dispersion.to_bits(), cs.state.ref_dispersion.to_bits());
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&ds.anchor), bits(&cs.anchor));
+    }
+
+    /// The byte layout is pinned, not just self-consistent: how the
+    /// schedule block's fields are grouped in memory may change, the bytes
+    /// of this recorded encoding may not.
+    #[test]
+    fn scheduled_encoding_matches_the_recorded_bytes() {
+        let c = Checkpoint {
+            step: 1234,
+            seed: 0xDEAD_BEEF,
+            params: vec![1.0, -0.5, -0.0],
+            velocity: vec![vec![0.125, -9.0], vec![]],
+            sched: Some(SchedCheckpoint {
+                state: SchedState { local_in_window: 5, current_h: 8, ref_dispersion: 0.062_5 },
+                anchor: vec![3.25e-7, f32::MIN_POSITIVE],
+            }),
+        };
+        let hex: String = c.encode().iter().map(|b| format!("{b:02x}")).collect();
+        let recorded = concat!(
+            "4132534744434b02d204000000000000efbeadde000000000300000000000000",
+            "0000803f000000bf00000080020000000000000002000000000000000000003e",
+            "000010c100000000000000000100000000000000050000000000000008000000",
+            "00000000000000000000b03f0200000000000000a97bae3400008000",
+        );
+        assert_eq!(hex, recorded);
+        assert_eq!(Checkpoint::decode(&c.encode()).unwrap(), c);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod step;
 pub mod theory;
 pub mod trainer;
 
-pub use a2sgd_sched::{SchedKind, SyncSchedule};
+pub use a2sgd_sched::{SchedKind, SchedState};
 pub use algorithm::A2sgd;
 pub use checkpoint::{Checkpoint, SchedCheckpoint};
 pub use cluster_comm::CommBackend;

@@ -4,8 +4,8 @@
 //! Algorithm 1 is one loop. [`crate::trainer`] and `a2sgd-elastic` own
 //! the front half of an iteration (data → forward → loss) and hand a
 //! backward closure to [`TrainStep::run`], which plans the step
-//! ([`Plan`], known before backward because `SyncSchedule::decide` is
-//! pure), back-propagates through the per-layer hooks whenever the plan is
+//! ([`Plan`], known before backward because `Schedule::decide` is pure),
+//! back-propagates through the per-layer hooks whenever the plan is
 //! a gradient sync and overlap is on (whatever the topology or schedule: a
 //! synchronizer that does not stream just gets arrival marks), exchanges
 //! the one flat buffer, feeds the schedule its dispersion statistic, and
@@ -24,13 +24,13 @@
 use crate::checkpoint::{Checkpoint, SchedCheckpoint};
 use crate::overlap::{HookLayout, HookedStep};
 use crate::trainer::OptKind;
-use a2sgd_sched::{SchedKind, SchedState, SyncDecision, SyncObservation, SyncSchedule};
+use a2sgd_sched::{SchedKind, Schedule, SyncDecision};
 use cluster_comm::{CommHandle, TransportError};
 use gradcomp::{bucket_bounds, GradientSynchronizer, Ledger, SyncStats};
 use mini_nn::flat::{flatten_grads, flatten_params, load_params, param_sizes, scatter_grads};
 use mini_nn::hook::{GradHook, NullHook};
 use mini_nn::module::Module;
-use mini_nn::optim::{Lars, Sgd};
+use mini_nn::optim::Sgd;
 use std::ops::Range;
 use std::path::PathBuf;
 
@@ -38,45 +38,6 @@ use std::path::PathBuf;
 /// off: `closed_span` returns on its first branch).
 pub(crate) fn phase(name: &'static str, start_ns: u64) {
     a2sgd_trace::closed_span(name, start_ns, a2sgd_trace::Args::None);
-}
-
-enum Optimizer {
-    Sgd(Sgd),
-    Lars(Lars),
-}
-
-impl Optimizer {
-    fn new(kind: OptKind) -> Self {
-        match kind {
-            OptKind::Sgd { momentum, weight_decay } => {
-                Optimizer::Sgd(Sgd::new(momentum, weight_decay))
-            }
-            OptKind::Lars { momentum, weight_decay, trust } => {
-                Optimizer::Lars(Lars::new(momentum, weight_decay, trust))
-            }
-        }
-    }
-
-    fn step(&mut self, model: &mut dyn Module, lr: f32) {
-        match self {
-            Optimizer::Sgd(o) => o.step(model, lr),
-            Optimizer::Lars(o) => o.step(model, lr),
-        }
-    }
-
-    fn velocity_lanes(&self) -> &[Vec<f32>] {
-        match self {
-            Optimizer::Sgd(o) => o.velocity_lanes(),
-            Optimizer::Lars(o) => o.velocity_lanes(),
-        }
-    }
-
-    fn set_velocity_lanes(&mut self, lanes: Vec<Vec<f32>>) {
-        match self {
-            Optimizer::Sgd(o) => o.set_velocity_lanes(lanes),
-            Optimizer::Lars(o) => o.set_velocity_lanes(lanes),
-        }
-    }
 }
 
 /// What a step does with the wire (the window semantics are
@@ -110,8 +71,8 @@ pub struct TrainStep {
     /// Public so a recovery policy can rebuild it for a new `(world, rank)`
     /// after a failed step, and run-end audits can read its `plane_traffic`.
     pub sync: Box<dyn GradientSynchronizer>,
-    opt: Optimizer,
-    schedule: Box<dyn SyncSchedule>,
+    opt: Sgd,
+    schedule: Schedule,
     scheduled: bool,
     /// The globally-agreed parameters as of the last sync (identical init
     /// across ranks plays the role of the initial broadcast). Empty when
@@ -139,7 +100,6 @@ impl TrainStep {
         bucket_bytes: Option<usize>,
         overlap_backward: bool,
     ) -> Self {
-        let schedule = schedule.build();
         let scheduled = !schedule.is_every_step();
         let mut anchor = Vec::new();
         if scheduled {
@@ -149,8 +109,13 @@ impl TrainStep {
         let n: usize = sizes.iter().sum();
         TrainStep {
             sync,
-            opt: Optimizer::new(opt),
-            schedule,
+            opt: match opt {
+                OptKind::Sgd { momentum, weight_decay } => Sgd::new(momentum, weight_decay),
+                OptKind::Lars { momentum, weight_decay, trust } => {
+                    Sgd::lars(momentum, weight_decay, trust)
+                }
+            },
+            schedule: Schedule::new(schedule),
             scheduled,
             anchor,
             bounds: match bucket_bytes {
@@ -169,7 +134,7 @@ impl TrainStep {
     pub fn plan(&self, iter: u64) -> Plan {
         match self.schedule.decide(iter) {
             SyncDecision::Local => Plan::Local,
-            SyncDecision::Sync if self.schedule.local_in_window() == 0 => Plan::Gradient,
+            SyncDecision::Sync if self.schedule.state().local_in_window == 0 => Plan::Gradient,
             SyncDecision::Sync => Plan::WindowClose,
         }
     }
@@ -189,7 +154,6 @@ impl TrainStep {
         backward: impl FnOnce(&mut dyn Module, &mut dyn GradHook),
     ) -> Result<StepOutcome, TransportError> {
         let plan = self.plan(iter);
-        let window_len = self.schedule.local_in_window() + 1;
         let want_disp = plan != Plan::Local && self.schedule.wants_dispersion();
         let bwd_ns = a2sgd_trace::now_ns();
         let stats = if let (Plan::Gradient, Some(layout)) = (plan, &self.hook_layout) {
@@ -204,7 +168,7 @@ impl TrainStep {
             let ex_ns = a2sgd_trace::now_ns();
             let mut stats = hooked.try_finish()?;
             phase("phase/exchange", ex_ns);
-            self.observe(&mut stats, pre, window_len, comm)?;
+            self.observe(&mut stats, pre, comm)?;
             stats
         } else {
             backward(model, &mut NullHook);
@@ -215,7 +179,7 @@ impl TrainStep {
                     a2sgd_trace::instant("sched/local", a2sgd_trace::Args::None);
                     SyncStats::default()
                 }
-                Plan::Gradient => self.sync_flat(want_disp, window_len, comm)?,
+                Plan::Gradient => self.sync_flat(want_disp, comm)?,
                 Plan::WindowClose => {
                     // The only path that applies before it exchanges:
                     // keep the pre-step state to roll back to.
@@ -226,7 +190,7 @@ impl TrainStep {
                     for (d, a) in self.flat.iter_mut().zip(&self.anchor) {
                         *d = a - *d;
                     }
-                    match self.sync_flat(want_disp, window_len, comm) {
+                    match self.sync_flat(want_disp, comm) {
                         Ok(stats) => stats,
                         Err(e) => {
                             load_params(model, &self.saved.0);
@@ -275,14 +239,13 @@ impl TrainStep {
     fn sync_flat(
         &mut self,
         want_disp: bool,
-        window_len: u64,
         comm: &mut CommHandle,
     ) -> Result<SyncStats, TransportError> {
         let pre = want_disp.then(|| self.flat.clone());
         let ex_ns = a2sgd_trace::now_ns();
         let mut stats = self.sync.try_sync_bucketed(&mut self.flat, &self.bounds, comm)?;
         phase("phase/exchange", ex_ns);
-        self.observe(&mut stats, pre, window_len, comm)?;
+        self.observe(&mut stats, pre, comm)?;
         Ok(stats)
     }
 
@@ -296,7 +259,6 @@ impl TrainStep {
         &mut self,
         stats: &mut SyncStats,
         pre: Option<Vec<f32>>,
-        window_len: u64,
         comm: &mut CommHandle,
     ) -> Result<(), TransportError> {
         let Some(pre) = pre else { return Ok(()) };
@@ -311,7 +273,7 @@ impl TrainStep {
                 d
             }
         };
-        self.schedule.observe_sync(&SyncObservation { dispersion, window_len });
+        self.schedule.observe_sync(dispersion);
         Ok(())
     }
 
@@ -351,42 +313,39 @@ impl TrainStep {
     pub fn capture(&self, model: &mut dyn Module, step: u64, seed: u64) -> Checkpoint {
         let mut params = Vec::new();
         flatten_params(model, &mut params);
-        let sched = self.scheduled.then(|| {
-            let s = self.schedule.state();
-            SchedCheckpoint {
-                local_in_window: s.local_in_window,
-                current_h: s.current_h,
-                ref_dispersion: s.ref_dispersion,
-                anchor: self.anchor.clone(),
-            }
-        });
+        let sched = self
+            .scheduled
+            .then(|| SchedCheckpoint { state: self.schedule.state(), anchor: self.anchor.clone() });
         Checkpoint { step, seed, params, velocity: self.opt.velocity_lanes().to_vec(), sched }
     }
 
     /// Adopts a [`capture`](Self::capture)d state (checkpoint resume,
     /// elastic catch-up). A snapshot without a schedule block starts a
-    /// fresh window anchored at its parameters.
+    /// fresh window anchored at its parameters. A snapshot that does not
+    /// fit the model — parameters, velocity lanes or window anchor — is an
+    /// `Err` that leaves the replica untouched.
     pub fn restore(&mut self, model: &mut dyn Module, c: &Checkpoint) -> Result<(), String> {
         let sizes = param_sizes(model);
+        let n = sizes.iter().sum::<usize>();
         let lanes = c.velocity.iter().map(Vec::len);
-        if c.params.len() != sizes.iter().sum::<usize>()
-            || !(c.velocity.is_empty() || lanes.eq(sizes.iter().copied()))
-        {
+        if c.params.len() != n || !(c.velocity.is_empty() || lanes.eq(sizes.iter().copied())) {
             return Err(format!("checkpoint does not fit the model's {sizes:?} parameter layout"));
+        }
+        if let Some(sc) = c.sched.as_ref().filter(|sc| sc.anchor.len() != n) {
+            return Err(format!(
+                "checkpoint's schedule anchor has {} values, the model has {n} parameters",
+                sc.anchor.len()
+            ));
         }
         load_params(model, &c.params);
         self.opt.set_velocity_lanes(c.velocity.clone());
         if self.scheduled {
-            self.anchor.clone_from(&c.params);
-            if let Some(sc) = &c.sched {
-                self.schedule.load_state(SchedState {
-                    local_in_window: sc.local_in_window,
-                    current_h: sc.current_h,
-                    ref_dispersion: sc.ref_dispersion,
-                });
-                if sc.anchor.len() == c.params.len() {
+            match &c.sched {
+                Some(sc) => {
+                    self.schedule.load_state(sc.state);
                     self.anchor.clone_from(&sc.anchor);
                 }
+                None => self.anchor.clone_from(&c.params),
             }
         }
         Ok(())
@@ -492,7 +451,7 @@ mod tests {
                 let before = ts.capture(&mut model, iter, 0);
                 if failing_plan == Plan::WindowClose {
                     assert!(!before.velocity.is_empty());
-                    assert_eq!(before.sched.as_ref().unwrap().local_in_window, 1);
+                    assert_eq!(before.sched.as_ref().unwrap().state.local_in_window, 1);
                 }
 
                 drop(peer);
@@ -503,5 +462,36 @@ mod tests {
                 assert_eq!(after.encode(), before.encode(), "{what}");
             }
         }
+    }
+
+    /// A schedule block whose anchor does not fit the model (it arrives
+    /// off the network at elastic catch-up) is refused before anything is
+    /// adopted: parameters, velocity lanes and window phase stay as they
+    /// were, instead of loading and silently re-anchoring at the params.
+    #[test]
+    fn restore_rejects_a_mis_sized_anchor() {
+        let cluster = Cluster::new(1, NetworkProfile::infiniband_100g());
+        let mut comm = cluster.handle(0);
+        let mut model = Linear::new("fc", 4, 3, &mut SeedRng::new(5));
+        let opt = OptKind::Sgd { momentum: 0.9, weight_decay: 1e-3 };
+        let sync = AlgoKind::Dense.build(15, 1, 0);
+        let mut ts = TrainStep::new(&mut model, sync, opt, SchedKind::Fixed(2), None, false);
+        let x = Tensor::from_vec((0..8).map(|i| i as f32 * 0.25 - 1.0).collect(), [2, 4]);
+        let y = model.forward(&x, Mode::Train);
+        let out = ts.run(&mut model, &mut comm, 0, 0.1, |m, hook| m.backward_params(&y, hook));
+        assert_eq!(out.unwrap().plan, Plan::Local);
+
+        let before = ts.capture(&mut model, 1, 0);
+        let mut bad = before.clone();
+        bad.params.iter_mut().for_each(|w| *w += 1.0);
+        bad.velocity.iter_mut().flatten().for_each(|v| *v += 1.0);
+        let sc = bad.sched.as_mut().unwrap();
+        assert_eq!(sc.state.local_in_window, 1);
+        sc.state.local_in_window = 0;
+        sc.anchor.pop();
+
+        let err = ts.restore(&mut model, &bad).expect_err("a 14-value anchor for 15 parameters");
+        assert!(err.contains("14") && err.contains("15"), "{err}");
+        assert_eq!(ts.capture(&mut model, 1, 0).encode(), before.encode());
     }
 }

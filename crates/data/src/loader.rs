@@ -26,23 +26,20 @@ pub trait Dataset: Sync {
 #[derive(Debug, Clone)]
 pub struct Shard {
     indices: Vec<usize>,
-    rank: usize,
-    world: usize,
 }
 
 impl Shard {
     /// Builds the shard for `rank` of `world` over a dataset of `len`.
     pub fn new(len: usize, rank: usize, world: usize) -> Self {
         assert!(world > 0 && rank < world, "invalid rank {rank}/{world}");
-        let indices = (rank..len).step_by(world).collect();
-        Shard { indices, rank, world }
+        Shard { indices: (rank..len).step_by(world).collect() }
     }
 
     /// A single-owner shard over the contiguous index range `lo..hi`
     /// (used for held-out evaluation slices of a shared dataset).
     pub fn range(lo: usize, hi: usize) -> Self {
         assert!(lo <= hi);
-        Shard { indices: (lo..hi).collect(), rank: 0, world: 1 }
+        Shard { indices: (lo..hi).collect() }
     }
 
     /// The PyTorch-`DistributedSampler` semantics: all ranks agree on one
@@ -57,8 +54,7 @@ impl Shard {
         let mut perm: Vec<usize> = (0..len).collect();
         let mut rng = SeedRng::new(seed ^ 0x5A4D_9E2B);
         rng.shuffle(&mut perm);
-        let indices = perm.into_iter().skip(rank).step_by(world).collect();
-        Shard { indices, rank, world }
+        Shard { indices: perm.into_iter().skip(rank).step_by(world).collect() }
     }
 
     /// Examples in this shard.
@@ -71,24 +67,9 @@ impl Shard {
         self.indices.is_empty()
     }
 
-    /// Reshuffles the shard for a new epoch. All workers use the same
-    /// `(base_seed, epoch)` stream *keyed by rank*, so shards stay disjoint
-    /// but the order is epoch-dependent.
-    pub fn shuffle(&mut self, base_seed: u64, epoch: usize) {
-        let mut rng = SeedRng::new(
-            base_seed ^ (epoch as u64).wrapping_mul(0x5851_F42D_4C95_7F2D) ^ self.rank as u64,
-        );
-        rng.shuffle(&mut self.indices);
-    }
-
     /// Shard indices in current order.
     pub fn indices(&self) -> &[usize] {
         &self.indices
-    }
-
-    /// The world size this shard was built for.
-    pub fn world(&self) -> usize {
-        self.world
     }
 }
 
@@ -167,21 +148,6 @@ mod tests {
             let max = *sizes.iter().max().unwrap();
             assert!(max - min <= 1);
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation_and_epoch_dependent() {
-        let mut s = Shard::new(100, 1, 4);
-        let before: Vec<usize> = s.indices().to_vec();
-        s.shuffle(9, 0);
-        let e0: Vec<usize> = s.indices().to_vec();
-        let mut sorted = e0.clone();
-        sorted.sort_unstable();
-        let mut bsorted = before.clone();
-        bsorted.sort_unstable();
-        assert_eq!(sorted, bsorted);
-        s.shuffle(9, 1);
-        assert_ne!(e0, s.indices());
     }
 
     #[test]

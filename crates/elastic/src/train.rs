@@ -35,7 +35,7 @@
 //!
 //! Out of scope: `Topology::Hier` under elastic shrink. A 4 → 3 world has
 //! no valid `group_size`, so re-forming groups needs a regrouping policy
-//! this crate does not have yet (ROADMAP open item 1, remainder).
+//! this crate does not have yet (ROADMAP open item 9).
 
 use crate::fault::{splitmix64, FaultPlan};
 use crate::membership::Membership;

@@ -335,8 +335,8 @@ fn scheduled_checkpoint_resume_reenters_period_mid_window() {
     let midpoint = ckpt_dir.join(a2sgd::Checkpoint::file_name(10));
     let c = a2sgd::Checkpoint::read(&midpoint).expect("midpoint checkpoint");
     let sc = c.sched.as_ref().expect("schedule block missing from the v2 checkpoint");
-    assert_eq!(sc.local_in_window, 2, "checkpoint taken at the wrong window phase");
-    assert_eq!(sc.current_h, 4);
+    assert_eq!(sc.state.local_in_window, 2, "checkpoint taken at the wrong window phase");
+    assert_eq!(sc.state.current_h, 4);
     assert_eq!(sc.anchor.len(), full_cfg.dim + 1);
     assert_ne!(
         bits(&sc.anchor),

@@ -19,7 +19,8 @@
 //!   [`layers::Dropout`], [`layers::Flatten`], [`layers::Embedding`],
 //!   [`layers::Lstm`], [`layers::Sequential`], [`layers::ResidualBlock`],
 //! * [`loss`] — fused softmax cross-entropy and perplexity,
-//! * [`optim`] — SGD with momentum/weight decay and LARS (paper Table 1),
+//! * [`optim`] — [`optim::Sgd`]: momentum SGD with weight decay, LARS
+//!   (paper Table 1) as its optional trust coefficient,
 //! * [`schedule`] — linear scaling, gradual warmup, polynomial decay,
 //! * [`flat`] — flatten/scatter of parameters and gradients (the compression
 //!   algorithms all operate on the flattened gradient vector),

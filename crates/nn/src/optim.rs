@@ -1,4 +1,5 @@
-//! Optimizers: SGD with momentum/weight decay, and LARS.
+//! The optimizer: momentum SGD with weight decay, optionally under LARS's
+//! layer-wise trust ratio.
 //!
 //! The distributed trainer synchronizes *gradients* (possibly compressed),
 //! scatters them back into `Param::grad`, and then calls `step` — so the
@@ -8,10 +9,16 @@
 use crate::module::Module;
 use mini_tensor::ops;
 
-/// Classic SGD: `v ← m·v + g + wd·w ; w ← w − lr·v`.
+/// Classic SGD: `v ← m·v + g + wd·w ; w ← w − lr·v`. Built with
+/// [`Sgd::lars`] it is LARS (You et al., the paper's ref [11], used for the
+/// VGG-16 large-batch configuration in Table 1): each parameter tensor's
+/// `g + wd·w` is first scaled by its local rate `η‖w‖ / (‖g‖ + wd‖w‖)`.
 pub struct Sgd {
     momentum: f32,
     weight_decay: f32,
+    /// LARS trust coefficient (η in the LARS paper, typically 1e-3);
+    /// `None` for plain SGD, whose update then does no extra multiply.
+    trust: Option<f32>,
     velocity: Vec<Vec<f32>>,
 }
 
@@ -19,7 +26,13 @@ impl Sgd {
     /// Creates an SGD optimizer. `momentum = 0` disables the velocity buffer
     /// arithmetic (pure SGD).
     pub fn new(momentum: f32, weight_decay: f32) -> Self {
-        Sgd { momentum, weight_decay, velocity: Vec::new() }
+        Sgd { momentum, weight_decay, trust: None, velocity: Vec::new() }
+    }
+
+    /// Creates a LARS optimizer with trust coefficient `trust`. Its update
+    /// always runs through the velocity lanes, momentum or not.
+    pub fn lars(momentum: f32, weight_decay: f32, trust: f32) -> Self {
+        Sgd { trust: Some(trust), ..Sgd::new(momentum, weight_decay) }
     }
 
     /// The per-parameter velocity lanes — empty until the first `step`.
@@ -38,64 +51,6 @@ impl Sgd {
     /// Applies one update with learning rate `lr` to every parameter of
     /// `model` using the gradients currently stored in `Param::grad`.
     pub fn step(&mut self, model: &mut dyn Module, lr: f32) {
-        let (momentum, wd) = (self.momentum, self.weight_decay);
-        let velocity = &mut self.velocity;
-        let mut idx = 0usize;
-        model.visit_params(&mut |p| {
-            if velocity.len() == idx {
-                velocity.push(vec![0.0f32; p.numel()]);
-            }
-            let v = &mut velocity[idx];
-            assert_eq!(v.len(), p.numel(), "parameter set changed between steps");
-            assert_eq!(p.grad.numel(), p.numel(), "{}: gradient length vs parameter", p.name);
-            let w = p.data.as_mut_slice();
-            let g = p.grad.as_slice();
-            if momentum == 0.0 {
-                for (wi, &gi) in w.iter_mut().zip(g) {
-                    let grad = gi + wd * *wi;
-                    *wi -= lr * grad;
-                }
-            } else {
-                for ((wi, vi), &gi) in w.iter_mut().zip(v.iter_mut()).zip(g) {
-                    let grad = gi + wd * *wi;
-                    *vi = momentum * *vi + grad;
-                    *wi -= lr * *vi;
-                }
-            }
-            idx += 1;
-        });
-    }
-}
-
-/// LARS (You et al., the paper's ref [11]): layer-wise adaptive rate scaling
-/// on top of momentum SGD, used for the VGG-16 large-batch configuration in
-/// Table 1.
-pub struct Lars {
-    momentum: f32,
-    weight_decay: f32,
-    /// Trust coefficient (η in the LARS paper), typically 1e-3.
-    trust: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Lars {
-    /// Creates a LARS optimizer with the given trust coefficient.
-    pub fn new(momentum: f32, weight_decay: f32, trust: f32) -> Self {
-        Lars { momentum, weight_decay, trust, velocity: Vec::new() }
-    }
-
-    /// The per-parameter velocity lanes — empty until the first `step`.
-    pub fn velocity_lanes(&self) -> &[Vec<f32>] {
-        &self.velocity
-    }
-
-    /// Restores velocity lanes captured by [`Self::velocity_lanes`].
-    pub fn set_velocity_lanes(&mut self, lanes: Vec<Vec<f32>>) {
-        self.velocity = lanes;
-    }
-
-    /// Applies one LARS update with global learning rate `lr`.
-    pub fn step(&mut self, model: &mut dyn Module, lr: f32) {
         let (momentum, wd, trust) = (self.momentum, self.weight_decay, self.trust);
         let velocity = &mut self.velocity;
         let mut idx = 0usize;
@@ -106,21 +61,38 @@ impl Lars {
             let v = &mut velocity[idx];
             assert_eq!(v.len(), p.numel(), "parameter set changed between steps");
             assert_eq!(p.grad.numel(), p.numel(), "{}: gradient length vs parameter", p.name);
-            let w_norm = ops::norm2(p.data.as_slice()) as f32;
-            let g_norm = ops::norm2(p.grad.as_slice()) as f32;
-            // Local rate: η‖w‖ / (‖g‖ + wd‖w‖); falls back to 1 for fresh
-            // (zero-norm) parameters such as biases at init.
-            let local = if w_norm > 0.0 && g_norm > 0.0 {
-                trust * w_norm / (g_norm + wd * w_norm + 1e-12)
-            } else {
-                1.0
-            };
             let w = p.data.as_mut_slice();
             let g = p.grad.as_slice();
-            for ((wi, vi), &gi) in w.iter_mut().zip(v.iter_mut()).zip(g) {
-                let grad = local * (gi + wd * *wi);
-                *vi = momentum * *vi + grad;
-                *wi -= lr * *vi;
+            match trust {
+                None if momentum == 0.0 => {
+                    for (wi, &gi) in w.iter_mut().zip(g) {
+                        let grad = gi + wd * *wi;
+                        *wi -= lr * grad;
+                    }
+                }
+                None => {
+                    for ((wi, vi), &gi) in w.iter_mut().zip(v.iter_mut()).zip(g) {
+                        let grad = gi + wd * *wi;
+                        *vi = momentum * *vi + grad;
+                        *wi -= lr * *vi;
+                    }
+                }
+                Some(trust) => {
+                    let w_norm = ops::norm2(w) as f32;
+                    let g_norm = ops::norm2(g) as f32;
+                    // Local rate: η‖w‖ / (‖g‖ + wd‖w‖); falls back to 1 for
+                    // fresh (zero-norm) parameters such as biases at init.
+                    let local = if w_norm > 0.0 && g_norm > 0.0 {
+                        trust * w_norm / (g_norm + wd * w_norm + 1e-12)
+                    } else {
+                        1.0
+                    };
+                    for ((wi, vi), &gi) in w.iter_mut().zip(v.iter_mut()).zip(g) {
+                        let grad = local * (gi + wd * *wi);
+                        *vi = momentum * *vi + grad;
+                        *wi -= lr * *vi;
+                    }
+                }
             }
             idx += 1;
         });
@@ -227,14 +199,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "fc.weight: gradient length vs parameter")]
     fn lars_rejects_a_mis_sized_gradient() {
-        Lars::new(0.9, 0.0, 1e-2).step(&mut linear_with_a_long_gradient(), 0.1);
+        Sgd::lars(0.9, 0.0, 1e-2).step(&mut linear_with_a_long_gradient(), 0.1);
     }
 
     #[test]
     fn lars_converges_on_quadratic() {
         let mut rng = SeedRng::new(103);
         let mut lin = Linear::new("fc", 2, 2, &mut rng);
-        let mut opt = Lars::new(0.9, 1e-4, 1e-2);
+        let mut opt = Sgd::lars(0.9, 1e-4, 1e-2);
         for _ in 0..300 {
             use crate::module::ModuleExt;
             lin.zero_grad();
@@ -244,5 +216,82 @@ mod tests {
         let x = Tensor::ones([1, 2]);
         let loss = 0.5 * lin.forward(&x, Mode::Train).norm2().powi(2);
         assert!(loss < 1e-2, "LARS did not converge: {loss}");
+    }
+
+    /// The LARS update written out on its own, velocity lanes always on —
+    /// the parity oracle for [`Sgd::lars`].
+    fn lars_oracle_step(
+        velocity: &mut Vec<Vec<f32>>,
+        (momentum, wd, trust): (f32, f32, f32),
+        model: &mut dyn Module,
+        lr: f32,
+    ) {
+        let mut idx = 0usize;
+        model.visit_params(&mut |p| {
+            if velocity.len() == idx {
+                velocity.push(vec![0.0f32; p.numel()]);
+            }
+            let v = &mut velocity[idx];
+            let w_norm = ops::norm2(p.data.as_slice()) as f32;
+            let g_norm = ops::norm2(p.grad.as_slice()) as f32;
+            let local = if w_norm > 0.0 && g_norm > 0.0 {
+                trust * w_norm / (g_norm + wd * w_norm + 1e-12)
+            } else {
+                1.0
+            };
+            let w = p.data.as_mut_slice();
+            let g = p.grad.as_slice();
+            for ((wi, vi), &gi) in w.iter_mut().zip(v.iter_mut()).zip(g) {
+                let grad = local * (gi + wd * *wi);
+                *vi = momentum * *vi + grad;
+                *wi -= lr * *vi;
+            }
+            idx += 1;
+        });
+    }
+
+    #[test]
+    fn lars_is_bit_identical_to_the_separate_lars_type() {
+        use crate::module::ModuleExt;
+        let bits = |m: &mut Linear| {
+            let mut v = Vec::new();
+            m.visit_params(&mut |p| v.extend(p.data.as_slice().iter().map(|x| x.to_bits())));
+            v
+        };
+        let lane_bits =
+            |l: &[Vec<f32>]| l.iter().flatten().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let hyper = (0.9, 5e-4, 1e-2);
+        let (mut a, mut b) = (
+            Linear::new("fc", 3, 2, &mut SeedRng::new(105)),
+            Linear::new("fc", 3, 2, &mut SeedRng::new(105)),
+        );
+        // The bias starts at zero norm, so step 1 takes the `local = 1`
+        // fallback on it.
+        a.visit_params(&mut |p| {
+            if p.name == "fc.bias" {
+                assert!(p.data.as_slice().iter().all(|&x| x == 0.0));
+            }
+        });
+        let mut oracle_lanes = Vec::new();
+        let mut opt = Sgd::lars(hyper.0, hyper.1, hyper.2);
+        for t in 0..20 {
+            let x = Tensor::from_vec(
+                (0..6).map(|i| ((i * 7 + t * 3) % 11) as f32 * 0.2 - 1.0).collect(),
+                [2, 3],
+            );
+            for m in [&mut a, &mut b] {
+                m.zero_grad();
+                let y = m.forward(&x, Mode::Train);
+                let _ = m.backward(&y);
+            }
+            lars_oracle_step(&mut oracle_lanes, hyper, &mut a, 0.5);
+            opt.step(&mut b, 0.5);
+            assert_eq!(bits(&mut a), bits(&mut b), "weights at step {t}");
+            assert_eq!(
+                lane_bits(&oracle_lanes),
+                lane_bits(opt.velocity_lanes()),
+                "lanes at step {t}"
+            );
+        }
     }
 }

@@ -41,7 +41,10 @@ fn train_writes_decodable_checkpoints_on_the_cadence() {
         assert_eq!(c.velocity.iter().map(Vec::len).sum::<usize>(), n);
         // Every snapshot lands right after a `fixed4` window closed.
         let sched = c.sched.expect("scheduled run must carry its window phase");
-        assert_eq!((sched.local_in_window, sched.current_h, sched.anchor.len()), (0, 4, n));
+        assert_eq!(
+            (sched.state.local_in_window, sched.state.current_h, sched.anchor.len()),
+            (0, 4, n)
+        );
     }
     assert_eq!(Checkpoint::latest_in(&dir).map(|(step, _)| step), Some(4 * written as u64));
     assert_eq!(std::fs::read_dir(&dir).unwrap().count(), written, "rank 0 alone writes");
