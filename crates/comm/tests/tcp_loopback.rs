@@ -175,7 +175,8 @@ fn wire_parity_qsgd8_on_loopback() {
         // Twin quantizer: same seed, same input ⇒ identical levels, which
         // predicts the exact encoded frame the synchronizer will ship.
         let seed = 0x9D ^ h.rank() as u64;
-        let twin = Qsgd::new(8, QsgdImpl::Fast, seed).quantize(&g);
+        let mut twin = Qsgd::new(8, QsgdImpl::Fast, seed);
+        let twin = twin.quantize(&g);
         let expect_payload_bytes = Qsgd::encode_payload(twin.norm, &twin.levels).byte_len() as u64;
         assert_eq!(expect_payload_bytes, twin.encoded_bits.div_ceil(8));
 

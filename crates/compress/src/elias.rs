@@ -1,181 +1,332 @@
-//! Bit-level I/O and Elias gamma coding.
+//! Word-level bit streams and QSGD's Elias level code.
 //!
 //! QSGD (Alistarh et al.) encodes quantization levels with Elias integer
 //! codes; the paper's "2.8n + 32 bits" row in Table 2 is the expected
 //! encoded size at its quantization level. We implement the real coder so
 //! wire sizes can be *measured*, not just quoted.
+//!
+//! Every bit-stream frame (QSGD, TernGrad, EF-SignSGD) is 4 bytes of f32
+//! scale (raw little-endian bits) followed by a stream packed least
+//! significant bit first — stream bit `i` is bit `i % 8` of byte `i / 8` —
+//! whose final byte is zero-padded. A code is handled as a value "in
+//! stream order": its first stream bit is bit 0.
+//!
+//! Nothing here moves single bits. [`BitWriter`] gathers codes in a 64-bit
+//! accumulator and writes 32 bits at a time straight into the frame;
+//! [`BitReader`] serves codes from a 64-bit window refilled a word at a
+//! time, and returns `None` past the end of the stream.
+//!
+//! QSGD's level code is a sign bit (1 = negative) then gamma(|level| + 1):
+//! `⌊log₂v⌋` zeros, then `v`'s binary digits, most significant first.
+//! [`level_code`] is one lookup in a const `(code, length)` table.
+//! [`LevelDecoder`] looks the low 8 bits of the window up in a table built
+//! for its `s`, which holds every complete code inside them — up to four
+//! levels per lookup, at ≈ 2 bits a level usually four — and takes longer
+//! codes through a `trailing_zeros` path. Decoding is fallible: `None` at
+//! the end of the stream, on a zero prefix too long for any `i8` level, and
+//! on a level outside `[−s, s]`. The bit-at-a-time coder this replaced is
+//! kept as the test oracle in `tests/elias_oracle.rs`; frames are
+//! byte-identical to it.
 
-/// Append-only bit buffer.
-#[derive(Debug, Default, Clone)]
+use cluster_comm::Payload;
+
+/// Appends codes to a scale-prefixed frame through a 64-bit accumulator.
 pub struct BitWriter {
     bytes: Vec<u8>,
-    bit_len: usize,
+    acc: u64,
+    /// Bits pending in `acc`: fewer than 32 between calls.
+    pending: u32,
 }
 
 impl BitWriter {
-    /// Creates an empty writer.
-    pub fn new() -> Self {
-        Self::default()
+    /// Opens a frame with `scale`'s 4 bytes, with room for about `bits`
+    /// stream bits.
+    pub fn scaled(scale: f32, bits: usize) -> Self {
+        let mut bytes = Vec::with_capacity(4 + bits.div_ceil(8) + 4);
+        bytes.extend_from_slice(&scale.to_bits().to_le_bytes());
+        BitWriter { bytes, acc: 0, pending: 0 }
     }
 
-    /// Appends a single bit.
-    pub fn push_bit(&mut self, bit: bool) {
-        let byte_idx = self.bit_len / 8;
-        if byte_idx == self.bytes.len() {
-            self.bytes.push(0);
-        }
-        if bit {
-            self.bytes[byte_idx] |= 1 << (self.bit_len % 8);
-        }
-        self.bit_len += 1;
-    }
-
-    /// Appends the low `n` bits of `v`, most-significant first.
-    pub fn push_bits(&mut self, v: u64, n: u32) {
-        for i in (0..n).rev() {
-            self.push_bit((v >> i) & 1 == 1);
+    /// Appends the low `len` ≤ 32 bits of `code`, bit 0 first.
+    #[inline(always)]
+    pub fn put(&mut self, code: u32, len: u32) {
+        debug_assert!(len == 32 || code >> len == 0, "code {code:#x} wider than {len} bits");
+        self.acc |= (code as u64) << self.pending;
+        self.pending += len;
+        if self.pending >= 32 {
+            self.bytes.extend_from_slice(&(self.acc as u32).to_le_bytes());
+            self.acc >>= 32;
+            self.pending -= 32;
         }
     }
 
-    /// Total bits written.
-    pub fn bit_len(&self) -> usize {
-        self.bit_len
-    }
-
-    /// The backing bytes (last byte possibly partial).
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
+    /// The finished frame: pending bits flushed, final byte zero-padded.
+    pub fn finish(mut self) -> Payload {
+        let tail = self.pending.div_ceil(8) as usize;
+        self.bytes.extend_from_slice(&self.acc.to_le_bytes()[..tail]);
+        Payload::Bytes(self.bytes)
     }
 }
 
-/// Sequential bit reader over a [`BitWriter`]'s output.
+/// Reads a bit stream through a 64-bit window refilled a word at a time.
 pub struct BitReader<'a> {
     bytes: &'a [u8],
+    /// Next byte to load into the window.
     pos: usize,
-    bit_len: usize,
+    /// The stream from the read position on, bit 0 first. Bits at and
+    /// above `avail` are zero or already the stream's own next bits.
+    win: u64,
+    /// Valid bits in `win`.
+    avail: u32,
 }
 
 impl<'a> BitReader<'a> {
-    /// Wraps the bytes produced by a writer with the given bit length.
-    pub fn new(bytes: &'a [u8], bit_len: usize) -> Self {
-        BitReader { bytes, pos: 0, bit_len }
+    /// Reads `bytes` from their first bit.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        BitReader { bytes, pos: 0, win: 0, avail: 0 }
     }
 
-    /// Reads one bit; `None` at end of stream.
-    pub fn read_bit(&mut self) -> Option<bool> {
-        if self.pos >= self.bit_len {
-            return None;
+    /// Tops the window up to at least 56 valid bits, or to the end of the
+    /// stream: one unaligned word load while 8 bytes remain, then bytewise.
+    #[inline(always)]
+    fn refill(&mut self) {
+        if let Some(word) = self.bytes.get(self.pos..self.pos + 8) {
+            self.win |= u64::from_le_bytes(word.try_into().unwrap()) << self.avail;
+            let whole = (63 - self.avail) / 8;
+            self.pos += whole as usize;
+            self.avail += 8 * whole;
+        } else {
+            while self.avail < 56 && self.pos < self.bytes.len() {
+                self.win |= (self.bytes[self.pos] as u64) << self.avail;
+                self.pos += 1;
+                self.avail += 8;
+            }
         }
-        let b = (self.bytes[self.pos / 8] >> (self.pos % 8)) & 1 == 1;
-        self.pos += 1;
-        Some(b)
     }
 
-    /// Reads `n` bits MSB-first.
-    pub fn read_bits(&mut self, n: u32) -> Option<u64> {
-        let mut v = 0u64;
-        for _ in 0..n {
-            v = (v << 1) | self.read_bit()? as u64;
+    #[inline(always)]
+    fn consume(&mut self, len: u32) {
+        self.win >>= len;
+        self.avail -= len;
+    }
+
+    /// The next `len` ≤ 32 bits, bit 0 first; `None` past the end of the
+    /// stream.
+    #[inline(always)]
+    pub fn take(&mut self, len: u32) -> Option<u32> {
+        if self.avail < len {
+            self.refill();
+            if self.avail < len {
+                return None;
+            }
         }
+        let v = (self.win & ((1u64 << len) - 1)) as u32;
+        self.consume(len);
         Some(v)
     }
 
-    /// Bits remaining.
-    pub fn remaining(&self) -> usize {
-        self.bit_len - self.pos
+    /// Stream bits consumed so far.
+    fn bits_read(&self) -> usize {
+        8 * self.pos - self.avail as usize
     }
 }
 
-/// Elias gamma code for positive integers: `⌊log₂v⌋` zeros, then `v`'s
-/// binary representation.
-pub fn gamma_encode(w: &mut BitWriter, v: u64) {
-    assert!(v >= 1, "gamma code requires v ≥ 1");
-    let nbits = 64 - v.leading_zeros();
-    for _ in 0..nbits - 1 {
-        w.push_bit(false);
+/// Splits a scale-prefixed frame into `(scale, stream bytes)`; `None` for a
+/// frame that is not bytes or is shorter than its scale.
+pub fn split_scaled_stream(payload: &Payload) -> Option<(f32, &[u8])> {
+    let Payload::Bytes(bytes) = payload else { return None };
+    let scale = bytes.get(..4)?.try_into().ok()?;
+    Some((f32::from_bits(u32::from_le_bytes(scale)), &bytes[4..]))
+}
+
+/// `(code, length)` in stream order of every `i8` level, at index
+/// `level as u8`: sign bit at bit 0, the gamma prefix's zeros above it,
+/// then the digits of `v = |level| + 1` from the most significant — a
+/// code of `2·⌊log₂v⌋ + 2` bits.
+const LEVEL_CODES: [(u16, u8); 256] = {
+    let mut table = [(0u16, 0u8); 256];
+    let mut i = 0;
+    while i < 256 {
+        let level = i as u8 as i8;
+        let v = level.unsigned_abs() as u32 + 1;
+        let digits = 32 - v.leading_zeros();
+        let msb_first = v.reverse_bits() >> (32 - digits);
+        table[i] = (((level < 0) as u32 | msb_first << digits) as u16, (2 * digits) as u8);
+        i += 1;
     }
-    w.push_bits(v, nbits);
+    table
+};
+
+/// QSGD's code for `level`: `(code, length)` in stream order.
+#[inline(always)]
+pub fn level_code(level: i8) -> (u32, u32) {
+    let (code, len) = LEVEL_CODES[level as u8 as usize];
+    (code as u32, len as u32)
 }
 
-/// Decodes one gamma-coded integer.
-pub fn gamma_decode(r: &mut BitReader<'_>) -> Option<u64> {
-    let mut zeros = 0u32;
-    while !r.read_bit()? {
-        zeros += 1;
+/// Up to four whole codes at the bottom of one byte of stream.
+#[derive(Clone, Copy, Default)]
+struct Group {
+    levels: [i8; 4],
+    n: u8,
+    bits: u8,
+}
+
+/// Fallible decoder of QSGD level streams at quantization level `s`.
+pub struct LevelDecoder {
+    s: u8,
+    /// For every value of the window's low byte, the codes wholly inside
+    /// it that decode to levels in `[−s, s]`, from bit 0 on.
+    groups: [Group; 256],
+}
+
+impl LevelDecoder {
+    /// The decoder for levels in `[−s, s]`, `s` in `1..=127`.
+    pub fn new(s: u8) -> Self {
+        assert!((1..=127).contains(&s), "QSGD levels are i8: s = {s}");
+        let mut d = LevelDecoder { s, groups: [Group::default(); 256] };
+        for byte in 0..=255u8 {
+            // The group table is the one-code path run over a lone byte.
+            let stream = [byte];
+            let mut r = BitReader::new(&stream);
+            let mut g = Group::default();
+            while g.n < 4 {
+                let Some(level) = d.one(&mut r) else { break };
+                g.levels[g.n as usize] = level;
+                g.n += 1;
+            }
+            g.bits = r.bits_read() as u8;
+            d.groups[byte as usize] = g;
+        }
+        d
     }
-    let rest = if zeros == 0 { 0 } else { r.read_bits(zeros)? };
-    Some((1u64 << zeros) | rest)
-}
 
-/// Encoded size of `v` in bits (2⌊log₂v⌋ + 1).
-pub fn gamma_len(v: u64) -> usize {
-    debug_assert!(v >= 1);
-    let nbits = 64 - v.leading_zeros();
-    (2 * (nbits - 1) + 1) as usize
-}
+    /// One code by its definition: the path for codes the group table does
+    /// not hold, and what builds that table.
+    #[inline]
+    fn one(&self, r: &mut BitReader<'_>) -> Option<i8> {
+        if r.avail < 16 {
+            r.refill();
+        }
+        let w = r.win;
+        let zeros = (w >> 1).trailing_zeros();
+        // Eight zeros or more is gamma ≥ 256: no i8 level has that code.
+        if zeros > 7 {
+            return None;
+        }
+        let len = 2 * zeros + 2;
+        if len > r.avail {
+            return None;
+        }
+        let msb_first = (w >> (zeros + 1)) as u32 & ((2 << zeros) - 1);
+        let mag = (msb_first.reverse_bits() >> (31 - zeros)) - 1;
+        if mag > self.s as u32 {
+            return None;
+        }
+        r.consume(len);
+        Some(if w & 1 == 1 { -(mag as i8) } else { mag as i8 })
+    }
 
-/// Builds the shared scale-prefixed bit-stream wire frame: 4 bytes of f32
-/// scale (raw little-endian bits) followed by the writer's bytes, final
-/// byte zero-padded. QSGD, TernGrad and EF-SignSGD all frame their
-/// encodings this way.
-pub fn scaled_stream_payload(scale: f32, w: &BitWriter) -> cluster_comm::Payload {
-    let mut bytes = Vec::with_capacity(4 + w.as_bytes().len());
-    bytes.extend_from_slice(&scale.to_bits().to_le_bytes());
-    bytes.extend_from_slice(w.as_bytes());
-    cluster_comm::Payload::Bytes(bytes)
-}
-
-/// Splits a scale-prefixed frame back into `(scale, bit-stream bytes)`.
-pub fn split_scaled_stream(payload: &cluster_comm::Payload) -> (f32, &[u8]) {
-    let bytes = payload.as_bytes();
-    let scale = f32::from_bits(u32::from_le_bytes(bytes[0..4].try_into().unwrap()));
-    (scale, &bytes[4..])
+    /// Decodes `out.len()` levels from the front of `stream`, handing each
+    /// to `f` with its slot, in order. `None` if the stream ends first or
+    /// holds a code that is not a level in `[−s, s]`; bits after the last
+    /// level are not read.
+    pub fn decode<T>(
+        &self,
+        stream: &[u8],
+        out: &mut [T],
+        mut f: impl FnMut(&mut T, i8),
+    ) -> Option<()> {
+        let mut r = BitReader::new(stream);
+        let mut i = 0;
+        while i + 4 <= out.len() {
+            if r.avail < 16 {
+                r.refill();
+            }
+            let g = self.groups[(r.win & 0xFF) as usize];
+            if g.n > 0 && g.bits as u32 <= r.avail {
+                for (o, &l) in out[i..i + 4].iter_mut().zip(&g.levels[..g.n as usize]) {
+                    f(o, l);
+                }
+                r.consume(g.bits as u32);
+                i += g.n as usize;
+            } else {
+                f(&mut out[i], self.one(&mut r)?);
+                i += 1;
+            }
+        }
+        for o in &mut out[i..] {
+            f(o, self.one(&mut r)?);
+        }
+        Some(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn frame(w: BitWriter) -> Vec<u8> {
+        match w.finish() {
+            Payload::Bytes(b) => b,
+            _ => unreachable!(),
+        }
+    }
+
     #[test]
     fn bit_roundtrip() {
-        let mut w = BitWriter::new();
-        w.push_bits(0b1011, 4);
-        w.push_bit(true);
-        w.push_bits(0xFF00FF, 24);
-        let mut r = BitReader::new(w.as_bytes(), w.bit_len());
-        assert_eq!(r.read_bits(4), Some(0b1011));
-        assert_eq!(r.read_bit(), Some(true));
-        assert_eq!(r.read_bits(24), Some(0xFF00FF));
-        assert_eq!(r.read_bit(), None);
+        let mut w = BitWriter::scaled(1.5, 0);
+        let codes = [(0b1011, 4), (1, 1), (0xFF00FF, 24), (0xDEAD_BEEF, 32), (0, 3), (0b101, 3)];
+        for &(c, n) in &codes {
+            w.put(c, n);
+        }
+        let bytes = frame(w);
+        assert_eq!(bytes.len(), 4 + 67usize.div_ceil(8));
+        let frame = Payload::Bytes(bytes);
+        let (scale, stream) = split_scaled_stream(&frame).unwrap();
+        assert_eq!(scale, 1.5);
+        let mut r = BitReader::new(stream);
+        for &(c, n) in &codes {
+            assert_eq!(r.take(n), Some(c));
+        }
+        assert_eq!(r.bits_read(), 67);
+        // The zero padding of the last byte, then nothing.
+        assert_eq!(r.take(5), Some(0));
+        assert_eq!(r.take(1), None);
     }
 
     #[test]
     fn gamma_roundtrip_small_and_large() {
-        let vals = [1u64, 2, 3, 4, 7, 8, 100, 1023, 1024, 999_983];
-        let mut w = BitWriter::new();
-        for &v in &vals {
-            gamma_encode(&mut w, v);
+        // Every level of the widest code, s = 127, decoded past the group
+        // table's 4-per-lookup path and the one-code path alike.
+        let levels: Vec<i8> = (-127..=127).chain([0, 0, 0, 0, 1, -1, 127, -127, 0]).collect();
+        let mut w = BitWriter::scaled(0.0, 0);
+        for &l in &levels {
+            let (c, n) = level_code(l);
+            w.put(c, n);
         }
-        let mut r = BitReader::new(w.as_bytes(), w.bit_len());
-        for &v in &vals {
-            assert_eq!(gamma_decode(&mut r), Some(v));
-        }
-        assert_eq!(r.remaining(), 0);
+        let bytes = frame(w);
+        let mut got = vec![0i8; levels.len()];
+        LevelDecoder::new(127).decode(&bytes[4..], &mut got, |o, l| *o = l).unwrap();
+        assert_eq!(got, levels);
     }
 
     #[test]
     fn gamma_len_matches_actual() {
-        for v in 1u64..200 {
-            let mut w = BitWriter::new();
-            gamma_encode(&mut w, v);
-            assert_eq!(w.bit_len(), gamma_len(v), "v={v}");
+        // Length = sign + gamma(|l| + 1) = 1 + 2⌊log₂(|l| + 1)⌋ + 1, and
+        // the code has no bit past it.
+        for l in i8::MIN..=i8::MAX {
+            let (code, len) = level_code(l);
+            let v = l.unsigned_abs() as u32 + 1;
+            assert_eq!(len, 2 + 2 * v.ilog2(), "level {l}");
+            assert_eq!(code >> len, 0, "level {l}");
+            assert_eq!(code & 1, (l < 0) as u32, "level {l}");
         }
     }
 
     #[test]
     fn gamma_one_is_single_bit() {
-        let mut w = BitWriter::new();
-        gamma_encode(&mut w, 1);
-        assert_eq!(w.bit_len(), 1);
+        // Level 0 is gamma(1) = "1" after a clear sign bit.
+        assert_eq!(level_code(0), (0b10, 2));
     }
 }

@@ -81,7 +81,7 @@
 
 pub mod dense;
 pub mod ef;
-pub mod elias;
+mod elias;
 pub mod gaussiank;
 pub mod hier;
 pub mod qsgd;

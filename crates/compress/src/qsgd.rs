@@ -2,16 +2,23 @@
 //!
 //! Each coordinate is quantized to one of `s` levels of `‖g‖₂` with
 //! unbiased stochastic rounding, then entropy-coded (sign bit + Elias
-//! gamma level). Two implementations are provided:
+//! gamma level, the crate's `elias` coder). Two implementations are provided:
 //!
-//! * [`QsgdImpl::Fast`] — single-pass vectorizable quantization, `O(n)`;
+//! * [`QsgdImpl::Fast`] — one pass, `O(n)`: each coordinate is rounded
+//!   into a buffer reused across steps and its code length counted in the
+//!   same loop, so the encoded size is known without a second walk;
 //! * [`QsgdImpl::Reference`] — mirrors the computation pattern of the
 //!   numpy implementation the paper benchmarked (its §4.3 attributes
 //!   `O(n²)` cost to recomputing the norm while quantizing each gradient);
 //!   used by the Figure 2 regenerator so the *shape* of the paper's
 //!   computation-time comparison is reproducible.
+//!
+//! Both draw one `flip` per coordinate, in index order, so they give the
+//! same levels. Frames are encoded by table lookup into a word-level
+//! writer and decoded up to four levels per table lookup; a frame holding
+//! a code that is not a level in `[−s, s]`, or too few codes, is refused.
 
-use crate::elias::{gamma_decode, gamma_encode, gamma_len, BitReader, BitWriter};
+use crate::elias::{level_code, split_scaled_stream, BitWriter, LevelDecoder};
 use crate::Codec;
 use cluster_comm::Payload;
 use mini_tensor::rng::SeedRng;
@@ -46,13 +53,42 @@ pub struct Qsgd {
     rng: SeedRng,
     /// This step's quantized gradient — what `encode` cuts per bucket.
     q: QuantizedGrad,
+    decoder: LevelDecoder,
+}
+
+/// 1.5·2²³: adding it rounds any |x| < 2²² to the nearest integer, which
+/// then sits in the low mantissa bits.
+const ROUND: f32 = 12_582_912.0;
+
+/// One coordinate's stochastically rounded level: up one step with
+/// probability `p` = the fraction past the lower level, as `round_up(p)`
+/// decides. Branch-free with no float-to-int `as` (nor a libm `floorf`),
+/// so the batch loop vectorises: `x = |v|/‖g‖·s` is in [0, s] (a NaN is
+/// taken as 0, which rounds to level 0 as it always did), so its floor and
+/// the level's integer value are both exact through [`ROUND`].
+#[inline(always)]
+fn level(v: f32, norm: f32, s: u8, round_up: impl FnOnce(f32) -> bool) -> i8 {
+    let x = (v.abs() / norm * s as f32).max(0.0);
+    let nearest = (x + ROUND) - ROUND;
+    let lower = if nearest > x { nearest - 1.0 } else { nearest };
+    let q = (lower + if round_up(x - lower) { 1.0 } else { 0.0 }).min(s as f32);
+    let q = (q + ROUND).to_bits() as i32 - ROUND.to_bits() as i32;
+    (if v < 0.0 { -q } else { q }) as i8
+}
+
+/// Coordinates quantized per batch of uniforms drawn ahead.
+const DRAWS: usize = 256;
+
+/// Encoded size of `levels`' stream in bits.
+fn stream_bits(levels: &[i8]) -> u64 {
+    levels.iter().map(|&l| level_code(l).1 as u64).sum()
 }
 
 impl Qsgd {
-    /// Creates QSGD with `s` quantization levels.
+    /// Creates QSGD with `s` quantization levels, `s` in `1..=127`.
     pub fn new(s: u8, imp: QsgdImpl, seed: u64) -> Self {
-        assert!(s >= 1);
-        Qsgd { s, imp, rng: SeedRng::new(seed), q: QuantizedGrad::default() }
+        let decoder = LevelDecoder::new(s);
+        Qsgd { s, imp, rng: SeedRng::new(seed), q: QuantizedGrad::default(), decoder }
     }
 
     /// Number of levels.
@@ -60,61 +96,57 @@ impl Qsgd {
         self.s
     }
 
-    /// Quantizes `g`, returning levels + measured encoded size.
-    pub fn quantize(&mut self, g: &[f32]) -> QuantizedGrad {
+    /// Quantizes `g` into the codec's buffer, returning levels + measured
+    /// encoded size.
+    pub fn quantize(&mut self, g: &[f32]) -> &QuantizedGrad {
+        self.q.levels.clear();
+        self.q.levels.resize(g.len(), 0);
         match self.imp {
             QsgdImpl::Fast => self.quantize_fast(g),
             QsgdImpl::Reference => self.quantize_reference(g),
         }
+        &self.q
     }
 
-    /// Closed-form size of the Elias stream — no bit buffer is built, so
-    /// quantization can report its encoded size without paying for the
-    /// encoding twice ([`Self::encode_payload`] builds the real stream).
-    fn encode_bits(levels: &[i8]) -> u64 {
-        let stream: usize =
-            levels.iter().map(|&l| 1 + gamma_len(l.unsigned_abs() as u64 + 1)).sum();
-        32 + stream as u64
-    }
-
-    fn quantize_fast(&mut self, g: &[f32]) -> QuantizedGrad {
+    fn quantize_fast(&mut self, g: &[f32]) {
         let norm = (g.iter().map(|v| (*v as f64).powi(2)).sum::<f64>()).sqrt() as f32;
-        let mut levels = vec![0i8; g.len()];
-        if norm > 0.0 {
-            let s = self.s as f32;
-            for (i, &v) in g.iter().enumerate() {
-                let l = v.abs() / norm * s;
-                let lower = l.floor();
-                let p = l - lower;
-                let q = lower + if self.rng.flip(p) { 1.0 } else { 0.0 };
-                levels[i] = (q as i8).min(self.s as i8) * if v < 0.0 { -1 } else { 1 };
+        let (s, rng, q) = (self.s, &mut self.rng, &mut self.q);
+        let stream = if norm > 0.0 {
+            // One flip per coordinate in index order, drawn a batch ahead
+            // so the rounding loop runs free of the generator's chain.
+            let mut bits = 0u64;
+            let mut u = [0.0f32; DRAWS];
+            for (ls, vs) in q.levels.chunks_mut(DRAWS).zip(g.chunks(DRAWS)) {
+                let u = &mut u[..vs.len()];
+                rng.fill_unit(u);
+                for ((l, &v), &u) in ls.iter_mut().zip(vs).zip(&*u) {
+                    *l = level(v, norm, s, |p| u < p);
+                }
+                bits += stream_bits(ls);
             }
-        }
-        let encoded_bits = Self::encode_bits(&levels);
-        QuantizedGrad { norm, levels, encoded_bits }
+            bits
+        } else {
+            stream_bits(&q.levels)
+        };
+        q.norm = norm;
+        q.encoded_bits = 32 + stream;
     }
 
     /// Reference path: recomputes ‖g‖₂ for every coordinate, reproducing
     /// the quadratic compute profile the paper measured for the numpy
     /// implementation. Semantically identical to the fast path.
-    fn quantize_reference(&mut self, g: &[f32]) -> QuantizedGrad {
-        let mut levels = vec![0i8; g.len()];
-        let mut norm = 0.0f32;
-        let s = self.s as f32;
+    fn quantize_reference(&mut self, g: &[f32]) {
+        let q = &mut self.q;
+        q.norm = 0.0;
         for (i, &v) in g.iter().enumerate() {
             // O(n) norm inside the O(n) loop — deliberately quadratic.
             let n2 = (g.iter().map(|x| (*x as f64).powi(2)).sum::<f64>()).sqrt() as f32;
-            norm = n2;
+            q.norm = n2;
             if n2 > 0.0 {
-                let l = v.abs() / n2 * s;
-                let lower = l.floor();
-                let p = l - lower;
-                let q = lower + if self.rng.flip(p) { 1.0 } else { 0.0 };
-                levels[i] = (q as i8).min(self.s as i8) * if v < 0.0 { -1 } else { 1 };
+                q.levels[i] = level(v, n2, self.s, |p| self.rng.flip(p));
             }
         }
-        let encoded_bits = Self::encode_bits(&levels);
-        QuantizedGrad { norm, levels, encoded_bits }
+        q.encoded_bits = 32 + stream_bits(&q.levels);
     }
 
     /// Decodes a quantized gradient back to dense values.
@@ -132,12 +164,24 @@ impl Qsgd {
     /// `ceil(encoded_bits / 8)` bytes; a bucket's frame is the same cut of
     /// the levels under the same norm, so each frame stays self-describing.
     pub fn encode_payload(norm: f32, levels: &[i8]) -> Payload {
-        let mut w = BitWriter::new();
+        // ≈ 2.8 bits a level at s = 4 (the paper's expected size).
+        let mut w = BitWriter::scaled(norm, 3 * levels.len());
         for &l in levels {
-            w.push_bit(l < 0);
-            gamma_encode(&mut w, l.unsigned_abs() as u64 + 1);
+            let (code, len) = level_code(l);
+            w.put(code, len);
         }
-        crate::elias::scaled_stream_payload(norm, &w)
+        w.finish()
+    }
+
+    /// Adds one frame's dequantized levels into `bucket` at `weight` — the
+    /// arithmetic of [`Qsgd::dequantize`]. `None` if the frame is shorter
+    /// than its norm, runs out before `bucket.len()` levels, or holds a
+    /// code that is not a level in `[−s, s]` (`bucket` is then partly
+    /// updated).
+    pub fn decode(&self, frame: &Payload, bucket: &mut [f32], weight: f32) -> Option<()> {
+        let (norm, stream) = split_scaled_stream(frame)?;
+        let scale = norm / self.s as f32;
+        self.decoder.decode(stream, bucket, |g, level| *g += level as f32 * scale * weight)
     }
 }
 
@@ -159,25 +203,15 @@ impl Codec for Qsgd {
     /// rounding stream are global, so levels never depend on the bucket
     /// partition — only the frame cuts do.
     fn prepare(&mut self, grad: &mut [f32]) {
-        self.q = self.quantize(grad);
+        self.quantize(grad);
     }
 
     fn encode(&self, range: &Range<usize>, _bucket: &[f32]) -> Payload {
         Self::encode_payload(self.q.norm, &self.q.levels[range.clone()])
     }
 
-    /// Elias-decodes one level per coordinate and adds its dequantized
-    /// value — the arithmetic of [`Qsgd::dequantize`] — at `weight`.
     fn accumulate(&self, _range: &Range<usize>, frame: &Payload, bucket: &mut [f32], weight: f32) {
-        let (norm, stream) = crate::elias::split_scaled_stream(frame);
-        let scale = norm / self.s as f32;
-        let mut r = BitReader::new(stream, 8 * stream.len());
-        for g in bucket.iter_mut() {
-            let neg = r.read_bit().expect("sign bit");
-            let mag = gamma_decode(&mut r).expect("gamma level") - 1;
-            let level = if neg { -(mag as i8) } else { mag as i8 };
-            *g += level as f32 * scale * weight;
-        }
+        self.decode(frame, bucket, weight).expect("malformed QSGD frame");
     }
 }
 
@@ -197,7 +231,7 @@ mod tests {
         let mut out = vec![0.0f32; g.len()];
         for _ in 0..trials {
             let qg = q.quantize(&g);
-            Qsgd::dequantize(&qg, 4, &mut out);
+            Qsgd::dequantize(qg, 4, &mut out);
             for (a, &v) in acc.iter_mut().zip(&out) {
                 *a += v as f64;
             }
@@ -212,9 +246,11 @@ mod tests {
     fn reference_and_fast_agree_given_same_seed() {
         let mut rng = SeedRng::new(10);
         let g: Vec<f32> = (0..64).map(|_| rng.randn()).collect();
-        let qf = Qsgd::new(4, QsgdImpl::Fast, 77).quantize(&g);
-        let qr = Qsgd::new(4, QsgdImpl::Reference, 77).quantize(&g);
+        let (mut fast, mut reference) =
+            (Qsgd::new(4, QsgdImpl::Fast, 77), Qsgd::new(4, QsgdImpl::Reference, 77));
+        let (qf, qr) = (fast.quantize(&g), reference.quantize(&g));
         assert_eq!(qf.levels, qr.levels);
+        assert_eq!(qf.encoded_bits, qr.encoded_bits);
         assert!((qf.norm - qr.norm).abs() < 1e-5);
     }
 
@@ -223,17 +259,19 @@ mod tests {
         let mut q = Qsgd::new(4, QsgdImpl::Fast, 3);
         let g = vec![0.5f32, -0.5, 0.0, 1.0, -1.0, 0.25];
         let qg = q.quantize(&g);
-        // The closed form against the actual bit stream, and the frame
-        // against both: 4 norm bytes + the stream padded to whole bytes.
-        let mut w = BitWriter::new();
-        for &l in &qg.levels {
-            w.push_bit(l < 0);
-            gamma_encode(&mut w, l.unsigned_abs() as u64 + 1);
-        }
-        assert_eq!(qg.encoded_bits, 32 + w.bit_len() as u64);
-        let frame = Qsgd::encode_payload(qg.norm, &qg.levels);
-        assert_eq!(frame.as_bytes()[4..], *w.as_bytes());
+        // The count against the code's definition (sign + gamma(|l| + 1)),
+        // and the frame against both: 4 norm bytes + the stream padded to
+        // whole bytes, decoding back to the levels.
+        let stream: u32 =
+            qg.levels.iter().map(|&l| 2 + 2 * (l.unsigned_abs() as u32 + 1).ilog2()).sum();
+        assert_eq!(qg.encoded_bits, 32 + stream as u64);
+        let (norm, levels) = (qg.norm, qg.levels.clone());
+        let frame = Qsgd::encode_payload(norm, &levels);
         assert_eq!(frame.byte_len() as u64, qg.encoded_bits.div_ceil(8));
+        let mut out = vec![0.0f32; levels.len()];
+        q.decode(&frame, &mut out, 1.0).unwrap();
+        let want: Vec<f32> = levels.iter().map(|&l| 0.0 + l as f32 * (norm / 4.0) * 1.0).collect();
+        assert_eq!(out, want);
     }
 
     #[test]
@@ -265,7 +303,8 @@ mod tests {
         // 32 bits/coordinate (the paper's motivation for quantization).
         let mut rng = SeedRng::new(11);
         let g: Vec<f32> = (0..10_000).map(|_| rng.randn() * 0.01).collect();
-        let qg = Qsgd::new(4, QsgdImpl::Fast, 12).quantize(&g);
+        let mut q = Qsgd::new(4, QsgdImpl::Fast, 12);
+        let qg = q.quantize(&g);
         let bits_per_coord = (qg.encoded_bits - 32) as f64 / g.len() as f64;
         assert!(bits_per_coord < 8.0, "bits/coord {bits_per_coord}");
     }

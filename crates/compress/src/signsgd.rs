@@ -1,7 +1,7 @@
 //! EF-SignSGD (Karimireddy et al., paper ref [22]).
 
 use crate::ef::ErrorFeedback;
-use crate::elias::{BitReader, BitWriter};
+use crate::elias::{split_scaled_stream, BitReader, BitWriter};
 use crate::Codec;
 use cluster_comm::Payload;
 use std::ops::Range;
@@ -25,6 +25,19 @@ impl SignSgdEf {
     /// The error-feedback memory: the quantization error carried so far.
     pub fn residual(&self) -> &[f32] {
         self.ef.residual()
+    }
+
+    /// Adds one frame's `±scale · weight` signs into `bucket`. `None` if
+    /// the frame is shorter than its scale or runs out before
+    /// `bucket.len()` signs (`bucket` is then partly updated).
+    pub fn decode(frame: &Payload, bucket: &mut [f32], weight: f32) -> Option<()> {
+        let (scale, stream) = split_scaled_stream(frame)?;
+        let mut r = BitReader::new(stream);
+        for a in bucket.iter_mut() {
+            let v = if r.take(1)? == 1 { -scale } else { scale };
+            *a += v * weight;
+        }
+        Some(())
     }
 }
 
@@ -59,20 +72,15 @@ impl Codec for SignSgdEf {
     /// 4 bytes of scale + one sign bit per coordinate (1 = negative),
     /// final byte zero-padded.
     fn encode(&self, _range: &Range<usize>, bucket: &[f32]) -> Payload {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::scaled(self.scale, bucket.len());
         for &v in bucket {
-            w.push_bit(v.is_sign_negative());
+            w.put(v.is_sign_negative() as u32, 1);
         }
-        crate::elias::scaled_stream_payload(self.scale, &w)
+        w.finish()
     }
 
     fn accumulate(&self, _range: &Range<usize>, frame: &Payload, bucket: &mut [f32], weight: f32) {
-        let (scale, stream) = crate::elias::split_scaled_stream(frame);
-        let mut r = BitReader::new(stream, 8 * stream.len());
-        for a in bucket.iter_mut() {
-            let v = if r.read_bit().expect("truncated sign stream") { -scale } else { scale };
-            *a += v * weight;
-        }
+        Self::decode(frame, bucket, weight).expect("malformed SignSGD frame");
     }
 }
 

@@ -1,6 +1,6 @@
 //! TernGrad ternary quantization (Wen et al., paper ref [20]).
 
-use crate::elias::{BitReader, BitWriter};
+use crate::elias::{split_scaled_stream, BitReader, BitWriter};
 use crate::Codec;
 use cluster_comm::Payload;
 use mini_tensor::rng::SeedRng;
@@ -16,6 +16,13 @@ pub struct TernGrad {
     /// This step's scale `s`, shipped with every bucket's frame.
     scale: f32,
 }
+
+/// The ternary digits in stream order (first bit in bit 0): written
+/// first-bit-first they read `00` = 0, `01` = +s, `10` = −s. `11` is not
+/// a digit.
+const ZERO: u32 = 0b00;
+const PLUS: u32 = 0b10;
+const MINUS: u32 = 0b01;
 
 impl TernGrad {
     /// Creates TernGrad with a seeded dithering stream.
@@ -34,6 +41,24 @@ impl TernGrad {
             *v = if self.rng.flip(p) { s * v.signum() } else { 0.0 };
         }
         s
+    }
+
+    /// Adds one frame's `±s · weight` digits into `bucket`. `None` if the
+    /// frame is shorter than its scale, runs out before `bucket.len()`
+    /// digits, or holds the non-digit `11` (`bucket` is then partly
+    /// updated).
+    pub fn decode(frame: &Payload, bucket: &mut [f32], weight: f32) -> Option<()> {
+        let (scale, stream) = split_scaled_stream(frame)?;
+        let mut r = BitReader::new(stream);
+        for a in bucket.iter_mut() {
+            match r.take(2)? {
+                PLUS => *a += scale * weight,
+                MINUS => *a -= scale * weight,
+                ZERO => {}
+                _ => return None,
+            }
+        }
+        Some(())
     }
 }
 
@@ -58,33 +83,25 @@ impl Codec for TernGrad {
         self.scale = self.ternarize(grad);
     }
 
-    /// 4 bytes of scale, then 2 bits per coordinate (`00` = 0, `01` = +s,
-    /// `10` = −s), final byte zero-padded.
+    /// 4 bytes of scale, then 2 bits per coordinate, final byte
+    /// zero-padded.
     fn encode(&self, _range: &Range<usize>, bucket: &[f32]) -> Payload {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::scaled(self.scale, 2 * bucket.len());
         for &v in bucket {
-            let code: u64 = if v > 0.0 {
-                0b01
+            let digit = if v > 0.0 {
+                PLUS
             } else if v < 0.0 {
-                0b10
+                MINUS
             } else {
-                0b00
+                ZERO
             };
-            w.push_bits(code, 2);
+            w.put(digit, 2);
         }
-        crate::elias::scaled_stream_payload(self.scale, &w)
+        w.finish()
     }
 
     fn accumulate(&self, _range: &Range<usize>, frame: &Payload, bucket: &mut [f32], weight: f32) {
-        let (scale, stream) = crate::elias::split_scaled_stream(frame);
-        let mut r = BitReader::new(stream, 8 * stream.len());
-        for a in bucket.iter_mut() {
-            match r.read_bits(2).expect("truncated ternary stream") {
-                0b01 => *a += scale * weight,
-                0b10 => *a -= scale * weight,
-                _ => {}
-            }
-        }
+        Self::decode(frame, bucket, weight).expect("malformed TernGrad frame");
     }
 }
 

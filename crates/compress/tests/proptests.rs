@@ -1,7 +1,6 @@
 //! Property-based tests for the compression algorithms' core invariants.
 
 use gradcomp::ef::ErrorFeedback;
-use gradcomp::elias::{gamma_decode, gamma_encode, gamma_len, BitReader, BitWriter};
 use gradcomp::sparse;
 use gradcomp::{Codec, Qsgd, QsgdImpl, SignSgdEf, TernGrad, TopK};
 use proptest::prelude::*;
@@ -76,7 +75,7 @@ proptest! {
         let mut q = Qsgd::new(s, QsgdImpl::Fast, 11);
         let qg = q.quantize(&g);
         let mut out = vec![0.0f32; g.len()];
-        Qsgd::dequantize(&qg, s, &mut out);
+        Qsgd::dequantize(qg, s, &mut out);
         let bound = qg.norm / s as f32 + 1e-5;
         for (a, b) in g.iter().zip(&out) {
             prop_assert!((a - b).abs() <= bound, "{a} vs {b}, bound {bound}");
@@ -84,16 +83,14 @@ proptest! {
     }
 
     #[test]
-    fn elias_gamma_roundtrips(vals in prop::collection::vec(1u64..1_000_000_000, 1..64)) {
-        let mut w = BitWriter::new();
-        for &v in &vals {
-            gamma_encode(&mut w, v);
-        }
-        let mut r = BitReader::new(w.as_bytes(), w.bit_len());
-        for &v in &vals {
-            prop_assert_eq!(gamma_decode(&mut r), Some(v));
-        }
-        prop_assert_eq!(r.remaining(), 0);
+    fn elias_gamma_roundtrips(raw in prop::collection::vec(any::<u8>(), 0..64), s in 1u8..=127) {
+        // Any levels in [−s, s] through the frame and back; norm = s makes
+        // each decoded value the level itself.
+        let levels: Vec<i8> = raw.iter().map(|&b| (b as i32 % (2 * s as i32 + 1) - s as i32) as i8).collect();
+        let frame = Qsgd::encode_payload(s as f32, &levels);
+        let mut got = vec![0.0f32; levels.len()];
+        prop_assert!(Qsgd::new(s, QsgdImpl::Fast, 0).decode(&frame, &mut got, 1.0).is_some());
+        prop_assert_eq!(got, levels.iter().map(|&l| l as f32).collect::<Vec<_>>());
     }
 
     #[test]
@@ -158,20 +155,22 @@ proptest! {
 
         // Elias-coded levels: a twin quantizer on the same seed draws the
         // same levels the codec holds.
-        let twin = Qsgd::new(4, QsgdImpl::Fast, seed).quantize(&g);
+        let mut twin = Qsgd::new(4, QsgdImpl::Fast, seed);
+        let twin = twin.quantize(&g);
         assert_frames_roundtrip(
             Qsgd::new(4, QsgdImpl::Fast, seed),
             &g,
             &bounds,
             |_, _| {
                 let mut dense = vec![0.0f32; n];
-                Qsgd::dequantize(&twin, 4, &mut dense);
+                Qsgd::dequantize(twin, 4, &mut dense);
                 dense
             },
             |_, r| {
-                let stream: usize =
-                    twin.levels[r.clone()].iter().map(|&l| 1 + gamma_len(l.unsigned_abs() as u64 + 1)).sum();
-                4 + stream.div_ceil(8)
+                // Sign + gamma(|l| + 1) = 2 + 2⌊log₂(|l| + 1)⌋ bits a level.
+                let stream: u32 =
+                    twin.levels[r.clone()].iter().map(|&l| 2 + 2 * (l.unsigned_abs() as u32 + 1).ilog2()).sum();
+                4 + stream.div_ceil(8) as usize
             },
         );
 

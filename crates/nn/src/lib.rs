@@ -18,7 +18,7 @@
 //!   [`layers::Relu`], [`layers::MaxPool2d`], [`layers::GlobalAvgPool`],
 //!   [`layers::Dropout`], [`layers::Flatten`], [`layers::Embedding`],
 //!   [`layers::Lstm`], [`layers::Sequential`], [`layers::ResidualBlock`],
-//! * [`loss`] — fused softmax cross-entropy and perplexity,
+//! * [`loss`] — fused softmax cross-entropy,
 //! * [`optim`] — [`optim::Sgd`]: momentum SGD with weight decay, LARS
 //!   (paper Table 1) as its optional trust coefficient,
 //! * [`schedule`] — linear scaling, gradual warmup, polynomial decay,

@@ -4,17 +4,21 @@
 //! the slice forms are what the optimizer and the gradient-compression
 //! algorithms use on the flattened gradient vector.
 //!
-//! The LSTM's gate nonlinearities are slice kernels too:
-//! [`tanh_in_place`] and [`sigmoid_in_place`] run one branch-free scalar
-//! body per element over a private `exp` (Cody–Waite reduction, Cephes
-//! degree-6 polynomial, 2ⁿ built in the exponent bits), which LLVM
-//! vectorises at the baseline target — no libm call per element. Contract,
-//! against an f64 reference wherever the result is a normal f32: `tanh`
-//! ≤ 2 ulp, `sigmoid` ≤ 3 ulp. NaN in gives NaN out; `tanh(±∞) = ±1`,
-//! `tanh(−0) = −0` and `tanh` of a tiny `x` is `x`; `sigmoid(+∞) = 1`,
-//! `sigmoid(−∞) = 0`. Only `*` and `+` are used (never `mul_add`, and Rust
-//! does not contract), so the vector body and its scalar remainder give the
-//! same bits for every element, whatever the slice length.
+//! The transcendental kernels are slice kernels too: [`exp_in_place`],
+//! and the LSTM's gate nonlinearities [`tanh_in_place`] and
+//! [`sigmoid_in_place`] built on it, run one branch-free scalar body per
+//! element (Cody–Waite reduction, Cephes degree-6 polynomial, 2ⁿ built in
+//! the exponent bits), which LLVM vectorises at the baseline target — no
+//! libm call per element. [`softmax_rows`] and the loss's
+//! [`softmax_in_place`] run on the same `exp`. Contract, against an f64
+//! reference wherever the result is a normal f32: `exp` ≤ 1 ulp, `tanh`
+//! ≤ 2 ulp, `sigmoid` ≤ 3 ulp. NaN in gives NaN out; `exp(+∞) = +∞` and
+//! `exp` saturates at e^−86.5 below −86.5 (never 0 or a subnormal);
+//! `tanh(±∞) = ±1`, `tanh(−0) = −0` and `tanh` of a tiny `x` is `x`;
+//! `sigmoid(+∞) = 1`, `sigmoid(−∞) = 0`. Only `*` and `+` are used (never
+//! `mul_add`, and Rust does not contract), so the vector body and its
+//! scalar remainder give the same bits for every element, whatever the
+//! slice length.
 
 use crate::par;
 use crate::tensor::Tensor;
@@ -141,8 +145,17 @@ pub fn norm2(x: &[f32]) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Gate nonlinearities (branch-free, vectorisable; see module docs)
+// Transcendental kernels (branch-free, vectorisable; see module docs)
 // ---------------------------------------------------------------------------
+
+/// `x ← eˣ` elementwise, ≤ 1 ulp where the result is a normal f32. Below
+/// −86.5 it saturates at e^−86.5 ≈ 2.6·10⁻³⁸, the smallest value it
+/// returns; above ln f32::MAX it is +∞.
+pub fn exp_in_place(xs: &mut [f32]) {
+    for x in xs {
+        *x = exp(*x);
+    }
+}
 
 /// `x ← tanh(x)` elementwise, ≤ 2 ulp.
 pub fn tanh_in_place(xs: &mut [f32]) {
@@ -261,24 +274,64 @@ pub fn argmax_rows(a: &Tensor) -> Vec<usize> {
 /// Numerically-stable row-wise softmax of a rank-2 tensor.
 pub fn softmax_rows(a: &Tensor) -> Tensor {
     assert_eq!(a.shape().rank(), 2);
-    let (r, c) = (a.shape().dim(0), a.shape().dim(1));
-    let x = a.as_slice();
-    let mut out = vec![0.0f32; r * c];
-    for i in 0..r {
-        let row = &x[i * c..(i + 1) * c];
-        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut z = 0.0f64;
-        for j in 0..c {
-            let e = (row[j] - m).exp();
-            out[i * c + j] = e;
-            z += e as f64;
-        }
-        let inv = (1.0 / z) as f32;
-        for j in 0..c {
-            out[i * c + j] *= inv;
+    let mut out = a.clone();
+    softmax_rows_in_place(out.as_mut_slice(), a.shape().dim(1));
+    out
+}
+
+/// Largest element, NaNs skipped, in eight lanes (max is order-free).
+fn row_max(row: &[f32]) -> f32 {
+    let mut lanes = [f32::NEG_INFINITY; 8];
+    let mut chunks = row.chunks_exact(8);
+    for ch in &mut chunks {
+        for (l, &v) in lanes.iter_mut().zip(ch) {
+            *l = l.max(v);
         }
     }
-    Tensor::from_vec(out, a.shape().clone())
+    let m = chunks.remainder().iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    lanes.into_iter().fold(m, f32::max)
+}
+
+/// Row-wise softmax of a row-major `[rows, cols]` buffer in place:
+/// `x ← e^{x − max} / Σ e^{x − max}` per row, each sum accumulated in f64
+/// in index order and its inverse rounded to f32 once. The exponentials
+/// are [`exp_in_place`]'s kernel, so an entry more than 86.5 below its
+/// row's maximum gets e^−86.5 · inverse, not 0.
+pub fn softmax_rows_in_place(x: &mut [f32], cols: usize) {
+    if cols == 0 {
+        return;
+    }
+    for block in x.chunks_mut(4 * cols) {
+        for row in block.chunks_exact_mut(cols) {
+            let m = row_max(row);
+            for v in row.iter_mut() {
+                *v = exp(*v - m);
+            }
+        }
+        // Four rows' sums at once: independent chains, each in order.
+        let mut z = [0.0f64; 4];
+        if block.len() == 4 * cols {
+            let (r0, rest) = block.split_at(cols);
+            let (r1, rest) = rest.split_at(cols);
+            let (r2, r3) = rest.split_at(cols);
+            for j in 0..cols {
+                z[0] += r0[j] as f64;
+                z[1] += r1[j] as f64;
+                z[2] += r2[j] as f64;
+                z[3] += r3[j] as f64;
+            }
+        } else {
+            for (z, row) in z.iter_mut().zip(block.chunks_exact(cols)) {
+                *z = row.iter().map(|&e| e as f64).sum();
+            }
+        }
+        for (row, z) in block.chunks_exact_mut(cols).zip(z) {
+            let inv = (1.0 / z) as f32;
+            for v in row {
+                *v *= inv;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -379,13 +432,37 @@ mod tests {
         assert!(t <= 2.0, "tanh: {t} ulp at {tx:e}");
         let (s, sx) = max_ulps(sigmoid_in_place, sigmoid_ref, xs);
         assert!(s <= 3.0, "sigmoid: {s} ulp at {sx:e}");
-        // The private exp both build on, over the range it is defined on.
-        let e = sweep(0.0, 86.5, 1021)
-            .into_iter()
-            .chain(sweep(86.5, 88.72, 7).into_iter().filter(|x| *x > 0.0))
-            .map(|x| ulps(exp(x), (x as f64).exp()))
-            .fold(0.0, f64::max);
-        assert!(e <= 1.0, "exp: {e} ulp");
+    }
+
+    /// `exp`'s contract, saturation included: e^max(x, −86.5).
+    fn exp_ref(x: f64) -> f64 {
+        x.max(-86.5).exp()
+    }
+
+    #[test]
+    fn exp_in_place_is_within_one_ulp() {
+        // Every 1021st pattern of ±[0, 86.5], densely up to ln f32::MAX,
+        // and the saturated tail below −86.5 down to −f32::MAX.
+        let mut xs = sweep(0.0, 86.5, 1021);
+        xs.extend(sweep(86.5, 88.72, 7).into_iter().filter(|x| *x > 0.0));
+        xs.extend(sweep(86.5, f32::MAX, 4099).into_iter().filter(|x| *x < 0.0));
+        assert!(xs.len() >= 1 << 21);
+        let (e, ex) = max_ulps(exp_in_place, exp_ref, xs);
+        assert!(e <= 1.0, "exp: {e} ulp at {ex:e}");
+    }
+
+    #[test]
+    fn exp_in_place_special_values() {
+        let floor = (-86.5f64).exp() as f32;
+        let mut e =
+            [f32::NAN, f32::INFINITY, 89.0, 0.0, -0.0, -86.5, -87.0, -1e30, f32::NEG_INFINITY];
+        exp_in_place(&mut e);
+        assert!(e[0].is_nan());
+        assert_eq!(e[1..3], [f32::INFINITY; 2]);
+        assert_eq!(e[3..5], [1.0; 2]);
+        // The saturation: a normal f32, the same from −86.5 down to −∞.
+        assert!(e[5].is_normal() && ulps(e[5], (-86.5f64).exp()) <= 1.0, "{:e} vs {floor:e}", e[5]);
+        assert_eq!(e[6..], [e[5]; 3]);
     }
 
     #[test]
@@ -411,11 +488,14 @@ mod tests {
         for len in 0..=67 {
             let mut t = base[..len].to_vec();
             let mut s = t.clone();
+            let mut e = t.clone();
             tanh_in_place(&mut t);
             sigmoid_in_place(&mut s);
+            exp_in_place(&mut e);
             for (i, &x) in base[..len].iter().enumerate() {
                 assert_eq!(t[i].to_bits(), tanh(x).to_bits(), "tanh len {len} i {i}");
                 assert_eq!(s[i].to_bits(), sigmoid(x).to_bits(), "sigmoid len {len} i {i}");
+                assert_eq!(e[i].to_bits(), exp(x).to_bits(), "exp len {len} i {i}");
             }
         }
     }
@@ -425,7 +505,7 @@ mod tests {
     #[test]
     #[ignore]
     fn gate_kernels_exhaustive() {
-        let mut worst = [(0.0f64, 0.0f32); 2];
+        let mut worst = [(0.0f64, 0.0f32); 3];
         for hi in 0..1u32 << 16 {
             let xs: Vec<f32> = (0..1u32 << 16)
                 .map(|lo| f32::from_bits(hi << 16 | lo))
@@ -434,6 +514,7 @@ mod tests {
             for (w, (f, r)) in worst.iter_mut().zip([
                 (tanh_in_place as fn(&mut [f32]), tanh_ref as fn(f64) -> f64),
                 (sigmoid_in_place, sigmoid_ref),
+                (exp_in_place, exp_ref),
             ]) {
                 let m = max_ulps(f, r, xs.clone());
                 if m.0 > w.0 {
@@ -442,10 +523,10 @@ mod tests {
             }
         }
         println!(
-            "tanh max {:.3} ulp at {:e}; sigmoid max {:.3} ulp at {:e}",
-            worst[0].0, worst[0].1, worst[1].0, worst[1].1
+            "tanh max {:.3} ulp at {:e}; sigmoid max {:.3} ulp at {:e}; exp max {:.3} ulp at {:e}",
+            worst[0].0, worst[0].1, worst[1].0, worst[1].1, worst[2].0, worst[2].1
         );
-        assert!(worst[0].0 <= 2.0 && worst[1].0 <= 3.0);
+        assert!(worst[0].0 <= 2.0 && worst[1].0 <= 3.0 && worst[2].0 <= 1.0);
     }
 
     #[test]
@@ -468,6 +549,38 @@ mod tests {
     fn argmax_rows_ties_low() {
         let a = Tensor::from_vec(vec![1.0, 3.0, 3.0, 0.5, 0.1, 0.2], [2, 3]);
         assert_eq!(argmax_rows(&a), vec![1, 0]);
+    }
+
+    #[test]
+    fn softmax_rows_in_place_is_the_row_by_row_formula() {
+        // Lane max and four-row sums change no bit: every row count up to
+        // nine (full four-row blocks and each remainder), widths around
+        // the eight lanes, and the lstm_qsgd head's 200.
+        let mut rng = crate::rng::SeedRng::new(6);
+        for cols in [1, 3, 7, 8, 9, 17, 200] {
+            for rows in 0..=9 {
+                let x = rng.randn_tensor(&[rows * cols], 4.0).into_vec();
+                let mut got = x.clone();
+                softmax_rows_in_place(&mut got, cols);
+                for (i, row) in x.chunks(cols).enumerate() {
+                    let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                    let e: Vec<f32> = row.iter().map(|&v| exp(v - m)).collect();
+                    let mut z = 0.0f64;
+                    for &e in &e {
+                        z += e as f64;
+                    }
+                    let inv = (1.0 / z) as f32;
+                    for (j, &e) in e.iter().enumerate() {
+                        let want = e * inv;
+                        assert_eq!(
+                            got[i * cols + j].to_bits(),
+                            want.to_bits(),
+                            "{rows}x{cols} [{i}, {j}]"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -50,6 +50,15 @@ impl SeedRng {
         self.rng.gen::<f32>() < p
     }
 
+    /// The next `out.len()` uniforms in `[0, 1)`, in order: the draws
+    /// [`Self::flip`] compares against, so `flip(p)` ≡ `u < p` on the same
+    /// stream.
+    pub fn fill_unit(&mut self, out: &mut [f32]) {
+        for u in out {
+            *u = self.rng.gen::<f32>();
+        }
+    }
+
     /// Raw u64.
     pub fn next_u64(&mut self) -> u64 {
         self.rng.gen()
