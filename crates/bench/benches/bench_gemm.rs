@@ -5,7 +5,7 @@
 //! The row-parallel triple loops it replaced are gone; their medians stay
 //! in the ledger as the frozen `*/legacy/*` baseline rows.
 //!
-//! Eight groups:
+//! Ten groups:
 //! * `gemm_st` — square 128/256/512 products.
 //! * `gemm_layers` — the real workspace shapes as bare products on stored
 //!   operands: FNN-3's first layer, the VGG entry/middle conv products on a
@@ -20,6 +20,9 @@
 //! * `batchnorm` — one `BatchNorm2d` forward and one backward.
 //! * `lstm` — one `Lstm` layer forward and one backward, one lane.
 //! * `ops` — the gate nonlinearities `ops::{tanh,sigmoid}_in_place`.
+//! * `rng` — one MNIST batch's pixel noise through `SeedRng::fill_randn`.
+//! * `data` — one training batch of each synthetic image set, stacked by
+//!   `synthdata::stack` as the trainer does.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mini_nn::layers::{BatchNorm2d, Lstm, Relu};
@@ -29,6 +32,7 @@ use mini_tensor::gemm::Gemm;
 use mini_tensor::ops;
 use mini_tensor::rng::SeedRng;
 use mini_tensor::Tensor;
+use synthdata::{Shard, SyntheticImages, VisionSpec};
 
 fn operands(g: &Gemm, seed: u64) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
     let mut rng = SeedRng::new(seed);
@@ -228,6 +232,41 @@ fn bench_ops(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `fnn3_*` batch's pixel noise: 32 × 784 normals.
+fn bench_rng(c: &mut Criterion) {
+    let mut group = c.benchmark_group("rng");
+    group.sample_size(30);
+    let mut rng = SeedRng::new(47);
+    let mut buf = vec![0.0f32; 32 * 28 * 28];
+    group.bench_function(&format!("randn/{}", buf.len()), |bch| {
+        bch.iter(|| {
+            rng.fill_randn(&mut buf);
+            std::hint::black_box(buf[0])
+        })
+    });
+    group.finish();
+}
+
+/// One step's batch of the MNIST stand-in at the `fnn3_*` batch (32) and
+/// of the CIFAR stand-in at the `resnet20_topk` batch (8), on the first
+/// indices of a permuted shard, the way the trainer assembles them.
+fn bench_data(c: &mut Criterion) {
+    let mut group = c.benchmark_group("data");
+    group.sample_size(30);
+    for (name, spec, batch) in [
+        ("mnist_batch", VisionSpec::mnist_like(), 32),
+        ("cifar_batch", VisionSpec::cifar_like(), 8),
+    ] {
+        let d = SyntheticImages::new(spec, 60_000, 53);
+        let shard = Shard::new_permuted(60_000, 0, 2, 59);
+        let idxs = &shard.indices()[..batch];
+        group.bench_function(&format!("{name}/b{batch}"), |bch| {
+            bch.iter(|| std::hint::black_box(synthdata::stack(&d, idxs)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_square,
@@ -237,6 +276,8 @@ criterion_group!(
     bench_relu,
     bench_batchnorm,
     bench_lstm,
-    bench_ops
+    bench_ops,
+    bench_rng,
+    bench_data
 );
 criterion_main!(benches);

@@ -25,11 +25,10 @@ use mini_nn::models::{LstmLmConfig, ModelKind, Preset};
 use mini_nn::module::{Mode, Module, ModuleExt};
 use mini_nn::schedule::LrSchedule;
 use mini_tensor::stats::Histogram;
-use mini_tensor::Tensor;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
-use synthdata::{BatchIter, Dataset, MarkovText, Shard, SyntheticImages, VisionSpec};
+use synthdata::{BatchIter, MarkovText, Shard, SyntheticImages, VisionSpec};
 
 /// Optimizer selection (Table 1's "LR Policy" column: LARS is used for the
 /// VGG-16 large-batch run).
@@ -548,27 +547,15 @@ fn run_rank(
             let t0 = Instant::now();
 
             // ---- batch ------------------------------------------------
-            let (x, targets): (Tensor, Vec<usize>) = if let Some(d) = vision {
-                let lo = it * cfg.batch_per_worker;
-                let idxs = &shard.indices()[lo..lo + cfg.batch_per_worker];
-                let (first, _) = d.sample(idxs[0]);
-                let per = first.numel();
-                let mut dims = vec![cfg.batch_per_worker];
-                dims.extend_from_slice(first.shape().dims());
-                let mut data = vec![0.0f32; cfg.batch_per_worker * per];
-                let mut labels = Vec::with_capacity(cfg.batch_per_worker);
-                for (bi, &i) in idxs.iter().enumerate() {
-                    let (xi, yi) = d.sample(i);
-                    data[bi * per..(bi + 1) * per].copy_from_slice(xi.as_slice());
-                    labels.push(yi);
-                }
-                (Tensor::from_vec(data, &dims[..]), labels)
-            } else {
-                let m = lm.unwrap();
-                let lo = it * cfg.batch_per_worker;
-                let idxs: Vec<usize> = shard.indices()[lo..lo + cfg.batch_per_worker].to_vec();
-                m.lm_batch(&idxs)
+            let data_ns = a2sgd_trace::now_ns();
+            let lo = it * cfg.batch_per_worker;
+            let idxs = &shard.indices()[lo..lo + cfg.batch_per_worker];
+            let (x, targets) = match (vision, lm) {
+                (Some(d), _) => synthdata::stack(d, idxs),
+                (_, Some(m)) => m.lm_batch(idxs),
+                _ => unreachable!("one dataset must exist"),
             };
+            phase("phase/data", data_ns);
 
             // ---- forward / loss ----------------------------------------
             let fwd_ns = a2sgd_trace::now_ns();

@@ -15,12 +15,15 @@
 //!   memory.
 //! * [`markov`] — a Zipf-weighted Markov token source with a computable
 //!   entropy floor, the PTB stand-in for the LSTM workload.
-//! * [`loader`] — dataset/shard/batch machinery shared by all workers.
+//! * [`loader`] — dataset/shard/batch machinery shared by all workers:
+//!   a [`Dataset`] writes one example into a caller's slice
+//!   ([`Dataset::sample_into`]), and [`stack`] — what [`BatchIter`] and the
+//!   trainer call — fills each row of a `[B, …]` batch once.
 
 pub mod loader;
 pub mod markov;
 pub mod vision;
 
-pub use loader::{BatchIter, Dataset, Shard};
+pub use loader::{stack, BatchIter, Dataset, Shard};
 pub use markov::MarkovText;
 pub use vision::{SyntheticImages, VisionSpec};

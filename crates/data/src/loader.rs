@@ -16,8 +16,35 @@ pub trait Dataset: Sync {
     /// Number of label classes.
     fn num_classes(&self) -> usize;
 
-    /// The `index`-th example.
-    fn sample(&self, index: usize) -> (Tensor, usize);
+    /// Dims of every example (a batch of them is `[B, dims…]`).
+    fn example_dims(&self) -> Vec<usize>;
+
+    /// Writes the `index`-th example into `out` (`example_dims`' product
+    /// long) and returns its label.
+    fn sample_into(&self, index: usize, out: &mut [f32]) -> usize;
+
+    /// The `index`-th example as a tensor, with its label.
+    fn sample(&self, index: usize) -> (Tensor, usize) {
+        let dims = self.example_dims();
+        let mut x = vec![0.0f32; dims.iter().product()];
+        let label = self.sample_into(index, &mut x);
+        (Tensor::from_vec(x, &dims[..]), label)
+    }
+}
+
+/// Stacks examples `idxs` of `dataset` into one `[B, dims…]` tensor, each
+/// row written once by [`Dataset::sample_into`], with their labels.
+pub fn stack<D: Dataset>(dataset: &D, idxs: &[usize]) -> (Tensor, Vec<usize>) {
+    let dims = dataset.example_dims();
+    let per: usize = dims.iter().product();
+    let mut data = vec![0.0f32; idxs.len() * per];
+    let labels = idxs
+        .iter()
+        .zip(data.chunks_exact_mut(per))
+        .map(|(&i, row)| dataset.sample_into(i, row))
+        .collect();
+    let shape: Vec<usize> = [idxs.len()].into_iter().chain(dims).collect();
+    (Tensor::from_vec(data, &shape[..]), labels)
 }
 
 /// The index shard owned by one data-parallel worker: indices
@@ -105,19 +132,7 @@ impl<'a, D: Dataset> Iterator for BatchIter<'a, D> {
         }
         let idxs = &self.shard.indices()[self.cursor..self.cursor + self.batch];
         self.cursor += self.batch;
-
-        let (first, _) = self.dataset.sample(idxs[0]);
-        let per = first.numel();
-        let mut dims = vec![self.batch];
-        dims.extend_from_slice(first.shape().dims());
-        let mut data = vec![0.0f32; self.batch * per];
-        let mut labels = Vec::with_capacity(self.batch);
-        for (bi, &i) in idxs.iter().enumerate() {
-            let (x, y) = self.dataset.sample(i);
-            data[bi * per..(bi + 1) * per].copy_from_slice(x.as_slice());
-            labels.push(y);
-        }
-        Some((Tensor::from_vec(data, &dims[..]), labels))
+        Some(stack(self.dataset, idxs))
     }
 }
 
@@ -125,6 +140,7 @@ impl<'a, D: Dataset> Iterator for BatchIter<'a, D> {
 mod tests {
     use super::*;
     use crate::vision::{SyntheticImages, VisionSpec};
+    use std::sync::atomic::Ordering::Relaxed;
 
     #[test]
     fn shards_partition_the_dataset() {
@@ -193,6 +209,48 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 6);
+    }
+
+    /// Counts every `sample_into` call per index.
+    struct Counting {
+        inner: SyntheticImages,
+        calls: Vec<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Dataset for Counting {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn num_classes(&self) -> usize {
+            self.inner.num_classes()
+        }
+        fn example_dims(&self) -> Vec<usize> {
+            self.inner.example_dims()
+        }
+        fn sample_into(&self, index: usize, out: &mut [f32]) -> usize {
+            self.calls[index].fetch_add(1, Relaxed);
+            self.inner.sample_into(index, out)
+        }
+    }
+
+    #[test]
+    fn stacking_writes_each_row_once_and_matches_sample() {
+        let inner = SyntheticImages::new(VisionSpec::cifar_like(), 40, 8);
+        let d = Counting { inner, calls: (0..40).map(|_| Default::default()).collect() };
+        let shard = Shard::new_permuted(40, 0, 1, 3);
+        let batches: Vec<_> = BatchIter::new(&d, &shard, 8).collect();
+        let counts: Vec<usize> = d.calls.iter().map(|c| c.load(Relaxed)).collect();
+        assert_eq!(counts, vec![1; 40], "each index synthesised exactly once");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for ((x, labels), idxs) in batches.iter().zip(shard.indices().chunks_exact(8)) {
+            assert_eq!(x.shape().dims(), &[8, 3, 32, 32]);
+            for ((row, &label), &i) in x.as_slice().chunks_exact(3 * 32 * 32).zip(labels).zip(idxs)
+            {
+                let (want, want_label) = d.inner.sample(i);
+                assert_eq!(label, want_label);
+                assert_eq!(bits(row), bits(want.as_slice()), "index {i}");
+            }
+        }
     }
 
     #[test]

@@ -133,10 +133,17 @@ impl Dataset for MarkovText {
         self.vocab
     }
 
-    fn sample(&self, index: usize) -> (Tensor, usize) {
+    fn example_dims(&self) -> Vec<usize> {
+        vec![self.seq_len]
+    }
+
+    fn sample_into(&self, index: usize, out: &mut [f32]) -> usize {
         let (x, y) = self.lm_example(index);
-        let t = Tensor::from_vec(x.iter().map(|&v| v as f32).collect(), [x.len()]);
-        (t, y[0] as usize)
+        assert_eq!(out.len(), x.len(), "example {index} is {} tokens", x.len());
+        for (o, &tok) in out.iter_mut().zip(&x) {
+            *o = tok as f32;
+        }
+        y[0] as usize
     }
 }
 

@@ -1,8 +1,17 @@
 //! Class-conditional synthetic image datasets.
+//!
+//! An image is a pure function of `(dataset seed, index)`: a per-index
+//! [`SeedRng`] draws the jitter `(dy, dx)`, then one
+//! [`SeedRng::fill_randn`] fills the whole image with its pixel noise in
+//! pixel order (the values one `randn()` per pixel gives, bit for bit), and
+//! the template shifted by the jitter is added row by row as `base + z·σ`,
+//! with `base = 0` where the shift leaves the frame. No libm call is made
+//! per pixel: the normals come from `mini_tensor::rng`'s branch-free
+//! Box–Muller body. [`Dataset::sample_into`] writes straight into a batch
+//! row, which is how `synthdata::stack` assembles a batch.
 
 use crate::loader::Dataset;
 use mini_tensor::rng::SeedRng;
-use mini_tensor::Tensor;
 
 /// Geometry and difficulty of a synthetic vision dataset.
 #[derive(Debug, Clone, Copy)]
@@ -81,11 +90,6 @@ impl SyntheticImages {
     pub fn spec(&self) -> &VisionSpec {
         &self.spec
     }
-
-    /// Image dims as `[C, H, W]`.
-    pub fn image_dims(&self) -> [usize; 3] {
-        [self.spec.channels, self.spec.side, self.spec.side]
-    }
 }
 
 impl Dataset for SyntheticImages {
@@ -97,12 +101,66 @@ impl Dataset for SyntheticImages {
         self.spec.classes
     }
 
-    fn sample(&self, index: usize) -> (Tensor, usize) {
+    /// `[C, H, W]`.
+    fn example_dims(&self) -> Vec<usize> {
+        vec![self.spec.channels, self.spec.side, self.spec.side]
+    }
+
+    /// Pixel noise first, one [`SeedRng::fill_randn`] over the image, then
+    /// the jittered template added row by row as `base + z·σ` (`base` 0
+    /// where the shifted template leaves the frame).
+    fn sample_into(&self, index: usize, out: &mut [f32]) -> usize {
         assert!(index < self.len, "index {index} out of bounds {}", self.len);
         let label = index % self.spec.classes;
+        let tmpl = &self.templates[label];
+        assert_eq!(out.len(), tmpl.len(), "an image is {} pixels", tmpl.len());
         let mut rng = SeedRng::new(self.seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let side = self.spec.side;
-        let j = self.spec.jitter as isize;
+        let j = self.spec.jitter;
+        let (dy, dx) = if j > 0 {
+            (rng.below(2 * j + 1) as isize - j as isize, rng.below(2 * j + 1) as isize - j as isize)
+        } else {
+            (0, 0)
+        };
+        rng.fill_randn(out);
+        let noise = self.spec.noise;
+        // Columns x whose source x + dx lies in the frame.
+        let lo = (-dx).clamp(0, side as isize) as usize;
+        let hi = (side as isize - dx).clamp(lo as isize, side as isize) as usize;
+        for (r, row) in out.chunks_exact_mut(side).enumerate() {
+            let sy = (r % side) as isize + dy;
+            let (lo, hi) = if (0..side as isize).contains(&sy) { (lo, hi) } else { (0, 0) };
+            let (left, rest) = row.split_at_mut(lo);
+            let (mid, right) = rest.split_at_mut(hi - lo);
+            // `0.0 +` as in `base + z·σ`: a −0 product becomes +0.
+            for v in left.iter_mut().chain(right) {
+                *v = 0.0 + *v * noise;
+            }
+            if !mid.is_empty() {
+                // Row r + dy of the same channel, from column lo + dx.
+                let at = ((r as isize + dy) * side as isize + lo as isize + dx) as usize;
+                let src = &tmpl[at..at + mid.len()];
+                for (v, &base) in mid.iter_mut().zip(src) {
+                    *v = base + *v * noise;
+                }
+            }
+        }
+        label
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The per-pixel loop `sample` was before `sample_into`: one
+    /// `randn()` per pixel inside the template walk. `randn` now runs the
+    /// same body as `fill_randn`, so the two must agree bit for bit.
+    fn per_pixel_oracle(d: &SyntheticImages, index: usize) -> (Vec<f32>, usize) {
+        let label = index % d.spec.classes;
+        let mut rng = SeedRng::new(d.seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let side = d.spec.side;
+        let j = d.spec.jitter as isize;
         let (dy, dx) = if j > 0 {
             (
                 rng.below((2 * j + 1) as usize) as isize - j,
@@ -111,9 +169,9 @@ impl Dataset for SyntheticImages {
         } else {
             (0, 0)
         };
-        let tmpl = &self.templates[label];
+        let tmpl = &d.templates[label];
         let mut img = vec![0.0f32; tmpl.len()];
-        for c in 0..self.spec.channels {
+        for c in 0..d.spec.channels {
             for y in 0..side {
                 for x in 0..side {
                     let sy = y as isize + dy;
@@ -123,17 +181,34 @@ impl Dataset for SyntheticImages {
                     } else {
                         0.0
                     };
-                    img[(c * side + y) * side + x] = base + rng.randn() * self.spec.noise;
+                    img[(c * side + y) * side + x] = base + rng.randn() * d.spec.noise;
                 }
             }
         }
-        (Tensor::from_vec(img, self.image_dims()), label)
+        (img, label)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    #[test]
+    fn sample_into_is_the_per_pixel_loop() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let specs = [
+            VisionSpec::mnist_like(),
+            VisionSpec::cifar_like(),
+            VisionSpec { jitter: 0, ..VisionSpec::mnist_like() },
+            // Shifts past the frame: whole rows and columns of noise alone.
+            VisionSpec { channels: 2, side: 5, classes: 3, noise: 0.7, jitter: 6 },
+        ];
+        for spec in specs {
+            let d = SyntheticImages::new(spec, 64, 19);
+            for index in 0..64 {
+                let (want, label) = per_pixel_oracle(&d, index);
+                let mut got = vec![f32::NAN; want.len()];
+                assert_eq!(d.sample_into(index, &mut got), label);
+                assert_eq!(bits(&got), bits(&want), "{spec:?} index {index}");
+                assert_eq!(bits(d.sample(index).0.as_slice()), bits(&want));
+            }
+        }
+    }
 
     #[test]
     fn deterministic_samples() {

@@ -173,13 +173,13 @@ pub fn sigmoid_in_place(xs: &mut [f32]) {
 
 /// 1.5·2²³: adding it rounds any |v| < 2²² to the nearest integer n, which
 /// then sits in the low mantissa bits — `ROUND.to_bits() + n`.
-const ROUND: f32 = 12_582_912.0;
+pub(crate) const ROUND: f32 = 12_582_912.0;
 /// ln 2 = `LN2_HI + LN2_LO`; `LN2_HI` is 355/512 (9 significant bits), so
 /// `n·LN2_HI` is exact for every |n| ≤ 128. The polynomial coefficients are
 /// Cephes' `expf` / `tanhf` ones, written as the shortest literal that
 /// rounds to the same f32.
-const LN2_HI: f32 = 0.693_359_4;
-const LN2_LO: f32 = -2.121_944_4e-4;
+pub(crate) const LN2_HI: f32 = 0.693_359_4;
+pub(crate) const LN2_LO: f32 = -2.121_944_4e-4;
 
 /// `eˣ` for x in [−86.5, 89]: clamped there (so eˣ saturates at e^−86.5
 /// below and is +∞ above ln f32::MAX), NaN passes through. x = n·ln2 + r

@@ -6,6 +6,7 @@
 //!   per thread — `now_ns()` never runs backwards;
 //! - the merged Chrome trace-event JSON is well-formed and maps ranks to
 //!   Chrome processes;
+//! - the trainer emits one `phase/data` span per step on every rank;
 //! - the trace passes `a2sgd_trace::audit`, the auditor `trace_report`
 //!   runs: per-plane wire bytes and messages equal `TrafficStats`, every
 //!   transport flow id pairs, and on the hook-overlap TCP scenario the
@@ -113,6 +114,14 @@ fn traced_inproc_run_satisfies_stream_invariants() {
         let widths: Vec<Args> =
             t.events.iter().filter(|e| e.name == "pool/width").map(|e| e.args).collect();
         assert_eq!(widths, [Args::Value(want as f64)], "rank {:?}", t.rank);
+    }
+
+    // Batch assembly is a phase of its own: one `phase/data` span per
+    // training step on every rank.
+    for t in data.threads.iter().filter(|t| t.rank.is_some()) {
+        let spans =
+            t.events.iter().filter(|e| e.ph == Ph::SpanBegin && e.name == "phase/data").count();
+        assert_eq!(spans, rep.iters, "rank {:?}", t.rank);
     }
 
     // The merged document must be valid JSON with ranks as processes.
