@@ -6,11 +6,21 @@
 //! Each iteration stands up a 4-rank cluster (threads; the TCP variant
 //! includes the loopback rendezvous) and runs a burst of exchanges, so the
 //! numbers compare whole data planes, not just steady-state copies.
+//!
+//! `tcp_loopback/fnn3_dense_4buckets` is the dense baseline's own exchange:
+//! two TCP thread ranks allreduce FNN-3's 199 210-float gradient in the
+//! four layer-aligned 64 KiB-capped buckets the trainer cuts, through the
+//! pipelined session, for enough rounds that the rendezvous is a small
+//! part of the row. The row ÷ `FNN3_ROUNDS` is one step's exchange.
 
 use cluster_comm::{
     run_cluster, run_cluster_tcp_threads, CollectiveAlgo, CommHandle, NetworkProfile, Payload,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use gradcomp::{bucket_bounds, DenseSgd, GradientSynchronizer};
+use mini_nn::flat::param_sizes;
+use mini_nn::models::{ModelKind, Preset};
+use std::ops::Range;
 
 const WORLD: usize = 4;
 const ROUNDS: usize = 16;
@@ -36,6 +46,29 @@ fn packed_rounds(h: &mut CommHandle) -> u64 {
     acc
 }
 
+/// Rounds per cluster of the FNN-3 row.
+const FNN3_ROUNDS: usize = 200;
+
+/// FNN-3's gradient cut as the trainer cuts it at a 64 KiB cap: four
+/// layer-aligned buckets.
+fn fnn3_buckets() -> Vec<Range<usize>> {
+    let sizes = param_sizes(ModelKind::Fnn3.build(Preset::Paper, 1).as_mut());
+    let bounds = bucket_bounds(&sizes, 65_536);
+    assert_eq!(bounds.len(), 4, "FNN-3 cuts into four layer-aligned buckets");
+    bounds
+}
+
+/// FNN-3's dense exchange, `FNN3_ROUNDS` times.
+fn fnn3_dense_rounds(h: &mut CommHandle, bounds: &[Range<usize>]) -> f32 {
+    let n = bounds.last().map_or(0, |b| b.end);
+    let mut g: Vec<f32> = (0..n).map(|i| (i % 29) as f32 * 0.05).collect();
+    let mut sync = DenseSgd::new();
+    for _ in 0..FNN3_ROUNDS {
+        sync.sync_bucketed(&mut g, bounds, h);
+    }
+    g[0]
+}
+
 fn bench_transport(c: &mut Criterion) {
     let mut group = c.benchmark_group("transport_exchange");
     group.sample_size(10);
@@ -53,6 +86,10 @@ fn bench_transport(c: &mut Criterion) {
     });
     group.bench_with_input(BenchmarkId::new("tcp_loopback", "dense_grad_64KiB"), &n, |b, &n| {
         b.iter(|| run_cluster_tcp_threads(WORLD, move |h| dense_rounds(h, n)))
+    });
+    let bounds = fnn3_buckets();
+    group.bench_with_input(BenchmarkId::new("tcp_loopback", "fnn3_dense_4buckets"), &(), |b, _| {
+        b.iter(|| run_cluster_tcp_threads(2, |h| fnn3_dense_rounds(h, &bounds)))
     });
     group.finish();
 }

@@ -425,12 +425,38 @@ impl CommHandle {
         self.try_send_payload(to, tag, T::payload_ref(data))
     }
 
+    /// Blocking receive of the `len` elements of `T` the round expects
+    /// from `from` under `tag`.
     fn try_recv_elems<T: WireElem>(
         &mut self,
         from: usize,
         tag: u64,
+        len: usize,
     ) -> Result<Vec<T>, TransportError> {
-        Ok(T::from_payload(self.blocking_recv_payload(from, tag)?))
+        let frame = self.blocking_recv_payload(from, tag)?;
+        self.check_frame(frame, (from, tag), len)
+    }
+
+    /// The elements of a frame received from `from` under `tag`, when it
+    /// is the `len` elements of `T` the round expects; otherwise
+    /// [`TransportError::BadFrame`] — a collective never sums or copies a
+    /// frame of the wrong kind or length.
+    pub(crate) fn check_frame<T: WireElem>(
+        &self,
+        frame: Payload,
+        (from, tag): (usize, u64),
+        len: usize,
+    ) -> Result<Vec<T>, TransportError> {
+        let want = T::payload_ref(&[]).kind();
+        if frame.kind() == want && frame.byte_len() == len * T::BYTES {
+            return Ok(T::from_payload(frame));
+        }
+        let cause = format!(
+            "{:?} frame of {} B, expected {len} × {want:?}",
+            frame.kind(),
+            frame.byte_len()
+        );
+        Err(TransportError::BadFrame { rank: self.rank(), peer: from, tag, cause })
     }
 
     pub(crate) fn next_tag(&mut self) -> u64 {
@@ -589,11 +615,15 @@ impl CommHandle {
         &mut self,
         data: &[T],
     ) -> Result<Vec<Vec<T>>, TransportError> {
-        Ok(self
-            .try_allgather_bytes(T::to_payload(data))?
-            .into_iter()
-            .map(T::from_payload)
-            .collect())
+        let handle = self.start_allgather_bytes(T::to_payload(data));
+        let tag = handle.tag();
+        let frames = handle.wait(self)?.expect_gathered();
+        // Lengths vary by rank; the kind must be `T`'s.
+        let check = |(peer, frame): (usize, Payload)| {
+            let len = frame.byte_len() / T::BYTES;
+            self.check_frame(frame, (peer, tag), len)
+        };
+        frames.into_iter().enumerate().map(check).collect()
     }
 
     /// Allgather of one opaque encoded frame per rank — the exchange
@@ -642,7 +672,7 @@ impl CommHandle {
             while mask < world {
                 if vr & mask != 0 {
                     let src = (vr - mask + root) % world;
-                    let got = self.try_recv_elems::<T>(src, tag + mask as u64)?;
+                    let got = self.try_recv_elems::<T>(src, tag + mask as u64, data.len())?;
                     data.copy_from_slice(&got);
                     break;
                 }
@@ -700,9 +730,8 @@ impl CommHandle {
             let recv_c = (rank + world - step - 1) % world;
             let (slo, shi) = Self::chunk_bounds(n, world, send_c);
             self.try_send_elems(right, tag + step as u64, &data[slo..shi])?;
-            let got = self.try_recv_elems::<f32>(left, tag + step as u64)?;
             let (rlo, rhi) = Self::chunk_bounds(n, world, recv_c);
-            debug_assert_eq!(got.len(), rhi - rlo);
+            let got = self.try_recv_elems::<f32>(left, tag + step as u64, rhi - rlo)?;
             for (d, g) in data[rlo..rhi].iter_mut().zip(got) {
                 *d += g;
             }
@@ -713,8 +742,9 @@ impl CommHandle {
             let recv_c = (rank + world - step) % world;
             let (slo, shi) = Self::chunk_bounds(n, world, send_c);
             self.try_send_elems(right, tag + (world - 1 + step) as u64, &data[slo..shi])?;
-            let got = self.try_recv_elems::<f32>(left, tag + (world - 1 + step) as u64)?;
             let (rlo, rhi) = Self::chunk_bounds(n, world, recv_c);
+            let got =
+                self.try_recv_elems::<f32>(left, tag + (world - 1 + step) as u64, rhi - rlo)?;
             data[rlo..rhi].copy_from_slice(&got);
         }
         Ok(())

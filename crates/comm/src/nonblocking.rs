@@ -171,6 +171,14 @@ impl CollectiveHandle {
         }
     }
 
+    /// The tag the collective's frames travel under.
+    pub(crate) fn tag(&self) -> u64 {
+        match &self.op {
+            Op::Allgather { tag, .. } => *tag,
+            Op::Allreduce(rd) => rd.tag,
+        }
+    }
+
     /// Releases the in-flight slot — exactly once per handle, whether the
     /// op completed, failed, or was waited — and closes the trace async
     /// span at the same moment: the release point *is* the end of the
@@ -249,7 +257,7 @@ impl CollectiveHandle {
                     comm.try_recv_payload(from, tag)?
                 };
                 let Some(frame) = frame else { return Ok(false) };
-                let got = frame.expect_f32();
+                let got = comm.check_frame::<f32>(frame, (from, tag), rd.data.len())?;
                 match rd.phase {
                     RdPhase::FoldRecv => {
                         for (d, g) in rd.data.iter_mut().zip(got) {

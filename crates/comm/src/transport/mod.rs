@@ -87,7 +87,7 @@ pub(crate) fn wire_span(
     );
 }
 
-/// Typed peer-loss/IO failure on a transport link. `send_bytes`,
+/// Typed peer-loss/IO/framing failure on a transport link. `send_bytes`,
 /// `recv_bytes`, `try_recv_bytes`, every `try_*` collective and the
 /// nonblocking `wait()`/`try_complete()` return this, naming the rank, the
 /// peer, the awaited tag and the underlying cause (clean EOF vs reset vs
@@ -118,6 +118,19 @@ pub enum TransportError {
         /// Underlying cause.
         cause: String,
     },
+    /// A frame from `peer` arrived intact but is not what the collective
+    /// round expects under `tag`: the wrong payload kind or element count
+    /// (a peer bug or a desynchronized schedule — never summed or copied).
+    BadFrame {
+        /// The observing rank.
+        rank: usize,
+        /// The peer that sent the frame.
+        peer: usize,
+        /// The tag the frame arrived under.
+        tag: u64,
+        /// What was expected and what arrived.
+        cause: String,
+    },
 }
 
 impl std::fmt::Display for TransportError {
@@ -132,6 +145,9 @@ impl std::fmt::Display for TransportError {
             },
             TransportError::SendFailed { rank, peer, cause } => {
                 write!(f, "rank {rank}: send to rank {peer} failed ({cause})")
+            }
+            TransportError::BadFrame { rank, peer, tag, cause } => {
+                write!(f, "rank {rank}: bad frame from rank {peer} under tag {tag:#x} ({cause})")
             }
         }
     }
@@ -166,9 +182,11 @@ pub trait Transport: Send {
         self.world()
     }
 
-    /// Sends a tagged typed frame to `to`, streaming straight from the
-    /// caller's borrowed buffers ([`PayloadRef`] — no send-side copy on
-    /// real networks). Returns the number of bytes actually put on the
+    /// Sends a tagged typed frame to `to` from the caller's borrowed
+    /// buffers ([`PayloadRef`]: no owned copy is made to send). On a real
+    /// network the payload is copied once, encoded little-endian into the
+    /// link's buffer on its way to the socket; in-process it is copied
+    /// once into the receiver's mailbox. Returns the number of bytes actually put on the
     /// wire — payload plus framing overhead for real networks, bare
     /// payload bytes for the in-process memcpy. Sends are required to
     /// complete without waiting for the receiver to post a matching

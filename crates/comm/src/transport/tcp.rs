@@ -26,14 +26,25 @@
 //! the collectives are latency-bound request/response patterns, exactly
 //! what Nagle hurts.
 //!
+//! A frame is copied once on each side of the socket. The sender encodes
+//! the header and the payload's little-endian lanes into the link's one
+//! 64 KiB buffer ([`wire::LINK_BUF_BYTES`]) and hands each full buffer to
+//! the socket in one write: a dense gradient bucket costs one write per
+//! 64 KiB, and a frame that fits — the A2SGD packet, 24 bytes on the wire
+//! — is one write. The receiver allocates the typed payload once, at the
+//! size its checked header names, and decodes into it through a fixed
+//! 32 KiB chunk ([`wire::read_frame`]).
+//!
 //! ## Progress
 //!
 //! Each peer connection has a dedicated reader thread draining frames into
 //! that link's [`Inbox`]. That makes blocking sends deadlock-free: the
 //! collectives post symmetric send-then-recv patterns, and without the
-//! drain two ranks flushing frames larger than the kernel socket buffers
+//! drain two ranks writing frames larger than the kernel socket buffers
 //! at each other would block forever. With it, the receiving side always
-//! consumes bytes, so a `write_all` of any frame size completes.
+//! consumes bytes, so every write of a frame completes. A send returns
+//! once its last byte is in the kernel; nothing is left buffered in user
+//! space between frames, so there is nothing to flush.
 //!
 //! Unlike the in-process backend nothing is priced: bytes are counted as
 //! they hit the socket and time is whatever the wall clock says.
@@ -41,7 +52,7 @@
 use crate::transport::inbox::{self, Inbox};
 use crate::transport::wire::{self, Payload, PayloadRef};
 use crate::transport::{Transport, TransportError};
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -75,7 +86,10 @@ pub(crate) enum MasterEndpoint {
 }
 
 struct Peer {
-    writer: BufWriter<TcpStream>,
+    stream: TcpStream,
+    /// The link buffer every frame to this peer is encoded through
+    /// ([`wire::LINK_BUF_BYTES`]).
+    link: Box<[u8]>,
     inbox: Arc<Inbox>,
     reader: Option<std::thread::JoinHandle<()>>,
 }
@@ -312,7 +326,8 @@ impl Tcp {
                 .name(format!("a2sgd-tcp-rx-{rank}-from-{peer}"))
                 .spawn(move || reader_loop(rs, inbox2))
                 .map_err(|e| format!("spawn reader thread: {e}"))?;
-            Ok(Peer { writer: BufWriter::new(s), inbox, reader: Some(reader) })
+            let link = vec![0u8; wire::LINK_BUF_BYTES].into_boxed_slice();
+            Ok(Peer { stream: s, link, inbox, reader: Some(reader) })
         };
         for lower in 0..rank {
             let mut s = connect_retry(&table[lower], deadline)?;
@@ -376,9 +391,8 @@ impl Transport for Tcp {
         let rank = self.rank;
         let failed =
             |e: std::io::Error| TransportError::SendFailed { rank, peer: to, cause: e.to_string() };
-        let w = &mut self.peer(to).writer;
-        let n = wire::write_frame(w, tag, payload).map_err(failed)?;
-        w.flush().map_err(failed)?;
+        let p = self.peer(to);
+        let n = wire::write_frame(&mut p.stream, &mut p.link, tag, payload).map_err(failed)?;
         crate::transport::wire_span(true, payload.kind(), t0, (rank, to, tag), n, 0);
         Ok(n)
     }
@@ -408,9 +422,9 @@ impl Transport for Tcp {
         let mut alive = vec![false; self.world];
         alive[self.rank] = true;
         for p in self.peers.iter_mut().flatten() {
-            let _ = wire::write_frame(&mut p.writer, GOODBYE_TAG, PayloadRef::Bytes(&[]))
-                .and_then(|_| p.writer.flush());
-            let _ = p.writer.get_ref().shutdown(Shutdown::Write);
+            let _ =
+                wire::write_frame(&mut p.stream, &mut p.link, GOODBYE_TAG, PayloadRef::Bytes(&[]));
+            let _ = p.stream.shutdown(Shutdown::Write);
         }
         for (r, p) in self.peers.iter().enumerate() {
             if let Some(p) = p {
@@ -428,7 +442,7 @@ impl Drop for Tcp {
         // reader threads' clones too), then reap the readers — their
         // blocked reads return immediately once the fd is dead.
         for p in self.peers.iter().flatten() {
-            let _ = p.writer.get_ref().shutdown(Shutdown::Both);
+            let _ = p.stream.shutdown(Shutdown::Both);
         }
         for p in self.peers.iter_mut().flatten() {
             if let Some(h) = p.reader.take() {

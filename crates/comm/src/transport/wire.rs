@@ -43,6 +43,14 @@ pub const FRAME_HEADER_BYTES: u64 = 16;
 /// chunking ring path.
 pub const MAX_FRAME_BYTES: usize = (1 << 29) - 4096;
 
+/// Bytes of the buffer a TCP link encodes its outgoing frames through
+/// ([`write_frame`]): a dense gradient bucket crosses the socket in 64 KiB
+/// writes.
+pub const LINK_BUF_BYTES: usize = 64 * 1024;
+
+/// Bytes of the fixed buffer [`read_frame`] decodes typed lanes through.
+const RECV_CHUNK_BYTES: usize = 32 * 1024;
+
 /// Bits 28..0 of `kind_len` carry the payload byte length.
 const LEN_MASK: u32 = (1 << 29) - 1;
 
@@ -188,29 +196,6 @@ impl Payload {
         self.as_ref().bits()
     }
 
-    /// Rebuilds a payload from its kind and raw little-endian bytes.
-    /// Errors when the byte count is not a multiple of the element width.
-    pub fn from_raw(kind: PayloadKind, bytes: Vec<u8>) -> io::Result<Payload> {
-        if bytes.len() % kind.elem_bytes() != 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{} payload bytes not a multiple of {kind:?} width", bytes.len()),
-            ));
-        }
-        Ok(match kind {
-            PayloadKind::Bytes => Payload::Bytes(bytes),
-            PayloadKind::F32Dense => Payload::F32Dense(
-                bytes
-                    .chunks_exact(4)
-                    .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().unwrap())))
-                    .collect(),
-            ),
-            PayloadKind::PackedU64 => Payload::PackedU64(
-                bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect(),
-            ),
-        })
-    }
-
     /// Consumes an `F32Dense` payload; panics (frame-kind mismatch ⇒ peer
     /// bug or desync) on any other kind.
     pub fn expect_f32(self) -> Vec<f32> {
@@ -269,36 +254,72 @@ pub fn encode_frame(tag: u64, payload: PayloadRef<'_>) -> Vec<u8> {
     buf
 }
 
-/// Writes one frame to `w`, returning the bytes put on the wire. Streams
-/// typed payloads through a fixed stack buffer — no full-frame allocation,
-/// which matters when benchmarking multi-megabyte gradient frames.
-pub fn write_frame<W: Write>(w: &mut W, tag: u64, payload: PayloadRef<'_>) -> io::Result<u64> {
-    w.write_all(&header_bytes(tag, payload))?;
-    let mut buf = [0u8; 4096];
-    match payload {
-        PayloadRef::F32Dense(v) => {
-            for chunk in v.chunks(buf.len() / 4) {
-                for (slot, x) in buf.chunks_exact_mut(4).zip(chunk) {
-                    slot.copy_from_slice(&x.to_bits().to_le_bytes());
-                }
-                w.write_all(&buf[..4 * chunk.len()])?;
+/// Writes one frame to `w` through the link buffer `buf`, returning the
+/// bytes put on the wire. The header and the payload's little-endian lanes
+/// are encoded into `buf` and every full buffer goes to `w` in one
+/// `write_all`, so a frame is one copy on this side of the socket. Through
+/// the TCP link's [`LINK_BUF_BYTES`] buffer that is ⌈frame bytes ÷ 64 KiB⌉
+/// writes, and a frame that fits (the A2SGD packet, a barrier token) is
+/// one. `buf` must hold at least the 16-byte header.
+pub fn write_frame<W: Write>(
+    w: &mut W,
+    buf: &mut [u8],
+    tag: u64,
+    payload: PayloadRef<'_>,
+) -> io::Result<u64> {
+    let header = header_bytes(tag, payload);
+    buf[..header.len()].copy_from_slice(&header);
+    let fill = match payload {
+        PayloadRef::F32Dense(v) => put_lanes(w, buf, header.len(), v, 4, |dst, src| {
+            for (slot, x) in dst.chunks_exact_mut(4).zip(src) {
+                slot.copy_from_slice(&x.to_bits().to_le_bytes());
             }
-        }
-        PayloadRef::PackedU64(v) => {
-            for chunk in v.chunks(buf.len() / 8) {
-                for (slot, x) in buf.chunks_exact_mut(8).zip(chunk) {
-                    slot.copy_from_slice(&x.to_le_bytes());
-                }
-                w.write_all(&buf[..8 * chunk.len()])?;
+        })?,
+        PayloadRef::PackedU64(v) => put_lanes(w, buf, header.len(), v, 8, |dst, src| {
+            for (slot, x) in dst.chunks_exact_mut(8).zip(src) {
+                slot.copy_from_slice(&x.to_le_bytes());
             }
+        })?,
+        PayloadRef::Bytes(v) => {
+            put_lanes(w, buf, header.len(), v, 1, |dst, src| dst.copy_from_slice(src))?
         }
-        PayloadRef::Bytes(v) => w.write_all(v)?,
-    }
+    };
+    w.write_all(&buf[..fill])?;
     Ok(frame_wire_bytes(payload.byte_len()))
 }
 
+/// Encodes `lanes` (`width` bytes each) into `buf` after its first `fill`
+/// bytes, writing the buffer to `w` whenever no further lane fits. Returns
+/// how much of `buf` is filled and not yet written.
+fn put_lanes<W: Write, T>(
+    w: &mut W,
+    buf: &mut [u8],
+    mut fill: usize,
+    mut lanes: &[T],
+    width: usize,
+    encode: impl Fn(&mut [u8], &[T]),
+) -> io::Result<usize> {
+    while !lanes.is_empty() {
+        let room = (buf.len() - fill) / width;
+        if room == 0 {
+            w.write_all(&buf[..fill])?;
+            fill = 0;
+            continue;
+        }
+        let (now, rest) = lanes.split_at(room.min(lanes.len()));
+        encode(&mut buf[fill..fill + width * now.len()], now);
+        fill += width * now.len();
+        lanes = rest;
+    }
+    Ok(fill)
+}
+
 /// Reads one complete frame from `r` (blocking until the whole payload
-/// arrived). Returns the tag and the decoded typed payload.
+/// arrived). Returns the tag and the decoded typed payload. The header is
+/// checked — magic, kind, the [`MAX_FRAME_BYTES`] cap, a whole number of
+/// elements — before anything is allocated; then the typed payload is
+/// allocated once, at its final size, and filled: opaque bytes straight
+/// from `r`, typed lanes through one fixed 32 KiB buffer.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<(u64, Payload)> {
     let mut header = [0u8; FRAME_HEADER_BYTES as usize];
     r.read_exact(&mut header)?;
@@ -324,9 +345,44 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<(u64, Payload)> {
             format!("frame length {byte_len} B exceeds {MAX_FRAME_BYTES} (stream desynchronized?)"),
         ));
     }
-    let mut raw = vec![0u8; byte_len];
-    r.read_exact(&mut raw)?;
-    Ok((tag, Payload::from_raw(kind, raw)?))
+    if byte_len % kind.elem_bytes() != 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{byte_len} payload bytes not a multiple of {kind:?} width"),
+        ));
+    }
+    let payload = match kind {
+        PayloadKind::Bytes => {
+            let mut v = vec![0u8; byte_len];
+            r.read_exact(&mut v)?;
+            Payload::Bytes(v)
+        }
+        PayloadKind::F32Dense => {
+            Payload::F32Dense(read_lanes(r, byte_len / 4, f32::from_le_bytes)?)
+        }
+        PayloadKind::PackedU64 => {
+            Payload::PackedU64(read_lanes(r, byte_len / 8, u64::from_le_bytes)?)
+        }
+    };
+    Ok((tag, payload))
+}
+
+/// Reads `n` lanes of `N` bytes each from `r` into one vector allocated
+/// at its final size, decoding each lane with `from_le`.
+fn read_lanes<R: Read, T, const N: usize>(
+    r: &mut R,
+    n: usize,
+    from_le: impl Fn([u8; N]) -> T,
+) -> io::Result<Vec<T>> {
+    let mut out = Vec::with_capacity(n);
+    let mut chunk = [0u8; RECV_CHUNK_BYTES];
+    while out.len() < n {
+        let bytes = &mut chunk[..N * (n - out.len()).min(RECV_CHUNK_BYTES / N)];
+        r.read_exact(bytes)?;
+        let lane = |c: &[u8]| from_le(c.try_into().expect("chunks_exact yields N-byte lanes"));
+        out.extend(bytes.chunks_exact(N).map(lane));
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -364,24 +420,61 @@ mod tests {
 
     #[test]
     fn write_frame_matches_encode_frame() {
-        // The streaming writer and the allocating encoder must agree
-        // byte-for-byte, including across the 4 KiB chunk boundary.
+        // The buffered writer and the allocating encoder must agree
+        // byte-for-byte, including across the link buffer's edge — here
+        // made small (and not a multiple of a lane) so short payloads cross
+        // it many times.
         let f: Vec<f32> = (0..5000).map(|i| f32::from_bits(i as u32 * 0x9E37)).collect();
         let u: Vec<u64> =
             (0..2000).map(|i| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
         let b: Vec<u8> = (0..9000u32).map(|i| (i % 255) as u8).collect();
-        for len in [0usize, 1, 1023, 1024, 1025, 2000] {
-            for payload in [
-                Payload::F32Dense(f[..len].to_vec()),
-                Payload::PackedU64(u[..len].to_vec()),
-                Payload::Bytes(b[..len].to_vec()),
-            ] {
-                let mut streamed = Vec::new();
-                let n = write_frame(&mut streamed, 0xABCD, payload.as_ref()).unwrap();
-                assert_eq!(streamed, encode_frame(0xABCD, payload.as_ref()));
-                assert_eq!(n, streamed.len() as u64);
+        for buf_len in [16usize, 27, 4096, LINK_BUF_BYTES] {
+            let mut link = vec![0u8; buf_len];
+            for len in [0usize, 1, 1023, 1024, 1025, 2000] {
+                for payload in [
+                    Payload::F32Dense(f[..len].to_vec()),
+                    Payload::PackedU64(u[..len].to_vec()),
+                    Payload::Bytes(b[..len].to_vec()),
+                ] {
+                    let mut streamed = Vec::new();
+                    let n =
+                        write_frame(&mut streamed, &mut link, 0xABCD, payload.as_ref()).unwrap();
+                    assert_eq!(streamed, encode_frame(0xABCD, payload.as_ref()));
+                    assert_eq!(n, streamed.len() as u64);
+                }
             }
         }
+    }
+
+    /// Counts the `write` calls a frame costs.
+    struct CountingSink(Vec<usize>);
+
+    impl Write for CountingSink {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.push(bytes.len());
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_per_link_buffer() {
+        let mut link = vec![0u8; LINK_BUF_BYTES];
+        let mut sink = CountingSink(Vec::new());
+        // The A2SGD packet: header and word share one write.
+        write_frame(&mut sink, &mut link, 1, PayloadRef::PackedU64(&[7])).unwrap();
+        assert_eq!(sink.0, vec![24]);
+        // FNN-3's 646 KB fc1 bucket: ten full buffers and the rest.
+        sink.0.clear();
+        let lanes = vec![0.5f32; 161_504];
+        write_frame(&mut sink, &mut link, 2, PayloadRef::F32Dense(&lanes)).unwrap();
+        let total = 16 + 4 * lanes.len();
+        assert_eq!(sink.0.len(), total.div_ceil(LINK_BUF_BYTES));
+        assert!(sink.0[..sink.0.len() - 1].iter().all(|&n| n == LINK_BUF_BYTES));
+        assert_eq!(sink.0.iter().sum::<usize>(), total);
     }
 
     #[test]

@@ -1,0 +1,197 @@
+//! A received frame that is not what the collective round expects — one
+//! lane short, or the wrong payload kind — is a typed
+//! `TransportError::BadFrame` on the rank that received it: never a
+//! silently truncated sum and never a panic, in debug and release builds
+//! alike. The damage is done by a test-local `Transport` wrapper on one
+//! rank, on both backends.
+
+use cluster_comm::transport::{
+    InProcShared, Payload, PayloadRef, Tcp, Transport, TransportError, WorldSpec,
+};
+use cluster_comm::{CollectiveAlgo, CommHandle};
+
+#[derive(Clone, Copy, Debug)]
+enum Damage {
+    /// The frame loses its last lane.
+    DropLane,
+    /// The frame's lanes arrive as opaque bytes.
+    Retype,
+}
+
+/// Passes every frame through, except the `nth` (0-based) non-empty f32
+/// frame this rank receives, which it damages.
+struct Damaging {
+    inner: Box<dyn Transport>,
+    nth: usize,
+    damage: Damage,
+}
+
+impl Damaging {
+    fn pass(&mut self, frame: Payload) -> Payload {
+        let Payload::F32Dense(mut v) = frame else { return frame };
+        if v.is_empty() {
+            return Payload::F32Dense(v);
+        }
+        let hit = self.nth == 0;
+        self.nth = self.nth.wrapping_sub(1);
+        match (hit, self.damage) {
+            (false, _) => Payload::F32Dense(v),
+            (true, Damage::DropLane) => {
+                v.pop();
+                Payload::F32Dense(v)
+            }
+            (true, Damage::Retype) => {
+                Payload::Bytes(v.iter().flat_map(|x| x.to_le_bytes()).collect())
+            }
+        }
+    }
+}
+
+impl Transport for Damaging {
+    fn rank(&self) -> usize {
+        self.inner.rank()
+    }
+
+    fn world(&self) -> usize {
+        self.inner.world()
+    }
+
+    fn backend_name(&self) -> &'static str {
+        self.inner.backend_name()
+    }
+
+    fn send_bytes(
+        &mut self,
+        to: usize,
+        tag: u64,
+        payload: PayloadRef<'_>,
+    ) -> Result<u64, TransportError> {
+        self.inner.send_bytes(to, tag, payload)
+    }
+
+    fn recv_bytes(&mut self, from: usize, tag: u64) -> Result<Payload, TransportError> {
+        let frame = self.inner.recv_bytes(from, tag)?;
+        Ok(self.pass(frame))
+    }
+
+    fn try_recv_bytes(&mut self, from: usize, tag: u64) -> Result<Option<Payload>, TransportError> {
+        Ok(self.inner.try_recv_bytes(from, tag)?.map(|frame| self.pass(frame)))
+    }
+}
+
+#[derive(Clone, Copy)]
+enum Backend {
+    InProc,
+    Tcp,
+}
+
+/// Runs `op` on `world` thread ranks, `victim` receiving through
+/// [`Damaging`], and returns the victim's outcome. The other ranks may
+/// finish or see the victim leave; either way they return.
+fn victim_outcome(
+    backend: Backend,
+    world: usize,
+    (victim, nth, damage): (usize, usize, Damage),
+    op: impl Fn(&mut CommHandle) -> Result<(), TransportError> + Sync,
+) -> Result<(), TransportError> {
+    let shared = InProcShared::new(world);
+    let spec = WorldSpec::single_host(free_loopback_addr(), world);
+    let mut outcomes: Vec<_> = std::thread::scope(|s| {
+        let joins: Vec<_> = (0..world)
+            .map(|rank| {
+                let (shared, spec, op) = (&shared, &spec, &op);
+                s.spawn(move || {
+                    let inner: Box<dyn Transport> = match backend {
+                        Backend::InProc => Box::new(shared.endpoint(rank)),
+                        Backend::Tcp => Box::new(Tcp::connect_spec(rank, spec).unwrap()),
+                    };
+                    let t = if rank == victim {
+                        Box::new(Damaging { inner, nth, damage })
+                    } else {
+                        inner
+                    };
+                    op(&mut CommHandle::new(t, None))
+                })
+            })
+            .collect();
+        joins.into_iter().map(|j| j.join().expect("a rank panicked")).collect()
+    });
+    outcomes.swap_remove(victim)
+}
+
+fn free_loopback_addr() -> String {
+    let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    l.local_addr().unwrap().to_string()
+}
+
+fn assert_bad_frame(got: Result<(), TransportError>, victim: usize, what: &str) {
+    match got {
+        Err(TransportError::BadFrame { rank, .. }) if rank == victim => {}
+        other => panic!("{what}: expected BadFrame on rank {victim}, got {other:?}"),
+    }
+}
+
+fn rank_vec(rank: usize, n: usize) -> Vec<f32> {
+    (0..n).map(|i| (rank * 7 + i) as f32 * 0.25).collect()
+}
+
+#[test]
+fn ring_allreduce_rejects_a_short_frame_in_both_phases() {
+    let ring = |h: &mut CommHandle| {
+        let mut d = rank_vec(h.rank(), 10);
+        h.try_allreduce_sum_with(&mut d, CollectiveAlgo::Ring)
+    };
+    for backend in [Backend::InProc, Backend::Tcp] {
+        // World 3: frames 0–1 are the reduce-scatter, 2–3 the allgather.
+        for (victim, nth) in [(0, 0), (1, 1), (2, 2), (0, 3)] {
+            let got = victim_outcome(backend, 3, (victim, nth, Damage::DropLane), ring);
+            assert_bad_frame(got, victim, &format!("ring, frame {nth}"));
+        }
+    }
+}
+
+#[test]
+fn recursive_doubling_rejects_short_and_retyped_frames_in_every_phase() {
+    // World 3: rank 0 folds out (unfold receive), rank 1 folds in (fold
+    // receive, then the core), rank 2 is only in the core. Both spellings.
+    let blocking = |h: &mut CommHandle| {
+        let mut d = rank_vec(h.rank(), 9);
+        h.try_allreduce_sum_with(&mut d, CollectiveAlgo::RecursiveDoubling)
+    };
+    let handle = |h: &mut CommHandle| {
+        let mut handle = h.start_allreduce(rank_vec(h.rank(), 9));
+        while !handle.try_complete(h)? {
+            std::thread::yield_now();
+        }
+        handle.wait(h).map(|_| ())
+    };
+    for backend in [Backend::InProc, Backend::Tcp] {
+        for damage in [Damage::DropLane, Damage::Retype] {
+            for (victim, nth) in [(0, 0), (1, 0), (1, 1), (2, 0)] {
+                let what = format!("RD {damage:?}, rank {victim} frame {nth}");
+                let got = victim_outcome(backend, 3, (victim, nth, damage), blocking);
+                assert_bad_frame(got, victim, &what);
+                let got = victim_outcome(backend, 3, (victim, nth, damage), handle);
+                assert_bad_frame(got, victim, &format!("{what}, handle"));
+            }
+        }
+    }
+}
+
+#[test]
+fn broadcast_and_typed_allgather_reject_bad_frames() {
+    let broadcast = |h: &mut CommHandle| {
+        let mut d = rank_vec(h.rank(), 5);
+        h.try_broadcast(0, &mut d)
+    };
+    let gather = |h: &mut CommHandle| h.try_allgather(&rank_vec(h.rank(), 3)).map(|_| ());
+    for backend in [Backend::InProc, Backend::Tcp] {
+        for victim in [1, 2] {
+            let got = victim_outcome(backend, 3, (victim, 0, Damage::DropLane), broadcast);
+            assert_bad_frame(got, victim, "broadcast");
+        }
+        // A gather's lengths may differ by rank; its kind may not.
+        let got = victim_outcome(backend, 3, (1, 0, Damage::Retype), gather);
+        assert_bad_frame(got, 1, "allgather");
+    }
+}

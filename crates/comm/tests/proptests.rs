@@ -1,10 +1,80 @@
 //! Property tests: every collective equals its sequential reference for
 //! arbitrary world sizes and payload lengths, and the typed wire codec
-//! round-trips arbitrary bit patterns in every payload kind.
+//! round-trips arbitrary bit patterns in every payload kind — also through
+//! a stream that moves a few bytes per call.
 
-use cluster_comm::transport::wire::{encode_frame, frame_wire_bytes, read_frame, Payload};
+use cluster_comm::transport::wire::{
+    encode_frame, frame_wire_bytes, read_frame, write_frame, Payload, LINK_BUF_BYTES,
+};
 use cluster_comm::{run_cluster, CollectiveAlgo, NetworkProfile};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::io::{self, Read, Write};
+
+/// A reader or writer that moves a random 1..=`cap` bytes per call, as a
+/// socket under load may: every short read and partial write the framing
+/// must survive.
+struct Trickle<T> {
+    inner: T,
+    rng: StdRng,
+    cap: usize,
+}
+
+impl<T> Trickle<T> {
+    fn new(inner: T, seed: u64, cap: usize) -> Self {
+        Trickle { inner, rng: StdRng::seed_from_u64(seed), cap }
+    }
+
+    fn step(&mut self, len: usize) -> usize {
+        self.rng.gen_range(1..=self.cap).min(len)
+    }
+}
+
+impl<R: Read> Read for Trickle<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.step(buf.len());
+        self.inner.read(&mut buf[..n])
+    }
+}
+
+impl<W: Write> Write for Trickle<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.step(buf.len());
+        self.inner.write(&buf[..n])
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// FNN-3's fc1 bucket: 161 504 f32 lanes, 646 016 bytes.
+const FC1_LANES: usize = 161_504;
+
+/// Lane counts around the link buffer's and the receive chunk's edges,
+/// and the fc1 bucket.
+const EDGE_LANES: [usize; 8] = [0, 1, 8191, 8192, 16383, 16384, 16385, FC1_LANES];
+
+/// `lanes` elements of `kind` (the fc1 bucket is its 646 016 bytes in
+/// every kind), from arbitrary bit patterns: NaNs of every payload among
+/// them.
+fn edge_payload(kind: u8, lanes: usize, rng: &mut StdRng) -> Payload {
+    let n = |width: usize| if lanes == FC1_LANES { 4 * FC1_LANES / width } else { lanes };
+    match kind {
+        0 => Payload::F32Dense((0..n(4)).map(|_| f32::from_bits(rng.gen())).collect()),
+        1 => Payload::PackedU64((0..n(8)).map(|_| rng.gen()).collect()),
+        _ => Payload::Bytes((0..n(1)).map(|_| rng.gen::<u32>() as u8).collect()),
+    }
+}
+
+fn payload_bits(p: &Payload) -> Vec<u64> {
+    match p {
+        Payload::F32Dense(v) => v.iter().map(|x| u64::from(x.to_bits())).collect(),
+        Payload::PackedU64(v) => v.clone(),
+        Payload::Bytes(v) => v.iter().map(|&b| u64::from(b)).collect(),
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -158,6 +228,48 @@ proptest! {
         let d1b: Vec<u32> = d1.expect_f32().iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(d1b, a);
         prop_assert_eq!(d2.expect_bytes(), b);
+    }
+}
+
+proptest! {
+    // Each case runs all 24 kind × size frames (up to 646 KB) at one
+    // random per-call cap, so few cases cover every edge.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn framing_survives_short_reads_and_partial_writes(
+        cap_log2 in 0u32..17,
+        seed in any::<u64>(),
+        cut_at in any::<u64>(),
+    ) {
+        let cap = 1usize << cap_log2;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut link = vec![0u8; LINK_BUF_BYTES];
+        for kind in 0..3 {
+            for lanes in EDGE_LANES {
+                let payload = edge_payload(kind, lanes, &mut rng);
+                let tag = rng.gen::<u64>();
+                let oracle = encode_frame(tag, payload.as_ref());
+
+                // Through the link buffer, in partial writes: the oracle's bytes.
+                let mut out = Trickle::new(Vec::new(), seed ^ 1, cap);
+                let n = write_frame(&mut out, &mut link, tag, payload.as_ref()).unwrap();
+                prop_assert_eq!(n, oracle.len() as u64);
+                prop_assert!(out.inner == oracle, "kind {} lanes {} cap {}", kind, lanes, cap);
+
+                // Back in short reads: the same kind, tag and bits.
+                let (got_tag, got) =
+                    read_frame(&mut Trickle::new(&oracle[..], seed ^ 2, cap)).unwrap();
+                prop_assert_eq!(got_tag, tag);
+                prop_assert_eq!(got.kind(), payload.kind());
+                prop_assert!(payload_bits(&got) == payload_bits(&payload));
+
+                // Cut anywhere before its end: an EOF error, never a panic.
+                let cut = (cut_at % oracle.len() as u64) as usize;
+                let e = read_frame(&mut Trickle::new(&oracle[..cut], seed ^ 3, cap)).unwrap_err();
+                prop_assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
+            }
+        }
     }
 }
 

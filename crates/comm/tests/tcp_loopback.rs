@@ -288,7 +288,8 @@ fn tcp_huge_frames_do_not_deadlock() {
 #[test]
 fn tcp_large_frames_cross_the_buffer_boundary() {
     // > 64 KiB per frame (recursive doubling sends the whole vector),
-    // exercising chunked socket reads/writes through BufReader/BufWriter.
+    // exercising chunked socket writes through the 64 KiB link buffer and
+    // chunked reads into the typed payload.
     let n = 20_000; // 80 KB payload per frame
     let tcp = run_cluster_tcp_threads(2, move |h| {
         let mut d = rank_input(h.rank(), n, 99);

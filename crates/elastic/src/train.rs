@@ -341,8 +341,11 @@ pub fn train_elastic(
                     true
                 }
                 Err(e) => {
+                    // A bad frame is a peer out of step with this one: the
+                    // census below settles who is left, as for a dead link.
                     let (TransportError::PeerClosed { peer, .. }
-                    | TransportError::SendFailed { peer, .. }) = e;
+                    | TransportError::SendFailed { peer, .. }
+                    | TransportError::BadFrame { peer, .. }) = e;
                     a2sgd_trace::instant(
                         "elastic/peer_dead",
                         a2sgd_trace::Args::Value(peer as f64),
