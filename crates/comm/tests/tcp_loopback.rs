@@ -225,48 +225,246 @@ fn tcp_many_sequential_collectives_do_not_deadlock() {
     assert!(results.iter().all(|&v| (v - first).abs() < 1e-6));
 }
 
-/// One barrier, one accounting: the dissemination barrier is a collective
-/// written once above the transport, so a world and a split child of any
-/// size, on either backend, move the same ⌈log₂P⌉ empty frames per rank —
-/// header-only on a socket, zero bytes through a mailbox, no application
-/// payload — and a priced communicator charges exactly `CostModel::barrier(P)`.
-/// A proper subgroup's barrier completes without the non-members.
+/// The element type a row of the accounting table moves.
+#[derive(Clone, Copy, Debug)]
+enum Elem {
+    F32,
+    U64,
+    U8,
+}
+
+impl Elem {
+    fn bytes(self) -> usize {
+        match self {
+            Elem::F32 => 4,
+            Elem::U64 => 8,
+            Elem::U8 => 1,
+        }
+    }
+}
+
+/// One row of the accounting table: a collective and its element count on
+/// every rank (a broadcast's root is `root % P`).
+#[derive(Clone, Copy, Debug)]
+enum Coll {
+    Allreduce(CollectiveAlgo, usize),
+    Broadcast(Elem, usize, usize),
+    Allgather(Elem, usize),
+    Barrier,
+}
+
+/// Every collective `CommHandle` has, in the order each rank runs them:
+/// the ring (with empty chunks once P > 3), recursive doubling, `Auto` on
+/// both sides of its crossover (50 000 lanes pick the ring from P = 3 on
+/// under the reference profile), broadcast of each wire type from three
+/// roots, the typed allgather of each wire type, and the barrier.
+const TABLE: [Coll; 12] = [
+    Coll::Allreduce(CollectiveAlgo::Ring, 37),
+    Coll::Allreduce(CollectiveAlgo::Ring, 3),
+    Coll::Allreduce(CollectiveAlgo::RecursiveDoubling, 37),
+    Coll::Allreduce(CollectiveAlgo::Auto, 4),
+    Coll::Allreduce(CollectiveAlgo::Auto, 50_000),
+    Coll::Broadcast(Elem::F32, 0, 9),
+    Coll::Broadcast(Elem::U64, 7, 3),
+    Coll::Broadcast(Elem::U8, 3, 5),
+    Coll::Allgather(Elem::F32, 5),
+    Coll::Allgather(Elem::U64, 1),
+    Coll::Allgather(Elem::U8, 6),
+    Coll::Barrier,
+];
+
+/// Runs one row on `h` and returns its result as bit patterns.
+fn run_row(h: &mut CommHandle, row: Coll) -> Vec<u64> {
+    let rank = h.rank();
+    let words = |n: usize, r: usize| -> Vec<u64> {
+        (0..n).map(|i| ((r * 1000 + i) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect()
+    };
+    let octets =
+        |n: usize, r: usize| -> Vec<u8> { (0..n).map(|i| (r * 37 + i * 11) as u8).collect() };
+    match row {
+        Coll::Allreduce(algo, n) => {
+            let mut d = rank_input(rank, n, 0xACC7);
+            h.allreduce_sum_with(&mut d, algo);
+            d.iter().map(|x| u64::from(x.to_bits())).collect()
+        }
+        Coll::Broadcast(elem, root, n) => {
+            let root = root % h.world();
+            match elem {
+                Elem::F32 => {
+                    let mut d = rank_input(rank, n, 0xB0);
+                    h.broadcast(root, &mut d);
+                    d.iter().map(|x| u64::from(x.to_bits())).collect()
+                }
+                Elem::U64 => {
+                    let mut d = words(n, rank);
+                    h.broadcast(root, &mut d);
+                    d
+                }
+                Elem::U8 => {
+                    let mut d = octets(n, rank);
+                    h.broadcast(root, &mut d);
+                    d.into_iter().map(u64::from).collect()
+                }
+            }
+        }
+        Coll::Allgather(elem, n) => match elem {
+            Elem::F32 => h
+                .allgather(&rank_input(rank, n, 0x6A))
+                .concat()
+                .iter()
+                .map(|x| u64::from(x.to_bits()))
+                .collect(),
+            Elem::U64 => h.allgather(&words(n, rank)).concat(),
+            Elem::U8 => h.allgather(&octets(n, rank)).concat().into_iter().map(u64::from).collect(),
+        },
+        Coll::Barrier => {
+            h.barrier();
+            Vec::new()
+        }
+    }
+}
+
+/// The closed form of one row on rank `rank` of a `p`-rank communicator:
+/// `(messages, bytes_sent, logical_wire_bits, priced seconds)`.
+fn closed_form(row: Coll, p: usize, rank: usize, m: &CostModel) -> (u64, u64, u64, f64) {
+    let ceil_log2 = u64::from(p.next_power_of_two().trailing_zeros());
+    match row {
+        Coll::Allreduce(algo, n) => {
+            let bytes = 4.0 * n as f64;
+            let ring = match algo {
+                CollectiveAlgo::Ring => true,
+                CollectiveAlgo::RecursiveDoubling => false,
+                CollectiveAlgo::Auto => {
+                    m.ring_allreduce(bytes, p) <= m.recursive_doubling_allreduce(bytes, p)
+                }
+            };
+            if ring {
+                // Reduce-scatter sends every chunk but (rank + 1)'s, the
+                // allgather every chunk but (rank + 2)'s.
+                let chunk = |c: usize| n / p + usize::from(c % p < n % p);
+                let lanes = 2 * n - chunk(rank + 1) - chunk(rank + 2);
+                let frames = 2 * (p as u64 - 1);
+                (frames, 4 * lanes as u64, 32 * n as u64, m.ring_allreduce(bytes, p))
+            } else {
+                // MPICH fold: even ranks below 2·rem send once (into the
+                // core); odd ones also hand the result back.
+                let pow2 = 1usize << p.ilog2();
+                let rem = p - pow2;
+                let stages = u64::from(pow2.ilog2());
+                let frames = match (rank < 2 * rem, rank % 2) {
+                    (true, 0) => 1,
+                    (true, _) => stages + 1,
+                    (false, _) => stages,
+                };
+                let price = m.recursive_doubling_allreduce(bytes, p);
+                (frames, frames * 4 * n as u64, 32 * n as u64, price)
+            }
+        }
+        Coll::Broadcast(elem, root, n) => {
+            let bytes = (elem.bytes() * n) as u64;
+            let root = root % p;
+            // Binomial tree: relative rank v sends to v + d for every power
+            // of two d below its lowest set bit (below P for the root).
+            let v = (rank + p - root) % p;
+            let low = if v == 0 { p.next_power_of_two() } else { 1 << v.trailing_zeros() };
+            let children =
+                (0..usize::BITS).map(|j| 1usize << j).filter(|&d| d < low && v + d < p).count();
+            let children = children as u64;
+            let logical = if rank == root { 8 * bytes } else { 0 };
+            (children, children * bytes, logical, m.broadcast(bytes as f64, p))
+        }
+        Coll::Allgather(elem, n) => {
+            let bytes = (elem.bytes() * n) as u64;
+            let peers = p as u64 - 1;
+            (peers, peers * bytes, 8 * bytes, m.ring_allgather(bytes as f64, p))
+        }
+        Coll::Barrier => (ceil_log2, 0, 0, m.barrier(p)),
+    }
+}
+
+/// One accounting table for every collective: on a world and on a split
+/// child of any size, on either backend, each row moves its closed-form
+/// number of frames and payload bytes, counts its own payload once as
+/// logical bits (a broadcast on its root only), puts exactly one frame
+/// header per frame on a socket and nothing extra through a mailbox, and a
+/// priced communicator charges exactly the row's `CostModel` price. A
+/// proper subgroup's collectives complete without the non-members, and
+/// both backends compute bit-identical results.
 #[test]
-fn barrier_traffic_is_the_same_collective_everywhere() {
-    // `(P, stats, comm_seconds)` after exactly one barrier on the world,
-    // then on this rank's fresh child of a ragged two-way split.
+fn every_collective_has_one_accounting_on_every_backend() {
+    // Per communicator (the world, then this rank's child of a ragged
+    // two-way split): per row, the result bits, the stats it added and the
+    // ledger before and after it.
+    type Measured = (usize, Vec<(Vec<u64>, TrafficStats, f64, f64)>);
+    let table = |h: &mut CommHandle| -> Measured {
+        let mut rows = Vec::new();
+        for row in TABLE {
+            let (s0, t0) = (h.stats(), h.comm_seconds());
+            let out = run_row(h, row);
+            let s1 = h.stats();
+            let added = TrafficStats {
+                bytes_sent: s1.bytes_sent - s0.bytes_sent,
+                messages: s1.messages - s0.messages,
+                wire_bytes: s1.wire_bytes - s0.wire_bytes,
+                logical_wire_bits: s1.logical_wire_bits - s0.logical_wire_bits,
+            };
+            rows.push((out, added, t0, h.comm_seconds()));
+        }
+        (h.world(), rows)
+    };
     let body = |h: &mut CommHandle| {
-        h.barrier();
-        let on_world = (h.world(), h.stats(), h.comm_seconds());
+        let on_world = table(h);
         let cut = (h.world() + 1) / 3;
         let mut child = h.split(Some(u64::from(h.rank() >= cut)), h.rank() as u64).unwrap();
-        child.barrier();
-        [on_world, (child.world(), child.stats(), child.comm_seconds())]
+        [on_world, table(&mut child)]
     };
     let profile = NetworkProfile::infiniband_100g();
-    for world in [1usize, 2, 3, 4, 5, 8] {
-        let backends = [
-            ("inproc", run_cluster(world, profile, body)),
-            ("tcp", run_cluster_tcp_threads(world, body)),
-        ];
-        for (backend, ranks) in backends {
-            for (rank, rows) in ranks.into_iter().enumerate() {
-                for (comm, (p, s, secs)) in ["world", "child"].into_iter().zip(rows) {
-                    let ctx = format!("{backend} world {world} rank {rank}: {comm} of {p}");
-                    let rounds = u64::from(p.next_power_of_two().trailing_zeros()); // ⌈log₂P⌉
-                    assert_eq!(s.messages, rounds, "{ctx}");
-                    assert_eq!(s.bytes_sent, 0, "{ctx}");
-                    assert_eq!(s.logical_wire_bits, 0, "{ctx}");
-                    if backend == "tcp" {
-                        assert_eq!(s.wire_bytes, rounds * FRAME_HEADER_BYTES, "{ctx}");
-                    } else {
-                        assert_eq!(s.wire_bytes, 0, "{ctx}");
-                        let price = CostModel::new(profile).barrier(p);
-                        assert_eq!(secs.to_bits(), price.to_bits(), "{ctx}");
+    let m = CostModel::new(profile);
+    for world in 1usize..=8 {
+        let inproc = run_cluster(world, profile, body);
+        let tcp = run_cluster_tcp_threads(world, body);
+        for (backend, ranks) in [("inproc", &inproc), ("tcp", &tcp)] {
+            for (rank, comms) in ranks.iter().enumerate() {
+                for (comm, (p, rows)) in ["world", "child"].into_iter().zip(comms) {
+                    let sub_rank = if comm == "world" { rank } else { child_rank(world, rank) };
+                    for (row, (_, s, t0, t1)) in TABLE.into_iter().zip(rows) {
+                        let ctx =
+                            format!("{backend} world {world} rank {rank}: {comm} of {p}, {row:?}");
+                        let (messages, bytes, logical, price) = closed_form(row, *p, sub_rank, &m);
+                        assert_eq!(s.messages, messages, "{ctx}: messages");
+                        assert_eq!(s.bytes_sent, bytes, "{ctx}: bytes_sent");
+                        assert_eq!(s.logical_wire_bits, logical, "{ctx}: logical_wire_bits");
+                        if backend == "tcp" {
+                            let framed = bytes + messages * FRAME_HEADER_BYTES;
+                            assert_eq!(s.wire_bytes, framed, "{ctx}: wire_bytes");
+                            assert!(t1 >= t0, "{ctx}: the measured ledger went backwards");
+                        } else {
+                            assert_eq!(s.wire_bytes, bytes, "{ctx}: wire_bytes");
+                            assert_eq!(t1.to_bits(), (t0 + price).to_bits(), "{ctx}: priced");
+                        }
                     }
                 }
             }
         }
+        for rank in 0..world {
+            for (c, (a, b)) in inproc[rank].iter().zip(&tcp[rank]).enumerate() {
+                for (i, (x, y)) in a.1.iter().zip(&b.1).enumerate() {
+                    assert_eq!(x.0, y.0, "world {world} rank {rank} comm {c}: {:?}", TABLE[i]);
+                }
+            }
+        }
+    }
+}
+
+/// This rank's sub-rank in the accounting table's ragged split: ranks
+/// below `(P + 1) / 3` form one group, the rest the other, each in rank
+/// order.
+fn child_rank(world: usize, rank: usize) -> usize {
+    let cut = (world + 1) / 3;
+    if rank < cut {
+        rank
+    } else {
+        rank - cut
     }
 }
 
@@ -488,4 +686,20 @@ fn blocking_allgather_surfaces_peer_loss_and_releases_slot() {
 fn blocking_small_allreduce_surfaces_peer_loss_and_releases_slot() {
     // 16 bytes at world 2: `Auto` picks recursive doubling.
     assert_dead_peer_errs(|h| h.try_allreduce_avg(&mut [1.0f32; 4]));
+}
+
+#[test]
+fn blocking_ring_allreduce_surfaces_peer_loss_and_releases_slot() {
+    assert_dead_peer_errs(|h| h.try_allreduce_sum_with(&mut [1.0f32; 64], CollectiveAlgo::Ring));
+}
+
+#[test]
+fn blocking_broadcast_surfaces_peer_loss_and_releases_slot() {
+    // Rank 0 is the leaf: it waits on the departed root.
+    assert_dead_peer_errs(|h| h.try_broadcast(1, &mut [0u64; 3]));
+}
+
+#[test]
+fn blocking_barrier_surfaces_peer_loss_and_releases_slot() {
+    assert_dead_peer_errs(|h| h.try_barrier());
 }
