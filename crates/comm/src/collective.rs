@@ -1,25 +1,25 @@
 //! MPI-style collectives, generic over the [`Transport`] data plane.
 //!
 //! The algorithms (ring reduce-scatter/allgather allreduce, recursive
-//! doubling, direct-exchange allgather, binomial broadcast — Thakur,
-//! Rabenseifner & Gropp, the paper's reference [46]) are written against
-//! the transport's tagged send/recv only, so the same code moves bytes
-//! through in-process mailboxes or real TCP sockets. Every rank must call
-//! the same sequence of collective operations — the usual SPMD contract.
+//! doubling, direct-exchange allgather, binomial broadcast, dissemination
+//! barrier — Thakur, Rabenseifner & Gropp, the paper's reference [46]) are
+//! written against the transport's tagged send/recv only, so the same code
+//! moves bytes through in-process mailboxes or real TCP sockets. Every
+//! rank must call the same sequence of collective operations — the usual
+//! SPMD contract.
 //!
-//! Each algorithm's data flow exists once. The handle-capable ones —
-//! recursive-doubling allreduce and the direct-exchange allgather — live
-//! in [`crate::nonblocking`]; their blocking spellings here are
-//! `start → wait` on that engine. Ring allreduce, binomial broadcast and
-//! the dissemination barrier are blocking-only and exist once, in this
-//! file.
+//! This file is [`CommHandle`]: the communicator, its ledgers and the
+//! blocking spellings. Every collective is an op on the one engine in
+//! [`crate::nonblocking`] — a table of rounds, or the direct-exchange
+//! gather — and every blocking spelling here is `start → wait` on it.
 //!
 //! Gather and broadcast are generic over [`WireElem`] (the types a
 //! [`Payload`] can carry: `f32`, `u64`, `u8`); allreduce is the dense
-//! `f32` sum. [`CommHandle::allgather_bytes`] carries one opaque encoded
-//! [`Payload`] frame per rank — compressed gradients cross the wire at
-//! their encoded size, and the traffic accounting below needs no
-//! out-of-band overrides.
+//! `f32` sum. The typed gather has MPI_Allgather semantics (every rank
+//! sends `data.len()` elements); [`CommHandle::allgather_bytes`] carries
+//! one opaque encoded [`Payload`] frame per rank, of any size — compressed
+//! gradients cross the wire at their encoded size, and the traffic
+//! accounting below needs no out-of-band overrides.
 //!
 //! Time is a ledger each communicator keeps locally
 //! ([`CommHandle::comm_seconds`]): under a [`CostModel`] (in-proc) every
@@ -28,6 +28,7 @@
 //! one (TCP) it adds the wall time measured inside the call.
 
 use crate::cost::CostModel;
+use crate::nonblocking::Collective;
 use crate::transport::group::{self, GroupTransport, SharedTransport};
 use crate::transport::wire::{Payload, PayloadRef};
 use crate::transport::{Transport, TransportError};
@@ -400,63 +401,19 @@ impl CommHandle {
         Ok(())
     }
 
-    pub(crate) fn try_recv_payload(
+    /// The frame `from` sent under `tag`: waited for when `block`, else
+    /// `None` until it has arrived.
+    pub(crate) fn recv_payload(
         &mut self,
         from: usize,
         tag: u64,
+        block: bool,
     ) -> Result<Option<Payload>, TransportError> {
-        self.transport.try_recv_bytes(from, tag)
-    }
-
-    pub(crate) fn blocking_recv_payload(
-        &mut self,
-        from: usize,
-        tag: u64,
-    ) -> Result<Payload, TransportError> {
-        self.transport.recv_bytes(from, tag)
-    }
-
-    fn try_send_elems<T: WireElem>(
-        &mut self,
-        to: usize,
-        tag: u64,
-        data: &[T],
-    ) -> Result<(), TransportError> {
-        self.try_send_payload(to, tag, T::payload_ref(data))
-    }
-
-    /// Blocking receive of the `len` elements of `T` the round expects
-    /// from `from` under `tag`.
-    fn try_recv_elems<T: WireElem>(
-        &mut self,
-        from: usize,
-        tag: u64,
-        len: usize,
-    ) -> Result<Vec<T>, TransportError> {
-        let frame = self.blocking_recv_payload(from, tag)?;
-        self.check_frame(frame, (from, tag), len)
-    }
-
-    /// The elements of a frame received from `from` under `tag`, when it
-    /// is the `len` elements of `T` the round expects; otherwise
-    /// [`TransportError::BadFrame`] — a collective never sums or copies a
-    /// frame of the wrong kind or length.
-    pub(crate) fn check_frame<T: WireElem>(
-        &self,
-        frame: Payload,
-        (from, tag): (usize, u64),
-        len: usize,
-    ) -> Result<Vec<T>, TransportError> {
-        let want = T::payload_ref(&[]).kind();
-        if frame.kind() == want && frame.byte_len() == len * T::BYTES {
-            return Ok(T::from_payload(frame));
+        if block {
+            self.transport.recv_bytes(from, tag).map(Some)
+        } else {
+            self.transport.try_recv_bytes(from, tag)
         }
-        let cause = format!(
-            "{:?} frame of {} B, expected {len} × {want:?}",
-            frame.kind(),
-            frame.byte_len()
-        );
-        Err(TransportError::BadFrame { rank: self.rank(), peer: from, tag, cause })
     }
 
     pub(crate) fn next_tag(&mut self) -> u64 {
@@ -500,14 +457,6 @@ impl CommHandle {
         }
     }
 
-    /// Traces a completed blocking collective as the closed span `name`
-    /// begun at `ts` (free when tracing is off: `closed_span` returns on
-    /// its first branch).
-    fn comm_span(&self, name: &'static str, op: &'static str, ts: u64, bytes: f64) {
-        let args = a2sgd_trace::Args::Collective { op, plane: self.plane, bytes: bytes as u64 };
-        a2sgd_trace::closed_span(name, ts, args);
-    }
-
     // -- public collectives -------------------------------------------------
     //
     // Every blocking collective has a `try_*` form returning
@@ -521,27 +470,15 @@ impl CommHandle {
     /// rounds of one empty frame per rank, each round doubling the hop
     /// distance. The frames carry no payload but are sent like any other,
     /// so they count toward `messages` and — where a frame has a header —
-    /// `wire_bytes` (never `bytes_sent`/`logical_wire_bits`).
+    /// `wire_bytes` (never `bytes_sent`/`logical_wire_bits`); a received
+    /// frame that is not empty bytes is [`TransportError::BadFrame`].
     pub fn barrier(&mut self) {
         or_panic("barrier", self.try_barrier());
     }
 
-    /// [`Self::barrier`] with peer loss as a typed value.
+    /// [`Self::barrier`] with peer loss and bad frames as typed values.
     pub fn try_barrier(&mut self) -> Result<(), TransportError> {
-        let ts = a2sgd_trace::now_ns();
-        let t0 = Instant::now();
-        let (world, rank) = (self.world(), self.rank());
-        let tag = self.next_tag();
-        let mut hop = 1;
-        while hop < world {
-            let round = tag + hop as u64;
-            self.try_send_payload((rank + hop) % world, round, PayloadRef::Bytes(&[]))?;
-            self.blocking_recv_payload((rank + world - hop) % world, round)?;
-            hop <<= 1;
-        }
-        self.finish_op(t0, 0.0, |m, _, p| m.barrier(p));
-        self.comm_span("comm/barrier", "barrier", ts, 0.0);
-        Ok(())
+        self.start(Collective::Barrier).wait_buffer(self).map(drop)
     }
 
     /// In-place f32 allreduce-sum with algorithm selection. The logical
@@ -551,7 +488,7 @@ impl CommHandle {
         or_panic("allreduce", self.try_allreduce_sum_with(data, algo));
     }
 
-    /// [`Self::allreduce_sum_with`] with peer loss as a typed value.
+    /// [`Self::allreduce_sum_with`] with peer loss and bad frames as typed values.
     pub fn try_allreduce_sum_with(
         &mut self,
         data: &mut [f32],
@@ -568,19 +505,9 @@ impl CommHandle {
                     <= m.recursive_doubling_allreduce(payload_bytes, world)
             }
         };
-        if !ring {
-            let sum = self.start_allreduce(data.to_vec()).wait(self)?.expect_reduced();
-            data.copy_from_slice(&sum);
-            return Ok(());
-        }
-        self.stats.logical_wire_bits += 8 * 4 * data.len() as u64;
-        let ts = a2sgd_trace::now_ns();
-        let t0 = Instant::now();
-        if world > 1 {
-            self.try_ring_allreduce(data)?;
-        }
-        self.finish_op(t0, payload_bytes, |m, b, p| m.ring_allreduce(b, p));
-        self.comm_span("comm/allreduce", "allreduce", ts, payload_bytes);
+        let op = if ring { Collective::RingAllreduce } else { Collective::RdAllreduce };
+        let sum = self.start(op(data.to_vec())).wait(self)?.expect_reduced();
+        data.copy_from_slice(&sum);
         Ok(())
     }
 
@@ -594,7 +521,7 @@ impl CommHandle {
         or_panic("allreduce", self.try_allreduce_avg(data));
     }
 
-    /// [`Self::allreduce_avg`] with peer loss as a typed value.
+    /// [`Self::allreduce_avg`] with peer loss and bad frames as typed values.
     pub fn try_allreduce_avg(&mut self, data: &mut [f32]) -> Result<(), TransportError> {
         self.try_allreduce_sum_with(data, CollectiveAlgo::Auto)?;
         let inv = 1.0 / self.world() as f32;
@@ -604,26 +531,23 @@ impl CommHandle {
         Ok(())
     }
 
-    /// Allgather of a variable-length typed contribution. Returns all
-    /// contributions indexed by rank.
+    /// Allgather of `data.len()` elements from every rank (MPI_Allgather:
+    /// every rank contributes the same count). Returns all contributions
+    /// indexed by rank; a frame of another kind or length is
+    /// [`TransportError::BadFrame`] (the panicking spelling panics). For
+    /// frames whose size differs by rank, use [`Self::allgather_bytes`].
     pub fn allgather<T: WireElem>(&mut self, data: &[T]) -> Vec<Vec<T>> {
         or_panic("allgather", self.try_allgather(data))
     }
 
-    /// [`Self::allgather`] with peer loss as a typed value.
+    /// [`Self::allgather`] with peer loss and bad frames as typed values.
     pub fn try_allgather<T: WireElem>(
         &mut self,
         data: &[T],
     ) -> Result<Vec<Vec<T>>, TransportError> {
-        let handle = self.start_allgather_bytes(T::to_payload(data));
-        let tag = handle.tag();
-        let frames = handle.wait(self)?.expect_gathered();
-        // Lengths vary by rank; the kind must be `T`'s.
-        let check = |(peer, frame): (usize, Payload)| {
-            let len = frame.byte_len() / T::BYTES;
-            self.check_frame(frame, (peer, tag), len)
-        };
-        frames.into_iter().enumerate().map(check).collect()
+        let gather = Collective::Allgather { frame: T::to_payload(data), typed: true };
+        let frames = self.start(gather).wait(self)?.expect_gathered();
+        Ok(frames.into_iter().map(T::from_payload).collect())
     }
 
     /// Allgather of one opaque encoded frame per rank — the exchange
@@ -650,103 +574,15 @@ impl CommHandle {
         or_panic("broadcast", self.try_broadcast(root, data));
     }
 
-    /// [`Self::broadcast`] with peer loss as a typed value.
+    /// [`Self::broadcast`] with peer loss and bad frames as typed values.
     pub fn try_broadcast<T: WireElem>(
         &mut self,
         root: usize,
         data: &mut [T],
     ) -> Result<(), TransportError> {
-        let world = self.world();
-        let rank = self.rank();
-        let bytes = (T::BYTES * data.len()) as f64;
-        self.stats.logical_wire_bits +=
-            if rank == root { 8 * (T::BYTES * data.len()) as u64 } else { 0 };
-        let ts = a2sgd_trace::now_ns();
-        let t0 = Instant::now();
-        if world > 1 {
-            let tag = self.next_tag();
-            let vr = (rank + world - root) % world;
-            let mut mask = 1usize;
-            // Receive phase: rank vr receives once, from vr - 2^k where 2^k
-            // is the highest power of two ≤ vr.
-            while mask < world {
-                if vr & mask != 0 {
-                    let src = (vr - mask + root) % world;
-                    let got = self.try_recv_elems::<T>(src, tag + mask as u64, data.len())?;
-                    data.copy_from_slice(&got);
-                    break;
-                }
-                mask <<= 1;
-            }
-            // Send phase: from the bit below the one we received on, down
-            // to 1 — the classic binomial tree.
-            let mut smask = if vr == 0 {
-                let mut m = 1usize;
-                while m < world {
-                    m <<= 1;
-                }
-                m >> 1
-            } else {
-                mask >> 1
-            };
-            while smask >= 1 {
-                let dst_vr = vr + smask;
-                if dst_vr < world {
-                    let dst = (dst_vr + root) % world;
-                    self.try_send_elems(dst, tag + smask as u64, data)?;
-                }
-                if smask == 1 {
-                    break;
-                }
-                smask >>= 1;
-            }
-        }
-        self.finish_op(t0, bytes, |m, b, p| m.broadcast(b, p));
-        self.comm_span("comm/broadcast", "broadcast", ts, bytes);
-        Ok(())
-    }
-
-    // -- allreduce algorithm implementations --------------------------------
-
-    fn chunk_bounds(n: usize, p: usize, c: usize) -> (usize, usize) {
-        let base = n / p;
-        let rem = n % p;
-        let lo = c * base + c.min(rem);
-        let hi = lo + base + usize::from(c < rem);
-        (lo, hi)
-    }
-
-    fn try_ring_allreduce(&mut self, data: &mut [f32]) -> Result<(), TransportError> {
-        let world = self.world();
-        let rank = self.rank();
-        let n = data.len();
-        let tag = self.next_tag();
-        let right = (rank + 1) % world;
-        let left = (rank + world - 1) % world;
-
-        // Reduce-scatter.
-        for step in 0..world - 1 {
-            let send_c = (rank + world - step) % world;
-            let recv_c = (rank + world - step - 1) % world;
-            let (slo, shi) = Self::chunk_bounds(n, world, send_c);
-            self.try_send_elems(right, tag + step as u64, &data[slo..shi])?;
-            let (rlo, rhi) = Self::chunk_bounds(n, world, recv_c);
-            let got = self.try_recv_elems::<f32>(left, tag + step as u64, rhi - rlo)?;
-            for (d, g) in data[rlo..rhi].iter_mut().zip(got) {
-                *d += g;
-            }
-        }
-        // Allgather.
-        for step in 0..world - 1 {
-            let send_c = (rank + 1 + world - step) % world;
-            let recv_c = (rank + world - step) % world;
-            let (slo, shi) = Self::chunk_bounds(n, world, send_c);
-            self.try_send_elems(right, tag + (world - 1 + step) as u64, &data[slo..shi])?;
-            let (rlo, rhi) = Self::chunk_bounds(n, world, recv_c);
-            let got =
-                self.try_recv_elems::<f32>(left, tag + (world - 1 + step) as u64, rhi - rlo)?;
-            data[rlo..rhi].copy_from_slice(&got);
-        }
+        let bcast = Collective::Broadcast { root, buf: T::to_payload(data) };
+        let got = self.start(bcast).wait_buffer(self)?;
+        data.copy_from_slice(&T::from_payload(got));
         Ok(())
     }
 }
@@ -851,16 +687,31 @@ mod tests {
 
     #[test]
     fn allgather_varlen_collects_all() {
-        let results = run_cluster(5, NetworkProfile::infiniband_100g(), |h| {
-            let mine: Vec<f32> = (0..=h.rank()).map(|i| i as f32).collect();
-            h.allgather(&mine)
+        // Every rank contributes the same count (MPI_Allgather); the
+        // rank-dependent lengths of `allgather_bytes` are tested below.
+        let contribution =
+            |rank: usize| -> Vec<f32> { (0..4).map(|i| (rank * 4 + i) as f32).collect() };
+        let results = run_cluster(5, NetworkProfile::infiniband_100g(), move |h| {
+            h.allgather(&contribution(h.rank()))
         });
         for got in results {
             assert_eq!(got.len(), 5);
             for (rank, v) in got.iter().enumerate() {
-                let expect: Vec<f32> = (0..=rank).map(|i| i as f32).collect();
-                assert_eq!(v, &expect, "rank {rank} contribution");
+                assert_eq!(v, &contribution(rank), "rank {rank} contribution");
             }
+        }
+    }
+
+    #[test]
+    fn typed_allgather_of_unequal_counts_is_a_bad_frame_on_every_rank() {
+        let results = run_cluster(3, NetworkProfile::infiniband_100g(), |h| {
+            h.try_allgather(&vec![1u64; h.rank() + 1]).map(drop)
+        });
+        for (rank, got) in results.into_iter().enumerate() {
+            assert!(
+                matches!(got, Err(TransportError::BadFrame { rank: r, .. }) if r == rank),
+                "rank {rank}: {got:?}"
+            );
         }
     }
 

@@ -50,16 +50,19 @@
 //! compressed gradient crosses the socket at its encoded size and measured
 //! traffic equals the logical accounting.
 //!
-//! There is one collective engine ([`nonblocking`]): `start_allreduce`
-//! (recursive doubling) and `start_allgather_bytes` (direct exchange)
-//! launch the operation and return a [`CollectiveHandle`] with
-//! `wait()`/`try_complete()`, letting several tag-matched collectives ride
-//! the wire at once while the caller computes — the
-//! communication/compute-overlap substrate behind `gradcomp`'s bucketed
-//! sync sessions. The blocking spellings of those two algorithms are
-//! `start → wait` on the same engine; ring allreduce, binomial broadcast
-//! and the dissemination barrier are blocking-only and exist once
-//! ([`collective`]), over every transport alike. Peer loss is a typed
+//! There is one collective engine ([`nonblocking`]), and it is the only
+//! code that sends or receives for a collective. Every algorithm — ring
+//! and recursive-doubling allreduce, binomial broadcast, dissemination
+//! barrier — is a table of rounds one poll loop drives; the
+//! direct-exchange gather is its one other arm. `start_allreduce`
+//! (recursive doubling) and `start_allgather_bytes` launch an operation
+//! and return a [`CollectiveHandle`] with `wait()`/`try_complete()`,
+//! letting several tag-matched collectives ride the wire at once while the
+//! caller computes — the communication/compute-overlap substrate behind
+//! `gradcomp`'s bucketed sync sessions — and every blocking spelling is
+//! `start → wait` on the same engine, over every transport alike. The
+//! engine checks every received frame's kind and length against its
+//! round: a wrong one is `TransportError::BadFrame`. Peer loss is a typed
 //! [`TransportError`] everywhere: from `wait()`/`try_complete()`, and from
 //! the `try_*` spelling every blocking collective has
 //! ([`CommHandle::try_allreduce_avg`], [`CommHandle::try_barrier`],
@@ -72,9 +75,9 @@
 //! * [`profile::NetworkProfile`] — α (latency) and β (bandwidth) presets,
 //!   including the paper's 100 Gbps InfiniBand.
 //! * [`cost`] — closed-form collective cost functions.
-//! * [`collective`] — [`CommHandle`]: the blocking collectives, the
+//! * [`collective`] — [`CommHandle`]: the blocking spellings, the
 //!   per-communicator time ledger and [`TrafficStats`] accounting.
-//! * [`nonblocking`] — the handle-based collective engine.
+//! * [`nonblocking`] — the collective engine: every collective's rounds.
 //! * [`transport`] — the data planes, wire codec and launchers.
 //! * [`sim`] — spawn an in-process cluster of ranks with scoped threads.
 

@@ -1,49 +1,46 @@
-//! The collective engine: handle-based nonblocking allreduce and
-//! allgather. This is the one place a handle-capable algorithm's data
-//! flow lives — the blocking spellings in [`crate::collective`]
-//! (`try_allgather_bytes`, the recursive-doubling arm of
-//! `try_allreduce_sum_with`) are `start → wait` on it.
+//! The collective engine: every collective `CommHandle` runs is an op on
+//! it, and this file is the only code that sends or receives for one.
 //!
-//! [`CommHandle::start_allreduce`] and
-//! [`CommHandle::start_allgather_bytes`] launch a collective and return a
-//! [`CollectiveHandle`] immediately; the caller overlaps its own compute
-//! (encoding the next bucket, decoding a finished one) and later drives
-//! the operation with [`CollectiveHandle::try_complete`] (nonblocking
-//! progress probe) or [`CollectiveHandle::wait`] (drive to completion and
-//! take the result). Several handles may be in flight at once — frames are
-//! tag-matched per (peer, tag), so interleaved arrivals sort themselves
-//! out on both backends; [`CommHandle::max_inflight`] records the proof.
+//! An algorithm is a table of rounds (`Round`), built by a pure schedule
+//! function of `(world, rank, len[, root])`: recursive doubling with the
+//! MPICH non-power-of-two fold, ring reduce-scatter + allgather, a binomial
+//! broadcast, a dissemination barrier. A round is an optional send of a
+//! range of the op's one typed buffer to a peer, then an optional receive
+//! from a peer into a range of it, folded by addition (`f32` only) or by
+//! copy, under the op's tag plus an offset both ends compute alike. One
+//! poll loop drives every table, and sends read the live buffer by
+//! reference. The direct-exchange allgather is the one other arm: the own
+//! frame goes to every peer at launch, and the peers' frames are taken in
+//! whatever order they arrive and kept verbatim.
 //!
-//! Launch-and-forget is safe because both transports complete sends
-//! without a matching receive posted: the in-process backend pushes into
-//! the destination mailbox, the TCP backend writes into a socket that the
-//! peer's dedicated reader thread keeps draining.
+//! [`CommHandle::start_allreduce`] (recursive doubling: one pairing
+//! schedule and reduction order for every element, so a vector
+//! synchronized in buckets is bit-identical to single-shot) and
+//! [`CommHandle::start_allgather_bytes`] return a [`CollectiveHandle`]; the
+//! caller overlaps its own compute, probes with
+//! [`CollectiveHandle::try_complete`] and takes the result with
+//! [`CollectiveHandle::wait`]. Several handles may be in flight at once:
+//! frames are tag-matched per (peer, tag), and both transports complete a
+//! send without a matching receive posted. Every blocking collective of
+//! [`crate::collective`] is `start → wait` here.
 //!
-//! The algorithms are chosen for *element-independent data flow* so that
-//! a vector synchronized in B buckets is bit-identical to the same vector
-//! synchronized in one shot:
+//! Every received frame is checked against its round — the buffer's kind
+//! and the range's length; a typed gather's, the own frame's — in one
+//! place (`receive`): a wrong one is [`TransportError::BadFrame`]. Peer
+//! loss is a typed [`TransportError`] from `try_complete`/`wait`; a failed
+//! handle releases its in-flight slot.
 //!
-//! * allreduce — recursive doubling with the MPICH non-power-of-two fold
-//!   (one pairing schedule and reduction order for every element,
-//!   regardless of how the vector is chunked into calls);
-//! * allgather — direct exchange (own frame to every peer up front; all
-//!   receives deferred — maximal overlap, and gathered frames are moved
-//!   verbatim so content never depends on routing).
-//!
-//! Time accounting ([`CommHandle::comm_seconds`]): measured backends (TCP)
-//! add the wall time spent inside `start_*`/`try_complete`/`wait` calls —
-//! overlapped network time that no call observes is genuinely free. Priced
-//! backends (in-proc) add the collective's Hockney cost once, at `wait()`;
-//! the price depends only on the frames, never on when or in what order
-//! handles are waited.
-//!
-//! Peer loss surfaces as a typed [`TransportError`] from
-//! `try_complete`/`wait`; a failed handle releases its in-flight slot.
+//! Time ([`CommHandle::comm_seconds`]): a measured backend (TCP) adds the
+//! wall time inside the launch, `try_complete` and `wait` calls; a priced
+//! one (in-proc) adds the op's own Hockney price once, at `wait()`, for
+//! sizes every rank agrees on. Each op traces as one async span named by
+//! the op, from launch to release.
 
 use crate::collective::CommHandle;
 use crate::cost::CostModel;
-use crate::transport::wire::{Payload, PayloadRef};
+use crate::transport::wire::{Payload, PayloadKind, PayloadRef};
 use crate::transport::TransportError;
+use std::ops::Range;
 use std::time::Instant;
 
 /// The completed value of a nonblocking collective.
@@ -73,70 +70,187 @@ impl CollectiveResult {
     }
 }
 
-/// Recursive-doubling allreduce as an explicit state machine. The pairing
-/// schedule and per-element reduction order do not depend on the vector's
-/// length — that is what makes bucketed dense synchronization
-/// bit-identical to single-shot.
+/// How a round merges the frame it receives into its range of the buffer.
+#[derive(Debug, Clone, Copy)]
+enum Fold {
+    /// Element-wise `buf += frame` (dense `f32` only).
+    Add,
+    /// `buf = frame` (the barrier copies an empty range: nothing).
+    Copy,
+}
+
+/// One round of a schedule: send `buf[range]` to a peer, then receive a
+/// peer's frame into `buf[range]`, either half optional, both under the
+/// op's tag plus `tag`.
 #[derive(Debug)]
-struct RdState {
-    data: Vec<f32>,
+struct Round {
     tag: u64,
-    pow2: usize,
-    rem: usize,
-    /// Virtual rank inside the power-of-two core (`None` for folded-out
-    /// even ranks).
-    new_rank: Option<usize>,
-    mask: usize,
-    stage: u64,
-    phase: RdPhase,
+    send: Option<(usize, Range<usize>)>,
+    recv: Option<(usize, Range<usize>, Fold)>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RdPhase {
-    /// Odd folded rank awaiting its even partner's contribution.
-    FoldRecv,
-    /// Inside the recursive-doubling core, awaiting the stage partner.
-    Core,
-    /// Even folded rank awaiting the final result from its odd partner.
-    UnfoldRecv,
-    Done,
+/// Recursive-doubling allreduce with the MPICH non-power-of-two fold: the
+/// even ranks below 2·rem push into their odd neighbour and get the result
+/// back at the end; the other `pow2` ranks exchange the whole vector with
+/// the partner at virtual distance 1, 2, 4, … and add.
+fn recursive_doubling(world: usize, rank: usize, len: usize) -> Vec<Round> {
+    let pow2 = 1usize << world.ilog2();
+    let rem = world - pow2;
+    let stages = u64::from(pow2.ilog2());
+    let unfold = stages + 1;
+    let real = |vr: usize| if vr < rem { 2 * vr + 1 } else { vr + rem };
+    let folded = rank < 2 * rem;
+    if folded && rank % 2 == 0 {
+        return vec![
+            Round { tag: 0, send: Some((rank + 1, 0..len)), recv: None },
+            Round { tag: unfold, send: None, recv: Some((rank + 1, 0..len, Fold::Copy)) },
+        ];
+    }
+    let mut rounds = Vec::with_capacity(stages as usize + 2);
+    if folded {
+        rounds.push(Round { tag: 0, send: None, recv: Some((rank - 1, 0..len, Fold::Add)) });
+    }
+    let vr = if folded { rank / 2 } else { rank - rem };
+    for stage in 0..stages {
+        let partner = real(vr ^ (1 << stage));
+        rounds.push(Round {
+            tag: stage + 1,
+            send: Some((partner, 0..len)),
+            recv: Some((partner, 0..len, Fold::Add)),
+        });
+    }
+    if folded {
+        rounds.push(Round { tag: unfold, send: Some((rank - 1, 0..len)), recv: None });
+    }
+    rounds
 }
 
-impl RdState {
-    fn to_real(&self, vr: usize) -> usize {
-        if vr < self.rem {
-            2 * vr + 1
-        } else {
-            vr + self.rem
+/// Ring allreduce: P − 1 reduce-scatter rounds (send chunk `rank − i` to
+/// the right, add chunk `rank − i − 1` from the left), then P − 1
+/// allgather rounds (send chunk `rank + 1 − i`, copy chunk `rank − i`).
+/// Chunk c is `len / P` elements, one more for the first `len % P`.
+fn ring(world: usize, rank: usize, len: usize) -> Vec<Round> {
+    let chunk = |c: usize| {
+        let (base, rem, c) = (len / world, len % world, c % world);
+        let lo = c * base + c.min(rem);
+        lo..lo + base + usize::from(c < rem)
+    };
+    let (right, left) = ((rank + 1) % world, (rank + world - 1) % world);
+    let steps = world - 1;
+    (0..2 * steps)
+        .map(|i| {
+            let (send, recv, fold) = if i < steps {
+                (rank + world - i, rank + world - i - 1, Fold::Add)
+            } else {
+                let i = i - steps;
+                (rank + 1 + world - i, rank + world - i, Fold::Copy)
+            };
+            Round {
+                tag: i as u64,
+                send: Some((right, chunk(send))),
+                recv: Some((left, chunk(recv), fold)),
+            }
+        })
+        .collect()
+}
+
+/// Binomial-tree broadcast: relative rank v ≠ 0 receives once, from v
+/// minus its lowest set bit, and forwards to v + d for every power of two
+/// d below that bit, largest first; the root forwards for every d < P.
+fn binomial_broadcast(world: usize, rank: usize, len: usize, root: usize) -> Vec<Round> {
+    let vr = (rank + world - root) % world;
+    let real = |v: usize| (v + root) % world;
+    let low = if vr == 0 { world.next_power_of_two() } else { 1 << vr.trailing_zeros() };
+    let mut rounds = Vec::new();
+    if vr != 0 {
+        let from = real(vr - low);
+        rounds.push(Round { tag: low as u64, send: None, recv: Some((from, 0..len, Fold::Copy)) });
+    }
+    let mut d = low >> 1;
+    while d > 0 {
+        if vr + d < world {
+            rounds.push(Round { tag: d as u64, send: Some((real(vr + d), 0..len)), recv: None });
         }
+        d >>= 1;
     }
-
-    fn partner(&self) -> usize {
-        self.to_real(self.new_rank.expect("core phase without a virtual rank") ^ self.mask)
-    }
+    rounds
 }
 
+/// Dissemination barrier: in round k every rank sends an empty frame to
+/// `rank + 2ᵏ` and takes one from `rank − 2ᵏ`.
+fn dissemination_barrier(world: usize, rank: usize) -> Vec<Round> {
+    (0..usize::BITS)
+        .map(|k| 1usize << k)
+        .take_while(|&hop| hop < world)
+        .map(|hop| Round {
+            tag: hop as u64,
+            send: Some(((rank + hop) % world, 0..0)),
+            recv: Some(((rank + world - hop) % world, 0..0, Fold::Copy)),
+        })
+        .collect()
+}
+
+/// What the crate-private launcher `CommHandle::start` runs.
+pub(crate) enum Collective {
+    /// Allreduce-sum by recursive doubling.
+    RdAllreduce(Vec<f32>),
+    /// Allreduce-sum by ring reduce-scatter + allgather.
+    RingAllreduce(Vec<f32>),
+    /// Binomial broadcast of `root`'s buffer (every rank's is its size).
+    Broadcast { root: usize, buf: Payload },
+    /// Dissemination barrier.
+    Barrier,
+    /// Direct-exchange allgather of one frame per rank; `typed` ⇒ every
+    /// frame must have the own frame's kind and length (MPI_Allgather).
+    Allgather { frame: Payload, typed: bool },
+}
+
+/// A collective's closed-form price: `(model, payload bytes, P) → seconds`.
+type Price = fn(&CostModel, f64, usize) -> f64;
+
+/// Where an in-flight op stands.
 #[derive(Debug)]
 enum Op {
-    Allgather { tag: u64, out: Vec<Option<Payload>>, pending: Vec<usize> },
-    Allreduce(RdState),
+    /// A table of rounds over one buffer: `rounds[next..]` are left, and
+    /// `sent` says whether `rounds[next]`'s send is already on the wire.
+    Rounds { buf: Payload, rounds: Vec<Round>, next: usize, sent: bool },
+    /// Direct exchange: `out[rank]` is the own frame, sent to every peer
+    /// once `sent`; `pending` peers' frames are still to come. `want` is
+    /// the `(kind, len)` a typed gather requires of every frame.
+    Gather { out: Vec<Option<Payload>>, pending: Vec<usize>, want: Option<Shape>, sent: bool },
 }
 
-/// An in-flight nonblocking collective. Obtain one from the `start_*`
-/// family on [`CommHandle`]; probe it with [`Self::try_complete`]; take
-/// the result with [`Self::wait`]. Dropping a handle without waiting
-/// abandons the operation (its frames stay queued — only safe when the
-/// whole cluster is being torn down).
+/// A frame's kind and element count.
+type Shape = (PayloadKind, usize);
+
+/// How far `CollectiveHandle::advance` goes at a receive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Recv {
+    /// Stop: launch posts every send up to the first receive.
+    Never,
+    /// Take the frame if it has arrived, else stop.
+    Probe,
+    /// Wait for the frame.
+    Block,
+}
+
+/// An in-flight collective. Obtain one from the `start_*` family on
+/// [`CommHandle`]; probe it with [`Self::try_complete`]; take the result
+/// with [`Self::wait`]. Dropping a handle without waiting abandons the
+/// operation (its frames stay queued — only safe when the whole cluster is
+/// being torn down).
 #[derive(Debug)]
 pub struct CollectiveHandle {
     op: Op,
-    payload_bytes: f64,
+    /// The tag the op's frames travel under, plus each round's offset.
+    tag: u64,
+    /// The op's name (`"allreduce"`, …): its trace async span.
+    name: &'static str,
+    price: Price,
     /// A send failure captured at launch, surfaced at the next probe/wait.
     failed: Option<TransportError>,
     /// Whether this handle still counts toward `CommHandle::inflight`.
     counted: bool,
-    /// Trace async-span name (`"nb/allreduce"` etc.), fixed at launch.
-    trace_name: &'static str,
     /// Trace async-span id: the launch tag namespaced by the
     /// communicator's tag space, unique per rank timeline.
     trace_id: u64,
@@ -151,32 +265,15 @@ impl CollectiveHandle {
     /// after the error keeps `CommHandle::inflight()` accounting exact.
     pub fn try_complete(&mut self, comm: &mut CommHandle) -> Result<bool, TransportError> {
         let t0 = Instant::now();
-        if let Some(e) = self.failed.clone() {
-            self.release(comm);
-            return Err(e);
-        }
-        let done = self.poll(comm, false);
+        let done = match self.failed.clone() {
+            Some(e) => Err(e),
+            None => self.advance(comm, Recv::Probe),
+        };
         comm.charge_wall(t0);
-        match done {
-            Ok(d) => {
-                if d {
-                    self.release(comm);
-                }
-                Ok(d)
-            }
-            Err(e) => {
-                self.release(comm);
-                Err(e)
-            }
+        if !matches!(done, Ok(false)) {
+            self.release(comm);
         }
-    }
-
-    /// The tag the collective's frames travel under.
-    pub(crate) fn tag(&self) -> u64 {
-        match &self.op {
-            Op::Allgather { tag, .. } => *tag,
-            Op::Allreduce(rd) => rd.tag,
-        }
+        done
     }
 
     /// Releases the in-flight slot — exactly once per handle, whether the
@@ -187,56 +284,100 @@ impl CollectiveHandle {
         if self.counted {
             self.counted = false;
             comm.inflight_dec();
-            a2sgd_trace::async_end(self.trace_name, self.trace_id);
+            a2sgd_trace::async_end(self.name, self.trace_id);
         }
     }
 
     /// Drives the collective to completion (blocking on outstanding
     /// frames) and returns its result.
-    pub fn wait(mut self, comm: &mut CommHandle) -> Result<CollectiveResult, TransportError> {
-        let t0 = Instant::now();
-        let outcome = match self.failed.take() {
-            Some(e) => Err(e),
-            None => self.poll(comm, true).map(|done| debug_assert!(done)),
-        };
-        self.release(comm);
-        outcome?;
-        Ok(match self.op {
-            Op::Allgather { out, .. } => {
-                let frames: Vec<Payload> =
-                    out.into_iter().map(|p| p.expect("allgather left a hole")).collect();
-                // The gather is charged as a ring: P−1 frames per rank cost
-                // the same (P−1)·(α + bytes/β) whether they hop or fan out —
-                // at its largest frame, which every rank reads off the
-                // result it now holds.
-                let largest = frames.iter().map(Payload::byte_len).max().unwrap_or(0);
-                comm.finish_op(t0, largest as f64, CostModel::ring_allgather);
-                CollectiveResult::Gathered(frames)
-            }
-            Op::Allreduce(rd) => {
-                comm.finish_op(t0, self.payload_bytes, CostModel::recursive_doubling_allreduce);
-                CollectiveResult::Reduced(rd.data)
-            }
+    pub fn wait(self, comm: &mut CommHandle) -> Result<CollectiveResult, TransportError> {
+        Ok(match self.finish(comm)? {
+            Op::Rounds { buf, .. } => CollectiveResult::Reduced(buf.expect_f32()),
+            Op::Gather { out, .. } => CollectiveResult::Gathered(
+                out.into_iter().map(|p| p.expect("allgather left a hole")).collect(),
+            ),
         })
     }
 
-    /// Advances the operation; `block` chooses between the blocking
-    /// receive and the mailbox/inbox probe. Returns whether it is done.
-    fn poll(&mut self, comm: &mut CommHandle, block: bool) -> Result<bool, TransportError> {
+    /// [`Self::wait`] for a table op of any wire type: its buffer.
+    pub(crate) fn wait_buffer(self, comm: &mut CommHandle) -> Result<Payload, TransportError> {
+        match self.finish(comm)? {
+            Op::Rounds { buf, .. } => Ok(buf),
+            Op::Gather { .. } => unreachable!("a gather has one frame per rank, not a buffer"),
+        }
+    }
+
+    /// Drives the op to completion, releases its slot and charges its
+    /// price: the op's own closed form at a size every rank agrees on — its
+    /// buffer, or a gather's largest frame, which every rank reads off the
+    /// result it now holds (charged as a ring: P−1 frames per rank cost the
+    /// same (P−1)·(α + bytes/β) whether they hop or fan out).
+    fn finish(mut self, comm: &mut CommHandle) -> Result<Op, TransportError> {
+        let t0 = Instant::now();
+        let outcome = match self.failed.take() {
+            Some(e) => Err(e),
+            None => self.advance(comm, Recv::Block).map(|done| debug_assert!(done)),
+        };
+        self.release(comm);
+        outcome?;
+        let bytes = match &self.op {
+            Op::Rounds { buf, .. } => buf.byte_len(),
+            Op::Gather { out, .. } => {
+                out.iter().flatten().map(Payload::byte_len).max().unwrap_or(0)
+            }
+        };
+        comm.finish_op(t0, bytes as f64, self.price);
+        Ok(self.op)
+    }
+
+    /// The poll loop every op runs: posts each round's send once, then
+    /// takes its receive as far as `recv` allows, round after round.
+    /// Returns whether the op is done.
+    fn advance(&mut self, comm: &mut CommHandle, recv: Recv) -> Result<bool, TransportError> {
+        let block = recv == Recv::Block;
         match &mut self.op {
-            Op::Allgather { tag, out, pending } => {
-                let tag = *tag;
+            Op::Rounds { buf, rounds, next, sent } => {
+                while let Some(round) = rounds.get(*next) {
+                    let tag = self.tag + round.tag;
+                    if !*sent {
+                        if let Some((to, range)) = &round.send {
+                            comm.try_send_payload(*to, tag, slice(buf, range.clone()))?;
+                        }
+                        *sent = true;
+                    }
+                    if let Some((from, range, fold)) = &round.recv {
+                        if recv == Recv::Never {
+                            return Ok(false);
+                        }
+                        let want = (buf.kind(), range.len());
+                        let Some(frame) = receive(comm, (*from, tag), block, Some(want))? else {
+                            return Ok(false);
+                        };
+                        fold_into(buf, range.clone(), frame, *fold);
+                    }
+                    *next += 1;
+                    *sent = false;
+                }
+                Ok(true)
+            }
+            Op::Gather { out, pending, want, sent } => {
+                let (world, rank) = (comm.world(), comm.rank());
+                if !*sent {
+                    let own = out[rank].as_ref().expect("own frame");
+                    for step in 1..world {
+                        comm.try_send_payload((rank + step) % world, self.tag, own.as_ref())?;
+                    }
+                    *sent = true;
+                }
+                if recv == Recv::Never {
+                    return Ok(pending.is_empty());
+                }
                 let mut i = 0;
                 while i < pending.len() {
                     let from = pending[i];
-                    let frame = if block {
-                        Some(comm.blocking_recv_payload(from, tag)?)
-                    } else {
-                        comm.try_recv_payload(from, tag)?
-                    };
-                    match frame {
-                        Some(p) => {
-                            out[from] = Some(p);
+                    match receive(comm, (from, self.tag), block, *want)? {
+                        Some(frame) => {
+                            out[from] = Some(frame);
                             pending.swap_remove(i);
                         }
                         None => i += 1,
@@ -244,105 +385,121 @@ impl CollectiveHandle {
                 }
                 Ok(pending.is_empty())
             }
-            Op::Allreduce(rd) => loop {
-                let (from, tag) = match rd.phase {
-                    RdPhase::Done => return Ok(true),
-                    RdPhase::FoldRecv => (comm.rank() - 1, rd.tag),
-                    RdPhase::Core => (rd.partner(), rd.tag + rd.stage),
-                    RdPhase::UnfoldRecv => (comm.rank() + 1, rd.tag + 100),
-                };
-                let frame = if block {
-                    Some(comm.blocking_recv_payload(from, tag)?)
-                } else {
-                    comm.try_recv_payload(from, tag)?
-                };
-                let Some(frame) = frame else { return Ok(false) };
-                let got = comm.check_frame::<f32>(frame, (from, tag), rd.data.len())?;
-                match rd.phase {
-                    RdPhase::FoldRecv => {
-                        for (d, g) in rd.data.iter_mut().zip(got) {
-                            *d += g;
-                        }
-                        rd.new_rank = Some(comm.rank() / 2);
-                        enter_core(rd, comm)?;
-                    }
-                    RdPhase::Core => {
-                        for (d, g) in rd.data.iter_mut().zip(got) {
-                            *d += g;
-                        }
-                        rd.mask <<= 1;
-                        rd.stage += 1;
-                        if rd.mask < rd.pow2 {
-                            let partner = rd.partner();
-                            let (tag, stage) = (rd.tag, rd.stage);
-                            comm.try_send_payload(
-                                partner,
-                                tag + stage,
-                                PayloadRef::F32Dense(&rd.data),
-                            )?;
-                        } else {
-                            finish_core(rd, comm)?;
-                        }
-                    }
-                    RdPhase::UnfoldRecv => {
-                        rd.data.copy_from_slice(&got);
-                        rd.phase = RdPhase::Done;
-                    }
-                    RdPhase::Done => unreachable!(),
-                }
-            },
         }
     }
 }
 
-/// Posts the first core-stage send (or skips the core entirely when the
-/// power-of-two group is a single rank).
-fn enter_core(rd: &mut RdState, comm: &mut CommHandle) -> Result<(), TransportError> {
-    rd.mask = 1;
-    rd.stage = 1;
-    if rd.mask < rd.pow2 {
-        rd.phase = RdPhase::Core;
-        let partner = rd.partner();
-        let (tag, stage) = (rd.tag, rd.stage);
-        comm.try_send_payload(partner, tag + stage, PayloadRef::F32Dense(&rd.data))
-    } else {
-        finish_core(rd, comm)
+/// Takes the frame `from` sent under `tag` — waiting for it, or `None` if
+/// it has not arrived — and, when the op requires a shape, checks the
+/// frame has it. The one place a collective receives, so every frame is
+/// checked here: one of the wrong kind or length is
+/// [`TransportError::BadFrame`], never summed, copied or indexed.
+fn receive(
+    comm: &mut CommHandle,
+    (from, tag): (usize, u64),
+    block: bool,
+    want: Option<Shape>,
+) -> Result<Option<Payload>, TransportError> {
+    match (comm.recv_payload(from, tag, block)?, want) {
+        (Some(frame), Some(want)) => comm.check_frame(frame, (from, tag), want).map(Some),
+        (frame, _) => Ok(frame),
     }
 }
 
-/// After the last core stage: odd folded ranks return the result to their
-/// even partner; everyone is then done.
-fn finish_core(rd: &mut RdState, comm: &mut CommHandle) -> Result<(), TransportError> {
-    let rank = comm.rank();
-    if rank < 2 * rd.rem {
-        debug_assert_eq!(rank % 2, 1, "only odd folded ranks reach the core");
-        comm.try_send_payload(rank - 1, rd.tag + 100, PayloadRef::F32Dense(&rd.data))?;
+/// The number of elements a payload carries.
+fn elems(p: &Payload) -> usize {
+    p.byte_len() / p.kind().elem_bytes()
+}
+
+/// `buf[range]`, borrowed as a frame to send.
+fn slice(buf: &Payload, range: Range<usize>) -> PayloadRef<'_> {
+    match buf {
+        Payload::F32Dense(v) => PayloadRef::F32Dense(&v[range]),
+        Payload::PackedU64(v) => PayloadRef::PackedU64(&v[range]),
+        Payload::Bytes(v) => PayloadRef::Bytes(&v[range]),
     }
-    rd.phase = RdPhase::Done;
-    Ok(())
+}
+
+/// Folds a checked frame (the buffer's kind, `range.len()` elements) into
+/// `buf[range]`.
+fn fold_into(buf: &mut Payload, range: Range<usize>, frame: Payload, fold: Fold) {
+    match (buf, frame, fold) {
+        (Payload::F32Dense(d), Payload::F32Dense(g), Fold::Add) => {
+            for (d, g) in d[range].iter_mut().zip(g) {
+                *d += g;
+            }
+        }
+        (Payload::F32Dense(d), Payload::F32Dense(g), Fold::Copy) => d[range].copy_from_slice(&g),
+        (Payload::PackedU64(d), Payload::PackedU64(g), Fold::Copy) => d[range].copy_from_slice(&g),
+        (Payload::Bytes(d), Payload::Bytes(g), Fold::Copy) => d[range].copy_from_slice(&g),
+        (buf, frame, fold) => {
+            unreachable!("{fold:?} of a {:?} frame into {:?}", frame.kind(), buf.kind())
+        }
+    }
 }
 
 impl CommHandle {
-    fn launch(&mut self, op: Op, payload_bytes: f64, t0: Instant) -> CollectiveHandle {
-        self.inflight_inc();
-        self.charge_wall(t0);
-        let (trace_name, op_name, op_tag) = match &op {
-            Op::Allgather { tag, .. } => ("nb/allgather", "allgather", *tag),
-            Op::Allreduce(rd) => ("nb/allreduce", "allreduce", rd.tag),
+    /// The one launcher: builds the op's schedule, counts its logical bits
+    /// (its own payload; a broadcast's on the root only), takes an
+    /// in-flight slot, opens its trace span and posts every send up to the
+    /// first receive.
+    pub(crate) fn start(&mut self, collective: Collective) -> CollectiveHandle {
+        let t0 = Instant::now();
+        let (world, rank) = (self.world(), self.rank());
+        let tag = self.next_tag();
+        let counts = !matches!(collective, Collective::Broadcast { root, .. } if root != rank);
+        let table = |rounds, buf| Op::Rounds { buf, rounds, next: 0, sent: false };
+        let (name, price, op): (_, Price, _) = match collective {
+            Collective::RdAllreduce(v) => {
+                let rounds = recursive_doubling(world, rank, v.len());
+                (
+                    "allreduce",
+                    CostModel::recursive_doubling_allreduce,
+                    table(rounds, Payload::F32Dense(v)),
+                )
+            }
+            Collective::RingAllreduce(v) => (
+                "allreduce",
+                CostModel::ring_allreduce,
+                table(ring(world, rank, v.len()), Payload::F32Dense(v)),
+            ),
+            Collective::Broadcast { root, buf } => {
+                let rounds = binomial_broadcast(world, rank, elems(&buf), root);
+                ("broadcast", CostModel::broadcast, table(rounds, buf))
+            }
+            Collective::Barrier => {
+                let rounds = dissemination_barrier(world, rank);
+                ("barrier", |m, _, p| m.barrier(p), table(rounds, Payload::Bytes(Vec::new())))
+            }
+            Collective::Allgather { frame, typed } => {
+                let want = typed.then(|| (frame.kind(), elems(&frame)));
+                let mut out: Vec<Option<Payload>> = (0..world).map(|_| None).collect();
+                out[rank] = Some(frame);
+                let pending = (1..world).map(|step| (rank + world - step) % world).collect();
+                (
+                    "allgather",
+                    CostModel::ring_allgather,
+                    Op::Gather { out, pending, want, sent: false },
+                )
+            }
         };
-        let trace_id = (self.space() << 48) ^ op_tag;
+        let own = match &op {
+            Op::Rounds { buf, .. } => buf,
+            Op::Gather { out, .. } => out[rank].as_ref().expect("own frame"),
+        };
+        self.count_logical_bits(if counts { own.bits() } else { 0 });
+        self.inflight_inc();
+        let trace_id = (self.space() << 48) ^ tag;
         if a2sgd_trace::enabled() {
-            a2sgd_trace::async_begin(
-                trace_name,
-                trace_id,
-                a2sgd_trace::Args::Collective {
-                    op: op_name,
-                    plane: self.plane(),
-                    bytes: payload_bytes as u64,
-                },
-            );
+            let bytes = own.byte_len() as u64;
+            let args = a2sgd_trace::Args::Collective { op: name, plane: self.plane(), bytes };
+            a2sgd_trace::async_begin(name, trace_id, args);
         }
-        CollectiveHandle { op, payload_bytes, failed: None, counted: true, trace_name, trace_id }
+        let mut h =
+            CollectiveHandle { op, tag, name, price, failed: None, counted: true, trace_id };
+        h.failed = h.advance(self, Recv::Never).err();
+        self.charge_wall(t0);
+        h
     }
 
     /// Launches a nonblocking allreduce-sum of `data` (recursive doubling
@@ -350,47 +507,7 @@ impl CommHandle {
     /// per element, independent of how a larger vector was chunked into
     /// calls). The first-round frames are on the wire when this returns.
     pub fn start_allreduce(&mut self, data: Vec<f32>) -> CollectiveHandle {
-        let t0 = Instant::now();
-        let payload_bytes = (4 * data.len()) as f64;
-        self.count_logical_bits(8 * 4 * data.len() as u64);
-        let tag = self.next_tag();
-        let (world, rank) = (self.world(), self.rank());
-        let mut pow2 = 1usize;
-        while pow2 * 2 <= world {
-            pow2 *= 2;
-        }
-        let rem = world - pow2;
-        let mut rd = RdState {
-            data,
-            tag,
-            pow2,
-            rem,
-            new_rank: None,
-            mask: 1,
-            stage: 1,
-            phase: RdPhase::Done,
-        };
-        let mut failed = None;
-        if world > 1 {
-            let outcome = if rank < 2 * rem {
-                if rank % 2 == 0 {
-                    // Fold: push into the odd partner, then await the
-                    // unfolded result.
-                    rd.phase = RdPhase::UnfoldRecv;
-                    self.try_send_payload(rank + 1, tag, PayloadRef::F32Dense(&rd.data))
-                } else {
-                    rd.phase = RdPhase::FoldRecv;
-                    Ok(())
-                }
-            } else {
-                rd.new_rank = Some(rank - rem);
-                enter_core(&mut rd, self)
-            };
-            failed = outcome.err();
-        }
-        let mut h = self.launch(Op::Allreduce(rd), payload_bytes, t0);
-        h.failed = failed;
-        h
+        self.start(Collective::RdAllreduce(data))
     }
 
     /// Launches a nonblocking allgather of one opaque frame per rank —
@@ -400,25 +517,26 @@ impl CommHandle {
     /// behind caller compute; the result is every rank's payload indexed
     /// by rank. [`Self::allgather_bytes`] is this, waited at once.
     pub fn start_allgather_bytes(&mut self, payload: Payload) -> CollectiveHandle {
-        let t0 = Instant::now();
-        let (world, rank) = (self.world(), self.rank());
-        let payload_bytes = payload.byte_len() as f64;
-        self.count_logical_bits(payload.bits());
-        let tag = self.next_tag();
-        let mut failed = None;
-        for step in 1..world {
-            let to = (rank + step) % world;
-            if let Err(e) = self.try_send_payload(to, tag, payload.as_ref()) {
-                failed = Some(e);
-                break;
-            }
+        self.start(Collective::Allgather { frame: payload, typed: false })
+    }
+
+    /// `frame` when it is the `len` elements of `kind` its round expects;
+    /// otherwise [`TransportError::BadFrame`].
+    fn check_frame(
+        &self,
+        frame: Payload,
+        (from, tag): (usize, u64),
+        (kind, len): Shape,
+    ) -> Result<Payload, TransportError> {
+        if frame.kind() == kind && frame.byte_len() == len * kind.elem_bytes() {
+            return Ok(frame);
         }
-        let mut out: Vec<Option<Payload>> = (0..world).map(|_| None).collect();
-        out[rank] = Some(payload);
-        let pending: Vec<usize> = (1..world).map(|step| (rank + world - step) % world).collect();
-        let mut h = self.launch(Op::Allgather { tag, out, pending }, payload_bytes, t0);
-        h.failed = failed;
-        h
+        let cause = format!(
+            "{:?} frame of {} B, expected {len} × {kind:?}",
+            frame.kind(),
+            frame.byte_len()
+        );
+        Err(TransportError::BadFrame { rank: self.rank(), peer: from, tag, cause })
     }
 }
 

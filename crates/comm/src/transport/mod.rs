@@ -21,7 +21,7 @@
 //! link's reader thread fills it from the socket, and how a blocked rank
 //! learns its peer is gone is written there once. The collectives built
 //! from those sends and receives — the barrier among them — live above
-//! the trait, in `collective.rs` and `nonblocking.rs`.
+//! the trait, on the one engine in `nonblocking.rs`.
 //!
 //! Rendezvous for the TCP backend is torchrun-style: rank 0 listens on the
 //! master address, every rank registers its data-plane address, and the

@@ -1,25 +1,33 @@
 //! A received frame that is not what the collective round expects — one
-//! lane short, or the wrong payload kind — is a typed
+//! lane short, one byte long, or the wrong payload kind — is a typed
 //! `TransportError::BadFrame` on the rank that received it: never a
 //! silently truncated sum and never a panic, in debug and release builds
 //! alike. The damage is done by a test-local `Transport` wrapper on one
 //! rank, on both backends.
 
+use a2sgd::algorithm::A2sgd;
 use cluster_comm::transport::{
     InProcShared, Payload, PayloadRef, Tcp, Transport, TransportError, WorldSpec,
 };
 use cluster_comm::{CollectiveAlgo, CommHandle};
+use gradcomp::GradientSynchronizer;
 
 #[derive(Clone, Copy, Debug)]
 enum Damage {
-    /// The frame loses its last lane.
+    /// A frame of lanes loses its last lane.
     DropLane,
-    /// The frame's lanes arrive as opaque bytes.
+    /// A frame's lanes arrive as opaque bytes.
     Retype,
+    /// An empty frame arrives carrying one byte.
+    Stuff,
+    /// An empty frame arrives as an empty f32 frame.
+    Relabel,
 }
 
-/// Passes every frame through, except the `nth` (0-based) non-empty f32
-/// frame this rank receives, which it damages.
+/// Passes every frame through, except the `nth` (0-based) frame of the
+/// damage's target this rank receives, which it damages: a non-empty
+/// frame of f32 or u64 lanes for `DropLane` / `Retype`, an empty frame for
+/// `Stuff` / `Relabel`.
 struct Damaging {
     inner: Box<dyn Transport>,
     nth: usize,
@@ -28,21 +36,33 @@ struct Damaging {
 
 impl Damaging {
     fn pass(&mut self, frame: Payload) -> Payload {
-        let Payload::F32Dense(mut v) = frame else { return frame };
-        if v.is_empty() {
-            return Payload::F32Dense(v);
+        let lanes = matches!(frame, Payload::F32Dense(_) | Payload::PackedU64(_));
+        let target = match self.damage {
+            Damage::DropLane | Damage::Retype => lanes && frame.byte_len() > 0,
+            Damage::Stuff | Damage::Relabel => frame.byte_len() == 0,
+        };
+        if !target {
+            return frame;
         }
         let hit = self.nth == 0;
         self.nth = self.nth.wrapping_sub(1);
-        match (hit, self.damage) {
-            (false, _) => Payload::F32Dense(v),
-            (true, Damage::DropLane) => {
+        match (hit, self.damage, frame) {
+            (false, _, frame) => frame,
+            (true, Damage::DropLane, Payload::F32Dense(mut v)) => {
                 v.pop();
                 Payload::F32Dense(v)
             }
-            (true, Damage::Retype) => {
-                Payload::Bytes(v.iter().flat_map(|x| x.to_le_bytes()).collect())
+            (true, Damage::DropLane, Payload::PackedU64(mut v)) => {
+                v.pop();
+                Payload::PackedU64(v)
             }
+            (true, Damage::Retype, frame) => {
+                let mut bytes = Vec::new();
+                frame.as_ref().extend_bytes_into(&mut bytes);
+                Payload::Bytes(bytes)
+            }
+            (true, Damage::Stuff, _) => Payload::Bytes(vec![0xA5]),
+            (true, _, _) => Payload::F32Dense(Vec::new()),
         }
     }
 }
@@ -193,5 +213,37 @@ fn broadcast_and_typed_allgather_reject_bad_frames() {
         // A gather's lengths may differ by rank; its kind may not.
         let got = victim_outcome(backend, 3, (1, 0, Damage::Retype), gather);
         assert_bad_frame(got, 1, "allgather");
+    }
+}
+
+#[test]
+fn barrier_rejects_a_non_empty_or_non_bytes_frame() {
+    let barrier = |h: &mut CommHandle| h.try_barrier();
+    for backend in [Backend::InProc, Backend::Tcp] {
+        // World 3: every rank receives two empty frames, at hops 1 and 2.
+        for damage in [Damage::Stuff, Damage::Relabel] {
+            for (victim, nth) in [(0, 0), (1, 1), (2, 0), (2, 1)] {
+                let got = victim_outcome(backend, 3, (victim, nth, damage), barrier);
+                assert_bad_frame(got, victim, &format!("barrier {damage:?}, frame {nth}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn a2sgd_rejects_a_damaged_packet_without_panicking() {
+    // The packet is one u64 per rank, gathered: a short or retyped one is
+    // an Err from the synchronizer on the rank that received it.
+    let sync = |h: &mut CommHandle| {
+        let mut g: Vec<f32> = rank_vec(h.rank(), 64).iter().map(|x| x - 4.0).collect();
+        A2sgd::new().try_sync_bucketed(&mut g, &[], h).map(drop)
+    };
+    for backend in [Backend::InProc, Backend::Tcp] {
+        for damage in [Damage::DropLane, Damage::Retype] {
+            for (victim, nth) in [(0, 0), (2, 1)] {
+                let got = victim_outcome(backend, 3, (victim, nth, damage), sync);
+                assert_bad_frame(got, victim, &format!("A2SGD packet {damage:?}, frame {nth}"));
+            }
+        }
     }
 }

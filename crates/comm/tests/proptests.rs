@@ -114,8 +114,9 @@ proptest! {
     fn allgather_preserves_every_contribution(world in 1usize..8, base in 0usize..20, seed in 0u64..500) {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        // Every rank contributes `base` elements (MPI_Allgather).
         let inputs: Vec<Vec<f32>> = (0..world)
-            .map(|r| (0..base + r).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+            .map(|_| (0..base).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
             .collect();
         let inputs2 = inputs.clone();
         let results = run_cluster(world, NetworkProfile::infiniband_100g(), move |h| {

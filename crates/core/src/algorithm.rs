@@ -3,7 +3,7 @@
 //! residual, over one exchange ([`exchange_means`]).
 
 use crate::mean2::{enc_into, shift_by_sign, split_means, TwoMeans};
-use cluster_comm::{CommHandle, Payload, TransportError};
+use cluster_comm::{CommHandle, TransportError};
 use gradcomp::ef::ErrorFeedback;
 use gradcomp::{GradientSynchronizer, Ledger, SyncStats};
 use std::ops::Range;
@@ -80,9 +80,9 @@ fn exchange_means(
     comm: &mut CommHandle,
 ) -> Result<(TwoMeans, SyncStats), TransportError> {
     let before = Ledger::read(comm);
-    let packet = Payload::PackedU64(vec![A2sgd::encode_means(means.mu_pos, means.mu_neg)]);
+    let packet = [A2sgd::encode_means(means.mu_pos, means.mu_neg)];
     let tx = Instant::now();
-    let gathered = comm.try_allgather_bytes(packet)?;
+    let gathered = comm.try_allgather(&packet)?;
     let exchange_seconds = tx.elapsed().as_secs_f64();
     let spent = before.spent(comm);
     let inv = 1.0 / gathered.len() as f32;
@@ -94,8 +94,8 @@ fn exchange_means(
     // costs zero extra wire bits. Accumulated in f64, in gather order —
     // bit-identical on every rank and backend.
     let mut magnitudes = Vec::with_capacity(gathered.len());
-    for frame in gathered {
-        let (p, n) = A2sgd::decode_means(frame.expect_u64()[0]);
+    for packet in gathered {
+        let (p, n) = A2sgd::decode_means(packet[0]);
         gmu_pos += p;
         gmu_neg += n;
         magnitudes.push(p as f64 + n as f64);
