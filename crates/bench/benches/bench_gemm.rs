@@ -14,8 +14,9 @@
 //!   `run_packed` per item) that conv reuses across batch images and the
 //!   LSTM across timesteps.
 //! * `conv_layers` — whole `conv2d_forward` / `conv2d_backward` calls, the
-//!   gather-pack included, inside a one-lane pool, and the weight-only
-//!   `conv2d_backward_weight` a first layer runs.
+//!   padded copy of the source included, inside a one-lane pool, and the
+//!   weight-only `conv2d_backward_weight` (what a first layer runs, and
+//!   the dW half of every backward row).
 //! * `relu` — one `Relu::forward`.
 //! * `batchnorm` — one `BatchNorm2d` forward and one backward.
 //! * `lstm` — one `Lstm` layer forward and one backward, one lane.
@@ -117,7 +118,7 @@ fn c3(in_c: usize, out_c: usize, stride: usize) -> Conv2dSpec {
 }
 
 /// The convolution rows: whole `conv2d_forward` / `conv2d_backward` calls
-/// (gather-pack + GEMM + stores) at batch 8 and pool width 1 — what one
+/// (padded copy + GEMM + stores) at batch 8 and pool width 1 — what one
 /// rank gets on the 2-core box — over the scaled ResNet-20's five conv
 /// shapes and the VGG entry conv. `(label, spec, input side)`.
 fn conv_shapes() -> Vec<(&'static str, Conv2dSpec, usize)> {
@@ -154,15 +155,18 @@ fn bench_conv(c: &mut Criterion) {
         group.bench_function(&format!("backward/{label}"), |bch| {
             bch.iter(|| one_lane.install(|| conv2d_backward(&x, &w, &dout, &spec)))
         });
-    }
-    // What training runs for a network's first layer: the scaled
-    // ResNet-20's stem and the VGG entry conv, no input gradient.
-    for (label, spec) in [("stem_3to4_32x32", c3(3, 4, 1)), ("vgg_3to64_32x32", c3(3, 64, 1))] {
-        let [x, w, dout] = conv_operands(&mut rng, &spec, 32);
+        // The dW half alone: `backward − backward_weight` is the dx half.
         group.bench_function(&format!("backward_weight/{label}"), |bch| {
             bch.iter(|| one_lane.install(|| conv2d_backward_weight(&x, &w, &dout, &spec)))
         });
     }
+    // What training runs for the scaled ResNet-20's first layer (the stem):
+    // no input gradient.
+    let stem = c3(3, 4, 1);
+    let [x, w, dout] = conv_operands(&mut rng, &stem, 32);
+    group.bench_function("backward_weight/stem_3to4_32x32", |bch| {
+        bch.iter(|| one_lane.install(|| conv2d_backward_weight(&x, &w, &dout, &stem)))
+    });
     group.finish();
 }
 
@@ -205,6 +209,8 @@ fn bench_lstm(c: &mut Criterion) {
     group.bench_function("forward/b16_t16_e32_h48", |bch| {
         bch.iter(|| one_lane.install(|| lstm.forward(&x, Mode::Train)))
     });
+    // Backward runs on the cached forward, which a filter may have skipped.
+    one_lane.install(|| lstm.forward(&x, Mode::Train));
     group.bench_function("backward/b16_t16_e32_h48", |bch| {
         bch.iter(|| one_lane.install(|| lstm.backward(&dout)))
     });

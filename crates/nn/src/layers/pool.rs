@@ -40,12 +40,15 @@ impl Module for MaxPool2d {
                 let base = (i * c + cc) * h * w;
                 for oy in 0..oh {
                     for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut besti = 0usize;
+                        // The window's first element is the start, and a
+                        // NaN wins and stays: a poisoned activation reaches
+                        // the loss, and every gradient stays in its window.
+                        let mut besti = base + oy * k * w + ox * k;
+                        let mut best = xs[besti];
                         for ky in 0..k {
                             for kx in 0..k {
                                 let idx = base + (oy * k + ky) * w + ox * k + kx;
-                                if xs[idx] > best {
+                                if !best.is_nan() && (xs[idx] > best || xs[idx].is_nan()) {
                                     best = xs[idx];
                                     besti = idx;
                                 }
@@ -170,6 +173,25 @@ mod tests {
         let _ = mp.forward(&x, Mode::Train);
         let dx = mp.backward(&Tensor::from_vec(vec![5.0], [1, 1, 1, 1]));
         assert_eq!(dx.as_slice(), &[0.0, 0.0, 0.0, 5.0]);
+    }
+
+    /// A window of −∞ routes its gradient inside itself, not to element 0
+    /// of the tensor; a NaN is the window's max, not skipped.
+    #[test]
+    fn maxpool_keeps_non_finite_windows_in_place() {
+        let mut mp = MaxPool2d::new(2);
+        let ninf = f32::NEG_INFINITY;
+        let x = Tensor::from_vec(vec![1.0, 2.0, ninf, ninf, 3.0, 4.0, ninf, ninf], [1, 1, 2, 4]);
+        assert_eq!(mp.forward(&x, Mode::Train).as_slice(), &[4.0, ninf]);
+        let dx = mp.backward(&Tensor::from_vec(vec![10.0, 20.0], [1, 1, 1, 2]));
+        assert_eq!(dx.as_slice(), &[0.0, 0.0, 20.0, 0.0, 0.0, 10.0, 0.0, 0.0]);
+
+        let nan = f32::NAN;
+        let x = Tensor::from_vec(vec![1.0, nan, 0.5, 0.0, nan, nan, nan, nan], [2, 1, 2, 2]);
+        let y = mp.forward(&x, Mode::Train);
+        assert!(y.as_slice().iter().all(|v| v.is_nan()), "{:?}", y.as_slice());
+        let dx = mp.backward(&Tensor::from_vec(vec![10.0, 20.0], [2, 1, 1, 1]));
+        assert_eq!(dx.as_slice(), &[0.0, 10.0, 0.0, 0.0, 20.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -1,40 +1,48 @@
-//! Convolution as implicit GEMM: the packers read the image, not a copy.
+//! Convolution as implicit GEMM over one zero-padded copy of the source.
 //!
 //! Layout conventions: activations are `[N, C, H, W]`, filters are
 //! `[F, C, KH, KW]`, all row-major. A convolution is a matrix product
 //! against the image's *patch matrix* — row `(c, ky, kx)`, column
 //! `(oy, ox)`, entry `x[c, oy·stride + ky − pad, ox·stride + kx − pad]` or
-//! zero outside the image — and that matrix is never built: [`Patches`] is
-//! the coordinate map, and its two gathers copy image rows straight into
-//! the k-major micro-panels [`Gemm::pack_b_with`] hands them. Padding costs
-//! nothing: panels arrive zeroed and the gathers skip what falls outside.
+//! zero outside the image — and that matrix is neither built nor packed.
+//! Each image task writes its source once into a zero-padded buffer
+//! ([`Planes`]); at stride `s` the buffer holds `min(s, k)²` polyphase
+//! sub-planes per channel, plane `(c, ry, rx)` holding padded element
+//! `(c, s·i + ry, s·j + rx)` at `(i, j)`. In that buffer every tap
+//! `(c, ky, kx)` is a *contiguous* window starting at a fixed offset
+//! `off[p]`, provided output positions are numbered on the padded-width
+//! grid `q = oy·wp + ox`: the `wp − ow` lanes past each output row are
+//! computed and discarded at the store. The product is
+//! `C[F, q] = Σ_p W[F, p] · src[off[p] + q]` ([`Gemm::run_offsets`]): the
+//! weights are packed once per batch and no B panel is packed, zero-filled
+//! or allocated.
 //!
-//! * **Forward** `y_i = W[F, C·K·K] · patches(x_i)`: the filter matrix is
-//!   packed once per batch, the patch panels once per image. A panel is
-//!   filled with exactly the values packing a materialised column matrix
-//!   would put there and the descriptor is the same `nn`, so the output is
-//!   bit-identical to that formulation (the unit tests keep it as their
-//!   oracle).
-//! * **dW** `dW_i = dout_i[F, OH·OW] · patches(x_i)ᵀ`: the same map read
-//!   through the transposed gather, once per image; per-image partials are
-//!   reduced sequentially in image order. [`conv2d_backward_weight`] is
-//!   this product alone, for a layer whose input gradient nobody reads.
-//! * **dx** as `s²` stride-1 *phases*, `s` the stride: the `dx` positions
+//! * **Forward** `y_i = W[F, C·K·K] · patches(x_i)` is that product over
+//!   `x_i`'s planes.
+//! * **dW** `dW_i = dout_i[F, OH·OW] · patches(x_i)ᵀ` reduces over output
+//!   positions, so its B operand runs along taps and is packed: the
+//!   transposed panel filler copies each tap's window from the same planes
+//!   through the same `off[p]`, one run of `ow` values per output row.
+//!   Per-image partials are reduced sequentially in image order.
+//!   [`conv2d_backward_weight`] is this product alone, for a layer whose
+//!   input gradient nobody reads.
+//! * **dx** as `s²` stride-1 *phases*: the `dx` positions
 //!   `(ry + s·qy, rx + s·qx)` of one phase `(ry, rx)` are reached only by
 //!   the taps `ky ≡ ry + pad`, `kx ≡ rx + pad (mod s)`, so phase `(ry, rx)`
-//!   is `W'[C, F·K'ʸ·K'ˣ] · patches'(dout_i)` — `W'` those taps with
-//!   `F`/`C` swapped and flipped, packed once per batch, and `patches'` the
-//!   stride-1 gather over `dout_i` itself. Its result is stored interleaved
-//!   into `dx` (at stride 1, the one phase is all of `dx` and the GEMM
-//!   writes it directly). Every `dx` element is one GEMM reduction over
-//!   `(f, ky, kx)` — nothing is zeroed and scattered into, and the patch
-//!   operand holds no structural zeros between `dout` entries.
+//!   is a stride-1 correlation of `W'` — those taps with `F`/`C` swapped
+//!   and flipped, packed once per batch — over `dout_i` itself, under its
+//!   own (possibly negative) pad. One padded copy of `dout_i` serves every
+//!   phase, and each phase stores straight into its interleaved positions
+//!   of `dx`. Every `dx` element is one GEMM reduction over `(f, ky, kx)`.
 //!
-//! Images are independent tasks and each output element is reduced by one
-//! of them in the GEMM's fixed order, so results are bit-identical across
-//! pool widths.
+//! Every output element is reduced over the same taps, in the same order
+//! (KC slabs included), against the same zeros as a product over the patch
+//! matrix packed into micro-panels, so results are bit-identical to it (the
+//! unit tests keep a gather-based packing as their oracle). Images are
+//! independent tasks and each output element is reduced by one of them, so
+//! results are bit-identical across pool widths.
 
-use crate::gemm::{Gemm, PackedA, PackedB, MR, NR};
+use crate::gemm::{Gemm, Grid, PackedA, PackedB, MR, NR};
 use crate::par;
 use crate::tensor::Tensor;
 
@@ -103,157 +111,84 @@ impl Conv2dSpec {
     }
 }
 
-/// One axis of a patch map: `k` kernel taps over a source of extent `len`
-/// under padding `pad` (a negative pad starts the first window `−pad`
-/// positions into the source).
-#[derive(Clone, Copy)]
-struct Axis {
-    k: usize,
-    len: usize,
-    pad: isize,
+/// One source `[C, H, W]` as the products read it (module docs): zero-
+/// padded by `top` rows and `left` columns and split into `ph × ph`
+/// polyphase planes of `hp × wp` per channel, plane `(c, ry, rx)` holding
+/// padded element `(c, s·i + ry, s·j + rx)` at `(i, j)`. What no plane
+/// position reaches is not copied; one row and one panel of zeros past the
+/// last plane leave room for the lanes a product reads past its last row.
+struct Planes {
+    c: usize,
+    h: usize,
+    w: usize,
+    s: usize,
+    ph: usize,
+    top: usize,
+    left: usize,
+    hp: usize,
+    wp: usize,
 }
 
-/// One image's patch matrix as a coordinate map (see the module docs): row
-/// `(c, ky, kx)`, column `(oy, ox)` reads source element
-/// `(c, oy·stride + ky − pad_y, ox·stride + kx − pad_x)` when that lies
-/// inside the source, and is zero elsewhere. The forward and `dW` products
-/// read `x` through it; each backward-data phase reads `dout` at stride 1
-/// with its own (possibly non-square) kernel.
-struct Patches {
-    y: Axis,
-    x: Axis,
-    ow: usize,
-    stride: usize,
-    /// Per kernel column `kx`: the output columns it reads. This is the
-    /// map's bounds test, done once per call instead of once per panel row.
-    xs: Vec<Reads>,
-}
+impl Planes {
+    /// `x` as the forward and `dW` products read it: tap `(c, ky, kx)`
+    /// starts at plane `(c, ky mod s, kx mod s)`, row `ky / s`, column
+    /// `kx / s`, and output `(oy, ox)` is `oy·wp + ox` past that.
+    fn of_input(spec: &Conv2dSpec, (h, w): (usize, usize), (oh, ow): (usize, usize)) -> Self {
+        let (s, k, pad) = (spec.stride, spec.k, spec.pad);
+        let reach = (k - 1) / s;
+        let (hp, wp) = (oh + reach, ow + reach);
+        Planes { c: spec.in_c, h, w, s, ph: s.min(k), top: pad, left: pad, hp, wp }
+    }
 
-/// Outputs `first..end` of one axis read sources `src, src + stride, ..`
-/// (empty when `first == end`).
-#[derive(Clone, Copy, Default)]
-struct Reads {
-    first: usize,
-    end: usize,
-    src: usize,
-}
+    fn len(&self) -> usize {
+        self.c * self.ph * self.ph * self.hp * self.wp + self.wp + NR
+    }
 
-impl Patches {
-    fn new(y: Axis, x: Axis, ow: usize, stride: usize) -> Self {
-        let mut p = Patches { y, x, ow, stride, xs: Vec::new() };
-        p.xs = (0..x.k)
-            .map(|kx| {
-                let mut hits = (0..ow).filter_map(|ox| Some((ox, p.source(ox, kx, x)?)));
-                match hits.next() {
-                    Some((first, src)) => {
-                        Reads { first, end: hits.next_back().map_or(first, |(ox, _)| ox) + 1, src }
-                    }
-                    None => Reads::default(),
+    /// Where plane `(c, ry, rx)` starts.
+    fn plane(&self, c: usize, ry: usize, rx: usize) -> usize {
+        ((c * self.ph + ry) * self.ph + rx) * self.hp * self.wp
+    }
+
+    /// Every tap `(c, ky, kx)` of the `k×k` stride-`s` correlation.
+    fn taps(&self, k: usize) -> Vec<usize> {
+        let (s, wp) = (self.s, self.wp);
+        (0..self.c * k * k)
+            .map(|p| {
+                let (c, ky, kx) = (p / (k * k), p / k % k, p % k);
+                self.plane(c, ky % s, kx % s) + ky / s * wp + kx / s
+            })
+            .collect()
+    }
+
+    /// One image `src`'s copy.
+    fn copy(&self, src: &[f32]) -> Vec<f32> {
+        let Planes { h, w, s, ph, top, left, hp, wp, .. } = *self;
+        let mut buf = vec![0.0f32; self.len()];
+        // Plane lanes `first..end` of one axis hold source `s·i + r − pad`.
+        let lanes = |r: usize, pad: usize, len: usize, n: usize| {
+            (pad.saturating_sub(r).div_ceil(s), (len + pad).saturating_sub(r).div_ceil(s).min(n))
+        };
+        for (img, planes) in src.chunks_exact(h * w).zip(buf.chunks_exact_mut(ph * ph * hp * wp)) {
+            for (r, plane) in planes.chunks_exact_mut(hp * wp).enumerate() {
+                let (ry, rx) = (r / ph, r % ph);
+                let ((i0, i1), (j0, j1)) = (lanes(ry, top, h, hp), lanes(rx, left, w, wp));
+                if j0 >= j1 {
+                    continue;
                 }
-            })
-            .collect();
-        p
-    }
-
-    /// The map the forward and `dW` products read `x` through.
-    fn of_input(spec: &Conv2dSpec, (h, w): (usize, usize), ow: usize) -> Self {
-        let (k, pad) = (spec.k, spec.pad as isize);
-        Patches::new(Axis { k, len: h, pad }, Axis { k, len: w, pad }, ow, spec.stride)
-    }
-
-    /// The map along one axis: the source coordinate that output `o` reads
-    /// through kernel offset `t`, if it reads one.
-    fn source(&self, o: usize, t: usize, axis: Axis) -> Option<usize> {
-        let s = usize::try_from((o * self.stride + t) as isize - axis.pad).ok()?;
-        (s < axis.len).then_some(s)
-    }
-
-    /// The part of kernel column `kx`'s reads inside output columns
-    /// `a..b`: `(first output, end, first source column)`.
-    fn clip(&self, kx: usize, a: usize, b: usize) -> (usize, usize, usize) {
-        let r = self.xs[kx];
-        let skip = a.saturating_sub(r.first);
-        (r.first + skip, b.min(r.end), r.src + skip * self.stride)
-    }
-
-    /// Splits output positions `p..p + len` into per-row runs
-    /// `(oy, a, b, offset of a from p)` covering columns `a..b` of row `oy`.
-    fn rows(&self, p: usize, len: usize) -> impl Iterator<Item = (usize, usize, usize, usize)> {
-        let ow = self.ow;
-        let (mut oy, mut a, mut off) = (p / ow, p % ow, 0);
-        std::iter::from_fn(move || {
-            (off < len).then(|| {
-                let run = (oy, a, ow.min(a + len - off), off);
-                (oy, a, off) = (oy + 1, 0, off + run.2 - a);
-                run
-            })
-        })
-    }
-
-    /// Copies a block of the patch matrix of `src` into `out`, `ld` floats
-    /// a row: block rows are taps `p0..`, the first `cols` lanes of each
-    /// are output positions `j0..j0 + cols`; lanes past them and entries
-    /// that read padding are left as they are (zero). Each `(tap, output
-    /// row)` pair is one contiguous copy at stride 1.
-    fn gather(&self, src: &[f32], p0: usize, j0: usize, cols: usize, ld: usize, out: &mut [f32]) {
-        let (kh, kw, taps) = (self.y.k, self.x.k, out.len() / ld);
-        let (sh, sw) = (self.y.len, self.x.len);
-        for (oy, a, b, lane) in self.rows(j0, cols) {
-            // Patch-matrix row `p` is tap `(c, ky, kx)`.
-            let (mut c, mut ky, mut kx) = (p0 / (kh * kw), p0 / kw % kh, p0 % kw);
-            let mut t = 0;
-            // One kernel row `(c, ky)` at a time: its taps share a source row.
-            while t < taps {
-                let n = (kw - kx).min(taps - t);
-                if let Some(sy) = self.source(oy, ky, self.y) {
-                    let row = &src[(c * sh + sy) * sw..][..sw];
-                    for (dx, lanes) in out[t * ld..].chunks_exact_mut(ld).take(n).enumerate() {
-                        let (lo, hi, sx) = self.clip(kx + dx, a, b);
-                        if lo >= hi {
-                            continue;
-                        }
-                        let (to, from) = (&mut lanes[lane + lo - a..lane + hi - a], &row[sx..]);
-                        if self.stride == 1 {
-                            to.copy_from_slice(&from[..to.len()]);
-                        } else {
-                            for (d, s) in to.iter_mut().zip(from.iter().step_by(self.stride)) {
-                                *d = *s;
-                            }
+                for i in i0..i1 {
+                    let from = &img[(s * i + ry - top) * w + s * j0 + rx - left..];
+                    let to = &mut plane[i * wp + j0..i * wp + j1];
+                    if s == 1 {
+                        to.copy_from_slice(&from[..to.len()]);
+                    } else {
+                        for (d, v) in to.iter_mut().zip(from.iter().step_by(s)) {
+                            *d = *v;
                         }
                     }
                 }
-                t += n;
-                kx = 0;
-                (ky, c) = if ky + 1 == kh { (0, c + 1) } else { (ky + 1, c) };
             }
         }
-    }
-
-    /// Fills one `kc×NR` micro-panel of the *transposed* patch matrix:
-    /// panel rows are output positions `p0..`, lanes are taps
-    /// `j0..j0 + cols`. Image rows run along the panel's k axis here, so
-    /// the block is gathered row-wise into `tile` (the caller's scratch, a
-    /// panel's worth — L1-sized) and transposed four lanes at a time.
-    fn gather_t(
-        &self,
-        src: &[f32],
-        p0: usize,
-        j0: usize,
-        cols: usize,
-        panel: &mut [f32],
-        tile: &mut Vec<f32>,
-    ) {
-        let kc = panel.len() / NR;
-        tile.clear();
-        tile.resize(panel.len(), 0.0);
-        self.gather(src, j0, p0, kc, kc, &mut tile[..cols * kc]);
-        for (q, quad) in tile.chunks_exact(4 * kc).take(cols.div_ceil(4)).enumerate() {
-            let (r0, r1, r2, r3) = (&quad[..kc], &quad[kc..], &quad[2 * kc..], &quad[3 * kc..]);
-            let reads = r0.iter().zip(r1).zip(r2.iter().zip(r3));
-            for (lanes, ((a, b), (c, d))) in panel.chunks_exact_mut(NR).zip(reads) {
-                lanes[4 * q..4 * q + 4].copy_from_slice(&[*a, *b, *c, *d]);
-            }
-        }
+        buf
     }
 }
 
@@ -269,16 +204,17 @@ pub fn conv2d_forward(
     let xs = x.as_slice();
     let mut out = Tensor::zeros([n, spec.out_c, oh, ow]);
 
-    // Weight-stationary: the filter panels are packed once for the batch,
-    // each image's patch panels once, straight from the image.
-    let g = Gemm::nn(spec.out_c, spec.in_c * spec.k * spec.k, oh * ow);
+    // Weight-stationary: the filter panels are packed once for the batch;
+    // each image is copied once into its planes and read through `off`.
+    let planes = Planes::of_input(spec, (h, w), (oh, ow));
+    let off = planes.taps(spec.k);
+    let g = Gemm::nn(spec.out_c, off.len(), oh * planes.wp);
+    let grid =
+        Grid { pitch: planes.wp, width: ow, ldc: oh * ow, origin: 0, row_step: ow, col_step: 1 };
     let pw = g.pack_a(weight.as_slice());
-    let patches = Patches::of_input(spec, (h, w), ow);
     par::par_chunks_mut(out.as_mut_slice(), oimg_len, |i, oimg| {
-        let ximg = &xs[i * img..][..img];
-        let mut pb = PackedB::default();
-        g.pack_b_with(&mut pb, |p0, j0, cols, panel| patches.gather(ximg, p0, j0, cols, NR, panel));
-        g.run_packed(&pw, &pb, oimg, false);
+        let src = planes.copy(&xs[i * img..][..img]);
+        g.run_offsets(&pw, &src, &off, oimg, &grid);
         if let Some(b) = bias {
             for (plane, bf) in oimg.chunks_mut(oh * ow).zip(b.as_slice()) {
                 for v in plane {
@@ -321,16 +257,17 @@ pub fn conv2d_backward_weight(
     // reduced sequentially in image order below, so the thread count cannot
     // change the reduction grouping.
     let g = Gemm::nt(out_c, oh * ow, in_c * k * k);
-    let of_x = Patches::of_input(spec, (h, w), ow);
+    let planes = Planes::of_input(spec, (h, w), (oh, ow));
+    let off = planes.taps(k);
     let mut partials = vec![0.0f32; n * (wlen + out_c)];
     par::par_chunks_mut(&mut partials, wlen + out_c, |i, part| {
         let (dwi, dbi) = part.split_at_mut(wlen);
-        let ximg = &xs[i * img..][..img];
         let dimg = &dos[i * dimg_len..][..dimg_len];
+        let src = planes.copy(&xs[i * img..][..img]);
         let (mut pa, mut pb, mut tile) = (PackedA::default(), PackedB::default(), Vec::new());
         g.pack_a_into(dimg, &mut pa);
         g.pack_b_with(&mut pb, |p0, j0, cols, panel| {
-            of_x.gather_t(ximg, p0, j0, cols, panel, &mut tile);
+            transposed_panel((&src, &off[j0..j0 + cols]), (ow, planes.wp), p0, panel, &mut tile);
         });
         g.run_packed(&pa, &pb, dwi, false);
         for (b, plane) in dbi.iter_mut().zip(dimg.chunks(oh * ow)) {
@@ -352,52 +289,116 @@ pub fn conv2d_backward_weight(
     (Tensor::from_vec(dw, [out_c, in_c, k, k]), Tensor::from_vec(db, [out_c]))
 }
 
-/// One axis of a backward-data phase (module docs): the `dx` positions
-/// `r, r + s, ..` of an axis of `len`, reached by taps `t0, t0 + s, ..`,
-/// as `(positions, t0, the stride-1 map over the src-long dout axis)`.
-/// Position `r + s·q` reads `dout[q + (r + pad) / s − j]` through tap
-/// `t0 + s·j`; numbering the taps flipped, `u = kt − 1 − j`, makes that
-/// `dout[q + u − pad']` — a stride-1 window under padding `pad'`.
-fn phase_axis(spec: &Conv2dSpec, r: usize, len: usize, src: usize) -> (usize, usize, Axis) {
-    let (s, reach) = (spec.stride, r + spec.pad);
-    let t0 = reach % s;
-    let kt = spec.k.saturating_sub(t0).div_ceil(s);
-    let pad = kt as isize - 1 - (reach / s) as isize;
-    (len.saturating_sub(r).div_ceil(s), t0, Axis { k: kt, len: src, pad })
+/// Fills one `kc×NR` micro-panel of the *transposed* patch matrix for
+/// `dW`: panel rows are output positions `p0..`, lanes are the taps whose
+/// windows in `src` start at `off`. A tap's positions are runs of `ow`
+/// values of its window, one per output row `wp` apart; each is copied
+/// into a row of `tile` (the caller's scratch, a panel's worth —
+/// L1-sized), which is then transposed four lanes at a time.
+fn transposed_panel(
+    (src, off): (&[f32], &[usize]),
+    (ow, wp): (usize, usize),
+    p0: usize,
+    panel: &mut [f32],
+    tile: &mut Vec<f32>,
+) {
+    let kc = panel.len() / NR;
+    tile.resize(panel.len(), 0.0);
+    tile[off.len() * kc..].fill(0.0);
+    for (row, &o) in tile.chunks_exact_mut(kc).zip(off) {
+        let (mut oy, mut ox, mut done) = (p0 / ow, p0 % ow, 0);
+        while done < kc {
+            let run = (ow - ox).min(kc - done);
+            row[done..done + run].copy_from_slice(&src[o + oy * wp + ox..][..run]);
+            (oy, ox, done) = (oy + 1, 0, done + run);
+        }
+    }
+    for (q, quad) in tile.chunks_exact(4 * kc).take(off.len().div_ceil(4)).enumerate() {
+        let (r0, r1, r2, r3) = (&quad[..kc], &quad[kc..], &quad[2 * kc..], &quad[3 * kc..]);
+        let reads = r0.iter().zip(r1).zip(r2.iter().zip(r3));
+        for (lanes, ((a, b), (c, d))) in panel.chunks_exact_mut(NR).zip(reads) {
+            lanes[4 * q..4 * q + 4].copy_from_slice(&[*a, *b, *c, *d]);
+        }
+    }
 }
 
-/// One stride phase of the backward-data product (module docs): `dx`
-/// rows `ry, ry + s, ..` × columns `rx, rx + s, ..` are `g` over the
-/// phase's flipped taps `w` and the stride-1 map `patches` over `dout`.
+/// One axis of a backward-data phase (module docs): the `len` positions
+/// `r, r + s, ..` of a `dx` axis, reached by the taps `t0, t0 + s, ..`
+/// (`taps` of them). Position `r + s·q` reads `dout[q + (r + pad) / s − j]`
+/// through tap `t0 + s·j`; numbering the taps flipped, `u = taps − 1 − j`,
+/// makes that `dout[q + u − pad']` — a stride-1 window under padding
+/// `pad'` (a negative pad starts the first window `−pad'` into `dout`).
+#[derive(Clone, Copy)]
+struct PhaseAxis {
+    len: usize,
+    t0: usize,
+    taps: usize,
+    pad: isize,
+}
+
+impl PhaseAxis {
+    /// Phase `r` of a `dx` axis of `len`.
+    fn new(spec: &Conv2dSpec, r: usize, len: usize) -> Self {
+        let (s, reach) = (spec.stride, r + spec.pad);
+        let t0 = reach % s;
+        let taps = spec.k.saturating_sub(t0).div_ceil(s);
+        let pad = taps as isize - 1 - (reach / s) as isize;
+        PhaseAxis { len: len.saturating_sub(r).div_ceil(s), t0, taps, pad }
+    }
+
+    /// One padded copy of a `dout` axis of `len` for all of an axis'
+    /// phases: `(lead, extent)` — as many zeros before `dout` as the widest
+    /// pad of a phase that reads, and room for each one's last window.
+    fn frame(axes: &[PhaseAxis], len: usize) -> (usize, usize) {
+        let reading = || axes.iter().filter(|a| a.taps > 0);
+        let lead = reading().map(|a| a.pad.max(0) as usize).max().unwrap_or(0);
+        let end = reading().map(|a| (lead as isize - a.pad) as usize + a.taps - 1 + a.len);
+        (lead, end.fold(lead + len, usize::max))
+    }
+}
+
+/// One stride phase of the backward-data product (module docs): `g` over
+/// the phase's flipped taps `w`, whose windows start at `off` in the
+/// padded `dout`, stored through `grid` into `dx` rows `ry, ry + s, ..` ×
+/// columns `rx, rx + s, ..`.
 struct Phase {
-    ry: usize,
-    rx: usize,
-    qw: usize,
     g: Gemm,
     w: PackedA,
-    patches: Patches,
+    off: Vec<usize>,
+    grid: Grid,
 }
 
 impl Phase {
-    /// Phase `(ry, rx)` from a `dout` of `(oh, ow)` into a `dx` of `(h, w)`;
-    /// `None` when the phase holds no `dx` position.
+    /// Phase `(ry, rx)` into a `dx` of `(h, w)` from the `dout` copy
+    /// `planes`, given its axes; `None` when the phase holds no `dx`
+    /// position.
     fn new(
         spec: &Conv2dSpec,
         (ry, rx): (usize, usize),
         (h, w): (usize, usize),
-        (oh, ow): (usize, usize),
+        (ay, ax): (PhaseAxis, PhaseAxis),
+        planes: &Planes,
         ws: &[f32],
     ) -> Option<Phase> {
-        let (qh, ty, ay) = phase_axis(spec, ry, h, oh);
-        let (qw, tx, ax) = phase_axis(spec, rx, w, ow);
+        let (qh, ty, kh, pad_y) = (ay.len, ay.t0, ay.taps, ay.pad);
+        let (qw, tx, kw, pad_x) = (ax.len, ax.t0, ax.taps, ax.pad);
         if qh * qw == 0 {
             return None;
         }
         let Conv2dSpec { in_c, out_c, k, stride: s, .. } = *spec;
-        let (kh, kw) = (ay.k, ax.k);
+        // Window `(f, u, v)` starts at row `top − pad_y + u`, column
+        // `left − pad_x + v` of plane `f` (never negative: `top` and `left`
+        // are the widest pads of the phases that read).
+        let (y0, x0) = (planes.top as isize - pad_y, planes.left as isize - pad_x);
+        let off = (0..out_c * kh * kw)
+            .map(|p| {
+                let (f, u, v) = (p / (kh * kw), p / kw % kh, p % kw);
+                planes.plane(f, 0, 0) + (y0 as usize + u) * planes.wp + x0 as usize + v
+            })
+            .collect::<Vec<_>>();
         // W'[c, (f, u, v)] = W[f, c, ty + s·(kh−1−u), tx + s·(kw−1−v)],
         // packed once for the batch.
-        let g = Gemm::nn(in_c, out_c * kh * kw, qh * qw);
+        let g = Gemm::nn(in_c, off.len(), qh * planes.wp);
         let mut w_flipped = PackedA::default();
         g.pack_a_with(&mut w_flipped, |p0, c0, rows, panel| {
             for (kk, lanes) in panel.chunks_exact_mut(MR).enumerate() {
@@ -409,41 +410,39 @@ impl Phase {
                 }
             }
         });
-        Some(Phase { ry, rx, qw, g, w: w_flipped, patches: Patches::new(ay, ax, qw, 1) })
+        let grid = Grid {
+            pitch: planes.wp,
+            width: qw,
+            ldc: h * w,
+            origin: ry * w + rx,
+            row_step: s * w,
+            col_step: s,
+        };
+        Some(Phase { g, w: w_flipped, off, grid })
     }
 }
 
-/// The backward-data product: `dx[N,C,H,W]` as the stride's phases.
+/// The backward-data product: `dx[N,C,H,W]` as the stride's phases, all
+/// reading one padded copy of each image's `dout`.
 fn backward_data(x: &Tensor, weight: &Tensor, dout: &Tensor, spec: &Conv2dSpec) -> Tensor {
     let (_, h, w, oh, ow) = spec.checked_dims(x, weight, None, Some(dout));
     let (s, img, dimg_len) = (spec.stride, spec.in_c * h * w, spec.out_c * oh * ow);
+    let ys: Vec<_> = (0..s).map(|r| PhaseAxis::new(spec, r, h)).collect();
+    let xs: Vec<_> = (0..s).map(|r| PhaseAxis::new(spec, r, w)).collect();
+    let ((top, hp), (left, wp)) = (PhaseAxis::frame(&ys, oh), PhaseAxis::frame(&xs, ow));
+    let planes = Planes { c: spec.out_c, h: oh, w: ow, s: 1, ph: 1, top, left, hp, wp };
     let phases: Vec<Phase> = (0..s * s)
-        .filter_map(|r| Phase::new(spec, (r / s, r % s), (h, w), (oh, ow), weight.as_slice()))
+        .filter_map(|r| {
+            let (ry, rx) = (r / s, r % s);
+            Phase::new(spec, (ry, rx), (h, w), (ys[ry], xs[rx]), &planes, weight.as_slice())
+        })
         .collect();
     let dos = dout.as_slice();
     let mut dx = Tensor::zeros(x.shape().clone());
     par::par_chunks_mut(dx.as_mut_slice(), img, |i, dximg| {
-        let dimg = &dos[i * dimg_len..][..dimg_len];
-        let (mut pb, mut res) = (PackedB::default(), Vec::new());
+        let src = planes.copy(&dos[i * dimg_len..][..dimg_len]);
         for ph in &phases {
-            ph.g.pack_b_with(&mut pb, |p0, j0, cols, panel| {
-                ph.patches.gather(dimg, p0, j0, cols, NR, panel);
-            });
-            if s == 1 {
-                ph.g.run_packed(&ph.w, &pb, dximg, false);
-                continue;
-            }
-            res.resize(ph.g.c_len(), 0.0);
-            ph.g.run_packed(&ph.w, &pb, &mut res, false);
-            // Interleaved store: phase element (qy, qx) is dx (ry + s·qy, rx + s·qx).
-            for (plane, rplane) in dximg.chunks_exact_mut(h * w).zip(res.chunks_exact(ph.g.n)) {
-                for (qy, qrow) in rplane.chunks_exact(ph.qw).enumerate() {
-                    let row = &mut plane[(ph.ry + s * qy) * w..][..w];
-                    for (d, v) in row[ph.rx..].iter_mut().step_by(s).zip(qrow) {
-                        *d = *v;
-                    }
-                }
-            }
+            ph.g.run_offsets(&ph.w, &src, &ph.off, dximg, &ph.grid);
         }
     });
     dx
@@ -532,8 +531,370 @@ pub fn conv2d_backward_reference(
     )
 }
 
+/// The gather-based implementation the offset-addressed products replaced,
+/// kept as the tests' bit-exactness oracle: every product packs its patch
+/// operand into zeroed micro-panels through a coordinate map over the
+/// unpadded source.
+#[cfg(test)]
+mod gathered {
+    use super::Conv2dSpec;
+    use crate::gemm::{Gemm, PackedA, PackedB, MR, NR};
+    use crate::par;
+    use crate::tensor::Tensor;
+
+    /// One axis of a patch map: `k` kernel taps over a source of extent `len`
+    /// under padding `pad` (a negative pad starts the first window `−pad`
+    /// positions into the source).
+    #[derive(Clone, Copy)]
+    struct Axis {
+        k: usize,
+        len: usize,
+        pad: isize,
+    }
+
+    /// One image's patch matrix as a coordinate map (see the module docs): row
+    /// `(c, ky, kx)`, column `(oy, ox)` reads source element
+    /// `(c, oy·stride + ky − pad_y, ox·stride + kx − pad_x)` when that lies
+    /// inside the source, and is zero elsewhere. The forward and `dW` products
+    /// read `x` through it; each backward-data phase reads `dout` at stride 1
+    /// with its own (possibly non-square) kernel.
+    pub(super) struct Patches {
+        y: Axis,
+        x: Axis,
+        ow: usize,
+        stride: usize,
+        /// Per kernel column `kx`: the output columns it reads. This is the
+        /// map's bounds test, done once per call instead of once per panel row.
+        xs: Vec<Reads>,
+    }
+
+    /// Outputs `first..end` of one axis read sources `src, src + stride, ..`
+    /// (empty when `first == end`).
+    #[derive(Clone, Copy, Default)]
+    struct Reads {
+        first: usize,
+        end: usize,
+        src: usize,
+    }
+
+    impl Patches {
+        fn new(y: Axis, x: Axis, ow: usize, stride: usize) -> Self {
+            let mut p = Patches { y, x, ow, stride, xs: Vec::new() };
+            p.xs = (0..x.k)
+                .map(|kx| {
+                    let mut hits = (0..ow).filter_map(|ox| Some((ox, p.source(ox, kx, x)?)));
+                    match hits.next() {
+                        Some((first, src)) => Reads {
+                            first,
+                            end: hits.next_back().map_or(first, |(ox, _)| ox) + 1,
+                            src,
+                        },
+                        None => Reads::default(),
+                    }
+                })
+                .collect();
+            p
+        }
+
+        /// The map the forward and `dW` products read `x` through.
+        pub(super) fn of_input(spec: &Conv2dSpec, (h, w): (usize, usize), ow: usize) -> Self {
+            let (k, pad) = (spec.k, spec.pad as isize);
+            Patches::new(Axis { k, len: h, pad }, Axis { k, len: w, pad }, ow, spec.stride)
+        }
+
+        /// The map along one axis: the source coordinate that output `o` reads
+        /// through kernel offset `t`, if it reads one.
+        fn source(&self, o: usize, t: usize, axis: Axis) -> Option<usize> {
+            let s = usize::try_from((o * self.stride + t) as isize - axis.pad).ok()?;
+            (s < axis.len).then_some(s)
+        }
+
+        /// The part of kernel column `kx`'s reads inside output columns
+        /// `a..b`: `(first output, end, first source column)`.
+        fn clip(&self, kx: usize, a: usize, b: usize) -> (usize, usize, usize) {
+            let r = self.xs[kx];
+            let skip = a.saturating_sub(r.first);
+            (r.first + skip, b.min(r.end), r.src + skip * self.stride)
+        }
+
+        /// Splits output positions `p..p + len` into per-row runs
+        /// `(oy, a, b, offset of a from p)` covering columns `a..b` of row `oy`.
+        fn rows(&self, p: usize, len: usize) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+            let ow = self.ow;
+            let (mut oy, mut a, mut off) = (p / ow, p % ow, 0);
+            std::iter::from_fn(move || {
+                (off < len).then(|| {
+                    let run = (oy, a, ow.min(a + len - off), off);
+                    (oy, a, off) = (oy + 1, 0, off + run.2 - a);
+                    run
+                })
+            })
+        }
+
+        /// Copies a block of the patch matrix of `src` into `out`, `ld` floats
+        /// a row: block rows are taps `p0..`, the first `cols` lanes of each
+        /// are output positions `j0..j0 + cols`; lanes past them and entries
+        /// that read padding are left as they are (zero). Each `(tap, output
+        /// row)` pair is one contiguous copy at stride 1.
+        pub(super) fn gather(
+            &self,
+            src: &[f32],
+            p0: usize,
+            j0: usize,
+            cols: usize,
+            ld: usize,
+            out: &mut [f32],
+        ) {
+            let (kh, kw, taps) = (self.y.k, self.x.k, out.len() / ld);
+            let (sh, sw) = (self.y.len, self.x.len);
+            for (oy, a, b, lane) in self.rows(j0, cols) {
+                // Patch-matrix row `p` is tap `(c, ky, kx)`.
+                let (mut c, mut ky, mut kx) = (p0 / (kh * kw), p0 / kw % kh, p0 % kw);
+                let mut t = 0;
+                // One kernel row `(c, ky)` at a time: its taps share a source row.
+                while t < taps {
+                    let n = (kw - kx).min(taps - t);
+                    if let Some(sy) = self.source(oy, ky, self.y) {
+                        let row = &src[(c * sh + sy) * sw..][..sw];
+                        for (dx, lanes) in out[t * ld..].chunks_exact_mut(ld).take(n).enumerate() {
+                            let (lo, hi, sx) = self.clip(kx + dx, a, b);
+                            if lo >= hi {
+                                continue;
+                            }
+                            let (to, from) = (&mut lanes[lane + lo - a..lane + hi - a], &row[sx..]);
+                            if self.stride == 1 {
+                                to.copy_from_slice(&from[..to.len()]);
+                            } else {
+                                for (d, s) in to.iter_mut().zip(from.iter().step_by(self.stride)) {
+                                    *d = *s;
+                                }
+                            }
+                        }
+                    }
+                    t += n;
+                    kx = 0;
+                    (ky, c) = if ky + 1 == kh { (0, c + 1) } else { (ky + 1, c) };
+                }
+            }
+        }
+
+        /// Fills one `kc×NR` micro-panel of the *transposed* patch matrix:
+        /// panel rows are output positions `p0..`, lanes are taps
+        /// `j0..j0 + cols`. Image rows run along the panel's k axis here, so
+        /// the block is gathered row-wise into `tile` (the caller's scratch, a
+        /// panel's worth — L1-sized) and transposed four lanes at a time.
+        pub(super) fn gather_t(
+            &self,
+            src: &[f32],
+            p0: usize,
+            j0: usize,
+            cols: usize,
+            panel: &mut [f32],
+            tile: &mut Vec<f32>,
+        ) {
+            let kc = panel.len() / NR;
+            tile.clear();
+            tile.resize(panel.len(), 0.0);
+            self.gather(src, j0, p0, kc, kc, &mut tile[..cols * kc]);
+            for (q, quad) in tile.chunks_exact(4 * kc).take(cols.div_ceil(4)).enumerate() {
+                let (r0, r1, r2, r3) = (&quad[..kc], &quad[kc..], &quad[2 * kc..], &quad[3 * kc..]);
+                let reads = r0.iter().zip(r1).zip(r2.iter().zip(r3));
+                for (lanes, ((a, b), (c, d))) in panel.chunks_exact_mut(NR).zip(reads) {
+                    lanes[4 * q..4 * q + 4].copy_from_slice(&[*a, *b, *c, *d]);
+                }
+            }
+        }
+    }
+
+    /// [`conv2d_forward`] on gathered patch panels.
+    pub(super) fn forward(
+        x: &Tensor,
+        weight: &Tensor,
+        bias: Option<&Tensor>,
+        spec: &Conv2dSpec,
+    ) -> Tensor {
+        let (n, h, w, oh, ow) = spec.checked_dims(x, weight, bias, None);
+        let (img, oimg_len) = (spec.in_c * h * w, spec.out_c * oh * ow);
+        let xs = x.as_slice();
+        let mut out = Tensor::zeros([n, spec.out_c, oh, ow]);
+
+        // Weight-stationary: the filter panels are packed once for the batch,
+        // each image's patch panels once, straight from the image.
+        let g = Gemm::nn(spec.out_c, spec.in_c * spec.k * spec.k, oh * ow);
+        let pw = g.pack_a(weight.as_slice());
+        let patches = Patches::of_input(spec, (h, w), ow);
+        par::par_chunks_mut(out.as_mut_slice(), oimg_len, |i, oimg| {
+            let ximg = &xs[i * img..][..img];
+            let mut pb = PackedB::default();
+            g.pack_b_with(&mut pb, |p0, j0, cols, panel| {
+                patches.gather(ximg, p0, j0, cols, NR, panel)
+            });
+            g.run_packed(&pw, &pb, oimg, false);
+            if let Some(b) = bias {
+                for (plane, bf) in oimg.chunks_mut(oh * ow).zip(b.as_slice()) {
+                    for v in plane {
+                        *v += bf;
+                    }
+                }
+            }
+        });
+        out
+    }
+
+    /// [`conv2d_backward_weight`] on gathered transposed panels.
+    pub(super) fn backward_weight(
+        x: &Tensor,
+        weight: &Tensor,
+        dout: &Tensor,
+        spec: &Conv2dSpec,
+    ) -> (Tensor, Tensor) {
+        let (n, h, w, oh, ow) = spec.checked_dims(x, weight, None, Some(dout));
+        let Conv2dSpec { in_c, out_c, k, .. } = *spec;
+        let (img, dimg_len, wlen) = (in_c * h * w, out_c * oh * ow, spec.weight_len());
+        let (xs, dos) = (x.as_slice(), dout.as_slice());
+
+        // dW_i[F, C·K·K] = dout_i[F, OH·OW] · patches(x_i)ᵀ (nt) and
+        // db_i[f] = Σ dout_i[f, :]. Every image's partial is kept separate and
+        // reduced sequentially in image order below, so the thread count cannot
+        // change the reduction grouping.
+        let g = Gemm::nt(out_c, oh * ow, in_c * k * k);
+        let of_x = Patches::of_input(spec, (h, w), ow);
+        let mut partials = vec![0.0f32; n * (wlen + out_c)];
+        par::par_chunks_mut(&mut partials, wlen + out_c, |i, part| {
+            let (dwi, dbi) = part.split_at_mut(wlen);
+            let ximg = &xs[i * img..][..img];
+            let dimg = &dos[i * dimg_len..][..dimg_len];
+            let (mut pa, mut pb, mut tile) = (PackedA::default(), PackedB::default(), Vec::new());
+            g.pack_a_into(dimg, &mut pa);
+            g.pack_b_with(&mut pb, |p0, j0, cols, panel| {
+                of_x.gather_t(ximg, p0, j0, cols, panel, &mut tile);
+            });
+            g.run_packed(&pa, &pb, dwi, false);
+            for (b, plane) in dbi.iter_mut().zip(dimg.chunks(oh * ow)) {
+                *b = plane.iter().sum();
+            }
+        });
+
+        let mut dw = vec![0.0f32; wlen];
+        let mut db = vec![0.0f32; out_c];
+        for part in partials.chunks_exact(wlen + out_c) {
+            let (dwi, dbi) = part.split_at(wlen);
+            for (a, b) in dw.iter_mut().zip(dwi) {
+                *a += b;
+            }
+            for (a, b) in db.iter_mut().zip(dbi) {
+                *a += b;
+            }
+        }
+        (Tensor::from_vec(dw, [out_c, in_c, k, k]), Tensor::from_vec(db, [out_c]))
+    }
+
+    /// One axis of a backward-data phase (module docs): the `dx` positions
+    /// `r, r + s, ..` of an axis of `len`, reached by taps `t0, t0 + s, ..`,
+    /// as `(positions, t0, the stride-1 map over the src-long dout axis)`.
+    /// Position `r + s·q` reads `dout[q + (r + pad) / s − j]` through tap
+    /// `t0 + s·j`; numbering the taps flipped, `u = kt − 1 − j`, makes that
+    /// `dout[q + u − pad']` — a stride-1 window under padding `pad'`.
+    fn phase_axis(spec: &Conv2dSpec, r: usize, len: usize, src: usize) -> (usize, usize, Axis) {
+        let (s, reach) = (spec.stride, r + spec.pad);
+        let t0 = reach % s;
+        let kt = spec.k.saturating_sub(t0).div_ceil(s);
+        let pad = kt as isize - 1 - (reach / s) as isize;
+        (len.saturating_sub(r).div_ceil(s), t0, Axis { k: kt, len: src, pad })
+    }
+
+    /// One stride phase of the backward-data product (module docs): `dx`
+    /// rows `ry, ry + s, ..` × columns `rx, rx + s, ..` are `g` over the
+    /// phase's flipped taps `w` and the stride-1 map `patches` over `dout`.
+    pub(super) struct Phase {
+        ry: usize,
+        rx: usize,
+        qw: usize,
+        pub(super) g: Gemm,
+        pub(super) w: PackedA,
+        pub(super) patches: Patches,
+    }
+
+    impl Phase {
+        /// Phase `(ry, rx)` from a `dout` of `(oh, ow)` into a `dx` of `(h, w)`;
+        /// `None` when the phase holds no `dx` position.
+        pub(super) fn new(
+            spec: &Conv2dSpec,
+            (ry, rx): (usize, usize),
+            (h, w): (usize, usize),
+            (oh, ow): (usize, usize),
+            ws: &[f32],
+        ) -> Option<Phase> {
+            let (qh, ty, ay) = phase_axis(spec, ry, h, oh);
+            let (qw, tx, ax) = phase_axis(spec, rx, w, ow);
+            if qh * qw == 0 {
+                return None;
+            }
+            let Conv2dSpec { in_c, out_c, k, stride: s, .. } = *spec;
+            let (kh, kw) = (ay.k, ax.k);
+            // W'[c, (f, u, v)] = W[f, c, ty + s·(kh−1−u), tx + s·(kw−1−v)],
+            // packed once for the batch.
+            let g = Gemm::nn(in_c, out_c * kh * kw, qh * qw);
+            let mut w_flipped = PackedA::default();
+            g.pack_a_with(&mut w_flipped, |p0, c0, rows, panel| {
+                for (kk, lanes) in panel.chunks_exact_mut(MR).enumerate() {
+                    let p = p0 + kk;
+                    let (f, u, v) = (p / (kh * kw), p / kw % kh, p % kw);
+                    let tap = (ty + s * (kh - 1 - u)) * k + tx + s * (kw - 1 - v);
+                    for (c, d) in lanes[..rows].iter_mut().enumerate() {
+                        *d = ws[(f * in_c + c0 + c) * k * k + tap];
+                    }
+                }
+            });
+            Some(Phase { ry, rx, qw, g, w: w_flipped, patches: Patches::new(ay, ax, qw, 1) })
+        }
+    }
+
+    /// The backward-data product as the stride's phases on gathered panels.
+    pub(super) fn backward_data(
+        x: &Tensor,
+        weight: &Tensor,
+        dout: &Tensor,
+        spec: &Conv2dSpec,
+    ) -> Tensor {
+        let (_, h, w, oh, ow) = spec.checked_dims(x, weight, None, Some(dout));
+        let (s, img, dimg_len) = (spec.stride, spec.in_c * h * w, spec.out_c * oh * ow);
+        let phases: Vec<Phase> = (0..s * s)
+            .filter_map(|r| Phase::new(spec, (r / s, r % s), (h, w), (oh, ow), weight.as_slice()))
+            .collect();
+        let dos = dout.as_slice();
+        let mut dx = Tensor::zeros(x.shape().clone());
+        par::par_chunks_mut(dx.as_mut_slice(), img, |i, dximg| {
+            let dimg = &dos[i * dimg_len..][..dimg_len];
+            let (mut pb, mut res) = (PackedB::default(), Vec::new());
+            for ph in &phases {
+                ph.g.pack_b_with(&mut pb, |p0, j0, cols, panel| {
+                    ph.patches.gather(dimg, p0, j0, cols, NR, panel);
+                });
+                if s == 1 {
+                    ph.g.run_packed(&ph.w, &pb, dximg, false);
+                    continue;
+                }
+                res.resize(ph.g.c_len(), 0.0);
+                ph.g.run_packed(&ph.w, &pb, &mut res, false);
+                // Interleaved store: phase element (qy, qx) is dx (ry + s·qy, rx + s·qx).
+                for (plane, rplane) in dximg.chunks_exact_mut(h * w).zip(res.chunks_exact(ph.g.n)) {
+                    for (qy, qrow) in rplane.chunks_exact(ph.qw).enumerate() {
+                        let row = &mut plane[(ph.ry + s * qy) * w..][..w];
+                        for (d, v) in row[ph.rx..].iter_mut().step_by(s).zip(qrow) {
+                            *d = *v;
+                        }
+                    }
+                }
+            }
+        });
+        dx
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::gathered::{self, Patches, Phase};
     use super::*;
     use crate::gemm::KC;
     use crate::rng::SeedRng;
@@ -602,7 +963,7 @@ mod tests {
         dx
     }
 
-    /// Geometries the gathers must get right: `ow` a multiple of, below and
+    /// Geometries the products must get right: `ow` a multiple of, below and
     /// not dividing NR; strides with input rows no output touches; padding
     /// wider than the kernel; a 1×1 kernel; `ckk > KC` (a slab that starts
     /// mid-channel). `(spec, h, w, n)`.
@@ -651,9 +1012,10 @@ mod tests {
     }
 
     /// Named bit changes 1 and 2 of the implicit-GEMM rewrite are "none":
-    /// the gathers fill the panels packing a column matrix fills, so the
-    /// forward output and `dW`/`db` equal the materialising formulation bit
-    /// for bit.
+    /// the gathers (kept in `gathered`) fill the panels packing a column
+    /// matrix fills, and the offset-addressed products reduce the same
+    /// values in the same order, so the forward output and `dW`/`db` equal
+    /// the materialising formulation bit for bit.
     #[test]
     fn gathers_are_bit_identical_to_the_column_matrix() {
         let mut rng = SeedRng::new(14);
@@ -757,6 +1119,94 @@ mod tests {
             } else {
                 for (got, want) in dx.as_slice().iter().zip(&want) {
                     assert!((got - want).abs() <= 1e-5 * (1.0 + want.abs()), "{spec:?}");
+                }
+            }
+        }
+    }
+
+    /// Puts ±∞ and NaN on the borders of every plane of `t` — next to the
+    /// padding, and in the columns the lanes past an output row read.
+    fn poison(t: &mut Tensor) {
+        let &[.., rows, cols] = t.shape().dims() else { unreachable!("a 4-d tensor") };
+        for (i, plane) in t.as_mut_slice().chunks_exact_mut(rows * cols).enumerate() {
+            let (y, x) = (i % rows, i % cols);
+            plane[y * cols] = f32::NAN;
+            plane[y * cols + cols - 1] = f32::INFINITY;
+            plane[x] = -f32::NAN;
+            plane[(rows - 1) * cols + x] = f32::NEG_INFINITY;
+        }
+    }
+
+    /// `to_bits` of every element, with one bit pattern for every NaN:
+    /// which NaN operand's sign an add or FMA passes on is the instruction
+    /// encoding's choice, and Rust leaves it unspecified.
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| if v.is_nan() { f32::NAN } else { *v }.to_bits()).collect()
+    }
+
+    /// The offset-addressed products against the gathered panels they
+    /// replaced, `to_bits`-equal: every `k ∈ {1,2,3,5}`, `s ∈ {1,2,3}`,
+    /// `pad ∈ 0..4` — pad ≥ k gives a negative phase pad, k < s phases
+    /// with no taps (the 1×1 stride-2 projection) — plus KC slab splits in
+    /// the forward, `dW` and phase reductions, on a 7×10 input, at batch 1
+    /// and 3 and pool widths 1/2/4/8, once on finite data and once with
+    /// ±∞ / NaN where padding and discarded grid lanes meet the image.
+    #[test]
+    fn offset_products_are_bit_identical_to_the_gathered_panels() {
+        let mut rng = SeedRng::new(18);
+        let spec = |in_c, out_c, k, stride, pad| Conv2dSpec { in_c, out_c, k, stride, pad };
+        let mut cases = vec![spec(29, 29, 3, 1, 1), spec(11, 29, 5, 2, 1), spec(29, 5, 3, 3, 3)];
+        for k in [1, 2, 3, 5] {
+            for s in [1, 2, 3] {
+                cases.extend((0..4).map(|pad| spec(2, 3, k, s, pad)));
+            }
+        }
+        let (h, w) = (7, 10);
+        assert!(cases.iter().any(|c| c.in_c * c.k * c.k > KC && c.out_c * 9 > KC));
+        // A grid whose last panel runs past its last row.
+        assert!(cases.iter().any(|c| {
+            let ((oh, ow), reach) = (c.out_hw(h, w), (c.k - 1) / c.stride);
+            oh * (ow + reach) % NR != 0
+        }));
+        let widths = [1, 2, 4, 8];
+        let pools = widths.map(|n| rayon::ThreadPoolBuilder::new().num_threads(n).build().unwrap());
+        for (i, spec) in cases.iter().enumerate() {
+            let (n, (oh, ow)) = (1 + 2 * (i % 2), spec.out_hw(h, w));
+            for poisoned in [false, true] {
+                let mut x = rng.randn_tensor(&[n, spec.in_c, h, w], 1.0);
+                let wt = rng.randn_tensor(&[spec.out_c, spec.in_c, spec.k, spec.k], 0.5);
+                let b = rng.randn_tensor(&[spec.out_c], 0.1);
+                let mut dout = rng.randn_tensor(&[n, spec.out_c, oh, ow], 1.0);
+                if poisoned {
+                    poison(&mut x);
+                    poison(&mut dout);
+                }
+                let (dw, db) = gathered::backward_weight(&x, &wt, &dout, spec);
+                let want = [
+                    gathered::forward(&x, &wt, Some(&b), spec),
+                    gathered::backward_data(&x, &wt, &dout, spec),
+                    dw,
+                    db,
+                ];
+                for (width, pool) in widths.iter().zip(&pools) {
+                    let (y, (dx, dw, db)) = pool.install(|| {
+                        (
+                            conv2d_forward(&x, &wt, Some(&b), spec),
+                            conv2d_backward(&x, &wt, &dout, spec),
+                        )
+                    });
+                    for (got, want, what) in [
+                        (y, &want[0], "y"),
+                        (dx, &want[1], "dx"),
+                        (dw, &want[2], "dW"),
+                        (db, &want[3], "db"),
+                    ] {
+                        let case =
+                            format!("{spec:?} n {n} poisoned {poisoned} width {width}: {what}");
+                        let (got, want) = (bits(&got), bits(want));
+                        let first = got.iter().zip(&want).position(|(a, b)| a != b);
+                        assert!(first.is_none(), "{case}: element {first:?}");
+                    }
                 }
             }
         }

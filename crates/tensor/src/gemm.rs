@@ -12,15 +12,26 @@
 //!   source is a *filler* ([`Gemm::pack_a_with`]/[`Gemm::pack_b_with`]): a
 //!   stored slice is one filler — transposition is absorbed there and costs
 //!   O(mk + kn) against the O(mkn) multiply — and an operand that exists
-//!   only as a coordinate map over other data (convolution's patch matrix)
-//!   is another, so it is never materialised. Panels are handed out zeroed:
-//!   edge panels stay zero-padded to full MR/NR width, and the padded lanes
-//!   are computed and then discarded by the masked store, so non-finite
-//!   inputs never leak (`0·inf = NaN` can only appear in lanes that are
-//!   thrown away).
+//!   only as a map over other data is another (convolution's flipped
+//!   backward-data weights, its `dW` panels). Panels are handed out zeroed:
+//!   edge panels stay zero-padded to full MR/NR width.
+//! * **Offset-addressed B.** An operand whose every row is a window of one
+//!   stored slice — row `p` is `src[off[p]..]` — is not packed at all:
+//!   [`Gemm::run_offsets`] reads a k-step's NR lanes at `src + off[p] +
+//!   j`. Convolution is the user: in a zero-padded (polyphase) copy of an
+//!   image every tap is such a window over output positions numbered on a
+//!   padded-width [`Grid`].
 //! * **Microkernel.** An [`MR`]×[`NR`] register tile of accumulators is
 //!   updated once per k-step ([`microkernel`]); the i/j loops are over
-//!   fixed-size arrays, which LLVM fully unrolls and vectorises.
+//!   fixed-size arrays, which LLVM fully unrolls and vectorises. There is one
+//!   AVX2/FMA body and one portable body, each monomorphised over how a
+//!   k-step finds its B row (the next row of a packed panel, or `src +
+//!   off[p]`), so both kinds of product run the same instructions.
+//! * **Stores.** A tile's lanes land in `C` through a [`Grid`]: a stored
+//!   matrix keeps every lane, an offset product discards the lanes past
+//!   each output row. Lanes past the edge are computed and then discarded
+//!   by the store, so non-finite inputs never leak (`0·inf = NaN` can only
+//!   appear in lanes that are thrown away).
 //! * **Blocking.** Loop order per output stripe is `jc (NC columns) → pc
 //!   (KC depth) → jr (NR panel) → ir (MR panel)`: a B micro-panel stays in
 //!   L1 across the stripe's row panels, the stripe's packed-A slab
@@ -35,9 +46,10 @@
 //!   determinism tests in `tests/gemm_parity.rs` pin this contract.
 //!
 //! Weight-stationary callers amortise packing: convolution packs the filter
-//! matrix once per batch ([`Gemm::pack_a`]) and the LSTM packs its recurrent
-//! weights once per sequence ([`Gemm::pack_b`]), reusing the panels across
-//! every item/timestep via [`Gemm::run_packed`].
+//! matrix once per batch ([`Gemm::pack_a`]) and reuses it across images via
+//! [`Gemm::run_offsets`], and the LSTM packs its recurrent weights once per
+//! sequence ([`Gemm::pack_b`]), reusing the panels across timesteps via
+//! [`Gemm::run_packed`].
 
 use crate::par;
 use crate::tensor::Tensor;
@@ -104,9 +116,67 @@ pub struct PackedB {
     n: usize,
 }
 
-/// One KC-deep slab of the shared dimension: `(depth, a_off, b_off)` —
-/// the slab's length and its base offsets into the packed buffers.
-type KcBlock = (usize, usize, usize);
+/// Where the columns of a product land in `C`. The product's `n` columns
+/// are lanes on a grid of rows `pitch` lanes long: lane `y·pitch + x` is
+/// kept when `x < width` and stored in row `i` of `C` at
+/// `i·ldc + origin + y·row_step + x·col_step`; the other lanes are computed
+/// and discarded. A stored matrix is [`Grid::dense`]: one row, every lane
+/// kept, contiguous. Convolution's offset-addressed products
+/// ([`Gemm::run_offsets`]) run on a grid as wide as their padded source,
+/// whose lanes past the output width are the ones discarded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Grid {
+    /// Lanes per grid row.
+    pub(crate) pitch: usize,
+    /// Kept lanes at the start of each grid row.
+    pub(crate) width: usize,
+    /// Distance between rows of `C`.
+    pub(crate) ldc: usize,
+    /// Where lane 0 of a row lands.
+    pub(crate) origin: usize,
+    /// Distance between consecutive grid rows in `C`.
+    pub(crate) row_step: usize,
+    /// Distance between consecutive kept lanes in `C`.
+    pub(crate) col_step: usize,
+}
+
+impl Grid {
+    /// A row-major `m×n` matrix: lane `j` is column `j`.
+    fn dense(n: usize) -> Self {
+        Grid { pitch: n, width: n, ldc: n, origin: 0, row_step: 0, col_step: 1 }
+    }
+}
+
+/// How the kernel reads op(B): the rows `p0..p0 + kc` of the NR-lane
+/// panel whose first column is `jr·NR`, one pointer per k-step, each to
+/// [`NR`] readable floats.
+trait BRows: Sync {
+    fn rows(&self, p0: usize, kc: usize, jr: usize) -> impl Iterator<Item = *const f32>;
+}
+
+/// A packed panel's rows are consecutive: row `kk` is `bp + kk·NR`.
+impl BRows for PackedB {
+    fn rows(&self, p0: usize, kc: usize, jr: usize) -> impl Iterator<Item = *const f32> {
+        let base = (self.n.div_ceil(NR) * p0 + jr * kc) * NR;
+        let panel = self.buf[base..base + kc * NR].as_ptr();
+        (0..kc).map(move |kk| panel.wrapping_add(kk * NR))
+    }
+}
+
+/// An operand that is a window over one stored slice: row `p` of op(B)
+/// is `src[off[p]..]`, so row `kk` of panel `jr` is `src + off[kk] + jr·NR`.
+/// [`Gemm::run_offsets`] checks the windows' reach once per call.
+struct Offsets<'a> {
+    src: &'a [f32],
+    off: &'a [usize],
+}
+
+impl BRows for Offsets<'_> {
+    fn rows(&self, p0: usize, kc: usize, jr: usize) -> impl Iterator<Item = *const f32> {
+        let base = self.src.as_ptr().wrapping_add(jr * NR);
+        self.off[p0..p0 + kc].iter().map(move |&o| base.wrapping_add(o))
+    }
+}
 
 impl Gemm {
     /// `C = A·B` (no transposition).
@@ -224,89 +294,94 @@ impl Gemm {
         pb
     }
 
-    /// KC-slab table shared by every stripe: depth and packed-buffer base
-    /// offsets per slab, in the fixed ascending order the reduction uses.
-    fn kc_blocks(&self) -> Vec<KcBlock> {
-        let mpanels = self.m.div_ceil(MR);
-        let npanels = self.n.div_ceil(NR);
-        let mut blocks = Vec::with_capacity(self.k.div_ceil(KC).max(1));
-        let (mut a_off, mut b_off) = (0usize, 0usize);
-        for p0 in (0..self.k).step_by(KC) {
-            let kc = KC.min(self.k - p0);
-            blocks.push((kc, a_off, b_off));
-            a_off += mpanels * MR * kc;
-            b_off += npanels * NR * kc;
-        }
-        blocks
-    }
-
     /// Macro-kernel over one MC-row stripe of `C` (`cstripe` = rows
-    /// `[row0, row0 + cstripe.len()/n)`). Loop order `jc → pc → jr → ir`;
+    /// `[row0, row0 + cstripe.len()/ldc)`). Loop order `jc → pc → jr → ir`;
     /// the first slab overwrites the tile, later slabs accumulate, giving
-    /// β=0 semantics without a separate zeroing pass.
-    fn stripe(
-        &self,
-        cstripe: &mut [f32],
-        row0: usize,
-        blocks: &[KcBlock],
-        pa: &PackedA,
-        pb: &PackedB,
-    ) {
-        let n = self.n;
-        let rows = cstripe.len() / n;
+    /// β=0 semantics without a separate zeroing pass (a product with
+    /// `k = 0` runs one empty slab, which stores zeros).
+    fn stripe(&self, cstripe: &mut [f32], row0: usize, pa: &PackedA, b: &impl BRows, grid: &Grid) {
+        let rows = cstripe.len() / grid.ldc;
         let panel0 = row0 / MR; // row0 is MC-aligned and MC % MR == 0
         let panels = rows.div_ceil(MR);
-        let npanels = n.div_ceil(NR);
+        let (mpanels, npanels) = (self.m.div_ceil(MR), self.n.div_ceil(NR));
         let jc_panels = NC / NR;
         for jc in (0..npanels).step_by(jc_panels) {
             let jc_end = (jc + jc_panels).min(npanels);
-            for (pc_idx, &(kc, a_off, b_off)) in blocks.iter().enumerate() {
-                let first = pc_idx == 0;
+            for p0 in (0..self.k.max(1)).step_by(KC) {
+                let kc = KC.min(self.k - p0);
+                let a_off = mpanels * MR * p0;
+                let mut yx = (jc * NR / grid.pitch, jc * NR % grid.pitch);
                 for jr in jc..jc_end {
-                    let bp = &pb.buf[b_off + jr * kc * NR..b_off + (jr + 1) * kc * NR];
+                    let lanes = NR.min(self.n - jr * NR);
                     for ip in 0..panels {
                         let ir = panel0 + ip;
                         let ap = &pa.buf[a_off + ir * kc * MR..a_off + (ir + 1) * kc * MR];
-                        let acc = microkernel(ap, bp);
-                        store_tile(cstripe, n, ip * MR, jr * NR, rows, &acc, first);
+                        // SAFETY: every row `b` yields holds NR readable
+                        // floats — a packed panel by construction, an
+                        // offset window by `run_offsets`' reach assert.
+                        let acc = unsafe { microkernel(ap, b.rows(p0, kc, jr)) };
+                        let tile_rows = (ip * MR, MR.min(rows - ip * MR));
+                        store_tile(cstripe, grid, tile_rows, yx, lanes, &acc, p0 == 0);
+                    }
+                    yx.1 += NR;
+                    while yx.1 >= grid.pitch {
+                        yx = (yx.0 + 1, yx.1 - grid.pitch);
                     }
                 }
             }
         }
     }
 
-    /// Computes `C = op(A)·op(B)` from pre-packed operands. `parallel`
-    /// distributes MC-row stripes across the rayon pool; sequential and
-    /// parallel runs are bit-identical (each C element is reduced in the
-    /// same fixed order by exactly one task).
-    pub fn run_packed(&self, pa: &PackedA, pb: &PackedB, c: &mut [f32], parallel: bool) {
-        assert_eq!((pa.m, pa.k), (self.m, self.k), "run_packed: PackedA vs descriptor");
-        assert_eq!((pb.k, pb.n), (self.k, self.n), "run_packed: PackedB vs descriptor");
-        assert_eq!(
-            c.len(),
-            self.c_len(),
-            "run_packed: C length vs {}×{} descriptor",
-            self.m,
-            self.n
-        );
+    /// The one macro loop under both entry points: `C` through `grid`, in
+    /// MC-row stripes — across the rayon pool when `parallel`, which
+    /// changes no bit (each C element is reduced in the same fixed order by
+    /// exactly one task).
+    fn run_on(&self, pa: &PackedA, b: &impl BRows, c: &mut [f32], grid: &Grid, parallel: bool) {
+        assert_eq!((pa.m, pa.k), (self.m, self.k), "Gemm: PackedA vs descriptor");
+        assert_eq!(c.len(), self.m * grid.ldc, "Gemm: C length vs {} rows of {}", self.m, grid.ldc);
         if self.m == 0 || self.n == 0 {
             return;
         }
-        if self.k == 0 {
-            c.fill(0.0);
-            return;
-        }
-        let blocks = self.kc_blocks();
-        let stripe_len = MC * self.n;
+        let stripe_len = MC * grid.ldc;
         if parallel && self.m > MC {
-            par::par_chunks_mut(c, stripe_len, |s, cs| {
-                self.stripe(cs, s * MC, &blocks, pa, pb);
-            });
+            par::par_chunks_mut(c, stripe_len, |s, cs| self.stripe(cs, s * MC, pa, b, grid));
         } else {
             for (s, cs) in c.chunks_mut(stripe_len).enumerate() {
-                self.stripe(cs, s * MC, &blocks, pa, pb);
+                self.stripe(cs, s * MC, pa, b, grid);
             }
         }
+    }
+
+    /// Computes `C = op(A)·op(B)` from pre-packed operands. `parallel`
+    /// distributes MC-row stripes across the rayon pool; sequential and
+    /// parallel runs are bit-identical.
+    pub fn run_packed(&self, pa: &PackedA, pb: &PackedB, c: &mut [f32], parallel: bool) {
+        assert_eq!((pb.k, pb.n), (self.k, self.n), "run_packed: PackedB vs descriptor");
+        self.run_on(pa, pb, c, &Grid::dense(self.n), parallel);
+    }
+
+    /// Computes `C = A·B` where `B` is never packed: row `p` of `B` is the
+    /// window `src[off[p]..]`, so `B[p, q] = src[off[p] + q]`, and the `n`
+    /// columns are stored through `grid`. Convolution is the caller: `src`
+    /// is one image's zero-padded copy, `off[p]` where tap `p` starts in
+    /// it, and the columns are output positions on the padded-width grid.
+    /// Each C element is reduced over the same KC slabs in the same order
+    /// as [`Gemm::run_packed`] over the packed `B`, so the two are bit-for-
+    /// bit the same product. Sequential: callers parallelise over images.
+    pub(crate) fn run_offsets(
+        &self,
+        pa: &PackedA,
+        src: &[f32],
+        off: &[usize],
+        c: &mut [f32],
+        grid: &Grid,
+    ) {
+        assert_eq!(off.len(), self.k, "run_offsets: one offset per row of B");
+        assert!(grid.width <= grid.pitch, "run_offsets: {grid:?} keeps more lanes than a row has");
+        // The kernel reads lanes `0..panels·NR` of every window unchecked.
+        let reach = off.iter().max().map_or(0, |o| o + self.n.div_ceil(NR) * NR);
+        assert!(reach <= src.len(), "run_offsets: windows reach {reach} of {}", src.len());
+        self.run_on(pa, &Offsets { src, off }, c, grid, false);
     }
 
     /// Packs both operands and runs, parallelising when the product is
@@ -366,35 +441,47 @@ fn pack_panels<const LANES: usize>(
     }
 }
 
-/// The register tile: one MR×NR block of C accumulated over a full packed
-/// panel pair (`ap`: `depth×MR` k-major, `bp`: `depth×NR` k-major). The
-/// fixed-size accumulator array lives in vector registers; the k-loop is
-/// the only sequential dependency and runs in ascending order.
+/// The register tile: one MR×NR block of C accumulated over a full A
+/// panel (`ap`: `depth×MR` k-major) and the B row each k-step reads
+/// (`rows`: one pointer per k-step). The fixed-size accumulator array
+/// lives in vector registers; the k-loop is the only sequential dependency
+/// and runs in ascending order. Where a row comes from — the next row of a
+/// packed panel, or a window of a stored slice — is the iterator's business:
+/// both bodies below are monomorphised over it, so the packed and the
+/// offset-addressed products run the same instructions on the same values.
 ///
 /// On x86-64 with AVX2+FMA available at runtime the fused-multiply-add
-/// variant is used (one rounding per multiply-add instead of two — still a
+/// body is used (one rounding per multiply-add instead of two — still a
 /// fixed reduction order, so thread-count determinism is unaffected; only
 /// the machine-level instruction set changes which of the two fixed
 /// functions runs). Everything else gets the portable scalar loop, which
 /// LLVM vectorises for the baseline target.
+///
+/// # Safety
+///
+/// Every pointer `rows` yields must be valid for reads of [`NR`] floats.
 #[inline(always)]
-fn microkernel(ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
+unsafe fn microkernel(ap: &[f32], rows: impl Iterator<Item = *const f32>) -> [[f32; NR]; MR] {
     #[cfg(target_arch = "x86_64")]
     {
         if avx2_fma_available() {
-            // SAFETY: the CPU supports avx2+fma (checked above); `ap`/`bp`
-            // are full packed panels, so the pointer arithmetic inside
-            // stays in bounds.
-            return unsafe { microkernel_fma(ap, bp) };
+            // SAFETY: the CPU supports avx2+fma (checked above); the rows
+            // are the caller's to guarantee.
+            return microkernel_fma(ap, rows);
         }
     }
-    microkernel_generic(ap, bp)
+    microkernel_generic(ap, rows)
 }
 
+/// The portable body. Safety as [`microkernel`].
 #[inline(always)]
-fn microkernel_generic(ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
+unsafe fn microkernel_generic(
+    ap: &[f32],
+    rows: impl Iterator<Item = *const f32>,
+) -> [[f32; NR]; MR] {
     let mut acc = [[0.0f32; NR]; MR];
-    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
+    for (a, b) in ap.chunks_exact(MR).zip(rows) {
+        let b = &*b.cast::<[f32; NR]>();
         for i in 0..MR {
             let ai = a[i];
             for j in 0..NR {
@@ -424,27 +511,22 @@ fn avx2_fma_available() -> bool {
     }
 }
 
-/// AVX2/FMA register tile: 12 ymm accumulators (6 rows × 2 vectors), one
-/// broadcast ymm for A and two loads for B per k-step.
+/// The AVX2/FMA body: 12 ymm accumulators (6 rows × 2 vectors), one
+/// broadcast ymm for A and two loads for B per k-step. Safety as
+/// [`microkernel`], on a CPU with avx2 and fma.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn microkernel_fma(ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
+unsafe fn microkernel_fma(ap: &[f32], rows: impl Iterator<Item = *const f32>) -> [[f32; NR]; MR] {
     use std::arch::x86_64::*;
-    let depth = ap.len() / MR;
-    debug_assert_eq!(bp.len() / NR, depth);
     let mut acc = [_mm256_setzero_ps(); 2 * MR];
-    let mut ap_ptr = ap.as_ptr();
-    let mut bp_ptr = bp.as_ptr();
-    for _ in 0..depth {
-        let b0 = _mm256_loadu_ps(bp_ptr);
-        let b1 = _mm256_loadu_ps(bp_ptr.add(8));
+    for (a, b) in ap.chunks_exact(MR).zip(rows) {
+        let b0 = _mm256_loadu_ps(b);
+        let b1 = _mm256_loadu_ps(b.add(8));
         for i in 0..MR {
-            let ai = _mm256_broadcast_ss(&*ap_ptr.add(i));
+            let ai = _mm256_broadcast_ss(&a[i]);
             acc[2 * i] = _mm256_fmadd_ps(ai, b0, acc[2 * i]);
             acc[2 * i + 1] = _mm256_fmadd_ps(ai, b1, acc[2 * i + 1]);
         }
-        ap_ptr = ap_ptr.add(MR);
-        bp_ptr = bp_ptr.add(NR);
     }
     let mut out = [[0.0f32; NR]; MR];
     for (i, row) in out.iter_mut().enumerate() {
@@ -454,32 +536,59 @@ unsafe fn microkernel_fma(ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
     out
 }
 
-/// Writes the valid region of a register tile into `C` (row-major, leading
-/// dimension `ldc`), overwriting on the first k-slab and accumulating on
-/// the rest. Padded lanes (`r0+i ≥ nrows`, `c0+j ≥ ldc` columns) are
-/// discarded here, which is what keeps edge-panel zero-padding inert.
+/// Writes the kept part of a register tile into `C` (see [`Grid`]),
+/// overwriting on the first k-slab and accumulating on the rest. Tile row
+/// `i < mr` is row `r0 + i` of the stripe `c` (the rest are discarded);
+/// tile lane `j < lanes` is grid lane `(y, x + j)`, wrapping
+/// at the grid's pitch. Discarding lanes here is what keeps edge-panel
+/// padding, and the lanes an offset product reads past its output width,
+/// inert: `0·inf = NaN` can only appear in a lane that is thrown away.
 #[inline(always)]
 fn store_tile(
     c: &mut [f32],
-    ldc: usize,
-    r0: usize,
-    c0: usize,
-    nrows: usize,
+    grid: &Grid,
+    (r0, mr): (usize, usize),
+    (mut y, mut x): (usize, usize),
+    lanes: usize,
     acc: &[[f32; NR]; MR],
     overwrite: bool,
 ) {
-    let mr = MR.min(nrows - r0);
-    let nr = NR.min(ldc - c0);
-    for (i, acc_row) in acc.iter().enumerate().take(mr) {
-        let row = &mut c[(r0 + i) * ldc + c0..(r0 + i) * ldc + c0 + nr];
-        if overwrite {
-            for (d, v) in row.iter_mut().zip(acc_row) {
-                *d = *v;
+    // A tile inside one kept run — every tile of a stored matrix — is one
+    // contiguous store per row (measured: 2.6 % of an `lstm_qsgd` step).
+    if grid.col_step == 1 && x + lanes <= grid.width {
+        let at = grid.origin + y * grid.row_step + x;
+        for (i, acc_row) in acc.iter().enumerate().take(mr) {
+            put(c[(r0 + i) * grid.ldc + at..][..lanes].iter_mut(), &acc_row[..lanes], overwrite);
+        }
+        return;
+    }
+    let mut j = 0;
+    while j < lanes {
+        let run = grid.width.saturating_sub(x).min(lanes - j);
+        if run > 0 {
+            let at = grid.origin + y * grid.row_step + x * grid.col_step;
+            for (i, acc_row) in acc.iter().enumerate().take(mr) {
+                let (row, vals) = (&mut c[(r0 + i) * grid.ldc + at..], &acc_row[j..j + run]);
+                if grid.col_step == 1 {
+                    put(row[..run].iter_mut(), vals, overwrite);
+                } else {
+                    put(row.iter_mut().step_by(grid.col_step), vals, overwrite);
+                }
             }
-        } else {
-            for (d, v) in row.iter_mut().zip(acc_row) {
-                *d += *v;
-            }
+        }
+        (j, y, x) = (j + grid.pitch - x, y + 1, 0);
+    }
+}
+
+#[inline(always)]
+fn put<'a>(dst: impl Iterator<Item = &'a mut f32>, vals: &[f32], overwrite: bool) {
+    if overwrite {
+        for (d, v) in dst.zip(vals) {
+            *d = *v;
+        }
+    } else {
+        for (d, v) in dst.zip(vals) {
+            *d += *v;
         }
     }
 }
@@ -574,6 +683,49 @@ mod tests {
         let mut cp = vec![0.0f32; g.c_len()];
         g.run_packed(&pa, &pb, &mut cp, true);
         assert_eq!(cs, cp);
+    }
+
+    /// An offset-addressed product is the packed product over the `B` its
+    /// windows spell, bit for bit — across a KC split, a ragged last panel
+    /// and a grid that discards lanes and strides its stores — and leaves
+    /// every position the grid does not keep as it was; `k = 0` stores
+    /// zeros.
+    #[test]
+    fn offset_windows_match_the_packed_operand() {
+        let mut rng = SeedRng::new(12);
+        let (rows, pitch, width) = (3, 11, 8);
+        let n = rows * pitch;
+        let grid = Grid {
+            pitch,
+            width,
+            ldc: 4 * rows * width + 1,
+            origin: 1,
+            row_step: 4 * width,
+            col_step: 2,
+        };
+        for (m, k) in [(7, KC + 9), (13, 5), (2, 0)] {
+            let src = rng.randn_tensor(&[3 * k + n.div_ceil(NR) * NR + 1], 1.0);
+            let src = src.as_slice();
+            let off: Vec<usize> = (0..k).map(|p| p * 7 % (3 * k)).collect();
+            let g = Gemm::nn(m, k, n);
+            let pa = g.pack_a(rng.randn_tensor(&[m * k], 1.0).as_slice());
+            let b: Vec<f32> = (0..k * n).map(|i| src[off[i / n] + i % n]).collect();
+            let mut want = vec![f32::NAN; m * n];
+            g.run_packed(&pa, &g.pack_b(&b), &mut want, false);
+            let mut c = vec![f32::NAN; m * grid.ldc];
+            g.run_offsets(&pa, src, &off, &mut c, &grid);
+            for (i, crow) in c.chunks_exact(grid.ldc).enumerate() {
+                let mut kept = vec![f32::NAN; grid.ldc];
+                for (q, v) in want[i * n..(i + 1) * n].iter().enumerate() {
+                    let (y, x) = (q / pitch, q % pitch);
+                    if x < width {
+                        kept[grid.origin + y * grid.row_step + x * grid.col_step] = *v;
+                    }
+                }
+                let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(crow), bits(&kept), "m {m} k {k} row {i}");
+            }
+        }
     }
 
     #[test]
