@@ -16,10 +16,11 @@
 //!   carried-error ablation, over one shared 64-bit exchange.
 //! * [`registry`] — unified algorithm registry (baselines + A2SGD family).
 //! * [`step`] — [`step::TrainStep`], the back half of a training step
-//!   (plan → sync → apply) behind one fallible call; shared by [`trainer`]
-//!   and the `a2sgd-elastic` recovery policy.
+//!   (plan → sync → apply) behind one fallible call, which the trainer's
+//!   loop drives.
 //! * [`trainer`] — the synchronous data-parallel training loop over the
-//!   simulated cluster, reproducing the paper's evaluation pipeline.
+//!   simulated cluster, reproducing the paper's evaluation pipeline — the
+//!   one loop, under a [`trainer::Recovery`] policy.
 //! * [`overlap`] — per-layer gradient-ready hook driver
 //!   ([`overlap::HookedStep`]): submits buckets to the sync session as the
 //!   backward pass produces them, overlapping exchange with backprop.

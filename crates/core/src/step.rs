@@ -1,9 +1,9 @@
 //! The back half of a training step — plan → backward → sync → apply —
 //! written once and shared by every trainer.
 //!
-//! Algorithm 1 is one loop. [`crate::trainer`] and `a2sgd-elastic` own
-//! the front half of an iteration (data → forward → loss) and hand a
-//! backward closure to [`TrainStep::run`], which plans the step
+//! Algorithm 1 is one loop, [`crate::trainer`]'s. It owns the front half
+//! of an iteration (data → forward → loss) and hands a backward closure
+//! to [`TrainStep::run`], which plans the step
 //! ([`Plan`], known before backward because `Schedule::decide` is pure),
 //! back-propagates through the per-layer hooks whenever the plan is
 //! a gradient sync and overlap is on (whatever the topology or schedule: a
@@ -32,7 +32,6 @@ use mini_nn::hook::{GradHook, NullHook};
 use mini_nn::module::Module;
 use mini_nn::optim::Sgd;
 use std::ops::Range;
-use std::path::PathBuf;
 
 /// Closes a trainer phase span opened at `start_ns` (free when tracing is
 /// off: `closed_span` returns on its first branch).
@@ -348,29 +347,6 @@ impl TrainStep {
                 None => self.anchor.clone_from(&c.params),
             }
         }
-        Ok(())
-    }
-
-    /// The one checkpoint writer: on rank 0, whenever `step` (iterations
-    /// fully applied) lands on `cadence = (every, dir)`, writes
-    /// [`capture`](Self::capture) to `dir/`[`Checkpoint::file_name`]. State
-    /// is bit-identical across ranks after each synchronized step, so the
-    /// single rank-0 copy is a consistent global snapshot.
-    pub fn checkpoint_if_due(
-        &self,
-        model: &mut dyn Module,
-        cadence: Option<&(u64, PathBuf)>,
-        rank: usize,
-        step: u64,
-        seed: u64,
-    ) -> Result<(), String> {
-        let Some((every, dir)) = cadence else { return Ok(()) };
-        if rank != 0 || *every == 0 || step % every != 0 {
-            return Ok(());
-        }
-        std::fs::create_dir_all(dir).map_err(|e| format!("create {dir:?}: {e}"))?;
-        self.capture(model, step, seed).write(&dir.join(Checkpoint::file_name(step)))?;
-        a2sgd_trace::instant("checkpoint/written", a2sgd_trace::Args::Value(step as f64));
         Ok(())
     }
 }

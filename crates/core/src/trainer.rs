@@ -11,14 +11,21 @@
 //! ledgers charged — the Hockney price of each collective in-proc (a
 //! function of the frames alone, hence reproducible), measured wall time
 //! inside collective calls on TCP. `total_sim_seconds` is their sum.
+//!
+//! The per-rank loop over global steps is the workspace's only training
+//! loop. Whatever can lose a peer hands its typed error to one [`Recovery`]
+//! policy: [`train`] aborts, `a2sgd-elastic` shrinks the world and goes on
+//! through [`train_rank`].
 
-use crate::checkpoint::ENV_CKPT_DIR;
+use crate::checkpoint::{Checkpoint, ENV_CKPT_DIR};
 use crate::metrics;
 use crate::registry::AlgoKind;
-use crate::step::{phase, Plan, TrainStep};
+use crate::step::{phase, Plan, StepOutcome, TrainStep};
 use a2sgd_sched::SchedKind;
-use cluster_comm::{run_cluster, CommBackend, CommHandle, NetworkProfile};
-use gradcomp::Ledger;
+use cluster_comm::{
+    run_cluster, CommBackend, CommHandle, NetworkProfile, TrafficStats, TransportError,
+};
+use gradcomp::{GradientSynchronizer, Ledger, SyncStats};
 use mini_nn::flat::{flatten_grads, param_count};
 use mini_nn::loss::softmax_cross_entropy;
 use mini_nn::models::{LstmLmConfig, ModelKind, Preset};
@@ -162,7 +169,8 @@ pub struct TrainConfig {
     /// training state (parameters, optimizer velocity, seed, step) every
     /// `k` iterations into the directory named by the `A2SGD_CKPT_DIR`
     /// environment variable (see [`crate::checkpoint::Checkpoint`]);
-    /// [`train`] panics at start-up when that variable is unset. `None`
+    /// [`train`] panics at start-up when that variable is unset
+    /// ([`train_rank`] takes the directory from its caller). `None`
     /// (the default) never checkpoints. State is bit-identical across ranks
     /// after each synchronized step, so the single rank-0 copy is a
     /// consistent global snapshot.
@@ -195,6 +203,21 @@ impl TrainConfig {
             format!("sched({}, {inner})", self.schedule.label())
         }
     }
+
+    /// The run's synchronizer for `n` parameters on `comm`: the registry's
+    /// `algo`, wrapped in the two-level hierarchy under [`Topology::Hier`].
+    /// Built at start-up, and by a recovery policy for each new world.
+    pub fn build_sync(&self, n: usize, comm: &mut CommHandle) -> Box<dyn GradientSynchronizer> {
+        let sync = self.algo.build(n, self.seed ^ 0x5EED, comm.rank());
+        let Topology::Hier { group_size } = self.topology else { return sync };
+        assert!(
+            group_size >= 1 && comm.world() % group_size == 0,
+            "group_size {group_size} must divide workers {}",
+            comm.world()
+        );
+        let topo = cluster_comm::HierarchicalComm::from_flat(comm, group_size);
+        Box::new(gradcomp::HierarchicalSynchronizer::new(sync, topo))
+    }
 }
 
 /// Per-epoch observables.
@@ -211,7 +234,7 @@ pub struct EpochStats {
 }
 
 /// Everything a training run produces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TrainReport {
     /// Configuration echo (model/algo/workers) for table labels.
     pub label: String,
@@ -233,7 +256,8 @@ pub struct TrainReport {
     pub comm_seconds: f64,
     /// Average simulated time per iteration.
     pub avg_iter_seconds: f64,
-    /// Iterations executed (per worker).
+    /// Global steps this worker advanced through (for an elastic run: up
+    /// to its death, or from its resume point).
     pub iters: usize,
     /// Of `iters`, the steps on which the synchronizer actually ran
     /// (equals `iters` under [`SchedKind::EveryStep`]).
@@ -258,7 +282,8 @@ pub struct TrainReport {
     /// over the whole run — payloads plus frame headers. On the TCP
     /// backend this is measured socket traffic; in-proc it counts mailbox
     /// bytes. (Hierarchical sub-communicators account separately, via the
-    /// intra/inter wire-bit splits.)
+    /// intra/inter wire-bit splits. After an elastic recovery: the last
+    /// communicator generation's.)
     pub measured_wire_bytes: u64,
     /// Of `measured_wire_bytes`, the bytes moved *inside* per-step
     /// synchronization calls (gradient or pseudo-gradient exchanges plus
@@ -286,7 +311,8 @@ pub struct TrainReport {
     /// post-backward drain. Non-zero only with
     /// [`TrainConfig::overlap_backward`] and a streaming synchronizer.
     pub avg_overlap_seconds: f64,
-    /// Simulated throughput in samples/second (global).
+    /// Simulated throughput in samples/second (global): each step counts
+    /// a batch per rank of the world it ran in.
     pub throughput: f64,
     /// Max replica parameter divergence before the final sync — evidence
     /// of A2SGD's local-residual drift (≈ 0 for dense).
@@ -297,31 +323,6 @@ pub struct TrainReport {
     /// by the ranks sharing it, or `RAYON_NUM_THREADS` when that is set
     /// (see [`thread_budget`]).
     pub threads_per_rank: usize,
-}
-
-/// Per-worker totals, accumulated over the run and returned from rank
-/// threads.
-#[derive(Default)]
-struct WorkerOut {
-    epochs: Vec<EpochStats>,
-    compute_seconds: f64,
-    comm_seconds: f64,
-    iters: usize,
-    sync_steps: usize,
-    local_steps: usize,
-    sync_wire_bytes: u64,
-    wire_bits_total: u64,
-    intra_wire_bits_total: u64,
-    inter_wire_bits_total: u64,
-    wire_bytes_measured: u64,
-    messages: u64,
-    bytes_sent: u64,
-    compress_seconds_total: f64,
-    exchange_seconds_total: f64,
-    overlap_seconds_total: f64,
-    divergence: f64,
-    histograms: Vec<(usize, Histogram)>,
-    threads: usize,
 }
 
 /// Builds the run's datasets: the first `train_size` indices are the
@@ -346,38 +347,75 @@ fn build_datasets(cfg: &TrainConfig) -> (Option<Arc<SyntheticImages>>, Option<Ar
     (vision, lm)
 }
 
-fn build_report(cfg: &TrainConfig, w0: &WorkerOut, divergence: f64) -> TrainReport {
-    let total_samples = w0.iters * cfg.batch_per_worker * cfg.workers;
-    let per_iter = |total: u64| if w0.iters > 0 { total / w0.iters as u64 } else { 0 };
-    let avg = |total: f64| if w0.iters > 0 { total / w0.iters as f64 } else { 0.0 };
-    let sim_seconds = w0.compute_seconds + w0.comm_seconds;
-    TrainReport {
-        label: format!("{}/{}/P{}", cfg.model.name(), cfg.algo_label(), cfg.workers),
-        epochs: w0.epochs.clone(),
-        final_metric: w0.epochs.last().map(|e| e.metric).unwrap_or(f64::NAN),
-        total_sim_seconds: sim_seconds,
-        compute_seconds: w0.compute_seconds,
-        comm_seconds: w0.comm_seconds,
-        avg_iter_seconds: avg(sim_seconds),
-        iters: w0.iters,
-        sync_steps: w0.sync_steps,
-        local_steps: w0.local_steps,
-        wire_bits_per_iter: per_iter(w0.wire_bits_total),
-        intra_wire_bits_per_iter: per_iter(w0.intra_wire_bits_total),
-        inter_wire_bits_per_iter: per_iter(w0.inter_wire_bits_total),
-        measured_wire_bytes: w0.wire_bytes_measured,
-        measured_sync_wire_bytes: w0.sync_wire_bytes,
-        messages: w0.messages,
-        framing_bytes: w0.wire_bytes_measured.saturating_sub(w0.bytes_sent),
-        avg_compress_seconds: avg(w0.compress_seconds_total),
-        avg_exchange_seconds: avg(w0.exchange_seconds_total),
-        avg_overlap_seconds: avg(w0.overlap_seconds_total),
-        throughput: metrics::throughput(total_samples, sim_seconds),
-        replica_divergence: divergence,
-        grad_histograms: w0.histograms.clone(),
-        threads_per_rank: w0.threads,
+/// Completes a rank's report from its totals: `sum` over its steps'
+/// exchanges, the `samples` those steps processed and its world
+/// communicator's `traffic`.
+fn finish(
+    mut r: TrainReport,
+    sum: &SyncStats,
+    samples: usize,
+    traffic: TrafficStats,
+) -> TrainReport {
+    let iters = r.iters;
+    let per_iter = |total: u64| if iters > 0 { total / iters as u64 } else { 0 };
+    let avg = |total: f64| if iters > 0 { total / iters as f64 } else { 0.0 };
+    r.final_metric = r.epochs.last().map_or(f64::NAN, |e| e.metric);
+    r.total_sim_seconds = r.compute_seconds + r.comm_seconds;
+    r.avg_iter_seconds = avg(r.total_sim_seconds);
+    r.wire_bits_per_iter = per_iter(sum.wire_bits);
+    r.intra_wire_bits_per_iter = per_iter(sum.intra_wire_bits);
+    r.inter_wire_bits_per_iter = per_iter(sum.inter_wire_bits);
+    r.measured_wire_bytes = traffic.wire_bytes;
+    r.messages = traffic.messages;
+    r.framing_bytes = traffic.wire_bytes.saturating_sub(traffic.bytes_sent);
+    r.avg_compress_seconds = avg(sum.compress_seconds);
+    r.avg_exchange_seconds = avg(sum.exchange_seconds);
+    r.avg_overlap_seconds = avg(sum.overlap_seconds);
+    r.throughput = metrics::throughput(samples, r.total_sim_seconds);
+    r
+}
+
+/// What the training loop does where a run can lose a peer. Every method
+/// defaults to the abort policy [`train`] runs; `a2sgd-elastic` ships
+/// shrink-and-continue.
+pub trait Recovery: Send {
+    /// Once, before the first step: the global step to start from.
+    fn start(
+        &mut self,
+        _: &mut CommHandle,
+        _: &mut TrainStep,
+        _: &mut dyn Module,
+    ) -> Result<u64, String> {
+        Ok(0)
+    }
+
+    /// Before global step `step`: `Ok(false)` ends this rank's run here,
+    /// and an `Err` goes to [`Recovery::on_err`] as a failed step's does.
+    fn before_step(&mut self, _: &mut CommHandle, _step: u64) -> Result<bool, TransportError> {
+        Ok(true)
+    }
+
+    /// After global step `step` succeeded with `done`.
+    fn after_step(&mut self, _done: &StepOutcome, _step: u64) {}
+
+    /// `err` failed a step, the closing re-synchronization or the report
+    /// agreement on `comm` at global step `*step`: the communicator to go on
+    /// with, `ts`, `model` and `*step` agreed across its ranks, or `Err`.
+    fn on_err(
+        &mut self,
+        err: TransportError,
+        _comm: &mut CommHandle,
+        _ts: &mut TrainStep,
+        _model: &mut dyn Module,
+        step: &mut u64,
+    ) -> Result<CommHandle, String> {
+        Err(format!("training step {step}: {err}"))
     }
 }
+
+/// [`train`]'s policy: a lost peer is fatal.
+struct Abort;
+impl Recovery for Abort {}
 
 /// Runs the experiment.
 ///
@@ -392,7 +430,6 @@ fn build_report(cfg: &TrainConfig, w0: &WorkerOut, divergence: f64) -> TrainRepo
 pub fn train(cfg: &TrainConfig) -> TrainReport {
     assert!(cfg.workers >= 1 && cfg.epochs >= 1 && cfg.batch_per_worker >= 1);
     let cfg = cfg.clone();
-    let (vision, lm) = build_datasets(&cfg);
     // Resolved once, before any rank starts: a cadence with nowhere to
     // write is a configuration error, not a silent no-op.
     let ckpt: Option<(u64, PathBuf)> = cfg.checkpoint_every.map(|every| {
@@ -415,12 +452,14 @@ pub fn train(cfg: &TrainConfig) -> TrainReport {
 
     let report = match cfg.backend {
         CommBackend::InProc => {
+            let (vision, lm) = build_datasets(&cfg);
             let (cfgr, ckpt) = (&cfg, ckpt.as_ref());
-            let outs = run_cluster(cfg.workers, cfg.profile, move |comm| {
-                run_worker(cfgr, ckpt, comm, vision.as_deref(), lm.as_deref())
-            });
-            let divergence = outs.iter().map(|o| o.divergence).fold(0.0f64, f64::max);
-            build_report(&cfg, &outs[0], divergence)
+            run_cluster(cfg.workers, cfg.profile, move |comm| {
+                run_worker(cfgr, ckpt, comm, vision.as_deref(), lm.as_deref(), &mut Abort)
+                    .unwrap_or_else(|e| panic!("{e}"))
+                    .0
+            })
+            .swap_remove(0)
         }
         CommBackend::Tcp => {
             let mut comm = CommHandle::tcp_from_env()
@@ -430,8 +469,9 @@ pub fn train(cfg: &TrainConfig) -> TrainReport {
                 cfg.workers,
                 "A2SGD_WORLD disagrees with TrainConfig::workers"
             );
-            let out = run_worker(&cfg, ckpt.as_ref(), &mut comm, vision.as_deref(), lm.as_deref());
-            build_report(&cfg, &out, out.divergence)
+            train_rank(&cfg, &mut comm, ckpt.as_ref(), &mut Abort)
+                .unwrap_or_else(|e| panic!("{e}"))
+                .0
         }
     };
     if tracing {
@@ -439,6 +479,18 @@ pub fn train(cfg: &TrainConfig) -> TrainReport {
         a2sgd_trace::disable();
     }
     report
+}
+
+/// One rank on a communicator the caller connected, under `recovery`, with
+/// checkpoint cadence and directory `ckpt`: this rank's report and model.
+pub fn train_rank(
+    cfg: &TrainConfig,
+    comm: &mut CommHandle,
+    ckpt: Option<&(u64, PathBuf)>,
+    recovery: &mut dyn Recovery,
+) -> Result<(TrainReport, Box<dyn Module>), String> {
+    let (vision, lm) = build_datasets(cfg);
+    run_worker(cfg, ckpt, comm, vision.as_deref(), lm.as_deref(), recovery)
 }
 
 /// Compute threads for one rank: `cores` divided among the `ranks_on_host`
@@ -454,10 +506,11 @@ pub fn thread_budget(env_override: Option<usize>, cores: usize, ranks_on_host: u
 fn run_worker(
     cfg: &TrainConfig,
     ckpt: Option<&(u64, PathBuf)>,
-    comm: &mut cluster_comm::CommHandle,
+    comm: &mut CommHandle,
     vision: Option<&SyntheticImages>,
     lm: Option<&MarkovText>,
-) -> WorkerOut {
+    recovery: &mut dyn Recovery,
+) -> Result<(TrainReport, Box<dyn Module>), String> {
     let threads = thread_budget(
         std::env::var("RAYON_NUM_THREADS").ok().and_then(|s| s.parse().ok()),
         std::thread::available_parallelism().map_or(1, |p| p.get()),
@@ -467,24 +520,24 @@ fn run_worker(
         .num_threads(threads)
         .build()
         .unwrap_or_else(|e| panic!("rank {}: thread pool: {e:?}", comm.rank()))
-        .install(|| run_rank(cfg, ckpt, comm, vision, lm))
+        .install(|| run_rank(cfg, ckpt, comm, vision, lm, recovery))
 }
 
-/// One rank's run: data → forward → loss per iteration, with the back half
-/// (backward → sync → apply) delegated to the shared [`TrainStep`]. This
-/// trainer has no recovery policy, so a lost peer panics with the typed
-/// transport cause.
+/// One rank's run, Algorithm 1 as one loop over global steps: data →
+/// forward → loss, then the shared [`TrainStep`], then the closing
+/// re-synchronization and report agreement. Every failure reaches one
+/// recovery site, where `recovery` decides how the run goes on.
 fn run_rank(
     cfg: &TrainConfig,
     ckpt: Option<&(u64, PathBuf)>,
-    comm: &mut cluster_comm::CommHandle,
+    comm: &mut CommHandle,
     vision: Option<&SyntheticImages>,
     lm: Option<&MarkovText>,
-) -> WorkerOut {
-    let rank = comm.rank();
+    recovery: &mut dyn Recovery,
+) -> Result<(TrainReport, Box<dyn Module>), String> {
     let threads = rayon::current_num_threads();
     if a2sgd_trace::enabled() {
-        a2sgd_trace::set_thread_rank(rank);
+        a2sgd_trace::set_thread_rank(comm.rank());
         a2sgd_trace::instant("pool/width", a2sgd_trace::Args::Value(threads as f64));
         // Announce the world plane, then drop a clock-alignment instant
         // right after a barrier: every rank's "sync_point" lands at the
@@ -496,54 +549,69 @@ fn run_rank(
     }
     let mut model = cfg.model.build(cfg.preset, cfg.seed);
     let n = param_count(model.as_mut());
-    let mut sync = cfg.algo.build(n, cfg.seed ^ 0x5EED, rank);
-    if let Topology::Hier { group_size } = cfg.topology {
-        assert!(
-            group_size >= 1 && cfg.workers % group_size == 0,
-            "group_size {group_size} must divide workers {}",
-            cfg.workers
-        );
-        let topo = cluster_comm::HierarchicalComm::from_flat(comm, group_size);
-        sync = Box::new(gradcomp::HierarchicalSynchronizer::new(sync, topo));
-    }
-    let mut step = TrainStep::new(
+    let mut ts = TrainStep::new(
         model.as_mut(),
-        sync,
+        cfg.build_sync(n, comm),
         cfg.opt,
         cfg.schedule,
         cfg.bucket_bytes,
         cfg.overlap_backward,
     );
 
-    let mut out = WorkerOut { threads, ..WorkerOut::default() };
+    let label = format!("{}/{}/P{}", cfg.model.name(), cfg.algo_label(), cfg.workers);
+    let mut r = TrainReport { label, threads_per_rank: threads, ..TrainReport::default() };
+    // This rank's steps' exchanges, and the samples they processed.
+    let (mut sum, mut samples) = (SyncStats::default(), 0);
 
-    let (train_len, iters_per_epoch) = match (vision, lm) {
-        (Some(_), _) => {
-            let shard = Shard::new(cfg.train_size, rank, cfg.workers);
-            (cfg.train_size, shard.len() / cfg.batch_per_worker)
-        }
-        (_, Some(m)) => {
-            let usable = m.num_examples().min(cfg.train_size);
-            let shard = Shard::new(usable, rank, cfg.workers);
-            (usable, shard.len() / cfg.batch_per_worker)
-        }
-        _ => unreachable!("one dataset must exist"),
-    };
-    assert!(iters_per_epoch > 0, "shard too small for batch size");
+    // The epoch length is fixed by the configured world, so after a
+    // shrink every rank still maps a global step to the same epoch.
+    let train_len = lm.map_or(cfg.train_size, |m| m.num_examples().min(cfg.train_size));
+    let ipe = (Shard::new(train_len, comm.rank(), cfg.workers).len() / cfg.batch_per_worker) as u64;
+    assert!(ipe > 0, "shard too small for batch size");
+    let total = cfg.epochs as u64 * ipe;
 
-    for epoch in 0..cfg.epochs {
-        // DistributedSampler semantics: fresh global permutation per epoch,
-        // interleaved across ranks (see `Shard::new_permuted`).
-        let shard = Shard::new_permuted(
-            train_len,
-            rank,
-            cfg.workers,
-            cfg.seed ^ 0xB00C ^ (epoch as u64).wrapping_mul(0x9E37_79B9),
-        );
-        let mut loss_sum = 0.0f64;
-
-        for it in 0..iters_per_epoch {
-            let global_iter = epoch * iters_per_epoch + it;
+    let mut step = recovery.start(comm, &mut ts, model.as_mut())?;
+    let first = step;
+    let (mut shard, mut shard_key) = (Shard::range(0, 0), None);
+    let (mut loss_sum, mut loss_n) = (0.0f64, 0usize);
+    let mut recovered = false;
+    let (divergence, resync_seconds, metric_bits) = 'run: loop {
+        let err = 'step: {
+            if step >= total {
+                // ---- Algorithm 1 lines 9–10, then the report agreement: the
+                // max divergence and rank 0's metrics, as f64 bits.
+                let before = Ledger::read(comm);
+                let mut bits: Vec<u64> = r.epochs.iter().map(|e| e.metric.to_bits()).collect();
+                let closed = ts.resync(model.as_mut(), comm).and_then(|div| {
+                    let seconds = before.spent(comm).comm_seconds;
+                    let divs = comm.try_allgather(&[div.to_bits()])?;
+                    comm.try_broadcast(0, &mut bits)?;
+                    let div = divs.iter().map(|v| f64::from_bits(v[0])).fold(0.0f64, f64::max);
+                    Ok((div, seconds, bits))
+                });
+                match closed {
+                    Ok(closed) => break 'run closed,
+                    Err(e) => break 'step e,
+                }
+            }
+            match recovery.before_step(comm, step) {
+                Ok(true) => {}
+                Ok(false) => {
+                    r.iters = (step - first) as usize;
+                    return Ok((finish(r, &sum, samples, comm.stats()), model));
+                }
+                Err(e) => break 'step e,
+            }
+            // DistributedSampler semantics: a fresh global permutation per
+            // epoch, interleaved across the live world's ranks (see
+            // `Shard::new_permuted`).
+            let (epoch, it) = ((step / ipe) as usize, (step % ipe) as usize);
+            let key = Some((epoch, comm.rank(), comm.world()));
+            if shard_key != key {
+                let seed = cfg.seed ^ 0xB00C ^ (epoch as u64).wrapping_mul(0x9E37_79B9);
+                shard = Shard::new_permuted(train_len, comm.rank(), comm.world(), seed);
+                shard_key = key;
+            }
             let t0 = Instant::now();
 
             // ---- batch ------------------------------------------------
@@ -563,82 +631,95 @@ fn run_rank(
             let logits = model.forward(&x, Mode::Train);
             let lo = softmax_cross_entropy(&logits, &targets);
             phase("phase/forward", fwd_ns);
-            loss_sum += lo.loss as f64;
 
             // ---- backward → sync → apply (the shared step) --------------
-            let want_hist = rank == 0 && cfg.grad_hist_iters.contains(&global_iter);
-            let epoch_frac = epoch as f32 + it as f32 / iters_per_epoch as f32;
+            let global_iter = step as usize;
+            let want_hist = comm.rank() == 0 && cfg.grad_hist_iters.contains(&global_iter);
+            let epoch_frac = epoch as f32 + it as f32 / ipe as f32;
             // World bytes attributable to this step's synchronization
             // (0 on local steps — nothing flies).
             let step_bytes_before = comm.stats().wire_bytes;
-            let done = step
-                .run(
-                    model.as_mut(),
-                    comm,
-                    global_iter as u64,
-                    cfg.lr.lr_at(epoch_frac),
-                    |m, hook| {
-                        m.backward_params(&lo.dlogits, hook);
-                        if want_hist {
-                            let mut local = Vec::with_capacity(n);
-                            flatten_grads(m, &mut local);
-                            out.histograms.push((global_iter, grad_histogram(&local)));
-                        }
-                    },
-                )
-                .unwrap_or_else(|e| panic!("training step {global_iter}: {e}"));
-            out.wire_bits_total += done.stats.wire_bits;
-            out.intra_wire_bits_total += done.stats.intra_wire_bits;
-            out.inter_wire_bits_total += done.stats.inter_wire_bits;
-            out.compress_seconds_total += done.stats.compress_seconds;
-            out.exchange_seconds_total += done.stats.exchange_seconds;
-            out.overlap_seconds_total += done.stats.overlap_seconds;
-            out.compute_seconds += t0.elapsed().as_secs_f64() - done.stats.exchange_seconds;
-            out.comm_seconds += done.stats.comm_seconds;
-            out.sync_wire_bytes += comm.stats().wire_bytes - step_bytes_before;
+            let ran = ts.run(model.as_mut(), comm, step, cfg.lr.lr_at(epoch_frac), |m, hook| {
+                m.backward_params(&lo.dlogits, hook);
+                if want_hist {
+                    let mut local = Vec::with_capacity(n);
+                    flatten_grads(m, &mut local);
+                    r.grad_histograms.push((global_iter, grad_histogram(&local)));
+                }
+            });
+            let done = match ran {
+                Ok(done) => done,
+                Err(e) => break 'step e,
+            };
+            sum.wire_bits += done.stats.wire_bits;
+            sum.intra_wire_bits += done.stats.intra_wire_bits;
+            sum.inter_wire_bits += done.stats.inter_wire_bits;
+            sum.compress_seconds += done.stats.compress_seconds;
+            sum.exchange_seconds += done.stats.exchange_seconds;
+            sum.overlap_seconds += done.stats.overlap_seconds;
+            r.compute_seconds += t0.elapsed().as_secs_f64() - done.stats.exchange_seconds;
+            r.comm_seconds += done.stats.comm_seconds;
+            r.measured_sync_wire_bytes += comm.stats().wire_bytes - step_bytes_before;
             if done.plan == Plan::Local {
-                out.local_steps += 1;
+                r.local_steps += 1;
             } else {
-                out.sync_steps += 1;
+                r.sync_steps += 1;
             }
-            out.iters += 1;
+            samples += cfg.batch_per_worker * comm.world();
+            loss_sum += lo.loss as f64;
+            loss_n += 1;
+            recovery.after_step(&done, step);
+            step += 1;
 
-            // ---- checkpoint (rank 0, outside the step's timed wall) ----
-            step.checkpoint_if_due(model.as_mut(), ckpt, rank, out.iters as u64, cfg.seed)
-                .unwrap_or_else(|e| panic!("checkpoint: {e}"));
+            // ---- checkpoint (rank 0, outside the step's timed wall): every
+            // rank holds the same state after a synchronized step, so rank
+            // 0's copy is a consistent global snapshot ----------------------
+            if let Some((_, dir)) =
+                ckpt.filter(|(k, _)| comm.rank() == 0 && *k > 0 && step % k == 0)
+            {
+                let path = dir.join(Checkpoint::file_name(step));
+                std::fs::create_dir_all(dir)
+                    .map_err(|e| e.to_string())
+                    .and_then(|()| ts.capture(model.as_mut(), step, cfg.seed).write(&path))
+                    .map_err(|e| format!("checkpoint {path:?}: {e}"))?;
+                a2sgd_trace::instant("checkpoint/written", a2sgd_trace::Args::Value(step as f64));
+            }
+
+            // ---- evaluation at the epoch's end (worker 0, outside every
+            // step's timed wall) ------------------------------------------
+            if step % ipe == 0 {
+                let metric =
+                    if comm.rank() == 0 { evaluate(cfg, model.as_mut(), vision, lm) } else { 0.0 };
+                r.epochs.push(EpochStats {
+                    epoch: epoch + 1,
+                    train_loss: loss_sum / loss_n as f64,
+                    metric,
+                    sim_seconds: r.compute_seconds + r.comm_seconds,
+                });
+                (loss_sum, loss_n) = (0.0, 0);
+            }
+            continue 'run;
+        };
+
+        // ---- the one recovery site --------------------------------------
+        let epoch = step / ipe;
+        *comm = recovery.on_err(err, comm, &mut ts, model.as_mut(), &mut step)?;
+        recovered = true;
+        // A catch-up may move `step` across an epoch boundary: keep one
+        // record per finished epoch, so the metric broadcast agrees.
+        if step / ipe != epoch {
+            (loss_sum, loss_n) = (0.0, 0);
         }
-
-        // ---- evaluation (worker 0, outside every step's timed wall) -----
-        let metric = if rank == 0 { evaluate(cfg, model.as_mut(), vision, lm) } else { 0.0 };
-        out.epochs.push(EpochStats {
-            epoch: epoch + 1,
-            train_loss: loss_sum / iters_per_epoch as f64,
-            metric,
-            sim_seconds: out.compute_seconds + out.comm_seconds,
+        let (mut e, sim_seconds) = (r.epochs.len(), r.compute_seconds + r.comm_seconds);
+        r.epochs.resize_with((step / ipe) as usize, || {
+            e += 1;
+            EpochStats { epoch: e, train_loss: f64::NAN, metric: 0.0, sim_seconds }
         });
-    }
-
-    // ---- Algorithm 1 lines 9–10: final re-synchronization ----------------
-    let before = Ledger::read(comm);
-    let div = step
-        .resync(model.as_mut(), comm)
-        .unwrap_or_else(|e| panic!("final re-synchronization: {e}"));
-    out.comm_seconds += before.spent(comm).comm_seconds;
-
-    // ---- cross-rank report agreement -------------------------------------
-    // The report scalars must agree on every rank (on TCP each rank is its
-    // own process and would otherwise return rank-local numbers): the
-    // divergence is maxed across ranks, and rank 0's per-epoch evaluation
-    // metrics — only rank 0 evaluates — are broadcast to everyone. Both
-    // travel as f64 bit patterns in the lossless u64 wire lane.
-    out.divergence = comm
-        .allgather(&[div.to_bits()])
-        .iter()
-        .map(|v| f64::from_bits(v[0]))
-        .fold(0.0f64, f64::max);
-    let mut metric_bits: Vec<u64> = out.epochs.iter().map(|e| e.metric.to_bits()).collect();
-    comm.broadcast(0, &mut metric_bits);
-    for (e, &m) in out.epochs.iter_mut().zip(&metric_bits) {
+    };
+    r.iters = (step - first) as usize;
+    r.comm_seconds += resync_seconds;
+    r.replica_divergence = divergence;
+    for (e, &m) in r.epochs.iter_mut().zip(&metric_bits) {
         e.metric = f64::from_bits(m);
     }
 
@@ -649,10 +730,15 @@ fn run_rank(
         let val = |name: &'static str, v: f64| {
             a2sgd_trace::instant(name, a2sgd_trace::Args::Value(v));
         };
-        val("audit/wire_bytes/world", s.wire_bytes as f64);
-        val("audit/messages/world", s.messages as f64);
-        val("audit/bytes_sent/world", s.bytes_sent as f64);
-        if let Some((intra, inter)) = step.sync.plane_traffic() {
+        // After a recovery the world ledger covers only the last
+        // communicator, the spans every one: a recovered rank leaves the
+        // world figures out (`audit` does not ask for them in recovery mode).
+        if !recovered {
+            val("audit/wire_bytes/world", s.wire_bytes as f64);
+            val("audit/messages/world", s.messages as f64);
+            val("audit/bytes_sent/world", s.bytes_sent as f64);
+        }
+        if let Some((intra, inter)) = ts.sync.plane_traffic() {
             val("audit/wire_bytes/intra", intra.wire_bytes as f64);
             val("audit/messages/intra", intra.messages as f64);
             val("audit/bytes_sent/intra", intra.bytes_sent as f64);
@@ -662,24 +748,21 @@ fn run_rank(
                 val("audit/bytes_sent/inter", inter.bytes_sent as f64);
             }
         }
-        val("audit/overlap_seconds", out.overlap_seconds_total);
-        val("audit/exchange_seconds", out.exchange_seconds_total);
+        val("audit/overlap_seconds", sum.overlap_seconds);
+        val("audit/exchange_seconds", sum.exchange_seconds);
         val("audit/overlap_enabled", if cfg.overlap_backward { 1.0 } else { 0.0 });
         if !cfg.schedule.is_every_step() {
             // The schedule's own ledger: `trace_report` checks these
             // against the per-step sched/local + sched/sync instants and
-            // requires local + sync == total.
-            val("audit/sched/local_steps", out.local_steps as f64);
-            val("audit/sched/sync_steps", out.sync_steps as f64);
-            val("audit/sched/total_steps", out.iters as f64);
+            // requires local + sync == total (the steps this rank ran: a
+            // catch-up may replay or skip local ones).
+            val("audit/sched/local_steps", r.local_steps as f64);
+            val("audit/sched/sync_steps", r.sync_steps as f64);
+            val("audit/sched/total_steps", (r.local_steps + r.sync_steps) as f64);
         }
     }
 
-    let traffic = comm.stats();
-    out.wire_bytes_measured = traffic.wire_bytes;
-    out.messages = traffic.messages;
-    out.bytes_sent = traffic.bytes_sent;
-    out
+    Ok((finish(r, &sum, samples, comm.stats()), model))
 }
 
 /// Figure-1 capture: a ±3σ histogram of the local (pre-sync) gradient.

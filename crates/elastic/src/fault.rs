@@ -8,11 +8,11 @@
 //! from a seed via SplitMix64, and the same seed replays the same
 //! failure. The plan's two halves act at different layers:
 //!
-//! * `kill_at_iter` is consumed by the training driver
-//!   ([`crate::train::train_elastic`]): the designated rank returns out of
-//!   the loop *before* computing that iteration, dropping its transport
-//!   cold — no goodbye, exactly like a SIGKILLed process from its peers'
-//!   point of view.
+//! * `kill_at_iter` is consumed by the elastic recovery policy
+//!   ([`crate::train::train_elastic`]): its pre-step hook ends the
+//!   designated rank's run in the trainer's loop *before* that step, and
+//!   the rank drops its transport cold — no goodbye, exactly like a
+//!   SIGKILLed process from its peers' point of view.
 //! * [`WireFault`]s are applied by [`FaultInjector`], a transparent
 //!   [`Transport`] wrapper that counts sends and drops or delays the
 //!   scripted ones. The code under test holds an ordinary `dyn Transport`

@@ -18,20 +18,13 @@
 //! * [`membership`] — a heartbeat/liveness tracker riding the reserved
 //!   [`cluster_comm::ELASTIC_TAG`] namespace of the *existing* tag space,
 //!   so control traffic interleaves with collectives without touching
-//!   them. Deaths are recorded as `elastic/peer_dead` trace instants.
-//! * [`recover`] — [`ElasticComm`]: a communicator plus the
-//!   [`cluster_comm::WorldSpec`] it was born from and a re-rendezvous
-//!   epoch. On failure, [`ElasticComm::shrink_and_reconnect`] runs the
-//!   membership census, derives the shrunken spec every survivor computes
-//!   identically (no extra agreement round), and rebuilds a fresh TCP
-//!   world on an epoch-offset master port.
-//! * [`train`] — [`train_elastic`]: a **recovery policy**, not a second
-//!   trainer. The step itself — for every registry synchronizer and sync
-//!   schedule — is [`a2sgd::step::TrainStep`], the same fallible step
-//!   `a2sgd::train` runs and `expect`s; this crate owns the kill script,
-//!   the heartbeat, and the reaction to a step's
-//!   [`cluster_comm::TransportError`]: shrink, rebuild the synchronizer,
-//!   catch survivors up from the new rank 0, retry. Periodic
+//!   them.
+//! * [`train`] — [`train_elastic`]: a **recovery policy** on `a2sgd`'s one
+//!   training loop (any [`a2sgd::trainer::TrainConfig`]), not a second
+//!   trainer: the kill script, the heartbeat, and on a
+//!   [`cluster_comm::TransportError`] the membership census, a shrunken
+//!   world every survivor derives identically, a fresh synchronizer,
+//!   survivors caught up from the new rank 0, retry. Periodic
 //!   [`a2sgd::Checkpoint`] snapshots make cold restart possible too.
 //!
 //! The recovery timeline is traced end-to-end (`elastic/killed` →
@@ -43,10 +36,8 @@
 
 pub mod fault;
 pub mod membership;
-pub mod recover;
 pub mod train;
 
 pub use fault::{FaultInjector, FaultPlan, WireFault};
 pub use membership::{Membership, HEARTBEAT_TAG};
-pub use recover::ElasticComm;
-pub use train::{train_elastic, ElasticRunReport, ElasticTrainConfig};
+pub use train::{train_elastic, Elastic, ElasticComm, ElasticRunReport};

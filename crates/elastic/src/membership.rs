@@ -12,9 +12,9 @@
 //! Heartbeats are advisory: in a synchronous training loop the collective
 //! itself is the authoritative failure detector (it cannot complete
 //! without every rank), but the heartbeat plane notices deaths *between*
-//! collectives — e.g. a rank that dies while everyone computes — and its
-//! `elastic/peer_dead` trace instants timestamp the detection for the
-//! recovery-timeline audit.
+//! collectives — e.g. a rank that dies while everyone computes. The
+//! elastic policy hands such a death to its recovery like a failed step's,
+//! which records the `elastic/peer_dead` instant for both.
 
 use cluster_comm::transport::wire::PayloadRef;
 use cluster_comm::{Transport, ELASTIC_TAG};
@@ -43,8 +43,7 @@ impl Membership {
 
     /// One heartbeat round on `t`: send `seq` to every live peer, drain
     /// every arrived heartbeat, and mark peers whose link errored. Returns
-    /// the ranks that died *this* round (each also recorded as an
-    /// `elastic/peer_dead` trace instant).
+    /// the ranks that died *this* round.
     pub fn beat(&mut self, t: &mut dyn Transport) -> Vec<usize> {
         self.seq += 1;
         let mut newly_dead = Vec::new();
@@ -68,12 +67,6 @@ impl Membership {
             if lost {
                 self.dead[peer] = true;
                 newly_dead.push(peer);
-                if a2sgd_trace::enabled() {
-                    a2sgd_trace::instant(
-                        "elastic/peer_dead",
-                        a2sgd_trace::Args::Value(peer as f64),
-                    );
-                }
             }
         }
         newly_dead
