@@ -22,7 +22,7 @@
 //!   image every tap is such a window over output positions numbered on a
 //!   padded-width [`Grid`].
 //! * **Microkernel.** An [`MR`]×[`NR`] register tile of accumulators is
-//!   updated once per k-step ([`microkernel`]); the i/j loops are over
+//!   updated once per k-step ([`tile`]); the i/j loops are over
 //!   fixed-size arrays, which LLVM fully unrolls and vectorises. There is one
 //!   AVX2/FMA body and one portable body, each monomorphised over how a
 //!   k-step finds its B row (the next row of a packed panel, or `src +
@@ -319,7 +319,7 @@ impl Gemm {
                         // SAFETY: every row `b` yields holds NR readable
                         // floats — a packed panel by construction, an
                         // offset window by `run_offsets`' reach assert.
-                        let acc = unsafe { microkernel(ap, b.rows(p0, kc, jr)) };
+                        let acc = unsafe { tile(ap, b.rows(p0, kc, jr)) };
                         let tile_rows = (ip * MR, MR.min(rows - ip * MR));
                         store_tile(cstripe, grid, tile_rows, yx, lanes, &acc, p0 == 0);
                     }
@@ -461,19 +461,27 @@ fn pack_panels<const LANES: usize>(
 ///
 /// Every pointer `rows` yields must be valid for reads of [`NR`] floats.
 #[inline(always)]
-unsafe fn microkernel(ap: &[f32], rows: impl Iterator<Item = *const f32>) -> [[f32; NR]; MR] {
+unsafe fn tile(ap: &[f32], rows: impl Iterator<Item = *const f32>) -> [[f32; NR]; MR] {
     #[cfg(target_arch = "x86_64")]
-    {
-        if avx2_fma_available() {
-            // SAFETY: the CPU supports avx2+fma (checked above); the rows
-            // are the caller's to guarantee.
-            return microkernel_fma(ap, rows);
-        }
+    if avx2_fma_available() {
+        // SAFETY: the CPU supports avx2+fma (checked above); the rows are
+        // the caller's to guarantee.
+        return microkernel_fma(ap, rows);
     }
     microkernel_generic(ap, rows)
 }
 
-/// The portable body. Safety as [`microkernel`].
+/// The body [`tile`] runs on this host, `"avx2+fma"` or `"portable"` (they
+/// round differently), read from the dispatch's own cached probe.
+pub fn microkernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_fma_available() {
+        return "avx2+fma";
+    }
+    "portable"
+}
+
+/// The portable body. Safety as [`tile`].
 #[inline(always)]
 unsafe fn microkernel_generic(
     ap: &[f32],
@@ -513,7 +521,7 @@ fn avx2_fma_available() -> bool {
 
 /// The AVX2/FMA body: 12 ymm accumulators (6 rows × 2 vectors), one
 /// broadcast ymm for A and two loads for B per k-step. Safety as
-/// [`microkernel`], on a CPU with avx2 and fma.
+/// [`tile`], on a CPU with avx2 and fma.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn microkernel_fma(ap: &[f32], rows: impl Iterator<Item = *const f32>) -> [[f32; NR]; MR] {

@@ -1,6 +1,11 @@
 //! Distributed-semantics invariants across the whole stack, including
 //! cross-backend consistency: the multi-process TCP data plane must be
 //! bit-identical to the in-process mailboxes.
+//!
+//! The training fingerprint (`crates/core/tests/fingerprint.rs`) pins the
+//! in-proc trainer's every deterministic report field on a committed grid:
+//! its golden compare is run-to-run determinism, and its `ov` and `b1k`
+//! relations are hooked training ≡ single-shot at worlds 1, 2 and 4.
 
 use a2sgd::experiments::scaled_convergence_config;
 use a2sgd::registry::AlgoKind;

@@ -6,6 +6,9 @@
 //!
 //! Test names are CI gate prefixes: `split_parity_*` is the sub-
 //! communicator parity matrix, `hier_*` the hierarchical-topology family.
+//! In-proc hierarchical *training* parity (`Hier { group_size: 1 }` ≡
+//! flat, and overlap and buckets under groups of two) is a set of
+//! relations of the training fingerprint, `crates/core/tests/fingerprint.rs`.
 
 use a2sgd::experiments::scaled_convergence_config;
 use a2sgd::registry::AlgoKind;
@@ -268,7 +271,7 @@ fn hier_inproc_group_sizes_match_flat_semantics() {
     }
 }
 
-/// The 2 × 2 hierarchy the `hier_overlap_*` gates train: `overlap` drives
+/// The 2 × 2 hierarchy the `hier_overlap_*` gate trains: `overlap` drives
 /// the sync from the backward hooks, `cap` is the bucket size.
 fn hier_overlap_cfg(algo: AlgoKind, overlap: bool, cap: usize) -> a2sgd::trainer::TrainConfig {
     let mut cfg = scaled_convergence_config(ModelKind::Fnn3, algo, 4, 9);
@@ -300,30 +303,11 @@ const HIER_OVERLAP_CAPS: [usize; 2] = [64 * 1024, 1024];
 /// `hier × overlap` used to be refused by an assert. The hierarchy does
 /// not stream, so a hooked step is arrival marks plus the ordinary
 /// exchange once backward returns: bit-identical to the run without
-/// overlap, with the inter plane still at A2SGD's 64 bits per iteration.
-#[test]
-fn hier_overlap_training_is_bit_identical_inproc() {
-    for algo in HIER_OVERLAP_ALGOS {
-        for cap in HIER_OVERLAP_CAPS {
-            let plain = train(&hier_overlap_cfg(algo, false, cap));
-            let hooked = train(&hier_overlap_cfg(algo, true, cap));
-            assert_eq!(
-                hier_overlap_fingerprint(&plain),
-                hier_overlap_fingerprint(&hooked),
-                "hier(dense, {}) cap {cap}: overlap changed the run",
-                algo.name()
-            );
-            if algo == AlgoKind::A2sgd {
-                assert_eq!(hooked.inter_wire_bits_per_iter, 64, "cap {cap}");
-            }
-        }
-    }
-}
-
-/// The same gate on real sockets. `train` joins the TCP rendezvous from
-/// the environment, so the ranks are forked processes (children exit
-/// inside `run_multiprocess`); every rank must agree with itself across
-/// the overlap knob, and rank 0 with the in-proc run.
+/// overlap (in-proc, that is the `ov` relation of the training
+/// fingerprint's section D). Here on real sockets: `train` joins the TCP
+/// rendezvous from the environment, so the ranks are forked processes
+/// (children exit inside `run_multiprocess`); every rank must agree with
+/// itself across the overlap knob, and rank 0 with the in-proc run.
 #[test]
 fn hier_overlap_training_is_bit_identical_tcp() {
     // f32 result lanes: ship each u64 of the fingerprint as four 16-bit

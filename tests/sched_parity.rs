@@ -5,7 +5,10 @@
 //! * **Exactness** — `fixed1` (a degenerate one-step window every step) is
 //!   bit-identical to the unscheduled trainer for every synchronizer the
 //!   registry can build, so turning the schedule knob cannot perturb the
-//!   classic path.
+//!   classic path. The training fingerprint
+//!   (`crates/core/tests/fingerprint.rs`) holds the same relations on its
+//!   committed grid (`fixed1` ≡ unscheduled in its section A, `ov` ≡ no
+//!   `ov` under `Fixed(4)` and `PostLocal` in its section C).
 //! * **Traffic** — over real loopback sockets, `fixed8` cuts dense
 //!   measured wire bytes by the window factor: communication reduction in
 //!   *time*, orthogonal to the compressors' reduction in *space*.
