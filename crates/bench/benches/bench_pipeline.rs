@@ -8,7 +8,7 @@
 //! * `dense/serial_buckets` — one bucket at a time, each allreduce waited
 //!   before the next launches (the old blocking shape; max 1 frame in
 //!   flight);
-//! * `dense/pipelined_buckets` — the session pipeline: every bucket's
+//! * `dense/pipelined_buckets` — the bucketed pipeline: every bucket's
 //!   exchange launched before any is waited (asserted ≥ 2 — in fact all —
 //!   frames concurrently in flight via the handle tag accounting);
 //! * `dense/single_shot` — the whole model as one bucket, for reference;
@@ -18,7 +18,7 @@
 //! * `a2sgd/*` — the same contrasts for the 64-bit two-means packet, which
 //!   is one tiny frame regardless of bucketing: pipelining is a dense-path
 //!   win, not something A2SGD needs (its hooked variant measures pure
-//!   hook-bookkeeping overhead on a staged session).
+//!   hook-bookkeeping overhead on a step that streams nothing).
 
 use a2sgd::algorithm::A2sgd;
 use a2sgd::overlap::{HookLayout, HookedStep};
@@ -46,7 +46,7 @@ fn gradient(rank: usize) -> Vec<f32> {
 }
 
 /// One bucket at a time: launch, then immediately wait — the synchronous
-/// baseline the session API replaces.
+/// baseline the bucketed pipeline replaces.
 fn dense_serial(h: &mut CommHandle) -> f32 {
     let mut g = gradient(h.rank());
     let inv = 1.0 / h.world() as f32;
@@ -64,7 +64,7 @@ fn dense_serial(h: &mut CommHandle) -> f32 {
     g[0]
 }
 
-/// The pipelined session path; asserts the acceptance criterion that ≥ 2
+/// The pipelined bucket path; asserts the acceptance criterion that ≥ 2
 /// exchanges were actually concurrent (tag accounting, not timing luck).
 fn dense_pipelined(h: &mut CommHandle) -> f32 {
     let mut g = gradient(h.rank());

@@ -10,7 +10,7 @@
 //! `tcp_loopback/fnn3_dense_4buckets` is the dense baseline's own exchange:
 //! two TCP thread ranks allreduce FNN-3's 199 210-float gradient in the
 //! four layer-aligned 64 KiB-capped buckets the trainer cuts, through the
-//! pipelined session, for enough rounds that the rendezvous is a small
+//! pipelined bucket path, for enough rounds that the rendezvous is a small
 //! part of the row. The row ÷ `FNN3_ROUNDS` is one step's exchange.
 
 use cluster_comm::{

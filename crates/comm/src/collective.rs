@@ -25,7 +25,8 @@
 //! ([`CommHandle::comm_seconds`]): under a [`CostModel`] (in-proc) every
 //! completed collective adds its Hockney α–β price — a function of sizes
 //! every rank already agrees on, so no rank asks another — and without
-//! one (TCP) it adds the wall time measured inside the call.
+//! one (TCP) it adds the wall time measured inside the call — which the
+//! exchange ledger ([`CommHandle::exchange_seconds`]) adds on every backend.
 
 use crate::cost::CostModel;
 use crate::nonblocking::Collective;
@@ -139,6 +140,7 @@ pub struct CommHandle {
     /// `Some` ⇒ collectives are priced (Hockney α–β); `None` ⇒ timed.
     cost: Option<CostModel>,
     comm_s: f64,
+    exchange_s: f64,
     stats: TrafficStats,
     op_seq: u64,
     /// Nonblocking collectives started but not yet waited (see
@@ -177,6 +179,7 @@ impl CommHandle {
             transport,
             cost,
             comm_s: 0.0,
+            exchange_s: 0.0,
             stats: TrafficStats::default(),
             op_seq: 0,
             inflight: 0,
@@ -246,6 +249,13 @@ impl CommHandle {
     /// passes between calls is overlapped, hence free).
     pub fn comm_seconds(&self) -> f64 {
         self.comm_s
+    }
+
+    /// Measured wall seconds spent inside collective calls so far (launch,
+    /// progress and wait), priced backend or not — bit-equal to
+    /// [`Self::comm_seconds`] on a measured one.
+    pub fn exchange_seconds(&self) -> f64 {
+        self.exchange_s
     }
 
     /// Traffic statistics so far.
@@ -432,28 +442,30 @@ impl CommHandle {
         self.cost.unwrap_or_else(|| CostModel::new(crate::NetworkProfile::infiniband_100g()))
     }
 
-    /// Measured backends: the wall time since `t0`, spent inside a
-    /// collective call, joins the ledger. Priced backends charge nothing
-    /// until the collective completes ([`Self::finish_op`]).
+    /// The wall time since `t0`, spent inside a collective call, joins the
+    /// exchange ledger, and the comm ledger on measured backends (priced ones
+    /// charge it nothing until the collective completes: [`Self::finish_op`]).
     pub(crate) fn charge_wall(&mut self, t0: Instant) {
+        let seconds = t0.elapsed().as_secs_f64();
+        self.exchange_s += seconds;
         if self.cost.is_none() {
-            self.comm_s += t0.elapsed().as_secs_f64();
+            self.comm_s += seconds;
         }
     }
 
-    /// Closes out a completed collective on the ledger: its closed-form
-    /// price for `payload_bytes` under a cost model — a size every rank
-    /// agrees on (the SPMD contract; a gather passes its largest frame), so
-    /// nothing is exchanged — else the wall time since `t0`.
+    /// Closes out a completed collective on the ledgers: the wall time since
+    /// `t0`, plus under a cost model its closed-form price for `payload_bytes`
+    /// — a size every rank agrees on (the SPMD contract; a gather passes its
+    /// largest frame), so nothing is exchanged.
     pub(crate) fn finish_op(
         &mut self,
         t0: Instant,
         payload_bytes: f64,
         cost_of: impl Fn(&CostModel, f64, usize) -> f64,
     ) {
-        match self.cost {
-            Some(model) => self.comm_s += cost_of(&model, payload_bytes, self.world()),
-            None => self.charge_wall(t0),
+        self.charge_wall(t0);
+        if let Some(model) = self.cost {
+            self.comm_s += cost_of(&model, payload_bytes, self.world());
         }
     }
 

@@ -59,7 +59,7 @@
 //! and return a [`CollectiveHandle`] with `wait()`/`try_complete()`,
 //! letting several tag-matched collectives ride the wire at once while the
 //! caller computes — the communication/compute-overlap substrate behind
-//! `gradcomp`'s bucketed sync sessions — and every blocking spelling is
+//! bucketed and hook-driven gradient sync — and every blocking spelling is
 //! `start → wait` on the same engine, over every transport alike. The
 //! engine checks every received frame's kind and length against its
 //! round: a wrong one is `TransportError::BadFrame`. Peer loss is a typed

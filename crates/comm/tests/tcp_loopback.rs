@@ -503,7 +503,7 @@ fn tcp_large_frames_cross_the_buffer_boundary() {
     assert_eq!(bits(&tcp[1]), bits(&inproc[1]));
 }
 
-// ---- nonblocking collectives / bucketed sessions on real sockets ----------
+// ---- nonblocking collectives / bucketed sync on real sockets --------------
 
 /// A frame whose kind and length both depend on the rank (rank 0's is
 /// empty).
@@ -551,7 +551,7 @@ fn blocking_allgather_bytes_accounts_for_every_frame() {
     }
 }
 
-/// The acceptance claim for the pipelined session API, measured on real
+/// The acceptance claim for the pipelined bucket path, measured on real
 /// sockets: a dense multi-bucket step launches every bucket's exchange
 /// before waiting on any — ≥ 2 frames (here: all 8 buckets) concurrently
 /// in flight, tag-matched back out of the shared per-peer streams — and

@@ -3,7 +3,6 @@
 use crate::{GradientSynchronizer, Ledger, SyncStats};
 use cluster_comm::{CollectiveHandle, CommHandle, TransportError};
 use std::ops::Range;
-use std::time::Instant;
 
 /// Full-gradient allreduce-average: 32n bits per worker, no local gradient
 /// processing (the paper's Table 2 lists its computation as O(1)).
@@ -47,42 +46,29 @@ impl GradientSynchronizer for DenseSgd {
         comm: &mut CommHandle,
     ) -> Result<SyncStats, TransportError> {
         let before = Ledger::read(comm);
-        let mut exchange_seconds = 0.0f64;
 
         // Launch every bucket before waiting on any: all frames in flight
         // at once. Expressed through the same start/finish pair the
-        // hook-driven streaming session uses, so the two paths cannot
-        // drift apart arithmetically (hooked ≡ single-shot by shared
-        // code, not parallel copies). The working-vector copy inside
-        // `start_bucket` — dense's only "encode" — is billed to exchange
-        // along with the launch.
+        // hook-driven step streams with, so the two paths cannot drift
+        // apart arithmetically (hooked ≡ single-shot by shared code, not
+        // parallel copies).
         let mut handles = Vec::with_capacity(bounds.len());
         for r in bounds {
-            let t0 = Instant::now();
             handles.push(self.start_bucket(&grad[r.clone()], comm).expect("dense streams"));
-            exchange_seconds += t0.elapsed().as_secs_f64();
         }
-
         for (r, handle) in bounds.iter().zip(handles) {
-            let t0 = Instant::now();
             self.try_finish_bucket(&mut grad[r.clone()], handle, comm)?;
-            exchange_seconds += t0.elapsed().as_secs_f64();
         }
-
-        Ok(SyncStats { exchange_seconds, ..before.spent(comm) })
+        Ok(before.spent(comm))
     }
 
     // Dense is the fully-streaming synchronizer: a bucket's recursive-
-    // doubling allreduce depends on nothing outside the bucket, so a
-    // hook-driven session launches it the moment the layer's gradient
-    // lands — while earlier layers are still backpropagating. RD reduces
-    // every element with the same rank-pairing schedule regardless of
-    // launch order, so hook arrival order (reverse topological) cannot
-    // perturb the result.
-    fn streams_buckets(&self) -> bool {
-        true
-    }
-
+    // doubling allreduce depends on nothing outside the bucket, so the
+    // hook driver launches it the moment the layer's gradient lands —
+    // while earlier layers are still backpropagating. RD reduces every
+    // element with the same rank-pairing schedule regardless of launch
+    // order, so hook arrival order (reverse topological) cannot perturb
+    // the result.
     fn start_bucket(&mut self, bucket: &[f32], comm: &mut CommHandle) -> Option<CollectiveHandle> {
         Some(comm.start_allreduce(bucket.to_vec()))
     }

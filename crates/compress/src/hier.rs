@@ -7,8 +7,8 @@
 //! mean), the leaders then run the inner algorithm — notably the O(1)
 //! A2SGD packet — across the expensive inter plane, and the result fans
 //! back out with an intra-group broadcast. The returned [`SyncStats`]
-//! splits `wire_bits` / `exchange_seconds` into their intra and inter
-//! shares, so the O(1) claim is checkable on the inter fields alone; the
+//! splits `wire_bits` / `exchange_seconds` — each a delta of its plane
+//! communicator's ledgers — into their intra and inter shares, so the O(1) claim is checkable on the inter fields alone; the
 //! planes run one after the other, so their `comm_seconds` simply add.
 //!
 //! With `group_size = 1` every rank is a leader, the intra plane is a
@@ -16,7 +16,6 @@
 //! synchronizer flat — the degenerate case the parity tests pin.
 
 use std::ops::Range;
-use std::time::Instant;
 
 use cluster_comm::hier::HierarchicalComm;
 use cluster_comm::{CommHandle, TransportError};
@@ -78,16 +77,16 @@ impl GradientSynchronizer for HierarchicalSynchronizer {
         };
 
         // Fan the leader's result back out.
-        let (bcast_seconds, bcast) = if self.comm.intra.world() > 1 {
-            let (t0, before) = (Instant::now(), Ledger::read(&self.comm.intra));
+        let bcast = if self.comm.intra.world() > 1 {
+            let before = Ledger::read(&self.comm.intra);
             self.comm.intra.try_broadcast(0, grad)?;
-            (t0.elapsed().as_secs_f64(), before.spent(&self.comm.intra))
+            before.spent(&self.comm.intra)
         } else {
-            (0.0, SyncStats::default())
+            SyncStats::default()
         };
 
         let intra_wire_bits = intra_stats.wire_bits + bcast.wire_bits;
-        let intra_exchange_seconds = intra_stats.exchange_seconds + bcast_seconds;
+        let intra_exchange_seconds = intra_stats.exchange_seconds + bcast.exchange_seconds;
         Ok(SyncStats {
             compress_seconds: inner_stats.compress_seconds,
             exchange_seconds: intra_exchange_seconds + inner_stats.exchange_seconds,

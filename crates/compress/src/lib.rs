@@ -24,8 +24,8 @@
 //!   pipeline over *nonblocking* collectives
 //!   ([`cluster_comm::CommHandle::start_allgather_bytes`]) — bucket *i*'s
 //!   frames are in flight while bucket *i+1* encodes and completed buckets
-//!   decode — and the one place the family's `compress_seconds`,
-//!   `exchange_seconds` and `wire_bits` are taken.
+//!   decode — and the one place the family's `compress_seconds` are
+//!   measured.
 //!
 //! Dense has nothing to encode: it streams plain f32 lanes through
 //! [`start_allreduce`](cluster_comm::CommHandle::start_allreduce) and is its
@@ -35,24 +35,17 @@
 //! just the whole-model-as-one-bucket adapter) for every bucket cap, on
 //! every backend, at every world size.
 //!
-//! The per-step streaming surface is [`SyncSession`], shaped for
-//! **per-layer gradient-ready hooks** (`mini-nn`'s
-//! `Module::backward_hooked`, driven by `a2sgd::overlap::HookedStep`):
-//! the session learns the bucket partition at `begin_step(bounds)` and
-//! accepts `submit(bucket_id, data, comm)` in **any order** — a backward
-//! pass delivers buckets in reverse layout order, output layer first.
-//! Synchronizers that need no cross-bucket statistics declare
-//! [`GradientSynchronizer::streams_buckets`] (Dense, via
-//! `start_bucket`/`try_finish_bucket`) and their buckets go on the wire the
-//! moment they are submitted — i.e. *while the backward pass is still
-//! executing* — with the exchange time hidden under that compute reported
-//! as [`SyncStats::overlap_seconds`]. Global-statistics synchronizers are
-//! staged and run the ordinary `sync_bucketed` pipeline at
-//! `SyncSession::finish`, once the whole gradient exists. Either way the
-//! hook-driven result is bit-identical to single-shot (CI-enforced across
-//! all synchronizers × caps × worlds × backends); mis-wired drivers —
-//! duplicate, missing, or wrongly-sized buckets — panic with the
-//! offending ids.
+//! A synchronizer that needs no cross-bucket statistics also streams: its
+//! [`start_bucket`](GradientSynchronizer::start_bucket) launches one
+//! bucket's exchange and returns the in-flight handle (Dense), where every
+//! other synchronizer returns `None`. The one driver of that path is the
+//! per-layer hook driver `a2sgd::overlap::HookedStep`: it launches each
+//! bucket the moment its last parameter's gradient lands — *while the
+//! backward pass is still executing* — and drains the handles after it,
+//! or, when nothing streamed, runs `try_sync_bucketed` over the whole
+//! gradient once it exists. Either way the hook-driven result is
+//! bit-identical to single-shot (CI-enforced across all synchronizers ×
+//! caps × worlds × backends).
 //!
 //! The encoded payload *is* what crosses the transport, so
 //! [`SyncStats::wire_bits`] is derived from the bytes that actually moved
@@ -65,19 +58,19 @@
 //! every bucket's encode + every bucket's zero-and-accumulate, measured by
 //! the driver around each call — and `exchange_seconds` (wall time inside
 //! collective calls), so compression and communication cost are separable
-//! in the figure/table outputs; `comm_seconds` is what the communicator's
-//! own time ledger charged for the exchange (the Hockney price in-proc),
-//! read together with `wire_bits` through one [`Ledger`] reading.
+//! in the figure/table outputs. Synchronizers never write time:
+//! `exchange_seconds`, `comm_seconds` (what the communicator's own time
+//! ledger charged for the exchange — the Hockney price in-proc) and
+//! `wire_bits` are deltas of the communicator's ledgers, read through one
+//! [`Ledger`] reading.
 //!
 //! **Peer loss is a value.** The contract is fallible end to end:
-//! [`GradientSynchronizer::try_sync_bucketed`], `try_finish_bucket` and
-//! [`SyncSession::try_finish`] return
-//! the comm layer's [`TransportError`] untouched when a peer dies
+//! [`GradientSynchronizer::try_sync_bucketed`] and `try_finish_bucket`
+//! return the comm layer's [`TransportError`] untouched when a peer dies
 //! mid-exchange; what the caller's recovery policy must then rebuild is
-//! stated on `try_sync_bucketed`. `sync_bucketed` / `synchronize` /
-//! `SyncSession::finish` are one-line panicking adapters for callers with
-//! no such policy — the shape `CommHandle::allreduce_avg` has over
-//! `try_allreduce_avg`.
+//! stated on `try_sync_bucketed`. `sync_bucketed` / `synchronize` are
+//! one-line panicking adapters for callers with no such policy — the shape
+//! `CommHandle::allreduce_avg` has over `try_allreduce_avg`.
 
 pub mod dense;
 pub mod ef;
@@ -98,7 +91,7 @@ pub use gaussiank::GaussianK;
 pub use hier::HierarchicalSynchronizer;
 pub use qsgd::{Qsgd, QsgdImpl};
 pub use randk::RandK;
-pub use session::{bucket_bounds, SyncSession};
+pub use session::bucket_bounds;
 pub use signsgd::SignSgdEf;
 pub use terngrad::TernGrad;
 pub use topk::TopK;
@@ -114,15 +107,17 @@ pub struct SyncStats {
     pub compress_seconds: f64,
     /// Seconds of measured wall time spent inside collective calls
     /// (launch + progress + wait) — the communication side of the step,
-    /// separable from `compress_seconds`. Overlapped network time that no
-    /// call observes is genuinely free and does not appear here.
+    /// separable from `compress_seconds`: the delta of the communicators'
+    /// exchange ledgers (`CommHandle::exchange_seconds`), summed over
+    /// planes. Overlapped network time that no call observes is genuinely
+    /// free and does not appear here.
     pub exchange_seconds: f64,
     /// Seconds of exchange time hidden under the caller's own compute:
     /// for hook-driven steps, the wall time between a streamed bucket's
-    /// nonblocking launch and the drain at `finish` — i.e. network time
-    /// that elapsed while the backward pass was still executing.
-    /// Synchronizers themselves report 0; the streaming
-    /// [`SyncSession`] measures it.
+    /// nonblocking launch and its drain after the backward pass — i.e.
+    /// network time that elapsed while the backward pass was still
+    /// executing. Synchronizers themselves report 0; the hook driver
+    /// (`a2sgd::overlap::HookedStep`) measures it.
     pub overlap_seconds: f64,
     /// Bits this worker's own encoded contribution put on the wire,
     /// derived from the typed payload bytes the collective actually moved
@@ -157,29 +152,36 @@ pub struct SyncStats {
     pub dispersion: Option<f64>,
 }
 
-/// One reading of a communicator's two ledgers — logical wire bits and
-/// communication seconds — the standard way synchronizers derive
-/// [`SyncStats::wire_bits`] and [`SyncStats::comm_seconds`]: read before
-/// the exchange's first collective call, [`spent`](Self::spent) after its
-/// last, so both are deltas over the same interval.
+/// One reading of a communicator's three ledgers — logical wire bits,
+/// communication seconds and exchange seconds — the standard way
+/// synchronizers derive [`SyncStats::wire_bits`],
+/// [`SyncStats::comm_seconds`] and [`SyncStats::exchange_seconds`]: read
+/// before the exchange's first collective call, [`spent`](Self::spent)
+/// after its last, so all three are deltas over the same interval.
 #[derive(Debug, Clone, Copy)]
 pub struct Ledger {
     bits: u64,
     seconds: f64,
+    exchange: f64,
 }
 
 impl Ledger {
     /// Reads `comm`'s ledgers as they stand.
     pub fn read(comm: &CommHandle) -> Self {
-        Ledger { bits: comm.stats().logical_wire_bits, seconds: comm.comm_seconds() }
+        Ledger {
+            bits: comm.stats().logical_wire_bits,
+            seconds: comm.comm_seconds(),
+            exchange: comm.exchange_seconds(),
+        }
     }
 
-    /// What `comm` moved and was charged since this reading, as the two
+    /// What `comm` moved and was charged since this reading, as the three
     /// fields of an otherwise default [`SyncStats`].
     pub fn spent(self, comm: &CommHandle) -> SyncStats {
         SyncStats {
             wire_bits: comm.stats().logical_wire_bits - self.bits,
             comm_seconds: comm.comm_seconds() - self.seconds,
+            exchange_seconds: comm.exchange_seconds() - self.exchange,
             ..SyncStats::default()
         }
     }
@@ -237,27 +239,19 @@ pub trait GradientSynchronizer: Send {
         self.sync_bucketed(grad, std::slice::from_ref(&(0..n)), comm)
     }
 
-    /// True when this synchronizer's per-bucket exchange needs **no
-    /// cross-bucket statistics**, so a bucket can be encoded and put on
-    /// the wire the moment its gradient lands — before the rest of the
-    /// gradient even exists. Dense is the streaming case (each bucket's
-    /// allreduce is independent); every global-statistics compressor
-    /// (selection sets, norms, scales, two-level means) returns the
-    /// default `false`, and a hook-driven [`SyncSession`] stages its
-    /// buckets until `finish`, where the whole gradient is available.
-    fn streams_buckets(&self) -> bool {
-        false
-    }
-
-    /// Streaming fast path, meaningful only when
-    /// [`streams_buckets`](Self::streams_buckets) is true: encode `bucket`
-    /// and launch its exchange nonblocking, returning the in-flight
-    /// handle. Buckets may be started in any order (all ranks observe the
-    /// same arrival order, so tags still match), and the result must be
-    /// bit-identical to [`try_sync_bucketed`](Self::try_sync_bucketed)
-    /// over the same partition. Send failures are deferred into the handle and
-    /// surface at [`try_finish_bucket`](Self::try_finish_bucket). The
-    /// default returns `None`.
+    /// Streaming fast path: when this synchronizer's per-bucket exchange
+    /// needs **no cross-bucket statistics** (Dense: each bucket's allreduce
+    /// is independent), launch `bucket`'s exchange nonblocking — the moment
+    /// its gradient lands, before the rest of the gradient even exists —
+    /// and return the in-flight handle. Every global-statistics compressor
+    /// (selection sets, norms, scales, two-level means) returns the default
+    /// `None` and is synchronized by
+    /// [`try_sync_bucketed`](Self::try_sync_bucketed) once the whole
+    /// gradient exists. Buckets may be started in any order (all ranks
+    /// observe the same arrival order, so tags still match), and the result
+    /// must be bit-identical to `try_sync_bucketed` over the same
+    /// partition. Send failures are deferred into the handle and surface at
+    /// [`try_finish_bucket`](Self::try_finish_bucket).
     fn start_bucket(&mut self, bucket: &[f32], comm: &mut CommHandle) -> Option<CollectiveHandle> {
         let _ = (bucket, comm);
         None
@@ -266,7 +260,7 @@ pub trait GradientSynchronizer: Send {
     /// Completes a bucket launched by [`start_bucket`](Self::start_bucket),
     /// folding the world's exchanged contribution into `bucket` in place;
     /// a peer lost while the bucket was in flight is returned. Only called
-    /// on streaming synchronizers.
+    /// with a handle `start_bucket` returned.
     fn try_finish_bucket(
         &mut self,
         bucket: &mut [f32],
@@ -274,7 +268,7 @@ pub trait GradientSynchronizer: Send {
         comm: &mut CommHandle,
     ) -> Result<(), TransportError> {
         let _ = (bucket, handle, comm);
-        unimplemented!("try_finish_bucket is only called when streams_buckets() is true")
+        unimplemented!("try_finish_bucket is only called on a handle start_bucket returned")
     }
 
     /// Closed-form wire bits per worker for an `n`-parameter model — the
@@ -296,18 +290,6 @@ pub trait GradientSynchronizer: Send {
     /// wire bytes against the communicators' own accounting.
     fn plane_traffic(&self) -> Option<(TrafficStats, Option<TrafficStats>)> {
         None
-    }
-}
-
-impl dyn GradientSynchronizer + '_ {
-    /// Opens a bucketed synchronization session for one training step —
-    /// the streaming entry point: `submit` buckets (in any order) as their
-    /// gradients become ready, then [`SyncSession::try_finish`] drains the
-    /// exchanges into the caller's flat gradient and returns the
-    /// aggregated [`SyncStats`]. `bounds` is the step's bucket partition
-    /// (see [`bucket_bounds`]).
-    pub fn begin_step<'s>(&'s mut self, bounds: &[Range<usize>]) -> SyncSession<'s> {
-        SyncSession::begin(self, bounds)
     }
 }
 

@@ -73,17 +73,15 @@ fn dispersion_of(per_rank: &[f64]) -> f64 {
 /// Line 5, written once for the family: the entire inter-worker exchange
 /// — one packed u64 per worker, gathered, summed in gather order and
 /// averaged. Returns the global pair (on this rank's classes: the counts
-/// are the local ones) and the exchange's stats — the ledger's spend, the
-/// seconds inside the gather and the free dispersion.
+/// are the local ones) and the exchange's stats — the ledgers' spend and
+/// the free dispersion.
 fn exchange_means(
     means: &TwoMeans,
     comm: &mut CommHandle,
 ) -> Result<(TwoMeans, SyncStats), TransportError> {
     let before = Ledger::read(comm);
     let packet = [A2sgd::encode_means(means.mu_pos, means.mu_neg)];
-    let tx = Instant::now();
     let gathered = comm.try_allgather(&packet)?;
-    let exchange_seconds = tx.elapsed().as_secs_f64();
     let spent = before.spent(comm);
     let inv = 1.0 / gathered.len() as f32;
     let (mut gmu_pos, mut gmu_neg) = (0.0f32, 0.0f32);
@@ -103,7 +101,7 @@ fn exchange_means(
     debug_assert_eq!(spent.wire_bits, A2sgd::WIRE_BITS);
     let global = TwoMeans { mu_pos: gmu_pos * inv, mu_neg: gmu_neg * inv, ..*means };
     let dispersion = Some(dispersion_of(&magnitudes));
-    Ok((global, SyncStats { exchange_seconds, dispersion, ..spent }))
+    Ok((global, SyncStats { dispersion, ..spent }))
 }
 
 impl GradientSynchronizer for A2sgd {

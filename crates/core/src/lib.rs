@@ -22,8 +22,9 @@
 //!   simulated cluster, reproducing the paper's evaluation pipeline — the
 //!   one loop, under a [`trainer::Recovery`] policy.
 //! * [`overlap`] — per-layer gradient-ready hook driver
-//!   ([`overlap::HookedStep`]): submits buckets to the sync session as the
-//!   backward pass produces them, overlapping exchange with backprop.
+//!   ([`overlap::HookedStep`]): launches each bucket a streaming
+//!   synchronizer takes as the backward pass produces it, overlapping
+//!   exchange with backprop, and drains the step afterwards.
 //! * [`metrics`] — accuracy/perplexity/throughput/scaling-efficiency.
 //! * [`theory`] — convergence-analysis probes (Assumption 3, Lyapunov h_t)
 //!   on analytically-solvable distributed quadratics.

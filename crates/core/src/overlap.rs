@@ -1,5 +1,6 @@
 //! Backward-pass/communication overlap: the glue between `mini-nn`'s
-//! per-layer gradient-ready hooks and `gradcomp`'s bucketed sync sessions.
+//! per-layer gradient-ready hooks and `gradcomp`'s synchronizers — the one
+//! code that launches or drains a streamed bucket.
 //!
 //! [`HookLayout`] is built once per run from the model's parameter layout:
 //! it maps every parameter name to its slice of the flat gradient and to
@@ -7,24 +8,27 @@
 //! falls in. [`HookedStep`] is the per-iteration driver: registered as the
 //! [`GradHook`] of [`Module::backward_hooked`]
 //! (mini_nn::module::Module::backward_hooked), it copies each announced
-//! gradient into the flat buffer and, the moment a bucket's last
-//! parameter lands, submits the bucket to the step's
-//! [`gradcomp::SyncSession`]. Backward passes deliver layers in reverse
-//! topological order, so the *output* layer's bucket is submitted (and,
-//! for streaming synchronizers like Dense, put on the wire) first, while
-//! earlier layers are still backpropagating — the PyTorch-DDP/Horovod
-//! overlap shape. Results are bit-identical to the single-shot
-//! `synchronize` call for every synchronizer: streaming exchanges are
-//! per-bucket independent, and global-statistics synchronizers run their
-//! ordinary whole-gradient pipeline at [`HookedStep::try_finish`].
+//! gradient into the flat buffer, counts each bucket's arrivals and, the
+//! moment a bucket's last parameter lands, offers the bucket to
+//! [`GradientSynchronizer::start_bucket`]. Backward passes deliver layers
+//! in reverse topological order, so a streaming synchronizer's (Dense's)
+//! *output* layer bucket is on the wire first, while earlier layers are
+//! still backpropagating — the PyTorch-DDP/Horovod overlap shape.
+//! [`HookedStep::try_finish`] drains the streamed buckets in layout order;
+//! when nothing streamed (every global-statistics synchronizer) it runs the
+//! ordinary whole-gradient [`GradientSynchronizer::try_sync_bucketed`]
+//! instead. Results are bit-identical to the single-shot `synchronize`
+//! call for every synchronizer: streaming exchanges are per-bucket
+//! independent, and the rest see the same flat gradient.
 
-use cluster_comm::{CommHandle, TransportError};
-use gradcomp::{bucket_bounds, GradientSynchronizer, SyncSession, SyncStats};
+use cluster_comm::{CollectiveHandle, CommHandle, TransportError};
+use gradcomp::{bucket_bounds, GradientSynchronizer, Ledger, SyncStats};
 use mini_nn::hook::GradHook;
 use mini_nn::module::Module;
 use mini_nn::param::Param;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::time::Instant;
 
 /// One parameter's place in the flat gradient.
 #[derive(Debug, Clone, Copy)]
@@ -91,20 +95,30 @@ impl HookLayout {
 }
 
 /// One hooked training step: `begin` before the backward pass, pass as the
-/// hook to `backward_hooked`, `try_finish` afterwards to drain the session
+/// hook to `backward_hooked`, `try_finish` afterwards to drain the step
 /// into `flat` (which then holds the synchronized gradient, ready for
-/// `scatter_grads`).
+/// `scatter_grads`). Mis-wired drivers fail loudly: a parameter announced
+/// twice, one whose size changed, or one never announced by `try_finish`
+/// each panic with the offending name or bucket ids — those are driver
+/// bugs; a lost peer is an `Err`, not a panic.
 pub struct HookedStep<'a> {
     layout: &'a HookLayout,
-    session: SyncSession<'a>,
+    sync: &'a mut dyn GradientSynchronizer,
     comm: &'a mut CommHandle,
     flat: &'a mut Vec<f32>,
+    /// Per bucket, the parameters not yet announced.
     remaining: Vec<usize>,
+    /// The buckets the synchronizer streamed: id, in-flight handle, and
+    /// the launch instant and trace timestamp the overlap window and the
+    /// `bucket/inflight` span open at.
+    streamed: Vec<(usize, CollectiveHandle, Instant, u64)>,
+    /// The communicator's ledgers as the step opened.
+    before: Ledger,
 }
 
 impl<'a> HookedStep<'a> {
-    /// Opens the step's session. `flat` is (re)sized to the layout; its
-    /// previous contents are not read.
+    /// Opens the step. `flat` is (re)sized to the layout; its previous
+    /// contents are not read.
     pub fn begin(
         layout: &'a HookLayout,
         sync: &'a mut dyn GradientSynchronizer,
@@ -114,9 +128,11 @@ impl<'a> HookedStep<'a> {
         flat.clear();
         flat.resize(layout.total, 0.0);
         HookedStep {
-            session: SyncSession::begin(sync, &layout.bounds),
             remaining: layout.params_per_bucket.clone(),
+            streamed: Vec::with_capacity(layout.bounds.len()),
+            before: Ledger::read(comm),
             layout,
+            sync,
             comm,
             flat,
         }
@@ -137,17 +153,50 @@ impl<'a> HookedStep<'a> {
         self.flat
     }
 
-    /// Drains the session and returns the step's stats; `flat` now holds
-    /// the synchronized gradient. Panics (with bucket ids) if the backward
-    /// pass failed to announce some parameters; a peer lost mid-exchange is
-    /// returned (see [`SyncSession::try_finish`]).
+    /// Drains the step and returns its stats; `flat` now holds the
+    /// synchronized gradient. Streamed buckets are completed in layout
+    /// order, and the wall time each spent in flight before the drain —
+    /// hidden under the backward pass — is
+    /// [`SyncStats::overlap_seconds`]; the exchange's other fields are the
+    /// communicator's ledger deltas. If nothing streamed, `flat` is the
+    /// whole local gradient and goes to
+    /// [`GradientSynchronizer::try_sync_bucketed`]. Panics (with bucket
+    /// ids) if the backward pass failed to announce some parameters; a peer
+    /// lost mid-exchange is returned (`flat` is then unspecified and the
+    /// remaining handles are abandoned with the spent communicator).
     pub fn try_finish(self) -> Result<SyncStats, TransportError> {
-        self.session.try_finish(self.flat, self.comm)
+        let HookedStep { layout, sync, comm, flat, remaining, mut streamed, before } = self;
+        let missing: Vec<usize> = (0..remaining.len()).filter(|&b| remaining[b] > 0).collect();
+        assert!(missing.is_empty(), "finish with unannounced parameters in buckets {missing:?}");
+        if streamed.is_empty() {
+            return sync.try_sync_bucketed(flat, &layout.bounds, comm);
+        }
+        assert_eq!(streamed.len(), layout.bounds.len(), "some buckets did not stream");
+        streamed.sort_unstable_by_key(|s| s.0);
+        let (drain_begin, drain_ns) = (Instant::now(), a2sgd_trace::now_ns());
+        let mut overlap_seconds = 0.0f64;
+        for (bucket, handle, launched, launched_ns) in streamed {
+            overlap_seconds += (drain_begin - launched).as_secs_f64();
+            let r = layout.bounds[bucket].clone();
+            let args = a2sgd_trace::Args::Bucket { bucket, bytes: (4 * r.len()) as u64 };
+            if a2sgd_trace::enabled() {
+                // The overlap window itself: launch → drain start, the
+                // exact interval overlap_seconds accumulates.
+                let id = bucket as u64;
+                a2sgd_trace::async_span_at("bucket/inflight", id, launched_ns, drain_ns, args);
+            }
+            let ts = a2sgd_trace::now_ns();
+            sync.try_finish_bucket(&mut flat[r], handle, comm)?;
+            if a2sgd_trace::enabled() {
+                a2sgd_trace::closed_span("bucket/drain", ts, args);
+            }
+        }
+        Ok(SyncStats { overlap_seconds, ..before.spent(comm) })
     }
 
     /// Panicking adapter over [`try_finish`](Self::try_finish).
     pub fn finish(self) -> SyncStats {
-        self.session.finish(self.flat, self.comm)
+        self.try_finish().unwrap_or_else(|e| panic!("hooked step drain: {e}"))
     }
 }
 
@@ -164,18 +213,23 @@ impl GradHook for HookedStep<'_> {
         let left = &mut self.remaining[seg.bucket];
         assert!(*left > 0, "parameter `{}` announced twice in one step", param.name);
         *left -= 1;
-        if *left == 0 {
-            let r = &self.layout.bounds[seg.bucket];
+        if *left > 0 {
+            return;
+        }
+        let (bucket, r) = (seg.bucket, self.layout.bounds[seg.bucket].clone());
+        let args = a2sgd_trace::Args::Bucket { bucket, bytes: (4 * r.len()) as u64 };
+        if a2sgd_trace::enabled() {
+            a2sgd_trace::instant("grad_ready", args);
+        }
+        let ts = a2sgd_trace::now_ns();
+        if let Some(handle) = self.sync.start_bucket(&self.flat[r], self.comm) {
+            // The launch itself is caller time; the overlap window opens
+            // only once the frames are actually in flight.
+            let (launched, launched_ns) = (Instant::now(), a2sgd_trace::now_ns());
             if a2sgd_trace::enabled() {
-                a2sgd_trace::instant(
-                    "grad_ready",
-                    a2sgd_trace::Args::Bucket {
-                        bucket: seg.bucket,
-                        bytes: (4 * (r.end - r.start)) as u64,
-                    },
-                );
+                a2sgd_trace::closed_span("bucket/submit", ts, args);
             }
-            self.session.submit(seg.bucket, &self.flat[r.clone()], self.comm);
+            self.streamed.push((bucket, handle, launched, launched_ns));
         }
     }
 }
@@ -183,8 +237,11 @@ impl GradHook for HookedStep<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cluster_comm::{Cluster, NetworkProfile};
     use mini_nn::flat::param_sizes;
     use mini_nn::models::{ModelKind, Preset};
+    use mini_nn::module::Mode;
+    use mini_tensor::Tensor;
 
     #[test]
     fn layout_matches_flat_helpers() {
@@ -206,5 +263,56 @@ mod tests {
         let layout = HookLayout::of(m.as_mut(), None);
         assert_eq!(layout.bounds().len(), 1);
         assert_eq!(layout.bounds()[0], 0..layout.total());
+    }
+
+    /// A bag of parameters — all the hook driver reads of a model.
+    struct Bag(Vec<Param>);
+
+    impl Module for Bag {
+        fn forward(&mut self, x: &Tensor, _: Mode) -> Tensor {
+            x.clone()
+        }
+        fn backward(&mut self, dout: &Tensor) -> Tensor {
+            dout.clone()
+        }
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+            self.0.iter_mut().for_each(f)
+        }
+    }
+
+    /// Two 4-float parameters in one bucket, a 6-float one in another, on
+    /// a lone rank of the current thread (so `#[should_panic]` sees the
+    /// driver's own diagnostic), under Dense — a streaming synchronizer.
+    fn announce(order: &[usize], edit: impl FnOnce(&mut Bag)) -> SyncStats {
+        let p = |name: &str, n: usize| Param::new(name, Tensor::zeros([n]));
+        let mut bag = Bag(vec![p("a", 4), p("b", 4), p("c", 6)]);
+        let layout = HookLayout::of(&mut bag, Some(32));
+        assert_eq!(layout.bounds(), &[0..8, 8..14]);
+        edit(&mut bag);
+        let mut comm = Cluster::new(1, NetworkProfile::infiniband_100g()).handle(0);
+        let (mut sync, mut flat) = (gradcomp::DenseSgd::new(), Vec::new());
+        let mut step = HookedStep::begin(&layout, &mut sync, &mut flat, &mut comm);
+        for &i in order {
+            step.grad_ready(&bag.0[i]);
+        }
+        step.finish()
+    }
+
+    #[test]
+    #[should_panic(expected = "parameter `c` announced twice")]
+    fn a_parameter_announced_twice_panics() {
+        announce(&[2, 2], |_| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "finish with unannounced parameters in buckets [0]")]
+    fn an_unannounced_parameter_at_finish_panics() {
+        announce(&[2, 1], |_| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "parameter `b` changed size")]
+    fn a_parameter_whose_size_changed_panics() {
+        announce(&[2, 1], |bag| bag.0[1] = Param::new("b", Tensor::zeros([5])));
     }
 }

@@ -7,9 +7,9 @@
 //! ([`Plan`], known before backward because `Schedule::decide` is pure),
 //! back-propagates through the per-layer hooks whenever the plan is
 //! a gradient sync and overlap is on (whatever the topology or schedule: a
-//! synchronizer that does not stream just gets arrival marks), exchanges
-//! the one flat buffer, feeds the schedule its dispersion statistic, and
-//! applies the update.
+//! synchronizer that does not stream syncs once the whole gradient has
+//! arrived), exchanges the one flat buffer, feeds the schedule its
+//! dispersion statistic, and applies the update.
 //!
 //! **Failure contract.** `run` returns the transport's typed error when a
 //! peer is lost, and the replica is then exactly as it was before the
@@ -26,12 +26,11 @@ use crate::overlap::{HookLayout, HookedStep};
 use crate::trainer::OptKind;
 use a2sgd_sched::{SchedKind, Schedule, SyncDecision};
 use cluster_comm::{CommHandle, TransportError};
-use gradcomp::{bucket_bounds, GradientSynchronizer, Ledger, SyncStats};
+use gradcomp::{GradientSynchronizer, Ledger, SyncStats};
 use mini_nn::flat::{flatten_grads, flatten_params, load_params, param_sizes, scatter_grads};
 use mini_nn::hook::{GradHook, NullHook};
 use mini_nn::module::Module;
 use mini_nn::optim::Sgd;
-use std::ops::Range;
 
 /// Closes a trainer phase span opened at `start_ns` (free when tracing is
 /// off: `closed_span` returns on its first branch).
@@ -77,8 +76,10 @@ pub struct TrainStep {
     /// across ranks plays the role of the initial broadcast). Empty when
     /// unscheduled.
     anchor: Vec<f32>,
-    bounds: Vec<Range<usize>>,
-    hook_layout: Option<HookLayout>,
+    /// The bucket partition, derived once from the model; gradient syncs
+    /// run through its hooks when `overlap_backward`.
+    layout: HookLayout,
+    overlap_backward: bool,
     flat: Vec<f32>,
     /// Pre-step parameters and velocity, filled on window-close steps only
     /// (buffers reused across windows).
@@ -104,8 +105,7 @@ impl TrainStep {
         if scheduled {
             flatten_params(model, &mut anchor);
         }
-        let sizes = param_sizes(model);
-        let n: usize = sizes.iter().sum();
+        let layout = HookLayout::of(model, bucket_bytes);
         TrainStep {
             sync,
             opt: match opt {
@@ -117,12 +117,9 @@ impl TrainStep {
             schedule: Schedule::new(schedule),
             scheduled,
             anchor,
-            bounds: match bucket_bytes {
-                Some(cap) => bucket_bounds(&sizes, cap),
-                None => vec![0..n; 1],
-            },
-            hook_layout: overlap_backward.then(|| HookLayout::of(model, bucket_bytes)),
-            flat: Vec::with_capacity(n),
+            flat: Vec::with_capacity(layout.total()),
+            layout,
+            overlap_backward,
             saved: (Vec::new(), Vec::new()),
         }
     }
@@ -155,12 +152,14 @@ impl TrainStep {
         let plan = self.plan(iter);
         let want_disp = plan != Plan::Local && self.schedule.wants_dispersion();
         let bwd_ns = a2sgd_trace::now_ns();
-        let stats = if let (Plan::Gradient, Some(layout)) = (plan, &self.hook_layout) {
-            // The session opens before backward; each bucket is submitted —
-            // streaming synchronizers put it straight on the wire — the
-            // moment its last layer's gradient lands, while earlier layers
-            // are still backpropagating. `try_finish` drains the tail.
-            let mut hooked = HookedStep::begin(layout, self.sync.as_mut(), &mut self.flat, comm);
+        let stats = if plan == Plan::Gradient && self.overlap_backward {
+            // The step opens before backward; each bucket is offered to
+            // the synchronizer — a streaming one puts it straight on the
+            // wire — the moment its last layer's gradient lands, while
+            // earlier layers are still backpropagating. `try_finish`
+            // drains the tail.
+            let (layout, flat) = (&self.layout, &mut self.flat);
+            let mut hooked = HookedStep::begin(layout, self.sync.as_mut(), flat, comm);
             backward(model, &mut hooked);
             phase("phase/backward", bwd_ns);
             let pre = want_disp.then(|| hooked.local_grad().to_vec());
@@ -242,7 +241,7 @@ impl TrainStep {
     ) -> Result<SyncStats, TransportError> {
         let pre = want_disp.then(|| self.flat.clone());
         let ex_ns = a2sgd_trace::now_ns();
-        let mut stats = self.sync.try_sync_bucketed(&mut self.flat, &self.bounds, comm)?;
+        let mut stats = self.sync.try_sync_bucketed(&mut self.flat, self.layout.bounds(), comm)?;
         phase("phase/exchange", ex_ns);
         self.observe(&mut stats, pre, comm)?;
         Ok(stats)

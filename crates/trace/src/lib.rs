@@ -89,7 +89,7 @@ pub enum Args {
         /// Payload bytes of this rank's own contribution.
         bytes: u64,
     },
-    /// A bucketed-session event.
+    /// A bucketed-sync event.
     Bucket {
         /// Bucket index within the step's partition.
         bucket: usize,

@@ -8,13 +8,18 @@
 //! relations are hooked training ≡ single-shot at worlds 1, 2 and 4.
 
 use a2sgd::experiments::scaled_convergence_config;
+use a2sgd::overlap::{HookLayout, HookedStep};
 use a2sgd::registry::AlgoKind;
 use a2sgd::trainer::train;
 use a2sgd_repro::cluster_comm::{
     run_cluster, run_cluster_tcp, run_cluster_tcp_threads, run_multiprocess, CollectiveAlgo,
     CommBackend, CommHandle, NetworkProfile, Payload,
 };
-use a2sgd_repro::gradcomp::{bucket_bounds, SyncSession};
+use a2sgd_repro::gradcomp::bucket_bounds;
+use a2sgd_repro::mini_nn::hook::GradHook;
+use a2sgd_repro::mini_nn::module::{Mode, Module};
+use a2sgd_repro::mini_nn::Param;
+use a2sgd_repro::mini_tensor::Tensor;
 use mini_nn::models::ModelKind;
 use std::ops::Range;
 
@@ -179,7 +184,7 @@ fn traffic_ordering_matches_table2() {
     assert_eq!(a2, 64);
 }
 
-// ---- bucketed-session parity ---------------------------------------------
+// ---- bucketed parity ------------------------------------------------------
 //
 // The bucketed pipeline's contract: for EVERY registered synchronizer,
 // synchronizing through size-capped buckets is bit-identical to the
@@ -253,9 +258,9 @@ fn bucket_parity_all_synchronizers_tcp() {
     });
 }
 
-/// The streaming session surface is the same pipeline: submitting the
-/// buckets as separate slices and finishing must equal `sync_bucketed`
-/// over the contiguous vector (and therefore equal single-shot).
+/// The hook driver is the same pipeline: announcing the parameters in
+/// layout order and finishing must equal `sync_bucketed` over the
+/// contiguous vector (and therefore equal single-shot).
 #[test]
 fn bucket_parity_session_submit_matches_direct_drive() {
     let caps = [64 * 1024usize, 1024];
@@ -264,52 +269,102 @@ fn bucket_parity_session_submit_matches_direct_drive() {
             let direct = run_cluster(2, NetworkProfile::infiniband_100g(), move |h| {
                 parity_body(h, algo, Some(cap))
             });
-            let sessioned = run_cluster(2, NetworkProfile::infiniband_100g(), move |h| {
-                session_parity_body(h, algo, cap, false)
+            let hooked = run_cluster(2, NetworkProfile::infiniband_100g(), move |h| {
+                hooked_parity_body(h, algo, cap, false)
             });
-            assert_eq!(sessioned, direct, "{} cap {cap}", algo.name());
+            assert_eq!(hooked, direct, "{} cap {cap}", algo.name());
         }
     }
 }
 
-/// Two synchronized iterations driven through the session surface,
-/// submitting buckets either in layout order or — the hook arrival shape —
-/// in reverse layout order.
-fn session_parity_body(h: &mut CommHandle, algo: AlgoKind, cap: usize, reverse: bool) -> Vec<u32> {
-    let bounds = bucket_bounds(&[1000; PARITY_N / 1000], cap);
+/// `parity_body`'s 20 segments as a model: one 1000-float parameter each.
+struct Segments(Vec<Param>);
+
+impl Module for Segments {
+    fn forward(&mut self, x: &Tensor, _: Mode) -> Tensor {
+        x.clone()
+    }
+    fn backward(&mut self, dout: &Tensor) -> Tensor {
+        dout.clone()
+    }
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.0.iter_mut().for_each(f)
+    }
+}
+
+/// Two synchronized iterations driven through [`HookedStep`], the
+/// parameters' gradients holding `parity_input` and announced either in
+/// layout order or — the backward arrival shape — in reverse. Dense
+/// streams: every bucket is in flight before the drain, and exactly its
+/// 32 bits per element cross the wire.
+fn hooked_parity_body(h: &mut CommHandle, algo: AlgoKind, cap: usize, reverse: bool) -> Vec<u32> {
+    let segment = |i| Param::new(format!("p{i}"), Tensor::zeros([1000]));
+    let mut model = Segments((0..PARITY_N / 1000).map(segment).collect());
+    let layout = HookLayout::of(&mut model, Some(cap));
     let mut sync = algo.build(PARITY_N, 77, h.rank());
-    let mut out = Vec::new();
+    let (mut flat, mut out) = (Vec::new(), Vec::new());
     for iter in 0..2 {
-        let mut g = parity_input(h.rank(), iter, PARITY_N);
-        let mut session = SyncSession::begin(sync.as_mut(), &bounds);
-        let order: Vec<usize> =
-            if reverse { (0..bounds.len()).rev().collect() } else { (0..bounds.len()).collect() };
-        for id in order {
-            session.submit(id, &g[bounds[id].clone()], h);
+        let g = parity_input(h.rank(), iter, PARITY_N);
+        for (p, grad) in model.0.iter_mut().zip(g.chunks(1000)) {
+            p.grad.as_mut_slice().copy_from_slice(grad);
         }
-        session.finish(&mut g, h);
-        out.extend(g.iter().map(|v| v.to_bits()));
+        let mut step = HookedStep::begin(&layout, sync.as_mut(), &mut flat, h);
+        let order: Vec<&Param> =
+            if reverse { model.0.iter().rev().collect() } else { model.0.iter().collect() };
+        for p in order {
+            step.grad_ready(p);
+        }
+        let inflight = step.inflight();
+        let stats = step.finish();
+        if matches!(algo, AlgoKind::Dense) {
+            assert_eq!(inflight, layout.bounds().len(), "cap {cap}: buckets not all in flight");
+            assert_eq!(stats.wire_bits, 32 * PARITY_N as u64);
+        }
+        out.extend(flat.iter().map(|v| v.to_bits()));
     }
     out
 }
 
+/// One exchange clock: `exchange_seconds` is the communicator's wall-time
+/// ledger, which on a measured backend is also its comm ledger — so every
+/// synchronizer reports the two bit-equal over loopback TCP, and nothing
+/// outside a collective call is counted as exchange.
+#[test]
+fn exchange_seconds_are_the_comm_ledger_on_tcp() {
+    for algo in AlgoKind::all(0.01) {
+        let stats = run_cluster_tcp_threads(2, move |h| {
+            let mut g = parity_input(h.rank(), 0, PARITY_N);
+            algo.build(PARITY_N, 77, h.rank()).synchronize(&mut g, h)
+        });
+        for (rank, s) in stats.into_iter().enumerate() {
+            let name = algo.name();
+            assert_eq!(
+                s.exchange_seconds.to_bits(),
+                s.comm_seconds.to_bits(),
+                "{name} rank {rank}"
+            );
+            assert!(s.exchange_seconds > 0.0, "{name} rank {rank}: no exchange time");
+        }
+    }
+}
+
 // ---- hook-driven parity ---------------------------------------------------
 //
-// The backward-overlap contract (the acceptance gate this PR adds): a
-// hook-driven step — buckets submitted in *reverse* layout order as the
-// backward pass delivers them, streamed straight to the wire for Dense —
+// The backward-overlap contract: a hook-driven step — parameters
+// announced in *reverse* layout order as the backward pass delivers them,
+// each completed bucket streamed straight to the wire for Dense —
 // must be bit-identical to the single-shot `synchronize` call for every
 // registered synchronizer, bucket cap, world size and backend; and on TCP
 // loopback at least 2 frames must demonstrably be in flight *while the
 // backward pass is still executing*.
 
-/// Reverse-order (hook-shaped) session drive ≡ single-shot, every
+/// Reverse-order (hook-shaped) `HookedStep` drive ≡ single-shot, every
 /// registry synchronizer × caps {64 KiB, 1 KiB} × worlds 1–4, in-proc.
 #[test]
 fn hook_order_session_parity_all_synchronizers_inproc() {
-    assert_hook_session_parity_on("inproc", |world, algo, cap| match cap {
+    assert_hook_order_parity_on("inproc", |world, algo, cap| match cap {
         Some(c) => run_cluster(world, NetworkProfile::infiniband_100g(), move |h| {
-            session_parity_body(h, algo, c, true)
+            hooked_parity_body(h, algo, c, true)
         }),
         None => run_cluster(world, NetworkProfile::infiniband_100g(), move |h| {
             parity_body(h, algo, None)
@@ -320,13 +375,13 @@ fn hook_order_session_parity_all_synchronizers_inproc() {
 /// Same sweep over real loopback sockets.
 #[test]
 fn hook_order_session_parity_all_synchronizers_tcp() {
-    assert_hook_session_parity_on("tcp", |world, algo, cap| match cap {
-        Some(c) => run_cluster_tcp_threads(world, move |h| session_parity_body(h, algo, c, true)),
+    assert_hook_order_parity_on("tcp", |world, algo, cap| match cap {
+        Some(c) => run_cluster_tcp_threads(world, move |h| hooked_parity_body(h, algo, c, true)),
         None => run_cluster_tcp_threads(world, move |h| parity_body(h, algo, None)),
     });
 }
 
-fn assert_hook_session_parity_on<R>(backend_name: &str, run: R)
+fn assert_hook_order_parity_on<R>(backend_name: &str, run: R)
 where
     R: Fn(usize, AlgoKind, Option<usize>) -> Vec<Vec<u32>>,
 {
@@ -340,7 +395,7 @@ where
                         hooked[rank],
                         reference[rank],
                         "{} ({backend_name}): world {world} cap {cap} rank {rank}: hook-order \
-                         submission diverged from single-shot",
+                         announcement diverged from single-shot",
                         algo.name()
                     );
                 }
@@ -349,11 +404,11 @@ where
     }
 }
 
-/// Hook-driven *training* (per-layer callbacks firing the session from
+/// Hook-driven *training* (per-layer callbacks driving `HookedStep` from
 /// inside `backward_hooked`) ≡ single-shot training, for every registry
 /// synchronizer × caps {whole-model, 64 KiB, 1 KiB} × worlds 1–4 on the
 /// in-proc backend. The TCP data plane is covered by
-/// `hook_training_parity_tcp_multiprocess` (processes) and the session
+/// `hook_training_parity_tcp_multiprocess` (processes) and the hook-order
 /// sweep above (sockets).
 #[test]
 fn hook_training_parity_all_synchronizers() {
@@ -447,12 +502,9 @@ fn hook_training_parity_tcp_multiprocess() {
 /// gradient-ready hook itself, not inferred from timing.
 #[test]
 fn hook_overlap_inflight_proof_tcp() {
-    use a2sgd::overlap::{HookLayout, HookedStep};
-    use a2sgd_repro::mini_nn::hook::GradHook;
-    use a2sgd_repro::mini_nn::models::{ModelKind, Preset};
-    use a2sgd_repro::mini_nn::module::{Mode, ModuleExt};
+    use a2sgd_repro::mini_nn::models::Preset;
+    use a2sgd_repro::mini_nn::module::ModuleExt;
     use a2sgd_repro::mini_tensor::rng::SeedRng;
-    use a2sgd_repro::mini_tensor::Tensor;
 
     /// Delegates to the real driver, recording the in-flight depth seen
     /// at each per-layer callback (i.e. during backward).
@@ -461,7 +513,7 @@ fn hook_overlap_inflight_proof_tcp() {
         peak_during_backward: &'b mut usize,
     }
     impl GradHook for Probe<'_, '_> {
-        fn grad_ready(&mut self, p: &a2sgd_repro::mini_nn::Param) {
+        fn grad_ready(&mut self, p: &Param) {
             self.step.grad_ready(p);
             *self.peak_during_backward = (*self.peak_during_backward).max(self.step.inflight());
         }
