@@ -8,20 +8,20 @@ use a2sgd::{Checkpoint, SchedCheckpoint, SchedState};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-/// 16 Ki parameters (64 KiB) plus one momentum lane of the same shape —
+/// 16 Ki parameters (64 KiB) plus a momentum velocity of the same shape —
 /// the bucket-sized state a worker snapshots per checkpoint tick.
 fn sample(n: usize) -> Checkpoint {
-    let lane: Vec<f32> = (0..n).map(|i| (i as f32).sin()).collect();
+    let values: Vec<f32> = (0..n).map(|i| (i as f32).sin()).collect();
     Checkpoint {
         step: 1234,
         seed: 0xE1A5_71C0,
-        params: lane.clone(),
-        velocity: vec![lane],
+        params: values.clone(),
+        velocity: values,
         sched: None,
     }
 }
 
-/// The same snapshot cut mid-window under a sync schedule: the v2 codec
+/// The same snapshot cut mid-window under a sync schedule: the codec
 /// carries the window phase plus a full anchor lane, so the sched row
 /// prices one extra parameter-sized copy over the baseline.
 fn sample_sched(n: usize) -> Checkpoint {

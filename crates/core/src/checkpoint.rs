@@ -2,8 +2,8 @@
 //! continue recovery and cold restarts both rehydrate from.
 //!
 //! A [`Checkpoint`] captures everything `run_worker`'s loop consumes —
-//! model parameters (flattened in `visit_params` order), the optimizer's
-//! momentum velocity lanes, the master seed and the global step counter —
+//! model parameters and the optimizer's momentum velocity (both flat, in
+//! `visit_params` order), the master seed and the global step counter —
 //! with the same hand-rolled little-endian codec discipline as the wire
 //! layer ([`cluster_comm::transport::wire`]): no serde, explicit lengths,
 //! a magic header and a version byte so stale files fail loudly instead
@@ -24,9 +24,11 @@ use std::path::Path;
 /// Environment variable naming the checkpoint output directory.
 pub const ENV_CKPT_DIR: &str = "A2SGD_CKPT_DIR";
 
-/// Codec v2, the only version decoded: step/seed/params/velocity plus an
-/// optional sync-schedule block. The last byte is the version.
-const MAGIC: &[u8; 8] = b"A2SGDCK\x02";
+/// Codec v3, the only version decoded: step/seed/params/velocity (each
+/// f32 vector one length-prefixed run) plus an optional sync-schedule
+/// block. The last byte is the version. v2 stored the velocity as one run
+/// per parameter tensor; v1 had no schedule block.
+const MAGIC: &[u8; 8] = b"A2SGDCK\x03";
 
 /// Sync-schedule state captured alongside the model state, so resuming
 /// mid-period re-enters the window at the exact phase.
@@ -51,9 +53,9 @@ pub struct Checkpoint {
     pub seed: u64,
     /// Flat model parameters in `visit_params` order.
     pub params: Vec<f32>,
-    /// Optimizer velocity lanes, one per parameter tensor (empty before
-    /// the first step, or for momentum-free runs).
-    pub velocity: Vec<Vec<f32>>,
+    /// Flat optimizer velocity in `visit_params` order: one value per
+    /// parameter, or empty before the first step and for momentum-free runs.
+    pub velocity: Vec<f32>,
     /// Sync-schedule state (`None` for every-step runs).
     pub sched: Option<SchedCheckpoint>,
 }
@@ -95,7 +97,7 @@ impl<'a> Reader<'a> {
     fn f32s(&mut self) -> Result<Vec<f32>, String> {
         let n = self.u64()? as usize;
         // Guard against a corrupt length word asking for more than exists.
-        let bytes = self.take(n.checked_mul(4).ok_or("f32 lane length overflows")?)?;
+        let bytes = self.take(n.checked_mul(4).ok_or("f32 vector length overflows")?)?;
         Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect())
     }
 }
@@ -103,16 +105,13 @@ impl<'a> Reader<'a> {
 impl Checkpoint {
     /// Serializes to the versioned little-endian byte layout.
     pub fn encode(&self) -> Vec<u8> {
-        let lanes: usize = self.velocity.iter().map(|l| l.len()).sum();
-        let mut out = Vec::with_capacity(8 + 16 + 4 * (self.params.len() + lanes) + 64);
+        let floats = self.params.len() + self.velocity.len();
+        let mut out = Vec::with_capacity(8 + 16 + 4 * floats + 64);
         out.extend_from_slice(MAGIC);
         put_u64(&mut out, self.step);
         put_u64(&mut out, self.seed);
         put_f32s(&mut out, &self.params);
-        put_u64(&mut out, self.velocity.len() as u64);
-        for lane in &self.velocity {
-            put_f32s(&mut out, lane);
-        }
+        put_f32s(&mut out, &self.velocity);
         // Tail: schedule presence flag, then the block.
         match &self.sched {
             None => put_u64(&mut out, 0),
@@ -143,11 +142,7 @@ impl Checkpoint {
         let step = r.u64()?;
         let seed = r.u64()?;
         let params = r.f32s()?;
-        let lanes = r.u64()? as usize;
-        let mut velocity = Vec::with_capacity(lanes.min(1 << 20));
-        for _ in 0..lanes {
-            velocity.push(r.f32s()?);
-        }
+        let velocity = r.f32s()?;
         let sched = match r.u64()? {
             0 => None,
             1 => Some(SchedCheckpoint {
@@ -212,7 +207,7 @@ mod tests {
             step: 1234,
             seed: 0xDEAD_BEEF,
             params: vec![1.0, -0.5, f32::MIN_POSITIVE, 3.25e-7, -0.0],
-            velocity: vec![vec![0.125, -9.0], vec![], vec![42.0]],
+            velocity: vec![0.125, -9.0, 42.0, -0.0, 1.5],
             sched: None,
         }
     }
@@ -236,10 +231,7 @@ mod tests {
         // Compare bit patterns, not float equality — -0.0 must survive.
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&d.params), bits(&c.params));
-        assert_eq!(d.velocity.len(), c.velocity.len());
-        for (a, b) in d.velocity.iter().zip(&c.velocity) {
-            assert_eq!(bits(a), bits(b));
-        }
+        assert_eq!(bits(&d.velocity), bits(&c.velocity));
         assert_eq!(d.sched, None);
     }
 
@@ -264,7 +256,7 @@ mod tests {
             step: 1234,
             seed: 0xDEAD_BEEF,
             params: vec![1.0, -0.5, -0.0],
-            velocity: vec![vec![0.125, -9.0], vec![]],
+            velocity: vec![0.125, -9.0, 42.0],
             sched: Some(SchedCheckpoint {
                 state: SchedState { local_in_window: 5, current_h: 8, ref_dispersion: 0.062_5 },
                 anchor: vec![3.25e-7, f32::MIN_POSITIVE],
@@ -272,27 +264,47 @@ mod tests {
         };
         let hex: String = c.encode().iter().map(|b| format!("{b:02x}")).collect();
         let recorded = concat!(
-            "4132534744434b02d204000000000000efbeadde000000000300000000000000",
-            "0000803f000000bf00000080020000000000000002000000000000000000003e",
-            "000010c100000000000000000100000000000000050000000000000008000000",
-            "00000000000000000000b03f0200000000000000a97bae3400008000",
+            "4132534744434b03d204000000000000efbeadde000000000300000000000000",
+            "0000803f000000bf0000008003000000000000000000003e000010c100002842",
+            "010000000000000005000000000000000800000000000000000000000000b03f",
+            "0200000000000000a97bae3400008000",
         );
         assert_eq!(hex, recorded);
         assert_eq!(Checkpoint::decode(&c.encode()).unwrap(), c);
     }
 
+    /// What codec v2 wrote for `scheduled_encoding_matches_the_recorded_bytes`'
+    /// checkpoint with per-tensor velocity `[[0.125, -9.0], []]`: a tensor count,
+    /// then one length-prefixed run per parameter tensor.
+    const RECORDED_V2: &str = concat!(
+        "4132534744434b02d204000000000000efbeadde000000000300000000000000",
+        "0000803f000000bf00000080020000000000000002000000000000000000003e",
+        "000010c100000000000000000100000000000000050000000000000008000000",
+        "00000000000000000000b03f0200000000000000a97bae3400008000",
+    );
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap()).collect()
+    }
+
+    #[test]
+    fn v2_recorded_bytes_are_rejected_as_unsupported() {
+        let err = Checkpoint::decode(&unhex(RECORDED_V2)).unwrap_err();
+        assert!(err.contains("unsupported checkpoint version 2"), "{err}");
+    }
+
     #[test]
     fn v1_stamped_files_are_rejected_as_unsupported() {
-        // A v1 file is the v2 encoding minus the schedule tail, under the
-        // old version byte — exactly what the pre-schedule codec wrote.
-        let c = sample();
-        let mut v1 = c.encode();
-        v1.truncate(v1.len() - 8); // drop the presence flag
-        v1[7] = 0x01; // stamp the v1 version byte
+        // A v1 file is the v2 encoding minus the 48-byte schedule tail,
+        // under the old version byte — exactly what the pre-schedule codec
+        // wrote.
+        let mut v1 = unhex(RECORDED_V2);
+        v1.truncate(v1.len() - 48);
+        v1[7] = 0x01;
         let err = Checkpoint::decode(&v1).unwrap_err();
         assert!(err.contains("unsupported checkpoint version 1"), "{err}");
-        // And a truncated v2 (schedule tail missing) fails loudly.
-        let mut bad = c.encode();
+        // And a truncated v3 (schedule tail missing) fails loudly.
+        let mut bad = sample().encode();
         bad.truncate(bad.len() - 8);
         assert!(Checkpoint::decode(&bad).unwrap_err().contains("truncated"));
     }

@@ -97,7 +97,7 @@ impl HookLayout {
 /// One hooked training step: `begin` before the backward pass, pass as the
 /// hook to `backward_hooked`, `try_finish` afterwards to drain the step
 /// into `flat` (which then holds the synchronized gradient, ready for
-/// `scatter_grads`). Mis-wired drivers fail loudly: a parameter announced
+/// `Sgd::step_flat`). Mis-wired drivers fail loudly: a parameter announced
 /// twice, one whose size changed, or one never announced by `try_finish`
 /// each panic with the offending name or bucket ids — those are driver
 /// bugs; a lost peer is an `Err`, not a panic.

@@ -27,7 +27,7 @@ use crate::trainer::OptKind;
 use a2sgd_sched::{SchedKind, Schedule, SyncDecision};
 use cluster_comm::{CommHandle, TransportError};
 use gradcomp::{GradientSynchronizer, Ledger, SyncStats};
-use mini_nn::flat::{flatten_grads, flatten_params, load_params, param_sizes, scatter_grads};
+use mini_nn::flat::{flatten_grads, flatten_params, load_params, param_count};
 use mini_nn::hook::{GradHook, NullHook};
 use mini_nn::module::Module;
 use mini_nn::optim::Sgd;
@@ -83,7 +83,7 @@ pub struct TrainStep {
     flat: Vec<f32>,
     /// Pre-step parameters and velocity, filled on window-close steps only
     /// (buffers reused across windows).
-    saved: (Vec<f32>, Vec<Vec<f32>>),
+    saved: (Vec<f32>, Vec<f32>),
 }
 
 impl TrainStep {
@@ -182,7 +182,7 @@ impl TrainStep {
                     // The only path that applies before it exchanges:
                     // keep the pre-step state to roll back to.
                     flatten_params(model, &mut self.saved.0);
-                    self.opt.velocity_lanes().clone_into(&mut self.saved.1);
+                    self.opt.velocity().clone_into(&mut self.saved.1);
                     self.apply(model, lr);
                     flatten_params(model, &mut self.flat);
                     for (d, a) in self.flat.iter_mut().zip(&self.anchor) {
@@ -192,7 +192,7 @@ impl TrainStep {
                         Ok(stats) => stats,
                         Err(e) => {
                             load_params(model, &self.saved.0);
-                            self.opt.set_velocity_lanes(std::mem::take(&mut self.saved.1));
+                            self.opt.set_velocity(std::mem::take(&mut self.saved.1));
                             return Err(e);
                         }
                     }
@@ -275,12 +275,10 @@ impl TrainStep {
         Ok(())
     }
 
-    /// Scatters `self.flat` into the model's gradients and steps the
-    /// optimizer.
+    /// Steps the optimizer on the flat gradient in `self.flat`.
     fn apply(&mut self, model: &mut dyn Module, lr: f32) {
-        scatter_grads(model, &self.flat);
         let opt_ns = a2sgd_trace::now_ns();
-        self.opt.step(model, lr);
+        self.opt.step_flat(model, &self.flat, lr);
         phase("phase/optimizer", opt_ns);
     }
 
@@ -305,8 +303,7 @@ impl TrainStep {
         Ok(local.iter().zip(&self.flat).fold(0.0f64, |d, (a, b)| d.max((a - b).abs() as f64)))
     }
 
-    /// Snapshots the full training state — parameters, velocity lanes,
-    /// and (under a schedule) the window phase and anchor, so a resume
+    /// Snapshots the full training state — parameters, velocity, and (under a schedule) the window phase and anchor, so a resume
     /// re-enters a period mid-window bit-exactly.
     pub fn capture(&self, model: &mut dyn Module, step: u64, seed: u64) -> Checkpoint {
         let mut params = Vec::new();
@@ -314,20 +311,19 @@ impl TrainStep {
         let sched = self
             .scheduled
             .then(|| SchedCheckpoint { state: self.schedule.state(), anchor: self.anchor.clone() });
-        Checkpoint { step, seed, params, velocity: self.opt.velocity_lanes().to_vec(), sched }
+        Checkpoint { step, seed, params, velocity: self.opt.velocity().to_vec(), sched }
     }
 
     /// Adopts a [`capture`](Self::capture)d state (checkpoint resume,
     /// elastic catch-up). A snapshot without a schedule block starts a
     /// fresh window anchored at its parameters. A snapshot that does not
-    /// fit the model — parameters, velocity lanes or window anchor — is an
-    /// `Err` that leaves the replica untouched.
+    /// fit the model — parameters, velocity (none or one value per
+    /// parameter) or window anchor — is an `Err` that leaves the replica
+    /// untouched.
     pub fn restore(&mut self, model: &mut dyn Module, c: &Checkpoint) -> Result<(), String> {
-        let sizes = param_sizes(model);
-        let n = sizes.iter().sum::<usize>();
-        let lanes = c.velocity.iter().map(Vec::len);
-        if c.params.len() != n || !(c.velocity.is_empty() || lanes.eq(sizes.iter().copied())) {
-            return Err(format!("checkpoint does not fit the model's {sizes:?} parameter layout"));
+        let (n, p, v) = (param_count(model), c.params.len(), c.velocity.len());
+        if p != n || !(v == 0 || v == n) {
+            return Err(format!("checkpoint: {p} parameters, {v} velocity values; model: {n}"));
         }
         if let Some(sc) = c.sched.as_ref().filter(|sc| sc.anchor.len() != n) {
             return Err(format!(
@@ -336,7 +332,7 @@ impl TrainStep {
             ));
         }
         load_params(model, &c.params);
-        self.opt.set_velocity_lanes(c.velocity.clone());
+        self.opt.set_velocity(c.velocity.clone());
         if self.scheduled {
             match &c.sched {
                 Some(sc) => {
@@ -390,8 +386,8 @@ mod tests {
     use mini_tensor::rng::SeedRng;
     use mini_tensor::Tensor;
 
-    /// A peer lost during the exchange must leave parameters, velocity
-    /// lanes, schedule phase and window anchor bit-equal to their pre-step
+    /// A peer lost during the exchange must leave parameters, velocity,
+    /// schedule phase and window anchor bit-equal to their pre-step
     /// values — on the gradient path (nothing applied yet) and on the
     /// window-close path (optimizer already stepped: snapshot + restore).
     #[test]
@@ -416,7 +412,7 @@ mod tests {
                 let mut ts = TrainStep::new(&mut model, sync, opt, schedule, Some(16), false);
 
                 // `fixed2` opens with one local step, which needs no peer
-                // and leaves momentum lanes and a window phase to preserve.
+                // and leaves momentum and a window phase to preserve.
                 let mut iter = 0;
                 if failing_plan == Plan::WindowClose {
                     let out = run(&mut ts, &mut model, &mut comm, iter).unwrap();
@@ -439,34 +435,71 @@ mod tests {
         }
     }
 
-    /// A schedule block whose anchor does not fit the model (it arrives
-    /// off the network at elastic catch-up) is refused before anything is
-    /// adopted: parameters, velocity lanes and window phase stay as they
-    /// were, instead of loading and silently re-anchoring at the params.
-    #[test]
-    fn restore_rejects_a_mis_sized_anchor() {
+    /// One `fixed2` local step of a 4 → 3 `Linear` on one rank: the
+    /// step, its model, and the capture it leaves (velocity and a window
+    /// phase of one).
+    fn after_one_local_step(momentum: f32) -> (TrainStep, Linear, Checkpoint) {
         let cluster = Cluster::new(1, NetworkProfile::infiniband_100g());
         let mut comm = cluster.handle(0);
         let mut model = Linear::new("fc", 4, 3, &mut SeedRng::new(5));
-        let opt = OptKind::Sgd { momentum: 0.9, weight_decay: 1e-3 };
+        let opt = OptKind::Sgd { momentum, weight_decay: 1e-3 };
         let sync = AlgoKind::Dense.build(15, 1, 0);
         let mut ts = TrainStep::new(&mut model, sync, opt, SchedKind::Fixed(2), None, false);
         let x = Tensor::from_vec((0..8).map(|i| i as f32 * 0.25 - 1.0).collect(), [2, 4]);
         let y = model.forward(&x, Mode::Train);
         let out = ts.run(&mut model, &mut comm, 0, 0.1, |m, hook| m.backward_params(&y, hook));
         assert_eq!(out.unwrap().plan, Plan::Local);
+        let c = ts.capture(&mut model, 1, 0);
+        assert_eq!(c.sched.as_ref().unwrap().state.local_in_window, 1);
+        (ts, model, c)
+    }
 
-        let before = ts.capture(&mut model, 1, 0);
-        let mut bad = before.clone();
+    /// A snapshot that does not fit the model (it arrives off the network
+    /// at elastic catch-up) is refused, naming `why`, before anything is
+    /// adopted: parameters, velocity and window phase stay as they were,
+    /// instead of loading and silently re-anchoring at the params.
+    fn refused(
+        ts: &mut TrainStep,
+        model: &mut Linear,
+        before: &Checkpoint,
+        mut bad: Checkpoint,
+        why: &str,
+    ) {
         bad.params.iter_mut().for_each(|w| *w += 1.0);
-        bad.velocity.iter_mut().flatten().for_each(|v| *v += 1.0);
-        let sc = bad.sched.as_mut().unwrap();
-        assert_eq!(sc.state.local_in_window, 1);
-        sc.state.local_in_window = 0;
-        sc.anchor.pop();
+        bad.velocity.iter_mut().for_each(|v| *v += 1.0);
+        bad.sched.as_mut().unwrap().state.local_in_window = 0;
+        let err = ts.restore(model, &bad).expect_err(why);
+        assert!(err.contains(why), "{err}");
+        assert_eq!(ts.capture(model, 1, 0).encode(), before.encode());
+    }
 
-        let err = ts.restore(&mut model, &bad).expect_err("a 14-value anchor for 15 parameters");
-        assert!(err.contains("14") && err.contains("15"), "{err}");
-        assert_eq!(ts.capture(&mut model, 1, 0).encode(), before.encode());
+    #[test]
+    fn restore_rejects_a_mis_sized_anchor() {
+        let (mut ts, mut model, before) = after_one_local_step(0.9);
+        let mut bad = before.clone();
+        bad.sched.as_mut().unwrap().anchor.pop();
+        let why = "anchor has 14 values, the model has 15 parameters";
+        refused(&mut ts, &mut model, &before, bad, why);
+    }
+
+    /// Velocity is all or nothing: a snapshot carries none or one value
+    /// per parameter.
+    #[test]
+    fn restore_rejects_a_mis_sized_velocity() {
+        let (mut ts, mut model, before) = after_one_local_step(0.9);
+        for len in [1, 14, 16] {
+            let mut bad = before.clone();
+            bad.velocity.resize(len, 0.5);
+            let why = format!("15 parameters, {len} velocity values; model: 15");
+            refused(&mut ts, &mut model, &before, bad, &why);
+        }
+    }
+
+    /// Momentum-free SGD keeps no velocity, so its snapshots (and the
+    /// elastic catch-up that broadcasts them) carry none.
+    #[test]
+    fn momentum_free_steps_capture_no_velocity() {
+        let (_, _, c) = after_one_local_step(0.0);
+        assert!(c.velocity.is_empty(), "{} velocity values", c.velocity.len());
     }
 }

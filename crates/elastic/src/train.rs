@@ -13,7 +13,7 @@
 //! 2. the synchronizer is rebuilt for the new `(world, rank)` — its state
 //!    after a failed exchange is unspecified;
 //! 3. catch-up: the new rank 0 broadcasts its training state (step,
-//!    parameters, velocity lanes, schedule phase + anchor), so survivors —
+//!    parameters, velocity, schedule phase + anchor), so survivors —
 //!    and a cold restart that loaded an [`a2sgd::Checkpoint`] — resume
 //!    from one state, and the loop retries from that step.
 //!
@@ -27,7 +27,7 @@ use a2sgd::step::{Plan, StepOutcome, TrainStep};
 use a2sgd::trainer::{train_rank, Recovery, Topology, TrainConfig, TrainReport};
 use a2sgd::Checkpoint;
 use cluster_comm::{CommHandle, TransportError, WorldSpec};
-use mini_nn::flat::{flatten_params, param_count, param_sizes};
+use mini_nn::flat::{flatten_params, param_count};
 use mini_nn::module::Module;
 use std::path::PathBuf;
 
@@ -93,9 +93,9 @@ fn catch_up(
 ) -> Result<(), String> {
     let net = |e: TransportError| e.to_string();
     let mut bytes = ts.capture(model, *step, seed).encode();
-    // Rank 0's snapshot can outgrow ours only by velocity lanes we do not
-    // have yet: bound the announced length before allocating for it.
-    let cap = bytes.len() + param_sizes(model).iter().map(|n| 8 + 4 * n).sum::<usize>();
+    // Rank 0's snapshot can outgrow ours only by a velocity we lack (4 bytes
+    // a parameter): bound the announced length before allocating for it.
+    let cap = bytes.len() + 4 * param_count(model);
     let mut len = [bytes.len() as u64];
     comm.try_broadcast(0, &mut len).map_err(net)?;
     if len[0] > cap as u64 {

@@ -9,12 +9,6 @@ pub fn kaiming_normal(rng: &mut SeedRng, dims: &[usize], fan_in: usize) -> Tenso
     rng.randn_tensor(dims, sigma)
 }
 
-/// Xavier/Glorot uniform initialisation: U(−a, a), a = √(6/(fan_in+fan_out)).
-pub fn xavier_uniform(rng: &mut SeedRng, dims: &[usize], fan_in: usize, fan_out: usize) -> Tensor {
-    let a = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    rng.uniform_tensor(dims, -a, a)
-}
-
 /// Small-uniform initialisation used for LSTM/embedding weights,
 /// U(−scale, scale) — matches the classic PTB LSTM recipe.
 pub fn small_uniform(rng: &mut SeedRng, dims: &[usize], scale: f32) -> Tensor {
@@ -32,14 +26,6 @@ mod tests {
         let s = mini_tensor::stats::summary(t.as_slice());
         let expect = (2.0 / 100.0f64).sqrt();
         assert!((s.std() - expect).abs() / expect < 0.1, "std {} vs {}", s.std(), expect);
-    }
-
-    #[test]
-    fn xavier_within_bounds() {
-        let mut rng = SeedRng::new(2);
-        let t = xavier_uniform(&mut rng, &[50, 50], 50, 50);
-        let a = (6.0 / 100.0f32).sqrt();
-        assert!(t.as_slice().iter().all(|&v| v >= -a && v < a));
     }
 
     #[test]

@@ -468,13 +468,12 @@ mod tests {
 
     #[test]
     fn output_shape_and_param_count() {
-        use crate::module::ModuleExt;
         let mut rng = SeedRng::new(71);
         let mut l = Lstm::new("lstm", 6, 4, &mut rng);
         let y = l.forward(&rng.randn_tensor(&[2, 5, 6], 1.0), Mode::Train);
         assert_eq!(y.shape().dims(), &[2, 5, 4]);
         // 4H(E + H + 2) = 16·(6 + 4 + 2)
-        assert_eq!(l.param_count(), 16 * 12);
+        assert_eq!(crate::flat::param_count(&mut l), 16 * 12);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Sequential container.
 
+use crate::flat::param_count;
 use crate::hook::{GradHook, NullHook};
-use crate::module::{Mode, Module, ModuleExt};
+use crate::module::{Mode, Module};
 use crate::param::Param;
 use mini_tensor::Tensor;
 
@@ -67,7 +68,7 @@ impl Module for Sequential {
     fn backward_params(&mut self, dout: &Tensor, hook: &mut dyn GradHook) {
         // Children before the first one with parameters would only form
         // input gradients: they do not run, and that one forms none.
-        let Some(first) = self.children.iter_mut().position(|m| m.param_count() > 0) else {
+        let Some(first) = self.children.iter_mut().position(|m| param_count(m.as_mut()) > 0) else {
             return;
         };
         let (head, rest) = self.children[first..].split_first_mut().expect("position is in range");

@@ -76,13 +76,6 @@ pub trait Module: Send {
 
 /// Extension helpers available on every module.
 pub trait ModuleExt: Module {
-    /// Total number of trainable scalars.
-    fn param_count(&mut self) -> usize {
-        let mut n = 0;
-        self.visit_params(&mut |p| n += p.numel());
-        n
-    }
-
     /// Clears every parameter gradient.
     fn zero_grad(&mut self) {
         self.visit_params(&mut |p| p.zero_grad());
@@ -101,7 +94,7 @@ mod tests {
     fn param_count_and_zero_grad() {
         let mut rng = SeedRng::new(0);
         let mut lin = Linear::new("fc", 4, 3, &mut rng);
-        assert_eq!(lin.param_count(), 4 * 3 + 3);
+        assert_eq!(crate::flat::param_count(&mut lin), 4 * 3 + 3);
         lin.visit_params(&mut |p| p.grad.as_mut_slice().fill(1.0));
         lin.zero_grad();
         let mut all_zero = true;

@@ -14,7 +14,7 @@
 //!   on the same packed core, their patch operands gathered from the image
 //!   straight into micro-panels (no column matrix), filter panels packed
 //!   once per batch,
-//! * reductions, argmax and softmax helpers,
+//! * reductions and softmax helpers,
 //! * streaming statistics and histograms ([`stats`]) — used both by the
 //!   Gaussian-K baseline and to regenerate the paper's Figure 1,
 //! * seeded random initialisation ([`rng`]).
@@ -34,6 +34,3 @@ pub mod tensor;
 
 pub use shape::Shape;
 pub use tensor::Tensor;
-
-/// Default absolute tolerance used by tests comparing floating point kernels.
-pub const TEST_EPS: f32 = 1e-4;

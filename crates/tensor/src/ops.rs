@@ -57,24 +57,6 @@ pub fn div(a: &Tensor, b: &Tensor) -> Tensor {
     zip_map(a, b, |x, y| x / y)
 }
 
-/// In-place `a += b`.
-pub fn add_assign(a: &mut Tensor, b: &Tensor) {
-    assert!(a.shape().same(b.shape()));
-    let xb = b.as_slice();
-    for (x, y) in a.as_mut_slice().iter_mut().zip(xb) {
-        *x += *y;
-    }
-}
-
-/// In-place `a -= b`.
-pub fn sub_assign(a: &mut Tensor, b: &Tensor) {
-    assert!(a.shape().same(b.shape()));
-    let xb = b.as_slice();
-    for (x, y) in a.as_mut_slice().iter_mut().zip(xb) {
-        *x -= *y;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Scalar / map ops
 // ---------------------------------------------------------------------------
@@ -82,13 +64,6 @@ pub fn sub_assign(a: &mut Tensor, b: &Tensor) {
 /// `a * s` into a new tensor.
 pub fn scale(a: &Tensor, s: f32) -> Tensor {
     map(a, |x| x * s)
-}
-
-/// In-place `a *= s`.
-pub fn scale_assign(a: &mut Tensor, s: f32) {
-    for x in a.as_mut_slice() {
-        *x *= s;
-    }
 }
 
 /// Applies `f` elementwise into a new tensor.
@@ -108,12 +83,6 @@ pub fn map(a: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
 pub fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len());
     par::par_zip_mut(y, x, |yi, &xi| *yi += a * xi);
-}
-
-/// `y ← a·x + b·y`.
-pub fn axpby(a: f32, x: &[f32], b: f32, y: &mut [f32]) {
-    assert_eq!(x.len(), y.len());
-    par::par_zip_mut(y, x, move |yi, &xi| *yi = a * xi + b * *yi);
 }
 
 /// Dot product with f64 accumulation (parallel).
@@ -251,26 +220,6 @@ pub fn max(a: &Tensor) -> f32 {
     a.as_slice().iter().copied().fold(f32::NEG_INFINITY, f32::max)
 }
 
-/// Row-wise argmax of a rank-2 tensor `[rows, cols]` → `Vec<usize>` of length
-/// `rows`. Ties break toward the lower index.
-pub fn argmax_rows(a: &Tensor) -> Vec<usize> {
-    assert_eq!(a.shape().rank(), 2);
-    let (r, c) = (a.shape().dim(0), a.shape().dim(1));
-    let x = a.as_slice();
-    let mut out = Vec::with_capacity(r);
-    for i in 0..r {
-        let row = &x[i * c..(i + 1) * c];
-        let mut best = 0;
-        for j in 1..c {
-            if row[j] > row[best] {
-                best = j;
-            }
-        }
-        out.push(best);
-    }
-    out
-}
-
 /// Numerically-stable row-wise softmax of a rank-2 tensor.
 pub fn softmax_rows(a: &Tensor) -> Tensor {
     assert_eq!(a.shape().rank(), 2);
@@ -368,14 +317,6 @@ mod tests {
             yref[i] += 2.0 * x[i];
         }
         assert_eq!(y, yref);
-    }
-
-    #[test]
-    fn axpby_matches_reference() {
-        let x = vec![1.0f32, 2.0, 3.0];
-        let mut y = vec![10.0f32, 20.0, 30.0];
-        axpby(0.5, &x, 2.0, &mut y);
-        assert_eq!(y, vec![20.5, 41.0, 61.5]);
     }
 
     /// |got − want| in units in the last place of `want` as an f32 (the
@@ -543,12 +484,6 @@ mod tests {
         assert_eq!(sum(&a), 10.0);
         assert_eq!(mean(&a), 2.5);
         assert_eq!(mean(&Tensor::zeros([0])), 0.0);
-    }
-
-    #[test]
-    fn argmax_rows_ties_low() {
-        let a = Tensor::from_vec(vec![1.0, 3.0, 3.0, 0.5, 0.1, 0.2], [2, 3]);
-        assert_eq!(argmax_rows(&a), vec![1, 0]);
     }
 
     #[test]

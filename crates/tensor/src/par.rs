@@ -111,26 +111,6 @@ where
     }
 }
 
-/// Like [`par_chunks_mut`], but each window also produces a value; the
-/// results are returned in window order (deterministic regardless of the
-/// pool width). Used where row/image-parallel kernels must both write their
-/// disjoint output slice and report a partial (e.g. per-image weight
-/// gradients that the caller reduces sequentially).
-pub fn par_chunks_mut_map<R, F>(y: &mut [f32], chunk: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, &mut [f32]) -> R + Sync + Send,
-{
-    if y.is_empty() {
-        return Vec::new();
-    }
-    assert!(chunk > 0, "par_chunks_mut_map: zero chunk size over {} elements", y.len());
-    if y.len() <= chunk {
-        return vec![f(0, y)];
-    }
-    y.par_chunks_mut(chunk).enumerate().map(|(i, c)| f(i, c)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,18 +153,6 @@ mod tests {
         // Empty slice: no calls, no panic (chunk size irrelevant).
         let mut empty: [f32; 0] = [];
         par_chunks_mut(&mut empty, 0, |_, _| panic!("called on empty input"));
-    }
-
-    #[test]
-    fn par_chunks_mut_map_returns_in_window_order() {
-        let mut y = vec![0.0f32; 257];
-        let firsts = par_chunks_mut_map(&mut y, 32, |i, c| {
-            c[0] = 1.0 + i as f32;
-            i
-        });
-        assert_eq!(firsts, (0..9).collect::<Vec<_>>());
-        assert_eq!(y[0], 1.0);
-        assert_eq!(y[256], 9.0);
     }
 
     #[test]

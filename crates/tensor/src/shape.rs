@@ -69,13 +69,6 @@ impl Shape {
     pub fn same(&self, other: &Shape) -> bool {
         self.0 == other.0
     }
-
-    /// Shape with dimension `axis` removed (used by reductions).
-    pub fn squeeze_axis(&self, axis: usize) -> Shape {
-        let mut d = self.0.clone();
-        d.remove(axis);
-        Shape(d)
-    }
 }
 
 impl fmt::Debug for Shape {
@@ -136,12 +129,6 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&b| b));
-    }
-
-    #[test]
-    fn squeeze_axis_removes_dim() {
-        let s = Shape::new(&[2, 3, 4]);
-        assert_eq!(s.squeeze_axis(1).dims(), &[2, 4]);
     }
 
     #[test]

@@ -103,29 +103,10 @@ impl Tensor {
         self
     }
 
-    /// Like [`Tensor::reshape`] but in place, for `&mut` pipelines.
-    pub fn reshape_in_place(&mut self, shape: impl Into<Shape>) {
-        let shape = shape.into();
-        assert_eq!(self.numel(), shape.numel());
-        self.shape = shape;
-    }
-
     /// The scalar value of a one-element tensor.
     pub fn item(&self) -> f32 {
         assert_eq!(self.numel(), 1, "item() requires exactly one element");
         self.data[0]
-    }
-
-    /// Returns a new tensor holding `rows[lo..hi]` of a rank-≥1 tensor,
-    /// slicing along the outermost dimension. Copies.
-    pub fn slice_rows(&self, lo: usize, hi: usize) -> Tensor {
-        assert!(self.shape.rank() >= 1);
-        let outer = self.shape.dim(0);
-        assert!(lo <= hi && hi <= outer, "row slice {lo}..{hi} out of bounds {outer}");
-        let inner: usize = self.shape.dims()[1..].iter().product();
-        let mut dims = self.shape.dims().to_vec();
-        dims[0] = hi - lo;
-        Tensor::from_vec(self.data[lo * inner..hi * inner].to_vec(), Shape(dims))
     }
 
     /// 2-D transpose. Panics unless rank == 2.
@@ -216,14 +197,6 @@ mod tests {
         assert_eq!(tt.shape().dims(), &[3, 2]);
         assert_eq!(tt.at(&[2, 1]), 6.0);
         assert_eq!(tt.at(&[0, 1]), 4.0);
-    }
-
-    #[test]
-    fn slice_rows_copies_correct_block() {
-        let t = Tensor::from_vec((0..12).map(|i| i as f32).collect(), [4, 3]);
-        let s = t.slice_rows(1, 3);
-        assert_eq!(s.shape().dims(), &[2, 3]);
-        assert_eq!(s.as_slice(), &[3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
     }
 
     #[test]
