@@ -235,11 +235,10 @@ mod tests {
         assert!(loss < 1e-2, "LARS did not converge: {loss}");
     }
 
-    /// The update as it was written before the flat gradient: one velocity
+    /// The update body as it was before the flat gradient: one velocity
     /// lane per parameter tensor, always allocated, each parameter's
     /// gradient read from `Param::grad` — the parity oracle for
-    /// [`Sgd::step_flat`]. `trust: None` is plain SGD at `momentum = 0`
-    /// and momentum SGD otherwise.
+    /// [`Sgd::step_flat`] on all three shapes (plain, momentum, LARS).
     fn oracle_step(
         velocity: &mut Vec<Vec<f32>>,
         (momentum, wd, trust): (f32, f32, Option<f32>),
@@ -252,29 +251,33 @@ mod tests {
                 velocity.push(vec![0.0f32; p.numel()]);
             }
             let v = &mut velocity[idx];
-            let local = match trust {
-                None => 1.0,
+            let w = p.data.as_mut_slice();
+            let g = p.grad.as_slice();
+            match trust {
+                None if momentum == 0.0 => {
+                    for (wi, &gi) in w.iter_mut().zip(g) {
+                        let grad = gi + wd * *wi;
+                        *wi -= lr * grad;
+                    }
+                }
+                None => {
+                    for ((wi, vi), &gi) in w.iter_mut().zip(v.iter_mut()).zip(g) {
+                        let grad = gi + wd * *wi;
+                        *vi = momentum * *vi + grad;
+                        *wi -= lr * *vi;
+                    }
+                }
                 Some(trust) => {
-                    let w_norm = ops::norm2(p.data.as_slice()) as f32;
-                    let g_norm = ops::norm2(p.grad.as_slice()) as f32;
-                    if w_norm > 0.0 && g_norm > 0.0 {
+                    let w_norm = ops::norm2(w) as f32;
+                    let g_norm = ops::norm2(g) as f32;
+                    let local = if w_norm > 0.0 && g_norm > 0.0 {
                         trust * w_norm / (g_norm + wd * w_norm + 1e-12)
                     } else {
                         1.0
-                    }
-                }
-            };
-            let w = p.data.as_mut_slice();
-            let g = p.grad.as_slice();
-            for ((wi, vi), &gi) in w.iter_mut().zip(v.iter_mut()).zip(g) {
-                match trust {
-                    None if momentum == 0.0 => *wi -= lr * (gi + wd * *wi),
-                    None => {
-                        *vi = momentum * *vi + (gi + wd * *wi);
-                        *wi -= lr * *vi;
-                    }
-                    Some(_) => {
-                        *vi = momentum * *vi + local * (gi + wd * *wi);
+                    };
+                    for ((wi, vi), &gi) in w.iter_mut().zip(v.iter_mut()).zip(g) {
+                        let grad = local * (gi + wd * *wi);
+                        *vi = momentum * *vi + grad;
                         *wi -= lr * *vi;
                     }
                 }
