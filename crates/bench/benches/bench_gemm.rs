@@ -16,7 +16,8 @@
 //! * `conv_layers` — whole `conv2d_forward` / `conv2d_backward` calls, the
 //!   padded copy of the source included, inside a one-lane pool, and the
 //!   weight-only `conv2d_backward_weight` (what a first layer runs, and
-//!   the dW half of every backward row).
+//!   the dW half of every backward row); the ResNet stem has its forward
+//!   and weight-only rows.
 //! * `relu` — one `Relu::forward`.
 //! * `batchnorm` — one `BatchNorm2d` forward and one backward.
 //! * `lstm` — one `Lstm` layer forward and one backward, one lane.
@@ -161,9 +162,12 @@ fn bench_conv(c: &mut Criterion) {
         });
     }
     // What training runs for the scaled ResNet-20's first layer (the stem):
-    // no input gradient.
+    // the forward, and no input gradient.
     let stem = c3(3, 4, 1);
     let [x, w, dout] = conv_operands(&mut rng, &stem, 32);
+    group.bench_function("forward/stem_3to4_32x32", |bch| {
+        bch.iter(|| one_lane.install(|| conv2d_forward(&x, &w, None, &stem)))
+    });
     group.bench_function("backward_weight/stem_3to4_32x32", |bch| {
         bch.iter(|| one_lane.install(|| conv2d_backward_weight(&x, &w, &dout, &stem)))
     });

@@ -14,16 +14,17 @@
 //! grid `q = oy·wp + ox`: the `wp − ow` lanes past each output row are
 //! computed and discarded at the store. The product is
 //! `C[F, q] = Σ_p W[F, p] · src[off[p] + q]` ([`Gemm::run_offsets`]): the
-//! weights are packed once per batch and no B panel is packed, zero-filled
-//! or allocated.
+//! weights are packed once per batch and no patch panel is packed,
+//! zero-filled or allocated.
 //!
 //! * **Forward** `y_i = W[F, C·K·K] · patches(x_i)` is that product over
 //!   `x_i`'s planes.
-//! * **dW** `dW_i = dout_i[F, OH·OW] · patches(x_i)ᵀ` reduces over output
-//!   positions, so its B operand runs along taps and is packed: the
-//!   transposed panel filler copies each tap's window from the same planes
-//!   through the same `off[p]`, one run of `ow` values per output row.
-//!   Per-image partials are reduced sequentially in image order.
+//! * **dW** reduces over output positions, so it swaps sides:
+//!   `dW_iᵀ[C·K·K, F] = patches(x_i) · dout_iᵀ` ([`Gemm::run_windows`])
+//!   reads tap `p` at kept position `q` in place, at `src[off[p] + pos[q]]`
+//!   (`pos[q] = (q / ow)·wp + q % ow`: no discarded lane enters the sum),
+//!   with `dout_iᵀ` packed once per image. Per-image partials are added
+//!   into `[F, C·K·K]` in image order.
 //!   [`conv2d_backward_weight`] is this product alone, for a layer whose
 //!   input gradient nobody reads.
 //! * **dx** as `s²` stride-1 *phases*: the `dx` positions
@@ -42,7 +43,7 @@
 //! independent tasks and each output element is reduced by one of them, so
 //! results are bit-identical across pool widths.
 
-use crate::gemm::{Gemm, Grid, PackedA, PackedB, MR, NR};
+use crate::gemm::{Gemm, Grid, PackedA, Windows, MR, NR};
 use crate::par;
 use crate::tensor::Tensor;
 
@@ -252,24 +253,21 @@ pub fn conv2d_backward_weight(
     let (img, dimg_len, wlen) = (in_c * h * w, out_c * oh * ow, spec.weight_len());
     let (xs, dos) = (x.as_slice(), dout.as_slice());
 
-    // dW_i[F, C·K·K] = dout_i[F, OH·OW] · patches(x_i)ᵀ (nt) and
-    // db_i[f] = Σ dout_i[f, :]. Every image's partial is kept separate and
-    // reduced sequentially in image order below, so the thread count cannot
-    // change the reduction grouping.
-    let g = Gemm::nt(out_c, oh * ow, in_c * k * k);
+    // dW_iᵀ[C·K·K, F] = windows(x_i) · dout_iᵀ (module docs) and db_i[f] =
+    // Σ dout_i[f, :]. Every image's partial is kept separate and added,
+    // transposed, in image order below, so the thread count cannot change
+    // the reduction grouping.
+    let taps = in_c * k * k;
+    let g = Gemm::nt(taps, oh * ow, out_c);
     let planes = Planes::of_input(spec, (h, w), (oh, ow));
     let off = planes.taps(k);
+    let pos: Vec<usize> = (0..oh * ow).map(|q| q / ow * planes.wp + q % ow).collect();
     let mut partials = vec![0.0f32; n * (wlen + out_c)];
     par::par_chunks_mut(&mut partials, wlen + out_c, |i, part| {
         let (dwi, dbi) = part.split_at_mut(wlen);
         let dimg = &dos[i * dimg_len..][..dimg_len];
         let src = planes.copy(&xs[i * img..][..img]);
-        let (mut pa, mut pb, mut tile) = (PackedA::default(), PackedB::default(), Vec::new());
-        g.pack_a_into(dimg, &mut pa);
-        g.pack_b_with(&mut pb, |p0, j0, cols, panel| {
-            transposed_panel((&src, &off[j0..j0 + cols]), (ow, planes.wp), p0, panel, &mut tile);
-        });
-        g.run_packed(&pa, &pb, dwi, false);
+        g.run_windows(&Windows { src: &src, off: &off, pos: &pos }, &g.pack_b(dimg), dwi);
         for (b, plane) in dbi.iter_mut().zip(dimg.chunks(oh * ow)) {
             *b = plane.iter().sum();
         }
@@ -279,47 +277,16 @@ pub fn conv2d_backward_weight(
     let mut db = vec![0.0f32; out_c];
     for part in partials.chunks_exact(wlen + out_c) {
         let (dwi, dbi) = part.split_at(wlen);
-        for (a, b) in dw.iter_mut().zip(dwi) {
-            *a += b;
+        for (t, row) in dwi.chunks_exact(out_c).enumerate() {
+            for (f, b) in row.iter().enumerate() {
+                dw[f * taps + t] += b;
+            }
         }
         for (a, b) in db.iter_mut().zip(dbi) {
             *a += b;
         }
     }
     (Tensor::from_vec(dw, [out_c, in_c, k, k]), Tensor::from_vec(db, [out_c]))
-}
-
-/// Fills one `kc×NR` micro-panel of the *transposed* patch matrix for
-/// `dW`: panel rows are output positions `p0..`, lanes are the taps whose
-/// windows in `src` start at `off`. A tap's positions are runs of `ow`
-/// values of its window, one per output row `wp` apart; each is copied
-/// into a row of `tile` (the caller's scratch, a panel's worth —
-/// L1-sized), which is then transposed four lanes at a time.
-fn transposed_panel(
-    (src, off): (&[f32], &[usize]),
-    (ow, wp): (usize, usize),
-    p0: usize,
-    panel: &mut [f32],
-    tile: &mut Vec<f32>,
-) {
-    let kc = panel.len() / NR;
-    tile.resize(panel.len(), 0.0);
-    tile[off.len() * kc..].fill(0.0);
-    for (row, &o) in tile.chunks_exact_mut(kc).zip(off) {
-        let (mut oy, mut ox, mut done) = (p0 / ow, p0 % ow, 0);
-        while done < kc {
-            let run = (ow - ox).min(kc - done);
-            row[done..done + run].copy_from_slice(&src[o + oy * wp + ox..][..run]);
-            (oy, ox, done) = (oy + 1, 0, done + run);
-        }
-    }
-    for (q, quad) in tile.chunks_exact(4 * kc).take(off.len().div_ceil(4)).enumerate() {
-        let (r0, r1, r2, r3) = (&quad[..kc], &quad[kc..], &quad[2 * kc..], &quad[3 * kc..]);
-        let reads = r0.iter().zip(r1).zip(r2.iter().zip(r3));
-        for (lanes, ((a, b), (c, d))) in panel.chunks_exact_mut(NR).zip(reads) {
-            lanes[4 * q..4 * q + 4].copy_from_slice(&[*a, *b, *c, *d]);
-        }
-    }
 }
 
 /// One axis of a backward-data phase (module docs): the `len` positions
@@ -764,8 +731,7 @@ mod gathered {
             let (dwi, dbi) = part.split_at_mut(wlen);
             let ximg = &xs[i * img..][..img];
             let dimg = &dos[i * dimg_len..][..dimg_len];
-            let (mut pa, mut pb, mut tile) = (PackedA::default(), PackedB::default(), Vec::new());
-            g.pack_a_into(dimg, &mut pa);
+            let (pa, mut pb, mut tile) = (g.pack_a(dimg), PackedB::default(), Vec::new());
             g.pack_b_with(&mut pb, |p0, j0, cols, panel| {
                 of_x.gather_t(ximg, p0, j0, cols, panel, &mut tile);
             });
@@ -896,7 +862,7 @@ mod gathered {
 mod tests {
     use super::gathered::{self, Patches, Phase};
     use super::*;
-    use crate::gemm::KC;
+    use crate::gemm::{PackedB, KC};
     use crate::rng::SeedRng;
 
     /// The materialising oracle: unfolds one image `[C, H, W]` into the
@@ -1148,9 +1114,11 @@ mod tests {
     /// replaced, `to_bits`-equal: every `k ∈ {1,2,3,5}`, `s ∈ {1,2,3}`,
     /// `pad ∈ 0..4` — pad ≥ k gives a negative phase pad, k < s phases
     /// with no taps (the 1×1 stride-2 projection) — plus KC slab splits in
-    /// the forward, `dW` and phase reductions, on a 7×10 input, at batch 1
-    /// and 3 and pool widths 1/2/4/8, once on finite data and once with
-    /// ±∞ / NaN where padding and discarded grid lanes meet the image.
+    /// the forward and phase reductions, on a 7×10 input, and an 18×18
+    /// input whose `dW` reduces over more than KC output positions with
+    /// discarded lanes between its rows; at batch 1 and 3 and pool widths
+    /// 1/2/4/8, once on finite data and once with ±∞ / NaN where padding
+    /// and discarded grid lanes meet the image.
     #[test]
     fn offset_products_are_bit_identical_to_the_gathered_panels() {
         let mut rng = SeedRng::new(18);
@@ -1161,17 +1129,24 @@ mod tests {
                 cases.extend((0..4).map(|pad| spec(2, 3, k, s, pad)));
             }
         }
-        let (h, w) = (7, 10);
-        assert!(cases.iter().any(|c| c.in_c * c.k * c.k > KC && c.out_c * 9 > KC));
+        let mut cases: Vec<_> = cases.into_iter().map(|c| (c, (7, 10))).collect();
+        cases.push((spec(2, 3, 3, 1, 1), (18, 18)));
+        assert!(cases.iter().any(|(c, _)| c.in_c * c.k * c.k > KC && c.out_c * 9 > KC));
         // A grid whose last panel runs past its last row.
-        assert!(cases.iter().any(|c| {
+        assert!(cases.iter().any(|&(c, (h, w))| {
             let ((oh, ow), reach) = (c.out_hw(h, w), (c.k - 1) / c.stride);
             oh * (ow + reach) % NR != 0
         }));
+        // A dW reduction split across slabs, over rows with discarded lanes.
+        assert!(cases.iter().any(|&(c, (h, w))| {
+            let ((oh, ow), reach) = (c.out_hw(h, w), (c.k - 1) / c.stride);
+            oh * ow > KC && reach > 0
+        }));
         let widths = [1, 2, 4, 8];
         let pools = widths.map(|n| rayon::ThreadPoolBuilder::new().num_threads(n).build().unwrap());
-        for (i, spec) in cases.iter().enumerate() {
-            let (n, (oh, ow)) = (1 + 2 * (i % 2), spec.out_hw(h, w));
+        for (i, (spec, (h, w))) in cases.iter().enumerate() {
+            let (n, (h, w)) = (1 + 2 * (i % 2), (*h, *w));
+            let (oh, ow) = spec.out_hw(h, w);
             for poisoned in [false, true] {
                 let mut x = rng.randn_tensor(&[n, spec.in_c, h, w], 1.0);
                 let wt = rng.randn_tensor(&[spec.out_c, spec.in_c, spec.k, spec.k], 0.5);

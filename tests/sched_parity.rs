@@ -6,9 +6,10 @@
 //!   bit-identical to the unscheduled trainer for every synchronizer the
 //!   registry can build, so turning the schedule knob cannot perturb the
 //!   classic path. The training fingerprint
-//!   (`crates/core/tests/fingerprint.rs`) holds the same relations on its
-//!   committed grid (`fixed1` ≡ unscheduled in its section A, `ov` ≡ no
-//!   `ov` under `Fixed(4)` and `PostLocal` in its section C).
+//!   (`crates/core/tests/fingerprint.rs`) holds that on its committed grid
+//!   (`fixed1` ≡ unscheduled in its section A, `ov` ≡ no `ov` under
+//!   `Fixed(4)` and `PostLocal` in its section C); here it is checked under
+//!   overlap for every synchronizer, and overlap under real windows.
 //! * **Traffic** — over real loopback sockets, `fixed8` cuts dense
 //!   measured wire bytes by the window factor: communication reduction in
 //!   *time*, orthogonal to the compressors' reduction in *space*.
@@ -38,31 +39,6 @@ fn fingerprint(rep: &TrainReport) -> Vec<u64> {
     f.push(rep.wire_bits_per_iter);
     f.push(rep.measured_wire_bytes);
     f
-}
-
-/// `fixed1` ≡ unscheduled, bit for bit, for every registry synchronizer:
-/// every window is degenerate, so every step must take the classic
-/// gradient path with zero schedule residue in the report.
-#[test]
-fn fixed1_parity_all_synchronizers_inproc() {
-    for algo in AlgoKind::all(0.01) {
-        let base = cfg(algo, 2, 21);
-        let reference = train(&base);
-        let mut s = base.clone();
-        s.schedule = SchedKind::Fixed(1);
-        let scheduled = train(&s);
-        assert_eq!(
-            fingerprint(&reference),
-            fingerprint(&scheduled),
-            "{}: fixed1 diverged from the unscheduled trainer",
-            algo.name()
-        );
-        assert_eq!(scheduled.local_steps, 0, "{}", algo.name());
-        assert_eq!(scheduled.sync_steps, scheduled.iters, "{}", algo.name());
-        // The label still advertises the schedule — same math, but the
-        // figures must be able to tell the rows apart.
-        assert!(scheduled.label.contains("sched(fixed1"), "label: {}", scheduled.label);
-    }
 }
 
 /// The traffic claim over real rank processes on loopback TCP: dense
