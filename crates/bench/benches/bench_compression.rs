@@ -73,7 +73,7 @@ fn bench_qsgd_codec(c: &mut Criterion) {
     });
     let mut out = vec![0.0f32; n];
     group.bench_function(&format!("accumulate/{n}"), |b| {
-        b.iter(|| one_lane.install(|| q.accumulate(&all, &frame, &mut out, 0.5)))
+        b.iter(|| one_lane.install(|| q.accumulate(&all, &frame, &mut out, 0.5).unwrap()))
     });
     group.finish();
 }

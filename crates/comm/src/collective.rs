@@ -741,8 +741,8 @@ mod tests {
             h.allgather_bytes(payload)
         });
         for got in results {
-            assert!(got[0].as_bytes().is_empty());
-            assert_eq!(got[1].as_bytes(), &[1, 2, 3]);
+            assert!(got[0].clone().expect_bytes().is_empty());
+            assert_eq!(got[1].clone().expect_bytes(), [1, 2, 3]);
             assert_eq!(got[2].clone().expect_u64(), vec![0xFEED, 0xBEEF]);
             let f = got[3].clone().expect_f32();
             assert!(f[0].is_nan() && f[1].to_bits() == (-0.0f32).to_bits());

@@ -288,6 +288,12 @@ impl CollectiveHandle {
         }
     }
 
+    /// The tag a gather's frames travel under (the other ops' rounds add
+    /// their own offsets): what a refused frame's `BadFrame` names.
+    pub fn tag(&self) -> u64 {
+        self.tag
+    }
+
     /// Drives the collective to completion (blocking on outstanding
     /// frames) and returns its result.
     pub fn wait(self, comm: &mut CommHandle) -> Result<CollectiveResult, TransportError> {
@@ -633,8 +639,8 @@ mod tests {
             });
             for (rank, (got, bits)) in out.into_iter().enumerate() {
                 assert_eq!(got.len(), world);
-                for (r, p) in got.iter().enumerate() {
-                    assert_eq!(p.as_bytes(), vec![r as u8; r + 1]);
+                for (r, p) in got.into_iter().enumerate() {
+                    assert_eq!(p.expect_bytes(), vec![r as u8; r + 1]);
                 }
                 // Own payload counted once, however many copies are sent.
                 assert_eq!(bits, 8 * (rank as u64 + 1));

@@ -119,8 +119,9 @@ pub enum TransportError {
         cause: String,
     },
     /// A frame from `peer` arrived intact but is not what the collective
-    /// round expects under `tag`: the wrong payload kind or element count
-    /// (a peer bug or a desynchronized schedule — never summed or copied).
+    /// round expects under `tag`: the wrong payload kind or element count,
+    /// or content its format's parser refuses (a peer bug or a
+    /// desynchronized schedule — never summed or copied).
     BadFrame {
         /// The observing rank.
         rank: usize,

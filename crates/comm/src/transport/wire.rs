@@ -220,14 +220,6 @@ impl Payload {
             other => panic!("expected Bytes frame, got {:?}", other.kind()),
         }
     }
-
-    /// Borrows a `Bytes` payload's content; panics on any other kind.
-    pub fn as_bytes(&self) -> &[u8] {
-        match self {
-            Payload::Bytes(v) => v,
-            other => panic!("expected Bytes frame, got {:?}", other.kind()),
-        }
-    }
 }
 
 /// Total bytes a frame with `byte_len` payload bytes occupies on the wire.

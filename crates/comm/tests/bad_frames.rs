@@ -4,6 +4,12 @@
 //! silently truncated sum and never a panic, in debug and release builds
 //! alike. The damage is done by a test-local `Transport` wrapper on one
 //! rank, on both backends.
+//!
+//! A frame the collective moves intact but whose *content* its format
+//! refuses — a compressed gradient that is cut short, of another payload
+//! kind, or holding a value its codec does not define — is the same
+//! `BadFrame`, returned by the codec's `accumulate` through
+//! `try_sync_bucketed`: `crates/compress/tests/bad_codec_frames.rs`.
 
 use a2sgd::algorithm::A2sgd;
 use cluster_comm::transport::{

@@ -131,12 +131,18 @@ impl<'a> BitReader<'a> {
     }
 }
 
-/// Splits a scale-prefixed frame into `(scale, stream bytes)`; `None` for a
-/// frame that is not bytes or is shorter than its scale.
-pub fn split_scaled_stream(payload: &Payload) -> Option<(f32, &[u8])> {
-    let Payload::Bytes(bytes) = payload else { return None };
-    let scale = bytes.get(..4)?.try_into().ok()?;
-    Some((f32::from_bits(u32::from_le_bytes(scale)), &bytes[4..]))
+/// Reads a frame's scale (its first 32 stream bits), then the rest through
+/// `read`. A frame that is not bytes or shorter than its scale, or a stream
+/// `read` refuses, is an `Err`: it does not hold `n` `values`.
+pub fn read_scaled(
+    frame: &Payload,
+    n: usize,
+    values: &str,
+    read: impl FnOnce(f32, BitReader) -> Option<()>,
+) -> Result<(), String> {
+    let mut r = BitReader::new(if let Payload::Bytes(b) = frame { b } else { &[] });
+    let read = r.take(32).and_then(|scale| read(f32::from_bits(scale), r));
+    read.ok_or_else(|| format!("not a 4-byte scale and {n} {values}"))
 }
 
 /// `(code, length)` in stream order of every `i8` level, at index
@@ -227,17 +233,15 @@ impl LevelDecoder {
         Some(if w & 1 == 1 { -(mag as i8) } else { mag as i8 })
     }
 
-    /// Decodes `out.len()` levels from the front of `stream`, handing each
-    /// to `f` with its slot, in order. `None` if the stream ends first or
-    /// holds a code that is not a level in `[−s, s]`; bits after the last
-    /// level are not read.
+    /// Decodes `out.len()` levels from `r`, handing each to `f` with its
+    /// slot, in order. `None` if the stream ends first or holds a code that
+    /// is not a level in `[−s, s]`; bits after the last level are not read.
     pub fn decode<T>(
         &self,
-        stream: &[u8],
+        mut r: BitReader,
         out: &mut [T],
         mut f: impl FnMut(&mut T, i8),
     ) -> Option<()> {
-        let mut r = BitReader::new(stream);
         let mut i = 0;
         while i + 4 <= out.len() {
             if r.avail < 16 {
@@ -282,10 +286,8 @@ mod tests {
         }
         let bytes = frame(w);
         assert_eq!(bytes.len(), 4 + 67usize.div_ceil(8));
-        let frame = Payload::Bytes(bytes);
-        let (scale, stream) = split_scaled_stream(&frame).unwrap();
-        assert_eq!(scale, 1.5);
-        let mut r = BitReader::new(stream);
+        assert_eq!(bytes[..4], 1.5f32.to_le_bytes());
+        let mut r = BitReader::new(&bytes[4..]);
         for &(c, n) in &codes {
             assert_eq!(r.take(n), Some(c));
         }
@@ -307,7 +309,9 @@ mod tests {
         }
         let bytes = frame(w);
         let mut got = vec![0i8; levels.len()];
-        LevelDecoder::new(127).decode(&bytes[4..], &mut got, |o, l| *o = l).unwrap();
+        LevelDecoder::new(127)
+            .decode(BitReader::new(&bytes[4..]), &mut got, |o, l| *o = l)
+            .unwrap();
         assert_eq!(got, levels);
     }
 

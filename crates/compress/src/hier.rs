@@ -41,11 +41,6 @@ impl HierarchicalSynchronizer {
         let name = Box::leak(format!("hier(dense, {})", inner.name()).into_boxed_str());
         HierarchicalSynchronizer { inner, dense: DenseSgd::new(), comm, name }
     }
-
-    /// The topology this synchronizer runs over.
-    pub fn topology(&self) -> &HierarchicalComm {
-        &self.comm
-    }
 }
 
 impl GradientSynchronizer for HierarchicalSynchronizer {
@@ -148,7 +143,7 @@ mod tests {
             let mut g = rank_grad(h.rank(), n);
             let stats = sync.sync_bucketed(&mut g, &bucket_bounds(&[n], 40), h);
             assert_eq!(stats.wire_bits, stats.intra_wire_bits + stats.inter_wire_bits);
-            if sync.topology().is_leader() {
+            if sync.comm.is_leader() {
                 assert!(stats.inter_wire_bits > 0);
             } else {
                 assert_eq!(stats.inter_wire_bits, 0);

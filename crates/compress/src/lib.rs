@@ -17,7 +17,8 @@
 //!   ([`cluster_comm::Payload`] — Elias-coded QSGD levels,
 //!   `(u32 idx, f32 val)` sparse records, sign/ternary bit-packs) and
 //!   [`accumulate`](Codec::accumulate) folds one rank's frame back into the
-//!   bucket. Top-K, Gaussian-K and Rand-K are one [`sparse::Sparsifier`]
+//!   bucket or refuses it — `TransportError::BadFrame` on every rank that
+//!   decodes it. Top-K, Gaussian-K and Rand-K are one [`sparse::Sparsifier`]
 //!   under three selection rules.
 //! * The driver ([`session`]) is [`GradientSynchronizer::try_sync_bucketed`]
 //!   for every codec: a **bucketed encode → async-exchange → decode**
@@ -326,8 +327,16 @@ pub trait Codec: Send {
 
     /// Folds one rank's `frame` for the bucket `range` into `bucket`
     /// (`grad[range]`): `bucket[i] += decoded[i] · weight`. The format's
-    /// one parser.
-    fn accumulate(&self, range: &Range<usize>, frame: &Payload, bucket: &mut [f32], weight: f32);
+    /// one parser: a frame it cannot read is an `Err` naming the cause
+    /// (`bucket` then partly updated), never a panic, and `BadFrame` from
+    /// `try_sync_bucketed` on every rank that decodes the frame.
+    fn accumulate(
+        &self,
+        range: &Range<usize>,
+        frame: &Payload,
+        bucket: &mut [f32],
+        weight: f32,
+    ) -> Result<(), String>;
 }
 
 impl<C: Codec> GradientSynchronizer for C {

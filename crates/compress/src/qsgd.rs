@@ -18,7 +18,7 @@
 //! writer and decoded up to four levels per table lookup; a frame holding
 //! a code that is not a level in `[−s, s]`, or too few codes, is refused.
 
-use crate::elias::{level_code, split_scaled_stream, BitWriter, LevelDecoder};
+use crate::elias::{level_code, read_scaled, BitWriter, LevelDecoder};
 use crate::Codec;
 use cluster_comm::Payload;
 use mini_tensor::rng::SeedRng;
@@ -91,11 +91,6 @@ impl Qsgd {
         Qsgd { s, imp, rng: SeedRng::new(seed), q: QuantizedGrad::default(), decoder }
     }
 
-    /// Number of levels.
-    pub fn levels(&self) -> u8 {
-        self.s
-    }
-
     /// Quantizes `g` into the codec's buffer, returning levels + measured
     /// encoded size.
     pub fn quantize(&mut self, g: &[f32]) -> &QuantizedGrad {
@@ -149,14 +144,6 @@ impl Qsgd {
         q.encoded_bits = 32 + stream_bits(&q.levels);
     }
 
-    /// Decodes a quantized gradient back to dense values.
-    pub fn dequantize(q: &QuantizedGrad, s: u8, out: &mut [f32]) {
-        let scale = q.norm / s as f32;
-        for (o, &l) in out.iter_mut().zip(&q.levels) {
-            *o = l as f32 * scale;
-        }
-    }
-
     /// Encodes a slice of the level stream into its wire frame: 4 bytes of
     /// norm followed by the Elias stream (sign bit + gamma(|level|+1) per
     /// coordinate, final byte zero-padded). This is the *actual* byte
@@ -171,17 +158,6 @@ impl Qsgd {
             w.put(code, len);
         }
         w.finish()
-    }
-
-    /// Adds one frame's dequantized levels into `bucket` at `weight` — the
-    /// arithmetic of [`Qsgd::dequantize`]. `None` if the frame is shorter
-    /// than its norm, runs out before `bucket.len()` levels, or holds a
-    /// code that is not a level in `[−s, s]` (`bucket` is then partly
-    /// updated).
-    pub fn decode(&self, frame: &Payload, bucket: &mut [f32], weight: f32) -> Option<()> {
-        let (norm, stream) = split_scaled_stream(frame)?;
-        let scale = norm / self.s as f32;
-        self.decoder.decode(stream, bucket, |g, level| *g += level as f32 * scale * weight)
     }
 }
 
@@ -210,8 +186,17 @@ impl Codec for Qsgd {
         Self::encode_payload(self.q.norm, &self.q.levels[range.clone()])
     }
 
-    fn accumulate(&self, _range: &Range<usize>, frame: &Payload, bucket: &mut [f32], weight: f32) {
-        self.decode(frame, bucket, weight).expect("malformed QSGD frame");
+    fn accumulate(
+        &self,
+        _range: &Range<usize>,
+        frame: &Payload,
+        bucket: &mut [f32],
+        weight: f32,
+    ) -> Result<(), String> {
+        read_scaled(frame, bucket.len(), "levels in [−s, s]", |norm, r| {
+            let scale = norm / self.s as f32;
+            self.decoder.decode(r, bucket, |g, level| *g += level as f32 * scale * weight)
+        })
     }
 }
 
@@ -228,10 +213,10 @@ mod tests {
         let mut acc = vec![0.0f64; g.len()];
         let trials = 4000;
         let mut q = Qsgd::new(4, QsgdImpl::Fast, 9);
-        let mut out = vec![0.0f32; g.len()];
         for _ in 0..trials {
-            let qg = q.quantize(&g);
-            Qsgd::dequantize(qg, 4, &mut out);
+            q.prepare(&mut g.clone());
+            let mut out = vec![0.0f32; g.len()];
+            q.accumulate(&(0..g.len()), &q.encode(&(0..g.len()), &g), &mut out, 1.0).unwrap();
             for (a, &v) in acc.iter_mut().zip(&out) {
                 *a += v as f64;
             }
@@ -269,7 +254,7 @@ mod tests {
         let frame = Qsgd::encode_payload(norm, &levels);
         assert_eq!(frame.byte_len() as u64, qg.encoded_bits.div_ceil(8));
         let mut out = vec![0.0f32; levels.len()];
-        q.decode(&frame, &mut out, 1.0).unwrap();
+        q.accumulate(&(0..levels.len()), &frame, &mut out, 1.0).unwrap();
         let want: Vec<f32> = levels.iter().map(|&l| 0.0 + l as f32 * (norm / 4.0) * 1.0).collect();
         assert_eq!(out, want);
     }

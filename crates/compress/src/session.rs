@@ -63,9 +63,10 @@ pub fn bucket_bounds(sizes: &[usize], cap_bytes: usize) -> Vec<Range<usize>> {
 /// This is the one place the family is timed: `compress_seconds` is
 /// prepare + Σ encode + Σ (zero + accumulate); `exchange_seconds`,
 /// `wire_bits` and `comm_seconds` are the communicator's ledger deltas
-/// for this rank's own frames. Peer
-/// loss mid-pipeline is returned as the typed transport error; buckets
-/// still in flight are abandoned with the communicator.
+/// for this rank's own frames. Peer loss mid-pipeline and a frame
+/// `accumulate` refuses (`BadFrame` from its index in the gather) are
+/// returned as typed transport errors; buckets still in flight are
+/// abandoned with the communicator.
 pub(crate) fn sync_gathered(
     codec: &mut dyn Codec,
     grad: &mut [f32],
@@ -110,6 +111,7 @@ pub(crate) fn sync_gathered(
                 break;
             }
             let (i, handle) = pending.pop_front().expect("front was just inspected");
+            let (rank, tag) = (comm.rank(), handle.tag());
             let frames = handle.wait(comm)?.expect_gathered();
             let ts = a2sgd_trace::now_ns();
             let r = &bounds[i];
@@ -117,10 +119,11 @@ pub(crate) fn sync_gathered(
                 let bucket = &mut grad[r.clone()];
                 bucket.fill(0.0);
                 let inv = 1.0 / frames.len() as f32;
-                for frame in &frames {
-                    codec.accumulate(r, frame, bucket, inv);
-                }
-            });
+                frames.iter().enumerate().try_for_each(|(peer, frame)| {
+                    let bad = |cause| TransportError::BadFrame { rank, peer, tag, cause };
+                    codec.accumulate(r, frame, bucket, inv).map_err(bad)
+                })
+            })?;
             if a2sgd_trace::enabled() {
                 let bytes = frames.iter().map(|p| p.byte_len() as u64).sum();
                 a2sgd_trace::closed_span(
@@ -248,7 +251,7 @@ mod tests {
             let floor = (0..5).fold(f64::INFINITY, |best, _| {
                 let t = Instant::now();
                 let frame = codec.encode(&whole, &prepared);
-                codec.accumulate(&whole, &frame, &mut out, 1.0);
+                codec.accumulate(&whole, &frame, &mut out, 1.0).unwrap();
                 best.min(t.elapsed().as_secs_f64())
             });
             let ran = run_cluster(1, NetworkProfile::infiniband_100g(), |h| {

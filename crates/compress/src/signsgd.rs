@@ -1,7 +1,7 @@
 //! EF-SignSGD (Karimireddy et al., paper ref [22]).
 
 use crate::ef::ErrorFeedback;
-use crate::elias::{split_scaled_stream, BitReader, BitWriter};
+use crate::elias::{read_scaled, BitWriter};
 use crate::Codec;
 use cluster_comm::Payload;
 use std::ops::Range;
@@ -25,19 +25,6 @@ impl SignSgdEf {
     /// The error-feedback memory: the quantization error carried so far.
     pub fn residual(&self) -> &[f32] {
         self.ef.residual()
-    }
-
-    /// Adds one frame's `±scale · weight` signs into `bucket`. `None` if
-    /// the frame is shorter than its scale or runs out before
-    /// `bucket.len()` signs (`bucket` is then partly updated).
-    pub fn decode(frame: &Payload, bucket: &mut [f32], weight: f32) -> Option<()> {
-        let (scale, stream) = split_scaled_stream(frame)?;
-        let mut r = BitReader::new(stream);
-        for a in bucket.iter_mut() {
-            let v = if r.take(1)? == 1 { -scale } else { scale };
-            *a += v * weight;
-        }
-        Some(())
     }
 }
 
@@ -79,8 +66,20 @@ impl Codec for SignSgdEf {
         w.finish()
     }
 
-    fn accumulate(&self, _range: &Range<usize>, frame: &Payload, bucket: &mut [f32], weight: f32) {
-        Self::decode(frame, bucket, weight).expect("malformed SignSGD frame");
+    fn accumulate(
+        &self,
+        _range: &Range<usize>,
+        frame: &Payload,
+        bucket: &mut [f32],
+        weight: f32,
+    ) -> Result<(), String> {
+        read_scaled(frame, bucket.len(), "sign bits", |scale, mut r| {
+            for a in bucket.iter_mut() {
+                let v = if r.take(1)? == 1 { -scale } else { scale };
+                *a += v * weight;
+            }
+            Some(())
+        })
     }
 }
 

@@ -26,16 +26,6 @@ pub fn encode(idx: &[u32], val: &[f32]) -> Payload {
     Payload::Bytes(bytes)
 }
 
-/// The `(idx, val)` records of a sparse wire frame, in frame order.
-pub fn records(payload: &Payload) -> impl Iterator<Item = (u32, f32)> + '_ {
-    let bytes = payload.as_bytes();
-    assert!(bytes.len() % 8 == 0, "sparse frame must be (u32 idx, f32 val) records");
-    bytes.chunks_exact(8).map(|rec| {
-        let word = |at: usize| u32::from_le_bytes([rec[at], rec[at + 1], rec[at + 2], rec[at + 3]]);
-        (word(0), f32::from_bits(word(4)))
-    })
-}
-
 /// Sub-range of a sorted index list whose coordinates fall inside the
 /// bucket `r` — how a global selection is cut into per-bucket wire frames.
 pub fn records_in(idx: &[u32], r: &Range<usize>) -> Range<usize> {
@@ -121,10 +111,25 @@ impl<S: Select> Codec for Sparsifier<S> {
         encode(&self.idx[recs.clone()], &self.val[recs])
     }
 
-    fn accumulate(&self, range: &Range<usize>, frame: &Payload, bucket: &mut [f32], weight: f32) {
-        for (i, v) in records(frame) {
-            bucket[i as usize - range.start] += v * weight;
+    fn accumulate(
+        &self,
+        range: &Range<usize>,
+        frame: &Payload,
+        bucket: &mut [f32],
+        weight: f32,
+    ) -> Result<(), String> {
+        let recs = match frame {
+            Payload::Bytes(bytes) if bytes.len() % 8 == 0 => bytes.chunks_exact(8),
+            _ => return Err("not whole 8-byte (index, value) records".to_string()),
+        };
+        for b in recs {
+            let word = |at: usize| u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]]);
+            let i = word(0) as usize;
+            let slot = i.checked_sub(range.start).and_then(|at| bucket.get_mut(at));
+            *slot.ok_or_else(|| format!("index {i} outside the bucket {range:?}"))? +=
+                f32::from_bits(word(4)) * weight;
         }
+        Ok(())
     }
 }
 
@@ -144,20 +149,33 @@ pub(crate) mod tests {
 
     #[test]
     fn encode_decode_roundtrip_exact_indices() {
-        let idx = vec![0u32, 1, 65_537, 4_000_000_000];
-        let val = vec![0.5f32, -1.25, 3.0, f32::MIN_POSITIVE];
-        let payload = encode(&idx, &val);
-        assert_eq!(payload.bits(), PAIR_BITS * idx.len() as u64);
-        let (i2, v2): (Vec<u32>, Vec<f32>) = records(&payload).unzip();
-        assert_eq!(i2, idx);
-        assert_eq!(v2, val);
+        // Two frames, each read back into its own bucket: the indices are
+        // exact up to the top of u32.
+        let codec = crate::TopK::new(4, 1.0);
+        for (idx, bucket) in [
+            ([0u32, 1, 2], 0..3),
+            ([4_000_000_000, 4_000_000_002, 4_000_000_003], 4_000_000_000..4_000_000_004),
+        ] {
+            let val = [0.5f32, -1.25, f32::MIN_POSITIVE];
+            let payload = encode(&idx, &val);
+            assert_eq!(payload.bits(), PAIR_BITS * idx.len() as u64);
+            let mut got = vec![0.0f32; bucket.len()];
+            codec.accumulate(&bucket, &payload, &mut got, 1.0).unwrap();
+            let mut want = vec![0.0f32; bucket.len()];
+            for (&i, &v) in idx.iter().zip(&val) {
+                want[i as usize - bucket.start] = v;
+            }
+            assert_eq!(got, want);
+        }
     }
 
     #[test]
     fn empty_selection_is_an_empty_frame() {
         let payload = encode(&[], &[]);
         assert_eq!(payload.byte_len(), 0);
-        assert_eq!(records(&payload).count(), 0);
+        let mut bucket = [1.0f32; 3];
+        crate::TopK::new(3, 1.0).accumulate(&(0..3), &payload, &mut bucket, 1.0).unwrap();
+        assert_eq!(bucket, [1.0; 3]);
     }
 
     #[test]
@@ -169,15 +187,20 @@ pub(crate) mod tests {
         let codec = crate::TopK::new(15, 0.2);
         let mut out = vec![0.0f32; 5];
         for frame in [w0, w1] {
-            codec.accumulate(&(10..15), &frame, &mut out, 0.5);
+            codec.accumulate(&(10..15), &frame, &mut out, 0.5).unwrap();
         }
         assert_eq!(out, vec![1.0, 0.0, 5.0, 4.0, 0.0]);
     }
 
     #[test]
-    #[should_panic]
     fn misaligned_frame_rejected() {
-        let _ = records(&Payload::Bytes(vec![0u8; 12])).count();
+        // 12 bytes: one record and a half; and one record under another
+        // payload kind.
+        let codec = crate::TopK::new(4, 1.0);
+        for frame in [Payload::Bytes(vec![0u8; 12]), Payload::PackedU64(vec![0])] {
+            let err = codec.accumulate(&(0..4), &frame, &mut [0.0; 4], 1.0).unwrap_err();
+            assert!(err.contains("not whole 8-byte"), "{err}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! TernGrad ternary quantization (Wen et al., paper ref [20]).
 
-use crate::elias::{split_scaled_stream, BitReader, BitWriter};
+use crate::elias::{read_scaled, BitWriter};
 use crate::Codec;
 use cluster_comm::Payload;
 use mini_tensor::rng::SeedRng;
@@ -42,24 +42,6 @@ impl TernGrad {
         }
         s
     }
-
-    /// Adds one frame's `±s · weight` digits into `bucket`. `None` if the
-    /// frame is shorter than its scale, runs out before `bucket.len()`
-    /// digits, or holds the non-digit `11` (`bucket` is then partly
-    /// updated).
-    pub fn decode(frame: &Payload, bucket: &mut [f32], weight: f32) -> Option<()> {
-        let (scale, stream) = split_scaled_stream(frame)?;
-        let mut r = BitReader::new(stream);
-        for a in bucket.iter_mut() {
-            match r.take(2)? {
-                PLUS => *a += scale * weight,
-                MINUS => *a -= scale * weight,
-                ZERO => {}
-                _ => return None,
-            }
-        }
-        Some(())
-    }
 }
 
 impl Codec for TernGrad {
@@ -100,8 +82,25 @@ impl Codec for TernGrad {
         w.finish()
     }
 
-    fn accumulate(&self, _range: &Range<usize>, frame: &Payload, bucket: &mut [f32], weight: f32) {
-        Self::decode(frame, bucket, weight).expect("malformed TernGrad frame");
+    /// Refuses a short frame and the non-digit `11`.
+    fn accumulate(
+        &self,
+        _range: &Range<usize>,
+        frame: &Payload,
+        bucket: &mut [f32],
+        weight: f32,
+    ) -> Result<(), String> {
+        read_scaled(frame, bucket.len(), "ternary digits", |scale, mut r| {
+            for a in bucket.iter_mut() {
+                match r.take(2)? {
+                    PLUS => *a += scale * weight,
+                    MINUS => *a -= scale * weight,
+                    ZERO => {}
+                    _ => return None,
+                }
+            }
+            Some(())
+        })
     }
 }
 

@@ -8,10 +8,11 @@
 //! window, up to four QSGD levels per lookup. On every frame the old coder
 //! wrote, the new frames are byte-identical and the decoded buckets equal
 //! bit for bit. On damaged frames — truncated, extended, bit-flipped or
-//! arbitrary bytes — the new decoders never panic: they return `None`
-//! exactly where the old reader ran out of stream or read a value that is
-//! not a level of the format (the old code panicked on the first and
-//! silently wrapped or dropped the second), and otherwise the old reading.
+//! arbitrary bytes — each codec's `accumulate`, the format's one parser,
+//! never panics: it returns `Err` exactly where the old reader ran out of
+//! stream or read a value that is not a level of the format (the old code
+//! panicked on the first and silently wrapped or dropped the second), and
+//! otherwise the old reading.
 
 use cluster_comm::Payload;
 use gradcomp::{Codec, Qsgd, QsgdImpl, SignSgdEf, TernGrad};
@@ -245,9 +246,9 @@ fn assert_matches_oracle<C: Codec>(
     for r in bounds {
         let frame = codec.encode(r, &prepared[r.clone()]);
         let want = oracle_frame(&prepared[r.clone()], r);
-        assert_eq!(frame.as_bytes(), &want[..], "{} frame {r:?}", codec.name());
+        assert_eq!(frame.clone().expect_bytes(), want, "{} frame {r:?}", codec.name());
         let (mut got, mut old) = (start(r.len()), start(r.len()));
-        codec.accumulate(r, &frame, &mut got, 0.375);
+        codec.accumulate(r, &frame, &mut got, 0.375).unwrap();
         oracle_decode(&want, &mut old, 0.375).expect("the oracle reads its own frame");
         assert_eq!(bits(&got), bits(&old), "{} bucket {r:?}", codec.name());
     }
@@ -267,18 +268,30 @@ fn damage(frame: &[u8], kind: u8, at: usize, extra: &[u8]) -> Vec<u8> {
     f
 }
 
-/// The new decoder on `frame` against the oracle: both `None`, or both
-/// `Some` with equal buckets.
+/// `codec`'s `accumulate` on `frame` into the whole of `bucket` — the
+/// bit-stream formats read no range.
+fn read(
+    codec: &impl Codec,
+    frame: &Payload,
+    bucket: &mut [f32],
+    weight: f32,
+) -> Result<(), String> {
+    codec.accumulate(&(0..bucket.len()), frame, bucket, weight)
+}
+
+/// `codec`'s `accumulate` on `frame` against the oracle: `Err` and `None`,
+/// or `Ok` and `Some` with equal buckets.
 fn assert_same_verdict(
     frame: &[u8],
     n: usize,
-    new: impl Fn(&Payload, &mut [f32]) -> Option<()>,
+    codec: &impl Codec,
+    weight: f32,
     old: impl Fn(&[u8], &mut [f32]) -> Option<()>,
 ) {
     let (mut got, mut want) = (start(n), start(n));
-    let verdict = new(&Payload::Bytes(frame.to_vec()), &mut got);
-    assert_eq!(verdict, old(frame, &mut want), "frame {frame:02x?}, {n} values");
-    if verdict.is_some() {
+    let verdict = read(codec, &Payload::Bytes(frame.to_vec()), &mut got, weight).is_ok();
+    assert_eq!(verdict, old(frame, &mut want).is_some(), "frame {frame:02x?}, {n} values");
+    if verdict {
         assert_eq!(bits(&got), bits(&want), "frame {frame:02x?}");
     }
 }
@@ -384,7 +397,8 @@ proptest! {
         assert_same_verdict(
             &frame,
             levels.len(),
-            |f, b| qsgd.decode(f, b, 0.375),
+            &qsgd,
+            0.375,
             |f, b| oracle::qsgd_decode(f, s, b, 0.375),
         );
         // Valid bit-pack frames, damaged the same way.
@@ -393,14 +407,16 @@ proptest! {
         assert_same_verdict(
             &frame,
             vals.len(),
-            |f, b| TernGrad::decode(f, b, 0.375),
+            &TernGrad::new(0),
+            0.375,
             |f, b| oracle::terngrad_decode(f, b, 0.375),
         );
         let frame = damage(&oracle::signsgd_frame(0.75, &vals), kind, at, &extra);
         assert_same_verdict(
             &frame,
             vals.len(),
-            |f, b| SignSgdEf::decode(f, b, 0.375),
+            &SignSgdEf::new(0),
+            0.375,
             |f, b| oracle::signsgd_decode(f, b, 0.375),
         );
     }
@@ -412,24 +428,13 @@ proptest! {
         s in 1u8..=127,
     ) {
         let qsgd = Qsgd::new(s, QsgdImpl::Fast, 0);
-        assert_same_verdict(
-            &frame,
-            n,
-            |f, b| qsgd.decode(f, b, 1.0),
-            |f, b| oracle::qsgd_decode(f, s, b, 1.0),
-        );
-        assert_same_verdict(
-            &frame,
-            n,
-            |f, b| TernGrad::decode(f, b, 1.0),
-            |f, b| oracle::terngrad_decode(f, b, 1.0),
-        );
-        assert_same_verdict(
-            &frame,
-            n,
-            |f, b| SignSgdEf::decode(f, b, 1.0),
-            |f, b| oracle::signsgd_decode(f, b, 1.0),
-        );
+        assert_same_verdict(&frame, n, &qsgd, 1.0, |f, b| oracle::qsgd_decode(f, s, b, 1.0));
+        assert_same_verdict(&frame, n, &TernGrad::new(0), 1.0, |f, b| {
+            oracle::terngrad_decode(f, b, 1.0)
+        });
+        assert_same_verdict(&frame, n, &SignSgdEf::new(0), 1.0, |f, b| {
+            oracle::signsgd_decode(f, b, 1.0)
+        });
     }
 }
 
@@ -440,36 +445,31 @@ fn qsgd_refuses_gamma_300_and_levels_above_s() {
     let gamma_300 = vec![0, 0, 0, 0, 0x00, 0xD2, 0x00];
     let mut r = oracle::BitReader::new(&gamma_300[4..]);
     assert_eq!((r.read_bit(), oracle::gamma_decode(&mut r)), (Some(false), Some(300)));
-    let mut bucket = [0.0f32];
-    assert_eq!(
-        Qsgd::new(127, QsgdImpl::Fast, 0).decode(&Payload::Bytes(gamma_300), &mut bucket, 1.0),
-        None
-    );
+    let q = |s| Qsgd::new(s, QsgdImpl::Fast, 0);
+    assert!(read(&q(127), &Payload::Bytes(gamma_300), &mut [0.0], 1.0).is_err());
 
     // Level −5 (sign 1, gamma(6) = 0 0 1 1 0): a level at s = 5, not at 4.
     let minus_5 = Payload::Bytes(vec![0, 0, 0xA0, 0x40, 0x19]);
     let mut bucket = [0.0f32];
-    assert_eq!(Qsgd::new(5, QsgdImpl::Fast, 0).decode(&minus_5, &mut bucket, 1.0), Some(()));
+    assert_eq!(read(&q(5), &minus_5, &mut bucket, 1.0), Ok(()));
     assert_eq!(bucket, [-5.0]);
-    assert_eq!(Qsgd::new(4, QsgdImpl::Fast, 0).decode(&minus_5, &mut [0.0], 1.0), None);
+    let err = read(&q(4), &minus_5, &mut [0.0], 1.0).unwrap_err();
+    assert_eq!(err, "not a 4-byte scale and 1 levels in [−s, s]");
 
     // Out of stream: a frame without its norm, and one level short.
-    assert_eq!(
-        Qsgd::new(4, QsgdImpl::Fast, 0).decode(&Payload::Bytes(vec![0; 3]), &mut [], 1.0),
-        None
-    );
+    assert!(read(&q(4), &Payload::Bytes(vec![0; 3]), &mut [], 1.0).is_err());
     let four_zeros = Payload::Bytes(vec![0, 0, 0, 0, 0b1010_1010]);
-    assert_eq!(Qsgd::new(4, QsgdImpl::Fast, 0).decode(&four_zeros, &mut [0.0; 4], 1.0), Some(()));
-    assert_eq!(Qsgd::new(4, QsgdImpl::Fast, 0).decode(&four_zeros, &mut [0.0; 5], 1.0), None);
+    assert_eq!(read(&q(4), &four_zeros, &mut [0.0; 4], 1.0), Ok(()));
+    assert!(read(&q(4), &four_zeros, &mut [0.0; 5], 1.0).is_err());
 }
 
 #[test]
 fn terngrad_refuses_the_non_digit_11() {
     // Digits +s, −s, 0, then `11`, which the old reader added as zero.
     let frame = |last: u8| Payload::Bytes(vec![0, 0, 0x80, 0x3F, 0b0000_0110 | last << 6]);
-    let mut bucket = [0.0f32; 4];
-    assert_eq!(TernGrad::decode(&frame(0b00), &mut bucket, 1.0), Some(()));
+    let (tg, mut bucket) = (TernGrad::new(0), [0.0f32; 4]);
+    assert_eq!(read(&tg, &frame(0b00), &mut bucket, 1.0), Ok(()));
     assert_eq!(bucket, [1.0, -1.0, 0.0, 0.0]);
-    assert_eq!(TernGrad::decode(&frame(0b11), &mut [0.0; 4], 1.0), None);
-    assert_eq!(TernGrad::decode(&frame(0b00), &mut [0.0; 5], 1.0), None);
+    assert!(read(&tg, &frame(0b11), &mut [0.0; 4], 1.0).is_err());
+    assert!(read(&tg, &frame(0b00), &mut [0.0; 5], 1.0).is_err());
 }

@@ -1,5 +1,6 @@
 //! Property-based tests for the compression algorithms' core invariants.
 
+use cluster_comm::Payload;
 use gradcomp::ef::ErrorFeedback;
 use gradcomp::sparse;
 use gradcomp::{Codec, Qsgd, QsgdImpl, SignSgdEf, TernGrad, TopK};
@@ -28,12 +29,54 @@ fn assert_frames_roundtrip<C: Codec>(
     for r in bounds {
         let frame = codec.encode(r, &prepared[r.clone()]);
         assert_eq!(frame.byte_len(), frame_bytes(&codec, r), "{} frame {r:?}", codec.name());
-        codec.accumulate(r, &frame, &mut out[r.clone()], 1.0);
+        codec.accumulate(r, &frame, &mut out[r.clone()], 1.0).unwrap();
     }
     let want: Vec<u32> =
         local(&codec, &prepared).iter().map(|d| (0.0 + d * 1.0).to_bits()).collect();
     let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
     assert_eq!(got, want, "{} over {bounds:?}", codec.name());
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The sparse format read the slow way: `None` unless `frame` is whole
+/// 8-byte records whose every index is in `range`, and then each record's
+/// `value · weight` added at its index in frame order.
+fn sparse_oracle(
+    frame: &[u8],
+    range: &Range<usize>,
+    bucket: &mut [f32],
+    weight: f32,
+) -> Option<()> {
+    if frame.len() % 8 != 0 {
+        return None;
+    }
+    let word = |b: &[u8]| u32::from_le_bytes(b.try_into().unwrap());
+    let recs: Vec<(usize, f32)> =
+        frame.chunks(8).map(|r| (word(&r[..4]) as usize, f32::from_bits(word(&r[4..])))).collect();
+    if recs.iter().any(|(i, _)| !range.contains(i)) {
+        return None;
+    }
+    for (i, v) in recs {
+        bucket[i - range.start] += v * weight;
+    }
+    Some(())
+}
+
+/// The sparse `accumulate` on `frame` against [`sparse_oracle`]: both
+/// refuse it, or both read it into equal buckets, bit for bit.
+fn assert_sparse_verdict(frame: &[u8], range: &Range<usize>) {
+    let start = |n: usize| (0..n).map(|i| i as f32 * 0.25 - 1.0).collect::<Vec<f32>>();
+    let (mut got, mut want) = (start(range.len()), start(range.len()));
+    let codec = TopK::new(1, 1.0);
+    let verdict = codec.accumulate(range, &Payload::Bytes(frame.to_vec()), &mut got, 0.375);
+    let old = sparse_oracle(frame, range, &mut want, 0.375);
+    assert_eq!(verdict.is_ok(), old.is_some(), "frame {frame:02x?} into {range:?}: {verdict:?}");
+    if old.is_some() {
+        assert_eq!(bits(&got), bits(&want), "frame {frame:02x?} into {range:?}");
+    }
 }
 
 proptest! {
@@ -73,10 +116,10 @@ proptest! {
     fn qsgd_decode_error_bounded_by_norm_over_s(g in small_grad(32), s in 1u8..16) {
         // QSGD's per-coordinate error is at most one level: norm/s.
         let mut q = Qsgd::new(s, QsgdImpl::Fast, 11);
-        let qg = q.quantize(&g);
+        let (all, norm) = (0..g.len(), q.quantize(&g).norm);
         let mut out = vec![0.0f32; g.len()];
-        Qsgd::dequantize(qg, s, &mut out);
-        let bound = qg.norm / s as f32 + 1e-5;
+        q.accumulate(&all, &q.encode(&all, &g), &mut out, 1.0).unwrap();
+        let bound = norm / s as f32 + 1e-5;
         for (a, b) in g.iter().zip(&out) {
             prop_assert!((a - b).abs() <= bound, "{a} vs {b}, bound {bound}");
         }
@@ -89,7 +132,8 @@ proptest! {
         let levels: Vec<i8> = raw.iter().map(|&b| (b as i32 % (2 * s as i32 + 1) - s as i32) as i8).collect();
         let frame = Qsgd::encode_payload(s as f32, &levels);
         let mut got = vec![0.0f32; levels.len()];
-        prop_assert!(Qsgd::new(s, QsgdImpl::Fast, 0).decode(&frame, &mut got, 1.0).is_some());
+        let all = 0..levels.len();
+        prop_assert!(Qsgd::new(s, QsgdImpl::Fast, 0).accumulate(&all, &frame, &mut got, 1.0).is_ok());
         prop_assert_eq!(got, levels.iter().map(|&l| l as f32).collect::<Vec<_>>());
     }
 
@@ -99,9 +143,17 @@ proptest! {
         let val: Vec<f32> = pairs.iter().map(|p| p.1).collect();
         let payload = sparse::encode(&idx, &val);
         prop_assert_eq!(payload.bits(), sparse::PAIR_BITS * idx.len() as u64);
-        let (i2, v2): (Vec<u32>, Vec<f32>) = sparse::records(&payload).unzip();
-        prop_assert_eq!(i2, idx);
-        prop_assert_eq!(v2, val);
+        // Read back into the bucket spanning the indices: each record's
+        // value lands at its index, repeats summed in frame order.
+        let lo = idx.iter().min().map_or(0, |&i| i as usize);
+        let r = lo..idx.iter().max().map_or(0, |&i| i as usize + 1);
+        let mut want = vec![0.0f32; r.len()];
+        for (&i, &v) in idx.iter().zip(&val) {
+            want[i as usize - lo] += v * 1.0;
+        }
+        let mut got = vec![0.0f32; r.len()];
+        prop_assert!(TopK::new(1, 1.0).accumulate(&r, &payload, &mut got, 1.0).is_ok());
+        prop_assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]
@@ -114,7 +166,7 @@ proptest! {
         for p in [1usize, 2, 5] {
             let mut out = vec![0.0f32; n];
             for _ in 0..p {
-                codec.accumulate(&(0..n), &payload, &mut out, 1.0 / p as f32);
+                codec.accumulate(&(0..n), &payload, &mut out, 1.0 / p as f32).unwrap();
             }
             for (a, b) in out.iter().zip(&g) {
                 prop_assert!((a - b).abs() < 1e-5);
@@ -161,11 +213,7 @@ proptest! {
             Qsgd::new(4, QsgdImpl::Fast, seed),
             &g,
             &bounds,
-            |_, _| {
-                let mut dense = vec![0.0f32; n];
-                Qsgd::dequantize(twin, 4, &mut dense);
-                dense
-            },
+            |_, _| twin.levels.iter().map(|&l| l as f32 * (twin.norm / 4.0)).collect(),
             |_, r| {
                 // Sign + gamma(|l| + 1) = 2 + 2⌊log₂(|l| + 1)⌋ bits a level.
                 let stream: u32 =
@@ -190,5 +238,53 @@ proptest! {
             |_, prepared| prepared.to_vec(),
             |_, r| 4 + r.len().div_ceil(8),
         );
+    }
+
+    #[test]
+    fn sparse_damaged_frames_give_err_or_the_valid_sums(
+        recs in prop::collection::vec((0usize..40, -5.0f32..5.0), 0..12),
+        n in 1usize..40,
+        start in 0usize..1000,
+        kind in any::<u8>(),
+        at in any::<u64>(),
+        extra in prop::collection::vec(any::<u8>(), 0..12),
+    ) {
+        // A valid frame for the bucket `start..start + n`, then truncated,
+        // extended, sent as another payload kind, or given an index
+        // outside the bucket.
+        let range = start..start + n;
+        let idx: Vec<u32> = recs.iter().map(|&(i, _)| (start + i % n) as u32).collect();
+        let val: Vec<f32> = recs.iter().map(|&(_, v)| v).collect();
+        let Payload::Bytes(mut frame) = sparse::encode(&idx, &val) else { unreachable!() };
+        let at = at as usize;
+        match kind % 4 {
+            0 => frame.truncate(at % (frame.len() + 1)),
+            1 => frame.extend_from_slice(&extra),
+            2 => {
+                let mut out = vec![0.0f32; n];
+                for other in [Payload::F32Dense(vec![0.0; frame.len() / 4]), Payload::PackedU64(vec![0; frame.len() / 8])] {
+                    prop_assert!(TopK::new(1, 1.0).accumulate(&range, &other, &mut out, 1.0).is_err());
+                }
+            }
+            _ if !frame.is_empty() => {
+                let outside = [start + n, start + n + at % 7, u32::MAX as usize, start.wrapping_sub(1)];
+                let rec = 8 * (at % (frame.len() / 8));
+                let i = outside[(at / 7) % 4] as u32;
+                frame[rec..rec + 4].copy_from_slice(&i.to_le_bytes());
+                let mut out = vec![0.0f32; n];
+                prop_assert!(TopK::new(1, 1.0).accumulate(&range, &Payload::Bytes(frame.clone()), &mut out, 1.0).is_err());
+            }
+            _ => {}
+        }
+        assert_sparse_verdict(&frame, &range);
+    }
+
+    #[test]
+    fn sparse_arbitrary_bytes_give_err_or_the_valid_sums(
+        frame in prop::collection::vec(any::<u8>(), 0..48),
+        n in 0usize..80,
+        start in 0usize..4,
+    ) {
+        assert_sparse_verdict(&frame, &(start..start + n));
     }
 }

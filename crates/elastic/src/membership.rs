@@ -16,7 +16,7 @@
 //! elastic policy hands such a death to its recovery like a failed step's,
 //! which records the `elastic/peer_dead` instant for both.
 
-use cluster_comm::transport::wire::PayloadRef;
+use cluster_comm::transport::wire::{Payload, PayloadRef};
 use cluster_comm::{Transport, ELASTIC_TAG};
 
 /// The heartbeat control tag: inside the elastic namespace, distinct from
@@ -55,11 +55,12 @@ impl Membership {
                 t.send_bytes(peer, HEARTBEAT_TAG, PayloadRef::PackedU64(&[self.seq])).is_err();
             while !lost {
                 match t.try_recv_bytes(peer, HEARTBEAT_TAG) {
-                    Ok(Some(p)) => {
-                        if let Some(&s) = p.expect_u64().first() {
+                    Ok(Some(Payload::PackedU64(seq))) => {
+                        if let Some(&s) = seq.first() {
                             self.last_seen[peer] = self.last_seen[peer].max(s);
                         }
                     }
+                    Ok(Some(_)) => {} // not a beat
                     Ok(None) => break,
                     Err(_) => lost = true,
                 }
@@ -106,6 +107,18 @@ mod tests {
         assert_eq!(mb.last_seen(0), 1);
         assert_eq!(ma.last_seen(1), 1);
         assert!(ma.is_alive(1) && mb.is_alive(0));
+    }
+
+    #[test]
+    fn a_frame_that_is_not_a_sequence_number_is_not_a_beat() {
+        let shared = InProcShared::new(2);
+        let mut a = shared.endpoint(0);
+        let mut b = shared.endpoint(1);
+        let mut ma = Membership::new(0, 2);
+        b.send_bytes(0, HEARTBEAT_TAG, PayloadRef::Bytes(&[9; 8])).unwrap();
+        assert!(ma.beat(&mut a).is_empty());
+        assert_eq!(ma.last_seen(1), 0);
+        assert!(ma.is_alive(1));
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! * **Exactness** — `fixed1` (a degenerate one-step window every step) is
 //!   bit-identical to the unscheduled trainer for every synchronizer the
 //!   registry can build, so turning the schedule knob cannot perturb the
-//!   classic path. The training fingerprint
-//!   (`crates/core/tests/fingerprint.rs`) holds that on its committed grid
-//!   (`fixed1` ≡ unscheduled in its section A, `ov` ≡ no `ov` under
-//!   `Fixed(4)` and `PostLocal` in its section C); here it is checked under
-//!   overlap for every synchronizer, and overlap under real windows.
+//!   classic path, and overlap moves no bit under real windows. The
+//!   training fingerprint (`crates/core/tests/fingerprint.rs`) holds both
+//!   on its committed in-proc grid: `fixed1` ≡ unscheduled, plain and as
+//!   `fixed1+b1k+ov` ≡ `b1k+ov`, for every kind in its section A, and
+//!   `b1k+ov` ≡ `b1k` under Dense `Fixed(4)` and A2SGD `PostLocal` in its
+//!   section C. This file keeps what that grid cannot: real sockets and
+//!   convergence.
 //! * **Traffic** — over real loopback sockets, `fixed8` cuts dense
 //!   measured wire bytes by the window factor: communication reduction in
 //!   *time*, orthogonal to the compressors' reduction in *space*.
@@ -19,7 +21,7 @@
 use a2sgd::experiments::scaled_convergence_config;
 use a2sgd::registry::AlgoKind;
 use a2sgd::trainer::train;
-use a2sgd::{SchedKind, TrainReport};
+use a2sgd::SchedKind;
 use a2sgd_repro::cluster_comm::{run_multiprocess, CommBackend};
 use mini_nn::models::ModelKind;
 
@@ -29,16 +31,6 @@ fn cfg(algo: AlgoKind, workers: usize, seed: u64) -> a2sgd::trainer::TrainConfig
     c.train_size = 320;
     c.eval_size = 160;
     c
-}
-
-/// Everything a schedule could plausibly perturb, as exact bits.
-fn fingerprint(rep: &TrainReport) -> Vec<u64> {
-    let mut f: Vec<u64> = rep.epochs.iter().map(|e| e.train_loss.to_bits()).collect();
-    f.push(rep.final_metric.to_bits());
-    f.push(rep.replica_divergence.to_bits());
-    f.push(rep.wire_bits_per_iter);
-    f.push(rep.measured_wire_bytes);
-    f
 }
 
 /// The traffic claim over real rank processes on loopback TCP: dense
@@ -109,52 +101,4 @@ fn fixed8_a2sgd_converges_within_tolerance_of_every_step() {
     );
     assert_eq!(scheduled.sync_steps + scheduled.local_steps, scheduled.iters);
     assert!(scheduled.label.contains("sched(fixed8"), "label: {}", scheduled.label);
-}
-
-/// `sched × overlap` used to be refused by an assert. Under `fixed1` every
-/// step plans a gradient sync, so the hooks engage on every step and the
-/// run must equal the unscheduled hooked run — for every registry
-/// synchronizer.
-#[test]
-fn fixed1_overlap_parity_all_synchronizers_inproc() {
-    for algo in AlgoKind::all(0.01) {
-        let mut base = cfg(algo, 2, 21);
-        base.overlap_backward = true;
-        base.bucket_bytes = Some(1024);
-        let reference = train(&base);
-        let mut s = base.clone();
-        s.schedule = SchedKind::Fixed(1);
-        let scheduled = train(&s);
-        assert_eq!(
-            fingerprint(&reference),
-            fingerprint(&scheduled),
-            "{}: fixed1 + overlap diverged from unscheduled + overlap",
-            algo.name()
-        );
-        assert_eq!(scheduled.local_steps, 0, "{}", algo.name());
-        assert_eq!(scheduled.sync_steps, scheduled.iters, "{}", algo.name());
-    }
-}
-
-/// Real windows under overlap: hooks engage on the gradient-path steps
-/// only (a post-local warmup's every-step syncs), `Local` and
-/// window-closing steps run the plain backward pass — so overlap cannot
-/// move a single bit or a single step between the local and sync ledgers.
-#[test]
-fn periodic_schedules_with_overlap_match_the_same_schedule_without() {
-    for (algo, schedule) in [
-        (AlgoKind::Dense, SchedKind::Fixed(4)),
-        (AlgoKind::A2sgd, SchedKind::PostLocal { warmup: 8, h: 4 }),
-    ] {
-        let mut plain = cfg(algo, 2, 27);
-        plain.schedule = schedule;
-        plain.bucket_bytes = Some(1024);
-        let mut hooked = plain.clone();
-        hooked.overlap_backward = true;
-        let (plain, hooked) = (train(&plain), train(&hooked));
-        assert_eq!(fingerprint(&plain), fingerprint(&hooked), "{}", hooked.label);
-        assert_eq!(plain.local_steps, hooked.local_steps, "{}", hooked.label);
-        assert_eq!(plain.sync_steps, hooked.sync_steps, "{}", hooked.label);
-        assert!(hooked.local_steps > 0, "{}: schedule never went local", hooked.label);
-    }
 }
