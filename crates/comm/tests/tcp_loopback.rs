@@ -178,7 +178,6 @@ fn wire_parity_qsgd8_on_loopback() {
         let mut twin = Qsgd::new(8, QsgdImpl::Fast, seed);
         let twin = twin.quantize(&g);
         let expect_payload_bytes = Qsgd::encode_payload(twin.norm, &twin.levels).byte_len() as u64;
-        assert_eq!(expect_payload_bytes, twin.encoded_bits.div_ceil(8));
 
         let mut q = Qsgd::new(8, QsgdImpl::Fast, seed);
         let mut g2 = g.clone();

@@ -16,6 +16,7 @@
 //! synchronizer flat — the degenerate case the parity tests pin.
 
 use std::ops::Range;
+use std::sync::Mutex;
 
 use cluster_comm::hier::HierarchicalComm;
 use cluster_comm::{CommHandle, TransportError};
@@ -38,9 +39,23 @@ impl HierarchicalSynchronizer {
     /// display name is `hier(dense, <inner>)`, matching the sweep
     /// registries' labels.
     pub fn new(inner: Box<dyn GradientSynchronizer>, comm: HierarchicalComm) -> Self {
-        let name = Box::leak(format!("hier(dense, {})", inner.name()).into_boxed_str());
+        let name = intern(format!("hier(dense, {})", inner.name()));
         HierarchicalSynchronizer { inner, dense: DenseSgd::new(), comm, name }
     }
+}
+
+/// `name` as a `&'static str`, leaked at most once per distinct name in
+/// the process: a hierarchy is built again on every elastic recovery. A
+/// poisoned lock is recovered, since a push leaves the list valid.
+fn intern(name: String) -> &'static str {
+    static NAMES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+    let mut names = NAMES.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    if let Some(known) = names.iter().find(|known| **known == name) {
+        return known;
+    }
+    let leaked = Box::leak(name.into_boxed_str());
+    names.push(leaked);
+    leaked
 }
 
 impl GradientSynchronizer for HierarchicalSynchronizer {
@@ -187,5 +202,20 @@ mod tests {
             assert_eq!(bits, DenseSgd::new().wire_bits_formula(10));
             assert_eq!(cx, DenseSgd::new().complexity());
         }
+    }
+
+    /// A hierarchy rebuilt over the same inner kind (as every elastic
+    /// recovery does) reuses the one name it leaked the first time.
+    #[test]
+    fn rebuilding_over_the_same_inner_kind_leaks_no_new_name() {
+        let out = run_cluster(2, NetworkProfile::infiniband_100g(), |h| {
+            let build = |h: &mut CommHandle| {
+                let topo = HierarchicalComm::from_flat(h, 2);
+                HierarchicalSynchronizer::new(Box::new(DenseSgd::new()), topo).name()
+            };
+            let (first, second) = (build(h), build(h));
+            std::ptr::eq(first, second)
+        });
+        assert!(out.into_iter().all(|same| same), "each construction leaked its own name");
     }
 }

@@ -5,8 +5,8 @@
 //! gamma level, the crate's `elias` coder). Two implementations are provided:
 //!
 //! * [`QsgdImpl::Fast`] — one pass, `O(n)`: each coordinate is rounded
-//!   into a buffer reused across steps and its code length counted in the
-//!   same loop, so the encoded size is known without a second walk;
+//!   into a buffer reused across steps (the encoded size is the frame's,
+//!   counted by the writer that builds it);
 //! * [`QsgdImpl::Reference`] — mirrors the computation pattern of the
 //!   numpy implementation the paper benchmarked (its §4.3 attributes
 //!   `O(n²)` cost to recomputing the norm while quantizing each gradient);
@@ -34,16 +34,13 @@ pub enum QsgdImpl {
 }
 
 /// One worker's quantized gradient: norm scale + per-coordinate signed
-/// levels, plus the exact entropy-coded size.
+/// levels.
 #[derive(Default)]
 pub struct QuantizedGrad {
     /// ‖g‖₂ scale.
     pub norm: f32,
     /// Signed levels in `[-s, s]`.
     pub levels: Vec<i8>,
-    /// Elias-coded size in bits, exact: 32 for the norm + per-coordinate
-    /// sign + gamma(level+1). The wire frame pads it to whole bytes.
-    pub encoded_bits: u64,
 }
 
 /// QSGD synchronizer. The paper's appendix evaluates quantization level 4.
@@ -79,11 +76,6 @@ fn level(v: f32, norm: f32, s: u8, round_up: impl FnOnce(f32) -> bool) -> i8 {
 /// Coordinates quantized per batch of uniforms drawn ahead.
 const DRAWS: usize = 256;
 
-/// Encoded size of `levels`' stream in bits.
-fn stream_bits(levels: &[i8]) -> u64 {
-    levels.iter().map(|&l| level_code(l).1 as u64).sum()
-}
-
 impl Qsgd {
     /// Creates QSGD with `s` quantization levels, `s` in `1..=127`.
     pub fn new(s: u8, imp: QsgdImpl, seed: u64) -> Self {
@@ -91,8 +83,7 @@ impl Qsgd {
         Qsgd { s, imp, rng: SeedRng::new(seed), q: QuantizedGrad::default(), decoder }
     }
 
-    /// Quantizes `g` into the codec's buffer, returning levels + measured
-    /// encoded size.
+    /// Quantizes `g` into the codec's buffer, returning norm + levels.
     pub fn quantize(&mut self, g: &[f32]) -> &QuantizedGrad {
         self.q.levels.clear();
         self.q.levels.resize(g.len(), 0);
@@ -106,10 +97,9 @@ impl Qsgd {
     fn quantize_fast(&mut self, g: &[f32]) {
         let norm = (g.iter().map(|v| (*v as f64).powi(2)).sum::<f64>()).sqrt() as f32;
         let (s, rng, q) = (self.s, &mut self.rng, &mut self.q);
-        let stream = if norm > 0.0 {
+        if norm > 0.0 {
             // One flip per coordinate in index order, drawn a batch ahead
             // so the rounding loop runs free of the generator's chain.
-            let mut bits = 0u64;
             let mut u = [0.0f32; DRAWS];
             for (ls, vs) in q.levels.chunks_mut(DRAWS).zip(g.chunks(DRAWS)) {
                 let u = &mut u[..vs.len()];
@@ -117,14 +107,9 @@ impl Qsgd {
                 for ((l, &v), &u) in ls.iter_mut().zip(vs).zip(&*u) {
                     *l = level(v, norm, s, |p| u < p);
                 }
-                bits += stream_bits(ls);
             }
-            bits
-        } else {
-            stream_bits(&q.levels)
-        };
+        }
         q.norm = norm;
-        q.encoded_bits = 32 + stream;
     }
 
     /// Reference path: recomputes ‖g‖₂ for every coordinate, reproducing
@@ -141,15 +126,13 @@ impl Qsgd {
                 q.levels[i] = level(v, n2, self.s, |p| self.rng.flip(p));
             }
         }
-        q.encoded_bits = 32 + stream_bits(&q.levels);
     }
 
     /// Encodes a slice of the level stream into its wire frame: 4 bytes of
     /// norm followed by the Elias stream (sign bit + gamma(|level|+1) per
     /// coordinate, final byte zero-padded). This is the *actual* byte
-    /// stream the transport moves — for the whole model,
-    /// `ceil(encoded_bits / 8)` bytes; a bucket's frame is the same cut of
-    /// the levels under the same norm, so each frame stays self-describing.
+    /// stream the transport moves; a bucket's frame is the same cut of the
+    /// levels under the same norm, so each frame stays self-describing.
     pub fn encode_payload(norm: f32, levels: &[i8]) -> Payload {
         // ≈ 2.8 bits a level at s = 4 (the paper's expected size).
         let mut w = BitWriter::scaled(norm, 3 * levels.len());
@@ -235,7 +218,6 @@ mod tests {
             (Qsgd::new(4, QsgdImpl::Fast, 77), Qsgd::new(4, QsgdImpl::Reference, 77));
         let (qf, qr) = (fast.quantize(&g), reference.quantize(&g));
         assert_eq!(qf.levels, qr.levels);
-        assert_eq!(qf.encoded_bits, qr.encoded_bits);
         assert!((qf.norm - qr.norm).abs() < 1e-5);
     }
 
@@ -244,15 +226,14 @@ mod tests {
         let mut q = Qsgd::new(4, QsgdImpl::Fast, 3);
         let g = vec![0.5f32, -0.5, 0.0, 1.0, -1.0, 0.25];
         let qg = q.quantize(&g);
-        // The count against the code's definition (sign + gamma(|l| + 1)),
-        // and the frame against both: 4 norm bytes + the stream padded to
-        // whole bytes, decoding back to the levels.
+        // The frame against the code's definition (sign + gamma(|l| + 1)
+        // per level): 4 norm bytes + the stream padded to whole bytes,
+        // decoding back to the levels.
         let stream: u32 =
             qg.levels.iter().map(|&l| 2 + 2 * (l.unsigned_abs() as u32 + 1).ilog2()).sum();
-        assert_eq!(qg.encoded_bits, 32 + stream as u64);
         let (norm, levels) = (qg.norm, qg.levels.clone());
         let frame = Qsgd::encode_payload(norm, &levels);
-        assert_eq!(frame.byte_len() as u64, qg.encoded_bits.div_ceil(8));
+        assert_eq!(frame.byte_len() as u32, (32 + stream).div_ceil(8));
         let mut out = vec![0.0f32; levels.len()];
         q.accumulate(&(0..levels.len()), &frame, &mut out, 1.0).unwrap();
         let want: Vec<f32> = levels.iter().map(|&l| 0.0 + l as f32 * (norm / 4.0) * 1.0).collect();
@@ -290,7 +271,8 @@ mod tests {
         let g: Vec<f32> = (0..10_000).map(|_| rng.randn() * 0.01).collect();
         let mut q = Qsgd::new(4, QsgdImpl::Fast, 12);
         let qg = q.quantize(&g);
-        let bits_per_coord = (qg.encoded_bits - 32) as f64 / g.len() as f64;
+        let frame = Qsgd::encode_payload(qg.norm, &qg.levels);
+        let bits_per_coord = (8 * frame.byte_len() - 32) as f64 / g.len() as f64;
         assert!(bits_per_coord < 8.0, "bits/coord {bits_per_coord}");
     }
 }

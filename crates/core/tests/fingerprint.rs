@@ -241,12 +241,12 @@ fn a_every_kind_at_four_workers() {
     s.finish();
 }
 
-/// (B) The smaller worlds: Dense, QSGD(4) and A2SGD at P ∈ {1, 2}, plain
-/// and with buckets and overlap.
+/// (B) The other worlds: Dense, QSGD(4) and A2SGD at P ∈ {1, 2, 3}, plain
+/// and with buckets and overlap (P = 3: ranks with uneven shards).
 #[test]
 fn b_smaller_worlds() {
     let mut s = Section { name: "B", ..Default::default() };
-    for p in [1, 2] {
+    for p in [1, 2, 3] {
         for kind in [AlgoKind::Dense, AlgoKind::Qsgd(PAPER_QSGD_LEVELS), AlgoKind::A2sgd] {
             let id = |t: &str| format!("P{p}.{}.{t}", kind.name());
             for t in ["plain", "b1k+ov"] {

@@ -19,14 +19,12 @@
 //!
 //! * **Forward** `y_i = W[F, C·K·K] · patches(x_i)` is that product over
 //!   `x_i`'s planes.
-//! * **dW** reduces over output positions, so it swaps sides:
-//!   `dW_iᵀ[C·K·K, F] = patches(x_i) · dout_iᵀ` ([`Gemm::run_windows`])
-//!   reads tap `p` at kept position `q` in place, at `src[off[p] + pos[q]]`
-//!   (`pos[q] = (q / ow)·wp + q % ow`: no discarded lane enters the sum),
-//!   with `dout_iᵀ` packed once per image. Per-image partials are added
-//!   into `[F, C·K·K]` in image order.
-//!   [`conv2d_backward_weight`] is this product alone, for a layer whose
-//!   input gradient nobody reads.
+//! * **dW** is dot products, not a GEMM: `dW[f, p] = Σ_i Σ_oy Σ_ox
+//!   dout_i[f, oy, ox] · src_i[off[p] + oy·wp + ox]`, both operands
+//!   contiguous along `ox`. A block of [`DW_F`] filters × [`DW_T`] taps
+//!   keeps one 8-lane chain per element, reduces it over every image and
+//!   row in order, reading kept positions `ox < ow` only, and sums its
+//!   lanes once ([`Dots`]). db is per-image sums added in image order.
 //! * **dx** as `s²` stride-1 *phases*: the `dx` positions
 //!   `(ry + s·qy, rx + s·qx)` of one phase `(ry, rx)` are reached only by
 //!   the taps `ky ≡ ry + pad`, `kx ≡ rx + pad (mod s)`, so phase `(ry, rx)`
@@ -36,16 +34,19 @@
 //!   phase, and each phase stores straight into its interleaved positions
 //!   of `dx`. Every `dx` element is one GEMM reduction over `(f, ky, kx)`.
 //!
-//! Every output element is reduced over the same taps, in the same order
-//! (KC slabs included), against the same zeros as a product over the patch
-//! matrix packed into micro-panels, so results are bit-identical to it (the
-//! unit tests keep a gather-based packing as their oracle). Images are
-//! independent tasks and each output element is reduced by one of them, so
+//! Every forward and dx element is reduced over the same taps, in the same
+//! order (KC slabs included), against the same zeros as a product over the
+//! patch matrix packed into micro-panels, so results are bit-identical to
+//! it (the unit tests keep a gather-based packing as their oracle). Each
+//! output element is reduced by one task (an image, or a dW block), so
 //! results are bit-identical across pool widths.
 
-use crate::gemm::{Gemm, Grid, PackedA, Windows, MR, NR};
+use crate::gemm::{Gemm, Grid, PackedA, MR, NR};
 use crate::par;
 use crate::tensor::Tensor;
+use rayon::prelude::*;
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::__m256;
 
 /// Static parameters of a 2-D convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -241,52 +242,162 @@ pub fn conv2d_backward(
 
 /// The parameter half of [`conv2d_backward`]: `(dweight, dbias)`, bit for
 /// bit the same, without the backward-data product — what a network's
-/// first layer runs, since nothing reads its input gradient.
+/// first layer runs, since nothing reads its input gradient. dW runs on
+/// the AVX2/FMA body where the GEMM's probe finds those features (so
+/// [`crate::gemm::microkernel`] names it), else on the portable one.
 pub fn conv2d_backward_weight(
     x: &Tensor,
     weight: &Tensor,
     dout: &Tensor,
     spec: &Conv2dSpec,
 ) -> (Tensor, Tensor) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::gemm::avx2_fma_available() {
+        // SAFETY: the CPU has avx2 and fma, and `backward_weight` checks
+        // the windows' reach before it runs a body.
+        return backward_weight(x, weight, dout, spec, |d, f, t| unsafe { dots_fma(d, f, t) });
+    }
+    backward_weight(x, weight, dout, spec, dots_portable)
+}
+
+/// Filters × taps per dW block (module docs): 8 chains plus one load per
+/// filter and per tap fit the 16 ymm registers.
+const DW_F: usize = 4;
+const DW_T: usize = 2;
+type Block = [[f32; DW_T]; DW_F];
+
+/// dW's operands (module docs): `dout` in images of `img` floats, and each
+/// image's padded copy.
+struct Dots<'a> {
+    dout: &'a [f32],
+    src: &'a [Vec<f32>],
+    img: usize,
+    oh: usize,
+    ow: usize,
+    wp: usize,
+}
+
+/// [`conv2d_backward_weight`] with its dW blocks computed by `body`, which
+/// is given where the block's `dout` planes and tap windows start.
+fn backward_weight(
+    x: &Tensor,
+    weight: &Tensor,
+    dout: &Tensor,
+    spec: &Conv2dSpec,
+    body: fn(&Dots, [usize; DW_F], [usize; DW_T]) -> Block,
+) -> (Tensor, Tensor) {
     let (n, h, w, oh, ow) = spec.checked_dims(x, weight, None, Some(dout));
     let Conv2dSpec { in_c, out_c, k, .. } = *spec;
-    let (img, dimg_len, wlen) = (in_c * h * w, out_c * oh * ow, spec.weight_len());
-    let (xs, dos) = (x.as_slice(), dout.as_slice());
-
-    // dW_iᵀ[C·K·K, F] = windows(x_i) · dout_iᵀ (module docs) and db_i[f] =
-    // Σ dout_i[f, :]. Every image's partial is kept separate and added,
-    // transposed, in image order below, so the thread count cannot change
-    // the reduction grouping.
-    let taps = in_c * k * k;
-    let g = Gemm::nt(taps, oh * ow, out_c);
+    let (img, taps, area) = (in_c * h * w, in_c * k * k, oh * ow);
     let planes = Planes::of_input(spec, (h, w), (oh, ow));
-    let off = planes.taps(k);
-    let pos: Vec<usize> = (0..oh * ow).map(|q| q / ow * planes.wp + q % ow).collect();
-    let mut partials = vec![0.0f32; n * (wlen + out_c)];
-    par::par_chunks_mut(&mut partials, wlen + out_c, |i, part| {
-        let (dwi, dbi) = part.split_at_mut(wlen);
-        let dimg = &dos[i * dimg_len..][..dimg_len];
-        let src = planes.copy(&xs[i * img..][..img]);
-        g.run_windows(&Windows { src: &src, off: &off, pos: &pos }, &g.pack_b(dimg), dwi);
-        for (b, plane) in dbi.iter_mut().zip(dimg.chunks(oh * ow)) {
-            *b = plane.iter().sum();
-        }
-    });
-
-    let mut dw = vec![0.0f32; wlen];
-    let mut db = vec![0.0f32; out_c];
-    for part in partials.chunks_exact(wlen + out_c) {
-        let (dwi, dbi) = part.split_at(wlen);
-        for (t, row) in dwi.chunks_exact(out_c).enumerate() {
-            for (f, b) in row.iter().enumerate() {
-                dw[f * taps + t] += b;
+    let src: Vec<Vec<f32>> =
+        (0..n).into_par_iter().map(|i| planes.copy(&x.as_slice()[i * img..][..img])).collect();
+    let (off, dos) = (planes.taps(k), dout.as_slice());
+    // The bodies read every window's kept positions unchecked.
+    let reach = off.iter().max().map_or(0, |o| o + (oh - 1) * planes.wp + ow);
+    assert!(reach <= planes.len(), "dW: windows reach {reach} of {}", planes.len());
+    let dots = Dots { dout: dos, src: &src, img: out_c * area, oh, ow, wp: planes.wp };
+    // One task per DW_F rows of dW; a last block's spare filters and taps
+    // repeat its last real one, and their sums are dropped.
+    let mut dw = vec![0.0f32; out_c * taps];
+    par::par_chunks_mut(&mut dw, DW_F * taps, |fb, rows| {
+        let f = std::array::from_fn(|j| (fb * DW_F + j).min(out_c - 1) * area);
+        for t0 in (0..taps).step_by(DW_T) {
+            let block = body(&dots, f, std::array::from_fn(|u| off[(t0 + u).min(taps - 1)]));
+            for (row, sums) in rows.chunks_exact_mut(taps).zip(block) {
+                row[t0..].iter_mut().zip(sums).for_each(|(d, v)| *d = v);
             }
         }
-        for (a, b) in db.iter_mut().zip(dbi) {
-            *a += b;
-        }
+    });
+    let mut db = vec![0.0f32; out_c];
+    for (j, plane) in dos.chunks_exact(area).enumerate() {
+        db[j % out_c] += plane.iter().sum::<f32>();
     }
     (Tensor::from_vec(dw, [out_c, in_c, k, k]), Tensor::from_vec(db, [out_c]))
+}
+
+/// A chain's 8 lanes summed in one fixed order.
+fn lane_sum(l: [f32; 8]) -> f32 {
+    ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
+}
+
+/// The portable dW body: [`dots_fma`]'s chains, a multiply and an add a
+/// step.
+fn dots_portable(d: &Dots, f: [usize; DW_F], t: [usize; DW_T]) -> Block {
+    let mut acc = [[[0.0f32; 8]; DW_T]; DW_F];
+    for (dimg, simg) in d.dout.chunks_exact(d.img).zip(d.src) {
+        for (oy, x) in (0..d.oh).flat_map(|oy| (0..d.ow).map(move |x| (oy, x))) {
+            for (a, f) in acc.iter_mut().zip(f) {
+                for (a, t) in a.iter_mut().zip(t) {
+                    a[x % 8] += dimg[f + oy * d.ow + x] * simg[t + oy * d.wp + x];
+                }
+            }
+        }
+    }
+    acc.map(|a| a.map(lane_sum))
+}
+
+/// The AVX2/FMA dW body: one ymm chain per dot product (lane `x mod 8` of
+/// each row); per 8 positions one load per filter and per tap, and a row's
+/// last `ow mod 8` positions through a masked load, which reads no lane
+/// past them.
+///
+/// # Safety
+///
+/// The CPU has avx2 and fma, and every window's kept positions lie inside
+/// its copy.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn dots_fma(d: &Dots, f: [usize; DW_F], t: [usize; DW_T]) -> Block {
+    use std::arch::x86_64::*;
+    const MASKS: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+    let (full, mask) = (d.ow / 8 * 8, _mm256_loadu_si256(MASKS[8 - d.ow % 8..].as_ptr().cast()));
+    let mut acc = [_mm256_setzero_ps(); DW_F * DW_T];
+    let (mut dv, mut sv) = ([_mm256_setzero_ps(); DW_F], [_mm256_setzero_ps(); DW_T]);
+    for (dimg, simg) in d.dout.chunks_exact(d.img).zip(d.src) {
+        let (mut dp, mut sp) = (f.map(|f| dimg.as_ptr().add(f)), t.map(|t| simg.as_ptr().add(t)));
+        for _ in 0..d.oh {
+            let mut x = 0;
+            while x < full {
+                for j in 0..DW_F {
+                    dv[j] = _mm256_loadu_ps(dp[j].add(x));
+                }
+                for u in 0..DW_T {
+                    sv[u] = _mm256_loadu_ps(sp[u].add(x));
+                }
+                fma_step(&mut acc, &dv, &sv);
+                x += 8;
+            }
+            if x < d.ow {
+                for j in 0..DW_F {
+                    dv[j] = _mm256_maskload_ps(dp[j].add(x), mask);
+                }
+                for u in 0..DW_T {
+                    sv[u] = _mm256_maskload_ps(sp[u].add(x), mask);
+                }
+                fma_step(&mut acc, &dv, &sv);
+            }
+            (dp, sp) = (dp.map(|p| p.add(d.ow)), sp.map(|p| p.add(d.wp)));
+        }
+    }
+    let lanes: [[f32; 8]; DW_F * DW_T] = std::mem::transmute(acc);
+    std::array::from_fn(|j| std::array::from_fn(|u| lane_sum(lanes[j * DW_T + u])))
+}
+
+/// One step of every chain of [`dots_fma`]: chain `(j, u)` += `d[j]·s[u]`.
+///
+/// # Safety
+///
+/// The CPU has avx2 and fma.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+unsafe fn fma_step(acc: &mut [__m256; DW_F * DW_T], d: &[__m256; DW_F], s: &[__m256; DW_T]) {
+    for j in 0..DW_F {
+        for u in 0..DW_T {
+            acc[j * DW_T + u] = std::arch::x86_64::_mm256_fmadd_ps(d[j], s[u], acc[j * DW_T + u]);
+        }
+    }
 }
 
 /// One axis of a backward-data phase (module docs): the `len` positions
@@ -415,90 +526,12 @@ fn backward_data(x: &Tensor, weight: &Tensor, dout: &Tensor, spec: &Conv2dSpec) 
     dx
 }
 
-/// Direct (quadruple-loop) convolution used as a test oracle.
-pub fn conv2d_reference(
-    x: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    spec: &Conv2dSpec,
-) -> Tensor {
-    let d = x.shape().dims();
-    let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
-    let (oh, ow) = spec.out_hw(h, w);
-    let mut out = Tensor::zeros([n, spec.out_c, oh, ow]);
-    for i in 0..n {
-        for f in 0..spec.out_c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = bias.map(|b| b.as_slice()[f]).unwrap_or(0.0);
-                    for ch in 0..c {
-                        for ky in 0..spec.k {
-                            for kx in 0..spec.k {
-                                let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
-                                let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
-                                if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                                    acc += x.at(&[i, ch, iy as usize, ix as usize])
-                                        * weight.at(&[f, ch, ky, kx]);
-                                }
-                            }
-                        }
-                    }
-                    *out.at_mut(&[i, f, oy, ox]) = acc;
-                }
-            }
-        }
-    }
-    out
-}
+/// The direct-loop oracles, shared with `tests/proptests.rs`.
+#[cfg(test)]
+#[path = "../tests/direct/mod.rs"]
+mod direct;
 
-/// Direct-loop backward convolution used as a test oracle: every
-/// `(dx, dweight, dbias)` element accumulated in `f64` over the same loop
-/// nest as [`conv2d_reference`] and rounded once.
-pub fn conv2d_backward_reference(
-    x: &Tensor,
-    weight: &Tensor,
-    dout: &Tensor,
-    spec: &Conv2dSpec,
-) -> (Tensor, Tensor, Tensor) {
-    let d = x.shape().dims();
-    let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
-    let (oh, ow) = spec.out_hw(h, w);
-    let mut dx = vec![0.0f64; x.numel()];
-    let mut dw = vec![0.0f64; spec.weight_len()];
-    let mut db = vec![0.0f64; spec.out_c];
-    for i in 0..n {
-        for (f, dbf) in db.iter_mut().enumerate() {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = dout.at(&[i, f, oy, ox]) as f64;
-                    *dbf += g;
-                    for ch in 0..c {
-                        for ky in 0..spec.k {
-                            for kx in 0..spec.k {
-                                let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
-                                let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
-                                if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                                    let xi = x.shape().linear(&[i, ch, iy as usize, ix as usize]);
-                                    let wi = weight.shape().linear(&[f, ch, ky, kx]);
-                                    dw[wi] += g * x.as_slice()[xi] as f64;
-                                    dx[xi] += g * weight.as_slice()[wi] as f64;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let round = |v: Vec<f64>| v.into_iter().map(|a| a as f32).collect::<Vec<f32>>();
-    (
-        Tensor::from_vec(round(dx), x.shape().clone()),
-        Tensor::from_vec(round(dw), weight.shape().clone()),
-        Tensor::from_vec(round(db), [spec.out_c]),
-    )
-}
-
-/// The gather-based implementation the offset-addressed products replaced,
+/// The gather-based forward and dx the offset-addressed products replaced,
 /// kept as the tests' bit-exactness oracle: every product packs its patch
 /// operand into zeroed micro-panels through a coordinate map over the
 /// unpadded source.
@@ -522,8 +555,8 @@ mod gathered {
     /// One image's patch matrix as a coordinate map (see the module docs): row
     /// `(c, ky, kx)`, column `(oy, ox)` reads source element
     /// `(c, oy·stride + ky − pad_y, ox·stride + kx − pad_x)` when that lies
-    /// inside the source, and is zero elsewhere. The forward and `dW` products
-    /// read `x` through it; each backward-data phase reads `dout` at stride 1
+    /// inside the source, and is zero elsewhere. The forward product reads
+    /// `x` through it; each backward-data phase reads `dout` at stride 1
     /// with its own (possibly non-square) kernel.
     pub(super) struct Patches {
         y: Axis,
@@ -563,7 +596,7 @@ mod gathered {
             p
         }
 
-        /// The map the forward and `dW` products read `x` through.
+        /// The map the forward product reads `x` through.
         pub(super) fn of_input(spec: &Conv2dSpec, (h, w): (usize, usize), ow: usize) -> Self {
             let (k, pad) = (spec.k, spec.pad as isize);
             Patches::new(Axis { k, len: h, pad }, Axis { k, len: w, pad }, ow, spec.stride)
@@ -644,33 +677,6 @@ mod gathered {
                 }
             }
         }
-
-        /// Fills one `kc×NR` micro-panel of the *transposed* patch matrix:
-        /// panel rows are output positions `p0..`, lanes are taps
-        /// `j0..j0 + cols`. Image rows run along the panel's k axis here, so
-        /// the block is gathered row-wise into `tile` (the caller's scratch, a
-        /// panel's worth — L1-sized) and transposed four lanes at a time.
-        pub(super) fn gather_t(
-            &self,
-            src: &[f32],
-            p0: usize,
-            j0: usize,
-            cols: usize,
-            panel: &mut [f32],
-            tile: &mut Vec<f32>,
-        ) {
-            let kc = panel.len() / NR;
-            tile.clear();
-            tile.resize(panel.len(), 0.0);
-            self.gather(src, j0, p0, kc, kc, &mut tile[..cols * kc]);
-            for (q, quad) in tile.chunks_exact(4 * kc).take(cols.div_ceil(4)).enumerate() {
-                let (r0, r1, r2, r3) = (&quad[..kc], &quad[kc..], &quad[2 * kc..], &quad[3 * kc..]);
-                let reads = r0.iter().zip(r1).zip(r2.iter().zip(r3));
-                for (lanes, ((a, b), (c, d))) in panel.chunks_exact_mut(NR).zip(reads) {
-                    lanes[4 * q..4 * q + 4].copy_from_slice(&[*a, *b, *c, *d]);
-                }
-            }
-        }
     }
 
     /// [`conv2d_forward`] on gathered patch panels.
@@ -706,53 +712,6 @@ mod gathered {
             }
         });
         out
-    }
-
-    /// [`conv2d_backward_weight`] on gathered transposed panels.
-    pub(super) fn backward_weight(
-        x: &Tensor,
-        weight: &Tensor,
-        dout: &Tensor,
-        spec: &Conv2dSpec,
-    ) -> (Tensor, Tensor) {
-        let (n, h, w, oh, ow) = spec.checked_dims(x, weight, None, Some(dout));
-        let Conv2dSpec { in_c, out_c, k, .. } = *spec;
-        let (img, dimg_len, wlen) = (in_c * h * w, out_c * oh * ow, spec.weight_len());
-        let (xs, dos) = (x.as_slice(), dout.as_slice());
-
-        // dW_i[F, C·K·K] = dout_i[F, OH·OW] · patches(x_i)ᵀ (nt) and
-        // db_i[f] = Σ dout_i[f, :]. Every image's partial is kept separate and
-        // reduced sequentially in image order below, so the thread count cannot
-        // change the reduction grouping.
-        let g = Gemm::nt(out_c, oh * ow, in_c * k * k);
-        let of_x = Patches::of_input(spec, (h, w), ow);
-        let mut partials = vec![0.0f32; n * (wlen + out_c)];
-        par::par_chunks_mut(&mut partials, wlen + out_c, |i, part| {
-            let (dwi, dbi) = part.split_at_mut(wlen);
-            let ximg = &xs[i * img..][..img];
-            let dimg = &dos[i * dimg_len..][..dimg_len];
-            let (pa, mut pb, mut tile) = (g.pack_a(dimg), PackedB::default(), Vec::new());
-            g.pack_b_with(&mut pb, |p0, j0, cols, panel| {
-                of_x.gather_t(ximg, p0, j0, cols, panel, &mut tile);
-            });
-            g.run_packed(&pa, &pb, dwi, false);
-            for (b, plane) in dbi.iter_mut().zip(dimg.chunks(oh * ow)) {
-                *b = plane.iter().sum();
-            }
-        });
-
-        let mut dw = vec![0.0f32; wlen];
-        let mut db = vec![0.0f32; out_c];
-        for part in partials.chunks_exact(wlen + out_c) {
-            let (dwi, dbi) = part.split_at(wlen);
-            for (a, b) in dw.iter_mut().zip(dwi) {
-                *a += b;
-            }
-            for (a, b) in db.iter_mut().zip(dbi) {
-                *a += b;
-            }
-        }
-        (Tensor::from_vec(dw, [out_c, in_c, k, k]), Tensor::from_vec(db, [out_c]))
     }
 
     /// One axis of a backward-data phase (module docs): the `dx` positions
@@ -860,6 +819,7 @@ mod gathered {
 
 #[cfg(test)]
 mod tests {
+    use super::direct::{conv2d_backward_reference, conv2d_reference};
     use super::gathered::{self, Patches, Phase};
     use super::*;
     use crate::gemm::{PackedB, KC};
@@ -980,8 +940,9 @@ mod tests {
     /// Named bit changes 1 and 2 of the implicit-GEMM rewrite are "none":
     /// the gathers (kept in `gathered`) fill the panels packing a column
     /// matrix fills, and the offset-addressed products reduce the same
-    /// values in the same order, so the forward output and `dW`/`db` equal
-    /// the materialising formulation bit for bit.
+    /// values in the same order, so the forward output and `db` equal the
+    /// materialising formulation bit for bit. (dW is dot products since,
+    /// held to the f64 oracle by `dw_is_within_its_bound_of_the_f64_oracle`.)
     #[test]
     fn gathers_are_bit_identical_to_the_column_matrix() {
         let mut rng = SeedRng::new(14);
@@ -995,19 +956,18 @@ mod tests {
             let b = rng.randn_tensor(&[f], 0.1);
             let dout = rng.randn_tensor(&[n, f, oh, ow], 1.0);
             let y = conv2d_forward(&x, &wt, Some(&b), &spec);
-            let (_, dw, db) = conv2d_backward(&x, &wt, &dout, &spec);
+            let (_, _, db) = conv2d_backward(&x, &wt, &dout, &spec);
 
             let g = Gemm::nn(f, ckk, oh * ow);
-            let g_dw = Gemm::nt(f, oh * ow, ckk);
             let patches = Patches::of_input(&spec, (h, w), ow);
             let pw = g.pack_a(wt.as_slice());
-            let (mut dw_want, mut db_want) = (vec![0.0f32; f * ckk], vec![0.0f32; f]);
+            let mut db_want = vec![0.0f32; f];
             for i in 0..n {
                 let ximg = &x.as_slice()[i * c * h * w..][..c * h * w];
                 let dimg = &dout.as_slice()[i * f * oh * ow..][..f * oh * ow];
                 let col = im2col(ximg, c, h, w, &spec);
 
-                let (mut pb, mut tile) = (PackedB::default(), Vec::new());
+                let mut pb = PackedB::default();
                 g.pack_b_with(&mut pb, |p0, j0, cols, p| patches.gather(ximg, p0, j0, cols, NR, p));
                 assert_eq!(pb, g.pack_b(&col), "{spec:?}: forward panels");
                 let mut want = vec![0.0f32; f * oh * ow];
@@ -1016,19 +976,10 @@ mod tests {
                     plane.iter_mut().for_each(|v| *v += bf);
                 }
                 assert_eq!(&y.as_slice()[i * f * oh * ow..][..f * oh * ow], want, "{spec:?}: y");
-
-                g_dw.pack_b_with(&mut pb, |p0, j0, cols, p| {
-                    patches.gather_t(ximg, p0, j0, cols, p, &mut tile)
-                });
-                assert_eq!(pb, g_dw.pack_b(&col), "{spec:?}: dW panels");
-                let mut dwi = vec![0.0f32; f * ckk];
-                g_dw.run_packed(&g_dw.pack_a(dimg), &pb, &mut dwi, false);
-                dw_want.iter_mut().zip(&dwi).for_each(|(a, v)| *a += v);
                 for (a, plane) in db_want.iter_mut().zip(dimg.chunks(oh * ow)) {
                     *a += plane.iter().sum::<f32>();
                 }
             }
-            assert_eq!(dw.as_slice(), dw_want, "{spec:?}: dW");
             assert_eq!(db.as_slice(), db_want, "{spec:?}: db");
         }
     }
@@ -1110,18 +1061,13 @@ mod tests {
         t.as_slice().iter().map(|v| if v.is_nan() { f32::NAN } else { *v }.to_bits()).collect()
     }
 
-    /// The offset-addressed products against the gathered panels they
-    /// replaced, `to_bits`-equal: every `k ∈ {1,2,3,5}`, `s ∈ {1,2,3}`,
-    /// `pad ∈ 0..4` — pad ≥ k gives a negative phase pad, k < s phases
-    /// with no taps (the 1×1 stride-2 projection) — plus KC slab splits in
-    /// the forward and phase reductions, on a 7×10 input, and an 18×18
-    /// input whose `dW` reduces over more than KC output positions with
-    /// discarded lanes between its rows; at batch 1 and 3 and pool widths
-    /// 1/2/4/8, once on finite data and once with ±∞ / NaN where padding
-    /// and discarded grid lanes meet the image.
-    #[test]
-    fn offset_products_are_bit_identical_to_the_gathered_panels() {
-        let mut rng = SeedRng::new(18);
+    /// Every `k ∈ {1,2,3,5}`, `s ∈ {1,2,3}`, `pad ∈ 0..4` — pad ≥ k gives a
+    /// negative phase pad, k < s phases with no taps (the 1×1 stride-2
+    /// projection) — plus KC slab splits in the forward and phase
+    /// reductions, on a 7×10 input (`ow` 8, 10 and others), and an 18×18
+    /// input with discarded lanes between its rows. `(spec, (h, w))`; case
+    /// `i` runs at batch `1 + 2·(i mod 2)`.
+    fn offset_cases() -> Vec<(Conv2dSpec, (usize, usize))> {
         let spec = |in_c, out_c, k, stride, pad| Conv2dSpec { in_c, out_c, k, stride, pad };
         let mut cases = vec![spec(29, 29, 3, 1, 1), spec(11, 29, 5, 2, 1), spec(29, 5, 3, 3, 3)];
         for k in [1, 2, 3, 5] {
@@ -1131,16 +1077,22 @@ mod tests {
         }
         let mut cases: Vec<_> = cases.into_iter().map(|c| (c, (7, 10))).collect();
         cases.push((spec(2, 3, 3, 1, 1), (18, 18)));
+        cases
+    }
+
+    /// The offset-addressed products against the gathered panels they
+    /// replaced, `to_bits`-equal over [`offset_cases`], at pool widths
+    /// 1/2/4/8, once on finite data and once with ±∞ / NaN where padding
+    /// and discarded grid lanes meet the image; `db` too.
+    #[test]
+    fn offset_products_are_bit_identical_to_the_gathered_panels() {
+        let mut rng = SeedRng::new(18);
+        let cases = offset_cases();
         assert!(cases.iter().any(|(c, _)| c.in_c * c.k * c.k > KC && c.out_c * 9 > KC));
         // A grid whose last panel runs past its last row.
         assert!(cases.iter().any(|&(c, (h, w))| {
             let ((oh, ow), reach) = (c.out_hw(h, w), (c.k - 1) / c.stride);
             oh * (ow + reach) % NR != 0
-        }));
-        // A dW reduction split across slabs, over rows with discarded lanes.
-        assert!(cases.iter().any(|&(c, (h, w))| {
-            let ((oh, ow), reach) = (c.out_hw(h, w), (c.k - 1) / c.stride);
-            oh * ow > KC && reach > 0
         }));
         let widths = [1, 2, 4, 8];
         let pools = widths.map(|n| rayon::ThreadPoolBuilder::new().num_threads(n).build().unwrap());
@@ -1156,32 +1108,98 @@ mod tests {
                     poison(&mut x);
                     poison(&mut dout);
                 }
-                let (dw, db) = gathered::backward_weight(&x, &wt, &dout, spec);
+                // db: per-image sums added in image order.
+                let mut db = Tensor::zeros([spec.out_c]);
+                for (j, plane) in dout.as_slice().chunks(oh * ow).enumerate() {
+                    db.as_mut_slice()[j % spec.out_c] += plane.iter().sum::<f32>();
+                }
                 let want = [
                     gathered::forward(&x, &wt, Some(&b), spec),
                     gathered::backward_data(&x, &wt, &dout, spec),
-                    dw,
                     db,
                 ];
                 for (width, pool) in widths.iter().zip(&pools) {
-                    let (y, (dx, dw, db)) = pool.install(|| {
+                    let (y, (dx, _, db)) = pool.install(|| {
                         (
                             conv2d_forward(&x, &wt, Some(&b), spec),
                             conv2d_backward(&x, &wt, &dout, spec),
                         )
                     });
-                    for (got, want, what) in [
-                        (y, &want[0], "y"),
-                        (dx, &want[1], "dx"),
-                        (dw, &want[2], "dW"),
-                        (db, &want[3], "db"),
-                    ] {
+                    for (got, want, what) in
+                        [(y, &want[0], "y"), (dx, &want[1], "dx"), (db, &want[2], "db")]
+                    {
                         let case =
                             format!("{spec:?} n {n} poisoned {poisoned} width {width}: {what}");
                         let (got, want) = (bits(&got), bits(want));
                         let first = got.iter().zip(&want).position(|(a, b)| a != b);
                         assert!(first.is_none(), "{case}: element {first:?}");
                     }
+                }
+            }
+        }
+    }
+
+    /// dW against the f64 direct loop run over the input zero-padded
+    /// beforehand (so a padding zero meets `dout` as it does in the dot
+    /// products: `0·∞ = NaN`), through the portable body and the one this
+    /// host dispatches to, over [`offset_cases`] — `ow` a multiple of 8 and
+    /// not, spare filters and taps in a last block — finite and with ±∞ /
+    /// NaN where padding meets the image, the dispatched body at pool
+    /// widths 1/2/4/8 and bit-identical across them. The stated bound: an
+    /// element of `m = n·oh·ow` terms is a lane chain of `⌈m/8⌉` steps, three
+    /// levels of lane sum and the oracle's own rounding, so a finite one is
+    /// within `(⌈m/8⌉ + 5)·2⁻²⁴·Σ|dout·x|` of the oracle (one step of slack
+    /// for second-order terms); a non-finite one is of the oracle's class.
+    #[test]
+    fn dw_is_within_its_bound_of_the_f64_oracle() {
+        let mut rng = SeedRng::new(19);
+        let pools =
+            [1, 2, 4, 8].map(|n| rayon::ThreadPoolBuilder::new().num_threads(n).build().unwrap());
+        let abs = |t: &Tensor| {
+            Tensor::from_vec(t.as_slice().iter().map(|v| v.abs()).collect(), t.shape().clone())
+        };
+        for (i, (spec, (h, w))) in offset_cases().into_iter().enumerate() {
+            let (n, p) = (1 + 2 * (i % 2), spec.pad);
+            let (oh, ow) = spec.out_hw(h, w);
+            let terms = (n * oh * ow).div_ceil(8) + 5;
+            for poisoned in [false, true] {
+                let mut x = rng.randn_tensor(&[n, spec.in_c, h, w], 1.0);
+                let wt = Tensor::zeros([spec.out_c, spec.in_c, spec.k, spec.k]);
+                let mut dout = rng.randn_tensor(&[n, spec.out_c, oh, ow], 1.0);
+                if poisoned {
+                    poison(&mut x);
+                    poison(&mut dout);
+                }
+                let mut xp = Tensor::zeros([n, spec.in_c, h + 2 * p, w + 2 * p]);
+                for (j, row) in x.as_slice().chunks_exact(w).enumerate() {
+                    let at = (j / h * (h + 2 * p) + j % h + p) * (w + 2 * p) + p;
+                    xp.as_mut_slice()[at..at + w].copy_from_slice(row);
+                }
+                let flat = Conv2dSpec { pad: 0, ..spec };
+                let want = conv2d_backward_reference(&xp, &wt, &dout, &flat).1;
+                let mass = conv2d_backward_reference(&abs(&xp), &wt, &abs(&dout), &flat).1;
+                let check = |got: &Tensor, what: &str| {
+                    let elems = got.as_slice().iter().zip(want.as_slice()).zip(mass.as_slice());
+                    for (e, ((g, o), m)) in elems.enumerate() {
+                        let case = format!(
+                            "{spec:?} n {n} poisoned {poisoned} {what}: dW[{e}] {g} vs {o}"
+                        );
+                        if o.is_nan() {
+                            assert!(g.is_nan(), "{case}");
+                        } else if o.is_infinite() {
+                            assert_eq!(g, o, "{case}");
+                        } else {
+                            let bound = terms as f32 * f32::EPSILON / 2.0 * m;
+                            assert!((g - o).abs() <= bound, "{case}: bound {bound}");
+                        }
+                    }
+                };
+                check(&backward_weight(&x, &wt, &dout, &spec, dots_portable).0, "portable");
+                let one = pools[0].install(|| conv2d_backward_weight(&x, &wt, &dout, &spec).0);
+                check(&one, "dispatched");
+                for pool in &pools[1..] {
+                    let at = pool.install(|| conv2d_backward_weight(&x, &wt, &dout, &spec).0);
+                    assert_eq!(bits(&at), bits(&one), "{spec:?} n {n} poisoned {poisoned}");
                 }
             }
         }

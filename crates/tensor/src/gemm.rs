@@ -13,20 +13,21 @@
 //!   stored slice is one filler — transposition is absorbed there and costs
 //!   O(mk + kn) against the O(mkn) multiply — and an operand that exists
 //!   only as a map over other data is another (convolution's flipped
-//!   backward-data weights, the LSTM's step operands). Panels are handed out zeroed:
-//!   edge panels stay zero-padded to full MR/NR width.
-//! * **Offset-addressed operands.** An operand whose every row is a window
-//!   of one stored slice is not packed at all. As B ([`Gemm::run_offsets`])
-//!   a k-step reads NR lanes at `src + off[p]`; as A ([`Gemm::run_windows`])
-//!   MR values at `src + off[i] + pos[q]`. Convolution is the user: in a
-//!   zero-padded (polyphase) copy of an image every tap is such a window
-//!   over output positions numbered on a padded-width [`Grid`].
+//!   backward-data weights, the LSTM's step operands). Panels are handed
+//!   out zeroed: edge panels stay zero-padded to full MR/NR width.
+//! * **Offset-addressed B.** A B operand whose every row is a window of
+//!   one stored slice is not packed at all ([`Gemm::run_offsets`]): a
+//!   k-step reads NR lanes at `src + off[p]`. Convolution's forward and dx
+//!   are the users: in a zero-padded (polyphase) copy of an image every tap
+//!   is such a window over output positions numbered on a padded-width
+//!   [`Grid`]. A is always packed.
 //! * **Microkernel.** An [`MR`]×[`NR`] register tile of accumulators is
-//!   updated once per k-step ([`tile`]); the i/j loops are over
-//!   fixed-size arrays, which LLVM fully unrolls and vectorises. There is one
-//!   AVX2/FMA body and one portable body, each monomorphised over how a
-//!   k-step finds its A values and its B row (packed, or through offsets),
-//!   so every kind of product runs the same instructions.
+//!   updated once per k-step ([`tile`]) from the packed A panel and a B
+//!   row; the i/j loops are over fixed-size arrays, which LLVM fully
+//!   unrolls and vectorises. There is one AVX2/FMA body and one portable
+//!   body, each monomorphised over how a k-step finds its B row (packed,
+//!   or through offsets), so every kind of product runs the same
+//!   instructions.
 //! * **Stores.** A tile's lanes land in `C` through a [`Grid`]: a stored
 //!   matrix keeps every lane, an offset-B product discards the lanes past
 //!   each output row. Lanes and rows past the edge are computed and then
@@ -144,40 +145,6 @@ impl Grid {
     /// A row-major `m×n` matrix: lane `j` is column `j`.
     fn dense(n: usize) -> Self {
         Grid { pitch: n, width: n, ldc: n, origin: 0, row_step: 0, col_step: 1 }
-    }
-}
-
-/// How the kernel reads op(A): panel `ir`'s [`MR`] row bases and, per
-/// k-step of `p0..p0 + kc`, how far past them the step's values lie.
-trait ARows: Sync {
-    fn rows(&self, p0: usize, kc: usize, ir: usize) -> ASide<impl Iterator<Item = usize>>;
-}
-
-type ASide<Steps> = ([*const f32; MR], Steps);
-
-/// A packed panel holds row `i` in lane `i` of each k-step's [`MR`] lanes.
-impl ARows for PackedA {
-    fn rows(&self, p0: usize, kc: usize, ir: usize) -> ASide<impl Iterator<Item = usize>> {
-        let base = (self.m.div_ceil(MR) * p0 + ir * kc) * MR;
-        let panel = self.buf[base..base + kc * MR].as_ptr();
-        (std::array::from_fn(|i| panel.wrapping_add(i)), (0..kc).map(|kk| kk * MR))
-    }
-}
-
-/// An A operand whose row `i` is a window of one stored slice read at the
-/// positions `pos`: `A[i, q] = src[off[i] + pos[q]]`. A last panel's spare
-/// rows read row 0's window. [`Gemm::run_windows`] checks the reach.
-pub(crate) struct Windows<'a> {
-    pub(crate) src: &'a [f32],
-    pub(crate) off: &'a [usize],
-    pub(crate) pos: &'a [usize],
-}
-
-impl ARows for Windows<'_> {
-    fn rows(&self, p0: usize, kc: usize, ir: usize) -> ASide<impl Iterator<Item = usize>> {
-        let row = |i: usize| *self.off.get(ir * MR + i).unwrap_or(&self.off[0]);
-        let bases = std::array::from_fn(|i| self.src.as_ptr().wrapping_add(row(i)));
-        (bases, self.pos[p0..p0 + kc].iter().copied())
     }
 }
 
@@ -328,24 +295,27 @@ impl Gemm {
     /// the first slab overwrites the tile, later slabs accumulate, giving
     /// β=0 semantics without a separate zeroing pass (a product with
     /// `k = 0` runs one empty slab, which stores zeros).
-    fn stripe(&self, cs: &mut [f32], row0: usize, a: &impl ARows, b: &impl BRows, grid: &Grid) {
+    fn stripe(&self, cs: &mut [f32], row0: usize, pa: &PackedA, b: &impl BRows, grid: &Grid) {
         let rows = cs.len() / grid.ldc;
         let panel0 = row0 / MR; // row0 is MC-aligned and MC % MR == 0
         let panels = rows.div_ceil(MR);
-        let npanels = self.n.div_ceil(NR);
+        let (mpanels, npanels) = (self.m.div_ceil(MR), self.n.div_ceil(NR));
         let jc_panels = NC / NR;
         for jc in (0..npanels).step_by(jc_panels) {
             let jc_end = (jc + jc_panels).min(npanels);
             for p0 in (0..self.k.max(1)).step_by(KC) {
                 let kc = KC.min(self.k - p0);
+                let a_off = mpanels * MR * p0;
                 let mut yx = (jc * NR / grid.pitch, jc * NR % grid.pitch);
                 for jr in jc..jc_end {
                     let lanes = NR.min(self.n - jr * NR);
                     for ip in 0..panels {
-                        // SAFETY: every value the sides point at is readable
-                        // — packed panels by construction, windows by their
-                        // entry point's reach assert.
-                        let acc = unsafe { tile(a.rows(p0, kc, panel0 + ip), b.rows(p0, kc, jr)) };
+                        let ap = pa.buf[a_off + (panel0 + ip) * kc * MR..][..kc * MR].as_ptr();
+                        // SAFETY: `ap` is a kc-step panel and `b` yields kc
+                        // rows of NR readable floats — a packed panel by
+                        // construction, an offset window by `run_offsets`'
+                        // reach assert.
+                        let acc = unsafe { tile(ap, b.rows(p0, kc, jr)) };
                         let tile_rows = (ip * MR, MR.min(rows - ip * MR));
                         store_tile(cs, grid, tile_rows, yx, lanes, &acc, p0 == 0);
                     }
@@ -362,17 +332,17 @@ impl Gemm {
     /// MC-row stripes — across the rayon pool when `parallel`, which
     /// changes no bit (each C element is reduced in the same fixed order by
     /// exactly one task).
-    fn run_on(&self, a: &impl ARows, b: &impl BRows, c: &mut [f32], grid: &Grid, parallel: bool) {
+    fn run_on(&self, pa: &PackedA, b: &impl BRows, c: &mut [f32], grid: &Grid, parallel: bool) {
         assert_eq!(c.len(), self.m * grid.ldc, "Gemm: C length vs {} rows of {}", self.m, grid.ldc);
         if self.m == 0 || self.n == 0 {
             return;
         }
         let stripe_len = MC * grid.ldc;
         if parallel && self.m > MC {
-            par::par_chunks_mut(c, stripe_len, |s, cs| self.stripe(cs, s * MC, a, b, grid));
+            par::par_chunks_mut(c, stripe_len, |s, cs| self.stripe(cs, s * MC, pa, b, grid));
         } else {
             for (s, cs) in c.chunks_mut(stripe_len).enumerate() {
-                self.stripe(cs, s * MC, a, b, grid);
+                self.stripe(cs, s * MC, pa, b, grid);
             }
         }
     }
@@ -388,13 +358,13 @@ impl Gemm {
 
     /// Computes `C = A·B` where `B` is never packed: row `p` of `B` is the
     /// window `src[off[p]..]`, so `B[p, q] = src[off[p] + q]`, and the `n`
-    /// columns are stored through `grid` ([`Gemm::run_windows`] is the
-    /// A-side twin). Convolution's forward and dx are the callers: `src` is
-    /// one image's zero-padded copy, `off[p]` where tap `p` starts in it,
-    /// and the columns are output positions on the padded-width grid. Each
-    /// C element is reduced over the same KC slabs in the same order as
-    /// [`Gemm::run_packed`] over the packed `B`: the same product, bit for
-    /// bit. Sequential: callers parallelise over images.
+    /// columns are stored through `grid`. Convolution's forward and dx are
+    /// the callers: `src` is one image's zero-padded copy, `off[p]` where
+    /// tap `p` starts in it, and the columns are output positions on the
+    /// padded-width grid. Each C element is reduced over the same KC slabs
+    /// in the same order as [`Gemm::run_packed`] over the packed `B`: the
+    /// same product, bit for bit. Sequential: callers parallelise over
+    /// images.
     pub(crate) fn run_offsets(
         &self,
         pa: &PackedA,
@@ -410,19 +380,6 @@ impl Gemm {
         let reach = off.iter().max().map_or(0, |o| o + self.n.div_ceil(NR) * NR);
         assert!(reach <= src.len(), "run_offsets: windows reach {reach} of {}", src.len());
         self.run_on(pa, &Offsets { src, off }, c, grid, false);
-    }
-
-    /// Computes `C = A·B` into a stored `C` where `A` is never packed but
-    /// read through [`Windows`]: convolution's `dW`, whose `pos` lists the
-    /// kept output positions only. Bit-for-bit [`Gemm::run_packed`] over
-    /// the packed `A` (same KC slabs, same order). Sequential.
-    pub(crate) fn run_windows(&self, a: &Windows, pb: &PackedB, c: &mut [f32]) {
-        let dims = (a.off.len(), a.pos.len(), pb.k, pb.n);
-        assert_eq!(dims, (self.m, self.k, self.k, self.n), "run_windows: operands vs descriptor");
-        // The kernel reads `src[off[i] + pos[q]]` unchecked.
-        let reach = a.off.iter().max().zip(a.pos.iter().max()).map_or(0, |(o, p)| o + p + 1);
-        assert!(reach <= a.src.len(), "run_windows: windows reach {reach} of {}", a.src.len());
-        self.run_on(a, pb, c, &Grid::dense(self.n), false);
     }
 
     /// Packs both operands and runs, parallelising when the product is
@@ -483,13 +440,13 @@ fn pack_panels<const LANES: usize>(
 }
 
 /// The register tile: one MR×NR block of C accumulated over the k-steps
-/// the two sides yield (`a`: MR row bases and each step's advance past
-/// them; `rows`: each step's B row). The fixed-size accumulator array
-/// lives in vector registers; the k-loop is the only sequential dependency
-/// and runs in ascending order. Where a value comes from — a packed panel,
-/// or a window of a stored slice — is the iterators' business: both bodies
-/// below are monomorphised over them, so packed and offset-addressed
-/// products run the same instructions on the same values.
+/// of the packed A panel `ap` (MR values a step) and the B rows `rows`
+/// yields. The fixed-size accumulator array lives in vector registers; the
+/// k-loop is the only sequential dependency and runs in ascending order.
+/// Where a B row comes from — a packed panel, or a window of a stored
+/// slice — is the iterator's business: both bodies below are monomorphised
+/// over it, so packed and offset-addressed products run the same
+/// instructions on the same values.
 ///
 /// On x86-64 with AVX2+FMA available at runtime the fused-multiply-add
 /// body is used (one rounding per multiply-add instead of two — still a
@@ -500,20 +457,17 @@ fn pack_panels<const LANES: usize>(
 ///
 /// # Safety
 ///
-/// Every `base + step` of `a` must be valid for a read of one float, and
-/// every pointer `rows` yields for reads of [`NR`] floats.
+/// `ap` must be valid for reads of [`MR`] floats per row `rows` yields,
+/// and every such row for reads of [`NR`] floats.
 #[inline(always)]
-unsafe fn tile(
-    a: ASide<impl Iterator<Item = usize>>,
-    rows: impl Iterator<Item = *const f32>,
-) -> [[f32; NR]; MR] {
+unsafe fn tile(ap: *const f32, rows: impl Iterator<Item = *const f32>) -> [[f32; NR]; MR] {
     #[cfg(target_arch = "x86_64")]
     if avx2_fma_available() {
         // SAFETY: the CPU supports avx2+fma (checked above); the operands
         // are the caller's to guarantee.
-        return microkernel_fma(a, rows);
+        return microkernel_fma(ap, rows);
     }
-    microkernel_generic(a, rows)
+    microkernel_generic(ap, rows)
 }
 
 /// The body [`tile`] runs on this host, `"avx2+fma"` or `"portable"` (they
@@ -529,14 +483,14 @@ pub fn microkernel() -> &'static str {
 /// The portable body. Safety as [`tile`].
 #[inline(always)]
 unsafe fn microkernel_generic(
-    (a, steps): ASide<impl Iterator<Item = usize>>,
+    ap: *const f32,
     rows: impl Iterator<Item = *const f32>,
 ) -> [[f32; NR]; MR] {
     let mut acc = [[0.0f32; NR]; MR];
-    for (step, b) in steps.zip(rows) {
-        let b = &*b.cast::<[f32; NR]>();
+    for (kk, b) in rows.enumerate() {
+        let (a, b) = (&*ap.add(kk * MR).cast::<[f32; MR]>(), &*b.cast::<[f32; NR]>());
         for i in 0..MR {
-            let ai = *a[i].add(step);
+            let ai = a[i];
             for j in 0..NR {
                 acc[i][j] += ai * b[j];
             }
@@ -547,9 +501,9 @@ unsafe fn microkernel_generic(
 
 /// Caches the one-time CPUID probe (std's detection macro already caches
 /// internally; the relaxed atomic here keeps the hot path to a single
-/// load).
+/// load). Convolution's dW body dispatches on it too.
 #[cfg(target_arch = "x86_64")]
-fn avx2_fma_available() -> bool {
+pub(crate) fn avx2_fma_available() -> bool {
     use std::sync::atomic::{AtomicU8, Ordering};
     static STATE: AtomicU8 = AtomicU8::new(0); // 0 = unknown, 1 = no, 2 = yes
     match STATE.load(Ordering::Relaxed) {
@@ -570,16 +524,15 @@ fn avx2_fma_available() -> bool {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn microkernel_fma(
-    (a, steps): ASide<impl Iterator<Item = usize>>,
+    ap: *const f32,
     rows: impl Iterator<Item = *const f32>,
 ) -> [[f32; NR]; MR] {
     use std::arch::x86_64::*;
     let mut acc = [_mm256_setzero_ps(); 2 * MR];
-    for (step, b) in steps.zip(rows) {
-        let b0 = _mm256_loadu_ps(b);
-        let b1 = _mm256_loadu_ps(b.add(8));
+    for (kk, b) in rows.enumerate() {
+        let (a, b0, b1) = (ap.add(kk * MR), _mm256_loadu_ps(b), _mm256_loadu_ps(b.add(8)));
         for i in 0..MR {
-            let ai = _mm256_broadcast_ss(&*a[i].add(step));
+            let ai = _mm256_broadcast_ss(&*a.add(i));
             acc[2 * i] = _mm256_fmadd_ps(ai, b0, acc[2 * i]);
             acc[2 * i + 1] = _mm256_fmadd_ps(ai, b1, acc[2 * i + 1]);
         }
@@ -782,46 +735,6 @@ mod tests {
                 assert_eq!(bits(crow), bits(&kept), "m {m} k {k} row {i}");
             }
         }
-    }
-
-    /// A window-addressed product is the packed product over the `A` its
-    /// windows spell, bit for bit — across a KC split and a ragged last
-    /// row panel — while every source lane `pos` skips holds ±∞ or NaN and
-    /// none reaches `C`; `k = 0` stores zeros.
-    #[test]
-    fn windowed_rows_match_the_packed_operand() {
-        let mut rng = SeedRng::new(13);
-        let n = 19;
-        for (m, k) in [(7, KC + 9), (13, 5), (2, 0)] {
-            // Every third lane is skipped; offsets keep that lane class.
-            let pos: Vec<usize> = (0..k).map(|q| q / 2 * 3 + q % 2).collect();
-            let off: Vec<usize> = (0..m).map(|i| 3 * (i * 5 % m)).collect();
-            let len = 3 * m + pos.last().map_or(0, |p| p + 1);
-            let mut src = rng.randn_tensor(&[len], 1.0).as_slice().to_vec();
-            let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
-            for (l, v) in src.iter_mut().enumerate().filter(|(l, _)| l % 3 == 2) {
-                *v = poison[l / 3 % 3];
-            }
-            let g = Gemm::nn(m, k, n);
-            let a: Vec<f32> = (0..m * k).map(|j| src[off[j / k.max(1)] + pos[j % k]]).collect();
-            let pb = g.pack_b(rng.randn_tensor(&[k * n], 1.0).as_slice());
-            let mut want = vec![f32::NAN; m * n];
-            g.run_packed(&g.pack_a(&a), &pb, &mut want, false);
-            let mut c = vec![f32::NAN; m * n];
-            g.run_windows(&Windows { src: &src, off: &off, pos: &pos }, &pb, &mut c);
-            let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&c), bits(&want), "m {m} k {k}");
-            assert!(c.iter().all(|v| v.is_finite()), "m {m} k {k}: a skipped lane reached C");
-            assert!(k > 0 || c.iter().all(|v| *v == 0.0), "k = 0 stores zeros");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "run_windows: windows reach 11 of 10")]
-    fn a_window_past_its_source_is_rejected() {
-        let g = Gemm::nn(2, 3, 1);
-        let a = Windows { src: &[0.0; 10], off: &[0, 6], pos: &[0, 2, 4] };
-        g.run_windows(&a, &g.pack_b(&[0.0; 3]), &mut [0.0; 2]);
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! * a cache-blocked, register-tiled, packing GEMM behind the unified
 //!   [`gemm::Gemm`] descriptor (all four transpose combos; bit-identical
 //!   across thread counts),
-//! * convolution as implicit GEMM ([`conv`]): the three conv products run
-//!   on the same packed core, their patch operands gathered from the image
-//!   straight into micro-panels (no column matrix), filter panels packed
-//!   once per batch,
+//! * convolution ([`conv`]) over one zero-padded copy of each image: the
+//!   forward and dx products run on the same core, reading their patch
+//!   operand in place (no column matrix, filter panels packed once per
+//!   batch), and dW is long dot products over output positions,
 //! * reductions and softmax helpers,
 //! * streaming statistics and histograms ([`stats`]) — used both by the
 //!   Gaussian-K baseline and to regenerate the paper's Figure 1,

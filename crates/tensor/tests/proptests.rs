@@ -1,7 +1,10 @@
 //! Property-based tests for the tensor substrate.
 
-use mini_tensor::{conv, gemm::Gemm, gemm::KC, ops, rng::SeedRng, stats, Tensor};
+use mini_tensor::conv::{self, Conv2dSpec};
+use mini_tensor::{gemm::Gemm, gemm::KC, ops, rng::SeedRng, stats, Tensor};
 use proptest::prelude::*;
+
+mod direct;
 
 /// `|got − want| ≤ 1e-5·(1 + |want|)` elementwise: the bound the direct
 /// backward-data product (one FMA reduction per `dx` element) is held to
@@ -15,7 +18,7 @@ fn within_bound(got: &Tensor, want: &Tensor, what: &str) {
 
 /// Forward against `conv2d_reference`, backward against
 /// `conv2d_backward_reference`, on one seeded geometry.
-fn check_conv(spec: conv::Conv2dSpec, n: usize, h: usize, w: usize, seed: u64) {
+fn check_conv(spec: Conv2dSpec, n: usize, h: usize, w: usize, seed: u64) {
     let mut rng = SeedRng::new(seed);
     let (oh, ow) = spec.out_hw(h, w);
     let x = rng.randn_tensor(&[n, spec.in_c, h, w], 1.0);
@@ -23,12 +26,12 @@ fn check_conv(spec: conv::Conv2dSpec, n: usize, h: usize, w: usize, seed: u64) {
     let b = rng.randn_tensor(&[spec.out_c], 0.1);
     let dout = rng.randn_tensor(&[n, spec.out_c, oh, ow], 1.0);
     let y = conv::conv2d_forward(&x, &wt, Some(&b), &spec);
-    let y_ref = conv::conv2d_reference(&x, &wt, Some(&b), &spec);
+    let y_ref = direct::conv2d_reference(&x, &wt, Some(&b), &spec);
     for (a, r) in y.as_slice().iter().zip(y_ref.as_slice()) {
         assert!((a - r).abs() < 1e-3, "{spec:?} {h}x{w}: y {a} vs {r}");
     }
     let (dx, dw, db) = conv::conv2d_backward(&x, &wt, &dout, &spec);
-    let (dx_ref, dw_ref, db_ref) = conv::conv2d_backward_reference(&x, &wt, &dout, &spec);
+    let (dx_ref, dw_ref, db_ref) = direct::conv2d_backward_reference(&x, &wt, &dout, &spec);
     within_bound(&dx, &dx_ref, "dx");
     within_bound(&dw, &dw_ref, "dW");
     within_bound(&db, &db_ref, "db");
@@ -45,7 +48,7 @@ fn check_conv(spec: conv::Conv2dSpec, n: usize, h: usize, w: usize, seed: u64) {
 fn conv_matches_direct_loops_when_a_slab_starts_mid_channel() {
     // 32 channels × 3×3 = 288 patch rows: the second KC slab starts inside
     // channel 28. Odd sizes at stride 2 leave the last input column unread.
-    let spec = conv::Conv2dSpec { in_c: 32, out_c: 3, k: 3, stride: 2, pad: 0 };
+    let spec = Conv2dSpec { in_c: 32, out_c: 3, k: 3, stride: 2, pad: 0 };
     assert!(spec.in_c * spec.k * spec.k > KC);
     check_conv(spec, 2, 7, 10, 41);
 }
@@ -139,14 +142,14 @@ proptest! {
         // k ∈ {1, 3, 5}, non-square inputs up to 11×20: output rows shorter
         // than, not dividing and longer than NR, strides that leave input
         // rows unread, padding wider than the kernel.
-        let spec = conv::Conv2dSpec { in_c, out_c, k: 2 * ki + 1, stride, pad };
+        let spec = Conv2dSpec { in_c, out_c, k: 2 * ki + 1, stride, pad };
         check_conv(spec, n, h, h + dw, seed);
     }
 
     #[test]
     fn conv_linearity_in_input(seed in 0u64..500) {
         // conv(x1 + x2) == conv(x1) + conv(x2) with zero bias.
-        let spec = conv::Conv2dSpec { in_c: 1, out_c: 2, k: 3, stride: 1, pad: 1 };
+        let spec = Conv2dSpec { in_c: 1, out_c: 2, k: 3, stride: 1, pad: 1 };
         let mut rng = SeedRng::new(seed);
         let x1 = rng.randn_tensor(&[1, 1, 6, 6], 1.0);
         let x2 = rng.randn_tensor(&[1, 1, 6, 6], 1.0);

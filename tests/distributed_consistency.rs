@@ -5,7 +5,7 @@
 //! The training fingerprint (`crates/core/tests/fingerprint.rs`) pins the
 //! in-proc trainer's every deterministic report field on a committed grid:
 //! its golden compare is run-to-run determinism, and its `ov` and `b1k`
-//! relations are hooked training ≡ single-shot at worlds 1, 2 and 4.
+//! relations are hooked training ≡ single-shot at worlds 1, 2, 3 and 4.
 
 use a2sgd::experiments::scaled_convergence_config;
 use a2sgd::overlap::{HookLayout, HookedStep};
@@ -385,69 +385,6 @@ where
                         reference[rank],
                         "{} ({backend_name}): world {world} cap {cap} rank {rank}: hook-order \
                          announcement diverged from single-shot",
-                        algo.name()
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Hook-driven *training* (per-layer callbacks driving `HookedStep` from
-/// inside `backward_hooked`) ≡ single-shot training, for every registry
-/// synchronizer × caps {whole-model, 64 KiB, 1 KiB} × worlds 1–4 on the
-/// in-proc backend. The TCP data plane is covered by
-/// `hook_training_parity_tcp_multiprocess` (processes) and the hook-order
-/// sweep above (sockets).
-#[test]
-fn hook_training_parity_all_synchronizers() {
-    for world in 1..=4usize {
-        for algo in AlgoKind::all(0.01) {
-            let mut base = cfg(algo, world, 9);
-            base.epochs = 1;
-            base.train_size = 192;
-            base.eval_size = 64;
-            let reference = train(&base);
-            for cap in [None, Some(64 * 1024), Some(1024)] {
-                let mut hooked_cfg = base.clone();
-                hooked_cfg.overlap_backward = true;
-                hooked_cfg.bucket_bytes = cap;
-                let hooked = train(&hooked_cfg);
-                let la: Vec<u64> =
-                    reference.epochs.iter().map(|e| e.train_loss.to_bits()).collect();
-                let lb: Vec<u64> = hooked.epochs.iter().map(|e| e.train_loss.to_bits()).collect();
-                assert_eq!(
-                    la,
-                    lb,
-                    "{}: world {world} cap {cap:?}: hooked losses diverged",
-                    algo.name()
-                );
-                assert_eq!(
-                    reference.final_metric.to_bits(),
-                    hooked.final_metric.to_bits(),
-                    "{}: world {world} cap {cap:?}",
-                    algo.name()
-                );
-                assert_eq!(
-                    reference.replica_divergence.to_bits(),
-                    hooked.replica_divergence.to_bits(),
-                    "{}: world {world} cap {cap:?}",
-                    algo.name()
-                );
-                // Wire accounting: hooks must not change what crosses the
-                // wire. Bucketing itself may (honest per-bucket padding +
-                // re-shipped scale words for the sub-byte encodings), so
-                // the single-shot comparison only holds for uncapped runs
-                // and for the bucket-invariant encodings.
-                // (Dense's f32 lanes need no padding; the A2SGD family
-                // ignores bucketing entirely — O(1) packet either way.)
-                let bucket_invariant =
-                    matches!(algo, AlgoKind::Dense | AlgoKind::A2sgd | AlgoKind::A2sgdCarry);
-                if cap.is_none() || bucket_invariant {
-                    assert_eq!(
-                        reference.wire_bits_per_iter,
-                        hooked.wire_bits_per_iter,
-                        "{}: world {world} cap {cap:?}: wire accounting drifted",
                         algo.name()
                     );
                 }
