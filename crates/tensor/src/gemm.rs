@@ -501,9 +501,10 @@ unsafe fn microkernel_generic(
 
 /// Caches the one-time CPUID probe (std's detection macro already caches
 /// internally; the relaxed atomic here keeps the hot path to a single
-/// load). Convolution's dW body dispatches on it too.
+/// load). The one probe: conv's dW body and `a2sgd::mean2`'s class sums
+/// dispatch on it too, so [`microkernel`] names what every kernel ran.
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn avx2_fma_available() -> bool {
+pub fn avx2_fma_available() -> bool {
     use std::sync::atomic::{AtomicU8, Ordering};
     static STATE: AtomicU8 = AtomicU8::new(0); // 0 = unknown, 1 = no, 2 = yes
     match STATE.load(Ordering::Relaxed) {

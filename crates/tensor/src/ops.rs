@@ -79,12 +79,6 @@ pub fn map(a: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
 // BLAS-1 slice kernels (used on flattened gradients — hot paths)
 // ---------------------------------------------------------------------------
 
-/// `y ← a·x + y`. Parallel over chunks for large `n`.
-pub fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len());
-    par::par_zip_mut(y, x, |yi, &xi| *yi += a * xi);
-}
-
 /// Dot product with f64 accumulation (parallel).
 pub fn dot(x: &[f32], y: &[f32]) -> f64 {
     assert_eq!(x.len(), y.len());
@@ -305,18 +299,6 @@ mod tests {
     #[should_panic]
     fn shape_mismatch_panics() {
         let _ = add(&t(&[1.0]), &t(&[1.0, 2.0]));
-    }
-
-    #[test]
-    fn axpy_matches_reference() {
-        let x: Vec<f32> = (0..1000).map(|i| i as f32 * 0.1).collect();
-        let mut y: Vec<f32> = (0..1000).map(|i| -(i as f32)).collect();
-        let mut yref = y.clone();
-        axpy(2.0, &x, &mut y);
-        for i in 0..1000 {
-            yref[i] += 2.0 * x[i];
-        }
-        assert_eq!(y, yref);
     }
 
     /// |got − want| in units in the last place of `want` as an f32 (the

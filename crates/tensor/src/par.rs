@@ -17,43 +17,6 @@ pub const PAR_THRESHOLD: usize = 1 << 15;
 /// Chunk size used when splitting a large slice across the pool.
 pub const PAR_CHUNK: usize = 1 << 14;
 
-/// Applies `f(&mut y[i], &x[i])` for every `i`, in parallel for large inputs.
-pub fn par_zip_mut<F>(y: &mut [f32], x: &[f32], f: F)
-where
-    F: Fn(&mut f32, &f32) + Sync + Send,
-{
-    assert_eq!(y.len(), x.len());
-    if y.len() < PAR_THRESHOLD {
-        for (yi, xi) in y.iter_mut().zip(x) {
-            f(yi, xi);
-        }
-    } else {
-        y.par_chunks_mut(PAR_CHUNK).zip(x.par_chunks(PAR_CHUNK)).for_each(|(yc, xc)| {
-            for (yi, xi) in yc.iter_mut().zip(xc) {
-                f(yi, xi);
-            }
-        });
-    }
-}
-
-/// Applies `f(&mut y[i])` for every `i`, in parallel for large inputs.
-pub fn par_for_mut<F>(y: &mut [f32], f: F)
-where
-    F: Fn(&mut f32) + Sync + Send,
-{
-    if y.len() < PAR_THRESHOLD {
-        for yi in y.iter_mut() {
-            f(yi);
-        }
-    } else {
-        y.par_chunks_mut(PAR_CHUNK).for_each(|yc| {
-            for yi in yc.iter_mut() {
-                f(yi);
-            }
-        });
-    }
-}
-
 /// Range reduction: splits `0..n` into chunks, maps each `[lo, hi)` with
 /// `f`, and combines partial results with `+`. `z` is the identity.
 pub fn par_reduce_indexed<T, F>(n: usize, z: T, f: F) -> T
@@ -116,19 +79,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn par_zip_mut_large_matches_seq() {
-        let n = PAR_THRESHOLD * 2 + 17;
-        let x: Vec<f32> = (0..n).map(|i| (i % 13) as f32).collect();
-        let mut y = vec![1.0f32; n];
-        let mut yref = y.clone();
-        par_zip_mut(&mut y, &x, |a, b| *a += 3.0 * b);
-        for i in 0..n {
-            yref[i] += 3.0 * x[i];
-        }
-        assert_eq!(y, yref);
-    }
-
-    #[test]
     fn par_reduce_matches_seq() {
         let n = PAR_THRESHOLD * 3 + 5;
         let x: Vec<f32> = (0..n).map(|i| (i % 7) as f32).collect();
@@ -153,14 +103,5 @@ mod tests {
         // Empty slice: no calls, no panic (chunk size irrelevant).
         let mut empty: [f32; 0] = [];
         par_chunks_mut(&mut empty, 0, |_, _| panic!("called on empty input"));
-    }
-
-    #[test]
-    fn par_for_mut_small_and_large() {
-        for n in [10usize, PAR_THRESHOLD + 1] {
-            let mut y = vec![2.0f32; n];
-            par_for_mut(&mut y, |v| *v *= 2.0);
-            assert!(y.iter().all(|&v| v == 4.0));
-        }
     }
 }
