@@ -337,6 +337,11 @@ pub struct TrainReport {
     pub replica_divergence: f64,
     /// Gradient histograms captured at requested iterations (worker 0).
     pub grad_histograms: Vec<(usize, Histogram)>,
+    /// FNV-1a over this rank's parameters after the closing resync, one
+    /// step per value's 32-bit pattern in `visit_params` order (0 when the
+    /// rank stopped before it): a change to any bit of any parameter
+    /// changes it, so it sees a rounding change the loss curve hides.
+    pub param_digest: u64,
     /// Compute threads each rank's kernels ran on: the host's cores divided
     /// by the ranks sharing it, or `RAYON_NUM_THREADS` when that is set
     /// (see [`thread_budget`]).
@@ -737,6 +742,7 @@ fn run_rank(
     r.iters = (step - first) as usize;
     r.comm_seconds += resync_seconds;
     r.replica_divergence = divergence;
+    r.param_digest = param_digest(model.as_mut());
     for (e, &m) in r.epochs.iter_mut().zip(&metric_bits) {
         e.metric = f64::from_bits(m);
     }
@@ -781,6 +787,17 @@ fn run_rank(
     }
 
     Ok((finish(r, &sum, samples, comm.stats()), model))
+}
+
+/// [`TrainReport::param_digest`] of `model`.
+fn param_digest(model: &mut dyn Module) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    model.visit_params(&mut |p| {
+        for v in p.data.as_slice() {
+            h = (h ^ v.to_bits() as u64).wrapping_mul(0x100_0000_01b3);
+        }
+    });
+    h
 }
 
 /// Figure-1 capture: a ±3σ histogram of the local (pre-sync) gradient.

@@ -1,6 +1,7 @@
 //! The training fingerprint: a fixed in-proc grid of `train` runs, one row
 //! per run of every deterministic report field (f64s as hex bits; measured
-//! seconds, throughput and threads per rank left out), compared with the
+//! seconds, throughput and threads per rank left out; `params` is the
+//! digest of the final parameters, which no relation reads), compared with the
 //! committed `fingerprint.golden`; and the trainer's bit-identity contracts
 //! as relations between rows. Row tags: `b1k` = 1 KiB buckets, `ov` =
 //! `overlap_backward`, `fixed1` = `SchedKind::Fixed(1)`, `hier1` =
@@ -84,6 +85,7 @@ fn row(id: String, r: &TrainReport) -> String {
         ("sync_steps", r.sync_steps.to_string()),
         ("local_steps", r.local_steps.to_string()),
         ("hists", r.grad_histograms.len().to_string()),
+        ("params", format!("{:#018x}", r.param_digest)),
     ];
     fields.iter().fold(id, |line, (k, v)| line + &format!(" {k}={v}"))
 }
