@@ -10,7 +10,7 @@ use rayon::prelude::*;
 
 /// Below this many elements kernels run sequentially. At the threshold a
 /// sweep is ~10 µs of work (`split_means/65536@1` in `BENCH_kernels.json`:
-/// 0.019 ms) against a ~2 µs fork/join (`fork_join/noop_x2@2`) and a helper
+/// 0.018 ms) against a ~2 µs fork/join (`fork_join/noop_x2@2`) and a helper
 /// that takes tens of µs to wake, so the ledger supports nothing lower.
 pub const PAR_THRESHOLD: usize = 1 << 15;
 
