@@ -42,11 +42,10 @@ impl Linear {
         let batch = x.shape().dim(0);
         assert_eq!(dout.shape().dims(), &[batch, out_f]);
 
-        // dW[out, in] += doutᵀ[out, B] · x[B, in]
-        let dw = Gemm::tn(out_f, batch, self.in_features()).run_tensor(dout, x);
-        for (g, d) in self.weight.grad.as_mut_slice().iter_mut().zip(dw.as_slice()) {
-            *g += *d;
-        }
+        // dW[out, in] += doutᵀ[out, B] · x[B, in], added straight into the
+        // gradient: bit for bit the product added to it (see `run_add`).
+        let g = Gemm::tn(out_f, batch, self.in_features());
+        g.run_add(dout.as_slice(), x.as_slice(), self.weight.grad.as_mut_slice());
         // db[j] += Σ_B dout[b, j]
         let db = self.bias.grad.as_mut_slice();
         for row in dout.as_slice().chunks_exact(out_f) {

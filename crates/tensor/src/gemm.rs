@@ -13,8 +13,12 @@
 //!   stored slice is one filler — transposition is absorbed there and costs
 //!   O(mk + kn) against the O(mkn) multiply — and an operand that exists
 //!   only as a map over other data is another (convolution's flipped
-//!   backward-data weights, the LSTM's step operands). Panels are handed
-//!   out zeroed: edge panels stay zero-padded to full MR/NR width.
+//!   backward-data weights, the LSTM's step operands). A transposed stored
+//!   B — every `x·Wᵀ` on a stored weight — is filled in blocks of 8
+//!   columns × 8 k-steps: 8 contiguous row loads, one in-register
+//!   transposition and 8 panel-row stores ([`fill_transposed`]; ragged
+//!   edges go element by element). Panels are handed out zeroed: edge
+//!   panels stay zero-padded to full MR/NR width.
 //! * **Offset-addressed B.** A B operand whose every row is a window of
 //!   one stored slice is not packed at all ([`Gemm::run_offsets`]): a
 //!   k-step reads NR lanes at `src + off[p]`. Convolution's forward and dx
@@ -84,7 +88,7 @@ pub const PAR_FLOPS: usize = 1 << 18;
 /// `m`, `k`, `n` are the *logical* dimensions after transposition: `op(A)`
 /// is `m×k` and `op(B)` is `k×n`, so a `trans_a` operand is stored `k×m`
 /// row-major and a `trans_b` operand `n×k`. `run` overwrites `c` entirely
-/// (β = 0 in BLAS terms).
+/// (β = 0 in BLAS terms); `run_add` adds the product to it (β = 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Gemm {
     /// Treat the stored `A` as transposed (stored `k×m`).
@@ -224,15 +228,6 @@ impl Gemm {
         }
     }
 
-    #[inline(always)]
-    fn b_at(&self, b: &[f32], p: usize, j: usize) -> f32 {
-        if self.trans_b {
-            b[j * self.k + p]
-        } else {
-            b[p * self.n + j]
-        }
-    }
-
     /// Packs `op(A)` from wherever `fill` reads it. `fill(p0, i0, rows,
     /// panel)` writes one zeroed `kc×MR` k-major micro-panel: element
     /// `(i0 + i, p0 + kk)` of `op(A)` goes to `panel[kk * MR + i]` for
@@ -265,18 +260,21 @@ impl Gemm {
         pack_panels::<NR>(&mut pb.buf, self.k, self.n, fill);
     }
 
-    /// Packs `op(B)` from its stored slice, reusing `pb`'s allocation.
+    /// Packs `op(B)` from its stored slice, reusing `pb`'s allocation. A
+    /// transposed B is stored `n×k`, so a panel's columns are stored rows:
+    /// [`fill_transposed`] turns them in 8×8 blocks.
     pub fn pack_b_into(&self, b: &[f32], pb: &mut PackedB) {
-        assert_eq!(b.len(), self.b_len(), "pack_b: B length vs {}×{} descriptor", self.k, self.n);
-        let n = self.n;
+        let (k, n) = (self.k, self.n);
+        // The one check behind `fill_transposed`'s unchecked loads.
+        assert!(b.len() == k * n, "pack_b: B length {} vs {k}×{n} descriptor", b.len());
         self.pack_b_with(pb, |p0, j0, cols, panel| {
-            for (kk, dst) in panel.chunks_exact_mut(NR).enumerate() {
-                if self.trans_b {
-                    for (j, d) in dst[..cols].iter_mut().enumerate() {
-                        *d = self.b_at(b, p0 + kk, j0 + j);
-                    }
-                } else {
-                    // op(B) rows are contiguous in storage: copy row slices.
+            if self.trans_b {
+                // SAFETY: stored rows `j0..j0 + cols` are k floats from
+                // `j·k`, and `p0 + kc ≤ k`: all inside `b` by the assert.
+                unsafe { fill_transposed(b.as_ptr().add(j0 * k + p0), k, cols, panel) };
+            } else {
+                // op(B) rows are contiguous in storage: copy row slices.
+                for (kk, dst) in panel.chunks_exact_mut(NR).enumerate() {
                     dst[..cols].copy_from_slice(&b[(p0 + kk) * n + j0..][..cols]);
                 }
             }
@@ -294,8 +292,16 @@ impl Gemm {
     /// `[row0, row0 + cs.len()/ldc)`). Loop order `jc → pc → jr → ir`;
     /// the first slab overwrites the tile, later slabs accumulate, giving
     /// β=0 semantics without a separate zeroing pass (a product with
-    /// `k = 0` runs one empty slab, which stores zeros).
-    fn stripe(&self, cs: &mut [f32], row0: usize, pa: &PackedA, b: &impl BRows, grid: &Grid) {
+    /// `k = 0` runs one empty slab, which stores zeros). With `ADD` the
+    /// first slab accumulates too: β = 1.
+    fn stripe<const ADD: bool>(
+        &self,
+        cs: &mut [f32],
+        row0: usize,
+        pa: &PackedA,
+        b: &impl BRows,
+        grid: &Grid,
+    ) {
         let rows = cs.len() / grid.ldc;
         let panel0 = row0 / MR; // row0 is MC-aligned and MC % MR == 0
         let panels = rows.div_ceil(MR);
@@ -317,7 +323,7 @@ impl Gemm {
                         // reach assert.
                         let acc = unsafe { tile(ap, b.rows(p0, kc, jr)) };
                         let tile_rows = (ip * MR, MR.min(rows - ip * MR));
-                        store_tile(cs, grid, tile_rows, yx, lanes, &acc, p0 == 0);
+                        store_tile(cs, grid, tile_rows, yx, lanes, &acc, !ADD && p0 == 0);
                     }
                     yx.1 += NR;
                     while yx.1 >= grid.pitch {
@@ -331,18 +337,26 @@ impl Gemm {
     /// The one macro loop under every entry point: `C` through `grid`, in
     /// MC-row stripes — across the rayon pool when `parallel`, which
     /// changes no bit (each C element is reduced in the same fixed order by
-    /// exactly one task).
-    fn run_on(&self, pa: &PackedA, b: &impl BRows, c: &mut [f32], grid: &Grid, parallel: bool) {
+    /// exactly one task). `ADD` adds the product to `C` instead of storing
+    /// it; it is a const so the storing callers compile to no extra test.
+    fn run_on<const ADD: bool>(
+        &self,
+        pa: &PackedA,
+        b: &impl BRows,
+        c: &mut [f32],
+        grid: &Grid,
+        parallel: bool,
+    ) {
         assert_eq!(c.len(), self.m * grid.ldc, "Gemm: C length vs {} rows of {}", self.m, grid.ldc);
         if self.m == 0 || self.n == 0 {
             return;
         }
         let stripe_len = MC * grid.ldc;
         if parallel && self.m > MC {
-            par::par_chunks_mut(c, stripe_len, |s, cs| self.stripe(cs, s * MC, pa, b, grid));
+            par::par_chunks_mut(c, stripe_len, |s, cs| self.stripe::<ADD>(cs, s * MC, pa, b, grid));
         } else {
             for (s, cs) in c.chunks_mut(stripe_len).enumerate() {
-                self.stripe(cs, s * MC, pa, b, grid);
+                self.stripe::<ADD>(cs, s * MC, pa, b, grid);
             }
         }
     }
@@ -353,7 +367,7 @@ impl Gemm {
     pub fn run_packed(&self, pa: &PackedA, pb: &PackedB, c: &mut [f32], parallel: bool) {
         let dims = (pa.m, pa.k, pb.k, pb.n);
         assert_eq!(dims, (self.m, self.k, self.k, self.n), "run_packed: operands vs descriptor");
-        self.run_on(pa, pb, c, &Grid::dense(self.n), parallel);
+        self.run_on::<false>(pa, pb, c, &Grid::dense(self.n), parallel);
     }
 
     /// Computes `C = A·B` where `B` is never packed: row `p` of `B` is the
@@ -379,16 +393,29 @@ impl Gemm {
         // The kernel reads lanes `0..panels·NR` of every window unchecked.
         let reach = off.iter().max().map_or(0, |o| o + self.n.div_ceil(NR) * NR);
         assert!(reach <= src.len(), "run_offsets: windows reach {reach} of {}", src.len());
-        self.run_on(pa, &Offsets { src, off }, c, grid, false);
+        self.run_on::<false>(pa, &Offsets { src, off }, c, grid, false);
     }
 
     /// Packs both operands and runs, parallelising when the product is
     /// large enough ([`PAR_FLOPS`]) to amortise fork/join.
     pub fn run(&self, a: &[f32], b: &[f32], c: &mut [f32]) {
-        let pa = self.pack_a(a);
-        let pb = self.pack_b(b);
+        self.pack_and_run::<false>(a, b, c);
+    }
+
+    /// [`Gemm::run`] that adds the product to `c`: `C += op(A)·op(B)`. Each
+    /// element is `C`'s value plus the slabs in [`Gemm::run`]'s order, so
+    /// at `k ≤ KC` (one slab) it is bit for bit `c + product`, and so it is
+    /// at any `k` from a `C` of `+0.0` (a zeroed gradient): a sum of f32s
+    /// is `−0.0` only when every addend is, and `+0.0` absorbs that sign
+    /// either way. A layer's weight gradient lands in place.
+    pub fn run_add(&self, a: &[f32], b: &[f32], c: &mut [f32]) {
+        self.pack_and_run::<true>(a, b, c);
+    }
+
+    fn pack_and_run<const ADD: bool>(&self, a: &[f32], b: &[f32], c: &mut [f32]) {
+        let (pa, pb) = (self.pack_a(a), self.pack_b(b));
         let parallel = self.m.saturating_mul(self.k).saturating_mul(self.n) >= PAR_FLOPS;
-        self.run_packed(&pa, &pb, c, parallel);
+        self.run_on::<ADD>(&pa, &pb, c, &Grid::dense(self.n), parallel);
     }
 
     /// Single-threaded [`Gemm::run`] — the bench baseline and the inner
@@ -436,6 +463,112 @@ fn pack_panels<const LANES: usize>(
             fill(p0, l0, LANES.min(extent - l0), &mut buf[off..off + kc * LANES]);
             off += kc * LANES;
         }
+    }
+}
+
+/// Fills one zeroed `kc×NR` panel (`kc = panel.len() / NR`) with the
+/// transpose of `cols ≤ NR` stored rows `ld` floats apart:
+/// `panel[kk·NR + j] = src[j·ld + kk]`. Each block of 8 columns × 8
+/// k-steps is 8 contiguous row loads, one in-register transposition and 8
+/// panel-row stores, on the AVX2 body when the one CPUID probe finds it;
+/// the ragged edges (`cols mod 8` columns, `kc mod 8` steps) go element by
+/// element. Every body moves bits, so the panel is the gather's.
+///
+/// # Safety
+///
+/// `src + j·ld + kk` must be readable for every `j < cols`, `kk < kc`.
+unsafe fn fill_transposed(src: *const f32, ld: usize, cols: usize, panel: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_fma_available() {
+        // SAFETY: the CPU supports avx2+fma; the reach is the caller's.
+        return fill_transposed_avx2(src, ld, cols, panel);
+    }
+    fill_transposed_body::<false>(src, ld, cols, panel)
+}
+
+/// [`fill_transposed`]'s one body; `AVX2` picks the block transposition.
+/// Safety as [`fill_transposed`] (and, with `AVX2`, a CPU with avx2).
+#[inline(always)]
+unsafe fn fill_transposed_body<const AVX2: bool>(
+    src: *const f32,
+    ld: usize,
+    cols: usize,
+    panel: &mut [f32],
+) {
+    let kc = panel.len() / NR;
+    let (cb, kb) = (cols / 8 * 8, kc / 8 * 8);
+    let dst = panel.as_mut_ptr();
+    for j in (0..cb).step_by(8) {
+        for kk in (0..kb).step_by(8) {
+            let (s, d) = (src.add(j * ld + kk), dst.add(kk * NR + j));
+            if AVX2 {
+                #[cfg(target_arch = "x86_64")]
+                transpose8_avx2(s, ld, d);
+            } else {
+                transpose8(s, ld, d);
+            }
+        }
+    }
+    for (kk, row) in panel.chunks_exact_mut(NR).enumerate() {
+        let from = if kk < kb { cb } else { 0 };
+        for (j, d) in row[..cols].iter_mut().enumerate().skip(from) {
+            *d = *src.add(j * ld + kk);
+        }
+    }
+}
+
+/// [`fill_transposed_body`] compiled for avx2. Safety as
+/// [`fill_transposed`], on a CPU with avx2 and fma.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn fill_transposed_avx2(src: *const f32, ld: usize, cols: usize, panel: &mut [f32]) {
+    fill_transposed_body::<true>(src, ld, cols, panel)
+}
+
+/// The portable block: rows `src + r·ld` (8 floats each) become panel rows
+/// `dst + t·NR`, `dst[t·NR + r] = src[r·ld + t]`. Safety: those reads and
+/// writes are in bounds.
+#[inline(always)]
+unsafe fn transpose8(src: *const f32, ld: usize, dst: *mut f32) {
+    let rows: [[f32; 8]; 8] =
+        std::array::from_fn(|r| src.add(r * ld).cast::<[f32; 8]>().read_unaligned());
+    let cols: [[f32; 8]; 8] = std::array::from_fn(|t| rows.map(|row| row[t]));
+    for (t, col) in cols.into_iter().enumerate() {
+        dst.add(t * NR).cast::<[f32; 8]>().write_unaligned(col);
+    }
+}
+
+/// [`transpose8`] in eight ymm registers: interleave row pairs, then pairs
+/// of pairs, then swap 128-bit halves. Safety as [`transpose8`], on a CPU
+/// with avx2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+unsafe fn transpose8_avx2(src: *const f32, ld: usize, dst: *mut f32) {
+    use std::arch::x86_64::*;
+    let mut r = [_mm256_setzero_ps(); 8];
+    for (i, v) in r.iter_mut().enumerate() {
+        *v = _mm256_loadu_ps(src.add(i * ld));
+    }
+    // t[2i] = (r[2i][0], r[2i+1][0], r[2i][1], r[2i+1][1] | same for 4, 5).
+    let mut t = [_mm256_setzero_ps(); 8];
+    for i in 0..4 {
+        t[2 * i] = _mm256_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+        t[2 * i + 1] = _mm256_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+    }
+    // s[c] holds columns c and c + 4 of rows 0..4, s[c + 4] of rows 4..8.
+    let mut s = [_mm256_setzero_ps(); 8];
+    for h in 0..2 {
+        let (lo, hi) = (t[4 * h], t[4 * h + 2]);
+        s[4 * h] = _mm256_shuffle_ps::<0x44>(lo, hi);
+        s[4 * h + 1] = _mm256_shuffle_ps::<0xEE>(lo, hi);
+        let (lo, hi) = (t[4 * h + 1], t[4 * h + 3]);
+        s[4 * h + 2] = _mm256_shuffle_ps::<0x44>(lo, hi);
+        s[4 * h + 3] = _mm256_shuffle_ps::<0xEE>(lo, hi);
+    }
+    for c in 0..4 {
+        _mm256_storeu_ps(dst.add(c * NR), _mm256_permute2f128_ps::<0x20>(s[c], s[c + 4]));
+        _mm256_storeu_ps(dst.add((c + 4) * NR), _mm256_permute2f128_ps::<0x31>(s[c], s[c + 4]));
     }
 }
 
@@ -608,6 +741,15 @@ mod tests {
     use super::*;
     use crate::rng::SeedRng;
 
+    /// Element `(p, j)` of `op(B)`, read from its stored slice.
+    fn b_at(g: &Gemm, b: &[f32], p: usize, j: usize) -> f32 {
+        if g.trans_b {
+            b[j * g.k + p]
+        } else {
+            b[p * g.n + j]
+        }
+    }
+
     /// Reference triple loop in the same reduction order (k ascending).
     fn naive(g: &Gemm, a: &[f32], b: &[f32]) -> Vec<f32> {
         let mut c = vec![0.0f32; g.c_len()];
@@ -615,7 +757,7 @@ mod tests {
             for j in 0..g.n {
                 let mut acc = 0.0f32;
                 for p in 0..g.k {
-                    acc += g.a_at(a, i, p) * g.b_at(b, p, j);
+                    acc += g.a_at(a, i, p) * b_at(g, b, p, j);
                 }
                 c[i * g.n + j] = acc;
             }
@@ -734,6 +876,106 @@ mod tests {
                 }
                 let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(crow), bits(&kept), "m {m} k {k} row {i}");
+            }
+        }
+    }
+
+    /// The panels of `op(B)` gathered one element at a time: the packing
+    /// oracle.
+    fn gathered(g: &Gemm, b: &[f32]) -> PackedB {
+        let mut pb = PackedB::default();
+        g.pack_b_with(&mut pb, |p0, j0, cols, panel| {
+            for (kk, dst) in panel.chunks_exact_mut(NR).enumerate() {
+                for (j, d) in dst[..cols].iter_mut().enumerate() {
+                    *d = b_at(g, b, p0 + kk, j0 + j);
+                }
+            }
+        });
+        pb
+    }
+
+    /// Asserts that `got` holds `want`'s bit patterns, naming the first
+    /// element that differs.
+    fn assert_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        if let Some(i) = (0..got.len()).find(|&i| got[i].to_bits() != want[i].to_bits()) {
+            let (g, w) = (got[i].to_bits(), want[i].to_bits());
+            panic!("{what}: element {i} is {g:#010x}, want {w:#010x}");
+        }
+    }
+
+    /// Normals with every 5th value one of ±0, subnormals, ±∞ and NaNs
+    /// (quiet and signalling, with payloads) — bit patterns a packer must
+    /// move untouched.
+    fn payload(len: usize, seed: u64) -> Vec<f32> {
+        let special = [0x0000_0000, 0x8000_0000, 0x0000_0001, 0x807f_ffff, 0x7f80_0000]
+            .into_iter()
+            .chain([0xff80_0000, 0x7fc0_1234, 0xffa0_0001, 0x7f80_0001])
+            .map(f32::from_bits)
+            .collect::<Vec<_>>();
+        let mut v = SeedRng::new(seed).randn_tensor(&[len], 1.0).into_vec();
+        for (i, x) in v.iter_mut().enumerate().step_by(5) {
+            *x = special[i / 5 % special.len()];
+        }
+        v
+    }
+
+    /// Blocked packing of a transposed B is the per-element gather, bit for
+    /// bit, on both block bodies: across KC slab splits, ragged k-steps,
+    /// ragged and whole panels, and FNN-3's fc1 weight (k 784, n 206).
+    #[test]
+    fn blocked_transposed_panels_are_the_gathered_ones() {
+        if microkernel() != "avx2+fma" {
+            println!("note: no avx2+fma here; the dispatched body is the portable one");
+        }
+        for k in [1, 7, 8, 9, 255, 256, 257, 784] {
+            for n in [1, 5, 8, 15, 16, 17, 206] {
+                let g = Gemm::nt(3, k, n);
+                let b = payload(k * n, (k * 1000 + n) as u64);
+                let want = gathered(&g, &b).buf;
+                assert_bits(&g.pack_b(&b).buf, &want, &format!("dispatched body, k {k} n {n}"));
+                let mut portable = PackedB::default();
+                g.pack_b_with(&mut portable, |p0, j0, cols, panel| {
+                    // SAFETY: as in `pack_b_into`; `b` holds all n×k.
+                    unsafe {
+                        fill_transposed_body::<false>(b[j0 * k + p0..].as_ptr(), k, cols, panel)
+                    }
+                });
+                assert_bits(&portable.buf, &want, &format!("portable body, k {k} n {n}"));
+            }
+        }
+    }
+
+    /// `run_add` is `run` then an add, bit for bit: from any `C` at one
+    /// slab (`k ≤ KC`), and from `C = +0.0` across slabs, at pool widths
+    /// 1/2/4 — on stripes that really split across the pool (Linear's dW
+    /// shape, `tn(206, 32, 784)`, is the first).
+    #[test]
+    fn run_add_is_run_then_add() {
+        let shapes = [
+            (Gemm::tn(206, 32, 784), false),
+            (Gemm::tn(3 * MC + 5, KC, 19), false),
+            (Gemm::nn(7, 13, 21), false),
+            (Gemm::nt(MC + 1, 2 * KC + 3, 40), true),
+            (Gemm::tt(5, KC + 1, 17), true),
+        ];
+        for width in [1, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
+            for (i, (g, from_zero)) in shapes.into_iter().enumerate() {
+                let seed = 40 + i as u64;
+                let a = SeedRng::new(seed).randn_tensor(&[g.a_len()], 1.0).into_vec();
+                let b = SeedRng::new(seed + 100).randn_tensor(&[g.b_len()], 1.0).into_vec();
+                let c0 = if from_zero {
+                    vec![0.0f32; g.c_len()]
+                } else {
+                    SeedRng::new(seed + 200).randn_tensor(&[g.c_len()], 1.0).into_vec()
+                };
+                let mut prod = vec![f32::NAN; g.c_len()];
+                g.run(&a, &b, &mut prod);
+                let want: Vec<f32> = c0.iter().zip(&prod).map(|(c, p)| c + p).collect();
+                let mut c = c0.clone();
+                pool.install(|| g.run_add(&a, &b, &mut c));
+                assert_bits(&c, &want, &format!("{g:?} at width {width}"));
             }
         }
     }
