@@ -303,13 +303,16 @@ fn d_hierarchy_groups_of_two() {
 }
 
 /// (E) One short epoch at P = 2 of each larger model as
-/// `scaled_convergence_config` sets it up: ResNet-20 on Top-K, the LSTM on
-/// QSGD(4) and VGG-16 (LARS) on A2SGD.
+/// `scaled_convergence_config` sets it up: ResNet-20 on Top-K and on Dense
+/// (Top-K applies a few coordinates a step, so only Dense makes every conv
+/// weight gradient reach the parameters), the LSTM on QSGD(4) and VGG-16
+/// (LARS) on A2SGD.
 #[test]
 fn e_one_short_epoch_of_each_larger_model() {
     let mut s = Section { name: "E", ..Default::default() };
     for (model, kind) in [
         (ModelKind::ResNet20, AlgoKind::TopK(PAPER_DENSITY)),
+        (ModelKind::ResNet20, AlgoKind::Dense),
         (ModelKind::LstmPtb, AlgoKind::Qsgd(PAPER_QSGD_LEVELS)),
         (ModelKind::Vgg16, AlgoKind::A2sgd),
     ] {
