@@ -5,7 +5,7 @@
 //! The row-parallel triple loops it replaced are gone; their medians stay
 //! in the ledger as the frozen `*/legacy/*` baseline rows.
 //!
-//! Ten groups:
+//! Eleven groups:
 //! * `gemm_st` — square 128/256/512 products.
 //! * `gemm_layers` — the real workspace shapes as bare products on stored
 //!   operands: FNN-3's first layer, the VGG entry/middle conv products on a
@@ -13,6 +13,8 @@
 //! * `gemm_prepacked` — the weight-stationary path (`pack_a`/`pack_b` once,
 //!   `run_packed` per item) that conv reuses across batch images and the
 //!   LSTM across timesteps.
+//! * `pack` — `pack_b_into` alone on FNN-3's fc1 weight, the transposed B
+//!   every `Linear` forward packs.
 //! * `conv_layers` — whole `conv2d_forward` / `conv2d_backward` calls, the
 //!   padded copy of the source included, inside a one-lane pool, and the
 //!   weight-only `conv2d_backward_weight` (what a first layer runs, and
@@ -109,6 +111,22 @@ fn bench_prepacked(c: &mut Criterion) {
             g.pack_b_into(&b, &mut pb);
             g.run_packed(&pa, &pb, &mut cbuf, false);
             std::hint::black_box(cbuf[0])
+        })
+    });
+    group.finish();
+}
+
+fn bench_pack(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pack");
+    group.sample_size(10);
+    // x[32,784] · W[206,784]ᵀ: W is stored n×k, so its panels are transposed.
+    let g = Gemm::nt(32, 784, 206);
+    let (_, b, _) = operands(&g, 31);
+    let mut pb = g.pack_b(&b);
+    group.bench_function("b_trans/fnn3_fc1", |bch| {
+        bch.iter(|| {
+            g.pack_b_into(&b, &mut pb);
+            std::hint::black_box(&pb);
         })
     });
     group.finish();
@@ -282,6 +300,7 @@ criterion_group!(
     bench_square,
     bench_layers,
     bench_prepacked,
+    bench_pack,
     bench_conv,
     bench_relu,
     bench_batchnorm,
