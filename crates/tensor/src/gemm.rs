@@ -15,7 +15,7 @@
 //!   only as a map over other data is another (convolution's flipped
 //!   backward-data weights, the LSTM's step operands). A transposed stored
 //!   B — every `x·Wᵀ` on a stored weight — is filled in blocks of 8
-//!   columns × 8 k-steps: 8 contiguous row loads, one in-register
+//!   columns × 8 k-steps: 8 contiguous rows loaded, one in-register
 //!   transposition and 8 panel-row stores ([`fill_transposed`]; ragged
 //!   edges go element by element). Panels are handed out zeroed: edge
 //!   panels stay zero-padded to full MR/NR width.
@@ -396,8 +396,9 @@ impl Gemm {
         self.run_on::<false>(pa, &Offsets { src, off }, c, grid, false);
     }
 
-    /// Packs both operands and runs, parallelising when the product is
-    /// large enough ([`PAR_FLOPS`]) to amortise fork/join.
+    /// Packs both operands and runs, overwriting `c` (β = 0), parallelising
+    /// when the product is large enough ([`PAR_FLOPS`]) to amortise
+    /// fork/join.
     pub fn run(&self, a: &[f32], b: &[f32], c: &mut [f32]) {
         self.pack_and_run::<false>(a, b, c);
     }
@@ -469,8 +470,8 @@ fn pack_panels<const LANES: usize>(
 /// Fills one zeroed `kc×NR` panel (`kc = panel.len() / NR`) with the
 /// transpose of `cols ≤ NR` stored rows `ld` floats apart:
 /// `panel[kk·NR + j] = src[j·ld + kk]`. Each block of 8 columns × 8
-/// k-steps is 8 contiguous row loads, one in-register transposition and 8
-/// panel-row stores, on the AVX2 body when the one CPUID probe finds it;
+/// k-steps is 8 contiguous rows loaded, one in-register transposition and
+/// 8 panel-row stores, on the AVX2 body when the one CPUID probe finds it;
 /// the ragged edges (`cols mod 8` columns, `kc mod 8` steps) go element by
 /// element. Every body moves bits, so the panel is the gather's.
 ///
@@ -538,37 +539,29 @@ unsafe fn transpose8(src: *const f32, ld: usize, dst: *mut f32) {
     }
 }
 
-/// [`transpose8`] in eight ymm registers: interleave row pairs, then pairs
-/// of pairs, then swap 128-bit halves. Safety as [`transpose8`], on a CPU
+/// [`transpose8`] in eight ymm registers: each register holds half a row
+/// and the same half of the row four below, so the 4×4 transposes inside
+/// the 128-bit lanes finish the block. Safety as [`transpose8`], on a CPU
 /// with avx2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[inline]
 unsafe fn transpose8_avx2(src: *const f32, ld: usize, dst: *mut f32) {
     use std::arch::x86_64::*;
-    let mut r = [_mm256_setzero_ps(); 8];
-    for (i, v) in r.iter_mut().enumerate() {
-        *v = _mm256_loadu_ps(src.add(i * ld));
-    }
-    // t[2i] = (r[2i][0], r[2i+1][0], r[2i][1], r[2i+1][1] | same for 4, 5).
-    let mut t = [_mm256_setzero_ps(); 8];
-    for i in 0..4 {
-        t[2 * i] = _mm256_unpacklo_ps(r[2 * i], r[2 * i + 1]);
-        t[2 * i + 1] = _mm256_unpackhi_ps(r[2 * i], r[2 * i + 1]);
-    }
-    // s[c] holds columns c and c + 4 of rows 0..4, s[c + 4] of rows 4..8.
-    let mut s = [_mm256_setzero_ps(); 8];
     for h in 0..2 {
-        let (lo, hi) = (t[4 * h], t[4 * h + 2]);
-        s[4 * h] = _mm256_shuffle_ps::<0x44>(lo, hi);
-        s[4 * h + 1] = _mm256_shuffle_ps::<0xEE>(lo, hi);
-        let (lo, hi) = (t[4 * h + 1], t[4 * h + 3]);
-        s[4 * h + 2] = _mm256_shuffle_ps::<0x44>(lo, hi);
-        s[4 * h + 3] = _mm256_shuffle_ps::<0xEE>(lo, hi);
-    }
-    for c in 0..4 {
-        _mm256_storeu_ps(dst.add(c * NR), _mm256_permute2f128_ps::<0x20>(s[c], s[c + 4]));
-        _mm256_storeu_ps(dst.add((c + 4) * NR), _mm256_permute2f128_ps::<0x31>(s[c], s[c + 4]));
+        // q[i] = (row i, columns 4h..4h + 4 | row i + 4, the same columns).
+        let mut q = [_mm256_setzero_ps(); 4];
+        for (i, v) in q.iter_mut().enumerate() {
+            let lo = _mm256_castps128_ps256(_mm_loadu_ps(src.add(i * ld + 4 * h)));
+            *v = _mm256_insertf128_ps::<1>(lo, _mm_loadu_ps(src.add((i + 4) * ld + 4 * h)));
+        }
+        let (t0, t1) = (_mm256_unpacklo_ps(q[0], q[1]), _mm256_unpackhi_ps(q[0], q[1]));
+        let (t2, t3) = (_mm256_unpacklo_ps(q[2], q[3]), _mm256_unpackhi_ps(q[2], q[3]));
+        let d = dst.add(4 * h * NR);
+        _mm256_storeu_ps(d, _mm256_shuffle_ps::<0x44>(t0, t2));
+        _mm256_storeu_ps(d.add(NR), _mm256_shuffle_ps::<0xEE>(t0, t2));
+        _mm256_storeu_ps(d.add(2 * NR), _mm256_shuffle_ps::<0x44>(t1, t3));
+        _mm256_storeu_ps(d.add(3 * NR), _mm256_shuffle_ps::<0xEE>(t1, t3));
     }
 }
 
