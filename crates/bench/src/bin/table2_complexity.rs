@@ -1,8 +1,10 @@
 //! Table 2 regenerator: gradient-synchronization complexities and scaling
 //! efficiency at 8 workers.
 //!
-//! Columns 1–3 (computation complexity, wire bits) come from the
-//! algorithms themselves; the scaling-efficiency column is *measured* on
+//! Columns 1–3 (computation complexity, wire bits) are the registry's
+//! closed forms (`AlgoKind::complexity` / `AlgoKind::wire_bits`) — no
+//! synchronizer is built for them; the scaling-efficiency column is
+//! *measured* on
 //! the simulated cluster exactly as the paper defines it
 //! (§4.3): `SE = throughput(algo, P=8) / throughput(Dense, P=2)` on the
 //! scaled workloads.
@@ -39,7 +41,6 @@ fn main() {
     );
     let n = 66_034_000usize;
     for algo in algos {
-        let s = algo.build(n, 0, 0);
         // As-measured encodings: sparse frames carry index+value records
         // (64 bits per kept coordinate), not the paper's value-only 32k.
         let formula = match algo {
@@ -51,9 +52,9 @@ fn main() {
         };
         t.row(&[
             algo.name().into(),
-            s.complexity().into(),
+            algo.complexity().into(),
             formula,
-            fmt_bits(s.wire_bits_formula(n)),
+            fmt_bits(algo.wire_bits(n)),
         ]);
     }
     println!("{}", t.render());

@@ -79,25 +79,16 @@ pub fn compression_compute_seconds(algo: AlgoKind, g: &mut [f32], reps: usize) -
 }
 
 /// Modeled communication seconds per iteration for `algo` on a model of
-/// `n` parameters across `p` workers (the T_comm term of Figures 4/5).
-/// Payload sizes are the whole records / whole bytes the typed encodings move
-/// (`wire_bits_formula / 8`) — what the runtime's ledger charges (tested below).
+/// `n` parameters across `p` workers (the T_comm term of Figures 4/5):
+/// the registry's `wire_bits(n) / 8` bytes per worker — the whole records
+/// and whole bytes the typed encodings move, what the runtime's ledger
+/// charges (tested below) — allreduced for Dense and ring-allgathered for
+/// every encoded frame (A2SGD's packet by the paper's §4.4 formulation).
 pub fn comm_seconds(algo: AlgoKind, n: usize, p: usize, m: &cluster_comm::CostModel) -> f64 {
+    let bytes = algo.wire_bits(n) as f64 / 8.0;
     match algo {
-        AlgoKind::Dense => m.allreduce(4.0 * n as f64, p),
-        // Sparse methods allgather k (u32 idx, f32 val) records: 8k bytes.
-        AlgoKind::TopK(r) | AlgoKind::GaussianK(r) | AlgoKind::RandK(r) => {
-            let k = (n as f64 * r as f64).round().max(1.0);
-            m.ring_allgather(8.0 * k, p)
-        }
-        AlgoKind::Qsgd(_) => {
-            let bits = 2.8 * n as f64 + 32.0;
-            m.ring_allgather(bits / 8.0, p)
-        }
-        // The packed-u64 two-means packet is gathered (§4.4 formulation).
-        AlgoKind::A2sgd | AlgoKind::A2sgdCarry => m.ring_allgather(8.0, p),
-        AlgoKind::TernGrad => m.ring_allgather(4.0 + (2.0 * n as f64 / 8.0).ceil(), p),
-        AlgoKind::SignSgd => m.ring_allgather(4.0 + (n as f64 / 8.0).ceil(), p),
+        AlgoKind::Dense => m.allreduce(bytes, p),
+        _ => m.ring_allgather(bytes, p),
     }
 }
 
@@ -179,8 +170,9 @@ mod tests {
     }
 
     /// The two price lists check each other: what the communicator's ledger
-    /// charges one real `synchronize` (`SyncStats::comm_seconds`) is what
-    /// the figures' closed form quotes, on every rank, for every encoding
+    /// charges one real `synchronize` (`SyncStats::comm_seconds`, and the
+    /// `wire_bits` it moved) is what the figures' closed form quotes (the
+    /// registry's `wire_bits`), on every rank, for every encoding
     /// whose size is deterministic (Gaussian-K's count and QSGD's
     /// entropy-coded length are data dependent). Dense is checked against
     /// recursive doubling, what the runtime runs (bucketed ≡ single-shot
@@ -210,9 +202,11 @@ mod tests {
                 };
                 let charged = run_cluster(4, profile, |h| {
                     let mut g = synthetic_gradient(n, 3 + h.rank() as u64);
-                    algo.build(n, 11, h.rank()).synchronize(&mut g, h).comm_seconds
+                    let stats = algo.build(n, 11, h.rank()).synchronize(&mut g, h);
+                    (stats.comm_seconds, stats.wire_bits)
                 });
-                for (rank, got) in charged.into_iter().enumerate() {
+                for (rank, (got, bits)) in charged.into_iter().enumerate() {
+                    assert_eq!(bits, algo.wire_bits(n), "{} rank {rank}", algo.name());
                     assert!(
                         (got - quoted).abs() <= 1e-12 * quoted,
                         "{} on {}, rank {rank}: ledger {got} vs price list {quoted}",

@@ -136,7 +136,7 @@ pub struct TrafficStats {
 /// Rank-local endpoint: collectives, the time ledger and traffic stats
 /// over an arbitrary [`Transport`].
 pub struct CommHandle {
-    transport: Box<dyn Transport>,
+    pub(crate) transport: Box<dyn Transport>,
     /// `Some` ⇒ collectives are priced (Hockney α–β); `None` ⇒ timed.
     cost: Option<CostModel>,
     comm_s: f64,
@@ -409,21 +409,6 @@ impl CommHandle {
         self.stats.wire_bytes += self.transport.send_bytes(to, tag, payload)?;
         self.stats.messages += 1;
         Ok(())
-    }
-
-    /// The frame `from` sent under `tag`: waited for when `block`, else
-    /// `None` until it has arrived.
-    pub(crate) fn recv_payload(
-        &mut self,
-        from: usize,
-        tag: u64,
-        block: bool,
-    ) -> Result<Option<Payload>, TransportError> {
-        if block {
-            self.transport.recv_bytes(from, tag).map(Some)
-        } else {
-            self.transport.try_recv_bytes(from, tag)
-        }
     }
 
     pub(crate) fn next_tag(&mut self) -> u64 {

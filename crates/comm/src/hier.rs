@@ -7,10 +7,10 @@
 //! (intra sub-rank 0) exchange across groups over the expensive one, and
 //! the result fans back out within each group. Two constructions exist:
 //!
-//! * [`HierarchicalComm::from_flat`] / [`HierarchicalComm::from_spec`] —
-//!   split a flat world communicator twice ([`CommHandle::split`]): once
-//!   by group id, once into the leaders-only communicator. Both
-//!   sub-communicators share the flat world's backend.
+//! * [`HierarchicalComm::from_flat`] — split a flat world communicator
+//!   twice ([`CommHandle::split`]): once by group id, once into the
+//!   leaders-only communicator. Both sub-communicators share the flat
+//!   world's backend.
 //! * [`run_cluster_hier_threads`] — the genuinely **mixed-backend**
 //!   cluster: each group is an in-process mailbox world of threads
 //!   (a node's workers), while the leaders rendezvous over real loopback
@@ -19,7 +19,6 @@
 
 use crate::collective::CommHandle;
 use crate::transport::inproc::InProcShared;
-use crate::transport::rendezvous::WorldSpec;
 use crate::transport::tcp::{rendezvous_deadline, MasterEndpoint, Tcp};
 
 /// An intra-group communicator plus, on group leaders, the inter-group
@@ -43,19 +42,8 @@ impl HierarchicalComm {
     pub fn from_flat(comm: &mut CommHandle, group_size: usize) -> Self {
         assert!(group_size >= 1, "group_size must be ≥ 1");
         let rank = comm.rank();
-        Self::with_group(comm, rank / group_size)
-    }
-
-    /// Builds the hierarchy from a typed [`WorldSpec`]'s per-rank group
-    /// assignments (the multi-host shape: a group per machine).
-    pub fn from_spec(comm: &mut CommHandle, spec: &WorldSpec) -> Self {
-        assert_eq!(spec.world(), comm.world(), "spec world != communicator world");
-        Self::with_group(comm, spec.group_of(comm.rank()))
-    }
-
-    fn with_group(comm: &mut CommHandle, group: usize) -> Self {
-        let rank = comm.rank() as u64;
-        let mut intra = comm.split(Some(group as u64), rank).expect("member of own group");
+        let group = rank / group_size;
+        let mut intra = comm.split(Some(group as u64), rank as u64).expect("member of own group");
         intra.set_plane("intra");
         let leader = intra.rank() == 0;
         let mut inter = comm.split(leader.then_some(0), group as u64);

@@ -99,5 +99,5 @@ pub use transport::group::{tag_space, ELASTIC_TAG};
 pub use transport::{
     run_cluster_tcp, run_cluster_tcp_threads, run_multiprocess, run_multiprocess_spec,
     tcp_child_rank, CommBackend, GroupTransport, LaunchConfig, Payload, PayloadKind, RankSpec,
-    Rendezvous, Transport, TransportError, WorldSpec,
+    RecvResult, Rendezvous, Transport, TransportError, WorldSpec,
 };

@@ -39,7 +39,7 @@
 use crate::collective::CommHandle;
 use crate::cost::CostModel;
 use crate::transport::wire::{Payload, PayloadKind, PayloadRef};
-use crate::transport::TransportError;
+use crate::transport::{RecvResult, TransportError};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -405,8 +405,8 @@ fn receive(
     (from, tag): (usize, u64),
     block: bool,
     want: Option<Shape>,
-) -> Result<Option<Payload>, TransportError> {
-    match (comm.recv_payload(from, tag, block)?, want) {
+) -> RecvResult {
+    match (comm.transport.recv_bytes(from, tag, block)?, want) {
         (Some(frame), Some(want)) => comm.check_frame(frame, (from, tag), want).map(Some),
         (frame, _) => Ok(frame),
     }

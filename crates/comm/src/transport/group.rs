@@ -20,8 +20,8 @@
 //! *destination's* mailbox or socket reader, never through this endpoint
 //! object. Blocking a receive while holding the lock is therefore safe.
 
-use crate::transport::wire::{Payload, PayloadRef};
-use crate::transport::{Transport, TransportError};
+use crate::transport::wire::PayloadRef;
+use crate::transport::{RecvResult, Transport, TransportError};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -139,14 +139,9 @@ impl Transport for GroupTransport {
         self.inner.lock().send_bytes(self.members[to], tag, payload)
     }
 
-    fn recv_bytes(&mut self, from: usize, tag: u64) -> Result<Payload, TransportError> {
+    fn recv_bytes(&mut self, from: usize, tag: u64, block: bool) -> RecvResult {
         let tag = self.spaced(tag);
-        self.inner.lock().recv_bytes(self.members[from], tag)
-    }
-
-    fn try_recv_bytes(&mut self, from: usize, tag: u64) -> Result<Option<Payload>, TransportError> {
-        let tag = self.spaced(tag);
-        self.inner.lock().try_recv_bytes(self.members[from], tag)
+        self.inner.lock().recv_bytes(self.members[from], tag, block)
     }
 
     fn classify_survivors(&mut self) -> Option<Vec<bool>> {
@@ -187,15 +182,7 @@ impl Transport for Detached {
         unreachable!("detached transport")
     }
 
-    fn recv_bytes(&mut self, _from: usize, _tag: u64) -> Result<Payload, TransportError> {
-        unreachable!("detached transport")
-    }
-
-    fn try_recv_bytes(
-        &mut self,
-        _from: usize,
-        _tag: u64,
-    ) -> Result<Option<Payload>, TransportError> {
+    fn recv_bytes(&mut self, _from: usize, _tag: u64, _block: bool) -> RecvResult {
         unreachable!("detached transport")
     }
 }
@@ -204,6 +191,7 @@ impl Transport for Detached {
 mod tests {
     use super::*;
     use crate::transport::inproc::InProcShared;
+    use crate::transport::wire::Payload;
 
     fn shared_endpoint(world: usize, rank: usize, all: &Arc<InProcShared>) -> SharedTransport {
         let _ = world;
@@ -223,8 +211,8 @@ mod tests {
         g1.send_bytes(1, 7, Payload::F32Dense(vec![2.5]).as_ref()).unwrap();
         // The frame sits in absolute rank 3's mailbox under the *spaced*
         // tag: invisible to an unspaced probe, visible to the group view.
-        assert!(e3.lock().try_recv_bytes(1, 7).unwrap().is_none());
-        let got = g3.recv_bytes(0, 7).unwrap();
+        assert!(e3.lock().recv_bytes(1, 7, false).unwrap().is_none());
+        let got = g3.recv_bytes(0, 7, true).unwrap().unwrap();
         assert_eq!(got.expect_f32(), vec![2.5]);
     }
 
@@ -242,7 +230,7 @@ mod tests {
         let mut b1 = mk(3, vec![2, 3], 1);
         a0.send_bytes(1, 9, Payload::PackedU64(vec![10]).as_ref()).unwrap();
         b0.send_bytes(1, 9, Payload::PackedU64(vec![20]).as_ref()).unwrap();
-        assert_eq!(a1.recv_bytes(0, 9).unwrap().expect_u64(), vec![10]);
-        assert_eq!(b1.recv_bytes(0, 9).unwrap().expect_u64(), vec![20]);
+        assert_eq!(a1.recv_bytes(0, 9, true).unwrap().unwrap().expect_u64(), vec![10]);
+        assert_eq!(b1.recv_bytes(0, 9, true).unwrap().unwrap().expect_u64(), vec![20]);
     }
 }

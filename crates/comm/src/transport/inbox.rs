@@ -10,7 +10,7 @@
 //! place a receive is traced.
 
 use crate::transport::wire::Payload;
-use crate::transport::TransportError;
+use crate::transport::{RecvResult, TransportError};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 
@@ -78,7 +78,7 @@ pub(crate) fn recv(
     block: bool,
     wire_bytes: fn(usize) -> u64,
     salt: u64,
-) -> Result<Option<Payload>, TransportError> {
+) -> RecvResult {
     let t0 = a2sgd_trace::now_ns();
     let got = inbox.take(tag, block).map_err(|cause| TransportError::PeerClosed {
         rank,

@@ -7,8 +7,8 @@
 //! by the communicator.
 
 use crate::transport::inbox::{self, Inbox};
-use crate::transport::wire::{Payload, PayloadRef};
-use crate::transport::{Transport, TransportError};
+use crate::transport::wire::PayloadRef;
+use crate::transport::{RecvResult, Transport, TransportError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -59,14 +59,6 @@ pub struct InProc {
     shared: Arc<InProcShared>,
 }
 
-impl InProc {
-    fn recv(&self, from: usize, tag: u64, block: bool) -> Result<Option<Payload>, TransportError> {
-        // A memcpy has no framing: wire bytes == payload bytes.
-        let link = self.shared.link(from, self.rank);
-        inbox::recv(link, (self.rank, from, tag), block, |n| n as u64, self.shared.trace_salt)
-    }
-}
-
 impl Drop for InProc {
     fn drop(&mut self) {
         for to in 0..self.shared.world {
@@ -104,12 +96,10 @@ impl Transport for InProc {
         Ok(bytes)
     }
 
-    fn recv_bytes(&mut self, from: usize, tag: u64) -> Result<Payload, TransportError> {
-        Ok(self.recv(from, tag, true)?.expect("a blocking take returns a frame or the close cause"))
-    }
-
-    fn try_recv_bytes(&mut self, from: usize, tag: u64) -> Result<Option<Payload>, TransportError> {
-        self.recv(from, tag, false)
+    fn recv_bytes(&mut self, from: usize, tag: u64, block: bool) -> RecvResult {
+        // A memcpy has no framing: wire bytes == payload bytes.
+        let link = self.shared.link(from, self.rank);
+        inbox::recv(link, (self.rank, from, tag), block, |n| n as u64, self.shared.trace_salt)
     }
 
     fn classify_survivors(&mut self) -> Option<Vec<bool>> {
@@ -124,6 +114,7 @@ impl Transport for InProc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::wire::Payload;
 
     #[test]
     fn send_recv_matches_tag_and_source() {
@@ -134,8 +125,8 @@ mod tests {
         e1.send_bytes(0, 7, Payload::F32Dense(vec![1.0]).as_ref()).unwrap();
         e2.send_bytes(0, 7, Payload::F32Dense(vec![2.0]).as_ref()).unwrap();
         // Same tag, different sources: recv must disambiguate by rank.
-        assert_eq!(e0.recv_bytes(2, 7).unwrap().expect_f32(), vec![2.0]);
-        assert_eq!(e0.recv_bytes(1, 7).unwrap().expect_f32(), vec![1.0]);
+        assert_eq!(e0.recv_bytes(2, 7, true).unwrap().unwrap().expect_f32(), vec![2.0]);
+        assert_eq!(e0.recv_bytes(1, 7, true).unwrap().unwrap().expect_f32(), vec![1.0]);
     }
 
     #[test]
@@ -145,9 +136,9 @@ mod tests {
         let mut e1 = shared.endpoint(1);
         let sent = e1.send_bytes(0, 1, Payload::PackedU64(vec![0xA2_5D]).as_ref()).unwrap();
         assert_eq!(sent, 8, "memcpy wire bytes == payload bytes");
-        assert_eq!(e0.recv_bytes(1, 1).unwrap().expect_u64(), vec![0xA2_5D]);
+        assert_eq!(e0.recv_bytes(1, 1, true).unwrap().unwrap().expect_u64(), vec![0xA2_5D]);
         e1.send_bytes(0, 2, Payload::Bytes(vec![9, 8, 7]).as_ref()).unwrap();
-        assert_eq!(e0.recv_bytes(1, 2).unwrap().expect_bytes(), vec![9, 8, 7]);
+        assert_eq!(e0.recv_bytes(1, 2, true).unwrap().unwrap().expect_bytes(), vec![9, 8, 7]);
     }
 
     #[test]
@@ -155,11 +146,11 @@ mod tests {
         let shared = InProcShared::new(2);
         let mut e0 = shared.endpoint(0);
         let mut e1 = shared.endpoint(1);
-        assert!(e0.try_recv_bytes(1, 9).unwrap().is_none(), "nothing sent yet");
+        assert!(e0.recv_bytes(1, 9, false).unwrap().is_none(), "nothing sent yet");
         e1.send_bytes(0, 9, Payload::Bytes(vec![3]).as_ref()).unwrap();
-        let got = e0.try_recv_bytes(1, 9).unwrap().expect("frame arrived");
+        let got = e0.recv_bytes(1, 9, false).unwrap().expect("frame arrived");
         assert_eq!(got.expect_bytes(), vec![3]);
-        assert!(e0.try_recv_bytes(1, 9).unwrap().is_none(), "frame consumed");
+        assert!(e0.recv_bytes(1, 9, false).unwrap().is_none(), "frame consumed");
     }
 
     #[test]
@@ -170,13 +161,13 @@ mod tests {
         let shared = InProcShared::new(2);
         let mut e0 = shared.endpoint(0);
         drop(shared.endpoint(1));
-        match e0.recv_bytes(1, 42) {
+        match e0.recv_bytes(1, 42, true) {
             Err(TransportError::PeerClosed { rank, peer, tag, .. }) => {
                 assert_eq!((rank, peer, tag), (0, 1, Some(42)));
             }
             other => panic!("expected PeerClosed, got {other:?}"),
         }
-        assert!(matches!(e0.try_recv_bytes(1, 42), Err(TransportError::PeerClosed { .. })));
+        assert!(matches!(e0.recv_bytes(1, 42, false), Err(TransportError::PeerClosed { .. })));
     }
 
     #[test]
@@ -187,8 +178,8 @@ mod tests {
         e1.send_bytes(0, 5, Payload::Bytes(vec![1, 2]).as_ref()).unwrap();
         drop(e1);
         // The mailed frame outlives its sender; only the *next* one errs.
-        assert_eq!(e0.recv_bytes(1, 5).unwrap().expect_bytes(), vec![1, 2]);
-        assert!(matches!(e0.recv_bytes(1, 5), Err(TransportError::PeerClosed { .. })));
+        assert_eq!(e0.recv_bytes(1, 5, true).unwrap().unwrap().expect_bytes(), vec![1, 2]);
+        assert!(matches!(e0.recv_bytes(1, 5, true), Err(TransportError::PeerClosed { .. })));
     }
 
     #[test]
@@ -197,7 +188,7 @@ mod tests {
         let mut e0 = shared.endpoint(0);
         let e1 = shared.endpoint(1);
         std::thread::scope(|s| {
-            let j = s.spawn(move || e0.recv_bytes(1, 9));
+            let j = s.spawn(move || e0.recv_bytes(1, 9, true));
             std::thread::sleep(std::time::Duration::from_millis(20));
             drop(e1);
             assert!(matches!(j.join().unwrap(), Err(TransportError::PeerClosed { .. })));

@@ -88,7 +88,7 @@ pub(crate) fn wire_span(
 }
 
 /// Typed peer-loss/IO/framing failure on a transport link. `send_bytes`,
-/// `recv_bytes`, `try_recv_bytes`, every `try_*` collective and the
+/// `recv_bytes`, every `try_*` collective and the
 /// nonblocking `wait()`/`try_complete()` return this, naming the rank, the
 /// peer, the awaited tag and the underlying cause (clean EOF vs reset vs
 /// protocol desync) so a failed step is diagnosable. Restart/shrink
@@ -156,6 +156,10 @@ impl std::fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
+/// What a receive returns: the frame, `None` from a receive that may not
+/// wait and found nothing yet, or the dead link.
+pub type RecvResult = Result<Option<Payload>, TransportError>;
+
 /// A point-to-point data plane the collectives run over.
 ///
 /// The contract mirrors a minimal MPI: tagged send/recv of typed byte
@@ -164,8 +168,9 @@ impl std::error::Error for TransportError {}
 /// once above it. Implementations must deliver frames between a given
 /// (sender, receiver) pair in send order; the collectives only ever post
 /// receives whose source rank is determined by the algorithm, so no
-/// wildcard receive exists. `try_recv_bytes` is the nonblocking probe the
-/// handle-based collectives poll — it must never block.
+/// wildcard receive exists. There is one receive, and the caller says
+/// whether it may wait: the handle-based collectives poll it with
+/// `block = false`, which must never block.
 pub trait Transport: Send {
     /// This endpoint's rank.
     fn rank(&self) -> usize;
@@ -200,14 +205,11 @@ pub trait Transport: Send {
         payload: PayloadRef<'_>,
     ) -> Result<u64, TransportError>;
 
-    /// Blocking receive of the frame carrying `tag` from rank `from`.
-    /// A dead link surfaces as [`TransportError::PeerClosed`], not a hang.
-    fn recv_bytes(&mut self, from: usize, tag: u64) -> Result<Payload, TransportError>;
-
-    /// Nonblocking probe for the frame carrying `tag` from rank `from`:
-    /// `Ok(Some)` when it already arrived, `Ok(None)` when it has not,
-    /// `Err` when the link is dead and the frame can never arrive.
-    fn try_recv_bytes(&mut self, from: usize, tag: u64) -> Result<Option<Payload>, TransportError>;
+    /// Receives the frame carrying `tag` from rank `from`: `Ok(Some)` once
+    /// it has arrived — waited for when `block` — and `Ok(None)` when it
+    /// has not and `block` is false. A link that ended without delivering
+    /// it is [`TransportError::PeerClosed`], never a hang.
+    fn recv_bytes(&mut self, from: usize, tag: u64, block: bool) -> RecvResult;
 
     /// Cooperative post-failure membership census. A survivor that hit a
     /// [`TransportError`] mid-collective calls this once: the transport

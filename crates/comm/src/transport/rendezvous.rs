@@ -69,11 +69,6 @@ impl WorldSpec {
         self.ranks.len()
     }
 
-    /// The group `rank` belongs to.
-    pub fn group_of(&self, rank: usize) -> usize {
-        self.ranks[rank].group
-    }
-
     /// Number of distinct groups (`max + 1`; groups are dense by
     /// convention).
     pub fn groups(&self) -> usize {
@@ -224,7 +219,7 @@ mod tests {
         let spec = WorldSpec::grouped("127.0.0.1:29500", 2, 3);
         assert_eq!(spec.world(), 6);
         assert_eq!(spec.groups(), 2);
-        assert_eq!((0..6).map(|r| spec.group_of(r)).collect::<Vec<_>>(), [0, 0, 0, 1, 1, 1]);
+        assert_eq!(spec.ranks.iter().map(|r| r.group).collect::<Vec<_>>(), [0, 0, 0, 1, 1, 1]);
     }
 
     #[test]
@@ -249,7 +244,7 @@ mod tests {
         let shrunk = spec.shrink(&[true, true, false, false, true, true]);
         assert_eq!(shrunk.world(), 4);
         // Old group 2 densifies to 1; survivors keep their bind hosts.
-        assert_eq!((0..4).map(|r| shrunk.group_of(r)).collect::<Vec<_>>(), [0, 0, 1, 1]);
+        assert_eq!(shrunk.ranks.iter().map(|r| r.group).collect::<Vec<_>>(), [0, 0, 1, 1]);
         assert_eq!(shrunk.groups(), 2);
         assert_eq!(shrunk.ranks[2].bind_host.as_deref(), Some("10.0.0.9"));
         assert_eq!(shrunk.master_addr, spec.master_addr);

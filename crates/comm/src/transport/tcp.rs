@@ -50,8 +50,8 @@
 //! they hit the socket and time is whatever the wall clock says.
 
 use crate::transport::inbox::{self, Inbox};
-use crate::transport::wire::{self, Payload, PayloadRef};
-use crate::transport::{Transport, TransportError};
+use crate::transport::wire::{self, PayloadRef};
+use crate::transport::{RecvResult, Transport, TransportError};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -355,13 +355,6 @@ impl Tcp {
     fn peer(&mut self, r: usize) -> &mut Peer {
         self.peers[r].as_mut().unwrap_or_else(|| panic!("no link rank {} -> {r}", self.rank))
     }
-
-    fn recv(&self, from: usize, tag: u64, block: bool) -> Result<Option<Payload>, TransportError> {
-        let me = self.rank;
-        let link =
-            self.peers[from].as_ref().unwrap_or_else(|| panic!("no link rank {me} -> {from}"));
-        inbox::recv(&link.inbox, (me, from, tag), block, wire::frame_wire_bytes, 0)
-    }
 }
 
 impl Transport for Tcp {
@@ -397,12 +390,9 @@ impl Transport for Tcp {
         Ok(n)
     }
 
-    fn recv_bytes(&mut self, from: usize, tag: u64) -> Result<Payload, TransportError> {
-        Ok(self.recv(from, tag, true)?.expect("a blocking take returns a frame or the close cause"))
-    }
-
-    fn try_recv_bytes(&mut self, from: usize, tag: u64) -> Result<Option<Payload>, TransportError> {
-        self.recv(from, tag, false)
+    fn recv_bytes(&mut self, from: usize, tag: u64, block: bool) -> RecvResult {
+        let rank = self.rank;
+        inbox::recv(&self.peer(from).inbox, (rank, from, tag), block, wire::frame_wire_bytes, 0)
     }
 
     fn classify_survivors(&mut self) -> Option<Vec<bool>> {
@@ -455,6 +445,7 @@ impl Drop for Tcp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::wire::Payload;
 
     #[test]
     fn two_rank_mesh_exchanges_frames() {
@@ -476,7 +467,7 @@ mod tests {
                 let wire_bytes =
                     t.send_bytes(1, 44, Payload::Bytes(vec![7, 8, 9]).as_ref()).unwrap();
                 assert_eq!(wire_bytes, wire::frame_wire_bytes(3));
-                t.recv_bytes(1, 43).unwrap().expect_u64()
+                t.recv_bytes(1, 43, true).unwrap().unwrap().expect_u64()
             });
             let j1 = s.spawn(move || {
                 let mut t = Tcp::connect_parts(
@@ -487,9 +478,12 @@ mod tests {
                     rendezvous_deadline(),
                 )
                 .unwrap();
-                let got = t.recv_bytes(0, 42).unwrap().expect_f32();
+                let got = t.recv_bytes(0, 42, true).unwrap().unwrap().expect_f32();
                 assert_eq!(got, vec![1.0, 2.0]);
-                assert_eq!(t.recv_bytes(0, 44).unwrap().expect_bytes(), vec![7, 8, 9]);
+                assert_eq!(
+                    t.recv_bytes(0, 44, true).unwrap().unwrap().expect_bytes(),
+                    vec![7, 8, 9]
+                );
                 t.send_bytes(0, 43, Payload::PackedU64(vec![3]).as_ref()).unwrap();
                 got
             });
@@ -546,8 +540,8 @@ mod tests {
                 .unwrap();
                 // Request the second frame first: the first must be parked
                 // in the pending queue, not lost.
-                assert_eq!(t.recv_bytes(0, 2).unwrap().expect_f32(), vec![2.0]);
-                assert_eq!(t.recv_bytes(0, 1).unwrap().expect_f32(), vec![1.0]);
+                assert_eq!(t.recv_bytes(0, 2, true).unwrap().unwrap().expect_f32(), vec![2.0]);
+                assert_eq!(t.recv_bytes(0, 1, true).unwrap().unwrap().expect_f32(), vec![1.0]);
             });
             j0.join().unwrap();
             j1.join().unwrap();
@@ -573,7 +567,7 @@ mod tests {
                 .unwrap();
                 // Rank 1 exits without sending: the blocking receive must
                 // observe the EOF and fail with the peer's identity.
-                let err = t.recv_bytes(1, 0x42).unwrap_err();
+                let err = t.recv_bytes(1, 0x42, true).unwrap_err();
                 match &err {
                     TransportError::PeerClosed { rank, peer, tag, .. } => {
                         assert_eq!((*rank, *peer, *tag), (0, 1, Some(0x42)));
@@ -582,7 +576,7 @@ mod tests {
                 }
                 assert!(err.to_string().contains("rank 0"), "{err}");
                 // The probe agrees once the link is known dead.
-                assert!(t.try_recv_bytes(1, 0x43).is_err());
+                assert!(t.recv_bytes(1, 0x43, false).is_err());
             });
             let j1 = s.spawn(move || {
                 let t = Tcp::connect_parts(
@@ -618,7 +612,7 @@ mod tests {
                     rendezvous_deadline(),
                 )
                 .unwrap();
-                t.recv_bytes(2, 1).unwrap_err(); // observe the death
+                t.recv_bytes(2, 1, true).unwrap_err(); // observe the death
                 t.classify_survivors()
             });
             let j1 = s.spawn(move || {
@@ -630,7 +624,7 @@ mod tests {
                     rendezvous_deadline(),
                 )
                 .unwrap();
-                t.recv_bytes(2, 1).unwrap_err();
+                t.recv_bytes(2, 1, true).unwrap_err();
                 t.classify_survivors()
             });
             let j2 = s.spawn(move || {

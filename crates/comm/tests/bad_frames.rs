@@ -13,7 +13,7 @@
 
 use a2sgd::algorithm::A2sgd;
 use cluster_comm::transport::{
-    InProcShared, Payload, PayloadRef, Tcp, Transport, TransportError, WorldSpec,
+    InProcShared, Payload, PayloadRef, RecvResult, Tcp, Transport, TransportError, WorldSpec,
 };
 use cluster_comm::{CollectiveAlgo, CommHandle};
 use gradcomp::GradientSynchronizer;
@@ -95,13 +95,8 @@ impl Transport for Damaging {
         self.inner.send_bytes(to, tag, payload)
     }
 
-    fn recv_bytes(&mut self, from: usize, tag: u64) -> Result<Payload, TransportError> {
-        let frame = self.inner.recv_bytes(from, tag)?;
-        Ok(self.pass(frame))
-    }
-
-    fn try_recv_bytes(&mut self, from: usize, tag: u64) -> Result<Option<Payload>, TransportError> {
-        Ok(self.inner.try_recv_bytes(from, tag)?.map(|frame| self.pass(frame)))
+    fn recv_bytes(&mut self, from: usize, tag: u64, block: bool) -> RecvResult {
+        Ok(self.inner.recv_bytes(from, tag, block)?.map(|frame| self.pass(frame)))
     }
 }
 

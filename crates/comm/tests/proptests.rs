@@ -1,16 +1,67 @@
 //! Property tests: every collective equals its sequential reference for
 //! arbitrary world sizes and payload lengths, and the typed wire codec
 //! round-trips arbitrary bit patterns in every payload kind — also through
-//! a stream that moves a few bytes per call.
+//! a stream that moves a few bytes per call — and refuses damaged or
+//! arbitrary bytes without a panic or an unbounded allocation.
 
 use cluster_comm::transport::wire::{
-    encode_frame, frame_wire_bytes, read_frame, write_frame, Payload, LINK_BUF_BYTES,
+    encode_frame, frame_wire_bytes, read_frame, write_frame, Payload, FRAME_MAGIC, LINK_BUF_BYTES,
+    MAX_FRAME_BYTES,
 };
 use cluster_comm::{run_cluster, CollectiveAlgo, NetworkProfile};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::{self, Read, Write};
+
+/// The system allocator, noting the largest single request each thread
+/// makes: how the fuzz below sees what a frame header made the reader
+/// allocate.
+struct LargestAlloc;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    // `try_with`: a thread's last frees run after its locals are gone.
+    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+}
+
+// SAFETY: every method hands its own arguments to `System`, whose contract
+// is the trait's; `note` only updates a thread-local `Cell` and never
+// allocates, so it cannot re-enter the allocator.
+unsafe impl GlobalAlloc for LargestAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: LargestAlloc = LargestAlloc;
+
+/// The largest value the header's 29-bit length field can claim.
+const LEN_FIELD_MAX: u32 = (1 << 29) - 1;
+
+/// Allocation headroom a refused frame may use (its error message).
+const ERROR_ALLOC_BYTES: usize = 1024;
 
 /// A reader or writer that moves a random 1..=`cap` bytes per call, as a
 /// socket under load may: every short read and partial write the framing
@@ -270,6 +321,76 @@ proptest! {
                 let e = read_frame(&mut Trickle::new(&oracle[..cut], seed ^ 3, cap)).unwrap_err();
                 prop_assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn read_frame_refuses_damage_or_matches_its_header(
+        kind in 0u8..3,
+        lanes in 0usize..40,
+        damage in 0u8..8,
+        seed in any::<u64>(),
+        noise in prop::collection::vec(any::<u8>(), 0..96),
+    ) {
+        // A valid frame of one kind, then one kind of damage; or bytes
+        // from nowhere, with and without the magic in front.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let payload = edge_payload(kind, lanes, &mut rng);
+        let mut buf = encode_frame(rng.gen(), payload.as_ref());
+        let set_kind_len = |buf: &mut Vec<u8>, f: &dyn Fn(u32) -> u32| {
+            let kind_len = u32::from_le_bytes(buf[4..8].try_into().unwrap());
+            buf[4..8].copy_from_slice(&f(kind_len).to_le_bytes());
+        };
+        match damage {
+            0 => buf = noise.clone(),
+            1 => buf = [&FRAME_MAGIC.to_le_bytes()[..], &noise].concat(),
+            2 => buf.truncate(rng.gen_range(0..buf.len())),
+            3 => buf.extend_from_slice(&noise),
+            4 => {
+                let at = rng.gen_range(0..buf.len());
+                buf[at] ^= 1 << rng.gen_range(0..8u32);
+            }
+            5 => {
+                let code = rng.gen_range(0..8u32);
+                set_kind_len(&mut buf, &|kl| (kl & LEN_FIELD_MAX) | code << 29);
+            }
+            6 => {
+                let more = rng.gen_range(1..64u32);
+                set_kind_len(&mut buf, &|kl| kl + more);
+            }
+            _ => {
+                let over = rng.gen_range(MAX_FRAME_BYTES as u32 + 1..=LEN_FIELD_MAX);
+                set_kind_len(&mut buf, &|kl| (kl & !LEN_FIELD_MAX) | over);
+            }
+        }
+
+        LARGEST.with(|l| l.set(0));
+        let got = read_frame(&mut &buf[..]);
+        let largest = LARGEST.with(Cell::get);
+
+        // What the header claims, when there is a whole one behind the magic.
+        let header = (buf.len() >= 16 && buf[..4] == FRAME_MAGIC.to_le_bytes()).then(|| {
+            let kind_len = u32::from_le_bytes(buf[4..8].try_into().unwrap());
+            let tag = u64::from_le_bytes(buf[8..16].try_into().unwrap());
+            (kind_len >> 29, (kind_len & LEN_FIELD_MAX) as usize, tag)
+        });
+        let claimed = header.map_or(0, |(_, len, _)| len);
+        if claimed > MAX_FRAME_BYTES {
+            prop_assert!(got.is_err(), "a {} B claim was read", claimed);
+            prop_assert!(largest <= ERROR_ALLOC_BYTES, "a refused {} B claim allocated {} B", claimed, largest);
+        }
+        prop_assert!(largest <= claimed.max(ERROR_ALLOC_BYTES), "{} B for a {} B claim", largest, claimed);
+        if let Ok((tag, frame)) = got {
+            let (code, len, header_tag) = header.expect("a frame is read only behind a whole header");
+            prop_assert_eq!(frame.kind() as u32, code);
+            prop_assert_eq!(tag, header_tag);
+            prop_assert_eq!(frame.byte_len(), len);
+            // The frame is exactly the bytes it was read from.
+            prop_assert!(encode_frame(tag, frame.as_ref())[..] == buf[..16 + len]);
         }
     }
 }

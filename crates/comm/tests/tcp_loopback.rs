@@ -6,6 +6,7 @@
 //! real gradient synchronizers (A2SGD, QSGD, Top-K) end to end.
 
 use a2sgd::algorithm::A2sgd;
+use a2sgd::registry::AlgoKind;
 use cluster_comm::transport::wire::FRAME_HEADER_BYTES;
 use cluster_comm::{
     run_cluster, run_cluster_tcp_threads, CollectiveAlgo, CommHandle, CostModel, NetworkProfile,
@@ -132,7 +133,7 @@ fn wire_parity_a2sgd_on_loopback() {
     });
     for (rank, (s, wire_bits)) in out.iter().enumerate() {
         assert_wire_parity(s, &format!("A2SGD rank {rank}"));
-        assert_eq!(*wire_bits, A2sgd::new().wire_bits_formula(4096));
+        assert_eq!(*wire_bits, A2sgd::WIRE_BITS);
         assert_eq!(s.logical_wire_bits, 64);
         assert_eq!(s.messages, 1);
         assert_eq!(s.wire_bytes, 8 + FRAME_HEADER_BYTES);
@@ -156,7 +157,7 @@ fn wire_parity_topk_on_loopback() {
     for (rank, (s, wire_bits, k)) in out.iter().enumerate() {
         assert_eq!(*k, 10);
         assert_wire_parity(s, &format!("TopK rank {rank}"));
-        assert_eq!(*wire_bits, TopK::new(n, ratio).wire_bits_formula(n));
+        assert_eq!(*wire_bits, AlgoKind::TopK(ratio).wire_bits(n));
         assert_eq!(s.logical_wire_bits, 64 * k);
         assert_eq!(s.messages, 1);
         assert_eq!(s.wire_bytes, 8 * k + FRAME_HEADER_BYTES);

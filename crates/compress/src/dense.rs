@@ -35,10 +35,6 @@ impl DenseSgd {
 }
 
 impl GradientSynchronizer for DenseSgd {
-    fn name(&self) -> &'static str {
-        "Dense"
-    }
-
     fn try_sync_bucketed(
         &mut self,
         grad: &mut [f32],
@@ -85,14 +81,6 @@ impl GradientSynchronizer for DenseSgd {
             *g = s * inv;
         }
         Ok(())
-    }
-
-    fn wire_bits_formula(&self, n: usize) -> u64 {
-        32 * n as u64
-    }
-
-    fn complexity(&self) -> &'static str {
-        "O(1)"
     }
 }
 
@@ -142,6 +130,12 @@ mod tests {
 
     #[test]
     fn formula_is_32n() {
-        assert_eq!(DenseSgd::new().wire_bits_formula(66_034_000), 32 * 66_034_000);
+        // The registry's closed form is what a whole-model sync ships.
+        let dense = a2sgd::registry::AlgoKind::Dense;
+        assert_eq!(dense.wire_bits(66_034_000), 32 * 66_034_000);
+        let out = run_cluster(2, NetworkProfile::infiniband_100g(), |h| {
+            DenseSgd::new().synchronize(&mut vec![0.5; 1003], h).wire_bits
+        });
+        assert!(out.into_iter().all(|bits| bits == dense.wire_bits(1003)));
     }
 }

@@ -56,9 +56,6 @@ impl GaussianK {
 }
 
 impl Select for Threshold {
-    const NAME: &'static str = "GaussianK";
-    const COMPLEXITY: &'static str = "O(n)";
-
     fn select(&mut self, acc: &[f32], k: usize) -> Vec<u32> {
         // The threshold is fitted to the whole accumulated gradient —
         // bucket-independent by construction.

@@ -16,7 +16,6 @@
 //! synchronizer flat — the degenerate case the parity tests pin.
 
 use std::ops::Range;
-use std::sync::Mutex;
 
 use cluster_comm::hier::HierarchicalComm;
 use cluster_comm::{CommHandle, TransportError};
@@ -31,38 +30,16 @@ pub struct HierarchicalSynchronizer {
     inner: Box<dyn GradientSynchronizer>,
     dense: DenseSgd,
     comm: HierarchicalComm,
-    name: &'static str,
 }
 
 impl HierarchicalSynchronizer {
-    /// Wraps `inner` to run across the leaders of `comm`'s groups. The
-    /// display name is `hier(dense, <inner>)`, matching the sweep
-    /// registries' labels.
+    /// Wraps `inner` to run across the leaders of `comm`'s groups.
     pub fn new(inner: Box<dyn GradientSynchronizer>, comm: HierarchicalComm) -> Self {
-        let name = intern(format!("hier(dense, {})", inner.name()));
-        HierarchicalSynchronizer { inner, dense: DenseSgd::new(), comm, name }
+        HierarchicalSynchronizer { inner, dense: DenseSgd::new(), comm }
     }
-}
-
-/// `name` as a `&'static str`, leaked at most once per distinct name in
-/// the process: a hierarchy is built again on every elastic recovery. A
-/// poisoned lock is recovered, since a push leaves the list valid.
-fn intern(name: String) -> &'static str {
-    static NAMES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-    let mut names = NAMES.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    if let Some(known) = names.iter().find(|known| **known == name) {
-        return known;
-    }
-    let leaked = Box::leak(name.into_boxed_str());
-    names.push(leaked);
-    leaked
 }
 
 impl GradientSynchronizer for HierarchicalSynchronizer {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
     fn try_sync_bucketed(
         &mut self,
         grad: &mut [f32],
@@ -112,17 +89,6 @@ impl GradientSynchronizer for HierarchicalSynchronizer {
             // drift allgather covers adaptive schedules here.
             dispersion: None,
         })
-    }
-
-    /// The *inter-plane* bits per leader — the scarce-resource budget the
-    /// paper's O(1) bound speaks about; the intra plane is dense by
-    /// construction and excluded on purpose.
-    fn wire_bits_formula(&self, n: usize) -> u64 {
-        self.inner.wire_bits_formula(n)
-    }
-
-    fn complexity(&self) -> &'static str {
-        self.inner.complexity()
     }
 
     fn plane_traffic(
@@ -188,34 +154,5 @@ mod tests {
             g
         });
         assert_eq!(flat, hier);
-    }
-
-    #[test]
-    fn hier_name_and_formula_delegate_to_inner() {
-        let out = run_cluster(2, NetworkProfile::infiniband_100g(), |h| {
-            let topo = HierarchicalComm::from_flat(h, 2);
-            let sync = HierarchicalSynchronizer::new(Box::new(DenseSgd::new()), topo);
-            (sync.name().to_string(), sync.wire_bits_formula(10), sync.complexity().to_string())
-        });
-        for (name, bits, cx) in out {
-            assert_eq!(name, format!("hier(dense, {})", DenseSgd::new().name()));
-            assert_eq!(bits, DenseSgd::new().wire_bits_formula(10));
-            assert_eq!(cx, DenseSgd::new().complexity());
-        }
-    }
-
-    /// A hierarchy rebuilt over the same inner kind (as every elastic
-    /// recovery does) reuses the one name it leaked the first time.
-    #[test]
-    fn rebuilding_over_the_same_inner_kind_leaks_no_new_name() {
-        let out = run_cluster(2, NetworkProfile::infiniband_100g(), |h| {
-            let build = |h: &mut CommHandle| {
-                let topo = HierarchicalComm::from_flat(h, 2);
-                HierarchicalSynchronizer::new(Box::new(DenseSgd::new()), topo).name()
-            };
-            let (first, second) = (build(h), build(h));
-            std::ptr::eq(first, second)
-        });
-        assert!(out.into_iter().all(|same| same), "each construction leaked its own name");
     }
 }

@@ -10,7 +10,7 @@
 //! The six compression baselines are **codecs under one driver**:
 //!
 //! * A [`Codec`] owns its worker-local state (error-feedback memory, RNG
-//!   streams) and says three things. [`prepare`](Codec::prepare) is the
+//!   streams) and does three things. [`prepare`](Codec::prepare) is the
 //!   whole-gradient pass: selection sets, norms and scales are computed
 //!   over the *whole* gradient exactly as in the one-shot formulation.
 //!   [`encode`](Codec::encode) produces one bucket's typed wire payload
@@ -19,7 +19,10 @@
 //!   [`accumulate`](Codec::accumulate) folds one rank's frame back into the
 //!   bucket or refuses it — `TransportError::BadFrame` on every rank that
 //!   decodes it. Top-K, Gaussian-K and Rand-K are one [`sparse::Sparsifier`]
-//!   under three selection rules.
+//!   under three selection rules. What an algorithm *kind* costs — its
+//!   name, Table-2 complexity and closed-form wire bits — is
+//!   `a2sgd::registry::AlgoKind`'s to say, not a built synchronizer's
+//!   ([`sparse::k_of`] is the one k both use).
 //! * The driver ([`session`]) is [`GradientSynchronizer::try_sync_bucketed`]
 //!   for every codec: a **bucketed encode → async-exchange → decode**
 //!   pipeline over *nonblocking* collectives
@@ -198,9 +201,6 @@ impl Ledger {
 /// the whole-model [`synchronize`](Self::synchronize) are provided
 /// panicking adapters over it.
 pub trait GradientSynchronizer: Send {
-    /// Display name (matches the paper's figure legends).
-    fn name(&self) -> &'static str;
-
     /// Synchronizes `grad` across ranks in place, exchanging per `bounds`
     /// bucket with nonblocking collectives so communication overlaps the
     /// remaining encode/decode compute.
@@ -229,8 +229,7 @@ pub trait GradientSynchronizer: Send {
         bounds: &[Range<usize>],
         comm: &mut CommHandle,
     ) -> SyncStats {
-        self.try_sync_bucketed(grad, bounds, comm)
-            .unwrap_or_else(|e| panic!("{} gradient sync: {e}", self.name()))
+        self.try_sync_bucketed(grad, bounds, comm).unwrap_or_else(|e| panic!("gradient sync: {e}"))
     }
 
     /// One-shot whole-model synchronization: the single-bucket adapter
@@ -272,17 +271,6 @@ pub trait GradientSynchronizer: Send {
         unimplemented!("try_finish_bucket is only called on a handle start_bucket returned")
     }
 
-    /// Closed-form wire bits per worker for an `n`-parameter model — the
-    /// true size of the algorithm's encoded payload under whole-model
-    /// exchange (Table 2 column 3, with index/sign overheads the encoding
-    /// actually carries). For deterministic encodings this equals the
-    /// measured single-bucket per-iteration [`SyncStats::wire_bits`]; for
-    /// entropy-coded ones (QSGD) it is the published expectation.
-    fn wire_bits_formula(&self, n: usize) -> u64;
-
-    /// Asymptotic computation complexity label (Table 2 column 2).
-    fn complexity(&self) -> &'static str;
-
     /// Per-plane traffic for synchronizers that own private
     /// sub-communicators: `(intra, inter)` [`TrafficStats`], with `inter`
     /// `None` on non-leader ranks. Flat synchronizers return `None` —
@@ -294,10 +282,11 @@ pub trait GradientSynchronizer: Send {
     }
 }
 
-/// A gather-style compressor: what one of the compression baselines has to
-/// say about itself for the shared driver ([`session`]) to synchronize with
-/// it. Every `Codec` is a [`GradientSynchronizer`] through that driver;
-/// a codec itself never touches a timer, a communicator or a [`SyncStats`].
+/// A gather-style compressor: the three calls the shared driver
+/// ([`session`]) makes to synchronize with one of the compression
+/// baselines. Every `Codec` is a [`GradientSynchronizer`] through that
+/// driver; a codec itself never touches a timer, a communicator or a
+/// [`SyncStats`].
 ///
 /// Per step the driver calls [`prepare`](Self::prepare) once, then for each
 /// bucket of the caller's partition [`encode`](Self::encode) → nonblocking
@@ -307,15 +296,6 @@ pub trait GradientSynchronizer: Send {
 /// across buckets (error feedback, norms, scales, thresholds, the selection,
 /// the stochastic-rounding stream) belongs in `prepare`.
 pub trait Codec: Send {
-    /// Display name (matches the paper's figure legends).
-    fn name(&self) -> &'static str;
-
-    /// See [`GradientSynchronizer::wire_bits_formula`].
-    fn wire_bits_formula(&self, n: usize) -> u64;
-
-    /// See [`GradientSynchronizer::complexity`].
-    fn complexity(&self) -> &'static str;
-
     /// The whole-gradient pass: compress `grad` as one vector, leaving what
     /// [`encode`](Self::encode) reads either in `grad` (each bucket is
     /// overwritten only after its own encode) or in `self`.
@@ -340,10 +320,6 @@ pub trait Codec: Send {
 }
 
 impl<C: Codec> GradientSynchronizer for C {
-    fn name(&self) -> &'static str {
-        Codec::name(self)
-    }
-
     fn try_sync_bucketed(
         &mut self,
         grad: &mut [f32],
@@ -351,13 +327,5 @@ impl<C: Codec> GradientSynchronizer for C {
         comm: &mut CommHandle,
     ) -> Result<SyncStats, TransportError> {
         session::sync_gathered(self, grad, bounds, comm)
-    }
-
-    fn wire_bits_formula(&self, n: usize) -> u64 {
-        Codec::wire_bits_formula(self, n)
-    }
-
-    fn complexity(&self) -> &'static str {
-        Codec::complexity(self)
     }
 }

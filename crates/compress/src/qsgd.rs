@@ -145,19 +145,6 @@ impl Qsgd {
 }
 
 impl Codec for Qsgd {
-    fn name(&self) -> &'static str {
-        "QSGD"
-    }
-
-    fn wire_bits_formula(&self, n: usize) -> u64 {
-        // The paper quotes Alistarh et al.'s expected size: 2.8n + 32.
-        (2.8 * n as f64).round() as u64 + 32
-    }
-
-    fn complexity(&self) -> &'static str {
-        "O(n²)"
-    }
-
     /// Quantizes the whole gradient once: the ℓ₂ norm and the stochastic
     /// rounding stream are global, so levels never depend on the bucket
     /// partition — only the frame cuts do.

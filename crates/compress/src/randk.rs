@@ -39,9 +39,6 @@ impl RandK {
 }
 
 impl Select for Uniform {
-    const NAME: &'static str = "RandK";
-    const COMPLEXITY: &'static str = "O(k)";
-
     fn select(&mut self, acc: &[f32], k: usize) -> Vec<u32> {
         RandK::pick_indices(&mut self.rng, acc.len(), k)
     }

@@ -29,19 +29,6 @@ impl SignSgdEf {
 }
 
 impl Codec for SignSgdEf {
-    fn name(&self) -> &'static str {
-        "SignSGD-EF"
-    }
-
-    fn wire_bits_formula(&self, n: usize) -> u64 {
-        // 1-bit sign pack + 32-bit scale, padded to whole bytes.
-        8 * (n as u64).div_ceil(8) + 32
-    }
-
-    fn complexity(&self) -> &'static str {
-        "O(n)"
-    }
-
     /// Scale (global ℓ₁ mean) and error feedback run over the whole
     /// accumulated gradient. `grad` is left holding this worker's decoded
     /// contribution `±scale` — what the memory gives up, and what each
@@ -114,7 +101,13 @@ mod tests {
 
     #[test]
     fn wire_bits_are_one_per_coordinate() {
-        let s = SignSgdEf::new(10);
-        assert_eq!(GradientSynchronizer::wire_bits_formula(&s, 1000), 1032);
+        // A sign bit per coordinate, padded to whole bytes, plus the scale:
+        // the registry's closed form is what a whole-model sync ships.
+        let sign = a2sgd::registry::AlgoKind::SignSgd;
+        assert_eq!(sign.wire_bits(1000), 1032);
+        let out = run_cluster(2, NetworkProfile::infiniband_100g(), |h| {
+            SignSgdEf::new(1003).synchronize(&mut vec![0.5; 1003], h).wire_bits
+        });
+        assert!(out.into_iter().all(|bits| bits == sign.wire_bits(1003)));
     }
 }

@@ -34,13 +34,15 @@ pub fn records_in(idx: &[u32], r: &Range<usize>) -> Range<usize> {
     lo..hi
 }
 
+/// The selection count k of an `n`-parameter model at density
+/// `ratio = k/n`: what every [`Sparsifier`] selects and what the registry
+/// prices its frames by.
+pub fn k_of(n: usize, ratio: f32) -> usize {
+    ((n as f64 * ratio as f64).round() as usize).clamp(1, n)
+}
+
 /// How a [`Sparsifier`] picks the coordinates it transmits.
 pub trait Select: Send {
-    /// Display name of the sparsifier under this rule.
-    const NAME: &'static str;
-    /// Its selection complexity (Table 2 column 2).
-    const COMPLEXITY: &'static str;
-
     /// The coordinates of the accumulated gradient `acc` to transmit, as
     /// ascending indices; `k` is the target count.
     fn select(&mut self, acc: &[f32], k: usize) -> Vec<u32>;
@@ -64,7 +66,7 @@ impl<S: Select> Sparsifier<S> {
     /// A sparsifier for an `n`-parameter model with density `ratio = k/n`
     /// (the paper's appendix uses 0.001).
     pub fn with_rule(n: usize, ratio: f32, rule: S) -> Self {
-        let k = ((n as f64 * ratio as f64).round() as usize).clamp(1, n);
+        let k = k_of(n, ratio);
         Sparsifier { k, ef: ErrorFeedback::new(n), rule, idx: Vec::new(), val: Vec::new() }
     }
 
@@ -85,20 +87,6 @@ impl<S: Select> Sparsifier<S> {
 }
 
 impl<S: Select> Codec for Sparsifier<S> {
-    fn name(&self) -> &'static str {
-        S::NAME
-    }
-
-    /// Target encoding size: 64 bits per record at the target count (the
-    /// threshold rule selects ≈ k; `SyncStats::wire_bits` is exact).
-    fn wire_bits_formula(&self, _n: usize) -> u64 {
-        PAIR_BITS * self.k as u64
-    }
-
-    fn complexity(&self) -> &'static str {
-        S::COMPLEXITY
-    }
-
     /// Error compensation and selection are global — the selected set is a
     /// property of the whole gradient, not of any bucket.
     fn prepare(&mut self, grad: &mut [f32]) {

@@ -45,19 +45,6 @@ impl TernGrad {
 }
 
 impl Codec for TernGrad {
-    fn name(&self) -> &'static str {
-        "TernGrad"
-    }
-
-    fn wire_bits_formula(&self, n: usize) -> u64 {
-        // 2-bit pack + 32-bit scale, padded to whole bytes on the wire.
-        8 * (2 * n as u64).div_ceil(8) + 32
-    }
-
-    fn complexity(&self) -> &'static str {
-        "O(n)"
-    }
-
     /// The scale (max |g|) and the dithering stream are global: `grad` is
     /// ternarized in place before any bucket is cut, and every bucket
     /// encodes from its own slice of it.

@@ -56,9 +56,6 @@ impl TopK {
 }
 
 impl Select for LargestK {
-    const NAME: &'static str = "TopK";
-    const COMPLEXITY: &'static str = "O(n + k·log n)";
-
     fn select(&mut self, acc: &[f32], k: usize) -> Vec<u32> {
         TopK::select(acc, k)
     }

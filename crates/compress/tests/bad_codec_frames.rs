@@ -17,6 +17,7 @@ use cluster_comm::{
 use gradcomp::{
     Codec, GaussianK, GradientSynchronizer, Qsgd, QsgdImpl, RandK, SignSgdEf, TernGrad, TopK,
 };
+use std::any::type_name;
 use std::ops::Range;
 
 const N: usize = 256;
@@ -46,25 +47,13 @@ struct Damaged<C> {
 }
 
 impl<C: Codec> Codec for Damaged<C> {
-    fn name(&self) -> &'static str {
-        Codec::name(&self.inner)
-    }
-
-    fn wire_bits_formula(&self, n: usize) -> u64 {
-        self.inner.wire_bits_formula(n)
-    }
-
-    fn complexity(&self) -> &'static str {
-        self.inner.complexity()
-    }
-
     fn prepare(&mut self, grad: &mut [f32]) {
         self.inner.prepare(grad)
     }
 
     fn encode(&self, range: &Range<usize>, bucket: &[f32]) -> Payload {
         let mut bytes = self.inner.encode(range, bucket).expect_bytes();
-        assert!(bytes.len() > 4, "{}: nothing to damage in {range:?}", Codec::name(self));
+        assert!(bytes.len() > 4, "{}: nothing to damage in {range:?}", type_name::<C>());
         match self.damage {
             Damage::Truncate => drop(bytes.pop()),
             Damage::Retype => return Payload::F32Dense(vec![0.0; bytes.len() / 4]),
@@ -132,7 +121,7 @@ fn check<C: Codec>(make: impl Fn() -> C + Sync, damages: &[Damage]) {
     for &damage in damages {
         let results =
             run_cluster(2, NetworkProfile::infiniband_100g(), |h| sync(h, make(), damage));
-        assert_refused(Codec::name(&make()), damage, results);
+        assert_refused(type_name::<C>(), damage, results);
     }
 }
 

@@ -10,6 +10,7 @@
 //! named difference is pinned at the bottom: a non-finite value that is
 //! *taken* leaves residual 0 where the subtraction left `inf − inf = NaN`.
 
+use a2sgd::registry::AlgoKind;
 use cluster_comm::{run_cluster, CommHandle, NetworkProfile};
 use gradcomp::sparse::{Select, Sparsifier};
 use gradcomp::{GaussianK, GradientSynchronizer, RandK, SignSgdEf, TopK};
@@ -100,9 +101,12 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Runs `make(n, rank)`'s synchronizer beside its oracle on the same
-/// communicator and demands equal bits every round, on every rank.
-fn assert_matches_oracle<U: EfUser>(make: impl Fn(usize, usize) -> (U, Compress) + Send + Sync) {
+/// Runs `make(n, rank)`'s synchronizer — a `kind` — beside its oracle on
+/// the same communicator and demands equal bits every round, on every rank.
+fn assert_matches_oracle<U: EfUser>(
+    kind: AlgoKind,
+    make: impl Fn(usize, usize) -> (U, Compress) + Send + Sync,
+) {
     for world in [1, 3] {
         for n in LENGTHS {
             let make = &make;
@@ -120,9 +124,10 @@ fn assert_matches_oracle<U: EfUser>(make: impl Fn(usize, usize) -> (U, Compress)
                         (bits(&want), bits(&oracle.memory)),
                     ));
                 }
-                (sync.name(), rounds)
+                rounds
             });
-            for (rank, (name, rounds)) in per_rank.into_iter().enumerate() {
+            let name = kind.name();
+            for (rank, rounds) in per_rank.into_iter().enumerate() {
                 for (round, (got, want)) in rounds.into_iter().enumerate() {
                     assert!(got == want, "{name}: world {world} n {n} rank {rank} round {round}");
                 }
@@ -133,17 +138,17 @@ fn assert_matches_oracle<U: EfUser>(make: impl Fn(usize, usize) -> (U, Compress)
 
 #[test]
 fn selectors_match_the_three_buffer_oracle() {
-    assert_matches_oracle(|n, _| {
+    assert_matches_oracle(AlgoKind::TopK(RATIO), |n, _| {
         let sync = TopK::new(n, RATIO);
         let k = sync.k();
         (sync, Box::new(move |acc: &[f32]| kept(acc, &TopK::select(acc, k))) as Compress)
     });
-    assert_matches_oracle(|n, _| {
+    assert_matches_oracle(AlgoKind::GaussianK(RATIO), |n, _| {
         let sync = GaussianK::new(n, RATIO);
         let (k, mut rule) = (sync.k(), gradcomp::gaussiank::Threshold);
         (sync, Box::new(move |acc: &[f32]| kept(acc, &rule.select(acc, k))) as Compress)
     });
-    assert_matches_oracle(|n, rank| {
+    assert_matches_oracle(AlgoKind::RandK(RATIO), |n, rank| {
         let seed = 0xA5 ^ rank as u64;
         let sync = RandK::new(n, RATIO, seed);
         let (k, mut rng) = (sync.k(), SeedRng::new(seed));
@@ -154,7 +159,9 @@ fn selectors_match_the_three_buffer_oracle() {
 
 #[test]
 fn signsgd_matches_the_three_buffer_oracle() {
-    assert_matches_oracle(|n, _| (SignSgdEf::new(n), Box::new(scaled_signs) as Compress));
+    assert_matches_oracle(AlgoKind::SignSgd, |n, _| {
+        (SignSgdEf::new(n), Box::new(scaled_signs) as Compress)
+    });
 }
 
 #[test]

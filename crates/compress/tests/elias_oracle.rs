@@ -18,6 +18,7 @@ use cluster_comm::Payload;
 use gradcomp::{Codec, Qsgd, QsgdImpl, SignSgdEf, TernGrad};
 use mini_tensor::rng::SeedRng;
 use proptest::prelude::*;
+use std::any::type_name;
 use std::ops::Range;
 
 mod oracle {
@@ -246,11 +247,11 @@ fn assert_matches_oracle<C: Codec>(
     for r in bounds {
         let frame = codec.encode(r, &prepared[r.clone()]);
         let want = oracle_frame(&prepared[r.clone()], r);
-        assert_eq!(frame.clone().expect_bytes(), want, "{} frame {r:?}", codec.name());
+        assert_eq!(frame.clone().expect_bytes(), want, "{} frame {r:?}", type_name::<C>());
         let (mut got, mut old) = (start(r.len()), start(r.len()));
         codec.accumulate(r, &frame, &mut got, 0.375).unwrap();
         oracle_decode(&want, &mut old, 0.375).expect("the oracle reads its own frame");
-        assert_eq!(bits(&got), bits(&old), "{} bucket {r:?}", codec.name());
+        assert_eq!(bits(&got), bits(&old), "{} bucket {r:?}", type_name::<C>());
     }
 }
 

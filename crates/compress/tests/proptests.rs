@@ -5,6 +5,7 @@ use gradcomp::ef::ErrorFeedback;
 use gradcomp::sparse;
 use gradcomp::{Codec, Qsgd, QsgdImpl, SignSgdEf, TernGrad, TopK};
 use proptest::prelude::*;
+use std::any::type_name;
 use std::ops::Range;
 
 fn small_grad(n: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -28,13 +29,13 @@ fn assert_frames_roundtrip<C: Codec>(
     let mut out = vec![0.0f32; g.len()];
     for r in bounds {
         let frame = codec.encode(r, &prepared[r.clone()]);
-        assert_eq!(frame.byte_len(), frame_bytes(&codec, r), "{} frame {r:?}", codec.name());
+        assert_eq!(frame.byte_len(), frame_bytes(&codec, r), "{} frame {r:?}", type_name::<C>());
         codec.accumulate(r, &frame, &mut out[r.clone()], 1.0).unwrap();
     }
     let want: Vec<u32> =
         local(&codec, &prepared).iter().map(|d| (0.0 + d * 1.0).to_bits()).collect();
     let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-    assert_eq!(got, want, "{} over {bounds:?}", codec.name());
+    assert_eq!(got, want, "{} over {bounds:?}", type_name::<C>());
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {

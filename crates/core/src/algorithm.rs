@@ -105,10 +105,6 @@ fn exchange_means(
 }
 
 impl GradientSynchronizer for A2sgd {
-    fn name(&self) -> &'static str {
-        "A2SGD"
-    }
-
     /// A2SGD's exchange is already a single 64-bit packet for the whole
     /// model — there is nothing to cut at bucket boundaries, so `bounds`
     /// is ignored. Results are trivially identical for every partition;
@@ -131,14 +127,6 @@ impl GradientSynchronizer for A2sgd {
         shift_by_sign(grad, d_pos, d_neg);
         let shift_seconds = t1.elapsed().as_secs_f64();
         Ok(SyncStats { compress_seconds: split_seconds + shift_seconds, ..stats })
-    }
-
-    fn wire_bits_formula(&self, _n: usize) -> u64 {
-        Self::WIRE_BITS
-    }
-
-    fn complexity(&self) -> &'static str {
-        "O(n)"
     }
 }
 
@@ -165,10 +153,6 @@ impl A2sgdCarry {
 }
 
 impl GradientSynchronizer for A2sgdCarry {
-    fn name(&self) -> &'static str {
-        "A2SGD-carry"
-    }
-
     /// O(1) exchange — `bounds` is ignored (see [`A2sgd`]).
     fn try_sync_bucketed(
         &mut self,
@@ -193,19 +177,12 @@ impl GradientSynchronizer for A2sgdCarry {
         let shift_seconds = t1.elapsed().as_secs_f64();
         Ok(SyncStats { compress_seconds: split_seconds + shift_seconds, ..stats })
     }
-
-    fn wire_bits_formula(&self, _n: usize) -> u64 {
-        A2sgd::WIRE_BITS
-    }
-
-    fn complexity(&self) -> &'static str {
-        "O(n)"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::AlgoKind;
     use cluster_comm::{run_cluster, NetworkProfile};
     use mini_tensor::rng::SeedRng;
 
@@ -309,15 +286,13 @@ mod tests {
 
     #[test]
     fn wire_bits_are_constant_in_model_size() {
-        let a = A2sgd::new();
-        assert_eq!(a.wire_bits_formula(1), 64);
-        assert_eq!(a.wire_bits_formula(66_034_000), 64);
+        assert_eq!(A2sgd::WIRE_BITS, 64);
         let out = run_cluster(2, NetworkProfile::infiniband_100g(), move |h| {
             let mut g = vec![0.25f32; 100_000];
             A2sgd::new().synchronize(&mut g, h);
             h.stats().logical_wire_bits
         });
-        assert!(out.iter().all(|&b| b == 64));
+        assert!(out.iter().all(|&b| b == A2sgd::WIRE_BITS));
     }
 
     #[test]
@@ -351,16 +326,13 @@ mod tests {
         let enc_floor = best_of_5(&mut || enc_into(&g, &means, &mut scratch));
         assert!(shift_floor > 0.0 && enc_floor > 0.0);
 
-        for (carry, floor) in [(false, shift_floor), (true, enc_floor)] {
+        for (kind, floor) in [(AlgoKind::A2sgd, shift_floor), (AlgoKind::A2sgdCarry, enc_floor)] {
             let input = g.clone();
             let out = run_cluster(1, NetworkProfile::infiniband_100g(), move |h| {
-                let mut sync: Box<dyn GradientSynchronizer> =
-                    if carry { Box::new(A2sgdCarry::new(n)) } else { Box::new(A2sgd::new()) };
                 let mut g = input.clone();
-                let stats = sync.synchronize(&mut g, h);
-                (sync.name(), stats.compress_seconds)
+                kind.build(n, 0, 0).synchronize(&mut g, h).compress_seconds
             });
-            let (name, compress) = out[0];
+            let (name, compress) = (kind.name(), out[0]);
             assert!(compress > 0.0 && compress >= floor, "{name}: {compress} < apply {floor}");
         }
     }
@@ -379,7 +351,7 @@ mod tests {
             assert!(stats.dispersion.is_some());
             stats.wire_bits
         });
-        assert!(out.iter().all(|&b| b == 64));
+        assert!(out.iter().all(|&b| b == A2sgd::WIRE_BITS));
     }
 
     #[test]

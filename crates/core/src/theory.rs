@@ -82,17 +82,6 @@ impl DistributedQuadratic {
         let wstar = self.optimum();
         w.iter().zip(&wstar).map(|(a, b)| ((a - b) as f64).powi(2)).sum()
     }
-
-    /// Global objective value (for monotonicity diagnostics).
-    pub fn objective(&self, w: &[f32]) -> f64 {
-        let mut f = 0.0f64;
-        for c in &self.centers {
-            for i in 0..self.dim() {
-                f += 0.5 * self.diag[i] as f64 * ((w[i] - c[i]) as f64).powi(2);
-            }
-        }
-        f / self.centers.len() as f64
-    }
 }
 
 /// Checks Assumption 2 on a learning-rate sequence sampled at `t = 1..T`:

@@ -1091,7 +1091,7 @@ mod tests {
             let r = train(&tiny_cfg(algo, 2));
             let mut m = ModelKind::Fnn3.build(Preset::Scaled, 42);
             let n = param_count(m.as_mut());
-            let expect = algo.build(n, 0, 0).wire_bits_formula(n);
+            let expect = algo.wire_bits(n);
             assert_eq!(r.wire_bits_per_iter, expect, "{}", algo.name());
         }
     }

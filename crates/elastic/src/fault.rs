@@ -19,7 +19,7 @@
 //!   and cannot tell it is being sabotaged.
 
 use cluster_comm::transport::wire::PayloadRef;
-use cluster_comm::{Payload, Transport, TransportError};
+use cluster_comm::{RecvResult, Transport, TransportError};
 
 /// SplitMix64 — the tiny, high-quality mixer the fault schedules derive
 /// from (same generator family the synthetic datasets use).
@@ -157,12 +157,8 @@ impl Transport for FaultInjector {
         self.inner.send_bytes(to, tag, payload)
     }
 
-    fn recv_bytes(&mut self, from: usize, tag: u64) -> Result<Payload, TransportError> {
-        self.inner.recv_bytes(from, tag)
-    }
-
-    fn try_recv_bytes(&mut self, from: usize, tag: u64) -> Result<Option<Payload>, TransportError> {
-        self.inner.try_recv_bytes(from, tag)
+    fn recv_bytes(&mut self, from: usize, tag: u64, block: bool) -> RecvResult {
+        self.inner.recv_bytes(from, tag, block)
     }
 
     fn classify_survivors(&mut self) -> Option<Vec<bool>> {
@@ -212,9 +208,9 @@ mod tests {
         inj.send_bytes(1, 7, PayloadRef::PackedU64(&[10])).unwrap();
         inj.send_bytes(1, 8, PayloadRef::PackedU64(&[11])).unwrap(); // dropped
         inj.send_bytes(1, 9, PayloadRef::PackedU64(&[12])).unwrap();
-        assert!(b.try_recv_bytes(0, 7).unwrap().is_some());
-        assert!(b.try_recv_bytes(0, 8).unwrap().is_none(), "dropped frame arrived");
-        assert!(b.try_recv_bytes(0, 9).unwrap().is_some());
+        assert!(b.recv_bytes(0, 7, false).unwrap().is_some());
+        assert!(b.recv_bytes(0, 8, false).unwrap().is_none(), "dropped frame arrived");
+        assert!(b.recv_bytes(0, 9, false).unwrap().is_some());
         assert_eq!(inj.sends(), 3);
     }
 
@@ -231,6 +227,6 @@ mod tests {
         let t0 = std::time::Instant::now();
         inj.send_bytes(1, 1, PayloadRef::PackedU64(&[1])).unwrap();
         assert!(t0.elapsed() >= std::time::Duration::from_millis(25));
-        assert!(b.try_recv_bytes(0, 1).unwrap().is_some());
+        assert!(b.recv_bytes(0, 1, false).unwrap().is_some());
     }
 }

@@ -54,7 +54,7 @@ impl Membership {
             let mut lost =
                 t.send_bytes(peer, HEARTBEAT_TAG, PayloadRef::PackedU64(&[self.seq])).is_err();
             while !lost {
-                match t.try_recv_bytes(peer, HEARTBEAT_TAG) {
+                match t.recv_bytes(peer, HEARTBEAT_TAG, false) {
                     Ok(Some(Payload::PackedU64(seq))) => {
                         if let Some(&s) = seq.first() {
                             self.last_seen[peer] = self.last_seen[peer].max(s);

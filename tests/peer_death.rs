@@ -49,7 +49,7 @@ fn rank_body(
         (0..N).map(|i| ((rank * 31 + i * 7) % 23) as f32 * 0.1 - 1.0).collect();
     for round in 0..HEALTHY_ROUNDS {
         sync.try_sync_bucketed(&mut grad, &bounds, &mut comm)
-            .unwrap_or_else(|e| panic!("{}: healthy round {round} failed: {e}", sync.name()));
+            .unwrap_or_else(|e| panic!("{}: healthy round {round} failed: {e}", algo.name()));
     }
     if rank == victim {
         return None;
