@@ -9,7 +9,9 @@
 //! * `gemm_st` — square 128/256/512 products.
 //! * `gemm_layers` — the real workspace shapes as bare products on stored
 //!   operands: FNN-3's first layer, the VGG entry/middle conv products on a
-//!   ready column matrix (no gather is timed), and an LSTM-PTB gate block.
+//!   ready column matrix (no gather is timed), and an LSTM-PTB gate block;
+//!   and FNN-3's first-layer weight gradient, added in place by `run_add`
+//!   inside a one-lane pool.
 //! * `gemm_prepacked` — the weight-stationary path (`pack_a`/`pack_b` once,
 //!   `run_packed` per item) that conv reuses across batch images and the
 //!   LSTM across timesteps.
@@ -88,6 +90,18 @@ fn bench_layers(c: &mut Criterion) {
             })
         });
     }
+    // FNN-3 fc1's weight gradient at batch 32, added in place as `Linear`
+    // adds it: dW[206,784] += dyᵀ · x with dy [32,206], x [32,784] (k = 32).
+    // `run_add` fans out above `PAR_FLOPS`, so it runs in a one-lane pool.
+    let one_lane = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+    let g = Gemm::tn(206, 32, 784);
+    let (a, b, mut cbuf) = operands(&g, 19);
+    group.bench_function("packed/fnn3_fc1_dw", |bch| {
+        bch.iter(|| {
+            one_lane.install(|| g.run_add(&a, &b, &mut cbuf));
+            std::hint::black_box(cbuf[0])
+        })
+    });
     group.finish();
 }
 

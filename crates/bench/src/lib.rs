@@ -45,14 +45,14 @@ pub fn compression_compute_seconds(algo: AlgoKind, g: &mut [f32], reps: usize) -
             std::hint::black_box(g[0]);
         }),
         AlgoKind::TopK(r) => {
-            let k = ((n as f64 * r as f64) as usize).max(1);
+            let k = gradcomp::sparse::k_of(n, r);
             time_best(reps, || {
                 let idx = gradcomp::topk::TopK::select(g, k);
                 std::hint::black_box(idx.len());
             })
         }
         AlgoKind::GaussianK(r) => {
-            let k = ((n as f64 * r as f64) as usize).max(1);
+            let k = gradcomp::sparse::k_of(n, r);
             time_best(reps, || {
                 let t = gradcomp::gaussiank::GaussianK::estimate_threshold(g, k);
                 let count = g.iter().filter(|v| v.abs() > t).count();

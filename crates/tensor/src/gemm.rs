@@ -17,8 +17,12 @@
 //!   B — every `x·Wᵀ` on a stored weight — is filled in blocks of 8
 //!   columns × 8 k-steps: 8 contiguous rows loaded, one in-register
 //!   transposition and 8 panel-row stores ([`fill_transposed`]; ragged
-//!   edges go element by element). Panels are handed out zeroed: edge
-//!   panels stay zero-padded to full MR/NR width.
+//!   edges go element by element). A stored A is laid out from its MR row
+//!   slices, a transposed one by MR-float copies. The stored-slice packers
+//!   write every lane, an edge panel's lanes past the edge as explicit
+//!   zeros, so they pack over whatever a reused buffer holds; only the
+//!   `*_with` fillers, which may skip entries, get their panels zeroed
+//!   first.
 //! * **Offset-addressed B.** A B operand whose every row is a window of
 //!   one stored slice is not packed at all ([`Gemm::run_offsets`]): a
 //!   k-step reads NR lanes at `src + off[p]`. Convolution's forward and dx
@@ -34,9 +38,13 @@
 //!   instructions.
 //! * **Stores.** A tile's lanes land in `C` through a [`Grid`]: a stored
 //!   matrix keeps every lane, an offset-B product discards the lanes past
-//!   each output row. Lanes and rows past the edge are computed and then
-//!   discarded by the store, so non-finite inputs never leak (`0·inf = NaN`
-//!   can only appear in lanes that are thrown away).
+//!   each output row. A full tile inside one kept run of `C` — every full
+//!   tile of a stored matrix — is stored (or added, `c + acc`) by the
+//!   microkernel straight from its accumulators; an edge tile, or one that
+//!   wraps a grid row, goes through an MR×NR array and [`store_tile`].
+//!   Lanes and rows past the edge are computed and then discarded by that
+//!   store, so non-finite inputs never leak (`0·inf = NaN` can only appear
+//!   in lanes that are thrown away).
 //! * **Blocking.** Loop order per output stripe is `jc (NC columns) → pc
 //!   (KC depth) → jr (NR panel) → ir (MR panel)`: a B micro-panel stays in
 //!   L1 across the stripe's row panels, the stripe's packed-A slab
@@ -58,6 +66,7 @@
 
 use crate::par;
 use crate::tensor::Tensor;
+use std::mem::MaybeUninit;
 
 /// Microkernel tile height (rows of C per register tile).
 pub const MR: usize = 6;
@@ -219,35 +228,43 @@ impl Gemm {
         self.m * self.n
     }
 
-    #[inline(always)]
-    fn a_at(&self, a: &[f32], i: usize, p: usize) -> f32 {
-        if self.trans_a {
-            a[p * self.m + i]
-        } else {
-            a[i * self.k + p]
-        }
-    }
-
     /// Packs `op(A)` from wherever `fill` reads it. `fill(p0, i0, rows,
     /// panel)` writes one zeroed `kc×MR` k-major micro-panel: element
     /// `(i0 + i, p0 + kk)` of `op(A)` goes to `panel[kk * MR + i]` for
     /// `i < rows`; what it leaves untouched stays zero.
     pub fn pack_a_with(&self, pa: &mut PackedA, fill: impl FnMut(usize, usize, usize, &mut [f32])) {
         (pa.m, pa.k) = (self.m, self.k);
-        pack_panels::<MR>(&mut pa.buf, self.k, self.m, fill);
+        pack_panels::<MR>(&mut pa.buf, self.k, self.m, true, fill);
+    }
+
+    /// Packs `op(A)` from its stored slice, reusing `pa`'s allocation. A
+    /// stored A gives a panel its MR rows as slices; a transposed A is
+    /// stored `k×m`, so each k-step of a panel is MR contiguous floats.
+    pub fn pack_a_into(&self, a: &[f32], pa: &mut PackedA) {
+        let (m, k) = (self.m, self.k);
+        assert_eq!(a.len(), m * k, "pack_a: A length vs {m}×{k} descriptor");
+        (pa.m, pa.k) = (m, k);
+        pack_panels::<MR>(&mut pa.buf, k, m, false, |p0, i0, rows, panel| {
+            if self.trans_a {
+                copy_runs::<MR>(panel, &a[p0 * m + i0..], m, rows);
+            } else {
+                let kc = panel.len() / MR;
+                for (i, row) in a[i0 * k..].chunks_exact(k).take(rows).enumerate() {
+                    for (dst, &v) in panel.chunks_exact_mut(MR).zip(&row[p0..p0 + kc]) {
+                        dst[i] = v;
+                    }
+                }
+                if rows < MR {
+                    panel.chunks_exact_mut(MR).for_each(|dst| dst[rows..].fill(0.0));
+                }
+            }
+        });
     }
 
     /// Packs `op(A)` from its stored slice into a fresh [`PackedA`].
     pub fn pack_a(&self, a: &[f32]) -> PackedA {
-        assert_eq!(a.len(), self.a_len(), "pack_a: A length vs {}×{} descriptor", self.m, self.k);
         let mut pa = PackedA::default();
-        self.pack_a_with(&mut pa, |p0, i0, rows, panel| {
-            for (kk, dst) in panel.chunks_exact_mut(MR).enumerate() {
-                for (i, d) in dst[..rows].iter_mut().enumerate() {
-                    *d = self.a_at(a, i0 + i, p0 + kk);
-                }
-            }
-        });
+        self.pack_a_into(a, &mut pa);
         pa
     }
 
@@ -257,7 +274,7 @@ impl Gemm {
     /// `j < cols`; what it leaves untouched stays zero.
     pub fn pack_b_with(&self, pb: &mut PackedB, fill: impl FnMut(usize, usize, usize, &mut [f32])) {
         (pb.k, pb.n) = (self.k, self.n);
-        pack_panels::<NR>(&mut pb.buf, self.k, self.n, fill);
+        pack_panels::<NR>(&mut pb.buf, self.k, self.n, true, fill);
     }
 
     /// Packs `op(B)` from its stored slice, reusing `pb`'s allocation. A
@@ -267,16 +284,15 @@ impl Gemm {
         let (k, n) = (self.k, self.n);
         // The one check behind `fill_transposed`'s unchecked loads.
         assert!(b.len() == k * n, "pack_b: B length {} vs {k}×{n} descriptor", b.len());
-        self.pack_b_with(pb, |p0, j0, cols, panel| {
+        (pb.k, pb.n) = (k, n);
+        pack_panels::<NR>(&mut pb.buf, k, n, false, |p0, j0, cols, panel| {
             if self.trans_b {
                 // SAFETY: stored rows `j0..j0 + cols` are k floats from
                 // `j·k`, and `p0 + kc ≤ k`: all inside `b` by the assert.
                 unsafe { fill_transposed(b.as_ptr().add(j0 * k + p0), k, cols, panel) };
             } else {
                 // op(B) rows are contiguous in storage: copy row slices.
-                for (kk, dst) in panel.chunks_exact_mut(NR).enumerate() {
-                    dst[..cols].copy_from_slice(&b[(p0 + kk) * n + j0..][..cols]);
-                }
+                copy_runs::<NR>(panel, &b[p0 * n + j0..], n, cols);
             }
         });
     }
@@ -315,15 +331,33 @@ impl Gemm {
                 let mut yx = (jc * NR / grid.pitch, jc * NR % grid.pitch);
                 for jr in jc..jc_end {
                     let lanes = NR.min(self.n - jr * NR);
+                    let (y, x) = yx;
+                    let whole = lanes == NR && grid.col_step == 1 && x + NR <= grid.width;
                     for ip in 0..panels {
                         let ap = pa.buf[a_off + (panel0 + ip) * kc * MR..][..kc * MR].as_ptr();
-                        // SAFETY: `ap` is a kc-step panel and `b` yields kc
-                        // rows of NR readable floats — a packed panel by
-                        // construction, an offset window by `run_offsets`'
-                        // reach assert.
-                        let acc = unsafe { tile(ap, b.rows(p0, kc, jr)) };
-                        let tile_rows = (ip * MR, MR.min(rows - ip * MR));
-                        store_tile(cs, grid, tile_rows, yx, lanes, &acc, !ADD && p0 == 0);
+                        let (r0, mr) = (ip * MR, MR.min(rows - ip * MR));
+                        let overwrite = !ADD && p0 == 0;
+                        let b_rows = b.rows(p0, kc, jr);
+                        // SAFETY (both arms): `ap` is a kc-step panel and
+                        // `b` yields kc rows of NR readable floats — a packed
+                        // panel by construction, an offset window by
+                        // `run_offsets`' reach assert — and the tile's MR
+                        // rows land in the slice of C taken for them, or in
+                        // an array the kernel writes whole (it is not
+                        // zeroed first: the kernel is not inlined here, so
+                        // that fill would be 12 more stores per tile).
+                        if whole && mr == MR {
+                            let at = r0 * grid.ldc + grid.origin + y * grid.row_step + x;
+                            let dst = cs[at..][..(MR - 1) * grid.ldc + NR].as_mut_ptr();
+                            unsafe { tile(ap, b_rows, dst, grid.ldc, !overwrite) };
+                        } else {
+                            let mut acc = MaybeUninit::<[[f32; NR]; MR]>::uninit();
+                            let acc = unsafe {
+                                tile(ap, b_rows, acc.as_mut_ptr().cast(), NR, false);
+                                acc.assume_init_ref()
+                            };
+                            store_tile(cs, grid, (r0, mr), yx, lanes, acc, overwrite);
+                        }
                     }
                     yx.1 += NR;
                     while yx.1 >= grid.pitch {
@@ -413,6 +447,10 @@ impl Gemm {
         self.pack_and_run::<true>(a, b, c);
     }
 
+    /// Packs both operands into fresh panels and runs. (Panels kept per
+    /// thread between calls were measured: they raised a training
+    /// process's peak resident set by what they held, up to fc1's 652 KB
+    /// B panel, and the step did not get faster.)
     fn pack_and_run<const ADD: bool>(&self, a: &[f32], b: &[f32], c: &mut [f32]) {
         let (pa, pb) = (self.pack_a(a), self.pack_b(b));
         let parallel = self.m.saturating_mul(self.k).saturating_mul(self.n) >= PAR_FLOPS;
@@ -445,17 +483,21 @@ impl Gemm {
 /// The panel loop, written once for both operand sides: lays an operand of
 /// `extent` lanes (rows of `op(A)`, columns of `op(B)`) by `k` deep out as
 /// `LANES`-wide micro-panels in [`KC`]-deep slabs — slab-major, then panel,
-/// k-major inside — zero-filled, and hands each panel to
-/// `fill(p0, l0, lanes, panel)` with its slab start, first lane and live
-/// lane count (`< LANES` only on the edge panel, whose other lanes stay at
-/// the zero fill).
+/// k-major inside — and hands each panel to `fill(p0, l0, lanes, panel)`
+/// with its slab start, first lane and live lane count (`< LANES` only on
+/// the edge panel). With `zeroed` the buffer is zero-filled first, for a
+/// filler that leaves entries untouched; without it `fill` must write
+/// every lane of its panel, the ones past `lanes` as zeros.
 fn pack_panels<const LANES: usize>(
     buf: &mut Vec<f32>,
     k: usize,
     extent: usize,
+    zeroed: bool,
     mut fill: impl FnMut(usize, usize, usize, &mut [f32]),
 ) {
-    buf.clear();
+    if zeroed {
+        buf.clear();
+    }
     buf.resize(extent.div_ceil(LANES) * LANES * k, 0.0);
     let mut off = 0usize;
     for p0 in (0..k).step_by(KC) {
@@ -467,13 +509,31 @@ fn pack_panels<const LANES: usize>(
     }
 }
 
-/// Fills one zeroed `kc×NR` panel (`kc = panel.len() / NR`) with the
-/// transpose of `cols ≤ NR` stored rows `ld` floats apart:
-/// `panel[kk·NR + j] = src[j·ld + kk]`. Each block of 8 columns × 8
-/// k-steps is 8 contiguous rows loaded, one in-register transposition and
-/// 8 panel-row stores, on the AVX2 body when the one CPUID probe finds it;
-/// the ragged edges (`cols mod 8` columns, `kc mod 8` steps) go element by
-/// element. Every body moves bits, so the panel is the gather's.
+/// Fills a `kc×LANES` panel whose k-steps are stored runs `ld` floats
+/// apart: `panel[kk·LANES + l] = src[kk·ld + l]` for `l < lanes`, and the
+/// lanes past them with zeros. A whole panel's runs are copies of a
+/// constant length.
+#[inline(always)]
+fn copy_runs<const LANES: usize>(panel: &mut [f32], src: &[f32], ld: usize, lanes: usize) {
+    for (kk, dst) in panel.chunks_exact_mut(LANES).enumerate() {
+        let run = &src[kk * ld..];
+        if lanes == LANES {
+            dst.copy_from_slice(&run[..LANES]);
+        } else {
+            dst[..lanes].copy_from_slice(&run[..lanes]);
+            dst[lanes..].fill(0.0);
+        }
+    }
+}
+
+/// Fills one `kc×NR` panel (`kc = panel.len() / NR`) with the transpose
+/// of `cols ≤ NR` stored rows `ld` floats apart:
+/// `panel[kk·NR + j] = src[j·ld + kk]`, and lanes `j ≥ cols` with zeros.
+/// Each block of 8 columns × 8 k-steps is 8 contiguous rows loaded, one
+/// in-register transposition and 8 panel-row stores, on the AVX2 body
+/// when the one CPUID probe finds it; the ragged edges (`cols mod 8`
+/// columns, `kc mod 8` steps) go element by element. Every body moves
+/// bits, so the panel is the gather's.
 ///
 /// # Safety
 ///
@@ -515,6 +575,7 @@ unsafe fn fill_transposed_body<const AVX2: bool>(
         for (j, d) in row[..cols].iter_mut().enumerate().skip(from) {
             *d = *src.add(j * ld + kk);
         }
+        row[cols..].fill(0.0);
     }
 }
 
@@ -567,12 +628,14 @@ unsafe fn transpose8_avx2(src: *const f32, ld: usize, dst: *mut f32) {
 
 /// The register tile: one MR×NR block of C accumulated over the k-steps
 /// of the packed A panel `ap` (MR values a step) and the B rows `rows`
-/// yields. The fixed-size accumulator array lives in vector registers; the
-/// k-loop is the only sequential dependency and runs in ascending order.
-/// Where a B row comes from — a packed panel, or a window of a stored
-/// slice — is the iterator's business: both bodies below are monomorphised
-/// over it, so packed and offset-addressed products run the same
-/// instructions on the same values.
+/// yields, then written from the accumulators to the MR rows `dst + i·ld`
+/// (NR floats each): stored, or with `add` added to what they hold (`c +
+/// acc`, [`store_tile`]'s add). The fixed-size accumulator array lives in
+/// vector registers; the k-loop is the only sequential dependency and runs
+/// in ascending order. Where a B row comes from — a packed panel, or a
+/// window of a stored slice — is the iterator's business: both bodies
+/// below are monomorphised over it, so packed and offset-addressed
+/// products run the same instructions on the same values.
 ///
 /// On x86-64 with AVX2+FMA available at runtime the fused-multiply-add
 /// body is used (one rounding per multiply-add instead of two — still a
@@ -584,16 +647,23 @@ unsafe fn transpose8_avx2(src: *const f32, ld: usize, dst: *mut f32) {
 /// # Safety
 ///
 /// `ap` must be valid for reads of [`MR`] floats per row `rows` yields,
-/// and every such row for reads of [`NR`] floats.
+/// every such row for reads of [`NR`] floats, and `dst + i·ld` for writes
+/// (and, with `add`, reads) of [`NR`] floats for every `i <` [`MR`].
 #[inline(always)]
-unsafe fn tile(ap: *const f32, rows: impl Iterator<Item = *const f32>) -> [[f32; NR]; MR] {
+unsafe fn tile(
+    ap: *const f32,
+    rows: impl Iterator<Item = *const f32>,
+    dst: *mut f32,
+    ld: usize,
+    add: bool,
+) {
     #[cfg(target_arch = "x86_64")]
     if avx2_fma_available() {
         // SAFETY: the CPU supports avx2+fma (checked above); the operands
         // are the caller's to guarantee.
-        return microkernel_fma(ap, rows);
+        return microkernel_fma(ap, rows, dst, ld, add);
     }
-    microkernel_generic(ap, rows)
+    microkernel_generic(ap, rows, dst, ld, add)
 }
 
 /// The body [`tile`] runs on this host, `"avx2+fma"` or `"portable"` (they
@@ -611,7 +681,10 @@ pub fn microkernel() -> &'static str {
 unsafe fn microkernel_generic(
     ap: *const f32,
     rows: impl Iterator<Item = *const f32>,
-) -> [[f32; NR]; MR] {
+    dst: *mut f32,
+    ld: usize,
+    add: bool,
+) {
     let mut acc = [[0.0f32; NR]; MR];
     for (kk, b) in rows.enumerate() {
         let (a, b) = (&*ap.add(kk * MR).cast::<[f32; MR]>(), &*b.cast::<[f32; NR]>());
@@ -622,7 +695,12 @@ unsafe fn microkernel_generic(
             }
         }
     }
-    acc
+    for (i, acc_row) in acc.iter().enumerate() {
+        let row = &mut *dst.add(i * ld).cast::<[f32; NR]>();
+        for (d, v) in row.iter_mut().zip(acc_row) {
+            *d = if add { *d + v } else { *v };
+        }
+    }
 }
 
 /// Caches the one-time CPUID probe (std's detection macro already caches
@@ -646,14 +724,18 @@ pub fn avx2_fma_available() -> bool {
 }
 
 /// The AVX2/FMA body: 12 ymm accumulators (6 rows × 2 vectors), one
-/// broadcast ymm for A and two loads for B per k-step. Safety as
-/// [`tile`], on a CPU with avx2 and fma.
+/// broadcast ymm for A and two loads for B per k-step, and each row
+/// stored (or loaded, added and stored) as two ymm. Safety as [`tile`],
+/// on a CPU with avx2 and fma.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn microkernel_fma(
     ap: *const f32,
     rows: impl Iterator<Item = *const f32>,
-) -> [[f32; NR]; MR] {
+    dst: *mut f32,
+    ld: usize,
+    add: bool,
+) {
     use std::arch::x86_64::*;
     let mut acc = [_mm256_setzero_ps(); 2 * MR];
     for (kk, b) in rows.enumerate() {
@@ -664,21 +746,26 @@ unsafe fn microkernel_fma(
             acc[2 * i + 1] = _mm256_fmadd_ps(ai, b1, acc[2 * i + 1]);
         }
     }
-    let mut out = [[0.0f32; NR]; MR];
-    for (i, row) in out.iter_mut().enumerate() {
-        _mm256_storeu_ps(row.as_mut_ptr(), acc[2 * i]);
-        _mm256_storeu_ps(row.as_mut_ptr().add(8), acc[2 * i + 1]);
+    for (i, half) in acc.chunks_exact(2).enumerate() {
+        let d = dst.add(i * ld);
+        let (mut lo, mut hi) = (half[0], half[1]);
+        if add {
+            lo = _mm256_add_ps(_mm256_loadu_ps(d), lo);
+            hi = _mm256_add_ps(_mm256_loadu_ps(d.add(8)), hi);
+        }
+        _mm256_storeu_ps(d, lo);
+        _mm256_storeu_ps(d.add(8), hi);
     }
-    out
 }
 
-/// Writes the kept part of a register tile into `C` (see [`Grid`]),
-/// overwriting on the first k-slab and accumulating on the rest. Tile row
-/// `i < mr` is row `r0 + i` of the stripe `c` (the rest are discarded);
-/// tile lane `j < lanes` is grid lane `(y, x + j)`, wrapping
-/// at the grid's pitch. Discarding lanes here is what keeps edge-panel
-/// padding, and the lanes an offset product reads past its output width,
-/// inert: `0·inf = NaN` can only appear in a lane that is thrown away.
+/// Writes the kept part of a tile, computed into `acc`, into `C` (see
+/// [`Grid`]), overwriting on the first k-slab and accumulating on the
+/// rest: the path of the tiles the microkernel cannot store itself. Tile row `i < mr` is row `r0 + i` of
+/// the stripe `c` (the rest are discarded); tile lane `j < lanes` is grid
+/// lane `(y, x + j)`, wrapping at the grid's pitch. Discarding lanes here
+/// is what keeps edge-panel padding, and the lanes an offset product reads
+/// past its output width, inert: `0·inf = NaN` can only appear in a lane
+/// that is thrown away.
 #[inline(always)]
 fn store_tile(
     c: &mut [f32],
@@ -689,8 +776,7 @@ fn store_tile(
     acc: &[[f32; NR]; MR],
     overwrite: bool,
 ) {
-    // A tile inside one kept run — every tile of a stored matrix — is one
-    // contiguous store per row (measured: 2.6 % of an `lstm_qsgd` step).
+    // An edge tile inside one kept run is one contiguous store per row.
     if grid.col_step == 1 && x + lanes <= grid.width {
         let at = grid.origin + y * grid.row_step + x;
         for (i, acc_row) in acc.iter().enumerate().take(mr) {
@@ -734,6 +820,15 @@ mod tests {
     use super::*;
     use crate::rng::SeedRng;
 
+    /// Element `(i, p)` of `op(A)`, read from its stored slice.
+    fn a_at(g: &Gemm, a: &[f32], i: usize, p: usize) -> f32 {
+        if g.trans_a {
+            a[p * g.m + i]
+        } else {
+            a[i * g.k + p]
+        }
+    }
+
     /// Element `(p, j)` of `op(B)`, read from its stored slice.
     fn b_at(g: &Gemm, b: &[f32], p: usize, j: usize) -> f32 {
         if g.trans_b {
@@ -750,7 +845,7 @@ mod tests {
             for j in 0..g.n {
                 let mut acc = 0.0f32;
                 for p in 0..g.k {
-                    acc += g.a_at(a, i, p) * b_at(g, b, p, j);
+                    acc += a_at(g, a, i, p) * b_at(g, b, p, j);
                 }
                 c[i * g.n + j] = acc;
             }
@@ -831,24 +926,21 @@ mod tests {
     }
 
     /// An offset-addressed product is the packed product over the `B` its
-    /// windows spell, bit for bit — across a KC split, a ragged last panel
-    /// and a grid that discards lanes and strides its stores — and leaves
-    /// every position the grid does not keep as it was; `k = 0` stores
-    /// zeros.
+    /// windows spell, bit for bit — across a KC split, a ragged last panel,
+    /// a grid that discards lanes and strides its stores, and one whose
+    /// kept runs hold whole tiles (stored from the registers) beside tiles
+    /// that wrap a row — and leaves every position the grid does not keep
+    /// as it was; `k = 0` stores zeros.
     #[test]
     fn offset_windows_match_the_packed_operand() {
         let mut rng = SeedRng::new(12);
-        let (rows, pitch, width) = (3, 11, 8);
-        let n = rows * pitch;
-        let grid = Grid {
-            pitch,
-            width,
-            ldc: 4 * rows * width + 1,
-            origin: 1,
-            row_step: 4 * width,
-            col_step: 2,
-        };
-        for (m, k) in [(7, KC + 9), (13, 5), (2, 0)] {
+        let rows = 3;
+        let strided = Grid { pitch: 11, width: 8, ldc: 97, origin: 1, row_step: 32, col_step: 2 };
+        let runs = Grid { pitch: 40, width: 35, ldc: 107, origin: 2, row_step: 35, col_step: 1 };
+        for ((m, k), grid) in
+            [(7, KC + 9), (13, 5), (2, 0)].into_iter().flat_map(|mk| [(mk, strided), (mk, runs)])
+        {
+            let (pitch, width, n) = (grid.pitch, grid.width, rows * grid.pitch);
             let src = rng.randn_tensor(&[3 * k + n.div_ceil(NR) * NR + 1], 1.0);
             let src = src.as_slice();
             let off: Vec<usize> = (0..k).map(|p| p * 7 % (3 * k)).collect();
@@ -868,9 +960,23 @@ mod tests {
                     }
                 }
                 let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(crow), bits(&kept), "m {m} k {k} row {i}");
+                assert_eq!(bits(crow), bits(&kept), "m {m} k {k} pitch {pitch} row {i}");
             }
         }
+    }
+
+    /// The panels of `op(A)` gathered one element at a time into zeroed
+    /// panels: the packing oracle.
+    fn gathered_a(g: &Gemm, a: &[f32]) -> PackedA {
+        let mut pa = PackedA::default();
+        g.pack_a_with(&mut pa, |p0, i0, rows, panel| {
+            for (kk, dst) in panel.chunks_exact_mut(MR).enumerate() {
+                for (i, d) in dst[..rows].iter_mut().enumerate() {
+                    *d = a_at(g, a, i0 + i, p0 + kk);
+                }
+            }
+        });
+        pa
     }
 
     /// The panels of `op(B)` gathered one element at a time: the packing
@@ -935,6 +1041,159 @@ mod tests {
                     }
                 });
                 assert_bits(&portable.buf, &want, &format!("portable body, k {k} n {n}"));
+            }
+        }
+    }
+
+    /// A stored-slice pack over a buffer left dirty — by a larger product's
+    /// panels, or NaN-filled — is the gather into zeroed panels, bit for
+    /// bit, edge lanes' zeros included: on both operand sides, every
+    /// transpose, ragged and whole panels, and several KC slabs; for a
+    /// transposed B on both block bodies.
+    #[test]
+    fn packs_over_dirty_buffers_are_the_gathered_ones() {
+        let big = Gemm::nt(64, 3 * KC, 64);
+        let shapes = [(1, 1, 1), (MR, 8, NR), (7, KC + 9, 17), (13, 2 * KC + 3, 33), (32, 32, 206)];
+        for (s, (m, k, n)) in shapes.into_iter().enumerate() {
+            for (t, g) in
+                [Gemm::nn(m, k, n), Gemm::nt(m, k, n), Gemm::tn(m, k, n), Gemm::tt(m, k, n)]
+                    .into_iter()
+                    .enumerate()
+            {
+                let seed = 10 * s as u64 + t as u64;
+                let (a, b) = (payload(g.a_len(), 500 + seed), payload(g.b_len(), 600 + seed));
+                let (want_a, want_b) = (gathered_a(&g, &a).buf, gathered(&g, &b).buf);
+                for nan_fill in [false, true] {
+                    let mut pa = big.pack_a(&payload(big.a_len(), 1));
+                    let mut pb = big.pack_b(&payload(big.b_len(), 2));
+                    if nan_fill {
+                        pa.buf.fill(f32::NAN);
+                        pb.buf.fill(f32::NAN);
+                    }
+                    let what = format!("{g:?}, NaN-filled {nan_fill}");
+                    let mut portable = pb.clone();
+                    g.pack_a_into(&a, &mut pa);
+                    g.pack_b_into(&b, &mut pb);
+                    assert_bits(&pa.buf, &want_a, &format!("A of {what}"));
+                    assert_bits(&pb.buf, &want_b, &format!("B of {what}"));
+                    if g.trans_b {
+                        pack_panels::<NR>(&mut portable.buf, k, n, false, |p0, j0, cols, panel| {
+                            // SAFETY: as in `pack_b_into`; `b` holds all n×k.
+                            unsafe {
+                                fill_transposed_body::<false>(
+                                    b[j0 * k + p0..].as_ptr(),
+                                    k,
+                                    cols,
+                                    panel,
+                                )
+                            }
+                        });
+                        assert_bits(&portable.buf, &want_b, &format!("portable B of {what}"));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs one tile on the portable body or, when `portable` is false, on
+    /// the AVX2 one. Safety as [`tile`].
+    unsafe fn body(
+        portable: bool,
+        ap: *const f32,
+        rows: impl Iterator<Item = *const f32>,
+        dst: *mut f32,
+        ld: usize,
+        add: bool,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if !portable {
+            return microkernel_fma(ap, rows, dst, ld, add);
+        }
+        microkernel_generic(ap, rows, dst, ld, add)
+    }
+
+    /// `C = op(A)·op(B)`, or with `add` `C += op(A)·op(B)`, over packed
+    /// operands on one body, slab by slab. With `direct`, full tiles are
+    /// stored from the body's registers as `stripe` stores them; without,
+    /// every tile goes through the array and `store_tile` — the oracle.
+    fn by_tiles(
+        g: &Gemm,
+        (pa, pb): (&PackedA, &PackedB),
+        c: &mut [f32],
+        add: bool,
+        portable: bool,
+        direct: bool,
+    ) {
+        let (mp, np, grid) = (g.m.div_ceil(MR), g.n.div_ceil(NR), Grid::dense(g.n));
+        for p0 in (0..g.k.max(1)).step_by(KC) {
+            let kc = KC.min(g.k - p0);
+            let overwrite = !add && p0 == 0;
+            for (ip, jr) in (0..mp).flat_map(|ip| (0..np).map(move |jr| (ip, jr))) {
+                let ap = pa.buf[(mp * p0 + ip * kc) * MR..].as_ptr();
+                let (mr, lanes) = (MR.min(g.m - ip * MR), NR.min(g.n - jr * NR));
+                let rows = pb.rows(p0, kc, jr);
+                // SAFETY: as in `stripe`.
+                unsafe {
+                    if direct && mr == MR && lanes == NR {
+                        let dst = c[ip * MR * g.n + jr * NR..][..(MR - 1) * g.n + NR].as_mut_ptr();
+                        body(portable, ap, rows, dst, g.n, !overwrite);
+                    } else {
+                        let mut acc = [[0.0f32; NR]; MR];
+                        body(portable, ap, rows, acc.as_mut_ptr().cast(), NR, false);
+                        store_tile(c, &grid, (ip * MR, mr), (0, jr * NR), lanes, &acc, overwrite);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Full tiles stored or added straight from the registers are the
+    /// array-and-`store_tile` path, bit for bit, on both bodies; and `run`
+    /// and `run_add` (at pool widths 1 and 2) are that path on the
+    /// dispatched body — over full and edge tiles, k across up to three KC
+    /// slabs and k = 0, and a `C` holding ±0, subnormals, ±∞ and NaN
+    /// payloads.
+    #[test]
+    fn register_stores_are_the_array_stores() {
+        let avx2 = microkernel() == "avx2+fma";
+        let bodies: &[bool] = if avx2 { &[false, true] } else { &[true] };
+        let shapes = [
+            Gemm::nn(MR, 8, NR),
+            Gemm::nt(2 * MR + 1, KC, 3 * NR),
+            Gemm::tn(206, 32, 784),
+            Gemm::tt(13, 2 * KC + 3, 2 * NR + 5),
+            Gemm::nn(MC + 7, KC + 1, NR + 1),
+            Gemm::nt(2 * MR, 0, 2 * NR),
+        ];
+        let pools: Vec<_> =
+            [1, 2].map(|w| rayon::ThreadPoolBuilder::new().num_threads(w).build().unwrap()).into();
+        for (s, g) in shapes.into_iter().enumerate() {
+            let normals = |len: usize, seed: u64| {
+                let mut rng = SeedRng::new(seed);
+                (0..len).map(|_| rng.randn()).collect::<Vec<f32>>()
+            };
+            let (a, b) = (normals(g.a_len(), 70 + s as u64), normals(g.b_len(), 80 + s as u64));
+            let c0 = payload(g.c_len(), 90 + s as u64);
+            let packs = (&g.pack_a(&a), &g.pack_b(&b));
+            for add in [false, true] {
+                let what = format!("{g:?}, add {add}");
+                for &portable in bodies {
+                    let (mut want, mut got) = (c0.clone(), c0.clone());
+                    by_tiles(&g, packs, &mut want, add, portable, false);
+                    by_tiles(&g, packs, &mut got, add, portable, true);
+                    assert_bits(&got, &want, &format!("{what}, portable body {portable}"));
+                }
+                let mut want = c0.clone();
+                by_tiles(&g, packs, &mut want, add, !avx2, false);
+                for (w, pool) in pools.iter().enumerate() {
+                    let mut got = c0.clone();
+                    if add {
+                        pool.install(|| g.run_add(&a, &b, &mut got));
+                    } else {
+                        pool.install(|| g.run(&a, &b, &mut got));
+                    }
+                    assert_bits(&got, &want, &format!("{what}, pool width {}", w + 1));
+                }
             }
         }
     }
