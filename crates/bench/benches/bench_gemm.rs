@@ -5,13 +5,16 @@
 //! The row-parallel triple loops it replaced are gone; their medians stay
 //! in the ledger as the frozen `*/legacy/*` baseline rows.
 //!
-//! Eleven groups:
+//! Twelve groups:
 //! * `gemm_st` — square 128/256/512 products.
 //! * `gemm_layers` — the real workspace shapes as bare products on stored
 //!   operands: FNN-3's first layer, the VGG entry/middle conv products on a
 //!   ready column matrix (no gather is timed), and an LSTM-PTB gate block;
 //!   and FNN-3's first-layer weight gradient, added in place by `run_add`
 //!   inside a one-lane pool.
+//! * `gemm_rows` — `run_packed` at k 36, n 1024 over m ∈ {2, 4, 6, 8, 12,
+//!   16}: what the row-panel plan prices (the scaled ResNet-20's conv
+//!   products have 4, 8 or 16 rows).
 //! * `gemm_prepacked` — the weight-stationary path (`pack_a`/`pack_b` once,
 //!   `run_packed` per item) that conv reuses across batch images and the
 //!   LSTM across timesteps.
@@ -23,7 +26,8 @@
 //!   the dW half of every backward row); the ResNet stem has its forward
 //!   and weight-only rows.
 //! * `relu` — one `Relu::forward`.
-//! * `batchnorm` — one `BatchNorm2d` forward and one backward.
+//! * `batchnorm` — one `BatchNorm2d` forward and one backward at each of
+//!   the scaled ResNet-20's three stage shapes.
 //! * `lstm` — one `Lstm` layer forward and one backward, one lane.
 //! * `ops` — the gate nonlinearities `ops::{tanh,sigmoid}_in_place`.
 //! * `rng` — one MNIST batch's pixel noise through `SeedRng::fill_randn`.
@@ -102,6 +106,26 @@ fn bench_layers(c: &mut Criterion) {
             std::hint::black_box(cbuf[0])
         })
     });
+    group.finish();
+}
+
+/// The row-panel plan's price list: one `run_packed` (sequential, so one
+/// lane) at the k and n of a stage-0 conv forward (4·3·3 taps, 32·32
+/// positions) over the row counts the plan covers differently.
+fn bench_rows(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gemm_rows");
+    group.sample_size(30);
+    for m in [2usize, 4, 6, 8, 12, 16] {
+        let g = Gemm::nn(m, 36, 1024);
+        let (a, b, mut cbuf) = operands(&g, 61);
+        let (pa, pb) = (g.pack_a(&a), g.pack_b(&b));
+        group.bench_function(&format!("run_packed/k36_n1024/m{m}"), |bch| {
+            bch.iter(|| {
+                g.run_packed(&pa, &pb, &mut cbuf, false);
+                std::hint::black_box(cbuf[0])
+            })
+        });
+    }
     group.finish();
 }
 
@@ -220,16 +244,24 @@ fn bench_relu(c: &mut Criterion) {
 }
 
 /// One `BatchNorm2d` train-mode forward (statistics, x̂ and y) and one
-/// backward over a stage-0 feature map of the scaled ResNet-20 at batch 8.
+/// backward over a feature map of each stage of the scaled ResNet-20 at
+/// batch 8.
 fn bench_batchnorm(c: &mut Criterion) {
     let mut group = c.benchmark_group("batchnorm");
     group.sample_size(30);
     let mut rng = SeedRng::new(37);
-    let (x, dout) =
-        (rng.randn_tensor(&[8, 4, 32, 32], 1.0), rng.randn_tensor(&[8, 4, 32, 32], 1.0));
-    let mut bn = BatchNorm2d::new("bn", 4);
-    group.bench_function("forward/4c_32x32_b8", |bch| bch.iter(|| bn.forward(&x, Mode::Train)));
-    group.bench_function("backward/4c_32x32_b8", |bch| bch.iter(|| bn.backward(&dout)));
+    for (ch, side) in [(4usize, 32usize), (8, 16), (16, 8)] {
+        let shape = [8, ch, side, side];
+        let (x, dout) = (rng.randn_tensor(&shape, 1.0), rng.randn_tensor(&shape, 1.0));
+        let mut bn = BatchNorm2d::new("bn", ch);
+        let label = format!("{ch}c_{side}x{side}_b8");
+        group.bench_function(&format!("forward/{label}"), |bch| {
+            bch.iter(|| bn.forward(&x, Mode::Train))
+        });
+        // Backward runs on the cached forward, which a filter may have skipped.
+        bn.forward(&x, Mode::Train);
+        group.bench_function(&format!("backward/{label}"), |bch| bch.iter(|| bn.backward(&dout)));
+    }
     group.finish();
 }
 
@@ -313,6 +345,7 @@ criterion_group!(
     benches,
     bench_square,
     bench_layers,
+    bench_rows,
     bench_prepacked,
     bench_pack,
     bench_conv,

@@ -51,6 +51,19 @@ pub const LINK_BUF_BYTES: usize = 64 * 1024;
 /// Bytes of the fixed buffer [`read_frame`] decodes typed lanes through.
 const RECV_CHUNK_BYTES: usize = 32 * 1024;
 
+/// The most payload bytes [`read_frame`] allocates before any arrive: a
+/// header's claim up to this is allocated once, at its final size, and
+/// past it the payload grows as its bytes arrive, doubling, so a damaged
+/// or hostile length word costs at most this much, not the
+/// [`MAX_FRAME_BYTES`] it may claim. Every frame the benchmark's TCP
+/// workloads receive is under it: a bucket is never split, so recursive
+/// doubling sends FNN-3's fc1 weight (206 × 784) as one 646 016 B frame
+/// each step, and the closing resync sends the whole 199 210-float model
+/// as one 796 840 B frame, 1.3× under the cap. The price is a few
+/// reallocating copies for a genuine frame past it (a larger model's
+/// resync, or a bucket over 1 MiB).
+pub const RECV_PREALLOC_BYTES: usize = 1 << 20;
+
 /// Bits 28..0 of `kind_len` carry the payload byte length.
 const LEN_MASK: u32 = (1 << 29) - 1;
 
@@ -310,8 +323,11 @@ fn put_lanes<W: Write, T>(
 /// arrived). Returns the tag and the decoded typed payload. The header is
 /// checked — magic, kind, the [`MAX_FRAME_BYTES`] cap, a whole number of
 /// elements — before anything is allocated; then the typed payload is
-/// allocated once, at its final size, and filled: opaque bytes straight
-/// from `r`, typed lanes through one fixed 32 KiB buffer.
+/// allocated at its final size, up to [`RECV_PREALLOC_BYTES`], and filled:
+/// opaque bytes straight from `r`, typed lanes through one fixed 32 KiB
+/// buffer. A longer claim grows the payload as bytes arrive (at most
+/// doubling it), so a short stream is an `UnexpectedEof` that allocated
+/// about what it read.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<(u64, Payload)> {
     let mut header = [0u8; FRAME_HEADER_BYTES as usize];
     r.read_exact(&mut header)?;
@@ -345,8 +361,14 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<(u64, Payload)> {
     }
     let payload = match kind {
         PayloadKind::Bytes => {
-            let mut v = vec![0u8; byte_len];
-            r.read_exact(&mut v)?;
+            let mut v = Vec::with_capacity(byte_len.min(RECV_PREALLOC_BYTES));
+            r.by_ref().take(byte_len as u64).read_to_end(&mut v)?;
+            if v.len() < byte_len {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    format!("frame ended after {} of {byte_len} payload bytes", v.len()),
+                ));
+            }
             Payload::Bytes(v)
         }
         PayloadKind::F32Dense => {
@@ -359,14 +381,15 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<(u64, Payload)> {
     Ok((tag, payload))
 }
 
-/// Reads `n` lanes of `N` bytes each from `r` into one vector allocated
-/// at its final size, decoding each lane with `from_le`.
+/// Reads `n` lanes of `N` bytes each from `r`, decoding each lane with
+/// `from_le`, into one vector allocated at its final size up to
+/// [`RECV_PREALLOC_BYTES`] and grown past it as lanes arrive.
 fn read_lanes<R: Read, T, const N: usize>(
     r: &mut R,
     n: usize,
     from_le: impl Fn([u8; N]) -> T,
 ) -> io::Result<Vec<T>> {
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::with_capacity(n.min(RECV_PREALLOC_BYTES / N));
     let mut chunk = [0u8; RECV_CHUNK_BYTES];
     while out.len() < n {
         let bytes = &mut chunk[..N * (n - out.len()).min(RECV_CHUNK_BYTES / N)];

@@ -6,7 +6,7 @@
 
 use cluster_comm::transport::wire::{
     encode_frame, frame_wire_bytes, read_frame, write_frame, Payload, FRAME_MAGIC, LINK_BUF_BYTES,
-    MAX_FRAME_BYTES,
+    MAX_FRAME_BYTES, RECV_PREALLOC_BYTES,
 };
 use cluster_comm::{run_cluster, CollectiveAlgo, NetworkProfile};
 use proptest::prelude::*;
@@ -383,7 +383,16 @@ proptest! {
             prop_assert!(got.is_err(), "a {} B claim was read", claimed);
             prop_assert!(largest <= ERROR_ALLOC_BYTES, "a refused {} B claim allocated {} B", claimed, largest);
         }
-        prop_assert!(largest <= claimed.max(ERROR_ALLOC_BYTES), "{} B for a {} B claim", largest, claimed);
+        // A claim up to the cap is allocated once, at its size; past the
+        // cap the payload grows with what arrived behind the header.
+        let arrived = buf.len().saturating_sub(16).min(claimed);
+        let bound = if claimed <= RECV_PREALLOC_BYTES {
+            claimed
+        } else {
+            RECV_PREALLOC_BYTES.max(2 * arrived)
+        };
+        let bound = bound.max(ERROR_ALLOC_BYTES);
+        prop_assert!(largest <= bound, "{} B for a {} B claim, {} B arrived", largest, claimed, arrived);
         if let Ok((tag, frame)) = got {
             let (code, len, header_tag) = header.expect("a frame is read only behind a whole header");
             prop_assert_eq!(frame.kind() as u32, code);
@@ -392,6 +401,53 @@ proptest! {
             // The frame is exactly the bytes it was read from.
             prop_assert!(encode_frame(tag, frame.as_ref())[..] == buf[..16 + len]);
         }
+    }
+}
+
+/// A reader allocates what arrived, not what a header claimed. Under the
+/// up-front cap a whole frame is allocated once, at its length: every kind
+/// of frame as long as FNN-3's whole parameter vector (199 210 floats, the
+/// closing resync's one frame, the largest any benchmark workload
+/// receives) reads back with exactly its length as its largest
+/// allocation, so a reader that grew it would fail here. Past the cap, a
+/// header that claims far more than the stream holds (every kind, 3 MiB
+/// behind the header) is an `UnexpectedEof` whose largest allocation is
+/// at most twice the bytes read, and the whole 3 MiB frame reads back.
+#[test]
+fn a_long_claim_allocates_what_arrived() {
+    let random_payload = |kind: u8, bytes: usize| {
+        let mut rng = StdRng::seed_from_u64(kind as u64);
+        match kind {
+            0 => Payload::F32Dense((0..bytes / 4).map(|_| f32::from_bits(rng.gen())).collect()),
+            1 => Payload::PackedU64((0..bytes / 8).map(|_| rng.gen()).collect()),
+            _ => Payload::Bytes((0..bytes).map(|_| rng.gen::<u32>() as u8).collect()),
+        }
+    };
+    for kind in 0u8..3 {
+        let bytes = 199_210 * 4;
+        let payload = random_payload(kind, bytes);
+        let whole = encode_frame(7, payload.as_ref());
+        LARGEST.with(|l| l.set(0));
+        let (_, back) = read_frame(&mut &whole[..]).unwrap();
+        let largest = LARGEST.with(Cell::get);
+        assert!(payload_bits(&back) == payload_bits(&payload), "kind {kind}: read back");
+        assert_eq!(largest, bytes, "kind {kind}: largest allocation for a {bytes} B frame");
+
+        let arrived = 3 * RECV_PREALLOC_BYTES;
+        let payload = random_payload(kind, arrived);
+        let whole = encode_frame(7, payload.as_ref());
+        assert_eq!(whole.len(), 16 + arrived);
+        let (_, back) = read_frame(&mut &whole[..]).unwrap();
+        assert!(payload_bits(&back) == payload_bits(&payload), "kind {kind}: read back");
+        let mut claim = whole.clone();
+        let kind_len = u32::from_le_bytes(claim[4..8].try_into().unwrap());
+        let more = (64 << 20) as u32;
+        claim[4..8].copy_from_slice(&((kind_len & !LEN_FIELD_MAX) | more).to_le_bytes());
+        LARGEST.with(|l| l.set(0));
+        let err = read_frame(&mut &claim[..]).unwrap_err();
+        let largest = LARGEST.with(Cell::get);
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "kind {kind}");
+        assert!(largest <= 2 * arrived, "kind {kind}: {largest} B for {arrived} B read");
     }
 }
 

@@ -13,7 +13,7 @@
 use crate::init;
 use crate::module::{Mode, Module};
 use crate::param::Param;
-use mini_tensor::gemm::{Gemm, PackedA, PackedB, MR, NR, PAR_FLOPS};
+use mini_tensor::gemm::{Gemm, PackedA, PackedB, NR, PAR_FLOPS};
 use mini_tensor::ops;
 use mini_tensor::rng::SeedRng;
 use mini_tensor::Tensor;
@@ -83,12 +83,12 @@ impl Lstm {
 /// Packs step `s` of a `[B, T, width]` buffer — its B rows `(b·T + s)` — as
 /// the `[B, width]` A operand of `g`, straight from the buffer.
 fn pack_step(g: &Gemm, pa: &mut PackedA, buf: &[f32], t: usize, s: usize, width: usize) {
-    g.pack_a_with(pa, |p0, i0, rows, panel| {
-        let kc = panel.len() / MR;
+    g.pack_a_with(pa, |p0, i0, rows, mr, panel| {
+        let kc = panel.len() / mr;
         for i in 0..rows {
             let row = &buf[((i0 + i) * t + s) * width + p0..][..kc];
-            for (kk, &v) in row.iter().enumerate() {
-                panel[kk * MR + i] = v;
+            for (dst, &v) in panel.chunks_exact_mut(mr).zip(row) {
+                dst[i] = v;
             }
         }
     });

@@ -41,7 +41,7 @@
 //! output element is reduced by one task (an image, or a dW block), so
 //! results are bit-identical across pool widths.
 
-use crate::gemm::{Gemm, Grid, PackedA, MR, NR};
+use crate::gemm::{Gemm, Grid, PackedA, NR};
 use crate::par;
 use crate::tensor::Tensor;
 use rayon::prelude::*;
@@ -478,8 +478,8 @@ impl Phase {
         // packed once for the batch.
         let g = Gemm::nn(in_c, off.len(), qh * planes.wp);
         let mut w_flipped = PackedA::default();
-        g.pack_a_with(&mut w_flipped, |p0, c0, rows, panel| {
-            for (kk, lanes) in panel.chunks_exact_mut(MR).enumerate() {
+        g.pack_a_with(&mut w_flipped, |p0, c0, rows, mr, panel| {
+            for (kk, lanes) in panel.chunks_exact_mut(mr).enumerate() {
                 let p = p0 + kk;
                 let (f, u, v) = (p / (kh * kw), p / kw % kh, p % kw);
                 let tap = (ty + s * (kh - 1 - u)) * k + tx + s * (kw - 1 - v);
@@ -538,7 +538,7 @@ mod direct;
 #[cfg(test)]
 mod gathered {
     use super::Conv2dSpec;
-    use crate::gemm::{Gemm, PackedA, PackedB, MR, NR};
+    use crate::gemm::{Gemm, PackedA, PackedB, NR};
     use crate::par;
     use crate::tensor::Tensor;
 
@@ -761,8 +761,8 @@ mod gathered {
             // packed once for the batch.
             let g = Gemm::nn(in_c, out_c * kh * kw, qh * qw);
             let mut w_flipped = PackedA::default();
-            g.pack_a_with(&mut w_flipped, |p0, c0, rows, panel| {
-                for (kk, lanes) in panel.chunks_exact_mut(MR).enumerate() {
+            g.pack_a_with(&mut w_flipped, |p0, c0, rows, mr, panel| {
+                for (kk, lanes) in panel.chunks_exact_mut(mr).enumerate() {
                     let p = p0 + kk;
                     let (f, u, v) = (p / (kh * kw), p / kw % kh, p % kw);
                     let tap = (ty + s * (kh - 1 - u)) * k + tx + s * (kw - 1 - v);

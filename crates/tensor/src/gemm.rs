@@ -4,49 +4,60 @@
 //! `C[m,n] = op(A)[m,k] · op(B)[k,n]`. The kernel follows the classic
 //! BLIS/GotoBLAS decomposition:
 //!
-//! * **Packing.** `op(A)` is repacked into MR-row micro-panels and `op(B)`
+//! * **Packing.** `op(A)` is repacked into row micro-panels and `op(B)`
 //!   into NR-column micro-panels ([`PackedA`]/[`PackedB`]), k-blocked in
-//!   [`KC`]-deep slabs. Inside a panel the layout is k-major and contiguous,
-//!   so the microkernel streams both operands linearly regardless of where
-//!   the operand came from. The panel loop is written once and a panel's
-//!   source is a *filler* ([`Gemm::pack_a_with`]/[`Gemm::pack_b_with`]): a
-//!   stored slice is one filler — transposition is absorbed there and costs
-//!   O(mk + kn) against the O(mkn) multiply — and an operand that exists
-//!   only as a map over other data is another (convolution's flipped
-//!   backward-data weights, the LSTM's step operands). A transposed stored
-//!   B — every `x·Wᵀ` on a stored weight — is filled in blocks of 8
-//!   columns × 8 k-steps: 8 contiguous rows loaded, one in-register
-//!   transposition and 8 panel-row stores ([`fill_transposed`]; ragged
-//!   edges go element by element). A stored A is laid out from its MR row
-//!   slices, a transposed one by MR-float copies. The stored-slice packers
-//!   write every lane, an edge panel's lanes past the edge as explicit
-//!   zeros, so they pack over whatever a reused buffer holds; only the
-//!   `*_with` fillers, which may skip entries, get their panels zeroed
-//!   first.
+//!   [`KC`]-deep slabs. Inside a panel the layout is k-major and
+//!   contiguous, so the microkernel streams both operands linearly
+//!   regardless of where the operand came from. A row panel is [`MR`] = 6
+//!   or [`MR_SHORT`] = 4 rows tall, by one plan ([`stripe_panels`]): a
+//!   full MC stripe is 6-row panels, and a product's tail stripe is covered
+//!   by the fewest rows of 6-row then 4-row panels, an odd tail rounded up
+//!   to even (m = 4 → [4], 8 → [4, 4], 16 → [6, 6, 4]), so a narrow
+//!   product computes no 6-row tile to keep 4 of its rows. A
+//!   panel whose first row is `row0` sits at `row0·kc` in its slab. The
+//!   panel loop is written once and a panel's source is a *filler*
+//!   ([`Gemm::pack_a_with`]/[`Gemm::pack_b_with`]), which is handed its
+//!   panel's height: a stored slice is one filler — transposition is
+//!   absorbed there and costs O(mk + kn) against the O(mkn) multiply — and
+//!   an operand that exists only as a map over other data is another
+//!   (convolution's flipped backward-data weights, the LSTM's step
+//!   operands). A transposed stored B — every `x·Wᵀ` on a stored weight —
+//!   is filled in blocks of 8 columns × 8 k-steps: 8 contiguous rows
+//!   loaded, one in-register transposition and 8 panel-row stores
+//!   ([`fill_transposed`]; ragged edges go element by element). A stored A
+//!   is laid out from its panel's row slices, a transposed one by one
+//!   panel-height copy per k-step. The stored-slice packers write every
+//!   lane, an edge panel's lanes past the edge as explicit zeros, so they
+//!   pack over whatever a reused buffer holds; only the `*_with` fillers,
+//!   which may skip entries, get their panels zeroed first.
 //! * **Offset-addressed B.** A B operand whose every row is a window of
 //!   one stored slice is not packed at all ([`Gemm::run_offsets`]): a
 //!   k-step reads NR lanes at `src + off[p]`. Convolution's forward and dx
 //!   are the users: in a zero-padded (polyphase) copy of an image every tap
 //!   is such a window over output positions numbered on a padded-width
 //!   [`Grid`]. A is always packed.
-//! * **Microkernel.** An [`MR`]×[`NR`] register tile of accumulators is
-//!   updated once per k-step ([`tile`]) from the packed A panel and a B
-//!   row; the i/j loops are over fixed-size arrays, which LLVM fully
-//!   unrolls and vectorises. There is one AVX2/FMA body and one portable
-//!   body, each monomorphised over how a k-step finds its B row (packed,
-//!   or through offsets), so every kind of product runs the same
-//!   instructions.
+//! * **Microkernel.** An H×[`NR`] register tile of accumulators, H the
+//!   panel's height, is updated once per k-step ([`tile`]) from the packed
+//!   A panel and a B row; the i/j loops are over fixed-size arrays, which
+//!   LLVM fully unrolls and vectorises. There is one AVX2/FMA body and one
+//!   portable body, each const-generic over H — 6×16 (12 ymm accumulators)
+//!   and 4×16 (8) — and monomorphised over how a k-step finds its B row
+//!   (packed, or through offsets), so every kind of product runs the same
+//!   instructions. Each element of C is one chain over k whatever the
+//!   panel's height, so the plan moves no bit.
 //! * **Stores.** A tile's lanes land in `C` through a [`Grid`]: a stored
 //!   matrix keeps every lane, an offset-B product discards the lanes past
-//!   each output row. A full tile inside one kept run of `C` — every full
-//!   tile of a stored matrix — is stored (or added, `c + acc`) by the
-//!   microkernel straight from its accumulators; an edge tile, or one that
-//!   wraps a grid row, goes through an MR×NR array and [`store_tile`].
+//!   each output row. A tile that is whole for its own panel's height —
+//!   all H rows live and NR lanes inside one kept run of `C`, as every
+//!   full tile of a stored matrix and every tile of an m = 4 or 8 product
+//!   are — is stored (or added, `c + acc`) by the microkernel straight
+//!   from its accumulators; an edge tile, or one that wraps a grid row,
+//!   goes through an H×NR array and [`store_tile`].
 //!   Lanes and rows past the edge are computed and then discarded by that
 //!   store, so non-finite inputs never leak (`0·inf = NaN` can only appear
 //!   in lanes that are thrown away).
 //! * **Blocking.** Loop order per output stripe is `jc (NC columns) → pc
-//!   (KC depth) → jr (NR panel) → ir (MR panel)`: a B micro-panel stays in
+//!   (KC depth) → jr (NR panel) → ir (row panel)`: a B micro-panel stays in
 //!   L1 across the stripe's row panels, the stripe's packed-A slab
 //!   ([`MC`]×[`KC`] ≈ 48 KiB) stays in L2, and a `jc` column block keeps the
 //!   active packed-B working set ([`KC`]×[`NC`] = 256 KiB) cache-resident.
@@ -68,15 +79,20 @@ use crate::par;
 use crate::tensor::Tensor;
 use std::mem::MaybeUninit;
 
-/// Microkernel tile height (rows of C per register tile).
+/// Height of a full row panel (rows of C per register tile); every panel
+/// of a full [`MC`] stripe is this tall.
 pub const MR: usize = 6;
+/// Height of the short row panel that closes a tail stripe (see
+/// [`stripe_panels`]): 8 ymm accumulators on the AVX2/FMA path.
+const MR_SHORT: usize = 4;
 /// Microkernel tile width (columns of C per register tile). With the
 /// AVX2/FMA microkernel this is two 8-lane vectors per row: 6×2 = 12
 /// accumulator registers, leaving ymm headroom for the B loads and the
 /// A broadcast — the classic 6×16 f32 kernel shape.
 pub const NR: usize = 16;
 /// Row-stripe height: rows of C per parallel task and per packed-A slab
-/// kept hot in L2. Must be a multiple of [`MR`].
+/// kept hot in L2. Must be a multiple of [`MR`] (so a full stripe is
+/// whole 6-row panels and the planned tail of any stripe fits in it).
 pub const MC: usize = 48;
 /// Depth of one packed k-slab (shared dimension blocking).
 pub const KC: usize = 256;
@@ -112,7 +128,7 @@ pub struct Gemm {
     pub n: usize,
 }
 
-/// `op(A)` repacked into MR-row micro-panels (see module docs). Produced by
+/// `op(A)` repacked into planned row micro-panels (see module docs). Produced by
 /// [`Gemm::pack_a`]; reusable across products with the same `A` operand.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PackedA {
@@ -228,34 +244,45 @@ impl Gemm {
         self.m * self.n
     }
 
-    /// Packs `op(A)` from wherever `fill` reads it. `fill(p0, i0, rows,
-    /// panel)` writes one zeroed `kc×MR` k-major micro-panel: element
-    /// `(i0 + i, p0 + kk)` of `op(A)` goes to `panel[kk * MR + i]` for
-    /// `i < rows`; what it leaves untouched stays zero.
-    pub fn pack_a_with(&self, pa: &mut PackedA, fill: impl FnMut(usize, usize, usize, &mut [f32])) {
+    /// Packs `op(A)` from wherever `fill` reads it. `fill(p0, i0, rows, mr,
+    /// panel)` writes one zeroed `kc×mr` k-major micro-panel, `mr` being
+    /// the panel's planned height ([`stripe_panels`]: [`MR`] or [`MR_SHORT`]):
+    /// element `(i0 + i, p0 + kk)` of `op(A)` goes to `panel[kk * mr + i]`
+    /// for `i < rows`; what it leaves untouched stays zero. The height is
+    /// the filler's to read, never to assume.
+    pub fn pack_a_with(
+        &self,
+        pa: &mut PackedA,
+        fill: impl FnMut(usize, usize, usize, usize, &mut [f32]),
+    ) {
         (pa.m, pa.k) = (self.m, self.k);
-        pack_panels::<MR>(&mut pa.buf, self.k, self.m, true, fill);
+        pack_panels(&mut pa.buf, self.k, self.m, a_panels(self.m), true, fill);
     }
 
     /// Packs `op(A)` from its stored slice, reusing `pa`'s allocation. A
-    /// stored A gives a panel its MR rows as slices; a transposed A is
-    /// stored `k×m`, so each k-step of a panel is MR contiguous floats.
+    /// stored A gives a panel its rows as slices; a transposed A is stored
+    /// `k×m`, so each k-step of a panel is its height in contiguous floats.
     pub fn pack_a_into(&self, a: &[f32], pa: &mut PackedA) {
         let (m, k) = (self.m, self.k);
         assert_eq!(a.len(), m * k, "pack_a: A length vs {m}×{k} descriptor");
         (pa.m, pa.k) = (m, k);
-        pack_panels::<MR>(&mut pa.buf, k, m, false, |p0, i0, rows, panel| {
+        pack_panels(&mut pa.buf, k, m, a_panels(m), false, |p0, i0, rows, mr, panel| {
             if self.trans_a {
-                copy_runs::<MR>(panel, &a[p0 * m + i0..], m, rows);
+                let src = &a[p0 * m + i0..];
+                if mr == MR {
+                    copy_runs::<MR>(panel, src, m, rows);
+                } else {
+                    copy_runs::<MR_SHORT>(panel, src, m, rows);
+                }
             } else {
-                let kc = panel.len() / MR;
+                let kc = panel.len() / mr;
                 for (i, row) in a[i0 * k..].chunks_exact(k).take(rows).enumerate() {
-                    for (dst, &v) in panel.chunks_exact_mut(MR).zip(&row[p0..p0 + kc]) {
+                    for (dst, &v) in panel.chunks_exact_mut(mr).zip(&row[p0..p0 + kc]) {
                         dst[i] = v;
                     }
                 }
-                if rows < MR {
-                    panel.chunks_exact_mut(MR).for_each(|dst| dst[rows..].fill(0.0));
+                if rows < mr {
+                    panel.chunks_exact_mut(mr).for_each(|dst| dst[rows..].fill(0.0));
                 }
             }
         });
@@ -272,9 +299,16 @@ impl Gemm {
     /// panel)` writes one zeroed `kc×NR` k-major micro-panel: element
     /// `(p0 + kk, j0 + j)` of `op(B)` goes to `panel[kk * NR + j]` for
     /// `j < cols`; what it leaves untouched stays zero.
-    pub fn pack_b_with(&self, pb: &mut PackedB, fill: impl FnMut(usize, usize, usize, &mut [f32])) {
+    pub fn pack_b_with(
+        &self,
+        pb: &mut PackedB,
+        mut fill: impl FnMut(usize, usize, usize, &mut [f32]),
+    ) {
         (pb.k, pb.n) = (self.k, self.n);
-        pack_panels::<NR>(&mut pb.buf, self.k, self.n, true, fill);
+        let panels = b_panels(self.n);
+        pack_panels(&mut pb.buf, self.k, self.n, panels, true, |p0, j0, cols, _, panel| {
+            fill(p0, j0, cols, panel)
+        });
     }
 
     /// Packs `op(B)` from its stored slice, reusing `pb`'s allocation. A
@@ -285,7 +319,7 @@ impl Gemm {
         // The one check behind `fill_transposed`'s unchecked loads.
         assert!(b.len() == k * n, "pack_b: B length {} vs {k}×{n} descriptor", b.len());
         (pb.k, pb.n) = (k, n);
-        pack_panels::<NR>(&mut pb.buf, k, n, false, |p0, j0, cols, panel| {
+        pack_panels(&mut pb.buf, k, n, b_panels(n), false, |p0, j0, cols, _, panel| {
             if self.trans_b {
                 // SAFETY: stored rows `j0..j0 + cols` are k floats from
                 // `j·k`, and `p0 + kc ≤ k`: all inside `b` by the assert.
@@ -319,44 +353,33 @@ impl Gemm {
         grid: &Grid,
     ) {
         let rows = cs.len() / grid.ldc;
-        let panel0 = row0 / MR; // row0 is MC-aligned and MC % MR == 0
-        let panels = rows.div_ceil(MR);
-        let (mpanels, npanels) = (self.m.div_ceil(MR), self.n.div_ceil(NR));
+        let (padded, plan) = (padded_rows(self.m), stripe_panels(rows));
+        let npanels = self.n.div_ceil(NR);
         let jc_panels = NC / NR;
         for jc in (0..npanels).step_by(jc_panels) {
             let jc_end = (jc + jc_panels).min(npanels);
             for p0 in (0..self.k.max(1)).step_by(KC) {
                 let kc = KC.min(self.k - p0);
-                let a_off = mpanels * MR * p0;
+                let a_slab = padded * p0;
+                let overwrite = !ADD && p0 == 0;
                 let mut yx = (jc * NR / grid.pitch, jc * NR % grid.pitch);
                 for jr in jc..jc_end {
                     let lanes = NR.min(self.n - jr * NR);
-                    let (y, x) = yx;
-                    let whole = lanes == NR && grid.col_step == 1 && x + NR <= grid.width;
-                    for ip in 0..panels {
-                        let ap = pa.buf[a_off + (panel0 + ip) * kc * MR..][..kc * MR].as_ptr();
-                        let (r0, mr) = (ip * MR, MR.min(rows - ip * MR));
-                        let overwrite = !ADD && p0 == 0;
+                    let whole = lanes == NR && grid.col_step == 1 && yx.1 + NR <= grid.width;
+                    for (r0, h) in plan.clone() {
+                        let ap = pa.buf[a_slab + (row0 + r0) * kc..][..kc * h].as_ptr();
+                        let out = Out { grid, rows: (r0, h.min(rows - r0)), yx, lanes, whole };
                         let b_rows = b.rows(p0, kc, jr);
-                        // SAFETY (both arms): `ap` is a kc-step panel and
-                        // `b` yields kc rows of NR readable floats — a packed
-                        // panel by construction, an offset window by
-                        // `run_offsets`' reach assert — and the tile's MR
-                        // rows land in the slice of C taken for them, or in
-                        // an array the kernel writes whole (it is not
-                        // zeroed first: the kernel is not inlined here, so
-                        // that fill would be 12 more stores per tile).
-                        if whole && mr == MR {
-                            let at = r0 * grid.ldc + grid.origin + y * grid.row_step + x;
-                            let dst = cs[at..][..(MR - 1) * grid.ldc + NR].as_mut_ptr();
-                            unsafe { tile(ap, b_rows, dst, grid.ldc, !overwrite) };
-                        } else {
-                            let mut acc = MaybeUninit::<[[f32; NR]; MR]>::uninit();
-                            let acc = unsafe {
-                                tile(ap, b_rows, acc.as_mut_ptr().cast(), NR, false);
-                                acc.assume_init_ref()
-                            };
-                            store_tile(cs, grid, (r0, mr), yx, lanes, acc, overwrite);
+                        // SAFETY: `ap` is a kc-step panel of h rows, and
+                        // `b` yields kc rows of NR readable floats — a
+                        // packed panel by construction, an offset window by
+                        // `run_offsets`' reach assert.
+                        unsafe {
+                            if h == MR {
+                                panel_tile::<MR>(cs, &out, ap, b_rows, overwrite);
+                            } else {
+                                panel_tile::<MR_SHORT>(cs, &out, ap, b_rows, overwrite);
+                            }
                         }
                     }
                     yx.1 += NR;
@@ -480,31 +503,77 @@ impl Gemm {
     }
 }
 
+/// The row panels of one stripe of `rows ≤ MC` rows of `C`, as `(first
+/// row, height)`: the fewest rows of [`MR`]-row panels then
+/// [`MR_SHORT`]-row ones that cover `rows` rounded up to even (and to at
+/// least [`MR_SHORT`]), with as many 6-row panels as that allows. A full
+/// stripe is `MC / MR` 6-row panels; 4 rows are [4], 8 are [4, 4], 16 are
+/// [6, 6, 4] and 32 are [6, 6, 6, 6, 4, 4]. Only a product's last stripe
+/// can be short, so every panel but those of the tail is 6 rows.
+fn stripe_panels(rows: usize) -> impl Iterator<Item = (usize, usize)> + Clone {
+    let cover = cover(rows);
+    // The 4-row panels fill `cover − 6·six`, a multiple of 4: one 6-row
+    // panel fewer than `cover / 6` when `cover mod 6` is 2.
+    let six = cover / MR - usize::from(cover % MR % MR_SHORT != 0);
+    let four = (cover - six * MR) / MR_SHORT;
+    let tall = (0..six).map(|i| (i * MR, MR));
+    tall.chain((0..four).map(move |i| (six * MR + i * MR_SHORT, MR_SHORT)))
+}
+
+/// The row panels of an `m`-row product, stripe after stripe (see
+/// [`stripe_panels`]), as `(first row, height)`.
+fn a_panels(m: usize) -> impl Iterator<Item = (usize, usize)> + Clone {
+    (0..m)
+        .step_by(MC)
+        .flat_map(move |s0| stripe_panels((m - s0).min(MC)).map(move |(r0, h)| (s0 + r0, h)))
+}
+
+/// Rows the panels of a stripe of `rows` rows cover: `rows` rounded up to
+/// even and to at least [`MR_SHORT`].
+fn cover(rows: usize) -> usize {
+    rows.max(MR_SHORT).next_multiple_of(2)
+}
+
+/// Rows the panels of an `m`-row product cover: a slab of its [`PackedA`]
+/// is this many rows of k-steps.
+fn padded_rows(m: usize) -> usize {
+    let tail = m % MC;
+    m - tail + if tail == 0 { 0 } else { cover(tail) }
+}
+
+/// The column panels of an `n`-column `op(B)`: [`NR`] lanes each.
+fn b_panels(n: usize) -> impl Iterator<Item = (usize, usize)> + Clone {
+    (0..n).step_by(NR).map(|j0| (j0, NR))
+}
+
 /// The panel loop, written once for both operand sides: lays an operand of
 /// `extent` lanes (rows of `op(A)`, columns of `op(B)`) by `k` deep out as
-/// `LANES`-wide micro-panels in [`KC`]-deep slabs — slab-major, then panel,
-/// k-major inside — and hands each panel to `fill(p0, l0, lanes, panel)`
-/// with its slab start, first lane and live lane count (`< LANES` only on
-/// the edge panel). With `zeroed` the buffer is zero-filled first, for a
-/// filler that leaves entries untouched; without it `fill` must write
-/// every lane of its panel, the ones past `lanes` as zeros.
-fn pack_panels<const LANES: usize>(
+/// the micro-panels `panels` plans — `(first lane, width)`, tiling the
+/// padded extent in order — in [`KC`]-deep slabs: slab-major, a panel at
+/// `first lane · kc` in its slab, k-major inside. Each panel goes to
+/// `fill(p0, l0, lanes, width, panel)` with its slab start, first lane,
+/// live lane count (`< width` only at the edge) and width. With `zeroed`
+/// the buffer is zero-filled first, for a filler that leaves entries
+/// untouched; without it `fill` must write every lane of its panel, the
+/// ones past `lanes` as zeros.
+fn pack_panels(
     buf: &mut Vec<f32>,
     k: usize,
     extent: usize,
+    panels: impl Iterator<Item = (usize, usize)> + Clone,
     zeroed: bool,
-    mut fill: impl FnMut(usize, usize, usize, &mut [f32]),
+    mut fill: impl FnMut(usize, usize, usize, usize, &mut [f32]),
 ) {
+    let padded = panels.clone().last().map_or(0, |(l0, width)| l0 + width);
     if zeroed {
         buf.clear();
     }
-    buf.resize(extent.div_ceil(LANES) * LANES * k, 0.0);
-    let mut off = 0usize;
+    buf.resize(padded * k, 0.0);
     for p0 in (0..k).step_by(KC) {
-        let kc = KC.min(k - p0);
-        for l0 in (0..extent).step_by(LANES) {
-            fill(p0, l0, LANES.min(extent - l0), &mut buf[off..off + kc * LANES]);
-            off += kc * LANES;
+        let (kc, slab) = (KC.min(k - p0), padded * p0);
+        for (l0, width) in panels.clone() {
+            let panel = &mut buf[slab + l0 * kc..][..kc * width];
+            fill(p0, l0, width.min(extent - l0), width, panel);
         }
     }
 }
@@ -626,9 +695,52 @@ unsafe fn transpose8_avx2(src: *const f32, ld: usize, dst: *mut f32) {
     }
 }
 
-/// The register tile: one MR×NR block of C accumulated over the k-steps
-/// of the packed A panel `ap` (MR values a step) and the B rows `rows`
-/// yields, then written from the accumulators to the MR rows `dst + i·ld`
+/// Where one tile of a stripe lands: the stripe rows `r0..r0 + mr` of the
+/// tile's H (`rows`), grid lane `yx` on `grid` and `lanes` live lanes from
+/// there; `whole` when all NR lanes lie in one kept run of `C`.
+struct Out<'g> {
+    grid: &'g Grid,
+    rows: (usize, usize),
+    yx: (usize, usize),
+    lanes: usize,
+    whole: bool,
+}
+
+/// One tile of an H-row panel into the stripe `cs`, overwriting on the
+/// first k-slab (`overwrite`) and adding on the rest. A tile that is whole
+/// for its own panel's height — H live rows and a `whole` lane run — is
+/// written by the kernel straight from its registers; any other goes
+/// through an H×NR array and [`store_tile`]. The array is not zeroed
+/// first: the kernel is not inlined here, so that fill would be 2·H more
+/// ymm stores per tile.
+///
+/// # Safety
+///
+/// `ap` must hold H floats for each k-step, and every row `b_rows` yields
+/// [`NR`] readable floats.
+#[inline(always)]
+unsafe fn panel_tile<const H: usize>(
+    cs: &mut [f32],
+    out: &Out,
+    ap: *const f32,
+    b_rows: impl Iterator<Item = *const f32>,
+    overwrite: bool,
+) {
+    let (grid, (r0, mr), (y, x)) = (out.grid, out.rows, out.yx);
+    if out.whole && mr == H {
+        let at = r0 * grid.ldc + grid.origin + y * grid.row_step + x;
+        let dst = cs[at..][..(H - 1) * grid.ldc + NR].as_mut_ptr();
+        tile::<H>(ap, b_rows, dst, grid.ldc, !overwrite);
+    } else {
+        let mut acc = MaybeUninit::<[[f32; NR]; H]>::uninit();
+        tile::<H>(ap, b_rows, acc.as_mut_ptr().cast(), NR, false);
+        store_tile(cs, grid, out.rows, out.yx, out.lanes, acc.assume_init_ref(), overwrite);
+    }
+}
+
+/// The register tile: one H×NR block of C accumulated over the k-steps
+/// of the packed A panel `ap` (H values a step) and the B rows `rows`
+/// yields, then written from the accumulators to the H rows `dst + i·ld`
 /// (NR floats each): stored, or with `add` added to what they hold (`c +
 /// acc`, [`store_tile`]'s add). The fixed-size accumulator array lives in
 /// vector registers; the k-loop is the only sequential dependency and runs
@@ -646,11 +758,11 @@ unsafe fn transpose8_avx2(src: *const f32, ld: usize, dst: *mut f32) {
 ///
 /// # Safety
 ///
-/// `ap` must be valid for reads of [`MR`] floats per row `rows` yields,
-/// every such row for reads of [`NR`] floats, and `dst + i·ld` for writes
-/// (and, with `add`, reads) of [`NR`] floats for every `i <` [`MR`].
+/// `ap` must be valid for reads of H floats per row `rows` yields, every
+/// such row for reads of [`NR`] floats, and `dst + i·ld` for writes (and,
+/// with `add`, reads) of [`NR`] floats for every `i < H`.
 #[inline(always)]
-unsafe fn tile(
+unsafe fn tile<const H: usize>(
     ap: *const f32,
     rows: impl Iterator<Item = *const f32>,
     dst: *mut f32,
@@ -661,9 +773,9 @@ unsafe fn tile(
     if avx2_fma_available() {
         // SAFETY: the CPU supports avx2+fma (checked above); the operands
         // are the caller's to guarantee.
-        return microkernel_fma(ap, rows, dst, ld, add);
+        return microkernel_fma::<H>(ap, rows, dst, ld, add);
     }
-    microkernel_generic(ap, rows, dst, ld, add)
+    microkernel_generic::<H>(ap, rows, dst, ld, add)
 }
 
 /// The body [`tile`] runs on this host, `"avx2+fma"` or `"portable"` (they
@@ -678,17 +790,17 @@ pub fn microkernel() -> &'static str {
 
 /// The portable body. Safety as [`tile`].
 #[inline(always)]
-unsafe fn microkernel_generic(
+unsafe fn microkernel_generic<const H: usize>(
     ap: *const f32,
     rows: impl Iterator<Item = *const f32>,
     dst: *mut f32,
     ld: usize,
     add: bool,
 ) {
-    let mut acc = [[0.0f32; NR]; MR];
+    let mut acc = [[0.0f32; NR]; H];
     for (kk, b) in rows.enumerate() {
-        let (a, b) = (&*ap.add(kk * MR).cast::<[f32; MR]>(), &*b.cast::<[f32; NR]>());
-        for i in 0..MR {
+        let (a, b) = (&*ap.add(kk * H).cast::<[f32; H]>(), &*b.cast::<[f32; NR]>());
+        for i in 0..H {
             let ai = a[i];
             for j in 0..NR {
                 acc[i][j] += ai * b[j];
@@ -723,13 +835,13 @@ pub fn avx2_fma_available() -> bool {
     }
 }
 
-/// The AVX2/FMA body: 12 ymm accumulators (6 rows × 2 vectors), one
-/// broadcast ymm for A and two loads for B per k-step, and each row
-/// stored (or loaded, added and stored) as two ymm. Safety as [`tile`],
-/// on a CPU with avx2 and fma.
+/// The AVX2/FMA body: 2·H ymm accumulators (H rows × 2 vectors: 12 for a
+/// 6-row panel, 8 for a 4-row one), one broadcast ymm for A and two loads
+/// for B per k-step, and each row stored (or loaded, added and stored) as
+/// two ymm. Safety as [`tile`], on a CPU with avx2 and fma.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn microkernel_fma(
+unsafe fn microkernel_fma<const H: usize>(
     ap: *const f32,
     rows: impl Iterator<Item = *const f32>,
     dst: *mut f32,
@@ -737,16 +849,16 @@ unsafe fn microkernel_fma(
     add: bool,
 ) {
     use std::arch::x86_64::*;
-    let mut acc = [_mm256_setzero_ps(); 2 * MR];
+    let mut acc = [[_mm256_setzero_ps(); 2]; H];
     for (kk, b) in rows.enumerate() {
-        let (a, b0, b1) = (ap.add(kk * MR), _mm256_loadu_ps(b), _mm256_loadu_ps(b.add(8)));
-        for i in 0..MR {
+        let (a, b0, b1) = (ap.add(kk * H), _mm256_loadu_ps(b), _mm256_loadu_ps(b.add(8)));
+        for (i, row) in acc.iter_mut().enumerate() {
             let ai = _mm256_broadcast_ss(&*a.add(i));
-            acc[2 * i] = _mm256_fmadd_ps(ai, b0, acc[2 * i]);
-            acc[2 * i + 1] = _mm256_fmadd_ps(ai, b1, acc[2 * i + 1]);
+            row[0] = _mm256_fmadd_ps(ai, b0, row[0]);
+            row[1] = _mm256_fmadd_ps(ai, b1, row[1]);
         }
     }
-    for (i, half) in acc.chunks_exact(2).enumerate() {
+    for (i, half) in acc.iter().enumerate() {
         let d = dst.add(i * ld);
         let (mut lo, mut hi) = (half[0], half[1]);
         if add {
@@ -758,10 +870,11 @@ unsafe fn microkernel_fma(
     }
 }
 
-/// Writes the kept part of a tile, computed into `acc`, into `C` (see
-/// [`Grid`]), overwriting on the first k-slab and accumulating on the
-/// rest: the path of the tiles the microkernel cannot store itself. Tile row `i < mr` is row `r0 + i` of
-/// the stripe `c` (the rest are discarded); tile lane `j < lanes` is grid
+/// Writes the kept part of a tile, computed into `acc` (its panel's H
+/// rows), into `C` (see [`Grid`]), overwriting on the first k-slab and
+/// accumulating on the rest: the path of the tiles the microkernel cannot
+/// store itself. Tile row `i < mr` is row `r0 + i` of the stripe `c` (the
+/// rest are discarded); tile lane `j < lanes` is grid
 /// lane `(y, x + j)`, wrapping at the grid's pitch. Discarding lanes here
 /// is what keeps edge-panel padding, and the lanes an offset product reads
 /// past its output width, inert: `0·inf = NaN` can only appear in a lane
@@ -773,7 +886,7 @@ fn store_tile(
     (r0, mr): (usize, usize),
     (mut y, mut x): (usize, usize),
     lanes: usize,
-    acc: &[[f32; NR]; MR],
+    acc: &[[f32; NR]],
     overwrite: bool,
 ) {
     // An edge tile inside one kept run is one contiguous store per row.
@@ -969,8 +1082,8 @@ mod tests {
     /// panels: the packing oracle.
     fn gathered_a(g: &Gemm, a: &[f32]) -> PackedA {
         let mut pa = PackedA::default();
-        g.pack_a_with(&mut pa, |p0, i0, rows, panel| {
-            for (kk, dst) in panel.chunks_exact_mut(MR).enumerate() {
+        g.pack_a_with(&mut pa, |p0, i0, rows, mr, panel| {
+            for (kk, dst) in panel.chunks_exact_mut(mr).enumerate() {
                 for (i, d) in dst[..rows].iter_mut().enumerate() {
                     *d = a_at(g, a, i0 + i, p0 + kk);
                 }
@@ -1048,12 +1161,23 @@ mod tests {
     /// A stored-slice pack over a buffer left dirty — by a larger product's
     /// panels, or NaN-filled — is the gather into zeroed panels, bit for
     /// bit, edge lanes' zeros included: on both operand sides, every
-    /// transpose, ragged and whole panels, and several KC slabs; for a
-    /// transposed B on both block bodies.
+    /// transpose, ragged and whole panels, and several KC slabs, in the
+    /// planned layout — 6-row panels, 4-row ones (m = 1, 4, 7, 8, 13, 32)
+    /// and a planned tail after a full stripe; for a transposed B on both
+    /// block bodies.
     #[test]
     fn packs_over_dirty_buffers_are_the_gathered_ones() {
-        let big = Gemm::nt(64, 3 * KC, 64);
-        let shapes = [(1, 1, 1), (MR, 8, NR), (7, KC + 9, 17), (13, 2 * KC + 3, 33), (32, 32, 206)];
+        let big = Gemm::nt(2 * MC, 3 * KC, 64);
+        let shapes = [
+            (1, 1, 1),
+            (MR, 8, NR),
+            (MR_SHORT, 8, NR),
+            (7, KC + 9, 17),
+            (8, 3, 5),
+            (13, 2 * KC + 3, 33),
+            (32, 32, 206),
+            (MC + 8, 40, 20),
+        ];
         for (s, (m, k, n)) in shapes.into_iter().enumerate() {
             for (t, g) in
                 [Gemm::nn(m, k, n), Gemm::nt(m, k, n), Gemm::tn(m, k, n), Gemm::tt(m, k, n)]
@@ -1077,17 +1201,25 @@ mod tests {
                     assert_bits(&pa.buf, &want_a, &format!("A of {what}"));
                     assert_bits(&pb.buf, &want_b, &format!("B of {what}"));
                     if g.trans_b {
-                        pack_panels::<NR>(&mut portable.buf, k, n, false, |p0, j0, cols, panel| {
-                            // SAFETY: as in `pack_b_into`; `b` holds all n×k.
-                            unsafe {
-                                fill_transposed_body::<false>(
-                                    b[j0 * k + p0..].as_ptr(),
-                                    k,
-                                    cols,
-                                    panel,
-                                )
-                            }
-                        });
+                        let panels = b_panels(n);
+                        pack_panels(
+                            &mut portable.buf,
+                            k,
+                            n,
+                            panels,
+                            false,
+                            |p0, j0, cols, _, p| {
+                                // SAFETY: as in `pack_b_into`; `b` holds all n×k.
+                                unsafe {
+                                    fill_transposed_body::<false>(
+                                        b[j0 * k + p0..].as_ptr(),
+                                        k,
+                                        cols,
+                                        p,
+                                    )
+                                }
+                            },
+                        );
                         assert_bits(&portable.buf, &want_b, &format!("portable B of {what}"));
                     }
                 }
@@ -1095,9 +1227,9 @@ mod tests {
         }
     }
 
-    /// Runs one tile on the portable body or, when `portable` is false, on
-    /// the AVX2 one. Safety as [`tile`].
-    unsafe fn body(
+    /// Runs one H-row tile on the portable body or, when `portable` is
+    /// false, on the AVX2 one. Safety as [`tile`].
+    unsafe fn body<const H: usize>(
         portable: bool,
         ap: *const f32,
         rows: impl Iterator<Item = *const f32>,
@@ -1107,15 +1239,40 @@ mod tests {
     ) {
         #[cfg(target_arch = "x86_64")]
         if !portable {
-            return microkernel_fma(ap, rows, dst, ld, add);
+            return microkernel_fma::<H>(ap, rows, dst, ld, add);
         }
-        microkernel_generic(ap, rows, dst, ld, add)
+        microkernel_generic::<H>(ap, rows, dst, ld, add)
+    }
+
+    /// One tile of [`by_tiles`]: the H-row panel at `ap` against B panel
+    /// `jr`, into rows `r0..r0 + mr` of the dense `C` of `g`. With `direct`
+    /// a tile whole for its panel's height is stored from the registers;
+    /// otherwise it goes through the array and `store_tile`.
+    unsafe fn tile_of<const H: usize>(
+        (g, c): (&Gemm, &mut [f32]),
+        ap: *const f32,
+        rows: impl Iterator<Item = *const f32>,
+        (r0, mr): (usize, usize),
+        (jr, lanes): (usize, usize),
+        overwrite: bool,
+        (portable, direct): (bool, bool),
+    ) {
+        if direct && mr == H && lanes == NR {
+            let dst = c[r0 * g.n + jr * NR..][..(H - 1) * g.n + NR].as_mut_ptr();
+            body::<H>(portable, ap, rows, dst, g.n, !overwrite);
+        } else {
+            let mut acc = [[0.0f32; NR]; H];
+            body::<H>(portable, ap, rows, acc.as_mut_ptr().cast(), NR, false);
+            let grid = Grid::dense(g.n);
+            store_tile(c, &grid, (r0, mr), (0, jr * NR), lanes, &acc, overwrite);
+        }
     }
 
     /// `C = op(A)·op(B)`, or with `add` `C += op(A)·op(B)`, over packed
-    /// operands on one body, slab by slab. With `direct`, full tiles are
-    /// stored from the body's registers as `stripe` stores them; without,
-    /// every tile goes through the array and `store_tile` — the oracle.
+    /// operands on one body, slab by slab, panel by planned panel. With
+    /// `direct`, whole tiles are stored from the body's registers as
+    /// `stripe` stores them; without, every tile goes through the array
+    /// and `store_tile` — the oracle.
     fn by_tiles(
         g: &Gemm,
         (pa, pb): (&PackedA, &PackedB),
@@ -1124,35 +1281,32 @@ mod tests {
         portable: bool,
         direct: bool,
     ) {
-        let (mp, np, grid) = (g.m.div_ceil(MR), g.n.div_ceil(NR), Grid::dense(g.n));
+        let (padded, np) = (padded_rows(g.m), g.n.div_ceil(NR));
         for p0 in (0..g.k.max(1)).step_by(KC) {
             let kc = KC.min(g.k - p0);
             let overwrite = !add && p0 == 0;
-            for (ip, jr) in (0..mp).flat_map(|ip| (0..np).map(move |jr| (ip, jr))) {
-                let ap = pa.buf[(mp * p0 + ip * kc) * MR..].as_ptr();
-                let (mr, lanes) = (MR.min(g.m - ip * MR), NR.min(g.n - jr * NR));
-                let rows = pb.rows(p0, kc, jr);
+            for ((r0, h), jr) in a_panels(g.m).flat_map(|p| (0..np).map(move |jr| (p, jr))) {
+                let ap = pa.buf[padded * p0 + r0 * kc..].as_ptr();
+                let (at, lanes) = ((r0, h.min(g.m - r0)), (jr, NR.min(g.n - jr * NR)));
+                let (rows, how) = (pb.rows(p0, kc, jr), (portable, direct));
                 // SAFETY: as in `stripe`.
                 unsafe {
-                    if direct && mr == MR && lanes == NR {
-                        let dst = c[ip * MR * g.n + jr * NR..][..(MR - 1) * g.n + NR].as_mut_ptr();
-                        body(portable, ap, rows, dst, g.n, !overwrite);
+                    if h == MR {
+                        tile_of::<MR>((g, c), ap, rows, at, lanes, overwrite, how);
                     } else {
-                        let mut acc = [[0.0f32; NR]; MR];
-                        body(portable, ap, rows, acc.as_mut_ptr().cast(), NR, false);
-                        store_tile(c, &grid, (ip * MR, mr), (0, jr * NR), lanes, &acc, overwrite);
+                        tile_of::<MR_SHORT>((g, c), ap, rows, at, lanes, overwrite, how);
                     }
                 }
             }
         }
     }
 
-    /// Full tiles stored or added straight from the registers are the
-    /// array-and-`store_tile` path, bit for bit, on both bodies; and `run`
-    /// and `run_add` (at pool widths 1 and 2) are that path on the
-    /// dispatched body — over full and edge tiles, k across up to three KC
-    /// slabs and k = 0, and a `C` holding ±0, subnormals, ±∞ and NaN
-    /// payloads.
+    /// Whole tiles stored or added straight from the registers are the
+    /// array-and-`store_tile` path, bit for bit, on both bodies and both
+    /// panel heights; and `run` and `run_add` (at pool widths 1 and 2) are
+    /// that path on the dispatched body — over whole and edge tiles of
+    /// 6-row and 4-row panels, k across up to three KC slabs and k = 0, and
+    /// a `C` holding ±0, subnormals, ±∞ and NaN payloads.
     #[test]
     fn register_stores_are_the_array_stores() {
         let avx2 = microkernel() == "avx2+fma";
@@ -1164,6 +1318,11 @@ mod tests {
             Gemm::tt(13, 2 * KC + 3, 2 * NR + 5),
             Gemm::nn(MC + 7, KC + 1, NR + 1),
             Gemm::nt(2 * MR, 0, 2 * NR),
+            Gemm::nn(MR_SHORT, 36, 4 * NR),
+            Gemm::tn(8, KC + 3, 2 * NR + 1),
+            Gemm::nt(16, 72, NR),
+            Gemm::tt(32, 9, 3 * NR),
+            Gemm::nn(MC + 16, 2 * KC + 1, NR + 3),
         ];
         let pools: Vec<_> =
             [1, 2].map(|w| rayon::ThreadPoolBuilder::new().num_threads(w).build().unwrap()).into();
@@ -1193,6 +1352,136 @@ mod tests {
                         pool.install(|| g.run(&a, &b, &mut got));
                     }
                     assert_bits(&got, &want, &format!("{what}, pool width {}", w + 1));
+                }
+            }
+        }
+    }
+
+    /// Each stripe's panels tile the fewest rows that cover it, rounded up
+    /// to even and to at least 4, as 6-row panels then 4-row ones with as
+    /// many 6-row panels as fit; a full stripe is 6-row panels only; and a
+    /// product's panels are its stripes' in order.
+    #[test]
+    fn the_panel_plan_covers_each_stripe_with_the_fewest_rows() {
+        let heights = |rows| stripe_panels(rows).map(|(_, h)| h).collect::<Vec<_>>();
+        assert_eq!(heights(4), [4]);
+        assert_eq!(heights(8), [4, 4]);
+        assert_eq!(heights(16), [6, 6, 4]);
+        assert_eq!(heights(32), [6, 6, 6, 6, 4, 4]);
+        assert_eq!(heights(MC), [MR; MC / MR]);
+        for rows in 1..=MC {
+            let plan: Vec<_> = stripe_panels(rows).collect();
+            let cover = rows.max(MR_SHORT).next_multiple_of(2);
+            let mut next = 0;
+            for &(r0, h) in &plan {
+                assert_eq!(r0, next, "rows {rows}: {plan:?} is not contiguous");
+                assert!(r0 < rows, "rows {rows}: panel at {r0} holds no row");
+                next += h;
+            }
+            assert_eq!(next, cover, "rows {rows}: {plan:?}");
+            let h = heights(rows);
+            assert!(h.windows(2).all(|w| w[0] >= w[1]), "rows {rows}: 4-row panels last");
+            let six = h.iter().filter(|&&h| h == MR).count();
+            assert!((six + 1) * MR > cover || (cover - (six + 1) * MR) % MR_SHORT != 0);
+        }
+        for m in [1, 5, MC, MC + 1, 2 * MC + 7, 3 * MC] {
+            let want: Vec<_> = (0..m)
+                .step_by(MC)
+                .flat_map(|s0| stripe_panels((m - s0).min(MC)).map(move |(r, h)| (s0 + r, h)))
+                .collect();
+            assert_eq!(a_panels(m).collect::<Vec<_>>(), want);
+            assert_eq!(padded_rows(m), want.last().map_or(0, |&(r0, h)| r0 + h), "m {m}");
+        }
+    }
+
+    /// The per-element chains the kernels compute: for each element of `C`
+    /// (row-major) and each KC slab (k = 0 is one empty slab), a chain from
+    /// `+0.0` over the slab's k-steps in order, fused (`mul_add`, the AVX2
+    /// body) or not (the portable body).
+    fn chains(g: &Gemm, a: &[f32], b: &[f32], fused: bool) -> Vec<Vec<f32>> {
+        let (at, bt) = (|i, p| a_at(g, a, i, p), |p, j| b_at(g, b, p, j));
+        let slabs: Vec<_> = (0..g.k.max(1)).step_by(KC).map(|p0| p0..g.k.min(p0 + KC)).collect();
+        let chain = |i, j, ps: &std::ops::Range<usize>| {
+            ps.clone().fold(0.0f32, |acc, p| {
+                let (x, y): (f32, f32) = (at(i, p), bt(p, j));
+                if fused {
+                    x.mul_add(y, acc)
+                } else {
+                    acc + x * y
+                }
+            })
+        };
+        let element = |q: usize| slabs.iter().map(|ps| chain(q / g.n, q % g.n, ps)).collect();
+        (0..g.c_len()).map(element).collect()
+    }
+
+    /// `C` from `c0` and the chains: the first slab stored unless `add`,
+    /// every other added as `c + chain`.
+    fn apply(c0: &[f32], chains: &[Vec<f32>], add: bool) -> Vec<f32> {
+        let slabs = |(c, ch): (&f32, &Vec<f32>)| {
+            let first = if add { *c + ch[0] } else { ch[0] };
+            ch[1..].iter().fold(first, |c, s| c + s)
+        };
+        c0.iter().zip(chains).map(slabs).collect()
+    }
+
+    /// Every entry point is the per-element chains, bit for bit: `run`,
+    /// `run_add` and `run_packed` (sequential, and parallel at pool widths
+    /// 1/2/4) on the dispatched body, and the planned tiles on both bodies
+    /// (`by_tiles`), over every m in 1..=2·MC + 7 — every plan of a tail
+    /// stripe, alone and after one or two full stripes — k ∈ {0, 1, KC,
+    /// KC + 1} and n ∈ {1, NR, NR + 1, 3·NR + 5}, from a `C` of ±0,
+    /// subnormals, ±∞ and NaN payloads.
+    #[test]
+    fn every_entry_point_is_the_per_element_chains() {
+        let avx2 = microkernel() == "avx2+fma";
+        let bodies: &[bool] = if avx2 { &[false, true] } else { &[true] };
+        let pools: Vec<_> = [1, 2, 4]
+            .map(|w| rayon::ThreadPoolBuilder::new().num_threads(w).build().unwrap())
+            .into();
+        for m in 1..=2 * MC + 7 {
+            for (k, n) in [0, 1, KC, KC + 1]
+                .into_iter()
+                .flat_map(|k| [1, NR, NR + 1, 3 * NR + 5].map(|n| (k, n)))
+            {
+                let t = (m + k + n) % 4;
+                let g = Gemm { trans_a: t & 1 == 1, trans_b: t & 2 == 2, m, k, n };
+                let seed = (m * 1000 + k * 10 + n) as u64;
+                let (a, b) = (
+                    SeedRng::new(seed).randn_tensor(&[g.a_len()], 1.0).into_vec(),
+                    SeedRng::new(seed + 1).randn_tensor(&[g.b_len()], 1.0).into_vec(),
+                );
+                let c0 = payload(g.c_len(), seed + 2);
+                let packs = (&g.pack_a(&a), &g.pack_b(&b));
+                let (plain, fused) = (chains(&g, &a, &b, false), chains(&g, &a, &b, true));
+                for add in [false, true] {
+                    let what = format!("{g:?}, add {add}");
+                    let oracle =
+                        |fused_body| apply(&c0, if fused_body { &fused } else { &plain }, add);
+                    for &portable in bodies {
+                        let mut got = c0.clone();
+                        by_tiles(&g, packs, &mut got, add, portable, true);
+                        let body = if portable { "portable" } else { "avx2" };
+                        assert_bits(&got, &oracle(!portable), &format!("{what}, {body} tiles"));
+                    }
+                    let want = oracle(avx2);
+                    let mut got = c0.clone();
+                    if add {
+                        g.run_add(&a, &b, &mut got);
+                    } else {
+                        g.run(&a, &b, &mut got);
+                    }
+                    assert_bits(&got, &want, &format!("{what}, run"));
+                    if add {
+                        continue;
+                    }
+                    let widths = [(false, 0), (true, 0), (true, 1), (true, 2)];
+                    for (parallel, w) in widths {
+                        let mut got = c0.clone();
+                        pools[w].install(|| g.run_packed(packs.0, packs.1, &mut got, parallel));
+                        let how = format!("{what}, run_packed parallel {parallel}");
+                        assert_bits(&got, &want, &format!("{how} at width {}", 1 << w));
+                    }
                 }
             }
         }

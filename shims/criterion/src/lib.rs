@@ -112,7 +112,7 @@ where
         println!("test {id} ... ok");
     } else if b.best_s.is_finite() {
         println!(
-            "{id}: best {:.3} ms, mean {:.3} ms ({samples} samples)",
+            "{id}: best {:.4} ms, mean {:.4} ms ({samples} samples)",
             b.best_s * 1e3,
             b.mean_s * 1e3
         );
